@@ -449,6 +449,53 @@ def _bin_index(value: float, edges: np.ndarray, k: int) -> int | None:
     return min(idx, k - 1)
 
 
+def _reject_non_finite(x: np.ndarray, columns: tuple[str, ...],
+                       y: np.ndarray | None = None) -> None:
+    """Raise ValueError naming the first predictor (or the response) that
+    holds a NaN or an infinity; a vectorised bin cast would hide it."""
+    for j in range(x.shape[1]):
+        if not np.isfinite(x[:, j]).all():
+            name = columns[j] if j < len(columns) else f"x{j}"
+            raise ValueError(f"regressogram predictor {name!r} has non-finite values")
+    if y is not None and not np.isfinite(y).all():
+        raise ValueError("regressogram response has non-finite values")
+
+
+def _bin_rows(x: np.ndarray, edges: tuple[np.ndarray, ...],
+              k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column bins of every row, by the float expression of
+    `_bin_index`, and the mask of rows inside the range in every column."""
+    bins = np.zeros(x.shape, dtype=np.int64)
+    inside = np.ones(x.shape[0], dtype=bool)
+    for j, e in enumerate(edges):
+        lo, hi = e[0], e[-1]
+        v = x[:, j]
+        ok = (v >= lo) & (v <= hi)
+        inside &= ok
+        if hi != lo:
+            # out-of-range rows are binned as lo so the cast stays in range
+            idx = ((np.where(ok, v, lo) - lo) / (hi - lo) * k).astype(np.int64)
+            bins[:, j] = np.minimum(idx, k - 1)
+    return bins, inside
+
+
+def _cell_keys(bins: np.ndarray, k: int) -> np.ndarray:
+    """One int64 per row, equal exactly when the rows' cells are equal.
+
+    This is the row-major cell index while k**columns fits; before a
+    column would overflow it, the partial key is renumbered densely.
+    """
+    key = np.zeros(bins.shape[0], dtype=np.int64)
+    span = 1
+    for col in bins.T:
+        if span * k > 2**62:
+            uniq, key = np.unique(key, return_inverse=True)
+            span = len(uniq)
+        key = key * k + col
+        span *= k
+    return key
+
+
 def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
                      columns: tuple[str, ...] = ()) -> RegressogramModel:
     """Equal-width bins over each predictor's observed range; populated
@@ -459,19 +506,27 @@ def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
         raise ValueError("empty training set")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if y.shape != (x.shape[0],):
+        raise ValueError(f"{x.shape[0]} training rows but responses of "
+                         f"shape {y.shape}")
+    columns = columns or tuple(f"x{i}" for i in range(x.shape[1]))
+    _reject_non_finite(x, columns, y)
     edges = tuple(np.linspace(x[:, j].min(), x[:, j].max(), k + 1)
                   for j in range(x.shape[1]))
-    cells: dict[tuple[int, ...], tuple[int, float]] = {}
-    for i in range(x.shape[0]):
-        cell = tuple(_bin_index(x[i, j], edges[j], k) for j in range(x.shape[1]))
-        count, total = cells.get(cell, (0, 0.0))
-        cells[cell] = (count + 1, total + float(y[i]))
-    total = 0.0
-    for v in y:
-        total += float(v)
-    return RegressogramModel(edges=edges, cells=cells, fallback=total / len(y),
-                             k=k, columns=columns or tuple(
-                                 f"x{i}" for i in range(x.shape[1])))
+    bins, _ = _bin_rows(x, edges, k)
+    _, first, cell_of_row = np.unique(_cell_keys(bins, k), return_index=True,
+                                      return_inverse=True)
+    # bincount adds in row order, so each cell sum is the running sum
+    counts = np.bincount(cell_of_row)
+    sums = np.bincount(cell_of_row, weights=y)
+    order = np.argsort(first)       # cells in order of first appearance
+    cells = {tuple(cell): (count, total) for cell, count, total in zip(
+        bins[first[order]].tolist(), counts[order].tolist(),
+        sums[order].tolist())}
+    # a sequential sum like the cells', not numpy's pairwise np.sum
+    fallback = float(np.cumsum(y)[-1]) / len(y)
+    return RegressogramModel(edges=edges, cells=cells, fallback=fallback,
+                             k=k, columns=columns)
 
 
 def predict_regressogram(model: RegressogramModel, x: np.ndarray) -> float:
@@ -493,8 +548,26 @@ def predict_regressogram(model: RegressogramModel, x: np.ndarray) -> float:
 
 
 def predict_regressogram_rows(model: RegressogramModel, x: np.ndarray) -> np.ndarray:
+    """`predict_regressogram` of every row of `x`, as one table lookup."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return np.array([predict_regressogram(model, row) for row in x])
+    n_cols = len(model.edges)
+    if x.shape[1] != n_cols:
+        raise SchemaError(f"expected {n_cols} predictors, got {x.shape[1]}")
+    _reject_non_finite(x, model.columns)
+    out = np.full(x.shape[0], model.fallback)
+    if not model.cells:
+        return out
+    bins, inside = _bin_rows(x, model.edges, model.k)
+    cell_bins = np.array(list(model.cells), dtype=np.int64).reshape(-1, n_cols)
+    means = np.array([model.cell_mean(cell) for cell in model.cells])
+    keys = _cell_keys(np.vstack([cell_bins, bins]), model.k)
+    cell_keys, row_keys = keys[:len(means)], keys[len(means):]
+    order = np.argsort(cell_keys)
+    pos = np.searchsorted(cell_keys, row_keys, sorter=order)
+    slot = order[np.minimum(pos, len(order) - 1)]
+    hit = inside & (cell_keys[slot] == row_keys)
+    out[hit] = means[slot[hit]]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -156,13 +156,18 @@ def maybe_rebuild(table: ModelTable, t_s: float, latest_error: float,
 # ---------------------------------------------------------------------------
 
 def persist(table: ModelTable, path: str) -> None:
-    """Write the table, including history and log, as a JSON document."""
+    """Write the table, including history and log, as a strict JSON document.
+
+    A NaN or infinite value other than the default cooldown raises ValueError.
+    """
     doc = {
         "active_key": list(map(list, table.active_key.triples))
         if table.active_key else None,
         "threshold": table.threshold,
         "window_s": table.window_s,
-        "cooldown_until_s": table.cooldown_until_s,
+        # -inf (no cooldown yet) has no strict-JSON spelling; null stands in
+        "cooldown_until_s": None if table.cooldown_until_s == float("-inf")
+        else table.cooldown_until_s,
         "skipped_windows": table.skipped_windows,
         "history": [[r.t_s, r.error] for r in table.history],
         "decision_log": list(table.decision_log),
@@ -171,8 +176,10 @@ def persist(table: ModelTable, path: str) -> None:
             for key, m in table.models.items()
         ],
     }
+    # encode first, so a value strict JSON cannot hold leaves no partial file
+    text = json.dumps(doc, indent=1, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(text)
 
 
 def load(path: str) -> ModelTable:
@@ -186,7 +193,9 @@ def load(path: str) -> ModelTable:
         table = ModelTable(
             threshold=float(doc["threshold"]),
             window_s=float(doc["window_s"]),
-            cooldown_until_s=float(doc["cooldown_until_s"]),
+            # older files spell the default as -Infinity, which json reads
+            cooldown_until_s=float("-inf") if doc["cooldown_until_s"] is None
+            else float(doc["cooldown_until_s"]),
             skipped_windows=int(doc["skipped_windows"]),
             history=[MonitorRecord(float(t), float(e)) for t, e in doc["history"]],
             decision_log=[str(line) for line in doc["decision_log"]],

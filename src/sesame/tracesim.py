@@ -29,6 +29,10 @@ EVENT_DRIVEN = "event-driven"
 
 _REL_TOL = 1e-9
 
+# Markov steps resolved per vectorised block; bounds the successor table
+# at (number of states) x _MARKOV_BLOCK entries whatever the run length.
+_MARKOV_BLOCK = 8192
+
 
 def _ratio_as_int(value: float, base: float, what: str) -> int:
     """Return value/base as an int, or raise if it is not integral."""
@@ -242,13 +246,24 @@ def _phase_states(
         n_steps = math.ceil(n_ticks / ticks_per_step)
         rng = np.random.default_rng(rng_key)
         cum = np.cumsum(np.asarray(proc.transition, dtype=float), axis=1)
+        # All draws of the phase come from this one call, in step order: the
+        # seeds and every calibrated anchor depend on exactly this sequence.
         draws = rng.random(n_steps)
         states = np.empty(n_steps, dtype=np.int16)
         s = proc.initial_state
-        for i in range(n_steps):
-            states[i] = s
-            s = int(np.searchsorted(cum[s], draws[i], side="right"))
-            s = min(s, k - 1)
+        for start in range(0, n_steps, _MARKOV_BLOCK):
+            block = draws[start:start + _MARKOV_BLOCK]
+            # The draws do not depend on the state, so resolve the successor
+            # of every state for every step of the block up front; the clamp
+            # covers rows whose float cumsum ends just below 1.0.
+            nxt = np.minimum(
+                [np.searchsorted(row, block, side="right") for row in cum],
+                k - 1).tolist()
+            walk = []
+            for i in range(len(block)):
+                walk.append(s)
+                s = nxt[s][i]
+            states[start:start + len(walk)] = walk
         return np.repeat(states, ticks_per_step)[:n_ticks]
 
     raise ConfigurationError(f"unknown occupancy process {proc!r}")

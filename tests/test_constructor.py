@@ -3,7 +3,12 @@ import pytest
 
 import sesame as ss
 from sesame.collector import DesignMatrix
-from sesame.constructor import load_model, model_from_dict, save_model
+from sesame.constructor import (
+    load_model,
+    model_from_dict,
+    predict_regressogram_rows,
+    save_model,
+)
 from sesame.errors import (
     DegenerateFitError,
     InsufficientDataError,
@@ -348,6 +353,89 @@ def test_regressogram_out_of_range_falls_back():
     assert ss.predict_regressogram(model, np.array([5.0, 0.5])) == model.fallback
     with pytest.raises(ValueError):
         ss.fit_regressogram(np.empty((0, 2)), np.empty(0), k=5)
+
+
+
+def loop_fit_regressogram(x, y, k):
+    """Reference fit: cells and fallback as running sums, row by row."""
+    edges = tuple(np.linspace(x[:, j].min(), x[:, j].max(), k + 1)
+                  for j in range(x.shape[1]))
+    cells = {}
+    for i in range(x.shape[0]):
+        cell = tuple(ss.constructor._bin_index(x[i, j], edges[j], k)
+                     for j in range(x.shape[1]))
+        count, total = cells.get(cell, (0, 0.0))
+        cells[cell] = (count + 1, total + float(y[i]))
+    total = 0.0
+    for v in y:
+        total += float(v)
+    return edges, cells, total / len(y)
+
+
+def regressogram_case(name):
+    rng = np.random.default_rng(18)
+    x = rng.uniform(-2.0, 3.0, size=(800, 3))
+    y = np.sin(x[:, 0]) + x[:, 1] ** 2 + rng.normal(0, 0.1, 800)
+    query = np.vstack([x, rng.uniform(-4.0, 5.0, size=(400, 3)),
+                       x.min(axis=0), x.max(axis=0)])
+    if name == "constant_column":
+        x[:, 2] = 1.5
+        query[::3, 2] = 1.5
+        return x, y, query, 10
+    if name == "empty_cells":
+        x = x[(x[:, 0] < 0.0) | (x[:, 1] > 1.0)]    # a hole in the grid
+        return x, y[:len(x)], query, 6
+    if name == "k1":
+        return x, y, query, 1
+    return x, y, query, 10
+
+
+@pytest.mark.parametrize(
+    "name", ["out_of_range", "constant_column", "empty_cells", "k1"])
+def test_regressogram_matches_row_loop(name):
+    x, y, query, k = regressogram_case(name)
+    model = ss.fit_regressogram(x, y, k=k)
+    edges, cells, fallback = loop_fit_regressogram(x, y, k)
+    assert list(model.cells.items()) == list(cells.items())
+    assert model.fallback == fallback
+    assert all(np.array_equal(a, b) for a, b in zip(model.edges, edges))
+    got = predict_regressogram_rows(model, query)
+    want = np.array([ss.predict_regressogram(model, row) for row in query])
+    assert np.array_equal(got, want)
+    assert (got == model.fallback).any()
+
+
+def test_regressogram_many_columns_keep_distinct_cells():
+    # 2**70 cells overflow an int64 row-major index, which would merge
+    # cells that differ only in the leading columns
+    rng = np.random.default_rng(19)
+    x = rng.integers(0, 2, size=(400, 70)).astype(float)
+    x[:, 8:] = rng.integers(0, 2, size=(4, 62))[rng.integers(0, 4, 400)]
+    y = rng.normal(size=400)
+    model = ss.fit_regressogram(x, y, k=2)
+    assert model.cells == loop_fit_regressogram(x, y, 2)[1]
+    query = np.vstack([x, rng.integers(0, 2, size=(200, 70))])
+    want = np.array([ss.predict_regressogram(model, row) for row in query])
+    assert np.array_equal(predict_regressogram_rows(model, query), want)
+
+
+def test_regressogram_rejects_non_finite_values():
+    x = np.column_stack([np.linspace(0, 1, 20), np.linspace(1, 2, 20)])
+    y = x.sum(axis=1)
+    cols = ("cpu", "disk")
+    bad = x.copy()
+    bad[4, 1] = np.nan
+    with pytest.raises(ValueError, match="'disk'"):
+        ss.fit_regressogram(bad, y, k=4, columns=cols)
+    with pytest.raises(ValueError, match="response"):
+        ss.fit_regressogram(x, np.where(y > 2.5, np.inf, y), k=4)
+    model = ss.fit_regressogram(x, y, k=4, columns=cols)
+    bad[4, 1] = 0.5
+    bad[7, 0] = -np.inf
+    with pytest.raises(ValueError, match="'cpu'"):
+        predict_regressogram_rows(model, bad)
+    with pytest.raises(SchemaError):
+        predict_regressogram_rows(model, x[:, :1])
 
 
 # -- persistence ----------------------------------------------------------------

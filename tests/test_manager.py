@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,36 @@ def test_persist_round_trip_three_models(tmp_path):
     path = tmp_path / "table.json"
     ss.persist(table, str(path))
     assert table_equals(ss.load(str(path)), table)
+
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_persist_writes_strict_json(tmp_path):
+    table = ss.ModelTable()
+    install_model(table, key_of(dvs="off"), make_model())
+    assert table.cooldown_until_s == float("-inf")
+    path = tmp_path / "table.json"
+    ss.persist(table, str(path))
+    doc = json.loads(path.read_text(), parse_constant=reject_constant)
+    assert doc["cooldown_until_s"] is None
+    assert table_equals(ss.load(str(path)), table)
+    table.history.append(MonitorRecord(100.0, float("nan")))
+    with pytest.raises(ValueError):
+        ss.persist(table, str(tmp_path / "nan.json"))
+    assert not (tmp_path / "nan.json").exists()
+
+
+def test_load_accepts_infinity_cooldown_of_older_files(tmp_path):
+    table = ss.ModelTable()
+    path = tmp_path / "table.json"
+    ss.persist(table, str(path))
+    doc = json.loads(path.read_text())
+    doc["cooldown_until_s"] = float("-inf")
+    path.write_text(json.dumps(doc))          # spelled -Infinity
+    assert ss.load(str(path)).cooldown_until_s == float("-inf")
 
 
 def test_persist_truncated_file_raises(tmp_path):

@@ -177,6 +177,113 @@ def test_phases_switch_and_last_phase_extends():
     assert np.all(trace.power_w[200:] == 4.0)  # phase b runs to the end
 
 
+
+# -- Markov sampling against the step-by-step loop ------------------------------
+
+def loop_markov_states(proc, n_ticks, tick_s, rng_key):
+    """Reference sampler: one searchsorted per Markov step."""
+    k = len(proc.transition)
+    ticks_per_step = int(round(proc.step_s / tick_s))
+    n_steps = -(-n_ticks // ticks_per_step)
+    rng = np.random.default_rng(rng_key)
+    cum = np.cumsum(np.asarray(proc.transition, dtype=float), axis=1)
+    draws = rng.random(n_steps)
+    states = np.empty(n_steps, dtype=np.int16)
+    s = proc.initial_state
+    for i in range(n_steps):
+        states[i] = s
+        s = int(np.searchsorted(cum[s], draws[i], side="right"))
+        s = min(s, k - 1)
+    return np.repeat(states, ticks_per_step)[:n_ticks]
+
+
+def random_chain(rng, k, zero_fraction=0.5):
+    p = rng.random((k, k)) * (rng.random((k, k)) >= zero_fraction)
+    p[:, 0] += 1e-3                       # no all-zero rows
+    return tuple(map(tuple, p / p.sum(axis=1, keepdims=True)))
+
+
+MARKOV_CASES = {
+    "single_state": (((1.0,),), 0),
+    "absorbing_rows": (((1.0, 0.0, 0.0), (0.3, 0.4, 0.3), (0.0, 0.0, 1.0)), 1),
+    "zero_entries": (((0.0, 0.7, 0.0, 0.3), (0.5, 0.0, 0.5, 0.0),
+                      (0.0, 0.0, 0.0, 1.0), (0.25, 0.25, 0.0, 0.5)), 3),
+    # float cumsum of ten 0.1 ends at 0.9999999999999999
+    "cumsum_below_one": (((0.1,) * 10,) * 10, 7),
+    "dense_k8": (random_chain(np.random.default_rng(3), 8, 0.0), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARKOV_CASES))
+@pytest.mark.parametrize("n_ticks", [1, 5, 1003, 2000])
+def test_markov_states_match_step_loop(name, n_ticks):
+    transition, initial = MARKOV_CASES[name]
+    chain = ss.MarkovChain(transition, step_s=0.005, initial_state=initial)
+    comp = ss.Component("c", (1.0,) * len(transition))
+    got = ss.tracesim._phase_states(chain, comp, n_ticks, 0.001, (9, 0, 1))
+    want = loop_markov_states(chain, n_ticks, 0.001, (9, 0, 1))
+    assert got.dtype == np.int16
+    assert np.array_equal(got, want)
+
+
+class FixedDraws:
+    """Stands in for a numpy Generator: returns `values`, cycled."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, n):
+        return np.resize(self.values, n)
+
+
+def test_markov_clamps_draws_above_row_cumsum(monkeypatch):
+    # draws at or above the row's float cumsum (0.9999999999999999) and
+    # exactly on a cumsum value hit the k-1 clamp and the side="right" rule
+    top = np.nextafter(1.0, 0.0)
+    draws = [top, 0.0, 0.1, 0.30000000000000004, top, 0.5, top, 0.95]
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda key: FixedDraws(draws))
+    transition, _ = MARKOV_CASES["cumsum_below_one"]
+    chain = ss.MarkovChain(transition, step_s=0.002, initial_state=2)
+    comp = ss.Component("c", (1.0,) * 10)
+    got = ss.tracesim._phase_states(chain, comp, 51, 0.001, (0,))
+    want = loop_markov_states(chain, 51, 0.001, (0,))
+    assert np.array_equal(got, want)
+    assert 9 in got
+
+
+def test_markov_chain_longer_than_one_block():
+    rng = np.random.default_rng(21)
+    chain = ss.MarkovChain(random_chain(rng, 50), step_s=0.001,
+                           initial_state=17)
+    comp = ss.Component("c", (1.0,) * 50)
+    n_ticks = 2 * ss.tracesim._MARKOV_BLOCK + 777
+    got = ss.tracesim._phase_states(chain, comp, n_ticks, 0.001, (4, 2, 0))
+    want = loop_markov_states(chain, n_ticks, 0.001, (4, 2, 0))
+    assert np.array_equal(got, want)
+
+
+def test_markov_phases_restart_with_their_own_draws():
+    rng = np.random.default_rng(22)
+    chains = [ss.MarkovChain(random_chain(rng, 4), step_s=0.004,
+                             initial_state=i) for i in range(3)]
+    model = ss.ComponentStateModel(
+        components=(ss.Component("cpu", (1.0, 2.0, 3.0, 4.0)),
+                    ss.Component("gpu", (0.5, 1.5, 2.5, 3.5))))
+    wl = ss.WorkloadSpec(phases=tuple(
+        ss.Phase(f"p{i}", 0.5 + 0.25 * i,
+                 {"cpu": chain, "gpu": chains[(i + 1) % 3]})
+        for i, chain in enumerate(chains)), seed=5)
+    trace = ss.gen_trace(model, wl, 2.5, 0.001)
+    phase_ticks = [500, 750, 1250]         # the last phase runs to the end
+    for c_idx in range(2):
+        want = np.concatenate([
+            loop_markov_states(phase.occupancy[model.components[c_idx].name],
+                               n, 0.001, (5, c_idx, p_idx))
+            for p_idx, (phase, n) in enumerate(zip(wl.phases, phase_ticks))])
+        assert np.array_equal(trace.states[c_idx], want)
+
+
 # -- observation ------------------------------------------------------------
 
 def test_observed_equals_truth_when_updates_are_fast():
