@@ -61,9 +61,7 @@ from .tracesim import (
     Phase,
     PredictorSpec,
     Schedule,
-    StateResidency,
     Trace,
-    TraceSample,
     WorkloadSpec,
     gen_trace,
     observe_predictors,

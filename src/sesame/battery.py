@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ConfigurationError, RateError
-from .tracesim import Trace, _ratio_as_int
+from .tracesim import Trace, _ratio_as_int, true_energy
 
 INSTANT = "instant"
 FILTERED = "filtered"
@@ -108,9 +108,8 @@ def _quantize(values: np.ndarray, lsb: float) -> np.ndarray:
 
 def _internal_current_means(trace: Trace, internal_rate_hz: float) -> np.ndarray:
     """True mean current per internal sample window, one entry per window."""
-    k = _ratio_as_int(1.0 / internal_rate_hz, trace.tick_s, "internal period")
-    m = len(trace) // k
-    return trace.power_w[: m * k].reshape(m, k).mean(axis=1)
+    period = 1.0 / internal_rate_hz
+    return true_energy(trace, period) / period
 
 
 def sample_instant(trace: Trace, model: BatteryInterfaceModel,
@@ -177,12 +176,10 @@ def sample_capacity(trace: Trace, model: BatteryInterfaceModel,
     """
     if model.kind != CAPACITY:
         raise ConfigurationError("sample_capacity needs a capacity-kind model")
-    current = trace.power_w / model.supply_voltage_v
-    charge = np.concatenate([[0.0], np.cumsum(current * trace.tick_s)])
     k = _ratio_as_int(1.0 / model.reading_rate_hz, trace.tick_s, "reading period")
     n_read = len(trace) // k
-    idx = np.arange(n_read + 1) * k
-    levels = model.initial_capacity_c - charge[idx]
+    charge = trace.energy(np.arange(n_read + 1) * k) / model.supply_voltage_v
+    levels = model.initial_capacity_c - charge
     rng = np.random.default_rng(seed)
     if model.noise_sigma > 0:
         levels = levels * (1.0 + rng.normal(0.0, model.noise_sigma, len(levels)))

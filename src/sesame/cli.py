@@ -1,6 +1,7 @@
 """Command-line driver: run scenario files or built-ins end to end.
 
-Exit codes: 0 success, 1 configuration error, 2 insufficient data.
+Exit codes: 0 success, 2 insufficient data, 1 any other error (an
+invalid scenario, flag or persisted document).
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ import argparse
 import os
 import sys
 
-from .errors import ConfigurationError, InsufficientDataError, ParseError
+from .errors import ConfigurationError, InsufficientDataError, SesameError
 from .experiments import AdaptationResult, ErrorReport, run_scenario
 from .scenarios import (
     BUILTIN_SCENARIOS,
@@ -118,12 +119,12 @@ def main(argv: list[str] | None = None) -> int:
         result = run_scenario(sc, out_dir)
         _summarize(result, out_dir)
         return 0
-    except (ConfigurationError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InsufficientDataError as exc:
         print(f"error: insufficient data: {exc}", file=sys.stderr)
         return 2
+    except SesameError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Every runner is deterministic given the scenario seed: two runs write
 byte-identical reports. Estimates are always scored as RMS relative error
-against tick-level ground-truth energy at the evaluated rate.
+against exact ground-truth energy at the evaluated rate.
 """
 
 from __future__ import annotations
@@ -120,10 +120,8 @@ class RunArtifacts:
 
 def simulate(sc: ScenarioConfig) -> RunArtifacts:
     """Generate the trace, observed streams, and battery readings."""
-    trace = gen_trace(sc.system, sc.workload, sc.duration_s, sc.tick_s)
-    if sc.collection_overhead_w > 0.0:
-        trace = Trace(trace.model, trace.tick_s, trace.states,
-                      trace.power_w + sc.collection_overhead_w)
+    trace = gen_trace(sc.system, sc.workload, sc.duration_s, sc.tick_s,
+                      overhead_w=sc.collection_overhead_w)
     streams = None
     if sc.predictors:
         streams = observe_predictors(trace, list(sc.predictors),

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .battery import BatteryInterfaceModel
-from .errors import ConfigurationError, ParseError
+from .constructor import DEFAULT_T_LOW_RANGE
+from .errors import AlignmentError, ConfigurationError, ParseError
 from .tracesim import (
     Component,
     ComponentStateModel,
@@ -24,6 +26,7 @@ from .tracesim import (
     PredictorSpec,
     Schedule,
     WorkloadSpec,
+    _ratio_as_int,
 )
 
 ERROR_VS_RATE = "error-vs-rate"
@@ -70,6 +73,17 @@ class ScenarioConfig:
             raise ConfigurationError(f"unknown experiment {self.experiment!r}")
         if self.seed is None:
             raise ConfigurationError("scenario needs a seed")
+        if not (self.tick_s > 0 and self.base_rate_hz > 0):
+            raise ConfigurationError("tick and base rate must be > 0")
+        for rate in self.rate_grid:
+            if not 0 < rate < math.inf:
+                raise ConfigurationError(f"rate {rate} Hz must be finite and > 0")
+            _whole_multiple(1.0 / rate, self.tick_s, f"rate {rate:g} Hz period")
+        lo, hi = DEFAULT_T_LOW_RANGE
+        if not lo <= self.t_low_s <= hi:
+            raise ConfigurationError(
+                f"t_low {self.t_low_s} s outside the range [{lo:g}, {hi:g}] s")
+        _whole_multiple(self.t_low_s, 1.0 / self.base_rate_hz, "t_low")
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return dataclasses.replace(
@@ -83,6 +97,14 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 # JSON (de)serialization
 # ---------------------------------------------------------------------------
+
+def _whole_multiple(value: float, base: float, what: str) -> None:
+    """Raise ConfigurationError unless value is a whole multiple of base."""
+    try:
+        _ratio_as_int(value, base, what)
+    except AlignmentError as exc:
+        raise ConfigurationError(str(exc)) from None
+
 
 def _process_to_dict(proc) -> dict:
     if isinstance(proc, FixedState):

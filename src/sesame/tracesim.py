@@ -6,6 +6,12 @@ component, so the energy of any interval is an exactly linear function of
 the per-state residencies. Predictors are software-visible views of those
 residencies (residency fractions, event counters, or discrete levels) and
 carry the imperfections of a real OS: finite update rates and delays.
+
+The trace is run-length: states change only at Markov steps or schedule
+edges, so each component keeps the tick at which each run starts and the
+state it holds, never an array per tick. Energies, interval aggregates,
+observed register values and battery charge are evaluated from the runs
+at the queried tick indices only (`Trace.integral`, `Trace.interval_sums`).
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +43,7 @@ _MARKOV_BLOCK = 8192
 def _ratio_as_int(value: float, base: float, what: str) -> int:
     """Return value/base as an int, or raise if it is not integral."""
     ratio = value / base
-    n = int(round(ratio))
+    n = int(round(ratio)) if math.isfinite(ratio) else 0
     if n < 1 or abs(ratio - n) > 1e-6 * max(1.0, abs(ratio)):
         raise AlignmentError(
             f"{what}: {value} is not an integral multiple of {base}"
@@ -200,22 +206,54 @@ class WorkloadSpec:
             raise ConfigurationError("workload needs >= 1 phase")
 
 
+def _expand_runs(starts: np.ndarray, states: np.ndarray,
+                 n_ticks: int) -> np.ndarray:
+    """Per-tick states of runs that start at `starts` and end at `n_ticks`."""
+    return np.repeat(states, np.diff(starts, append=n_ticks))
+
+
+def _rule_runs(rule, n_ticks: int, tick_s: float, period_s: float,
+               offsets_s: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of a periodic per-tick rule, evaluated only near its edges.
+
+    `rule(ticks)` gives the state of each tick from the time of its
+    midpoint modulo `period_s`, and changes only where a midpoint crosses
+    `c * period_s + offset`. A crossing at time b moves the state at tick
+    ceil(b / tick - 0.5), give or take one for rounding, so the rule is
+    compared with its value one tick earlier at those ticks only. When a
+    phase has more edges than ticks, every tick is compared.
+    """
+    n_cycles = math.ceil(n_ticks * tick_s / period_s) + 1
+    if 3 * n_cycles * len(offsets_s) < n_ticks:
+        bounds = (np.arange(n_cycles)[:, None] * period_s
+                  + np.asarray(offsets_s, dtype=float)[None, :]).ravel()
+        near = np.ceil(bounds / tick_s - 0.5).astype(np.int64)
+        ticks = np.unique(np.concatenate([near - 1, near, near + 1]))
+        ticks = ticks[(ticks >= 1) & (ticks < n_ticks)]
+    else:
+        ticks = np.arange(1, n_ticks, dtype=np.int64)
+    starts = np.concatenate([[0], ticks[rule(ticks) != rule(ticks - 1)]])
+    return starts.astype(np.int64), rule(starts)
+
+
 def _phase_states(
     proc: OccupancyProcess,
     component: Component,
     n_ticks: int,
     tick_s: float,
     rng_key: tuple[int, ...],
-) -> np.ndarray:
-    """Tick-level state indices for one component over one phase.
+) -> tuple[np.ndarray, np.ndarray]:
+    """State runs `(starts, states)` for one component over one phase.
 
-    Timing is phase-local: schedules and duty cycles restart at the start
-    of each phase.
+    `starts` are phase-local int64 tick indices, the first one 0; run r
+    lasts until `starts[r + 1]`, the last until `n_ticks`. Timing is
+    phase-local: schedules and duty cycles restart at the start of each
+    phase. A tick's state is the one its midpoint falls in.
     """
     if isinstance(proc, FixedState):
         if not 0 <= proc.state < component.n_states:
             raise ConfigurationError(f"{component.name}: state out of range")
-        return np.full(n_ticks, proc.state, dtype=np.int16)
+        return np.zeros(1, dtype=np.int64), np.array([proc.state], np.int16)
 
     if isinstance(proc, Schedule):
         durs = np.array([d for d, _ in proc.steps])
@@ -224,16 +262,26 @@ def _phase_states(
             raise ConfigurationError(f"{component.name}: state out of range")
         edges = np.cumsum(durs)
         total = edges[-1]
-        t = ((np.arange(n_ticks) + 0.5) * tick_s) % total
-        idx = np.searchsorted(edges, t, side="right")
-        return states[np.minimum(idx, len(states) - 1)]
+
+        def rule(ticks):
+            t = ((ticks + 0.5) * tick_s) % total
+            idx = np.searchsorted(edges, t, side="right")
+            return states[np.minimum(idx, len(states) - 1)]
+
+        return _rule_runs(rule, n_ticks, tick_s, total,
+                          np.concatenate([[0.0], edges[:-1]]))
 
     if isinstance(proc, DutyCycle):
         if max(proc.state_hi, proc.state_lo) >= component.n_states:
             raise ConfigurationError(f"{component.name}: state out of range")
-        t = ((np.arange(n_ticks) + 0.5) * tick_s) % proc.period_s
-        hi = t < proc.fraction_hi * proc.period_s
-        return np.where(hi, proc.state_hi, proc.state_lo).astype(np.int16)
+        split = proc.fraction_hi * proc.period_s
+
+        def rule(ticks):
+            t = ((ticks + 0.5) * tick_s) % proc.period_s
+            return np.where(t < split, proc.state_hi,
+                            proc.state_lo).astype(np.int16)
+
+        return _rule_runs(rule, n_ticks, tick_s, proc.period_s, (0.0, split))
 
     if isinstance(proc, MarkovChain):
         k = len(proc.transition)
@@ -264,7 +312,7 @@ def _phase_states(
                 walk.append(s)
                 s = nxt[s][i]
             states[start:start + len(walk)] = walk
-        return np.repeat(states, ticks_per_step)[:n_ticks]
+        return np.arange(n_steps, dtype=np.int64) * ticks_per_step, states
 
     raise ConfigurationError(f"unknown occupancy process {proc!r}")
 
@@ -273,69 +321,118 @@ def _phase_states(
 # Trace
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceSample:
-    """One tick: timestamp, canonical residency vector, instantaneous power."""
-
-    timestamp_s: float
-    x: np.ndarray            # one-hot residency fractions over state_ids()
-    power_w: float
-
-
-@dataclass(frozen=True)
-class StateResidency:
-    """Seconds one component spent in one state within an interval."""
-
-    component: int
-    state: int
-    seconds: float
-    interval_start_s: float
-    interval_end_s: float
-
-
 class Trace:
-    """Tick-grid ground truth: per-component states and system power."""
+    """Run-length ground truth on a tick grid.
+
+    Each component's states are stored as runs: `runs[c] = (starts,
+    states)`, where component c is in `states[r]` from tick `starts[r]`
+    up to the next run's start, and the last run lasts to the trace end.
+    Tick power is the base draw plus `overhead_w` plus every component's
+    active state power; nothing per tick is stored.
+
+    Truth queries weight the states with a per-state vector and read the
+    runs at the queried tick indices only. `integral` gives the sum over
+    ticks [0, i) for an array of indices i: a prefix sum over runs, cached
+    per (component, weights), plus the partial run that holds tick i.
+    `interval_sums` gives the sums between successive indices without
+    differencing two large prefixes: the runs that an interval covers
+    whole are counted as exact integer ticks per state, so every interval
+    carries a few roundings however long the trace. The per-tick views
+    `states`, `power_w`, `tick_values` and `cumulative` expand the runs
+    on demand; the pipeline never calls them.
+    """
 
     def __init__(self, model: ComponentStateModel, tick_s: float,
-                 states: np.ndarray, power_w: np.ndarray):
+                 n_ticks: int,
+                 runs: Sequence[tuple[np.ndarray, np.ndarray]],
+                 overhead_w: float = 0.0):
         self.model = model
         self.tick_s = tick_s
-        self.states = states          # (n_components, n_ticks) int16
-        self.power_w = power_w        # (n_ticks,) watts
+        self.n_ticks = n_ticks
+        self.runs = tuple(runs)       # per component: (int64 starts, int16 states)
+        self.overhead_w = overhead_w
         self._state_ids = model.state_ids()
+        self._before: dict[int, np.ndarray] = {}
+        self._prefix: dict[tuple[int, bytes], np.ndarray] = {}
 
     def __len__(self) -> int:
-        return self.power_w.shape[0]
+        return self.n_ticks
 
     @property
     def duration_s(self) -> float:
         return len(self) * self.tick_s
 
     @property
-    def times_s(self) -> np.ndarray:
-        return np.arange(len(self)) * self.tick_s
-
-    @property
     def state_ids(self) -> list[str]:
         return list(self._state_ids)
 
-    def __getitem__(self, i: int) -> TraceSample:
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        x = np.zeros(len(self._state_ids))
-        offset = 0
+    # -- truth queries on the runs ---------------------------------------------
+
+    def run_index(self, c_idx: int, ticks: np.ndarray) -> np.ndarray:
+        """Index of the run of component `c_idx` that holds each tick."""
+        return np.searchsorted(self.runs[c_idx][0], ticks, side="right") - 1
+
+    def _ticks_before_runs(self, c_idx: int) -> np.ndarray:
+        """(runs, states) int64: ticks held in each state before each run."""
+        if c_idx not in self._before:
+            starts, states = self.runs[c_idx]
+            lengths = np.diff(starts, append=self.n_ticks)
+            n_states = self.model.components[c_idx].n_states
+            before = np.zeros((len(starts), n_states), dtype=np.int64)
+            for j in range(n_states):
+                np.cumsum(np.where(states[:-1] == j, lengths[:-1], 0),
+                          out=before[1:, j])
+            self._before[c_idx] = before
+        return self._before[c_idx]
+
+    def integral(self, c_idx: int, weights: np.ndarray,
+                 ticks: np.ndarray) -> np.ndarray:
+        """Sum of `weights[state]` over ticks [0, i) of component `c_idx`,
+        for each tick index i in `ticks` (0 <= i <= len(self))."""
+        ticks = np.asarray(ticks, dtype=np.int64)
+        starts, states = self.runs[c_idx]
+        key = (c_idx, weights.tobytes())
+        if key not in self._prefix:
+            self._prefix[key] = self._ticks_before_runs(c_idx) @ weights
+        r = self.run_index(c_idx, ticks)
+        return self._prefix[key][r] + weights[states[r]] * (ticks - starts[r])
+
+    def interval_sums(self, c_idx: int, weights: np.ndarray,
+                      bounds: np.ndarray) -> np.ndarray:
+        """Sum of `weights[state]` over ticks [bounds[k], bounds[k+1]) of
+        component `c_idx`, for increasing tick indices `bounds`."""
+        bounds = np.asarray(bounds, dtype=np.int64)
+        starts, states = self.runs[c_idx]
+        r = self.run_index(c_idx, bounds)
+        lo, hi, r_lo, r_hi = bounds[:-1], bounds[1:], r[:-1], r[1:]
+        ends = np.append(starts[1:], self.n_ticks)
+        # the run holding the interval start, up to the interval end
+        sums = weights[states[r_lo]] * (np.minimum(hi, ends[r_lo]) - lo)
+        # the run holding the interval end, when that is a later run
+        later = r_hi > r_lo
+        sums[later] += (weights[states[r_hi[later]]]
+                        * (hi[later] - starts[r_hi[later]]))
+        # runs in between, as exact tick counts per state
+        gap = r_hi > r_lo + 1
+        if gap.any():
+            before = self._ticks_before_runs(c_idx)
+            sums[gap] += (before[r_hi[gap]] - before[r_lo[gap] + 1]) @ weights
+        return sums
+
+    def energy(self, ticks: np.ndarray, per_interval: bool = False) -> np.ndarray:
+        """Joules over ticks [0, i) for each tick index i in `ticks`, or with
+        `per_interval` between successive indices."""
+        ticks = np.asarray(ticks, dtype=np.int64)
+        query = self.interval_sums if per_interval else self.integral
+        span = np.diff(ticks) if per_interval else ticks
+        watt_ticks = (self.model.base_power_w + self.overhead_w) * span
         for c_idx, comp in enumerate(self.model.components):
-            x[offset + int(self.states[c_idx, i])] = 1.0
-            offset += comp.n_states
-        return TraceSample(i * self.tick_s, x, float(self.power_w[i]))
+            watt_ticks = watt_ticks + query(
+                c_idx, np.asarray(comp.state_powers, dtype=float), ticks)
+        return watt_ticks * self.tick_s
 
-    def samples(self) -> Iterable[TraceSample]:
-        return (self[i] for i in range(len(self)))
-
-    # -- per-tick truth for a predictor spec --------------------------------
-
-    def tick_values(self, spec: "PredictorSpec") -> np.ndarray:
-        """Instantaneous predictor value per tick (weight of the active state)."""
+    def weight_vector(self, spec: "PredictorSpec") -> tuple[int, np.ndarray]:
+        """(component index, per-state weight vector) of a predictor spec."""
         c_idx = self.model.component_index(spec.component)
         comp = self.model.components[c_idx]
         w = np.zeros(comp.n_states)
@@ -343,7 +440,37 @@ class Trace:
             if not 0 <= j < comp.n_states:
                 raise ConfigurationError(f"{spec.id}: state {j} out of range")
             w[j] = wj
-        return w[self.states[c_idx]]
+        return c_idx, w
+
+    def interval_truth(self, spec: "PredictorSpec", interval_s: float) -> np.ndarray:
+        """Exact per-interval aggregate: fraction, count delta, or mean level."""
+        k = _ratio_as_int(interval_s, self.tick_s, "interval")
+        c_idx, w = self.weight_vector(spec)
+        sums = self.interval_sums(c_idx, w, np.arange(len(self) // k + 1) * k)
+        if spec.kind == COUNTER:
+            return sums * self.tick_s
+        return sums / k
+
+    # -- per-tick views, expanded on demand ------------------------------------
+
+    @property
+    def states(self) -> np.ndarray:
+        """(n_components, n_ticks) int16 state per tick."""
+        return np.vstack([_expand_runs(starts, states, len(self))
+                          for starts, states in self.runs])
+
+    @property
+    def power_w(self) -> np.ndarray:
+        """(n_ticks,) system power per tick, in watts."""
+        power = np.full(len(self), self.model.base_power_w)
+        for comp, tick_states in zip(self.model.components, self.states):
+            power += np.asarray(comp.state_powers)[tick_states]
+        return power + self.overhead_w
+
+    def tick_values(self, spec: "PredictorSpec") -> np.ndarray:
+        """Instantaneous predictor value per tick (weight of the active state)."""
+        c_idx, w = self.weight_vector(spec)
+        return w[_expand_runs(*self.runs[c_idx], len(self))]
 
     def cumulative(self, spec: "PredictorSpec") -> np.ndarray:
         """Accumulated counter value at each tick boundary, length n_ticks+1.
@@ -357,44 +484,15 @@ class Trace:
         np.cumsum(inc, out=out[1:])
         return out
 
-    def interval_truth(self, spec: "PredictorSpec", interval_s: float) -> np.ndarray:
-        """Exact per-interval aggregate: fraction, count delta, or mean level."""
-        k = _ratio_as_int(interval_s, self.tick_s, "interval")
-        m = len(self) // k
-        vals = self.tick_values(spec)[: m * k].reshape(m, k)
-        if spec.kind == LEVEL:
-            return vals.mean(axis=1)
-        if spec.kind == RESIDENCY:
-            return vals.mean(axis=1)
-        return vals.sum(axis=1) * self.tick_s
-
-    def state_residencies(self, interval_s: float,
-                          index: int) -> list[StateResidency]:
-        """Per-state residency seconds for interval `index`; sums to the
-        interval length for every component."""
-        k = _ratio_as_int(interval_s, self.tick_s, "interval")
-        start = index * k
-        if start + k > len(self):
-            raise AlignmentError(f"interval {index} beyond trace end")
-        out = []
-        for c_idx, comp in enumerate(self.model.components):
-            chunk = self.states[c_idx, start: start + k]
-            counts = np.bincount(chunk, minlength=comp.n_states)
-            for j in range(comp.n_states):
-                out.append(StateResidency(
-                    component=c_idx, state=j,
-                    seconds=float(counts[j]) * self.tick_s,
-                    interval_start_s=start * self.tick_s,
-                    interval_end_s=(start + k) * self.tick_s))
-        return out
-
 
 def gen_trace(model: ComponentStateModel, wl: WorkloadSpec,
-              duration_s: float, tick_s: float) -> Trace:
+              duration_s: float, tick_s: float,
+              overhead_w: float = 0.0) -> Trace:
     """Simulate the component-state system over `duration_s` at `tick_s`.
 
-    Returns ceil(duration/tick) samples; identical seeds give bit-identical
-    traces. Tick power is base power plus the sum of active state powers.
+    The trace covers ceil(duration/tick) ticks; identical seeds give
+    bit-identical runs. `overhead_w` is a constant draw added to the
+    tick power (the cost of collecting predictors and readings).
     """
     if tick_s <= 0:
         raise ConfigurationError("tick must be > 0")
@@ -402,9 +500,10 @@ def gen_trace(model: ComponentStateModel, wl: WorkloadSpec,
         raise ConfigurationError("duration must be >= tick")
     n_ticks = math.ceil(duration_s / tick_s - _REL_TOL)
 
-    states = np.empty((len(model.components), n_ticks), dtype=np.int16)
+    runs = []
     for c_idx, comp in enumerate(model.components):
-        chunks: list[np.ndarray] = []
+        starts: list[np.ndarray] = []
+        states: list[np.ndarray] = []
         tick_cursor = 0
         for p_idx, phase in enumerate(wl.phases):
             if tick_cursor >= n_ticks:
@@ -417,24 +516,25 @@ def gen_trace(model: ComponentStateModel, wl: WorkloadSpec,
             n_phase = math.ceil(phase.duration_s / tick_s - _REL_TOL)
             n = n_ticks - tick_cursor if last else min(n_phase,
                                                        n_ticks - tick_cursor)
-            chunks.append(_phase_states(
+            phase_starts, phase_states = _phase_states(
                 phase.occupancy[comp.name], comp, n, tick_s,
-                (wl.seed, c_idx, p_idx)))
+                (wl.seed, c_idx, p_idx))
+            starts.append(phase_starts + tick_cursor)
+            states.append(phase_states)
             tick_cursor += n
-        states[c_idx] = np.concatenate(chunks)
-
-    power = np.full(n_ticks, model.base_power_w)
-    for c_idx, comp in enumerate(model.components):
-        power += np.asarray(comp.state_powers)[states[c_idx]]
-    return Trace(model, tick_s, states, power)
+        all_starts = np.concatenate(starts)
+        all_states = np.concatenate(states)
+        changed = np.empty(len(all_states), dtype=bool)
+        changed[0] = True
+        np.not_equal(all_states[1:], all_states[:-1], out=changed[1:])
+        runs.append((all_starts[changed], all_states[changed]))
+    return Trace(model, tick_s, n_ticks, runs, overhead_w)
 
 
 def true_energy(trace: Trace, interval_s: float) -> np.ndarray:
-    """Exact energy per interval, in joules (sum of tick power x tick)."""
+    """Exact energy per interval, in joules."""
     k = _ratio_as_int(interval_s, trace.tick_s, "interval")
-    m = len(trace) // k
-    chunks = trace.power_w[: m * k].reshape(m, k)
-    return chunks.sum(axis=1) * trace.tick_s
+    return trace.energy(np.arange(len(trace) // k + 1) * k, per_interval=True)
 
 
 def residency_beta_true(model: ComponentStateModel, interval_s: float,
@@ -527,18 +627,14 @@ class ObservedStream:
 
     Cumulative kinds (residency, counter) expose a monotone register that
     advances only at update instants; level kinds expose the delayed level.
-    `value_at` accepts arbitrary query times and applies the update grid
-    and delay.
+    `value_at` accepts arbitrary query times, applies the update grid and
+    delay, and reads the trace's runs at the resulting ticks only.
     """
 
     def __init__(self, spec: PredictorSpec, trace: Trace):
         self.spec = spec
-        self._tick_s = trace.tick_s
-        self._n_ticks = len(trace)
-        if spec.kind == LEVEL:
-            self._series = trace.tick_values(spec)
-        else:
-            self._series = trace.cumulative(spec)
+        self._trace = trace
+        self._c_idx, self._weights = trace.weight_vector(spec)
 
     def _visible_instants(self, times: np.ndarray) -> np.ndarray:
         """Map query times to the activity time each visible value reflects."""
@@ -550,17 +646,17 @@ class ObservedStream:
 
     def value_at(self, times: np.ndarray) -> np.ndarray:
         """Visible register value (cumulative kinds) or level at `times`."""
+        trace = self._trace
         vis = self._visible_instants(np.atleast_1d(np.asarray(times, float)))
-        idx = np.floor(vis / self._tick_s + 1e-9).astype(np.int64)
+        idx = np.floor(vis / trace.tick_s + 1e-9).astype(np.int64)
         if self.spec.kind == LEVEL:
-            idx = np.clip(idx, 0, self._n_ticks - 1)
-            vals = self._series[idx]
-            vals = np.where(vis < 0, self._series[0], vals)
-        else:
-            idx = np.clip(idx, 0, self._n_ticks)
-            vals = self._series[idx]
-            vals = np.where(vis < 0, 0.0, vals)
-        return vals
+            # before the trace start the level is the first tick's
+            idx = np.clip(idx, 0, len(trace) - 1)
+            states = trace.runs[self._c_idx][1]
+            return self._weights[states[trace.run_index(self._c_idx, idx)]]
+        # before the trace start the register reads 0
+        idx = np.clip(idx, 0, len(trace))
+        return trace.integral(self._c_idx, self._weights, idx) * trace.tick_s
 
 
 class ObservedStreamSet:
@@ -609,14 +705,12 @@ def export_trace_csv(trace: Trace, specs: Sequence[PredictorSpec],
                      path: str, interval_s: float | None = None) -> None:
     """Write `t_s,power_w,<predictor ids...>` truth at tick (or interval) grid."""
     step = trace.tick_s if interval_s is None else interval_s
-    k = _ratio_as_int(step, trace.tick_s, "interval")
-    m = len(trace) // k
-    times = np.arange(m) * step
-    power = trace.power_w[: m * k].reshape(m, k).mean(axis=1)
+    power = true_energy(trace, step) / step
+    times = np.arange(len(power)) * step
     cols = [trace.interval_truth(spec, step) for spec in specs]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_s", "power_w"] + [s.id for s in specs])
-        for i in range(m):
+        for i in range(len(power)):
             writer.writerow([f"{times[i]:.10g}", f"{power[i]:.10g}"]
                             + [f"{c[i]:.10g}" for c in cols])

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import sesame.cli as cli
 import sesame.experiments as exp
 import sesame.scenarios as scn
 from sesame.cli import main as cli_main
-from sesame.errors import ConfigurationError, ParseError
+from sesame.errors import AlignmentError, ConfigurationError, ParseError
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +188,45 @@ def test_cli_insufficient_data_exit_2(tmp_path):
     path = tmp_path / "short.json"
     scn.save_scenario(sc, str(path))
     assert cli_main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+BAD_FLAGS = {
+    "rate_zero": (["--rate-grid", "0"], "must be finite and > 0"),
+    "rate_off_tick_grid": (["--rate-grid", "3"], "not an integral multiple"),
+    "tlow_out_of_range": (["--tlow", "30"], "outside the range"),
+    "tlow_off_base_grid": (["--tlow", "50.005"], "not an integral multiple"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+def test_cli_bad_rate_or_tlow_exit_1(tmp_path, capsys, case):
+    flags, message = BAD_FLAGS[case]
+    out = tmp_path / "o"
+    assert cli_main(["run", "t61like", "--out", str(out)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("updates", [
+    {"rate_grid": (1.0, 0.0)}, {"rate_grid": (-1.0,)},
+    {"rate_grid": (float("nan"),)}, {"rate_grid": (3.0,)},
+    {"t_low_s": 30.0}, {"t_low_s": 100.5}, {"t_low_s": 50.005},
+    {"base_rate_hz": 0.0},
+])
+def test_scenario_config_rejects_bad_rates_and_tlow(updates):
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(scn.builtin("t61like"), **updates)
+
+
+def test_cli_other_sesame_errors_exit_1(monkeypatch, tmp_path, capsys):
+    def fail(sc, out_dir):
+        raise AlignmentError("interval: 0.3 is not an integral multiple")
+
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    rc = cli_main(["run", "noiseless_linear", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "error: interval" in capsys.readouterr().err
 
 
 def test_cli_export(tmp_path):

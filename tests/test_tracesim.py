@@ -126,23 +126,29 @@ def test_partition_additivity():
 
 
 def test_residency_closure():
-    model, wl, duration = markov_cpu(duration=30.0)
-    trace = ss.gen_trace(model, wl, duration, 0.01)
-    specs = [
-        ss.PredictorSpec(id=f"s{j}", component="cpu", kind="residency",
-                         weights={j: 1.0})
-        for j in range(3)
-    ]
-    fractions = np.column_stack(
-        [trace.interval_truth(s, 1.0) for s in specs])
-    assert np.allclose(fractions.sum(axis=1), 1.0, atol=1e-12)
-    # same closure through the per-interval residency records
-    for idx in (0, 7, 29):
-        residencies = trace.state_residencies(1.0, idx)
-        per_comp: dict[int, float] = {}
-        for r in residencies:
-            per_comp[r.component] = per_comp.get(r.component, 0.0) + r.seconds
-        assert all(abs(total - 1.0) < 1e-12 for total in per_comp.values())
+    # per component, the one-hot residencies of every interval sum to 1
+    model = ss.ComponentStateModel(components=(
+        ss.Component("cpu", (1.0, 5.0, 9.0)),
+        ss.Component("disk", (0.5, 2.0)),
+    ))
+    chain = ss.MarkovChain(
+        ((0.90, 0.08, 0.02), (0.10, 0.80, 0.10), (0.05, 0.15, 0.80)),
+        step_s=0.02)
+    wl = ss.WorkloadSpec(phases=(ss.Phase("main", 30.0, {
+        "cpu": chain,
+        "disk": ss.Schedule(((0.0137, 1), (0.0291, 0), (0.005, 1))),
+    }),), seed=11)
+    trace = ss.gen_trace(model, wl, 30.0, 0.001)
+    for comp in model.components:
+        specs = [
+            ss.PredictorSpec(id=f"{comp.name}{j}", component=comp.name,
+                             kind="residency", weights={j: 1.0})
+            for j in range(comp.n_states)
+        ]
+        for interval in (0.001, 0.05, 1.0):
+            fractions = np.column_stack(
+                [trace.interval_truth(s, interval) for s in specs])
+            assert np.allclose(fractions.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_ground_truth_linearity_beta_true():
@@ -153,15 +159,6 @@ def test_ground_truth_linearity_beta_true():
     x = np.column_stack([trace.interval_truth(s, 2.0) for s in specs])
     predicted = beta[0] + x @ beta[1:]
     assert np.allclose(predicted, ss.true_energy(trace, 2.0), rtol=1e-12)
-
-
-def test_trace_sample_view():
-    model, wl = duty_cycle_system()
-    trace = ss.gen_trace(model, wl, 10.0, 0.01)
-    s = trace[0]
-    assert s.timestamp_s == 0.0
-    assert s.power_w == trace.power_w[0]
-    assert s.x.sum() == pytest.approx(2.0)  # one active state per component
 
 
 def test_phases_switch_and_last_phase_extends():
@@ -197,6 +194,13 @@ def loop_markov_states(proc, n_ticks, tick_s, rng_key):
     return np.repeat(states, ticks_per_step)[:n_ticks]
 
 
+def phase_ticks(proc, comp, n_ticks, tick_s, rng_key):
+    """The phase's state runs expanded to one state per tick."""
+    starts, states = ss.tracesim._phase_states(proc, comp, n_ticks, tick_s,
+                                               rng_key)
+    return ss.tracesim._expand_runs(starts, states, n_ticks)
+
+
 def random_chain(rng, k, zero_fraction=0.5):
     p = rng.random((k, k)) * (rng.random((k, k)) >= zero_fraction)
     p[:, 0] += 1e-3                       # no all-zero rows
@@ -220,7 +224,7 @@ def test_markov_states_match_step_loop(name, n_ticks):
     transition, initial = MARKOV_CASES[name]
     chain = ss.MarkovChain(transition, step_s=0.005, initial_state=initial)
     comp = ss.Component("c", (1.0,) * len(transition))
-    got = ss.tracesim._phase_states(chain, comp, n_ticks, 0.001, (9, 0, 1))
+    got = phase_ticks(chain, comp, n_ticks, 0.001, (9, 0, 1))
     want = loop_markov_states(chain, n_ticks, 0.001, (9, 0, 1))
     assert got.dtype == np.int16
     assert np.array_equal(got, want)
@@ -246,7 +250,7 @@ def test_markov_clamps_draws_above_row_cumsum(monkeypatch):
     transition, _ = MARKOV_CASES["cumsum_below_one"]
     chain = ss.MarkovChain(transition, step_s=0.002, initial_state=2)
     comp = ss.Component("c", (1.0,) * 10)
-    got = ss.tracesim._phase_states(chain, comp, 51, 0.001, (0,))
+    got = phase_ticks(chain, comp, 51, 0.001, (0,))
     want = loop_markov_states(chain, 51, 0.001, (0,))
     assert np.array_equal(got, want)
     assert 9 in got
@@ -258,7 +262,7 @@ def test_markov_chain_longer_than_one_block():
                            initial_state=17)
     comp = ss.Component("c", (1.0,) * 50)
     n_ticks = 2 * ss.tracesim._MARKOV_BLOCK + 777
-    got = ss.tracesim._phase_states(chain, comp, n_ticks, 0.001, (4, 2, 0))
+    got = phase_ticks(chain, comp, n_ticks, 0.001, (4, 2, 0))
     want = loop_markov_states(chain, n_ticks, 0.001, (4, 2, 0))
     assert np.array_equal(got, want)
 
