@@ -336,7 +336,6 @@ def test_pipeline_builds_no_per_tick_array(monkeypatch, tmp_path, name):
         monkeypatch.setattr(ss.Trace, attr, refuse)
     sc = dataclasses.replace(scn.builtin(name), duration_s=GUARDED[name],
                              collection_overhead_w=0.25)
-    assert sc.experiment in scn.EXPERIMENTS
     exp.run_scenario(sc, str(tmp_path))
     assert any(tmp_path.iterdir())
 
