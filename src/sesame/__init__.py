@@ -3,14 +3,14 @@
 Simulates a mobile system's power draw and smart-battery interface, then
 reconstructs high-rate energy models from the coarse, noisy battery
 readings: stretch to an accurate low-rate training set, transform the
-predictors with PCA, fit by total least squares, and compress the
-coefficients back to high rates. A model manager monitors the active
-model and rebuilds it when a configuration or usage change degrades it.
+predictors with PCA, fit by total least squares, and fold the fit into
+one affine model on predictor rates that applies unchanged at high
+rates. A model manager monitors the active model and rebuilds it when a
+configuration or usage change degrades it.
 """
 
 from .battery import (
     BatteryInterfaceModel,
-    BatteryReading,
     BatteryReadings,
     average_to_rate,
     rms_relative_error,
@@ -32,14 +32,12 @@ from .constructor import (
     PCABasis,
     RegressogramModel,
     build_model,
-    compress,
     fit_ols,
     fit_regressogram,
     fit_tls,
     iterate_construction,
     pca_transform,
     predict_regressogram,
-    select_components,
     stretch,
 )
 from .manager import (

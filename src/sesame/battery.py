@@ -64,14 +64,6 @@ class BatteryInterfaceModel:
                     "filtered kind needs window > 0 and taps >= 1")
 
 
-@dataclass(frozen=True)
-class BatteryReading:
-    """One reading: current (A) for instant/filtered, capacity (C) otherwise."""
-
-    timestamp_s: float
-    value: float
-
-
 class BatteryReadings:
     """A reading stream with its interface description attached."""
 
@@ -95,9 +87,6 @@ class BatteryReadings:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __getitem__(self, i: int) -> BatteryReading:
-        return BatteryReading(float(self.times_s[i]), float(self.values[i]))
 
 
 def _quantize(values: np.ndarray, lsb: float) -> np.ndarray:

@@ -14,6 +14,7 @@ from .errors import ConfigurationError, InsufficientDataError, SesameError
 from .experiments import AdaptationResult, ErrorReport, run_scenario
 from .scenarios import (
     BUILTIN_SCENARIOS,
+    REGRESSOGRAM,
     ScenarioConfig,
     builtin,
     load_scenario,
@@ -40,7 +41,8 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--threshold", type=float, default=None,
                      help="monitor error threshold (fraction)")
     run.add_argument("--l", dest="pca_l", type=int, default=None,
-                     help="number of transformed predictors to keep")
+                     help="transformed predictors the linear model keeps "
+                          "(regressogram-compare runs only)")
     run.add_argument("--tlow", type=float, default=None, metavar="SECONDS",
                      help="stretched training interval")
 
@@ -77,6 +79,10 @@ def _apply_overrides(sc: ScenarioConfig, args) -> ScenarioConfig:
     if args.threshold is not None:
         updates["threshold"] = args.threshold
     if args.pca_l is not None:
+        if sc.experiment != REGRESSOGRAM:
+            raise ConfigurationError(
+                f"--l applies to {REGRESSOGRAM} runs only; {sc.name} is a "
+                f"{sc.experiment} experiment")
         updates["pca_l"] = args.pca_l
     if args.tlow is not None:
         updates["t_low_s"] = args.tlow

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class DesignMatrix:
     x: np.ndarray                      # (m, n)
     t_start_s: np.ndarray              # (m,)
     y: np.ndarray | None = None
-    notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -203,7 +202,6 @@ def attach_response(dm: DesignMatrix, readings: BatteryReadings,
         x=dm.x[:m],
         t_start_s=dm.t_start_s[:m],
         y=y[:m],
-        notes=dict(dm.notes),
     )
 
 

@@ -1,10 +1,13 @@
-"""Energy model construction: stretching, PCA, TLS/OLS fitting, compression.
+"""Energy model construction: stretching, PCA, TLS/OLS fitting, regressogram.
 
 Models are trained on low-rate aggregates where battery readings are
-accurate, then applied unchanged at short intervals. Internally the fit
-works on scale-free predictor aggregates (residency fractions, counter
-rates, levels) against energy per training interval, so the only
-time-scale factor in a compressed prediction is the interval ratio.
+accurate, then applied unchanged at short intervals. A fitted model is
+one affine map on scale-free predictor rates (residency fractions,
+counter rates, levels) to energy per training interval, so the only
+time-scale factor in a prediction at a shorter interval is the interval
+ratio. A PCA fit solves on the top-l principal components of the
+standardized rates and folds the solution back into that same map; a
+training set is prepared, and its PCA SVD taken, once for every l.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +30,9 @@ from .errors import (
 from .tracesim import COUNTER
 
 _ZERO_VAR_TOL = 1e-12
+# a kept column is active when the PCA rows a model keeps give it at
+# least this much weight (the norm of its column in those rows)
+_ACTIVE_WEIGHT_MIN = 0.05
 DEFAULT_T_LOW_RANGE = (50.0, 100.0)
 
 
@@ -82,32 +89,10 @@ class PCABasis:
     column_scales: np.ndarray         # (n,)
     columns: tuple[str, ...]
 
-    @property
-    def l(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[1]
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        """Map raw aggregates (..., n) to transformed predictors (..., l)."""
-        z = (np.asarray(x, dtype=float) - self.column_means) / self.column_scales
-        return z @ self.rows.T
-
     def inverse_transform(self, z: np.ndarray) -> np.ndarray:
         """Reconstruct raw aggregates; exact when l = n."""
         x = np.asarray(z, dtype=float) @ self.rows
         return x * self.column_scales + self.column_means
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PCABasis):
-            return NotImplemented
-        return (self.columns == other.columns
-                and np.array_equal(self.rows, other.rows)
-                and np.array_equal(self.singular_values, other.singular_values)
-                and np.array_equal(self.column_means, other.column_means)
-                and np.array_equal(self.column_scales, other.column_scales))
 
 
 def _canonical_signs(rows: np.ndarray) -> np.ndarray:
@@ -118,6 +103,26 @@ def _canonical_signs(rows: np.ndarray) -> np.ndarray:
         if out[i, j] < 0:
             out[i] = -out[i]
     return out
+
+
+def _varying(x: np.ndarray) -> np.ndarray:
+    """Mask of the columns whose spread is above round-off."""
+    std = x.std(axis=0)
+    return std > _ZERO_VAR_TOL * np.maximum(1.0, np.abs(x).max(axis=0))
+
+
+def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column means, standard deviations and the centered, scaled matrix."""
+    means = x.mean(axis=0)
+    scales = x.std(axis=0)
+    return means, scales, (x - means) / scales
+
+
+def _principal_axes(xcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right singular vectors of a standardized matrix, as sign-canonical
+    rows, and the singular values."""
+    _, sing, vt = np.linalg.svd(xcs, full_matrices=False)
+    return _canonical_signs(vt), sing
 
 
 def pca_transform(x: np.ndarray,
@@ -135,8 +140,7 @@ def pca_transform(x: np.ndarray,
         columns = tuple(f"x{i}" for i in range(n_all))
     if len(columns) != n_all:
         raise SchemaError("column label count does not match the matrix")
-    std = x.std(axis=0)
-    keep = std > _ZERO_VAR_TOL * np.maximum(1.0, np.abs(x).max(axis=0))
+    keep = _varying(x)
     if not keep.all():
         dropped = [columns[i] for i in range(n_all) if not keep[i]]
         warnings.warn(f"dropping zero-variance columns before SVD: {dropped}")
@@ -147,42 +151,35 @@ def pca_transform(x: np.ndarray,
         raise InsufficientDataError("no non-constant columns to transform")
     if m < n:
         raise InsufficientDataError(f"PCA needs m >= n ({m} < {n})")
-    means = xk.mean(axis=0)
-    scales = xk.std(axis=0)
-    xcs = (xk - means) / scales
-    _, sing, vt = np.linalg.svd(xcs, full_matrices=False)
-    rows = _canonical_signs(vt)
+    means, scales, xcs = _standardize(xk)
+    rows, sing = _principal_axes(xcs)
     basis = PCABasis(rows=rows, singular_values=sing, column_means=means,
                      column_scales=scales, columns=kept_cols)
     return basis, xcs @ rows.T
-
-
-def select_components(basis: PCABasis, l: int) -> PCABasis:
-    """Keep the top-l transform rows and singular values."""
-    if not 1 <= l <= basis.n:
-        raise ValueError(f"l must be in [1, {basis.n}], got {l}")
-    return PCABasis(
-        rows=basis.rows[:l].copy(),
-        singular_values=basis.singular_values[:l].copy(),
-        column_means=basis.column_means,
-        column_scales=basis.column_scales,
-        columns=basis.columns,
-    )
 
 
 # ---------------------------------------------------------------------------
 # Energy model
 # ---------------------------------------------------------------------------
 
+def _rate_divisors(kinds: tuple[str, ...], interval_s: float) -> np.ndarray:
+    """Per-column divisors that turn interval aggregates into scale-free
+    rates: the interval for counters, 1.0 (exact) for every other kind."""
+    return np.array([interval_s if kind == COUNTER else 1.0 for kind in kinds])
+
+
 @dataclass
 class EnergyModel:
-    """Affine energy predictor: yhat(t) = (t / T) * ((1, z(t)) . beta).
+    """Affine energy predictor: yhat(t) = (t / T) * (b0 + r(t) . b).
 
-    beta is in joules per training interval. For PCA models, z is the
-    basis transform of the kept predictor aggregates; otherwise beta acts
-    on the kept aggregates directly. Counter columns are converted to
-    per-second rates before use, so every input is scale-free and the
-    interval ratio is the only time dependence.
+    beta = (b0, b) is in joules per training interval T. r(t) holds the
+    kept columns of one interval's aggregates, with counter columns divided
+    by the interval t so every input is a scale-free rate; b has one weight
+    per kept column, and the interval ratio is the only time dependence.
+    A PCA fit solves on the top-l components of the standardized rates and
+    folds its solution into this same form, so the model stores no basis:
+    `l` is the number of components the fit kept (None for a fit without
+    PCA) and `active_columns` the kept columns those components weigh.
     """
 
     beta: np.ndarray
@@ -191,23 +188,21 @@ class EnergyModel:
     training_interval_s: float
     fit_method: str                   # "TLS" or "OLS"
     training_error: float
-    basis: PCABasis | None = None
+    l: int | None = None
     kept: tuple[str, ...] = ()
     dropped: tuple[str, ...] = ()
-    column_means: np.ndarray | None = None   # no-PCA bookkeeping (fit units)
     below_target: bool = False
     active_columns: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.kept:
             self.kept = tuple(c for c in self.columns if c not in self.dropped)
-        expect = 1 + (self.basis.l if self.basis is not None else len(self.kept))
-        if len(self.beta) != expect:
-            raise SchemaError(f"beta length {len(self.beta)} != {expect}")
-
-    @property
-    def l(self) -> int | None:
-        return self.basis.l if self.basis is not None else None
+        if len(self.beta) != 1 + len(self.kept):
+            raise SchemaError(
+                f"beta length {len(self.beta)} != {1 + len(self.kept)}")
+        if self.l is not None and not 1 <= self.l <= len(self.kept):
+            raise SchemaError(
+                f"l = {self.l} outside [1, {len(self.kept)}] kept columns")
 
     def _kept_idx(self) -> list[int]:
         by_name = {c: i for i, c in enumerate(self.columns)}
@@ -221,16 +216,9 @@ class EnergyModel:
         if x.shape[1] != len(self.columns):
             raise SchemaError(
                 f"expected {len(self.columns)} predictors, got {x.shape[1]}")
-        rates = x.copy()
-        for i, kind in enumerate(self.kinds):
-            if kind == COUNTER:
-                rates[:, i] = rates[:, i] / interval_s
-        xk = rates[:, self._kept_idx()]
-        if self.basis is not None:
-            feats = self.basis.transform(xk)
-        else:
-            feats = xk
-        per_t = self.beta[0] + feats @ self.beta[1:]
+        idx = self._kept_idx()
+        rates = x[:, idx] / _rate_divisors(self.kinds, interval_s)[idx]
+        per_t = self.beta[0] + rates @ self.beta[1:]
         return per_t * (interval_s / self.training_interval_s)
 
     def __eq__(self, other) -> bool:
@@ -242,28 +230,11 @@ class EnergyModel:
                 and self.training_interval_s == other.training_interval_s
                 and self.fit_method == other.fit_method
                 and self.training_error == other.training_error
-                and self.basis == other.basis
+                and self.l == other.l
                 and self.kept == other.kept
                 and self.dropped == other.dropped
                 and self.below_target == other.below_target
                 and self.active_columns == other.active_columns)
-
-
-def compress(model: EnergyModel, x: np.ndarray, interval_s: float,
-             columns: tuple[str, ...] | None = None) -> float:
-    """Apply the trained coefficients to one interval of length `interval_s`.
-
-    `x` must be aggregated with the same per-kind rules as training and
-    ordered like the model's predictors; pass `columns` to have the order
-    checked. Valid for intervals up to the training interval.
-    """
-    if columns is not None and tuple(columns) != model.columns:
-        raise SchemaError(
-            f"predictor order {tuple(columns)} != model order {model.columns}")
-    if interval_s > model.training_interval_s + 1e-9:
-        raise ValueError("compression interval exceeds the training interval")
-    return float(model.predict_rows(np.asarray(x, dtype=float)[None, :],
-                                    interval_s)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -320,79 +291,80 @@ def _solve(feats: np.ndarray, yc: np.ndarray, method: str) -> tuple[np.ndarray, 
     return fit_ols(feats, yc), "OLS"
 
 
-def build_model(dm: DesignMatrix, method: str = "TLS", use_pca: bool = True,
-                l: int | None = None,
-                weight_threshold: float = 0.05) -> EnergyModel:
-    """Fit an energy model on a stretched design matrix with a response."""
-    if dm.y is None:
-        raise InsufficientDataError("design matrix has no response vector")
-    x = dm.x.copy()
-    for i, kind in enumerate(dm.kinds):
-        if kind == COUNTER:
-            x[:, i] = x[:, i] / dm.interval_s
-    std = x.std(axis=0)
-    keep = std > _ZERO_VAR_TOL * np.maximum(1.0, np.abs(x).max(axis=0))
-    kept_cols = tuple(c for c, kf in zip(dm.columns, keep) if kf)
-    dropped = tuple(c for c, kf in zip(dm.columns, keep) if not kf)
-    if dropped:
-        warnings.warn(f"dropping constant predictors: {list(dropped)}")
-    xk = x[:, keep]
-    y = np.asarray(dm.y, dtype=float)
-    y_mean = float(y.mean())
-    yc = y - y_mean
+class TrainingSet:
+    """A design matrix with a response, prepared once to fit models at any l.
 
-    if xk.shape[1] == 0:
-        model = EnergyModel(
-            beta=np.array([y_mean]),
-            columns=dm.columns, kinds=dm.kinds,
-            training_interval_s=dm.interval_s,
-            fit_method="OLS", training_error=0.0,
-            kept=(), dropped=dropped,
-        )
-        model.training_error = rms_relative_error(
-            model.predict_rows(dm.x, dm.interval_s), y)
-        return model
+    Preparation turns counter columns into rates, drops constant columns
+    with a warning and standardizes the kept ones; the PCA SVD runs on the
+    first PCA fit, and every l slices its transformed matrix.
+    """
 
-    if dm.m < xk.shape[1] + 2:
-        raise InsufficientDataError(
-            f"{dm.m} rows for {xk.shape[1]} predictors (need {xk.shape[1] + 2})")
+    def __init__(self, dm: DesignMatrix):
+        if dm.y is None:
+            raise InsufficientDataError("design matrix has no response vector")
+        x = dm.x / _rate_divisors(dm.kinds, dm.interval_s)
+        keep = _varying(x)
+        self.kept = tuple(c for c, kf in zip(dm.columns, keep) if kf)
+        self.dropped = tuple(c for c, kf in zip(dm.columns, keep) if not kf)
+        if self.dropped:
+            warnings.warn(f"dropping constant predictors: {list(self.dropped)}")
+        n = len(self.kept)
+        if n and dm.m < n + 2:
+            raise InsufficientDataError(
+                f"{dm.m} rows for {n} predictors (need {n + 2})")
+        self.dm = dm
+        self.y = np.asarray(dm.y, dtype=float)
+        self.y_mean = float(self.y.mean())
+        self.means, self.scales, self.xcs = _standardize(x[:, keep])
 
-    if use_pca:
-        basis, z = pca_transform(xk, kept_cols)
-        if l is not None:
-            basis = select_components(basis, l)
-            z = z[:, : basis.l]
-        coef, tag = _solve(z, yc, method)
-        beta = np.concatenate([[y_mean + coef[0]], coef[1:]])
-        weights = np.linalg.norm(basis.rows, axis=0)
-        active = tuple(c for c, w in zip(kept_cols, weights)
-                       if w > weight_threshold)
+    @cached_property
+    def _pca(self) -> tuple[np.ndarray, np.ndarray]:
+        """All principal axes as rows, and the transformed matrix Z."""
+        rows, _ = _principal_axes(self.xcs)
+        return rows, self.xcs @ rows.T
+
+    def fit(self, method: str = "TLS", use_pca: bool = True,
+            l: int | None = None) -> EnergyModel:
+        """Standardize, rotate, solve, fold: the model on the kept rates.
+
+        The rotation is the top-l principal axes (all of them when l is
+        None), or the identity when `use_pca` is False.
+        """
+        n = len(self.kept)
+        if n == 0:
+            beta, tag, l, active = np.array([self.y_mean]), "OLS", None, ()
+        else:
+            if use_pca:
+                axes, z = self._pca
+                l = n if l is None else l
+                if not 1 <= l <= n:
+                    raise ValueError(f"l must be in [1, {n}], got {l}")
+                rows, feats = axes[:l], z[:, :l]
+            else:
+                l, rows, feats = None, np.eye(n), self.xcs
+            coef, tag = _solve(feats, self.y - self.y_mean, method)
+            w = rows.T @ coef[1:] / self.scales
+            b0 = self.y_mean + coef[0] - float(w @ self.means)
+            beta = np.concatenate([[b0], w])
+            weights = np.linalg.norm(rows, axis=0)
+            active = tuple(c for c, wt in zip(self.kept, weights)
+                           if wt > _ACTIVE_WEIGHT_MIN)
+        dm = self.dm
         model = EnergyModel(
             beta=beta, columns=dm.columns, kinds=dm.kinds,
-            training_interval_s=dm.interval_s,
-            fit_method=tag, training_error=0.0,
-            basis=basis, kept=kept_cols, dropped=dropped,
+            training_interval_s=dm.interval_s, fit_method=tag,
+            training_error=0.0, l=l, kept=self.kept, dropped=self.dropped,
             active_columns=active,
         )
-    else:
-        means = xk.mean(axis=0)
-        scales = xk.std(axis=0)
-        xcs = (xk - means) / scales
-        coef, tag = _solve(xcs, yc, method)
-        b = coef[1:] / scales
-        b0 = y_mean + coef[0] - float(b @ means)
-        model = EnergyModel(
-            beta=np.concatenate([[b0], b]),
-            columns=dm.columns, kinds=dm.kinds,
-            training_interval_s=dm.interval_s,
-            fit_method=tag, training_error=0.0,
-            kept=kept_cols, dropped=dropped,
-            column_means=means,
-            active_columns=tuple(kept_cols),
-        )
-    model.training_error = rms_relative_error(
-        model.predict_rows(dm.x, dm.interval_s), y)
-    return model
+        model.training_error = rms_relative_error(
+            model.predict_rows(dm.x, dm.interval_s), self.y)
+        return model
+
+
+def build_model(dm: DesignMatrix, method: str = "TLS", use_pca: bool = True,
+                l: int | None = None) -> EnergyModel:
+    """Fit an energy model on a stretched design matrix with a response."""
+    return TrainingSet(dm).fit(method, use_pca, l)
 
 
 def iterate_construction(dm: DesignMatrix, accuracy_target: float,
@@ -401,18 +373,20 @@ def iterate_construction(dm: DesignMatrix, accuracy_target: float,
 
     Returns the model with the smallest l whose training accuracy
     (1 - RMS relative error) still meets the target; if even l = n misses,
-    that model is returned flagged `below_target`.
+    that model is returned flagged `below_target`. Every l is fitted from
+    one prepared training set and one PCA SVD.
     """
     if not 0.0 <= accuracy_target < 1.0:
         raise ValueError("accuracy target must be in [0, 1)")
-    best = build_model(dm, method=method, use_pca=True)
-    if best.basis is None:
+    ts = TrainingSet(dm)
+    best = ts.fit(method)
+    if best.l is None:
         return best
     if 1.0 - best.training_error < accuracy_target:
         best.below_target = True
         return best
-    for l in range(best.basis.l - 1, 0, -1):
-        candidate = build_model(dm, method=method, use_pca=True, l=l)
+    for l in range(best.l - 1, 0, -1):
+        candidate = ts.fit(method, l=l)
         if 1.0 - candidate.training_error < accuracy_target:
             break
         best = candidate
@@ -575,47 +549,32 @@ def predict_regressogram_rows(model: RegressogramModel, x: np.ndarray) -> np.nda
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: EnergyModel) -> dict:
-    doc = {
+    return {
         "beta": [float(b) for b in model.beta],
         "columns": list(model.columns),
         "kinds": list(model.kinds),
         "training_interval_s": model.training_interval_s,
         "fit_method": model.fit_method,
         "training_error": model.training_error,
+        "l": model.l,
         "kept": list(model.kept),
         "dropped": list(model.dropped),
         "below_target": model.below_target,
         "active_columns": list(model.active_columns),
     }
-    if model.basis is not None:
-        b = model.basis
-        doc["pca"] = {
-            "rows": [[float(v) for v in row] for row in b.rows],
-            "singular_values": [float(v) for v in b.singular_values],
-            "column_means": [float(v) for v in b.column_means],
-            "column_scales": [float(v) for v in b.column_scales],
-            "columns": list(b.columns),
-        }
-    if model.column_means is not None:
-        doc["column_means"] = [float(v) for v in model.column_means]
-    return doc
 
 
 def model_from_dict(doc: dict) -> EnergyModel:
     try:
-        basis = None
-        if "pca" in doc:
-            p = doc["pca"]
-            basis = PCABasis(
-                rows=np.array(p["rows"], dtype=float),
-                singular_values=np.array(p["singular_values"], dtype=float),
-                column_means=np.array(p["column_means"], dtype=float),
-                column_scales=np.array(p["column_scales"], dtype=float),
-                columns=tuple(p["columns"]),
-            )
-        means = None
-        if "column_means" in doc:
-            means = np.array(doc["column_means"], dtype=float)
+        stale = sorted({"pca", "column_means"} & set(doc))
+        if stale:
+            # the basis form of earlier documents: a full-l beta has the
+            # right length but acts on rotated predictors
+            raise ParseError(f"model document in the old basis form "
+                             f"(has {stale}); rebuild the model")
+        l = doc["l"]
+        if l is not None and type(l) is not int:
+            raise ParseError(f"model document l must be an integer or null, got {l!r}")
         return EnergyModel(
             beta=np.array(doc["beta"], dtype=float),
             columns=tuple(doc["columns"]),
@@ -623,10 +582,9 @@ def model_from_dict(doc: dict) -> EnergyModel:
             training_interval_s=float(doc["training_interval_s"]),
             fit_method=str(doc["fit_method"]),
             training_error=float(doc["training_error"]),
-            basis=basis,
+            l=l,
             kept=tuple(doc["kept"]),
             dropped=tuple(doc["dropped"]),
-            column_means=means,
             below_target=bool(doc["below_target"]),
             active_columns=tuple(doc["active_columns"]),
         )

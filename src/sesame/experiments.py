@@ -16,8 +16,9 @@ import numpy as np
 
 from .battery import BatteryReadings, rms_relative_error, sample_interface
 from .collector import DesignMatrix, aggregate_response, collect
-from .constructor import EnergyModel, build_model, iterate_construction
-from .constructor import fit_regressogram, predict_regressogram_rows, stretch
+from .constructor import EnergyModel, TrainingSet, build_model
+from .constructor import fit_regressogram, iterate_construction
+from .constructor import predict_regressogram_rows, stretch
 from .errors import ConfigurationError, InsufficientDataError
 from .manager import (
     ConfigurationKey,
@@ -188,21 +189,17 @@ def run_error_vs_rate(sc: ScenarioConfig, out_dir: str | None = None,
 
 def train_molded_variants(sc: ScenarioConfig,
                           arts: RunArtifacts) -> dict[str, EnergyModel]:
-    """Stretch once, then fit the four molded variants on the same rows."""
+    """Stretch once, then fit the four molded variants on the same rows,
+    from one prepared training set and one PCA SVD."""
     dm_base = arts.design(sc.base_rate_hz)
-    dm_low = stretch(dm_base, arts.readings, sc.t_low_s)
+    ts = TrainingSet(stretch(dm_base, arts.readings, sc.t_low_s))
     models = {
-        "molded_no_pca": build_model(dm_low, method=sc.fit_method,
-                                     use_pca=False),
-        "molded_all_pcs": build_model(dm_low, method=sc.fit_method,
-                                      use_pca=True),
+        "molded_no_pca": ts.fit(sc.fit_method, use_pca=False),
+        "molded_all_pcs": ts.fit(sc.fit_method),
     }
-    n_kept = models["molded_all_pcs"].basis.l if models[
-        "molded_all_pcs"].basis else 1
-    models["molded_l2"] = build_model(dm_low, method=sc.fit_method,
-                                      use_pca=True, l=min(2, n_kept))
-    models["molded_l1"] = build_model(dm_low, method=sc.fit_method,
-                                      use_pca=True, l=1)
+    n_kept = models["molded_all_pcs"].l or 1
+    models["molded_l2"] = ts.fit(sc.fit_method, l=min(2, n_kept))
+    models["molded_l1"] = ts.fit(sc.fit_method, l=1)
     return models
 
 
@@ -366,7 +363,7 @@ def run_regressogram_compare(sc: ScenarioConfig, out_dir: str | None = None,
     dm_base = arts.design(sc.base_rate_hz)
     dm_low = stretch(dm_base, arts.readings, sc.t_low_s)
     linear = build_model(dm_low, method=sc.fit_method, use_pca=True)
-    if linear.basis is not None and linear.basis.l > sc.pca_l:
+    if linear.l is not None and linear.l > sc.pca_l:
         linear = build_model(dm_low, method=sc.fit_method, use_pca=True,
                              l=sc.pca_l)
     report = ErrorReport(sc.name, sc.seed)

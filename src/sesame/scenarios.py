@@ -84,6 +84,19 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"t_low {self.t_low_s} s outside the range [{lo:g}, {hi:g}] s")
         _whole_multiple(self.t_low_s, 1.0 / self.base_rate_hz, "t_low")
+        period = 1.0 / self.battery.reading_rate_hz
+        _whole_multiple(self.t_low_s, period, "t_low vs battery reading period")
+        _whole_multiple(self.window_s, period, "window vs battery reading period")
+        for name in ("pca_l", "regressogram_k", "train_windows"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.accuracy_target < 1.0:
+            raise ConfigurationError(
+                f"accuracy target {self.accuracy_target} outside [0, 1)")
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigurationError(
+                f"threshold {self.threshold} must be finite and in (0, 1)")
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return dataclasses.replace(

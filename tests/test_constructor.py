@@ -139,20 +139,6 @@ def test_pca_m_less_than_n_errors():
         ss.pca_transform(np.random.default_rng(0).normal(size=(3, 5)))
 
 
-def test_select_components():
-    rng = np.random.default_rng(11)
-    basis, _ = ss.pca_transform(rng.normal(size=(50, 4)))
-    full = ss.select_components(basis, 4)
-    assert full == basis
-    two = ss.select_components(basis, 2)
-    assert two.rows.shape == (2, 4)
-    assert np.array_equal(two.rows, basis.rows[:2])
-    with pytest.raises(ValueError):
-        ss.select_components(basis, 0)
-    with pytest.raises(ValueError):
-        ss.select_components(basis, 5)
-
-
 # -- pipeline on simulated data -------------------------------------------------
 
 def linear_scenario(duration=2000.0, tick=0.01, seed=7):
@@ -218,6 +204,9 @@ def test_pca_exactness_full_rank_matches_raw_fit():
     pred_pca = pca.predict_rows(low.x, 100.0)
     assert np.allclose(pred_raw, pred_pca, rtol=1e-9)
     assert abs(raw.training_error - pca.training_error) < 1e-9
+    # TLS is rotation invariant: at full l both fits store the same map
+    assert (raw.l, pca.l) == (None, len(pca.kept))
+    assert pca.beta == pytest.approx(raw.beta, rel=1e-9)
 
 
 def test_beta_invariance_across_time_scales():
@@ -231,27 +220,6 @@ def test_beta_invariance_across_time_scales():
         truth = ss.true_energy(trace, t)[: len(pred)]
         rel = np.abs(pred - truth) / truth
         assert rel.max() < 1e-6, (t, rel.max())
-
-
-def test_compress_at_training_interval_is_direct_evaluation():
-    model, trace, specs, streams, readings = linear_scenario()
-    dm = ss.collect(streams, specs, 1.0, 2000.0)
-    low = ss.stretch(dm, readings, 100.0)
-    fitted = ss.build_model(low, use_pca=True)
-    direct = fitted.predict_rows(low.x[:1], 100.0)[0]
-    via_compress = ss.compress(fitted, low.x[0], 100.0, columns=low.columns)
-    assert via_compress == pytest.approx(direct, rel=1e-12)
-
-
-def test_compress_schema_and_interval_checks():
-    model, trace, specs, streams, readings = linear_scenario()
-    dm = ss.collect(streams, specs, 1.0, 2000.0)
-    low = ss.stretch(dm, readings, 100.0)
-    fitted = ss.build_model(low)
-    with pytest.raises(SchemaError):
-        ss.compress(fitted, low.x[0], 1.0, columns=("a", "b"))
-    with pytest.raises(ValueError):
-        ss.compress(fitted, low.x[0], 200.0)
 
 
 def test_tls_degenerate_falls_back_to_ols():
@@ -277,7 +245,7 @@ def test_iterate_construction_targets():
     # exact linear system: every l >= 1 that spans the response passes, so a
     # zero target must land on l = 1
     m0 = ss.iterate_construction(low, 0.0)
-    assert m0.basis.l == 1
+    assert m0.l == 1
     m_high = ss.iterate_construction(low, 0.999999)
     assert not m_high.below_target
     with pytest.raises(ValueError):
@@ -291,7 +259,7 @@ def test_iterate_construction_single_predictor():
     dm = DesignMatrix(interval_s=100.0, columns=("only",), kinds=("residency",),
                       x=x, t_start_s=np.arange(30) * 100.0, y=y)
     m = ss.iterate_construction(dm, 0.99)
-    assert m.basis.l == 1
+    assert m.l == 1
     assert m.below_target  # noisy response cannot hit 99 percent
 
 
@@ -444,9 +412,11 @@ def test_model_document_round_trip(tmp_path):
     model, trace, specs, streams, readings = linear_scenario()
     dm = ss.collect(streams, specs, 1.0, 2000.0)
     low = ss.stretch(dm, readings, 100.0)
-    for use_pca in (False, True):
-        fitted = ss.build_model(low, use_pca=use_pca)
-        path = tmp_path / f"model_{use_pca}.json"
+    n = low.n
+    for use_pca, l in ((False, None), (True, None), (True, 1)):
+        fitted = ss.build_model(low, use_pca=use_pca, l=l)
+        assert fitted.l == (n if use_pca and l is None else l)
+        path = tmp_path / f"model_{use_pca}_{l}.json"
         save_model(fitted, str(path))
         assert path.stat().st_size < 4096
         back = load_model(str(path))
@@ -454,6 +424,8 @@ def test_model_document_round_trip(tmp_path):
         x = low.x[:3]
         assert np.array_equal(back.predict_rows(x, 2.0),
                               fitted.predict_rows(x, 2.0))
+        with pytest.raises(SchemaError):
+            back.predict_rows(x[:, :1], 2.0)
 
 
 def test_model_document_malformed(tmp_path):
@@ -463,3 +435,33 @@ def test_model_document_malformed(tmp_path):
         load_model(str(path))
     with pytest.raises(ParseError):
         model_from_dict({"beta": [1.0]})
+
+
+def test_model_document_in_the_old_basis_form_is_rejected():
+    # an earlier version stored PCA models as a basis plus a beta in
+    # rotated coordinates; at l = n that beta has the right length, so
+    # loading it as the affine form would predict wrong energies
+    doc = {
+        "beta": [5.0, 1.0, 0.5], "columns": ["cpu", "disk"],
+        "kinds": ["residency", "residency"], "training_interval_s": 100.0,
+        "fit_method": "TLS", "training_error": 0.01,
+        "kept": ["cpu", "disk"], "dropped": [], "below_target": False,
+        "active_columns": ["cpu", "disk"],
+        "pca": {"rows": [[0.7071, 0.7071], [0.7071, -0.7071]],
+                "singular_values": [9.0, 3.0], "column_means": [0.4, 0.2],
+                "column_scales": [0.1, 0.05], "columns": ["cpu", "disk"]},
+    }
+    with pytest.raises(ParseError, match="rebuild"):
+        model_from_dict(doc)
+    no_pca = {k: v for k, v in doc.items() if k != "pca"}
+    no_pca["column_means"] = [0.4, 0.2]
+    with pytest.raises(ParseError, match="rebuild"):
+        model_from_dict(no_pca)
+    current = {k: v for k, v in no_pca.items() if k != "column_means"}
+    with pytest.raises(ParseError):     # no "l": not a current document
+        model_from_dict(current)
+    assert model_from_dict(dict(current, l=2)).l == 2
+    with pytest.raises(ParseError):
+        model_from_dict(dict(current, l=1.5))
+    with pytest.raises(SchemaError):
+        model_from_dict(dict(current, l=3))

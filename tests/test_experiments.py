@@ -161,13 +161,18 @@ def test_cli_list(capsys):
 def test_cli_run_with_overrides(tmp_path, capsys):
     rc = cli_main(["run", "noiseless_linear", "--out", str(tmp_path / "o"),
                    "--seed", "5", "--rate-grid", "0.01,1",
-                   "--tlow", "100", "--l", "2"])
+                   "--tlow", "100"])
     assert rc == 0
     report = (tmp_path / "o" / "report.csv").read_text()
     rates = {line.split(",")[0] for line in report.splitlines()[1:]}
     assert rates == {"0.01", "1"}
     meta = json.loads((tmp_path / "o" / "run.json").read_text())
     assert meta["seed"] == 5
+    # --l is read by regressogram-compare runs only
+    rc = cli_main(["run", "quadratic_cpu", "--out", str(tmp_path / "q"),
+                   "--rate-grid", "1", "--l", "2"])
+    assert rc == 0
+    assert json.loads((tmp_path / "q" / "run.json").read_text())["pca_l"] == 2
 
 
 def test_cli_run_scenario_file(tmp_path):
@@ -191,18 +196,24 @@ def test_cli_insufficient_data_exit_2(tmp_path):
 
 
 BAD_FLAGS = {
-    "rate_zero": (["--rate-grid", "0"], "must be finite and > 0"),
-    "rate_off_tick_grid": (["--rate-grid", "3"], "not an integral multiple"),
-    "tlow_out_of_range": (["--tlow", "30"], "outside the range"),
-    "tlow_off_base_grid": (["--tlow", "50.005"], "not an integral multiple"),
+    "rate_zero": (["t61like", "--rate-grid", "0"], "must be finite and > 0"),
+    "rate_off_tick_grid": (["t61like", "--rate-grid", "3"],
+                           "not an integral multiple"),
+    "tlow_out_of_range": (["t61like", "--tlow", "30"], "outside the range"),
+    "tlow_off_base_grid": (["t61like", "--tlow", "50.005"],
+                           "not an integral multiple"),
+    "l_zero": (["quadratic_cpu", "--l", "0"], "pca_l must be >= 1"),
+    "l_negative": (["quadratic_cpu", "--l", "-1"], "pca_l must be >= 1"),
+    "l_for_molding": (["t61like", "--l", "3"], "regressogram-compare runs only"),
+    "threshold_nan": (["dvs_flip", "--threshold", "nan"], "threshold nan"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FLAGS))
 def test_cli_bad_rate_or_tlow_exit_1(tmp_path, capsys, case):
-    flags, message = BAD_FLAGS[case]
+    argv, message = BAD_FLAGS[case]
     out = tmp_path / "o"
-    assert cli_main(["run", "t61like", "--out", str(out)] + flags) == 1
+    assert cli_main(["run"] + argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
@@ -215,6 +226,19 @@ def test_cli_bad_rate_or_tlow_exit_1(tmp_path, capsys, case):
     {"base_rate_hz": 0.0},
 ])
 def test_scenario_config_rejects_bad_rates_and_tlow(updates):
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(scn.builtin("t61like"), **updates)
+
+
+@pytest.mark.parametrize("updates", [
+    {"pca_l": 0}, {"regressogram_k": 0}, {"train_windows": 0},
+    {"accuracy_target": 1.0}, {"accuracy_target": -0.1},
+    {"threshold": float("nan")}, {"threshold": 0.0}, {"threshold": 1.0},
+    {"threshold": float("inf")},
+    {"window_s": 101.0}, {"window_s": 0.0},
+    {"t_low_s": 99.0},      # on the base grid, off the 2 s reading period
+])
+def test_scenario_config_rejects_bad_pipeline_fields(updates):
     with pytest.raises(ConfigurationError):
         dataclasses.replace(scn.builtin("t61like"), **updates)
 
@@ -244,7 +268,7 @@ def test_iterate_construction_picks_two_components_on_t61like():
     arts = exp.simulate(sc)
     dm_low = ss.stretch(arts.design(sc.base_rate_hz), arts.readings, sc.t_low_s)
     model = ss.iterate_construction(dm_low, 0.90, method="TLS")
-    assert model.basis.l == 2
+    assert model.l == 2
     assert not model.below_target
 
 

@@ -1,0 +1,108 @@
+"""Property tests of the single affine model form.
+
+A fitted EnergyModel is b0 + r . b on the kept predictor rates, scaled by
+the interval ratio; these check that form against the explicit PCA
+pipeline it folds, and that its energies add up across rates.
+"""
+
+import numpy as np
+import pytest
+
+import sesame as ss
+from sesame.collector import DesignMatrix
+from sesame.tracesim import COUNTER
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+PROPERTY = hypothesis.settings(max_examples=40, deadline=None, database=None)
+KINDS = ("residency", COUNTER, "level")
+T_TRAIN = 100.0
+
+
+def training_matrix(seed: int, n: int, kinds: tuple[str, ...]) -> DesignMatrix:
+    """A noisy affine training set of 100 s rows with positive energies.
+
+    The predictors share one load factor, as component activity does, so
+    the response follows the leading principal component and a truncated
+    TLS fit stays well posed.
+    """
+    rng = np.random.default_rng(seed)
+    m = n + 2 + int(rng.integers(4, 40))
+    load = rng.uniform(0.0, 1.0, size=(m, 1))
+    x = 0.8 * load + 0.2 * rng.uniform(0.0, 1.0, size=(m, n))
+    rate_w = rng.uniform(0.5, 5.0, size=n)
+    for j, kind in enumerate(kinds):
+        if kind == COUNTER:           # summed deltas over the interval
+            x[:, j] *= rng.uniform(1.0, 50.0) * T_TRAIN
+    rates = x / np.array([T_TRAIN if k == COUNTER else 1.0 for k in kinds])
+    scale = np.array([1.0 / 50.0 if k == COUNTER else 1.0 for k in kinds])
+    y = (5.0 + rates @ (rate_w * scale)) * T_TRAIN
+    y *= 1.0 + rng.normal(0.0, 0.001, size=m)
+    return DesignMatrix(interval_s=T_TRAIN,
+                        columns=tuple(f"p{j}" for j in range(n)), kinds=kinds,
+                        x=x, t_start_s=np.arange(m) * T_TRAIN, y=y)
+
+
+def oracle_predict(dm: DesignMatrix, model: ss.EnergyModel, x: np.ndarray,
+                   interval_s: float) -> np.ndarray:
+    """Standardize, rotate onto the top-l principal axes, apply the
+    rotated coefficients: the PCA model written out step by step."""
+    idx = [dm.columns.index(c) for c in model.kept]
+    div = np.array([dm.interval_s if dm.kinds[i] == COUNTER else 1.0
+                    for i in idx])
+    basis, z = ss.pca_transform(dm.x[:, idx] / div, model.kept)
+    z = z[:, :model.l]
+    y = np.asarray(dm.y, dtype=float)
+    yc = y - y.mean()
+    if model.fit_method == "TLS":
+        coef = ss.fit_tls(z, yc / yc.std()) * yc.std()
+    else:
+        coef = ss.fit_ols(z, yc)
+    q_div = np.array([interval_s if dm.kinds[i] == COUNTER else 1.0
+                      for i in idx])
+    zq = ((x[:, idx] / q_div - basis.column_means) / basis.column_scales
+          ) @ basis.rows[:model.l].T
+    return (y.mean() + coef[0] + zq @ coef[1:]) * (interval_s / dm.interval_s)
+
+
+@PROPERTY
+@hypothesis.given(seed=st.integers(0, 2**32 - 1),
+                  kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=5),
+                  l_frac=st.floats(0.0, 1.0),
+                  interval_s=st.sampled_from([0.01, 1.0, 100.0]))
+def test_pca_model_equals_explicit_rotated_pipeline(seed, kinds, l_frac,
+                                                    interval_s):
+    dm = training_matrix(seed, len(kinds), tuple(kinds))
+    n = len(kinds)
+    l = 1 + int(l_frac * (n - 1))
+    model = ss.build_model(dm, use_pca=True, l=l)
+    assert model.l == l and len(model.beta) == 1 + n
+    x = training_matrix(seed + 1, n, tuple(kinds)).x
+    x[:, [k == COUNTER for k in kinds]] *= interval_s / T_TRAIN
+    got = model.predict_rows(x, interval_s)
+    want = oracle_predict(dm, model, x, interval_s)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@PROPERTY
+@hypothesis.given(seed=st.integers(0, 2**32 - 1),
+                  kinds=st.lists(st.sampled_from(KINDS[:2]), min_size=1,
+                                 max_size=5),
+                  use_pca=st.booleans(), l_frac=st.floats(0.0, 1.0),
+                  k=st.integers(1, 50), interval_s=st.floats(1e-3, 10.0))
+def test_energy_is_additive_across_rates(seed, kinds, use_pca, l_frac, k,
+                                         interval_s):
+    kinds = tuple(kinds)
+    n = len(kinds)
+    model = ss.build_model(training_matrix(seed, n, kinds), use_pca=use_pca,
+                           l=1 + int(l_frac * (n - 1)) if use_pca else None)
+    rng = np.random.default_rng(seed + 2)
+    sub = rng.uniform(0.0, 1.0, size=(k, n))
+    counter = np.array([kind == COUNTER for kind in kinds])
+    sub[:, counter] *= 1000.0 * interval_s
+    # residency fractions average over the merged interval, counters sum
+    merged = np.where(counter, sub.sum(axis=0), sub.mean(axis=0))
+    parts = model.predict_rows(sub, interval_s).sum()
+    whole = model.predict_rows(merged, k * interval_s)[0]
+    assert parts == pytest.approx(whole, rel=1e-9)
