@@ -12,21 +12,13 @@ configuration or usage change degrades it.
 from .battery import (
     BatteryInterfaceModel,
     BatteryReadings,
-    average_to_rate,
     rms_relative_error,
-    rms_relative_error_detail,
     sample_capacity,
     sample_filtered,
     sample_instant,
     sample_interface,
 )
-from .collector import (
-    DesignMatrix,
-    aggregate_response,
-    attach_response,
-    bundle_read,
-    collect,
-)
+from .collector import DesignMatrix, aggregate_response, collect
 from .constructor import (
     EnergyModel,
     PCABasis,
@@ -63,8 +55,6 @@ from .tracesim import (
     WorkloadSpec,
     gen_trace,
     observe_predictors,
-    residency_beta_true,
-    residency_predictors,
     true_energy,
 )
 

@@ -9,13 +9,12 @@ two readings to get a mean current.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigurationError, RateError
+from .errors import AlignmentError, ConfigurationError
 from .tracesim import Trace, _ratio_as_int, true_energy
 
 INSTANT = "instant"
@@ -186,61 +185,15 @@ def sample_interface(trace: Trace, model: BatteryInterfaceModel,
     return sample_capacity(trace, model, seed)
 
 
-def average_to_rate(readings: BatteryReadings, target_rate_hz: float) -> BatteryReadings:
-    """Downsample a current stream by arithmetic mean over reading groups."""
-    if target_rate_hz > readings.rate_hz + 1e-12:
-        raise RateError(
-            f"target rate {target_rate_hz} Hz above stream rate {readings.rate_hz} Hz")
-    factor = readings.rate_hz / target_rate_hz
-    k = int(round(factor))
-    if abs(factor - k) > 1e-9:
-        raise AlignmentError(f"decimation factor {factor} is not integral")
-    if k == 1:
-        return readings
-    values = readings.values
-    offset = 0
-    if readings.kind == CAPACITY and len(values) % k == 1:
-        offset = 1  # capacity streams carry a t=0 reading; keep group phase
-    m = (len(values) - offset) // k
-    grouped = values[offset: offset + m * k].reshape(m, k).mean(axis=1)
-    times = readings.times_s[offset + k - 1: offset + m * k: k]
-    derived = BatteryInterfaceModel(
-        kind=readings.kind,
-        reading_rate_hz=target_rate_hz,
-        supply_voltage_v=readings.model.supply_voltage_v,
-        filter_window_s=readings.model.filter_window_s,
-        filter_taps=readings.model.filter_taps,
-        initial_capacity_c=readings.model.initial_capacity_c,
-    )
-    return BatteryReadings(derived, times, grouped)
-
-
 def rms_relative_error(estimates: np.ndarray, truth: np.ndarray) -> float:
     """sqrt(mean(((est - true) / true)^2)), skipping non-positive truths."""
-    value, _ = rms_relative_error_detail(estimates, truth)
-    return value
-
-
-def rms_relative_error_detail(estimates: np.ndarray,
-                              truth: np.ndarray) -> tuple[float, int]:
-    """RMS relative error plus the count of excluded non-positive truths."""
     est = np.asarray(estimates, dtype=float)
     tru = np.asarray(truth, dtype=float)
     if est.shape != tru.shape:
         raise AlignmentError(
             f"estimate/truth length mismatch: {est.shape} vs {tru.shape}")
     ok = tru > 0
-    excluded = int((~ok).sum())
     if not ok.any():
         raise ConfigurationError("no positive truth values to compare against")
     rel = (est[ok] - tru[ok]) / tru[ok]
-    return float(np.sqrt(np.mean(rel * rel))), excluded
-
-
-def export_readings_csv(readings: BatteryReadings, path: str) -> None:
-    """Write `t_s,value,kind` rows for a reading stream."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "value", "kind"])
-        for t, v in zip(readings.times_s, readings.values):
-            writer.writerow([f"{t:.10g}", f"{v:.10g}", readings.kind])
+    return float(np.sqrt(np.mean(rel * rel)))

@@ -8,7 +8,6 @@ change only when their level changes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,6 @@ from .battery import CAPACITY, BatteryReadings
 from .errors import (
     ConfigurationError,
     RateError,
-    SchemaError,
     TruncationError,
     UnknownPredictorError,
 )
@@ -134,35 +132,6 @@ def collect(streams: ObservedStreamSet, specs: list[PredictorSpec],
     )
 
 
-def bundle_read(streams: ObservedStreamSet, specs: list[PredictorSpec],
-                mask: set[str], t_s: float,
-                target_rate_hz: float) -> dict[str, float]:
-    """One coherent snapshot of the masked predictors at time `t_s`.
-
-    Returns the same per-interval aggregates the collect row containing
-    `t_s` would hold. The whole bundle charges a single stream access,
-    which is the quantity the evaluation's overhead accounting uses.
-    """
-    if not mask:
-        raise ConfigurationError("bundle mask must be non-empty")
-    by_id = {s.id: s for s in specs}
-    for pid in mask:
-        if pid not in by_id:
-            raise UnknownPredictorError(pid)
-        if pid not in streams.specs:
-            raise UnknownPredictorError(pid)
-    interval = 1.0 / target_rate_hz
-    k = math.floor(t_s / interval + 1e-9)
-    boundaries = np.array([k * interval, (k + 1) * interval])
-    streams.accesses += 1
-    out = {}
-    for spec in specs:
-        if spec.id in mask:
-            out[spec.id] = float(
-                _interval_aggregate(streams, spec, boundaries, interval)[0])
-    return out
-
-
 def aggregate_response(readings: BatteryReadings, interval_s: float,
                        voltage_v: float | None = None) -> np.ndarray:
     """Joules per `interval_s` window derived from battery readings.
@@ -188,61 +157,3 @@ def aggregate_response(readings: BatteryReadings, interval_s: float,
         raise RateError("not enough readings for one interval")
     grouped = readings.values[: m * k].reshape(m, k).sum(axis=1)
     return grouped * v * period
-
-
-def attach_response(dm: DesignMatrix, readings: BatteryReadings,
-                    voltage_v: float | None = None) -> DesignMatrix:
-    """Return a copy of `dm` with y aggregated at the matrix interval."""
-    y = aggregate_response(readings, dm.interval_s, voltage_v)
-    m = min(dm.m, len(y))
-    return DesignMatrix(
-        interval_s=dm.interval_s,
-        columns=dm.columns,
-        kinds=dm.kinds,
-        x=dm.x[:m],
-        t_start_s=dm.t_start_s[:m],
-        y=y[:m],
-    )
-
-
-def export_design_csv(dm: DesignMatrix, path: str) -> None:
-    """Write `t_start_s,<predictor ids...>,y_j` (y column only if present)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["t_start_s"] + list(dm.columns)
-        if dm.y is not None:
-            header.append("y_j")
-        writer.writerow(header)
-        for i in range(dm.m):
-            row = [f"{dm.t_start_s[i]:.10g}"] + [f"{v:.10g}" for v in dm.x[i]]
-            if dm.y is not None:
-                row.append(f"{dm.y[i]:.10g}")
-            writer.writerow(row)
-
-
-def import_design_csv(path: str, kinds: dict[str, str]) -> DesignMatrix:
-    """Read a matrix written by `export_design_csv`; `kinds` maps id to kind."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "t_start_s":
-        raise SchemaError(f"{path}: not a design matrix export")
-    header = rows[0][1:]
-    has_y = bool(header) and header[-1] == "y_j"
-    columns = header[:-1] if has_y else header
-    for pid in columns:
-        if pid not in kinds:
-            raise SchemaError(f"{path}: unknown predictor id {pid!r}")
-    data = np.array([[float(v) for v in r] for r in rows[1:]])
-    if data.shape[0] < 2:
-        raise SchemaError(f"{path}: need at least two rows to infer the interval")
-    t = data[:, 0]
-    x = data[:, 1: 1 + len(columns)]
-    y = data[:, -1] if has_y else None
-    return DesignMatrix(
-        interval_s=float(t[1] - t[0]),
-        columns=tuple(columns),
-        kinds=tuple(kinds[c] for c in columns),
-        x=x,
-        t_start_s=t,
-        y=y,
-    )

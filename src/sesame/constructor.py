@@ -12,7 +12,6 @@ training set is prepared, and its PCA SVD taken, once for every l.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -591,16 +590,3 @@ def model_from_dict(doc: dict) -> EnergyModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model document: {exc}") from exc
 
-
-def save_model(model: EnergyModel, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-
-
-def load_model(path: str) -> EnergyModel:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    return model_from_dict(doc)

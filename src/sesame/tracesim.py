@@ -16,7 +16,6 @@ at the queried tick indices only (`Trace.integral`, `Trace.interval_sums`).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -75,11 +74,6 @@ class Component:
     def n_states(self) -> int:
         return len(self.state_powers)
 
-    def state_label(self, j: int) -> str:
-        if self.state_names:
-            return self.state_names[j]
-        return str(j)
-
 
 @dataclass(frozen=True)
 class ComponentStateModel:
@@ -102,13 +96,6 @@ class ComponentStateModel:
             if c.name == name:
                 return i
         raise ConfigurationError(f"unknown component {name!r}")
-
-    def state_ids(self) -> list[str]:
-        """Canonical `component:state` labels, in model order."""
-        out = []
-        for c in self.components:
-            out.extend(f"{c.name}:{c.state_label(j)}" for j in range(c.n_states))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +324,9 @@ class Trace:
     `interval_sums` gives the sums between successive indices without
     differencing two large prefixes: the runs that an interval covers
     whole are counted as exact integer ticks per state, so every interval
-    carries a few roundings however long the trace. The per-tick views
-    `states`, `power_w`, `tick_values` and `cumulative` expand the runs
-    on demand; the pipeline never calls them.
+    carries a few roundings however long the trace. `cumulative` expands
+    one predictor's runs to a per-tick series on demand; the pipeline
+    never calls it.
     """
 
     def __init__(self, model: ComponentStateModel, tick_s: float,
@@ -351,7 +338,6 @@ class Trace:
         self.n_ticks = n_ticks
         self.runs = tuple(runs)       # per component: (int64 starts, int16 states)
         self.overhead_w = overhead_w
-        self._state_ids = model.state_ids()
         self._before: dict[int, np.ndarray] = {}
         self._prefix: dict[tuple[int, bytes], np.ndarray] = {}
 
@@ -361,10 +347,6 @@ class Trace:
     @property
     def duration_s(self) -> float:
         return len(self) * self.tick_s
-
-    @property
-    def state_ids(self) -> list[str]:
-        return list(self._state_ids)
 
     # -- truth queries on the runs ---------------------------------------------
 
@@ -451,26 +433,7 @@ class Trace:
             return sums * self.tick_s
         return sums / k
 
-    # -- per-tick views, expanded on demand ------------------------------------
-
-    @property
-    def states(self) -> np.ndarray:
-        """(n_components, n_ticks) int16 state per tick."""
-        return np.vstack([_expand_runs(starts, states, len(self))
-                          for starts, states in self.runs])
-
-    @property
-    def power_w(self) -> np.ndarray:
-        """(n_ticks,) system power per tick, in watts."""
-        power = np.full(len(self), self.model.base_power_w)
-        for comp, tick_states in zip(self.model.components, self.states):
-            power += np.asarray(comp.state_powers)[tick_states]
-        return power + self.overhead_w
-
-    def tick_values(self, spec: "PredictorSpec") -> np.ndarray:
-        """Instantaneous predictor value per tick (weight of the active state)."""
-        c_idx, w = self.weight_vector(spec)
-        return w[_expand_runs(*self.runs[c_idx], len(self))]
+    # -- per-tick view, expanded on demand -------------------------------------
 
     def cumulative(self, spec: "PredictorSpec") -> np.ndarray:
         """Accumulated counter value at each tick boundary, length n_ticks+1.
@@ -478,7 +441,8 @@ class Trace:
         Residency specs accumulate weighted seconds; counter specs accumulate
         weighted counts (weights are rates per second in a state).
         """
-        inc = self.tick_values(spec) * self.tick_s
+        c_idx, w = self.weight_vector(spec)
+        inc = w[_expand_runs(*self.runs[c_idx], len(self))] * self.tick_s
         out = np.empty(len(self) + 1)
         out[0] = 0.0
         np.cumsum(inc, out=out[1:])
@@ -537,31 +501,6 @@ def true_energy(trace: Trace, interval_s: float) -> np.ndarray:
     return trace.energy(np.arange(len(trace) // k + 1) * k, per_interval=True)
 
 
-def residency_beta_true(model: ComponentStateModel, interval_s: float,
-                        specs: Sequence["PredictorSpec"]) -> np.ndarray:
-    """Exact energy-per-interval coefficients for pure residency predictors.
-
-    Only valid when every spec is a single-state residency fraction and the
-    omitted states per component share that component's minimum-index state
-    as baseline (see `residency_predictors`). The intercept collects base
-    power plus every component's baseline-state power, times the interval.
-    """
-    base = model.base_power_w
-    coefs = []
-    for spec in specs:
-        if spec.kind != RESIDENCY or len(spec.weights) != 1:
-            raise ConfigurationError("beta_true needs single-state residency specs")
-        c_idx = model.component_index(spec.component)
-        (j, w), = spec.weights.items()
-        if w != 1.0:
-            raise ConfigurationError("beta_true needs unit residency weights")
-        baseline = model.components[c_idx].state_powers[0]
-        coefs.append(model.components[c_idx].state_powers[j] - baseline)
-    for comp in model.components:
-        base += comp.state_powers[0]
-    return np.array([base] + coefs) * interval_s
-
-
 # ---------------------------------------------------------------------------
 # Predictors and their observation
 # ---------------------------------------------------------------------------
@@ -602,26 +541,6 @@ class PredictorSpec:
             raise ConfigurationError(f"{self.id}: empty weight map")
 
 
-def residency_predictors(model: ComponentStateModel,
-                         update_rate_hz: float = 1000.0) -> list[PredictorSpec]:
-    """One unit-weight residency spec per non-baseline state.
-
-    State 0 of each component is the omitted baseline, which keeps the
-    design matrix clear of the all-states-sum-to-one collinearity.
-    """
-    specs = []
-    for comp in model.components:
-        for j in range(1, comp.n_states):
-            specs.append(PredictorSpec(
-                id=f"{comp.name}:{comp.state_label(j)}",
-                component=comp.name,
-                kind=RESIDENCY,
-                weights={j: 1.0},
-                update_rate_hz=update_rate_hz,
-            ))
-    return specs
-
-
 class ObservedStream:
     """Sample-and-hold view of one predictor as the OS exposes it.
 
@@ -660,7 +579,7 @@ class ObservedStream:
 
 
 class ObservedStreamSet:
-    """Observed predictor streams plus a read grid and an access counter."""
+    """Observed predictor streams plus a read grid."""
 
     def __init__(self, trace: Trace, specs: Sequence[PredictorSpec],
                  read_rate_hz: float):
@@ -675,19 +594,11 @@ class ObservedStreamSet:
         self.streams = {s.id: ObservedStream(s, trace) for s in specs}
         n_reads = int(math.floor(trace.duration_s * read_rate_hz + _REL_TOL))
         self.read_times_s = np.arange(n_reads + 1) / read_rate_hz
-        self.accesses = 0
-
-    def ids(self) -> list[str]:
-        return list(self.streams.keys())
 
     def stream(self, pid: str) -> ObservedStream:
         if pid not in self.streams:
             raise UnknownPredictorError(pid)
         return self.streams[pid]
-
-    def read_series(self, pid: str) -> tuple[np.ndarray, np.ndarray]:
-        """(times, visible values) on the read grid."""
-        return self.read_times_s, self.stream(pid).value_at(self.read_times_s)
 
 
 def observe_predictors(trace: Trace, specs: Sequence[PredictorSpec],
@@ -695,22 +606,3 @@ def observe_predictors(trace: Trace, specs: Sequence[PredictorSpec],
     """Expose the predictors at `read_rate_hz` with their update-rate and
     delay imperfections applied."""
     return ObservedStreamSet(trace, specs, read_rate_hz)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def export_trace_csv(trace: Trace, specs: Sequence[PredictorSpec],
-                     path: str, interval_s: float | None = None) -> None:
-    """Write `t_s,power_w,<predictor ids...>` truth at tick (or interval) grid."""
-    step = trace.tick_s if interval_s is None else interval_s
-    power = true_energy(trace, step) / step
-    times = np.arange(len(power)) * step
-    cols = [trace.interval_truth(spec, step) for spec in specs]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "power_w"] + [s.id for s in specs])
-        for i in range(len(power)):
-            writer.writerow([f"{times[i]:.10g}", f"{power[i]:.10g}"]
-                            + [f"{c[i]:.10g}" for c in cols])

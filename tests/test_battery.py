@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import sesame as ss
-from sesame.battery import rms_relative_error_detail
-from sesame.errors import AlignmentError, ConfigurationError, RateError
+from reference import tick_power
+from sesame.errors import ConfigurationError
 
 
 def constant_trace(power=10.0, duration=100.0, tick=0.01):
@@ -58,8 +58,9 @@ def test_instant_counter_noise_telescopes():
                                      counter_sigma_c=0.1)
     readings = ss.sample_instant(trace, model, seed=9)
     err4 = ss.rms_relative_error(readings.values, np.full(len(readings), 2.0))
-    down = ss.average_to_rate(readings, 0.25)
-    err025 = ss.rms_relative_error(down.values, np.full(len(down), 2.0))
+    # mean current over 4 s windows: energy per window / (voltage x window)
+    down = ss.aggregate_response(readings, 4.0) / (5.0 * 4.0)
+    err025 = ss.rms_relative_error(down, np.full(len(down), 2.0))
     assert err025 < err4 / 8  # 16x decimation, ~16x error drop expected
 
 
@@ -126,32 +127,9 @@ def test_capacity_conservation_within_quantization():
                                      supply_voltage_v=5.0, quantization=0.5,
                                      initial_capacity_c=20000.0)
     readings = ss.sample_capacity(model_trace, model)
-    true_charge = model_trace.power_w.sum() * model_trace.tick_s / 5.0
+    true_charge = tick_power(model_trace).sum() * model_trace.tick_s / 5.0
     drop = readings.values[0] - readings.values[-1]
     assert abs(drop - true_charge) <= 0.5 * 2  # one LSB per boundary reading
-
-
-def test_average_to_rate_group_means():
-    trace = constant_trace(10.0, duration=1.0)
-    model = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=4.0,
-                                     supply_voltage_v=5.0)
-    readings = ss.sample_instant(trace, model)
-    readings.values[:] = [1.0, 2.0, 3.0, 4.0]
-    down = ss.average_to_rate(readings, 1.0)
-    assert len(down) == 1
-    assert down.values[0] == pytest.approx(2.5)
-    assert down.rate_hz == 1.0
-
-
-def test_average_to_rate_requires_integral_factor():
-    trace = constant_trace(10.0, duration=10.0)
-    model = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=4.0,
-                                     supply_voltage_v=5.0)
-    readings = ss.sample_instant(trace, model)
-    with pytest.raises(AlignmentError):
-        ss.average_to_rate(readings, 1.5)
-    with pytest.raises(RateError):
-        ss.average_to_rate(readings, 8.0)
 
 
 def test_iid_noise_rms_scales_with_sqrt_k():
@@ -175,12 +153,13 @@ def test_rms_relative_error_basics():
 
 
 def test_rms_relative_error_excludes_zero_truth_with_count():
-    value, excluded = rms_relative_error_detail(
-        np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 3.0]))
-    assert excluded == 1
-    assert value == 0.0
+    assert ss.rms_relative_error(np.array([1.0, 2.0, 3.0]),
+                                 np.array([1.0, 0.0, 3.0])) == 0.0
+    # the mean runs over the two positive truths only
+    assert ss.rms_relative_error(np.array([2.0, 5.0, 3.0]),
+                                 np.array([1.0, 0.0, 3.0])) == np.sqrt(0.5)
     with pytest.raises(ConfigurationError):
-        rms_relative_error_detail(np.array([1.0]), np.array([0.0]))
+        ss.rms_relative_error(np.array([1.0]), np.array([0.0]))
 
 
 def test_error_vs_rate_monotone_per_kind():
@@ -216,15 +195,3 @@ def test_error_vs_rate_monotone_per_kind():
         assert len(errors) >= 2
         assert all(errors[i + 1] <= errors[i] + 1e-9 for i in range(len(errors) - 1)), (
             cfg.kind, errors)
-
-
-def test_export_readings_csv(tmp_path):
-    trace = constant_trace(10.0, duration=2.0)
-    model = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
-                                     supply_voltage_v=5.0)
-    readings = ss.sample_instant(trace, model)
-    path = tmp_path / "readings.csv"
-    ss.battery.export_readings_csv(readings, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t_s,value,kind"
-    assert lines[1] == "1,2,instant"

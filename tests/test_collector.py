@@ -1,15 +1,8 @@
-import itertools
-
 import numpy as np
 import pytest
 
 import sesame as ss
-from sesame.collector import export_design_csv, import_design_csv
-from sesame.errors import (
-    RateError,
-    TruncationError,
-    UnknownPredictorError,
-)
+from sesame.errors import RateError, TruncationError
 
 
 def flat_system():
@@ -115,44 +108,6 @@ def test_truncation_error_counts_missing_rows():
     assert err.value.missing == 10
 
 
-def test_bundle_read_consistency_with_collect():
-    trace, specs, streams = three_predictor_setup()
-    dm = ss.collect(streams, specs, 10.0, 30.0)
-    t = 12.34
-    row = dm.x[int(t * 10)]
-    full = ss.bundle_read(streams, specs, {s.id for s in specs}, t, 10.0)
-    assert np.allclose([full[s.id] for s in specs], row)
-
-
-def test_bundle_read_single_and_unknown():
-    trace, specs, streams = three_predictor_setup()
-    one = ss.bundle_read(streams, specs, {"cpu_busy"}, 3.0, 10.0)
-    assert set(one) == {"cpu_busy"}
-    with pytest.raises(UnknownPredictorError):
-        ss.bundle_read(streams, specs, {"nope"}, 3.0, 10.0)
-
-
-def test_bundle_read_disjoint_masks_union_exhaustive():
-    trace, specs, streams = three_predictor_setup()
-    ids = [s.id for s in specs]
-    t = 7.5
-    full = ss.bundle_read(streams, specs, set(ids), t, 10.0)
-    for r in range(1, len(ids)):
-        for combo in itertools.combinations(ids, r):
-            rest = set(ids) - set(combo)
-            a = ss.bundle_read(streams, specs, set(combo), t, 10.0)
-            b = ss.bundle_read(streams, specs, rest, t, 10.0)
-            merged = {**a, **b}
-            assert merged == full
-
-
-def test_bundle_read_charges_one_access():
-    trace, specs, streams = three_predictor_setup()
-    before = streams.accesses
-    ss.bundle_read(streams, specs, {s.id for s in specs}, 1.0, 10.0)
-    assert streams.accesses == before + 1
-
-
 def test_aggregate_response_instant_paper_arithmetic():
     # 0.5 Hz readings of 2 A at 5 V over 100 s: 50 readings x 2 A x 5 V x 2 s
     model = ss.ComponentStateModel(
@@ -210,27 +165,12 @@ def test_rate_consistency_summed_rows_match_lower_rate():
     cfg = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=10.0,
                                    supply_voltage_v=5.0)
     readings = ss.sample_instant(trace, cfg)
-    fine = ss.attach_response(ss.collect(streams, specs, 1.0, 30.0), readings)
-    coarse = ss.attach_response(ss.collect(streams, specs, 0.2, 30.0), readings)
+    fine = ss.collect(streams, specs, 1.0, 30.0)
+    coarse = ss.collect(streams, specs, 0.2, 30.0)
     # responses and counter columns are additive; 5 fine rows = 1 coarse row
-    summed_y = fine.y[:30].reshape(6, 5).sum(axis=1)
-    assert np.allclose(summed_y, coarse.y[:6], rtol=1e-12)
+    summed_y = ss.aggregate_response(readings, 1.0)[:30].reshape(6, 5).sum(axis=1)
+    assert np.allclose(summed_y, ss.aggregate_response(readings, 5.0)[:6],
+                       rtol=1e-12)
     i_counter = fine.columns.index("disk_ops")
     summed_cnt = fine.x[:30, i_counter].reshape(6, 5).sum(axis=1)
     assert np.allclose(summed_cnt, coarse.x[:6, i_counter], rtol=1e-12)
-
-
-def test_design_csv_round_trip(tmp_path):
-    trace, specs, streams = three_predictor_setup()
-    cfg = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=10.0,
-                                   supply_voltage_v=5.0)
-    readings = ss.sample_instant(trace, cfg)
-    dm = ss.attach_response(ss.collect(streams, specs, 1.0, 30.0), readings)
-    path = tmp_path / "design.csv"
-    export_design_csv(dm, str(path))
-    header = path.read_text().splitlines()[0]
-    assert header == "t_start_s,cpu_busy,disk_ops,backlight,y_j"
-    back = import_design_csv(str(path), {s.id: s.kind for s in specs})
-    assert back.columns == dm.columns
-    assert np.allclose(back.x, dm.x, rtol=1e-9)
-    assert np.allclose(back.y, dm.y, rtol=1e-9)

@@ -12,6 +12,7 @@ from sesame.cli import main as cli_main
 from sesame.errors import AlignmentError, ConfigurationError, ParseError
 
 
+from reference import tick_power
 @pytest.fixture(scope="module")
 def noiseless_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("noiseless")
@@ -101,9 +102,9 @@ def test_error_vs_rate_rejects_wrong_experiment():
 
 def test_collection_overhead_raises_mean_power():
     sc = scn.builtin("noiseless_linear")
-    base = exp.simulate(sc).trace.power_w.mean()
-    bumped = exp.simulate(
-        dataclasses.replace(sc, collection_overhead_w=0.5)).trace.power_w.mean()
+    base = tick_power(exp.simulate(sc).trace).mean()
+    bumped = tick_power(exp.simulate(
+        dataclasses.replace(sc, collection_overhead_w=0.5)).trace).mean()
     assert bumped == pytest.approx(base + 0.5)
 
 
@@ -277,10 +278,11 @@ def test_n85like_averaging_reproduces_error_drop():
 
     sc = scn.builtin("n85like")
     arts = exp.simulate(sc)
-    down = ss.average_to_rate(arts.readings, 1.0)
-    truth_current = arts.truth(1.0) / sc.battery.supply_voltage_v  # A per 1 s
-    m = min(len(down), len(truth_current))
-    err1 = ss.rms_relative_error(down.values[:m], truth_current[:m])
+    # the mean of each four readings, as energy per 1 s window
+    down = ss.aggregate_response(arts.readings, 1.0)
+    truth = arts.truth(1.0)
+    m = min(len(down), len(truth))
+    err1 = ss.rms_relative_error(down[:m], truth[:m])
     err4 = exp._interface_rms(arts, 4.0)
     assert 0.30 <= err4 <= 0.36
     assert err1 == pytest.approx(0.10, abs=0.03)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sesame as ss
+from reference import residency_predictors
 from sesame.collector import DesignMatrix
 from sesame.errors import ParseError
 from sesame.manager import MonitorRecord, install_model, table_equals
@@ -87,7 +88,7 @@ def test_monitor_against_interface_stream():
         "cpu": ss.MarkovChain(((0.95, 0.05), (0.05, 0.95)), step_s=0.1)}),),
         seed=9)
     trace = ss.gen_trace(model_sys, wl, 1500.0, 0.01)
-    specs = ss.residency_predictors(model_sys, update_rate_hz=100.0)
+    specs = residency_predictors(model_sys, update_rate_hz=100.0)
     streams = ss.observe_predictors(trace, specs, 100.0)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=10.0)

@@ -12,6 +12,7 @@ import pytest
 import sesame as ss
 import sesame.experiments as exp
 import sesame.scenarios as scn
+from reference import tick_power, tick_states
 from sesame import battery, tracesim
 
 RTOL = 1e-12
@@ -34,13 +35,6 @@ def duty_ticks(proc, n_ticks, tick_s):
     return np.where(hi, proc.state_hi, proc.state_lo).astype(np.int16)
 
 
-def ref_power(trace):
-    power = np.full(len(trace), trace.model.base_power_w)
-    for comp, states in zip(trace.model.components, trace.states):
-        power += np.asarray(comp.state_powers)[states]
-    return power + trace.overhead_w
-
-
 def ref_window_sums(values, k):
     m = len(values) // k
     return values[: m * k].reshape(m, k).sum(axis=1)
@@ -51,7 +45,7 @@ def ref_tick_values(trace, spec):
     w = np.zeros(trace.model.components[c_idx].n_states)
     for j, wj in spec.weights.items():
         w[j] = wj
-    return w[trace.states[c_idx]]
+    return w[tick_states(trace)[c_idx]]
 
 
 def ref_interval_truth(trace, spec, k):
@@ -78,11 +72,11 @@ def ref_value_at(trace, stream, times):
 def ref_internal_current_means(trace, internal_rate_hz):
     k = int(round(1.0 / internal_rate_hz / trace.tick_s))
     m = len(trace) // k
-    return ref_power(trace)[: m * k].reshape(m, k).mean(axis=1)
+    return tick_power(trace)[: m * k].reshape(m, k).mean(axis=1)
 
 
 def ref_sample_capacity(trace, model, seed):
-    current = ref_power(trace) / model.supply_voltage_v
+    current = tick_power(trace) / model.supply_voltage_v
     charge = np.concatenate([[0.0], np.cumsum(current * trace.tick_s)])
     k = int(round(1.0 / model.reading_rate_hz / trace.tick_s))
     levels = model.initial_capacity_c - charge[
@@ -215,7 +209,8 @@ def test_mixed_trace_states_follow_the_phases(mixed_trace):
                 starts, states = tracesim._phase_states(
                     proc, comp, n_phase, 0.001, (wl.seed, c_idx, p_idx))
                 want.append(tracesim._expand_runs(starts, states, n_phase))
-        assert np.array_equal(mixed_trace.states[c_idx], np.concatenate(want))
+        assert np.array_equal(tick_states(mixed_trace)[c_idx],
+                              np.concatenate(want))
         starts, states = mixed_trace.runs[c_idx]
         assert np.all(states[1:] != states[:-1])    # runs are merged
 
@@ -223,7 +218,7 @@ def test_mixed_trace_states_follow_the_phases(mixed_trace):
 @pytest.mark.parametrize("interval_s", [0.001, 0.01, 0.037, 0.5, 5.0])
 def test_true_energy_matches_tick_sums(mixed_trace, interval_s):
     k = int(round(interval_s / 0.001))
-    want = ref_window_sums(ref_power(mixed_trace), k) * 0.001
+    want = ref_window_sums(tick_power(mixed_trace), k) * 0.001
     got = ss.true_energy(mixed_trace, interval_s)
     np.testing.assert_allclose(got, want, rtol=RTOL)
 
@@ -231,8 +226,8 @@ def test_true_energy_matches_tick_sums(mixed_trace, interval_s):
 def test_power_view_includes_the_overhead(mixed_trace):
     model, wl = mixed_system()
     plain = ss.gen_trace(model, wl, 5.0, 0.001)
-    np.testing.assert_allclose(mixed_trace.power_w - plain.power_w, 0.37,
-                               rtol=RTOL)
+    np.testing.assert_allclose(tick_power(mixed_trace) - tick_power(plain),
+                               0.37, rtol=RTOL)
     np.testing.assert_allclose(
         ss.true_energy(mixed_trace, 1.0) - ss.true_energy(plain, 1.0),
         0.37, rtol=1e-9)
@@ -266,8 +261,9 @@ def test_interval_truth_matches_tick_values(mixed_trace, spec, interval_s):
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.id)
 def test_value_at_matches_per_tick_series(mixed_trace, spec):
     streams = ss.observe_predictors(mixed_trace, list(SPECS), 100.0)
-    times, got = streams.read_series(spec.id)
     stream = streams.stream(spec.id)
+    times = streams.read_times_s
+    got = stream.value_at(times)
     np.testing.assert_allclose(got, ref_value_at(mixed_trace, stream, times),
                                rtol=RTOL)
     odd = np.array([-1.0, -1e-12, 0.0, 0.0004, 1.2345, 2.9999, 5.0, 7.5])
@@ -280,7 +276,8 @@ def test_integral_at_every_tick(mixed_trace):
     ticks = np.arange(len(mixed_trace) + 1)
     for c_idx, comp in enumerate(mixed_trace.model.components):
         w = np.linspace(0.3, 2.9, comp.n_states)
-        want = np.concatenate([[0.0], np.cumsum(w[mixed_trace.states[c_idx]])])
+        states = tick_states(mixed_trace)[c_idx]
+        want = np.concatenate([[0.0], np.cumsum(w[states])])
         np.testing.assert_allclose(mixed_trace.integral(c_idx, w, ticks),
                                    want, rtol=RTOL)
 
@@ -330,10 +327,8 @@ def test_pipeline_builds_no_per_tick_array(monkeypatch, tmp_path, name):
     def refuse(*args, **kwargs):
         raise AssertionError("per-tick view used by the pipeline")
 
-    for attr in ("states", "power_w"):
-        monkeypatch.setattr(ss.Trace, attr, property(refuse))
-    for attr in ("tick_values", "cumulative"):
-        monkeypatch.setattr(ss.Trace, attr, refuse)
+    monkeypatch.setattr(ss.Trace, "cumulative", refuse)
+    monkeypatch.setattr(tracesim, "_expand_runs", refuse)
     sc = dataclasses.replace(scn.builtin(name), duration_s=GUARDED[name],
                              collection_overhead_w=0.25)
     exp.run_scenario(sc, str(tmp_path))

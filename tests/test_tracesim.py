@@ -2,6 +2,12 @@ import numpy as np
 import pytest
 
 import sesame as ss
+from reference import (
+    residency_beta_true,
+    residency_predictors,
+    tick_power,
+    tick_states,
+)
 from sesame.errors import AlignmentError, ConfigurationError
 
 
@@ -51,14 +57,14 @@ def test_single_state_trace_is_flat():
         phases=(ss.Phase("p", 10.0, {"box": ss.FixedState(0)}),), seed=1)
     trace = ss.gen_trace(model, wl, 10.0, 0.01)
     assert len(trace) == 1000
-    assert np.all(trace.power_w == 5.0)
+    assert np.all(tick_power(trace) == 5.0)
 
 
 def test_duty_cycle_mean_power_matches_closed_form():
     model, wl = duty_cycle_system()
     trace = ss.gen_trace(model, wl, 10.0, 0.01)
     # closed form: 3 + 2 + (1 + 9) / 2 = 10 W over any whole period
-    per_period = trace.power_w.reshape(10, 100).mean(axis=1)
+    per_period = tick_power(trace).reshape(10, 100).mean(axis=1)
     assert np.allclose(per_period, 10.0)
 
 
@@ -66,8 +72,8 @@ def test_same_seed_same_trace():
     model, wl, duration = markov_cpu()
     a = ss.gen_trace(model, wl, duration, 0.01)
     b = ss.gen_trace(model, wl, duration, 0.01)
-    assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.power_w, b.power_w)
+    assert np.array_equal(tick_states(a), tick_states(b))
+    assert np.array_equal(tick_power(a), tick_power(b))
 
 
 def test_different_seed_differs():
@@ -75,7 +81,7 @@ def test_different_seed_differs():
     model2, wl2, _ = markov_cpu(seed=12)
     a = ss.gen_trace(model, wl, duration, 0.01)
     b = ss.gen_trace(model2, wl2, duration, 0.01)
-    assert not np.array_equal(a.states, b.states)
+    assert not np.array_equal(tick_states(a), tick_states(b))
 
 
 def test_invalid_markov_rows_rejected():
@@ -96,7 +102,7 @@ def test_true_energy_duty_cycle_per_second():
     model, wl = duty_cycle_system()
     trace = ss.gen_trace(model, wl, 10.0, 0.01)
     # oracle: direct tick sums
-    expect = trace.power_w.reshape(10, 100).sum(axis=1) * 0.01
+    expect = tick_power(trace).reshape(10, 100).sum(axis=1) * 0.01
     assert np.allclose(ss.true_energy(trace, 1.0), expect)
     assert np.allclose(expect, 10.0)
 
@@ -106,7 +112,7 @@ def test_true_energy_whole_trace_additivity():
     trace = ss.gen_trace(model, wl, duration, 0.01)
     total = ss.true_energy(trace, duration)
     assert total.shape == (1,)
-    assert total[0] == pytest.approx(trace.power_w.sum() * 0.01, rel=1e-12)
+    assert total[0] == pytest.approx(tick_power(trace).sum() * 0.01, rel=1e-12)
 
 
 def test_true_energy_alignment_error():
@@ -154,8 +160,8 @@ def test_residency_closure():
 def test_ground_truth_linearity_beta_true():
     model, wl, duration = markov_cpu(duration=60.0)
     trace = ss.gen_trace(model, wl, duration, 0.01)
-    specs = ss.residency_predictors(model)
-    beta = ss.residency_beta_true(model, 2.0, specs)
+    specs = residency_predictors(model)
+    beta = residency_beta_true(model, 2.0, specs)
     x = np.column_stack([trace.interval_truth(s, 2.0) for s in specs])
     predicted = beta[0] + x @ beta[1:]
     assert np.allclose(predicted, ss.true_energy(trace, 2.0), rtol=1e-12)
@@ -170,8 +176,8 @@ def test_phases_switch_and_last_phase_extends():
         ss.Phase("b", 2.0, {"box": ss.FixedState(1)}),
     ), seed=3)
     trace = ss.gen_trace(model, wl, 6.0, 0.01)
-    assert np.all(trace.power_w[:200] == 1.0)
-    assert np.all(trace.power_w[200:] == 4.0)  # phase b runs to the end
+    assert np.all(tick_power(trace)[:200] == 1.0)
+    assert np.all(tick_power(trace)[200:] == 4.0)  # phase b runs to the end
 
 
 
@@ -285,7 +291,7 @@ def test_markov_phases_restart_with_their_own_draws():
             loop_markov_states(phase.occupancy[model.components[c_idx].name],
                                n, 0.001, (5, c_idx, p_idx))
             for p_idx, (phase, n) in enumerate(zip(wl.phases, phase_ticks))])
-        assert np.array_equal(trace.states[c_idx], want)
+        assert np.array_equal(tick_states(trace)[c_idx], want)
 
 
 # -- observation ------------------------------------------------------------
@@ -296,7 +302,8 @@ def test_observed_equals_truth_when_updates_are_fast():
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={2: 1.0}, update_rate_hz=100.0)
     streams = ss.observe_predictors(trace, [spec], 100.0)
-    times, values = streams.read_series("busy")
+    times = streams.read_times_s
+    values = streams.stream("busy").value_at(times)
     truth = trace.cumulative(spec)
     idx = np.round(times / trace.tick_s).astype(int)
     assert np.allclose(values, truth[idx], atol=1e-12)
@@ -310,7 +317,8 @@ def test_slow_update_lag_bounded_by_one_quantum():
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={2: 1.0}, update_rate_hz=250.0)
     streams = ss.observe_predictors(trace, [spec], 100.0)
-    times, observed = streams.read_series("busy")
+    times = streams.read_times_s
+    observed = streams.stream("busy").value_at(times)
     truth = trace.cumulative(spec)[np.round(times / trace.tick_s).astype(int)]
     lag = truth - observed
     assert lag.min() >= -1e-12
@@ -330,7 +338,8 @@ def test_square_wave_read_error_bounded_by_update_granularity():
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={1: 1.0}, update_rate_hz=250.0)
     streams = ss.observe_predictors(trace, [spec], 100.0)
-    times, observed = streams.read_series("busy")
+    times = streams.read_times_s
+    observed = streams.stream("busy").value_at(times)
     truth = trace.cumulative(spec)[np.round(times / trace.tick_s).astype(int)]
     quantum = 1.0 / 250.0
     gap = truth - observed
@@ -351,7 +360,8 @@ def test_delayed_counter_cross_correlation_peaks_at_delay():
                             weights={1: 200.0}, update_rate_hz=100.0,
                             delay_s=delay)
     streams = ss.observe_predictors(trace, [spec], 20.0)
-    times, observed_cum = streams.read_series("sectors")
+    times = streams.read_times_s
+    observed_cum = streams.stream("sectors").value_at(times)
     true_spec = ss.PredictorSpec(id="sectors", component="disk",
                                  kind="counter", weights={1: 200.0},
                                  update_rate_hz=100.0)
@@ -377,17 +387,6 @@ def test_event_driven_level_changes_at_events_only():
     spec = ss.PredictorSpec(id="bl", component="lcd", kind="level",
                             weights={0: 0.3, 1: 0.9}, policy="event-driven")
     streams = ss.observe_predictors(trace, [spec], 1.0)
-    _, values = streams.read_series("bl")
+    values = streams.stream("bl").value_at(streams.read_times_s)
     assert np.all(values[:5] == 0.3)
     assert np.all(values[5:] == 0.9)
-
-
-def test_export_trace_csv(tmp_path):
-    model, wl = duty_cycle_system()
-    trace = ss.gen_trace(model, wl, 10.0, 0.01)
-    specs = ss.residency_predictors(model)
-    path = tmp_path / "trace.csv"
-    ss.tracesim.export_trace_csv(trace, specs, str(path), interval_s=1.0)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t_s,power_w," + ",".join(s.id for s in specs)
-    assert len(lines) == 11
