@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the JSON file reader
+that raises them."""
+
+import json
 
 
 class SesameError(Exception):
@@ -43,3 +46,22 @@ class SchemaError(SesameError):
 
 class ParseError(SesameError):
     """A persisted document could not be decoded."""
+
+
+def read_json(path: str, what: str):
+    """The JSON document in `path`; `what` names it in error messages.
+
+    A file that cannot be opened raises ConfigurationError; bytes that are
+    not UTF-8, or not JSON, raise ParseError.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {what} file: {exc}") from exc
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {what} file is not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc

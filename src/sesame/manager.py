@@ -18,7 +18,7 @@ import numpy as np
 from .battery import BatteryReadings
 from .collector import DesignMatrix, aggregate_response
 from .constructor import EnergyModel, model_from_dict, model_to_dict
-from .errors import ParseError
+from .errors import ParseError, read_json
 
 HARDWARE = "hardware"
 SOFTWARE = "software"
@@ -158,8 +158,12 @@ def maybe_rebuild(table: ModelTable, t_s: float, latest_error: float,
 def persist(table: ModelTable, path: str) -> None:
     """Write the table, including history and log, as a strict JSON document.
 
-    A NaN or infinite value other than the default cooldown raises ValueError.
+    A NaN or infinite value other than the default cooldown raises
+    ValueError, and so does an active key with no model, which `load`
+    refuses.
     """
+    if table.active_key is not None and table.active_key not in table.models:
+        raise ValueError(f"active key {table.active_key} has no model")
     doc = {
         "active_key": list(map(list, table.active_key.triples))
         if table.active_key else None,
@@ -183,12 +187,9 @@ def persist(table: ModelTable, path: str) -> None:
 
 
 def load(path: str) -> ModelTable:
-    """Read a table written by `persist`; malformed files raise ParseError."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    """Read a table written by `persist`; malformed files raise ParseError
+    and unreadable ones ConfigurationError."""
+    doc = read_json(path, "model table")
     try:
         table = ModelTable(
             threshold=float(doc["threshold"]),
@@ -206,6 +207,9 @@ def load(path: str) -> ModelTable:
         if doc["active_key"] is not None:
             table.active_key = ConfigurationKey(
                 tuple(tuple(t) for t in doc["active_key"]))
+            if table.active_key not in table.models:
+                raise ParseError(f"{path}: active key {doc['active_key']} "
+                                 "is not among the table's models")
         return table
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed table document: {exc}") from exc

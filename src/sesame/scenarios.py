@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .battery import BatteryInterfaceModel
 from .constructor import DEFAULT_T_LOW_RANGE
-from .errors import AlignmentError, ConfigurationError, ParseError
+from .errors import AlignmentError, ConfigurationError, ParseError, read_json
 from .tracesim import (
     Component,
     ComponentStateModel,
@@ -293,14 +293,7 @@ def save_scenario(sc: ScenarioConfig, path: str) -> None:
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read scenario file: {exc}") from exc
-    return scenario_from_dict(doc)
+    return scenario_from_dict(read_json(path, "scenario"))
 
 
 # ---------------------------------------------------------------------------

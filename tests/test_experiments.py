@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +12,11 @@ import pytest
 import sesame.cli as cli
 import sesame.experiments as exp
 import sesame.scenarios as scn
+from reference import tick_power
 from sesame.cli import main as cli_main
 from sesame.errors import AlignmentError, ConfigurationError, ParseError
 
 
-from reference import tick_power
 @pytest.fixture(scope="module")
 def noiseless_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("noiseless")
@@ -186,6 +190,28 @@ def test_cli_run_scenario_file(tmp_path):
 
 def test_cli_unknown_scenario_exit_1(capsys):
     assert cli_main(["run", "no_such_thing"]) == 1
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"\xff\xfe", "is not UTF-8"),
+    (b'{"name": "\xe9"}', "is not UTF-8"),
+    (None, "cannot read scenario file"),      # a directory
+])
+def test_cli_unreadable_scenario_file_exit_1(tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sesame.cli", "run", str(path),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_insufficient_data_exit_2(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 import sesame as ss
 from reference import residency_predictors
 from sesame.collector import DesignMatrix
-from sesame.errors import ParseError
+from sesame.errors import ConfigurationError, ParseError
 from sesame.manager import MonitorRecord, install_model, table_equals
 
 
@@ -203,6 +203,36 @@ def test_load_accepts_infinity_cooldown_of_older_files(tmp_path):
     doc["cooldown_until_s"] = float("-inf")
     path.write_text(json.dumps(doc))          # spelled -Infinity
     assert ss.load(str(path)).cooldown_until_s == float("-inf")
+
+
+def test_load_rejects_an_active_key_without_a_model(tmp_path):
+    path = tmp_path / "table.json"
+    ss.persist(ss.ModelTable(), str(path))
+    doc = json.loads(path.read_text())
+    doc["active_key"] = [["a", "b", "c"]]
+    assert doc["models"] == []
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="not among"):
+        ss.load(str(path))
+
+
+def test_persist_refuses_an_active_key_without_a_model(tmp_path):
+    table = ss.ModelTable()
+    install_model(table, key_of(dvs="off"), make_model())
+    assert ss.lookup_or_create(table, key_of(dvs="on")) is None   # cold start
+    path = tmp_path / "table.json"
+    with pytest.raises(ValueError, match="no model"):
+        ss.persist(table, str(path))
+    assert not path.exists()
+
+
+def test_load_unreadable_files_raise_typed_errors(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        ss.load(str(path))
+    with pytest.raises(ConfigurationError, match="cannot read model table"):
+        ss.load(str(tmp_path / "missing.json"))
 
 
 def test_persist_truncated_file_raises(tmp_path):

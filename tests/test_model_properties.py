@@ -1,15 +1,23 @@
-"""Property tests of the single affine model form.
+"""Property tests of the single affine model form and of persistence.
 
 A fitted EnergyModel is b0 + r . b on the kept predictor rates, scaled by
 the interval ratio; these check that form against the explicit PCA
-pipeline it folds, and that its energies add up across rates.
+pipeline it folds, and that its energies add up across rates. Model
+tables and scenarios must come back from their documents unchanged.
 """
+
+import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sesame as ss
+import sesame.scenarios as scn
 from sesame.collector import DesignMatrix
+from sesame.manager import MonitorRecord, table_equals
 from sesame.tracesim import COUNTER
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -106,3 +114,62 @@ def test_energy_is_additive_across_rates(seed, kinds, use_pca, l_frac, k,
     parts = model.predict_rows(sub, interval_s).sum()
     whole = model.predict_rows(merged, k * interval_s)[0]
     assert parts == pytest.approx(whole, rel=1e-9)
+
+
+# -- persistence ----------------------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+KEYS = st.lists(st.tuples(st.text(max_size=6), st.text(max_size=6),
+                          st.text(max_size=6)), min_size=1, max_size=3)
+
+
+@st.composite
+def model_tables(draw):
+    """A table of fitted models under distinct keys, with monitor state."""
+    keys = draw(st.lists(KEYS.map(ss.ConfigurationKey.canonical), max_size=4,
+                         unique=True))
+    table = ss.ModelTable(threshold=draw(FINITE), window_s=draw(FINITE),
+                          skipped_windows=draw(st.integers(0, 10**6)))
+    for key in keys:
+        kinds = tuple(draw(st.lists(st.sampled_from(KINDS), min_size=1,
+                                    max_size=4)))
+        n = len(kinds)
+        use_pca = draw(st.booleans())
+        table.models[key] = ss.build_model(
+            training_matrix(draw(st.integers(0, 2**32 - 1)), n, kinds),
+            method=draw(st.sampled_from(["TLS", "OLS"])), use_pca=use_pca,
+            l=draw(st.integers(1, n)) if use_pca else None)
+    if keys:
+        table.active_key = draw(st.sampled_from([None] + keys))
+    table.history = [MonitorRecord(t, e) for t, e in
+                     draw(st.lists(st.tuples(FINITE, FINITE), max_size=5))]
+    table.decision_log = draw(st.lists(st.text(max_size=20), max_size=5))
+    table.cooldown_until_s = draw(st.one_of(st.just(-math.inf), FINITE))
+    return table
+
+
+@PROPERTY
+@hypothesis.given(table=model_tables(), seed=st.integers(0, 2**32 - 1),
+                  interval_s=st.sampled_from([0.01, 1.0, 100.0]))
+def test_persisted_table_loads_back_equal(table, seed, interval_s):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "table.json")
+        ss.persist(table, path)
+        back = ss.load(path)
+    assert table_equals(back, table)
+    rng = np.random.default_rng(seed)
+    for key, model in table.models.items():
+        x = rng.uniform(0.0, 1.0, size=(7, len(model.columns)))
+        assert np.array_equal(back.models[key].predict_rows(x, interval_s),
+                              model.predict_rows(x, interval_s))
+
+
+@pytest.mark.parametrize("name", sorted(scn.BUILTIN_SCENARIOS))
+@hypothesis.settings(max_examples=10, deadline=None, database=None)
+@hypothesis.given(seed=st.integers(0, 2**31 - 1))
+def test_scenario_document_round_trips(name, seed):
+    sc = scn.builtin(name).with_seed(seed)
+    doc = scn.scenario_to_dict(sc)
+    back = scn.scenario_from_dict(json.loads(json.dumps(doc)))
+    assert back == sc
+    assert scn.scenario_to_dict(back) == doc
