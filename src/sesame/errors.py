@@ -52,7 +52,8 @@ def read_json(path: str, what: str):
     """The JSON document in `path`; `what` names it in error messages.
 
     A file that cannot be opened raises ConfigurationError; bytes that are
-    not UTF-8, or not JSON, raise ParseError.
+    not UTF-8, or not JSON, or nested deeper than the decoder's recursion
+    limit raise ParseError.
     """
     try:
         with open(path, "rb") as fh:
@@ -65,3 +66,5 @@ def read_json(path: str, what: str):
         raise ParseError(f"{path}: {what} file is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: {what} file nests too deeply") from exc

@@ -20,14 +20,11 @@ from .collector import DesignMatrix, aggregate_response
 from .constructor import EnergyModel, model_from_dict, model_to_dict
 from .errors import ParseError, read_json
 
-HARDWARE = "hardware"
-SOFTWARE = "software"
-USER = "user"
-
 
 @dataclass(frozen=True)
 class ConfigurationKey:
-    """Canonical (category, name, value) triples identifying a configuration."""
+    """Canonical (category, name, value) triples identifying a configuration;
+    the categories are "hardware", "software" and "user"."""
 
     triples: tuple[tuple[str, str, str], ...]
 

@@ -588,7 +588,6 @@ class ObservedStreamSet:
         ids = [s.id for s in specs]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("duplicate predictor ids")
-        self.read_rate_hz = read_rate_hz
         self.trace = trace
         self.specs = {s.id: s for s in specs}
         self.streams = {s.id: ObservedStream(s, trace) for s in specs}

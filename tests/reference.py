@@ -25,28 +25,24 @@ def tick_power(trace: ss.Trace) -> np.ndarray:
     return power + trace.overhead_w
 
 
-def tick_values(trace: ss.Trace, spec: ss.PredictorSpec) -> np.ndarray:
-    """Instantaneous predictor value per tick (weight of the active state)."""
-    c_idx, w = trace.weight_vector(spec)
-    return w[tick_states(trace)[c_idx]]
-
-
-def state_label(comp: ss.Component, j: int) -> str:
-    return comp.state_names[j] if comp.state_names else str(j)
-
-
 def residency_predictors(model: ss.ComponentStateModel,
                          update_rate_hz: float = 1000.0
                          ) -> list[ss.PredictorSpec]:
     """One unit-weight residency spec per non-baseline state.
 
     State 0 of each component is the omitted baseline, which keeps the
-    design matrix clear of the all-states-sum-to-one collinearity.
+    design matrix clear of the all-states-sum-to-one collinearity. Ids
+    are `component:state`, by state name where the component has names.
     """
-    return [ss.PredictorSpec(id=f"{comp.name}:{state_label(comp, j)}",
-                             component=comp.name, kind="residency",
-                             weights={j: 1.0}, update_rate_hz=update_rate_hz)
-            for comp in model.components for j in range(1, comp.n_states)]
+    specs = []
+    for comp in model.components:
+        names = comp.state_names or range(comp.n_states)
+        specs.extend(ss.PredictorSpec(id=f"{comp.name}:{names[j]}",
+                                      component=comp.name, kind="residency",
+                                      weights={j: 1.0},
+                                      update_rate_hz=update_rate_hz)
+                     for j in range(1, comp.n_states))
+    return specs
 
 
 def residency_beta_true(model: ss.ComponentStateModel, interval_s: float,

@@ -195,8 +195,9 @@ def test_cli_unknown_scenario_exit_1(capsys):
 @pytest.mark.parametrize("content,message", [
     (b"\xff\xfe", "is not UTF-8"),
     (b'{"name": "\xe9"}', "is not UTF-8"),
+    (b"[" * 200_000, "nests too deeply"),
     (None, "cannot read scenario file"),      # a directory
-])
+], ids=["utf16_bom", "latin1", "deep_nesting", "directory"])
 def test_cli_unreadable_scenario_file_exit_1(tmp_path, content, message):
     path = tmp_path / "bad.json"
     if content is None:

@@ -231,6 +231,9 @@ def test_load_unreadable_files_raise_typed_errors(tmp_path):
     path.write_bytes(b"\xff\xfe")
     with pytest.raises(ParseError, match="not UTF-8"):
         ss.load(str(path))
+    path.write_bytes(b"[" * 200_000)
+    with pytest.raises(ParseError, match="nests too deeply"):
+        ss.load(str(path))
     with pytest.raises(ConfigurationError, match="cannot read model table"):
         ss.load(str(tmp_path / "missing.json"))
 

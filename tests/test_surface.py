@@ -1,4 +1,5 @@
-"""Every public top-level function and class of the package has a caller.
+"""Every public top-level function, class and constant of the package
+has a caller.
 
 A name counts as used only where the pipeline, the CLI or the acceptance
 suite refers to it: anywhere in `src/sesame` outside its own definition
@@ -25,24 +26,32 @@ def referenced_names(node: ast.AST) -> set[str]:
     return names
 
 
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """Public names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if not n.startswith("_")]
+
+
 def unreferenced_public_names() -> list[str]:
     modules = {p: ast.parse(p.read_text(), str(p))
                for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
     defined = {}                     # name -> (module path, definition node)
     for path, tree in modules.items():
         for stmt in tree.body:
-            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and not stmt.name.startswith("_")):
-                defined[stmt.name] = (path, stmt)
+            for name in defined_names(stmt):
+                defined[name] = (path, stmt)
     used = referenced_names(ast.parse(ACCEPTANCE.read_text()))
     for path, tree in modules.items():
         for stmt in tree.body:
-            own = (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                   and defined.get(stmt.name) == (path, stmt))
-            uses = referenced_names(stmt)
-            if own:
-                uses.discard(stmt.name)     # recursion is not a caller
-            used |= uses
+            # a definition does not use the names it defines
+            used |= referenced_names(stmt) - {
+                name for name in defined_names(stmt)
+                if defined[name] == (path, stmt)}
     return sorted(f"{path.stem}.{name}" for name, (path, _) in defined.items()
                   if name not in used)
 
