@@ -132,14 +132,14 @@ def collect(streams: ObservedStreamSet, specs: list[PredictorSpec],
     )
 
 
-def aggregate_response(readings: BatteryReadings, interval_s: float,
-                       voltage_v: float | None = None) -> np.ndarray:
+def aggregate_response(readings: BatteryReadings,
+                       interval_s: float) -> np.ndarray:
     """Joules per `interval_s` window derived from battery readings.
 
     Current kinds sum reading x voltage x reading-period; the capacity kind
     differences the boundary readings and multiplies by voltage.
     """
-    v = readings.model.supply_voltage_v if voltage_v is None else voltage_v
+    v = readings.model.supply_voltage_v
     period = readings.period_s
     if interval_s < period - 1e-12:
         raise RateError(

@@ -240,22 +240,21 @@ class EnergyModel:
 # Stretching and fitting pipeline
 # ---------------------------------------------------------------------------
 
-def stretch(dm: DesignMatrix, readings: BatteryReadings, t_low_s: float,
-            voltage_v: float | None = None,
-            allowed_range: tuple[float, float] = DEFAULT_T_LOW_RANGE
-            ) -> DesignMatrix:
+def stretch(dm: DesignMatrix, readings: BatteryReadings,
+            t_low_s: float) -> DesignMatrix:
     """Re-aggregate a base-rate matrix to `t_low_s` rows with a response.
 
     Residency and level columns average, counter columns sum; the response
     comes from aggregating the battery readings over the same windows.
     """
-    lo, hi = allowed_range
+    lo, hi = DEFAULT_T_LOW_RANGE
     if not lo <= t_low_s <= hi:
-        raise ValueError(f"t_low {t_low_s} s outside the configured range {allowed_range}")
+        raise ValueError(
+            f"t_low {t_low_s} s outside the configured range {DEFAULT_T_LOW_RANGE}")
     k = int(round(t_low_s / dm.interval_s))
     if abs(t_low_s / dm.interval_s - k) > 1e-9 or k < 1:
         raise ValueError("t_low must be an integral multiple of the base interval")
-    y = aggregate_response(readings, t_low_s, voltage_v)
+    y = aggregate_response(readings, t_low_s)
     m = min(dm.m // k, len(y))
     if m < dm.n + 2:
         raise InsufficientDataError(

@@ -76,13 +76,6 @@ class ErrorReport:
                 return row.rms_rel_error
         raise KeyError((rate_hz, estimator))
 
-    def estimators(self) -> list[str]:
-        seen = []
-        for row in self.rows:
-            if row.estimator not in seen:
-                seen.append(row.estimator)
-        return seen
-
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             fh.write("rate_hz,estimator,rms_rel_error,accuracy\n")
@@ -125,8 +118,7 @@ def simulate(sc: ScenarioConfig) -> RunArtifacts:
                       overhead_w=sc.collection_overhead_w)
     streams = None
     if sc.predictors:
-        streams = observe_predictors(trace, list(sc.predictors),
-                                     sc.base_rate_hz)
+        streams = observe_predictors(trace, list(sc.predictors))
     readings = sample_interface(trace, sc.battery, seed=sc.battery_seed())
     return RunArtifacts(scenario=sc, trace=trace, streams=streams,
                         readings=readings)
@@ -173,13 +165,13 @@ def _model_rms(model: EnergyModel, arts: RunArtifacts, rate_hz: float) -> float:
 # Runners
 # ---------------------------------------------------------------------------
 
-def run_error_vs_rate(sc: ScenarioConfig, out_dir: str | None = None,
-                      arts: RunArtifacts | None = None) -> ErrorReport:
+def run_error_vs_rate(sc: ScenarioConfig,
+                      out_dir: str | None = None) -> ErrorReport:
     """Raw-interface RMS error across the rate grid (Fig 3 shaped data)."""
     if sc.experiment != ERROR_VS_RATE:
         raise ConfigurationError(
             f"scenario {sc.name} is a {sc.experiment} experiment")
-    arts = arts or simulate(sc)
+    arts = simulate(sc)
     report = ErrorReport(sc.name, sc.seed)
     for rate in sc.rate_grid:
         report.add(rate, BATTERY_ESTIMATOR, _interface_rms(arts, rate))
@@ -203,15 +195,15 @@ def train_molded_variants(sc: ScenarioConfig,
     return models
 
 
-def run_molding(sc: ScenarioConfig, out_dir: str | None = None,
-                arts: RunArtifacts | None = None) -> ErrorReport:
+def run_molding(sc: ScenarioConfig,
+                out_dir: str | None = None) -> ErrorReport:
     """Molded-model variants vs raw interface vs the per-rate oracle."""
     if sc.experiment != MOLDING:
         raise ConfigurationError(
             f"scenario {sc.name} is a {sc.experiment} experiment")
     if not sc.predictors:
         raise ConfigurationError("molding needs predictors")
-    arts = arts or simulate(sc)
+    arts = simulate(sc)
     models = train_molded_variants(sc, arts)
     report = ErrorReport(sc.name, sc.seed)
     for rate in sc.rate_grid:
@@ -255,8 +247,8 @@ class AdaptationResult:
                 fh.write(f"{_fmt(t)},{err},{flag}\n")
 
 
-def run_adaptation(sc: ScenarioConfig, out_dir: str | None = None,
-                   arts: RunArtifacts | None = None) -> AdaptationResult:
+def run_adaptation(sc: ScenarioConfig,
+                   out_dir: str | None = None) -> AdaptationResult:
     """Cold-start, monitor per window, rebuild on threshold crossings.
 
     Window-level aggregates double as the stretched training rows, so a
@@ -265,7 +257,7 @@ def run_adaptation(sc: ScenarioConfig, out_dir: str | None = None,
     if sc.experiment != ADAPTATION:
         raise ConfigurationError(
             f"scenario {sc.name} is a {sc.experiment} experiment")
-    arts = arts or simulate(sc)
+    arts = simulate(sc)
     window = sc.window_s
     n_windows = int(math.floor(sc.duration_s / window + 1e-9))
     dm_win = arts.design(1.0 / window)
@@ -348,8 +340,8 @@ def run_adaptation(sc: ScenarioConfig, out_dir: str | None = None,
     return result
 
 
-def run_regressogram_compare(sc: ScenarioConfig, out_dir: str | None = None,
-                             arts: RunArtifacts | None = None) -> ErrorReport:
+def run_regressogram_compare(sc: ScenarioConfig,
+                             out_dir: str | None = None) -> ErrorReport:
     """Linear molded model vs per-rate regressogram on an ideal interface.
 
     The regressogram trains on ground-truth responses at each rate, which
@@ -359,7 +351,7 @@ def run_regressogram_compare(sc: ScenarioConfig, out_dir: str | None = None,
     if sc.experiment != REGRESSOGRAM:
         raise ConfigurationError(
             f"scenario {sc.name} is a {sc.experiment} experiment")
-    arts = arts or simulate(sc)
+    arts = simulate(sc)
     dm_base = arts.design(sc.base_rate_hz)
     dm_low = stretch(dm_base, arts.readings, sc.t_low_s)
     linear = build_model(dm_low, method=sc.fit_method, use_pca=True)

@@ -10,6 +10,7 @@ storms while fresh data accumulates.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -89,8 +90,7 @@ def install_model(table: ModelTable, key: ConfigurationKey,
 
 
 def monitor(table: ModelTable, dm: DesignMatrix,
-            readings: BatteryReadings,
-            voltage_v: float | None = None) -> np.ndarray:
+            readings: BatteryReadings) -> np.ndarray:
     """Per-window relative error of the active model vs the interface.
 
     `dm` must hold one row per monitor window. Windows with non-positive
@@ -104,7 +104,7 @@ def monitor(table: ModelTable, dm: DesignMatrix,
         raise ValueError(
             f"monitor rows are {dm.interval_s} s, table window is {table.window_s} s")
     predicted = model.predict_rows(dm.x, dm.interval_s)
-    observed = aggregate_response(readings, dm.interval_s, voltage_v)
+    observed = aggregate_response(readings, dm.interval_s)
     errors = []
     for i in range(len(predicted)):
         # align by timestamp so row slices of a longer run still match
@@ -152,13 +152,22 @@ def maybe_rebuild(table: ModelTable, t_s: float, latest_error: float,
 # Persistence
 # ---------------------------------------------------------------------------
 
+def _check_settings(table: ModelTable) -> None:
+    """Raise ValueError unless the threshold is in (0, 1) and the window is
+    finite and positive, the ranges a scenario's pipeline settings take."""
+    if not 0.0 < table.threshold < 1.0:
+        raise ValueError(f"threshold {table.threshold} must be in (0, 1)")
+    if not 0.0 < table.window_s < math.inf:
+        raise ValueError(f"window {table.window_s} s must be finite and > 0")
+
+
 def persist(table: ModelTable, path: str) -> None:
     """Write the table, including history and log, as a strict JSON document.
 
     A NaN or infinite value other than the default cooldown raises
-    ValueError, and so does an active key with no model, which `load`
-    refuses.
+    ValueError, and so do settings or an active key that `load` refuses.
     """
+    _check_settings(table)
     if table.active_key is not None and table.active_key not in table.models:
         raise ValueError(f"active key {table.active_key} has no model")
     doc = {
@@ -198,6 +207,7 @@ def load(path: str) -> ModelTable:
             history=[MonitorRecord(float(t), float(e)) for t, e in doc["history"]],
             decision_log=[str(line) for line in doc["decision_log"]],
         )
+        _check_settings(table)
         for entry in doc["models"]:
             key = ConfigurationKey(tuple(tuple(t) for t in entry["key"]))
             table.models[key] = model_from_dict(entry["model"])

@@ -424,15 +424,6 @@ class Trace:
             w[j] = wj
         return c_idx, w
 
-    def interval_truth(self, spec: "PredictorSpec", interval_s: float) -> np.ndarray:
-        """Exact per-interval aggregate: fraction, count delta, or mean level."""
-        k = _ratio_as_int(interval_s, self.tick_s, "interval")
-        c_idx, w = self.weight_vector(spec)
-        sums = self.interval_sums(c_idx, w, np.arange(len(self) // k + 1) * k)
-        if spec.kind == COUNTER:
-            return sums * self.tick_s
-        return sums / k
-
     # -- per-tick view, expanded on demand -------------------------------------
 
     def cumulative(self, spec: "PredictorSpec") -> np.ndarray:
@@ -579,20 +570,15 @@ class ObservedStream:
 
 
 class ObservedStreamSet:
-    """Observed predictor streams plus a read grid."""
+    """Observed predictor streams, one per spec id."""
 
-    def __init__(self, trace: Trace, specs: Sequence[PredictorSpec],
-                 read_rate_hz: float):
-        if read_rate_hz <= 0:
-            raise ConfigurationError("read rate must be > 0")
+    def __init__(self, trace: Trace, specs: Sequence[PredictorSpec]):
         ids = [s.id for s in specs]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("duplicate predictor ids")
         self.trace = trace
         self.specs = {s.id: s for s in specs}
         self.streams = {s.id: ObservedStream(s, trace) for s in specs}
-        n_reads = int(math.floor(trace.duration_s * read_rate_hz + _REL_TOL))
-        self.read_times_s = np.arange(n_reads + 1) / read_rate_hz
 
     def stream(self, pid: str) -> ObservedStream:
         if pid not in self.streams:
@@ -600,8 +586,8 @@ class ObservedStreamSet:
         return self.streams[pid]
 
 
-def observe_predictors(trace: Trace, specs: Sequence[PredictorSpec],
-                       read_rate_hz: float) -> ObservedStreamSet:
-    """Expose the predictors at `read_rate_hz` with their update-rate and
-    delay imperfections applied."""
-    return ObservedStreamSet(trace, specs, read_rate_hz)
+def observe_predictors(trace: Trace,
+                       specs: Sequence[PredictorSpec]) -> ObservedStreamSet:
+    """Expose the predictors with their update-rate and delay
+    imperfections applied."""
+    return ObservedStreamSet(trace, specs)

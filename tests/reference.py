@@ -62,3 +62,20 @@ def residency_beta_true(model: ss.ComponentStateModel, interval_s: float,
         coefs.append(powers[j] - powers[0])
     base = model.base_power_w + sum(c.state_powers[0] for c in model.components)
     return np.array([base] + coefs) * interval_s
+
+
+def interval_truth(trace: ss.Trace, spec: ss.PredictorSpec,
+                   interval_s: float) -> np.ndarray:
+    """Exact per-interval aggregate: fraction, count delta, or mean level."""
+    k = tracesim._ratio_as_int(interval_s, trace.tick_s, "interval")
+    c_idx, w = trace.weight_vector(spec)
+    sums = trace.interval_sums(c_idx, w, np.arange(len(trace) // k + 1) * k)
+    if spec.kind == tracesim.COUNTER:
+        return sums * trace.tick_s
+    return sums / k
+
+
+def read_grid(trace: ss.Trace, rate_hz: float) -> np.ndarray:
+    """Read instants 0, 1/rate_hz, ... up to the end of the trace."""
+    n_reads = int(np.floor(trace.duration_s * rate_hz + 1e-9))
+    return np.arange(n_reads + 1) / rate_hz

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sesame as ss
+from reference import interval_truth
 from sesame.errors import RateError, TruncationError
 
 
@@ -45,7 +46,7 @@ def three_predictor_setup(duration=30.0):
         ss.PredictorSpec(id="backlight", component="lcd", kind="level",
                          weights={0: 0.2, 1: 0.8}, policy="event-driven"),
     ]
-    streams = ss.observe_predictors(trace, specs, 100.0)
+    streams = ss.observe_predictors(trace, specs)
     return trace, specs, streams
 
 
@@ -53,7 +54,7 @@ def test_constant_predictor_collected_flat():
     model, trace = flat_system()
     spec = ss.PredictorSpec(id="cpu_busy", component="cpu", kind="residency",
                             weights={1: 1.0}, update_rate_hz=1000.0)
-    streams = ss.observe_predictors(trace, [spec], 100.0)
+    streams = ss.observe_predictors(trace, [spec])
     dm = ss.collect(streams, [spec], 100.0, 1.0)
     assert dm.m == 100
     assert np.allclose(dm.x[:, 0], 0.5)
@@ -62,7 +63,7 @@ def test_constant_predictor_collected_flat():
 def test_fast_residency_within_one_update_quantum():
     trace, specs, streams = three_predictor_setup()
     dm = ss.collect(streams, specs, 100.0, 30.0)
-    truth = trace.interval_truth(specs[0], 0.01)
+    truth = interval_truth(trace, specs[0], 0.01)
     quantum = 1.0 / 250.0 / 0.01  # one update period as a fraction of the interval
     assert np.max(np.abs(dm.x[:, 0] - truth[: dm.m])) <= quantum + 1e-9
 
@@ -77,7 +78,7 @@ def test_event_driven_level_rows():
     trace = ss.gen_trace(model, wl, 10.0, 0.001)
     spec = ss.PredictorSpec(id="backlight", component="lcd", kind="level",
                             weights={0: 0.2, 1: 0.8}, policy="event-driven")
-    streams = ss.observe_predictors(trace, [spec], 100.0)
+    streams = ss.observe_predictors(trace, [spec])
     dm = ss.collect(streams, [spec], 1.0, 10.0)
     assert np.allclose(dm.x[:5, 0], 0.2)
     assert np.allclose(dm.x[5:, 0], 0.8)
@@ -88,7 +89,7 @@ def test_polled_slow_holds_between_updates():
     slow = ss.PredictorSpec(id="io", component="disk", kind="counter",
                             weights={1: 40.0}, update_rate_hz=0.5,
                             policy="polled-slow")
-    streams = ss.observe_predictors(trace, [slow], 100.0)
+    streams = ss.observe_predictors(trace, [slow])
     dm = ss.collect(streams, [slow], 2.0, 30.0)
     # update period is 2 s; at a 0.5 s collection interval the value may only
     # change when a new update lands, i.e. every 4th row

@@ -157,7 +157,7 @@ def linear_scenario(duration=2000.0, tick=0.01, seed=7):
     }),), seed=seed)
     trace = ss.gen_trace(model, wl, duration, tick)
     specs = residency_predictors(model, update_rate_hz=1.0 / tick)
-    streams = ss.observe_predictors(trace, specs, 100.0)
+    streams = ss.observe_predictors(trace, specs)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=10.0)
     readings = ss.sample_instant(trace, battery)

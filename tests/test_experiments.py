@@ -56,7 +56,7 @@ def test_with_seed_rethreads_workload():
 
 def test_grid_coverage_every_rate_once_per_estimator(noiseless_report):
     sc, report, _ = noiseless_report
-    for est in report.estimators():
+    for est in dict.fromkeys(r.estimator for r in report.rows):
         rates = [r.rate_hz for r in report.rows if r.estimator == est]
         assert rates == list(sc.rate_grid)
 

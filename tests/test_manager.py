@@ -89,7 +89,7 @@ def test_monitor_against_interface_stream():
         seed=9)
     trace = ss.gen_trace(model_sys, wl, 1500.0, 0.01)
     specs = residency_predictors(model_sys, update_rate_hz=100.0)
-    streams = ss.observe_predictors(trace, specs, 100.0)
+    streams = ss.observe_predictors(trace, specs)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=10.0)
     readings = ss.sample_instant(trace, battery)
@@ -224,6 +224,24 @@ def test_persist_refuses_an_active_key_without_a_model(tmp_path):
     with pytest.raises(ValueError, match="no model"):
         ss.persist(table, str(path))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("threshold", float("nan")), ("threshold", 0.0), ("threshold", 1.5),
+    ("window_s", 0.0), ("window_s", -1.0), ("window_s", float("inf")),
+])
+def test_load_and_persist_refuse_bad_settings(tmp_path, field, value):
+    path = tmp_path / "table.json"
+    ss.persist(ss.ModelTable(), str(path))
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))          # NaN and Infinity as json reads them
+    with pytest.raises(ParseError, match="must be"):
+        ss.load(str(path))
+    table = ss.ModelTable(**{field: value})
+    with pytest.raises(ValueError, match="must be"):
+        ss.persist(table, str(tmp_path / "bad.json"))
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_load_unreadable_files_raise_typed_errors(tmp_path):

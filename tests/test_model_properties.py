@@ -128,7 +128,10 @@ def model_tables(draw):
     """A table of fitted models under distinct keys, with monitor state."""
     keys = draw(st.lists(KEYS.map(ss.ConfigurationKey.canonical), max_size=4,
                          unique=True))
-    table = ss.ModelTable(threshold=draw(FINITE), window_s=draw(FINITE),
+    table = ss.ModelTable(threshold=draw(st.floats(0.0, 1.0, exclude_min=True,
+                                                   exclude_max=True)),
+                          window_s=draw(st.floats(0.0, exclude_min=True,
+                                                  allow_infinity=False)),
                           skipped_windows=draw(st.integers(0, 10**6)))
     for key in keys:
         kinds = tuple(draw(st.lists(st.sampled_from(KINDS), min_size=1,

@@ -12,7 +12,7 @@ import pytest
 import sesame as ss
 import sesame.experiments as exp
 import sesame.scenarios as scn
-from reference import tick_power, tick_states
+from reference import interval_truth, read_grid, tick_power, tick_states
 from sesame import battery, tracesim
 
 RTOL = 1e-12
@@ -253,16 +253,16 @@ SPECS = (
 @pytest.mark.parametrize("interval_s", [0.001, 0.02, 0.5])
 def test_interval_truth_matches_tick_values(mixed_trace, spec, interval_s):
     k = int(round(interval_s / 0.001))
-    np.testing.assert_allclose(mixed_trace.interval_truth(spec, interval_s),
+    np.testing.assert_allclose(interval_truth(mixed_trace, spec, interval_s),
                                ref_interval_truth(mixed_trace, spec, k),
                                rtol=RTOL)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.id)
 def test_value_at_matches_per_tick_series(mixed_trace, spec):
-    streams = ss.observe_predictors(mixed_trace, list(SPECS), 100.0)
+    streams = ss.observe_predictors(mixed_trace, list(SPECS))
     stream = streams.stream(spec.id)
-    times = streams.read_times_s
+    times = read_grid(mixed_trace, 100.0)
     got = stream.value_at(times)
     np.testing.assert_allclose(got, ref_value_at(mixed_trace, stream, times),
                                rtol=RTOL)

@@ -3,6 +3,8 @@ import pytest
 
 import sesame as ss
 from reference import (
+    interval_truth,
+    read_grid,
     residency_beta_true,
     residency_predictors,
     tick_power,
@@ -153,7 +155,7 @@ def test_residency_closure():
         ]
         for interval in (0.001, 0.05, 1.0):
             fractions = np.column_stack(
-                [trace.interval_truth(s, interval) for s in specs])
+                [interval_truth(trace, s, interval) for s in specs])
             assert np.allclose(fractions.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -162,7 +164,7 @@ def test_ground_truth_linearity_beta_true():
     trace = ss.gen_trace(model, wl, duration, 0.01)
     specs = residency_predictors(model)
     beta = residency_beta_true(model, 2.0, specs)
-    x = np.column_stack([trace.interval_truth(s, 2.0) for s in specs])
+    x = np.column_stack([interval_truth(trace, s, 2.0) for s in specs])
     predicted = beta[0] + x @ beta[1:]
     assert np.allclose(predicted, ss.true_energy(trace, 2.0), rtol=1e-12)
 
@@ -301,8 +303,8 @@ def test_observed_equals_truth_when_updates_are_fast():
     trace = ss.gen_trace(model, wl, duration, 0.01)
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={2: 1.0}, update_rate_hz=100.0)
-    streams = ss.observe_predictors(trace, [spec], 100.0)
-    times = streams.read_times_s
+    streams = ss.observe_predictors(trace, [spec])
+    times = read_grid(trace, 100.0)
     values = streams.stream("busy").value_at(times)
     truth = trace.cumulative(spec)
     idx = np.round(times / trace.tick_s).astype(int)
@@ -316,8 +318,8 @@ def test_slow_update_lag_bounded_by_one_quantum():
     trace = ss.gen_trace(model, wl, duration, 0.001)
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={2: 1.0}, update_rate_hz=250.0)
-    streams = ss.observe_predictors(trace, [spec], 100.0)
-    times = streams.read_times_s
+    streams = ss.observe_predictors(trace, [spec])
+    times = read_grid(trace, 100.0)
     observed = streams.stream("busy").value_at(times)
     truth = trace.cumulative(spec)[np.round(times / trace.tick_s).astype(int)]
     lag = truth - observed
@@ -337,8 +339,8 @@ def test_square_wave_read_error_bounded_by_update_granularity():
     trace = ss.gen_trace(model, wl, 20.0, 0.001)
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={1: 1.0}, update_rate_hz=250.0)
-    streams = ss.observe_predictors(trace, [spec], 100.0)
-    times = streams.read_times_s
+    streams = ss.observe_predictors(trace, [spec])
+    times = read_grid(trace, 100.0)
     observed = streams.stream("busy").value_at(times)
     truth = trace.cumulative(spec)[np.round(times / trace.tick_s).astype(int)]
     quantum = 1.0 / 250.0
@@ -359,13 +361,13 @@ def test_delayed_counter_cross_correlation_peaks_at_delay():
     spec = ss.PredictorSpec(id="sectors", component="disk", kind="counter",
                             weights={1: 200.0}, update_rate_hz=100.0,
                             delay_s=delay)
-    streams = ss.observe_predictors(trace, [spec], 20.0)
-    times = streams.read_times_s
+    streams = ss.observe_predictors(trace, [spec])
+    times = read_grid(trace, 20.0)
     observed_cum = streams.stream("sectors").value_at(times)
     true_spec = ss.PredictorSpec(id="sectors", component="disk",
                                  kind="counter", weights={1: 200.0},
                                  update_rate_hz=100.0)
-    true_deltas = trace.interval_truth(true_spec, 0.05)
+    true_deltas = interval_truth(trace, true_spec, 0.05)
     obs_deltas = np.diff(observed_cum)
     n = min(len(true_deltas), len(obs_deltas))
     a = true_deltas[:n] - true_deltas[:n].mean()
@@ -386,7 +388,7 @@ def test_event_driven_level_changes_at_events_only():
     trace = ss.gen_trace(model, wl, 10.0, 0.01)
     spec = ss.PredictorSpec(id="bl", component="lcd", kind="level",
                             weights={0: 0.3, 1: 0.9}, policy="event-driven")
-    streams = ss.observe_predictors(trace, [spec], 1.0)
-    values = streams.stream("bl").value_at(streams.read_times_s)
+    streams = ss.observe_predictors(trace, [spec])
+    values = streams.stream("bl").value_at(read_grid(trace, 1.0))
     assert np.all(values[:5] == 0.3)
     assert np.all(values[5:] == 0.9)
