@@ -297,18 +297,13 @@ def run_adaptation(sc: ScenarioConfig,
             flags.append(0)
             w += 1
             continue
-        row = DesignMatrix(
-            interval_s=window, columns=dm_win.columns, kinds=dm_win.kinds,
-            x=dm_win.x[w: w + 1], t_start_s=dm_win.t_start_s[w: w + 1])
-        err_arr = monitor(table, row, arts.readings)
-        if len(err_arr) == 0:
+        err = monitor(table, t_end, dm_win.x[w], float(y_if[w]))
+        if err is None:
             times.append(t_end)
             errors.append(None)
             flags.append(0)
             w += 1
             continue
-        err = float(err_arr[0])
-        span = sc.train_windows * window
         first = w + 1
         last = w + 1 + sc.train_windows
         if last > m and err > table.threshold:
@@ -316,11 +311,8 @@ def run_adaptation(sc: ScenarioConfig,
             table._log(t_end, err, "over-threshold-no-data")
             rebuilt = False
         else:
-            rebuilt = maybe_rebuild(
-                table, t_end, err,
-                lambda: train_on(first, last),
-                construction_span_s=span,
-            )
+            rebuilt = maybe_rebuild(table, t_end, err,
+                                    lambda: train_on(first, last))
         times.append(t_end)
         errors.append(err)
         flags.append(1 if rebuilt else 0)

@@ -16,8 +16,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .battery import BatteryReadings
-from .collector import DesignMatrix, aggregate_response
 from .constructor import EnergyModel, model_from_dict, model_to_dict
 from .errors import ParseError, read_json
 
@@ -36,23 +34,15 @@ class ConfigurationKey:
 
 
 @dataclass
-class MonitorRecord:
-    t_s: float
-    error: float
-
-
-@dataclass
 class ModelTable:
-    """Hash table of energy models plus the monitoring state."""
+    """Hash table of energy models, the monitoring settings, and the log
+    of every decision the manager took."""
 
     models: dict[ConfigurationKey, EnergyModel] = field(default_factory=dict)
     active_key: ConfigurationKey | None = None
     threshold: float = 0.10
     window_s: float = 100.0
-    history: list[MonitorRecord] = field(default_factory=list)
     decision_log: list[str] = field(default_factory=list)
-    cooldown_until_s: float = float("-inf")
-    skipped_windows: int = 0
 
     @property
     def active_model(self) -> EnergyModel | None:
@@ -89,62 +79,38 @@ def install_model(table: ModelTable, key: ConfigurationKey,
     table._log(t_s, None, action)
 
 
-def monitor(table: ModelTable, dm: DesignMatrix,
-            readings: BatteryReadings) -> np.ndarray:
-    """Per-window relative error of the active model vs the interface.
+def monitor(table: ModelTable, t_s: float, x: np.ndarray,
+            observed_j: float) -> float | None:
+    """Relative error of the active model over the window ending at `t_s`.
 
-    `dm` must hold one row per monitor window. Windows with non-positive
-    interface energy are skipped and counted. Errors are appended to the
-    table history.
+    `x` is the window's predictor row and `observed_j` the energy the
+    battery interface reports over it. A window with non-positive
+    interface energy is logged as skipped and gives None.
     """
     model = table.active_model
     if model is None:
         raise ParseError("no active model to monitor")
-    if abs(dm.interval_s - table.window_s) > 1e-9:
-        raise ValueError(
-            f"monitor rows are {dm.interval_s} s, table window is {table.window_s} s")
-    predicted = model.predict_rows(dm.x, dm.interval_s)
-    observed = aggregate_response(readings, dm.interval_s)
-    errors = []
-    for i in range(len(predicted)):
-        # align by timestamp so row slices of a longer run still match
-        w = int(round(dm.t_start_s[i] / dm.interval_s))
-        t = float(dm.t_start_s[i] + dm.interval_s)
-        if w >= len(observed):
-            break
-        if observed[w] <= 0:
-            table.skipped_windows += 1
-            table._log(t, None, "skip-window")
-            continue
-        err = abs(predicted[i] - observed[w]) / observed[w]
-        table.history.append(MonitorRecord(t, err))
-        table._log(t, err, "monitor")
-        errors.append(err)
-    return np.array(errors)
+    if observed_j <= 0:
+        table._log(t_s, None, "skip-window")
+        return None
+    predicted = float(model.predict_rows(x, table.window_s)[0])
+    err = abs(predicted - observed_j) / observed_j
+    table._log(t_s, err, "monitor")
+    return err
 
 
 def maybe_rebuild(table: ModelTable, t_s: float, latest_error: float,
-                  builder: Callable[[], EnergyModel],
-                  construction_span_s: float) -> bool:
+                  builder: Callable[[], EnergyModel]) -> bool:
     """Rebuild the active model iff the latest error exceeds the threshold.
 
     `builder` must construct a model from freshly collected stretched data
-    with the full candidate predictor set. After a rebuild the table stays
-    in cool-down until `construction_span_s` of new data has passed, so at
-    most one rebuild fires per burst of over-threshold windows. A rebuild
-    that misses its accuracy target is installed anyway, flagged.
+    with the full candidate predictor set. A rebuild that misses its
+    accuracy target is installed anyway, flagged.
     """
     if latest_error <= table.threshold:
         return False
-    if t_s < table.cooldown_until_s:
-        table._log(t_s, latest_error, "over-threshold-cooldown")
-        return False
     table._log(t_s, latest_error, "rebuild")
-    model = builder()
-    table.cooldown_until_s = t_s + construction_span_s
-    if table.active_key is None:
-        raise ParseError("rebuild without an active key")
-    install_model(table, table.active_key, model, t_s)
+    install_model(table, table.active_key, builder(), t_s)
     return True
 
 
@@ -162,10 +128,11 @@ def _check_settings(table: ModelTable) -> None:
 
 
 def persist(table: ModelTable, path: str) -> None:
-    """Write the table, including history and log, as a strict JSON document.
+    """Write the table, including its decision log, as a strict JSON
+    document.
 
-    A NaN or infinite value other than the default cooldown raises
-    ValueError, and so do settings or an active key that `load` refuses.
+    A NaN or infinite value raises ValueError, and so do settings or an
+    active key that `load` refuses; either way no file is written.
     """
     _check_settings(table)
     if table.active_key is not None and table.active_key not in table.models:
@@ -175,11 +142,6 @@ def persist(table: ModelTable, path: str) -> None:
         if table.active_key else None,
         "threshold": table.threshold,
         "window_s": table.window_s,
-        # -inf (no cooldown yet) has no strict-JSON spelling; null stands in
-        "cooldown_until_s": None if table.cooldown_until_s == float("-inf")
-        else table.cooldown_until_s,
-        "skipped_windows": table.skipped_windows,
-        "history": [[r.t_s, r.error] for r in table.history],
         "decision_log": list(table.decision_log),
         "models": [
             {"key": list(map(list, key.triples)), "model": model_to_dict(m)}
@@ -194,17 +156,16 @@ def persist(table: ModelTable, path: str) -> None:
 
 def load(path: str) -> ModelTable:
     """Read a table written by `persist`; malformed files raise ParseError
-    and unreadable ones ConfigurationError."""
+    and unreadable ones ConfigurationError.
+
+    Keys that older files carry (`history`, `skipped_windows`,
+    `cooldown_until_s`) are ignored.
+    """
     doc = read_json(path, "model table")
     try:
         table = ModelTable(
             threshold=float(doc["threshold"]),
             window_s=float(doc["window_s"]),
-            # older files spell the default as -Infinity, which json reads
-            cooldown_until_s=float("-inf") if doc["cooldown_until_s"] is None
-            else float(doc["cooldown_until_s"]),
-            skipped_windows=int(doc["skipped_windows"]),
-            history=[MonitorRecord(float(t), float(e)) for t, e in doc["history"]],
             decision_log=[str(line) for line in doc["decision_log"]],
         )
         _check_settings(table)
@@ -228,9 +189,6 @@ def table_equals(a: ModelTable, b: ModelTable) -> bool:
         a.active_key == b.active_key
         and a.threshold == b.threshold
         and a.window_s == b.window_s
-        and a.cooldown_until_s == b.cooldown_until_s
-        and a.skipped_windows == b.skipped_windows
-        and a.history == b.history
         and a.decision_log == b.decision_log
         and set(a.models) == set(b.models)
         and all(a.models[k] == b.models[k] for k in a.models)

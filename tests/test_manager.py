@@ -7,7 +7,7 @@ import sesame as ss
 from reference import residency_predictors
 from sesame.collector import DesignMatrix
 from sesame.errors import ConfigurationError, ParseError
-from sesame.manager import MonitorRecord, install_model, table_equals
+from sesame.manager import install_model, table_equals
 
 
 def make_model(seed=0, coef=2.0):
@@ -74,11 +74,15 @@ def test_monitor_relative_error_arithmetic():
     key = key_of(dvs="off")
     install_model(table, key, biased)
     ss.lookup_or_create(table, key)
-    dm = DesignMatrix(interval_s=100.0, columns=("dummy",),
-                      kinds=("residency",), x=np.full((5, 1), 0.5),
-                      t_start_s=np.arange(5) * 100.0)
-    errors = ss.monitor(table, dm, readings)
+    observed = ss.aggregate_response(readings, 100.0)
+    assert len(observed) == 5
+    errors = [ss.monitor(table, (w + 1) * 100.0, np.array([0.5]), observed[w])
+              for w in range(5)]
     assert np.allclose(errors, 0.10)
+    assert table.decision_log[-1] == "500,0.1,0.1,monitor"
+    # a window without interface energy is logged and scores nothing
+    assert ss.monitor(table, 600.0, np.array([0.5]), 0.0) is None
+    assert table.decision_log[-1] == "600,,0.1,skip-window"
 
 
 def test_monitor_against_interface_stream():
@@ -101,10 +105,12 @@ def test_monitor_against_interface_stream():
     install_model(table, key, fitted)
     ss.lookup_or_create(table, key)
     dm = ss.collect(streams, specs, 0.01, 1500.0)
-    errors = ss.monitor(table, dm, readings)
+    observed = ss.aggregate_response(readings, 100.0)
+    errors = [ss.monitor(table, t + 100.0, x, y)
+              for t, x, y in zip(dm.t_start_s, dm.x, observed)]
     assert len(errors) == 15
-    assert errors.max() < 1e-6      # noiseless interface, exact linear system
-    assert len(table.history) == 15
+    assert max(errors) < 1e-6       # noiseless interface, exact linear system
+    assert sum(line.endswith(",monitor") for line in table.decision_log) == 15
 
 
 def test_maybe_rebuild_threshold_logic():
@@ -118,17 +124,14 @@ def test_maybe_rebuild_threshold_logic():
         calls.append(1)
         return make_model(seed=1, coef=3.0)
 
-    assert not ss.maybe_rebuild(table, 100.0, 0.09, builder, 1200.0)
+    assert not ss.maybe_rebuild(table, 100.0, 0.09, builder)
     assert not calls
     # strict inequality: equal to the threshold does not trigger
-    assert not ss.maybe_rebuild(table, 200.0, 0.10, builder, 1200.0)
+    assert not ss.maybe_rebuild(table, 200.0, 0.10, builder)
     assert not calls
-    assert ss.maybe_rebuild(table, 300.0, 0.17, builder, 1200.0)
+    assert ss.maybe_rebuild(table, 300.0, 0.17, builder)
     assert calls == [1]
-    # cool-down: a second over-threshold window cannot re-trigger yet
-    assert not ss.maybe_rebuild(table, 400.0, 0.20, builder, 1200.0)
-    assert calls == [1]
-    assert ss.maybe_rebuild(table, 1600.0, 0.20, builder, 1200.0)
+    assert ss.maybe_rebuild(table, 400.0, 0.20, builder)
     assert calls == [1, 1]
 
 
@@ -139,7 +142,7 @@ def test_rebuild_installs_below_target_flagged():
     ss.lookup_or_create(table, key)
     weak = make_model(seed=2)
     weak.below_target = True
-    ss.maybe_rebuild(table, 100.0, 0.5, lambda: weak, 1000.0)
+    ss.maybe_rebuild(table, 100.0, 0.5, lambda: weak)
     assert table.models[key] is weak
     assert any("install-below-target" in line for line in table.decision_log)
 
@@ -152,7 +155,7 @@ def test_rebuild_never_touches_other_keys():
     key = key_of(dvs="off")
     install_model(table, key, make_model())
     ss.lookup_or_create(table, key)
-    ss.maybe_rebuild(table, 100.0, 0.5, lambda: make_model(seed=4), 1000.0)
+    ss.maybe_rebuild(table, 100.0, 0.5, lambda: make_model(seed=4))
     assert table.models[other_key] is other_model
 
 
@@ -168,8 +171,8 @@ def test_persist_round_trip_three_models(tmp_path):
     for i, dvs in enumerate(("off", "on", "auto")):
         install_model(table, key_of(dvs=dvs), make_model(seed=i, coef=1.0 + i))
     ss.lookup_or_create(table, key_of(dvs="on"))
-    table.history.append(MonitorRecord(100.0, 0.05))
-    table.cooldown_until_s = 1234.0
+    ss.monitor(table, 100.0, np.array([0.5]), 101.0)
+    assert len(table.decision_log) == 4
     path = tmp_path / "table.json"
     ss.persist(table, str(path))
     assert table_equals(ss.load(str(path)), table)
@@ -182,27 +185,33 @@ def reject_constant(name):
 
 def test_persist_writes_strict_json(tmp_path):
     table = ss.ModelTable()
-    install_model(table, key_of(dvs="off"), make_model())
-    assert table.cooldown_until_s == float("-inf")
+    key = key_of(dvs="off")
+    install_model(table, key, make_model())
     path = tmp_path / "table.json"
     ss.persist(table, str(path))
-    doc = json.loads(path.read_text(), parse_constant=reject_constant)
-    assert doc["cooldown_until_s"] is None
+    json.loads(path.read_text(), parse_constant=reject_constant)
     assert table_equals(ss.load(str(path)), table)
-    table.history.append(MonitorRecord(100.0, float("nan")))
+    table.models[key].training_error = float("nan")
     with pytest.raises(ValueError):
         ss.persist(table, str(tmp_path / "nan.json"))
     assert not (tmp_path / "nan.json").exists()
 
 
 def test_load_accepts_infinity_cooldown_of_older_files(tmp_path):
+    # older files carry the monitor history and a cool-down, spelled
+    # -Infinity or null; they load, and those keys are ignored
     table = ss.ModelTable()
+    install_model(table, key_of(dvs="off"), make_model())
     path = tmp_path / "table.json"
     ss.persist(table, str(path))
     doc = json.loads(path.read_text())
-    doc["cooldown_until_s"] = float("-inf")
-    path.write_text(json.dumps(doc))          # spelled -Infinity
-    assert ss.load(str(path)).cooldown_until_s == float("-inf")
+    doc.update(history=[[100.0, 0.05]], skipped_windows=2)
+    for cooldown in (float("-inf"), None, 1234.0):
+        doc["cooldown_until_s"] = cooldown
+        path.write_text(json.dumps(doc))
+        back = ss.load(str(path))
+        assert table_equals(back, table)
+        assert not hasattr(back, "cooldown_until_s")
 
 
 def test_load_rejects_an_active_key_without_a_model(tmp_path):

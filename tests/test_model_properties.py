@@ -7,7 +7,6 @@ tables and scenarios must come back from their documents unchanged.
 """
 
 import json
-import math
 import tempfile
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import pytest
 import sesame as ss
 import sesame.scenarios as scn
 from sesame.collector import DesignMatrix
-from sesame.manager import MonitorRecord, table_equals
+from sesame.manager import table_equals
 from sesame.tracesim import COUNTER
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -118,21 +117,20 @@ def test_energy_is_additive_across_rates(seed, kinds, use_pca, l_frac, k,
 
 # -- persistence ----------------------------------------------------------------
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
 KEYS = st.lists(st.tuples(st.text(max_size=6), st.text(max_size=6),
                           st.text(max_size=6)), min_size=1, max_size=3)
 
 
 @st.composite
 def model_tables(draw):
-    """A table of fitted models under distinct keys, with monitor state."""
+    """A table of fitted models under distinct keys, with valid monitoring
+    settings and a decision log."""
     keys = draw(st.lists(KEYS.map(ss.ConfigurationKey.canonical), max_size=4,
                          unique=True))
     table = ss.ModelTable(threshold=draw(st.floats(0.0, 1.0, exclude_min=True,
                                                    exclude_max=True)),
                           window_s=draw(st.floats(0.0, exclude_min=True,
-                                                  allow_infinity=False)),
-                          skipped_windows=draw(st.integers(0, 10**6)))
+                                                  allow_infinity=False)))
     for key in keys:
         kinds = tuple(draw(st.lists(st.sampled_from(KINDS), min_size=1,
                                     max_size=4)))
@@ -144,10 +142,7 @@ def model_tables(draw):
             l=draw(st.integers(1, n)) if use_pca else None)
     if keys:
         table.active_key = draw(st.sampled_from([None] + keys))
-    table.history = [MonitorRecord(t, e) for t, e in
-                     draw(st.lists(st.tuples(FINITE, FINITE), max_size=5))]
     table.decision_log = draw(st.lists(st.text(max_size=20), max_size=5))
-    table.cooldown_until_s = draw(st.one_of(st.just(-math.inf), FINITE))
     return table
 
 
