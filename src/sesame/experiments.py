@@ -280,46 +280,23 @@ def run_adaptation(sc: ScenarioConfig,
     key = ConfigurationKey.canonical(sc.config_triples)
     lookup_or_create(table, key)
 
-    times: list[float] = []
-    errors: list[float | None] = []
-    flags: list[int] = []
-    collect_until = sc.train_windows      # cold start dataset
-    collect_from = 0
-    w = 0
-    while w < m:
+    rows: list[tuple[float, float | None, int]] = []
+    span = sc.train_windows
+    collect_until = span                # the cold start dataset
+    for w in range(m):
         t_end = (w + 1) * window
-        if w < collect_until:
-            if w == collect_until - 1:
-                model = train_on(collect_from, collect_until)
-                install_model(table, key, model, t_end)
-            times.append(t_end)
-            errors.append(None)
-            flags.append(0)
-            w += 1
-            continue
-        err = monitor(table, t_end, dm_win.x[w], float(y_if[w]))
-        if err is None:
-            times.append(t_end)
-            errors.append(None)
-            flags.append(0)
-            w += 1
-            continue
-        first = w + 1
-        last = w + 1 + sc.train_windows
-        if last > m and err > table.threshold:
-            # not enough run left to collect a construction dataset
-            table._log(t_end, err, "over-threshold-no-data")
-            rebuilt = False
-        else:
-            rebuilt = maybe_rebuild(table, t_end, err,
-                                    lambda: train_on(first, last))
-        times.append(t_end)
-        errors.append(err)
-        flags.append(1 if rebuilt else 0)
+        err, rebuilt = None, False
+        if w == collect_until - 1:
+            install_model(table, key, train_on(w + 1 - span, w + 1), t_end)
+        elif w >= collect_until:
+            err = monitor(table, t_end, dm_win.x[w], float(y_if[w]))
+            if err is not None:
+                rebuilt = maybe_rebuild(table, t_end, err, w + 1 + span <= m)
         if rebuilt:
             # monitoring pauses while the fresh dataset accumulates
-            collect_from, collect_until = first, last
-        w += 1
+            collect_until = w + 1 + span
+        rows.append((t_end, err, int(rebuilt)))
+    times, errors, flags = (list(col) for col in zip(*rows))
     result = AdaptationResult(sc.name, sc.seed, window, times, errors,
                               flags, table)
     if out_dir is not None:

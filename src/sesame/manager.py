@@ -1,10 +1,11 @@
 """Configuration-keyed model table with low-rate error monitoring.
 
-The table owns one active model per system configuration, compares that
-model's energy numbers against battery-interface aggregates over long
-windows, and rebuilds the model when the monitored error crosses the
-threshold. A cool-down equal to one construction dataset prevents rebuild
-storms while fresh data accumulates.
+The table owns one active model per system configuration and compares
+that model's energy numbers against battery-interface aggregates over
+long windows. When the monitored error crosses the threshold the manager
+decides to rebuild; the caller then collects a fresh construction
+dataset and installs the model fitted on it, so each rebuild installs
+once. Every decision is one line of the table's decision log.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,8 +47,6 @@ class ModelTable:
 
     @property
     def active_model(self) -> EnergyModel | None:
-        if self.active_key is None:
-            return None
         return self.models.get(self.active_key)
 
     def _log(self, t_s: float, error: float | None, action: str) -> None:
@@ -100,17 +99,21 @@ def monitor(table: ModelTable, t_s: float, x: np.ndarray,
 
 
 def maybe_rebuild(table: ModelTable, t_s: float, latest_error: float,
-                  builder: Callable[[], EnergyModel]) -> bool:
-    """Rebuild the active model iff the latest error exceeds the threshold.
+                  data_left: bool) -> bool:
+    """Decide whether the window ending at `t_s` calls for a rebuild.
 
-    `builder` must construct a model from freshly collected stretched data
-    with the full candidate predictor set. A rebuild that misses its
-    accuracy target is installed anyway, flagged.
+    It does iff the latest error exceeds the threshold and `data_left`
+    says the run still holds a full construction dataset after `t_s`. The
+    caller then collects that dataset and installs the model fitted on it
+    with `install_model`. An over-threshold window without that data is
+    logged and changes nothing.
     """
     if latest_error <= table.threshold:
         return False
+    if not data_left:
+        table._log(t_s, latest_error, "over-threshold-no-data")
+        return False
     table._log(t_s, latest_error, "rebuild")
-    install_model(table, table.active_key, builder(), t_s)
     return True
 
 
@@ -184,12 +187,6 @@ def load(path: str) -> ModelTable:
 
 
 def table_equals(a: ModelTable, b: ModelTable) -> bool:
-    """Field-for-field equality, used by the persistence round-trip checks."""
-    return (
-        a.active_key == b.active_key
-        and a.threshold == b.threshold
-        and a.window_s == b.window_s
-        and a.decision_log == b.decision_log
-        and set(a.models) == set(b.models)
-        and all(a.models[k] == b.models[k] for k in a.models)
-    )
+    """Field-for-field equality, used by the persistence round-trip checks;
+    models compare by `EnergyModel.__eq__`."""
+    return a == b

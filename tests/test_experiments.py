@@ -135,6 +135,33 @@ def test_adaptation_with_wider_monitor_window():
     assert max(e for _, e in res.monitored()) < 0.10
 
 
+def test_adaptation_fits_each_install_once(monkeypatch):
+    fits = []
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return iterate_construction(*args, **kwargs)
+
+    iterate_construction = exp.iterate_construction
+    monkeypatch.setattr(exp, "iterate_construction", counted)
+    res = exp.run_adaptation(scn.builtin("dvs_flip"))
+    installs = [line for line in res.table.decision_log
+                if line.split(",")[-1].startswith("install")]
+    assert res.rebuild_count == 1
+    assert len(fits) == len(installs) == 2       # cold start and rebuild
+
+
+def test_adaptation_over_threshold_without_data_left():
+    # cut at 2500 s, the run ends before a rebuilt dataset could be
+    # collected after the flip, so the over-threshold windows only log
+    sc = dataclasses.replace(scn.builtin("dvs_flip"), duration_s=2500.0)
+    res = exp.run_adaptation(sc)
+    assert res.rebuild_count == 0
+    no_data = [line.split(",")[0] for line in res.table.decision_log
+               if line.endswith(",over-threshold-no-data")]
+    assert no_data == ["1900", "2000", "2400"]
+
+
 def test_collect_rejects_rates_beyond_trace_resolution():
     from sesame.errors import ConfigurationError as CE
 

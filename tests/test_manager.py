@@ -116,35 +116,33 @@ def test_monitor_against_interface_stream():
 def test_maybe_rebuild_threshold_logic():
     table = ss.ModelTable(threshold=0.10)
     key = key_of(dvs="off")
-    install_model(table, key, make_model(coef=2.0))
+    model = make_model(coef=2.0)
+    install_model(table, key, model)
     ss.lookup_or_create(table, key)
-    calls = []
-
-    def builder():
-        calls.append(1)
-        return make_model(seed=1, coef=3.0)
-
-    assert not ss.maybe_rebuild(table, 100.0, 0.09, builder)
-    assert not calls
+    assert not ss.maybe_rebuild(table, 100.0, 0.09, True)
     # strict inequality: equal to the threshold does not trigger
-    assert not ss.maybe_rebuild(table, 200.0, 0.10, builder)
-    assert not calls
-    assert ss.maybe_rebuild(table, 300.0, 0.17, builder)
-    assert calls == [1]
-    assert ss.maybe_rebuild(table, 400.0, 0.20, builder)
-    assert calls == [1, 1]
+    assert not ss.maybe_rebuild(table, 200.0, 0.10, True)
+    assert ss.maybe_rebuild(table, 300.0, 0.17, True)
+    assert ss.maybe_rebuild(table, 400.0, 0.20, True)
+    # without a construction dataset left in the run, nothing is rebuilt
+    assert not ss.maybe_rebuild(table, 500.0, 0.20, False)
+    assert not ss.maybe_rebuild(table, 600.0, 0.09, False)
+    # the decision installs nothing: the caller collects, then installs
+    assert table.models == {key: model}
+    assert table.decision_log[1:] == ["300,0.17,0.1,rebuild",
+                                      "400,0.2,0.1,rebuild",
+                                      "500,0.2,0.1,over-threshold-no-data"]
 
 
 def test_rebuild_installs_below_target_flagged():
     table = ss.ModelTable(threshold=0.10)
     key = key_of(dvs="off")
     install_model(table, key, make_model())
-    ss.lookup_or_create(table, key)
     weak = make_model(seed=2)
     weak.below_target = True
-    ss.maybe_rebuild(table, 100.0, 0.5, lambda: weak)
+    install_model(table, key, weak, 1900.0)
     assert table.models[key] is weak
-    assert any("install-below-target" in line for line in table.decision_log)
+    assert table.decision_log[-1] == "1900,,0.1,install-below-target"
 
 
 def test_rebuild_never_touches_other_keys():
@@ -155,8 +153,10 @@ def test_rebuild_never_touches_other_keys():
     key = key_of(dvs="off")
     install_model(table, key, make_model())
     ss.lookup_or_create(table, key)
-    ss.maybe_rebuild(table, 100.0, 0.5, lambda: make_model(seed=4))
-    assert table.models[other_key] is other_model
+    rebuilt = make_model(seed=4)
+    install_model(table, key, rebuilt, 1900.0)
+    assert table.models == {other_key: other_model, key: rebuilt}
+    assert table.active_key == key
 
 
 def test_persist_round_trip_empty(tmp_path):
