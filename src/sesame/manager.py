@@ -82,9 +82,9 @@ def monitor(table: ModelTable, t_s: float, x: np.ndarray,
             observed_j: float) -> float | None:
     """Relative error of the active model over the window ending at `t_s`.
 
-    `x` is the window's predictor row and `observed_j` the energy the
-    battery interface reports over it. A window with non-positive
-    interface energy is logged as skipped and gives None.
+    `x` is the window's predictor row, shape (n,), and `observed_j` the
+    energy the battery interface reports over the window. A window with
+    non-positive interface energy is logged as skipped and gives None.
     """
     model = table.active_model
     if model is None:
@@ -92,7 +92,7 @@ def monitor(table: ModelTable, t_s: float, x: np.ndarray,
     if observed_j <= 0:
         table._log(t_s, None, "skip-window")
         return None
-    predicted = float(model.predict_rows(x, table.window_s)[0])
+    predicted = float(model.predict_rows(x[None, :], table.window_s)[0])
     err = abs(predicted - observed_j) / observed_j
     table._log(t_s, err, "monitor")
     return err
