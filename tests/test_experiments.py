@@ -137,12 +137,12 @@ def test_adaptation_with_wider_monitor_window():
 
 def test_adaptation_fits_each_install_once(monkeypatch):
     fits = []
+    fit = exp.iterate_construction
 
     def counted(*args, **kwargs):
         fits.append(1)
-        return iterate_construction(*args, **kwargs)
+        return fit(*args, **kwargs)
 
-    iterate_construction = exp.iterate_construction
     monkeypatch.setattr(exp, "iterate_construction", counted)
     res = exp.run_adaptation(scn.builtin("dvs_flip"))
     installs = [line for line in res.table.decision_log
