@@ -12,8 +12,9 @@ training set is prepared, and its PCA SVD taken, once for every l.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -25,8 +26,10 @@ from .errors import (
     InsufficientDataError,
     ParseError,
     SchemaError,
+    from_document,
+    to_document,
 )
-from .tracesim import COUNTER
+from .tracesim import COUNTER, LEVEL, RESIDENCY
 
 _ZERO_VAR_TOL = 1e-12
 # a kept column is active when the PCA rows a model keeps give it at
@@ -194,8 +197,19 @@ class EnergyModel:
     active_columns: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if (len(self.kinds) != len(self.columns)
+                or not set(self.kinds) <= {RESIDENCY, COUNTER, LEVEL}):
+            raise SchemaError(f"kinds {self.kinds} do not give each of the "
+                              f"{len(self.columns)} columns a known kind")
         if not self.kept:
             self.kept = tuple(c for c in self.columns if c not in self.dropped)
+        absent = set(self.kept + self.dropped + self.active_columns)
+        absent -= set(self.columns)
+        if absent:
+            raise SchemaError(f"model names columns it lacks: {sorted(absent)}")
+        if not 0.0 < self.training_interval_s < math.inf:
+            raise SchemaError(f"training interval {self.training_interval_s} "
+                              "s must be finite and > 0")
         if len(self.beta) != 1 + len(self.kept):
             raise SchemaError(
                 f"beta length {len(self.beta)} != {1 + len(self.kept)}")
@@ -223,17 +237,8 @@ class EnergyModel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnergyModel):
             return NotImplemented
-        return (np.array_equal(self.beta, other.beta)
-                and self.columns == other.columns
-                and self.kinds == other.kinds
-                and self.training_interval_s == other.training_interval_s
-                and self.fit_method == other.fit_method
-                and self.training_error == other.training_error
-                and self.l == other.l
-                and self.kept == other.kept
-                and self.dropped == other.dropped
-                and self.below_target == other.below_target
-                and self.active_columns == other.active_columns)
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +286,7 @@ def _solve(feats: np.ndarray, yc: np.ndarray, method: str) -> tuple[np.ndarray, 
     ys = float(yc.std())
     if ys <= 0.0:
         ys = 1.0
-    if method.upper() == "TLS":
+    if method == "TLS":
         try:
             return fit_tls(feats, yc / ys) * ys, "TLS"
         except DegenerateFitError:
@@ -547,45 +552,20 @@ def predict_regressogram_rows(model: RegressogramModel, x: np.ndarray) -> np.nda
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: EnergyModel) -> dict:
-    return {
-        "beta": [float(b) for b in model.beta],
-        "columns": list(model.columns),
-        "kinds": list(model.kinds),
-        "training_interval_s": model.training_interval_s,
-        "fit_method": model.fit_method,
-        "training_error": model.training_error,
-        "l": model.l,
-        "kept": list(model.kept),
-        "dropped": list(model.dropped),
-        "below_target": model.below_target,
-        "active_columns": list(model.active_columns),
-    }
+    return to_document(model)
 
 
-def model_from_dict(doc: dict) -> EnergyModel:
-    try:
+def model_from_dict(doc) -> EnergyModel:
+    """The model a document written by `model_to_dict` describes; unlike a
+    scenario file, a model document carries every field."""
+    if isinstance(doc, dict):
         stale = sorted({"pca", "column_means"} & set(doc))
         if stale:
             # the basis form of earlier documents: a full-l beta has the
             # right length but acts on rotated predictors
             raise ParseError(f"model document in the old basis form "
                              f"(has {stale}); rebuild the model")
-        l = doc["l"]
-        if l is not None and type(l) is not int:
-            raise ParseError(f"model document l must be an integer or null, got {l!r}")
-        return EnergyModel(
-            beta=np.array(doc["beta"], dtype=float),
-            columns=tuple(doc["columns"]),
-            kinds=tuple(doc["kinds"]),
-            training_interval_s=float(doc["training_interval_s"]),
-            fit_method=str(doc["fit_method"]),
-            training_error=float(doc["training_error"]),
-            l=l,
-            kept=tuple(doc["kept"]),
-            dropped=tuple(doc["dropped"]),
-            below_target=bool(doc["below_target"]),
-            active_columns=tuple(doc["active_columns"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed model document: {exc}") from exc
-
+        missing = [f.name for f in fields(EnergyModel) if f.name not in doc]
+        if missing:
+            raise ParseError(f"model: missing keys {missing}")
+    return from_document(EnergyModel, doc, "model")

@@ -1,7 +1,23 @@
-"""Exception types shared across the toolkit, and the JSON file reader
-that raises them."""
+"""Exception types shared across the toolkit, and the JSON reader and
+writer of its documents (scenario files and models).
 
+A document is the JSON form of a dataclass, whose fields and type hints
+are its schema: a key names a field (an absent one takes the default), a
+float is a finite JSON number, an int a JSON integer and never `true` or
+`false`, and lists, objects and strings match the hint. A field with a
+`group` in its metadata sits in that nested object; a union of dataclasses
+is told apart by each member's `TAG` under "type". Any other document
+raises ParseError naming the key path, such as `scenario.battery.kind`.
+"""
+
+import collections.abc
+import dataclasses
 import json
+import sys
+import types
+import typing
+
+import numpy as np
 
 
 class SesameError(Exception):
@@ -66,5 +82,107 @@ def read_json(path: str, what: str):
         raise ParseError(f"{path}: {what} file is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:       # an integer beyond the digit limit
+        raise ParseError(f"{path}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path}: {what} file nests too deeply") from exc
+
+
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer", float: "a number", bool: "true or false"}
+
+
+def _expect(kind: type, value, path: str):
+    """`value` if its type is exactly `kind`, so a bool is no int."""
+    if type(value) is not kind:
+        raise ParseError(
+            f"{path}: expected {_JSON_NAMES[kind]}, got {value!r:.40}")
+    return value
+
+
+def _read_dataclass(cls, doc: dict, path: str):
+    hints, kwargs, by_group = typing.get_type_hints(cls), {}, {}
+    for f in dataclasses.fields(cls):
+        by_group.setdefault(f.metadata.get("group"), {})[f.name] = f
+    # the top level also holds the groups, and a tagged class's "type"
+    extra = by_group.keys() - {None}
+    if hasattr(cls, "TAG"):
+        extra.add("type")
+    for group, fields in by_group.items():
+        where = f"{path}.{group}" if group else path
+        src = _expect(dict, doc.get(group, {}), where) if group else doc
+        for name, f in fields.items():
+            if name not in src and f.default is dataclasses.MISSING:
+                raise ParseError(f"{where}: missing key {name!r}")
+        for key, item in src.items():
+            if key in fields:
+                kwargs[key] = from_document(hints[key], item, f"{where}.{key}")
+            elif group or key not in extra:
+                raise ParseError(f"{where}: unknown key {key!r:.40}")
+    return cls(**kwargs)
+
+
+def from_document(hint, value, path: str):
+    """The value of type `hint` that the JSON `value` at key path `path`
+    encodes; a dataclass is built, so its own checks run too."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        return _read_dataclass(hint, _expect(dict, value, path), path)
+    if origin is types.UnionType:   # X | None, or dataclasses with a TAG
+        if value is None and type(None) in args:
+            return None
+        tags = {getattr(a, "TAG", None): a for a in args
+                if a is not type(None)}
+        if None in tags:
+            return from_document(tags[None], value, path)
+        tag = _expect(dict, value, path).get("type")
+        if tag not in sorted(tags):     # a list, as the tag may not hash
+            raise ParseError(f"{path}.type: expected one of "
+                             f"{sorted(tags)}, got {tag!r:.40}")
+        return from_document(tags[tag], value, path)
+    if origin is tuple:
+        items = _expect(list, value, path)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(items)
+        elif len(items) != len(args):
+            raise ParseError(f"{path}: expected {len(args)} items, "
+                             f"got {len(items)}")
+        return tuple(from_document(a, v, f"{path}[{i}]")
+                     for i, (a, v) in enumerate(zip(args, items)))
+    if origin is collections.abc.Mapping:
+        out = {}
+        for key, item in _expect(dict, value, path).items():
+            try:
+                name = args[0](key)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: key {key!r:.40} is not an integer") from None
+            out[name] = from_document(args[1], item, f"{path}.{key}")
+        return out
+    if hint is np.ndarray:
+        return np.array(from_document(tuple[float, ...], value, path))
+    if hint is float and type(value) in (int, float):
+        if abs(value) <= sys.float_info.max:      # false for NaN too
+            return float(value)
+        raise ParseError(f"{path}: expected a finite number, got {value!r:.40}")
+    if hint in _JSON_NAMES:
+        return _expect(hint, value, path)
+    raise TypeError(f"{path}: no JSON form for the type {hint!r}")
+
+
+def to_document(obj):
+    """The JSON form of `obj` that `from_document` reads back: dataclass
+    fields in declaration order, tuples as lists, mapping keys as
+    strings and arrays as lists."""
+    if dataclasses.is_dataclass(obj):
+        doc = {"type": obj.TAG} if hasattr(obj, "TAG") else {}
+        for f in dataclasses.fields(obj):
+            group = f.metadata.get("group")
+            dest = doc.setdefault(group, {}) if group else doc
+            dest[f.name] = to_document(getattr(obj, f.name))
+        return doc
+    if isinstance(obj, collections.abc.Mapping):
+        return {str(k): to_document(v) for k, v in obj.items()}
+    if isinstance(obj, (tuple, list, np.ndarray)):
+        return [to_document(v) for v in obj]
+    return obj

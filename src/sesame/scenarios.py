@@ -15,12 +15,17 @@ from dataclasses import dataclass
 
 from .battery import BatteryInterfaceModel
 from .constructor import DEFAULT_T_LOW_RANGE
-from .errors import AlignmentError, ConfigurationError, ParseError, read_json
+from .errors import (
+    AlignmentError,
+    ConfigurationError,
+    ParseError,
+    from_document,
+    read_json,
+    to_document,
+)
 from .tracesim import (
     Component,
     ComponentStateModel,
-    DutyCycle,
-    FixedState,
     MarkovChain,
     Phase,
     PredictorSpec,
@@ -37,6 +42,12 @@ REGRESSOGRAM = "regressogram-compare"
 EXPERIMENTS = (ERROR_VS_RATE, MOLDING, ADAPTATION, REGRESSOGRAM)
 
 DEFAULT_RATE_GRID = (0.01, 0.1, 0.5, 1.0, 4.0, 10.0, 100.0)
+FIT_METHODS = ("TLS", "OLS")
+
+
+def _pipeline(default):
+    """A field that scenario files group under "pipeline"."""
+    return dataclasses.field(default=default, metadata={"group": "pipeline"})
 
 
 @dataclass
@@ -50,31 +61,35 @@ class ScenarioConfig:
     predictors: tuple[PredictorSpec, ...]
     battery: BatteryInterfaceModel
     tick_s: float = 0.001
-    base_rate_hz: float = 100.0
-    t_low_s: float = 100.0
-    pca_l: int = 2
-    fit_method: str = "TLS"
-    regressogram_k: int = 10
-    threshold: float = 0.10
-    window_s: float = 100.0
-    train_windows: int = 12
+    base_rate_hz: float = _pipeline(100.0)
+    t_low_s: float = _pipeline(100.0)
+    pca_l: int = _pipeline(2)
+    fit_method: str = _pipeline("TLS")
+    regressogram_k: int = _pipeline(10)
+    threshold: float = _pipeline(0.10)
+    window_s: float = _pipeline(100.0)
+    train_windows: int = _pipeline(12)
     # keep the selected l rich enough that steady monitored error sits well
     # below the rebuild threshold
-    accuracy_target: float = 0.95
-    rate_grid: tuple[float, ...] = DEFAULT_RATE_GRID
+    accuracy_target: float = _pipeline(0.95)
+    rate_grid: tuple[float, ...] = _pipeline(DEFAULT_RATE_GRID)
     # constant additive draw standing in for the energy cost of predictor
     # and response collection; folded into the simulated power when set
-    collection_overhead_w: float = 0.0
+    collection_overhead_w: float = _pipeline(0.0)
     config_triples: tuple[tuple[str, str, str], ...] = (
         ("hardware", "machine", "sim"),)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(f"unknown experiment {self.experiment!r}")
-        if self.seed is None:
-            raise ConfigurationError("scenario needs a seed")
         if not (self.tick_s > 0 and self.base_rate_hz > 0):
             raise ConfigurationError("tick and base rate must be > 0")
+        if not self.tick_s <= self.duration_s < math.inf:
+            raise ConfigurationError(f"duration {self.duration_s} s must be "
+                                     f"finite and >= the {self.tick_s} s tick")
+        if self.fit_method not in FIT_METHODS:
+            raise ConfigurationError(f"fit method {self.fit_method!r} is "
+                                     f"not one of {FIT_METHODS}")
         for rate in self.rate_grid:
             if not 0 < rate < math.inf:
                 raise ConfigurationError(f"rate {rate} Hz must be finite and > 0")
@@ -119,172 +134,20 @@ def _whole_multiple(value: float, base: float, what: str) -> None:
         raise ConfigurationError(str(exc)) from None
 
 
-def _process_to_dict(proc) -> dict:
-    if isinstance(proc, FixedState):
-        return {"type": "fixed", "state": proc.state}
-    if isinstance(proc, Schedule):
-        return {"type": "schedule", "steps": [[d, s] for d, s in proc.steps]}
-    if isinstance(proc, DutyCycle):
-        return {"type": "duty", "period_s": proc.period_s,
-                "fraction_hi": proc.fraction_hi,
-                "state_hi": proc.state_hi, "state_lo": proc.state_lo}
-    if isinstance(proc, MarkovChain):
-        return {"type": "markov",
-                "transition": [list(row) for row in proc.transition],
-                "step_s": proc.step_s, "initial_state": proc.initial_state}
-    raise ConfigurationError(f"unknown occupancy process {proc!r}")
-
-
-def _process_from_dict(doc: dict):
-    kind = doc.get("type")
-    if kind == "fixed":
-        return FixedState(state=int(doc["state"]))
-    if kind == "schedule":
-        return Schedule(steps=tuple((float(d), int(s)) for d, s in doc["steps"]))
-    if kind == "duty":
-        return DutyCycle(period_s=float(doc["period_s"]),
-                         fraction_hi=float(doc["fraction_hi"]),
-                         state_hi=int(doc["state_hi"]),
-                         state_lo=int(doc["state_lo"]))
-    if kind == "markov":
-        return MarkovChain(
-            transition=tuple(tuple(float(p) for p in row)
-                             for row in doc["transition"]),
-            step_s=float(doc["step_s"]),
-            initial_state=int(doc["initial_state"]))
-    raise ParseError(f"unknown occupancy process type {kind!r}")
-
-
 def scenario_to_dict(sc: ScenarioConfig) -> dict:
-    return {
-        "name": sc.name,
-        "experiment": sc.experiment,
-        "seed": sc.seed,
-        "duration_s": sc.duration_s,
-        "tick_s": sc.tick_s,
-        "system": {
-            "base_power_w": sc.system.base_power_w,
-            "components": [
-                {"name": c.name, "state_powers": list(c.state_powers),
-                 "state_names": list(c.state_names)}
-                for c in sc.system.components
-            ],
-        },
-        "workload": {
-            "phases": [
-                {"name": p.name, "duration_s": p.duration_s,
-                 "occupancy": {k: _process_to_dict(v)
-                               for k, v in p.occupancy.items()}}
-                for p in sc.workload.phases
-            ],
-        },
-        "predictors": [
-            {"id": s.id, "component": s.component, "kind": s.kind,
-             "weights": {str(k): v for k, v in s.weights.items()},
-             "update_rate_hz": s.update_rate_hz, "delay_s": s.delay_s,
-             "policy": s.policy, "name": s.name}
-            for s in sc.predictors
-        ],
-        "battery": {
-            "kind": sc.battery.kind,
-            "reading_rate_hz": sc.battery.reading_rate_hz,
-            "supply_voltage_v": sc.battery.supply_voltage_v,
-            "noise_sigma": sc.battery.noise_sigma,
-            "counter_sigma_c": sc.battery.counter_sigma_c,
-            "filter_window_s": sc.battery.filter_window_s,
-            "filter_taps": sc.battery.filter_taps,
-            "quantization": sc.battery.quantization,
-            "internal_rate_hz": sc.battery.internal_rate_hz,
-            "initial_capacity_c": sc.battery.initial_capacity_c,
-        },
-        "pipeline": {
-            "base_rate_hz": sc.base_rate_hz,
-            "t_low_s": sc.t_low_s,
-            "pca_l": sc.pca_l,
-            "fit_method": sc.fit_method,
-            "regressogram_k": sc.regressogram_k,
-            "threshold": sc.threshold,
-            "window_s": sc.window_s,
-            "train_windows": sc.train_windows,
-            "accuracy_target": sc.accuracy_target,
-            "rate_grid": list(sc.rate_grid),
-            "collection_overhead_w": sc.collection_overhead_w,
-        },
-        "config_triples": [list(t) for t in sc.config_triples],
-    }
+    doc = to_document(sc)
+    del doc["workload"]["seed"]     # a scenario file states its seed once
+    return doc
 
 
-def scenario_from_dict(doc: dict) -> ScenarioConfig:
-    try:
-        system = ComponentStateModel(
-            components=tuple(
-                Component(name=c["name"],
-                          state_powers=tuple(float(p) for p in c["state_powers"]),
-                          state_names=tuple(c.get("state_names", ())))
-                for c in doc["system"]["components"]
-            ),
-            base_power_w=float(doc["system"]["base_power_w"]),
-        )
-        workload = WorkloadSpec(
-            phases=tuple(
-                Phase(name=p["name"], duration_s=float(p["duration_s"]),
-                      occupancy={k: _process_from_dict(v)
-                                 for k, v in p["occupancy"].items()})
-                for p in doc["workload"]["phases"]
-            ),
-            seed=int(doc["seed"]),
-        )
-        predictors = tuple(
-            PredictorSpec(
-                id=s["id"], component=s["component"], kind=s["kind"],
-                weights={int(k): float(v) for k, v in s["weights"].items()},
-                update_rate_hz=float(s.get("update_rate_hz", 1000.0)),
-                delay_s=float(s.get("delay_s", 0.0)),
-                policy=s.get("policy", "polled-fast"),
-                name=s.get("name", ""))
-            for s in doc["predictors"]
-        )
-        b = doc["battery"]
-        battery = BatteryInterfaceModel(
-            kind=b["kind"],
-            reading_rate_hz=float(b["reading_rate_hz"]),
-            supply_voltage_v=float(b.get("supply_voltage_v", 12.0)),
-            noise_sigma=float(b.get("noise_sigma", 0.0)),
-            counter_sigma_c=float(b.get("counter_sigma_c", 0.0)),
-            filter_window_s=float(b.get("filter_window_s", 0.0)),
-            filter_taps=int(b.get("filter_taps", 0)),
-            quantization=float(b.get("quantization", 0.0)),
-            internal_rate_hz=float(b.get("internal_rate_hz", 0.0)),
-            initial_capacity_c=float(b.get("initial_capacity_c", 20000.0)),
-        )
-        pipe = doc.get("pipeline", {})
-        return ScenarioConfig(
-            name=str(doc["name"]),
-            experiment=str(doc["experiment"]),
-            seed=int(doc["seed"]),
-            duration_s=float(doc["duration_s"]),
-            tick_s=float(doc.get("tick_s", 0.001)),
-            system=system,
-            workload=workload,
-            predictors=predictors,
-            battery=battery,
-            base_rate_hz=float(pipe.get("base_rate_hz", 100.0)),
-            t_low_s=float(pipe.get("t_low_s", 100.0)),
-            pca_l=int(pipe.get("pca_l", 2)),
-            fit_method=str(pipe.get("fit_method", "TLS")),
-            regressogram_k=int(pipe.get("regressogram_k", 10)),
-            threshold=float(pipe.get("threshold", 0.10)),
-            window_s=float(pipe.get("window_s", 100.0)),
-            train_windows=int(pipe.get("train_windows", 12)),
-            accuracy_target=float(pipe.get("accuracy_target", 0.95)),
-            rate_grid=tuple(float(r) for r in pipe.get("rate_grid",
-                                                       DEFAULT_RATE_GRID)),
-            collection_overhead_w=float(pipe.get("collection_overhead_w", 0.0)),
-            config_triples=tuple(tuple(t) for t in doc.get(
-                "config_triples", [["hardware", "machine", "sim"]])),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed scenario document: {exc}") from exc
+def scenario_from_dict(doc) -> ScenarioConfig:
+    """The scenario a document describes, read against the dataclasses'
+    fields (see `sesame.errors`); the workload takes the top-level seed."""
+    if isinstance(doc, dict) and isinstance(doc.get("workload"), dict):
+        if "seed" in doc["workload"]:
+            raise ParseError("scenario.workload: unknown key 'seed'")
+        doc = {**doc, "workload": {**doc["workload"], "seed": doc.get("seed")}}
+    return from_document(ScenarioConfig, doc, "scenario")
 
 
 def save_scenario(sc: ScenarioConfig, path: str) -> None:

@@ -106,6 +106,7 @@ class ComponentStateModel:
 class FixedState:
     """Component pinned to one state."""
 
+    TAG = "fixed"       # the process's "type" in a scenario file
     state: int
 
 
@@ -113,6 +114,7 @@ class FixedState:
 class Schedule:
     """Deterministic timeline of (duration_s, state), cycled over the phase."""
 
+    TAG = "schedule"
     steps: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
@@ -124,6 +126,7 @@ class Schedule:
 class DutyCycle:
     """Square wave: `fraction_hi` of each period in state_hi, rest in state_lo."""
 
+    TAG = "duty"
     period_s: float
     fraction_hi: float
     state_hi: int
@@ -140,6 +143,7 @@ class DutyCycle:
 class MarkovChain:
     """Seeded discrete-time chain over states, one draw per `step_s`."""
 
+    TAG = "markov"
     transition: tuple[tuple[float, ...], ...]
     step_s: float = 0.1
     initial_state: int = 0

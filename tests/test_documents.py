@@ -1,0 +1,198 @@
+"""Scenario files and model documents are read against the dataclasses'
+fields and type hints: wrong JSON types, non-finite numbers, unknown keys
+and inconsistent models fail typed and name the key path, absent optional
+keys take the dataclass defaults, and the file layout is unchanged."""
+
+import copy
+import dataclasses
+import json
+
+import pytest
+
+import sesame.scenarios as scn
+from sesame.constructor import model_from_dict
+from sesame.errors import ConfigurationError, ParseError, SchemaError
+
+DELETE = object()
+
+
+def edited(doc: dict, path: tuple, value) -> dict:
+    """A deep copy of `doc` with the node at `path` replaced by `value`,
+    or removed when `value` is DELETE."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+T61 = scn.scenario_to_dict(scn.builtin("t61like"))
+ACT = ("workload", "phases", 0, "occupancy", "act")
+
+BAD_SCENARIOS = {
+    "l_fraction": (("pipeline", "pca_l"), 2.7, ParseError,
+                   "scenario.pipeline.pca_l: expected an integer"),
+    "seed_bool": (("seed",), True, ParseError, "scenario.seed"),
+    "duration_string": (("duration_s",), "3000", ParseError,
+                        "scenario.duration_s: expected a number"),
+    "duration_nan": (("duration_s",), float("nan"), ParseError,
+                     "expected a finite number"),
+    "misspelt_key": (("pipeline", "fit_methd"), "OLS", ParseError,
+                     "scenario.pipeline: unknown key 'fit_methd'"),
+    "unknown_fit_method": (("pipeline", "fit_method"), "XYZ",
+                           ConfigurationError, "fit method 'XYZ'"),
+    "occupancy_list": (ACT[:-1], [], ParseError,
+                       "phases[0].occupancy: expected an object"),
+    "process_list": (ACT, [0.5], ParseError, "occupancy.act: expected an object"),
+    "process_type": (ACT + ("type",), "poisson", ParseError,
+                     "occupancy.act.type: expected one of"),
+    "weights_list": (("predictors", 0, "weights"), [1.0], ParseError,
+                     "scenario.predictors[0].weights: expected an object"),
+    "weights_key": (("predictors", 0, "weights", "busy"), 1.0, ParseError,
+                    "key 'busy' is not an integer"),
+    "pipeline_list": (("pipeline",), [], ParseError,
+                      "scenario.pipeline: expected an object"),
+    "noise_nan": (("battery", "noise_sigma"), float("nan"), ParseError,
+                  "scenario.battery.noise_sigma: expected a finite number"),
+    "state_power_nan": (("system", "components", 0, "state_powers", 0),
+                        float("nan"), ParseError,
+                        "scenario.system.components[0].state_powers[0]"),
+    "taps_float": (("battery", "filter_taps"), 10.0, ParseError,
+                   "scenario.battery.filter_taps: expected an integer"),
+    "triple_short": (("config_triples", 0), ["hardware", "machine"],
+                     ParseError, "expected 3 items, got 2"),
+    "workload_seed": (("workload", "seed"), 61, ParseError,
+                      "scenario.workload: unknown key 'seed'"),
+    "battery_missing": (("battery",), DELETE, ParseError,
+                        "scenario: missing key 'battery'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
+def test_malformed_scenario_document_fails_typed(case):
+    path, value, error, message = BAD_SCENARIOS[case]
+    with pytest.raises(error) as info:
+        scn.scenario_from_dict(edited(T61, path, value))
+    assert message in str(info.value)
+
+
+MODEL = {
+    "beta": [5.0, 1.0, 0.5], "columns": ["cpu", "disk"],
+    "kinds": ["residency", "counter"], "training_interval_s": 100.0,
+    "fit_method": "TLS", "training_error": 0.01, "l": None,
+    "kept": ["cpu", "disk"], "dropped": [], "below_target": False,
+    "active_columns": ["cpu", "disk"],
+}
+
+BAD_MODELS = {
+    "columns_string": ("columns", "ab", ParseError, "model.columns"),
+    "below_target_string": ("below_target", "no", ParseError,
+                            "model.below_target: expected true or false"),
+    "beta_nan": ("beta", [5.0, float("nan"), 0.5], ParseError,
+                 "model.beta[1]"),
+    "l_bool": ("l", True, ParseError, "model.l: expected an integer"),
+    "kinds_short": ("kinds", ["residency"], SchemaError, "kinds"),
+    "kind_unknown": ("kinds", ["residency", "bogus"], SchemaError, "kinds"),
+    "kept_absent": ("kept", ["cpu", "gpu"], SchemaError, "'gpu'"),
+    "dropped_absent": ("dropped", ["gpu"], SchemaError, "'gpu'"),
+    "active_absent": ("active_columns", ["gpu"], SchemaError, "'gpu'"),
+    "interval_negative": ("training_interval_s", -1.0, SchemaError,
+                          "training interval"),
+    "interval_zero": ("training_interval_s", 0, SchemaError,
+                      "training interval"),
+    "unknown_key": ("basis", [], ParseError, "model: unknown key 'basis'"),
+    "l_missing": ("l", DELETE, ParseError, "missing keys ['l']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODELS))
+def test_malformed_model_document_fails_typed(case):
+    key, value, error, message = BAD_MODELS[case]
+    with pytest.raises(error) as info:
+        model_from_dict(edited(MODEL, (key,), value))
+    assert message in str(info.value)
+
+
+def test_model_document_reads_json_types_exactly():
+    model = model_from_dict(MODEL)
+    assert model.columns == ("cpu", "disk") and model.l is None
+    assert model_from_dict(dict(MODEL, training_interval_s=100)) == model
+
+
+def test_minimal_scenario_document_takes_every_default():
+    doc = {
+        "name": "minimal", "experiment": "molding", "seed": 3,
+        "duration_s": 600,
+        "system": {"components": [{"name": "cpu",
+                                   "state_powers": [1, 4]}]},
+        "workload": {"phases": [{"name": "only", "duration_s": 600,
+                                 "occupancy": {"cpu": {
+                                     "type": "markov",
+                                     "transition": [[0.9, 0.1],
+                                                    [0.2, 0.8]]}}}]},
+        "predictors": [{"id": "busy", "component": "cpu",
+                        "kind": "residency", "weights": {"1": 1}}],
+        "battery": {"kind": "instant", "reading_rate_hz": 1},
+    }
+    sc = scn.scenario_from_dict(doc)
+    assert sc.workload.seed == 3 and sc.duration_s == 600.0
+    chain = sc.workload.phases[0].occupancy["cpu"]
+    assert sc.predictors[0].weights == {1: 1.0}
+    for obj in (sc, sc.system, sc.system.components[0], chain,
+                sc.predictors[0], sc.battery):
+        for f in dataclasses.fields(obj):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(obj, f.name) == f.default, f.name
+
+
+# `sesame export noiseless_linear` as written before the document reader
+# was derived from the dataclasses: its key order and layout must load
+EARLIER_LAYOUT = json.loads("""{
+ "name": "noiseless_linear", "experiment": "molding", "seed": 1,
+ "duration_s": 2000.0, "tick_s": 0.001,
+ "system": {"base_power_w": 3.0, "components": [
+  {"name": "cpu", "state_powers": [1.0, 9.0], "state_names": ["idle", "busy"]},
+  {"name": "disk", "state_powers": [0.5, 2.5],
+   "state_names": ["idle", "active"]}]},
+ "workload": {"phases": [{"name": "steady", "duration_s": 2000.0, "occupancy": {
+  "cpu": {"type": "markov", "transition": [[0.97, 0.03], [0.02, 0.98]],
+          "step_s": 0.1, "initial_state": 0},
+  "disk": {"type": "markov", "transition": [[0.99, 0.01], [0.03, 0.97]],
+           "step_s": 0.1, "initial_state": 0}}}]},
+ "predictors": [
+  {"id": "cpu:busy", "component": "cpu", "kind": "residency",
+   "weights": {"1": 1.0}, "update_rate_hz": 1000.0, "delay_s": 0.0,
+   "policy": "polled-fast", "name": ""},
+  {"id": "disk:active", "component": "disk", "kind": "residency",
+   "weights": {"1": 1.0}, "update_rate_hz": 1000.0, "delay_s": 0.0,
+   "policy": "polled-fast", "name": ""}],
+ "battery": {"kind": "instant", "reading_rate_hz": 1.0,
+  "supply_voltage_v": 10.0, "noise_sigma": 0.0, "counter_sigma_c": 0.0,
+  "filter_window_s": 0.0, "filter_taps": 0, "quantization": 0.0,
+  "internal_rate_hz": 0.0, "initial_capacity_c": 20000.0},
+ "pipeline": {"base_rate_hz": 100.0, "t_low_s": 100.0, "pca_l": 2,
+  "fit_method": "TLS", "regressogram_k": 10, "threshold": 0.1,
+  "window_s": 100.0, "train_windows": 12, "accuracy_target": 0.95,
+  "rate_grid": [0.01, 0.1, 1.0, 10.0, 100.0], "collection_overhead_w": 0.0},
+ "config_triples": [["hardware", "machine", "sim"]]
+}""")
+
+
+def test_document_in_the_earlier_layout_loads_equal():
+    sc = scn.builtin("noiseless_linear")
+    assert scn.scenario_from_dict(EARLIER_LAYOUT) == sc
+    assert scn.scenario_to_dict(sc) == EARLIER_LAYOUT
+
+
+def test_model_equality_covers_every_field():
+    model = model_from_dict(MODEL)
+    assert model == model_from_dict(copy.deepcopy(MODEL))
+    for key, value in (("beta", [5.0, 1.0, 0.25]), ("training_error", 0.02),
+                       ("l", 1), ("below_target", True),
+                       ("active_columns", ["cpu"])):
+        assert model != model_from_dict(dict(MODEL, **{key: value})), key
+    assert model != dataclasses.replace(model, fit_method="OLS")

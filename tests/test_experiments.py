@@ -131,7 +131,7 @@ def test_adaptation_with_wider_monitor_window():
                              train_windows=6)
     res = exp.run_adaptation(sc)
     assert res.rebuild_count == 0
-    assert res.window_s == 200.0
+    assert res.table.window_s == 200.0
     assert max(e for _, e in res.monitored()) < 0.10
 
 
@@ -219,12 +219,27 @@ def test_cli_unknown_scenario_exit_1(capsys):
     assert cli_main(["run", "no_such_thing"]) == 1
 
 
+def scenario_bytes(edit) -> bytes:
+    """The noiseless_linear scenario file after `edit(doc)`."""
+    doc = scn.scenario_to_dict(scn.builtin("noiseless_linear"))
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
 @pytest.mark.parametrize("content,message", [
     (b"\xff\xfe", "is not UTF-8"),
     (b'{"name": "\xe9"}', "is not UTF-8"),
     (b"[" * 200_000, "nests too deeply"),
     (None, "cannot read scenario file"),      # a directory
-], ids=["utf16_bom", "latin1", "deep_nesting", "directory"])
+    (b"1" * 5000, "integer string conversion"),
+    (scenario_bytes(lambda d: d["workload"]["phases"][0].update(occupancy=[])),
+     "scenario.workload.phases[0].occupancy: expected an object"),
+    (scenario_bytes(lambda d: d.update(duration_s=float("nan"))),
+     "scenario.duration_s: expected a finite number, got nan"),
+    (scenario_bytes(lambda d: d.update(pipeline=[])),
+     "scenario.pipeline: expected an object"),
+], ids=["utf16_bom", "latin1", "deep_nesting", "directory", "huge_integer",
+        "occupancy_list", "duration_nan", "pipeline_list"])
 def test_cli_unreadable_scenario_file_exit_1(tmp_path, content, message):
     path = tmp_path / "bad.json"
     if content is None:
@@ -292,6 +307,8 @@ def test_scenario_config_rejects_bad_rates_and_tlow(updates):
     {"threshold": float("inf")},
     {"window_s": 101.0}, {"window_s": 0.0},
     {"t_low_s": 99.0},      # on the base grid, off the 2 s reading period
+    {"duration_s": float("nan")}, {"duration_s": float("inf")},
+    {"duration_s": 0.0005}, {"fit_method": "XYZ"}, {"fit_method": "tls"},
 ])
 def test_scenario_config_rejects_bad_pipeline_fields(updates):
     with pytest.raises(ConfigurationError):

@@ -3,7 +3,8 @@
 A fitted EnergyModel is b0 + r . b on the kept predictor rates, scaled by
 the interval ratio; these check that form against the explicit PCA
 pipeline it folds, and that its energies add up across rates. Model
-tables and scenarios must come back from their documents unchanged.
+tables and scenarios must come back from their documents unchanged, and
+a document with any one node replaced must load or fail typed.
 """
 
 import json
@@ -16,6 +17,8 @@ import pytest
 import sesame as ss
 import sesame.scenarios as scn
 from sesame.collector import DesignMatrix
+from sesame.constructor import model_from_dict, model_to_dict
+from sesame.errors import SesameError
 from sesame.manager import table_equals
 from sesame.tracesim import COUNTER
 
@@ -171,3 +174,68 @@ def test_scenario_document_round_trips(name, seed):
     back = scn.scenario_from_dict(json.loads(json.dumps(doc)))
     assert back == sc
     assert scn.scenario_to_dict(back) == doc
+
+
+# -- document fuzz --------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8) | st.sampled_from(["fixed", "markov", "TLS", "1"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+
+
+def node_paths(doc, path=()):
+    """The path of every node of a JSON document, the root included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in items:
+        yield from node_paths(child, path + (key,))
+
+
+def with_node(doc, path, value):
+    """`doc` with the node at `path` replaced by `value`."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(name=st.sampled_from(sorted(scn.BUILTIN_SCENARIOS)),
+                  pick=st.integers(0), value=JSON_VALUES)
+def test_scenario_document_with_one_node_replaced_fails_typed(name, pick,
+                                                              value):
+    doc = scn.scenario_to_dict(scn.builtin(name))
+    paths = list(node_paths(doc))
+    try:
+        scn.scenario_from_dict(with_node(doc, paths[pick % len(paths)], value))
+    except SesameError:
+        pass
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(seed=st.integers(0, 2**32 - 1),
+                  kinds=st.lists(st.sampled_from(KINDS), min_size=1,
+                                 max_size=3),
+                  use_pca=st.booleans(), pick=st.integers(0),
+                  value=JSON_VALUES)
+def test_model_document_with_one_node_replaced_fails_typed(seed, kinds,
+                                                           use_pca, pick,
+                                                           value):
+    model = ss.build_model(training_matrix(seed, len(kinds), tuple(kinds)),
+                           use_pca=use_pca)
+    doc = json.loads(json.dumps(model_to_dict(model)))
+    paths = list(node_paths(doc))
+    try:
+        back = model_from_dict(with_node(doc, paths[pick % len(paths)], value))
+    except SesameError:
+        return
+    # a model that loads has a consistent shape, so it predicts
+    assert back.predict_rows(np.ones((2, len(back.columns))), 1.0).shape == (2,)
