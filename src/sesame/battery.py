@@ -66,19 +66,13 @@ class BatteryInterfaceModel:
 class BatteryReadings:
     """A reading stream with its interface description attached."""
 
-    def __init__(self, model: BatteryInterfaceModel,
-                 times_s: np.ndarray, values: np.ndarray):
+    def __init__(self, model: BatteryInterfaceModel, values: np.ndarray):
         self.model = model
-        self.times_s = times_s
         self.values = values
 
     @property
     def kind(self) -> str:
         return self.model.kind
-
-    @property
-    def rate_hz(self) -> float:
-        return self.model.reading_rate_hz
 
     @property
     def period_s(self) -> float:
@@ -125,8 +119,7 @@ def sample_instant(trace: Trace, model: BatteryInterfaceModel,
     if model.counter_sigma_c > 0:
         eta = rng.normal(0.0, model.counter_sigma_c, n_read + 1)
         exposed = exposed + np.diff(eta) * model.reading_rate_hz
-    times = (np.arange(n_read) + 1) / model.reading_rate_hz
-    return BatteryReadings(model, times, _quantize(exposed, model.quantization))
+    return BatteryReadings(model, _quantize(exposed, model.quantization))
 
 
 def sample_filtered(trace: Trace, model: BatteryInterfaceModel,
@@ -153,7 +146,7 @@ def sample_filtered(trace: Trace, model: BatteryInterfaceModel,
     times = (np.arange(n_read) + 1) / model.reading_rate_hz
     idx = np.floor(times / spacing + 1e-9).astype(np.int64)
     idx = np.clip(idx, 0, len(trailing) - 1)
-    return BatteryReadings(model, times, _quantize(trailing[idx], model.quantization))
+    return BatteryReadings(model, _quantize(trailing[idx], model.quantization))
 
 
 def sample_capacity(trace: Trace, model: BatteryInterfaceModel,
@@ -171,8 +164,7 @@ def sample_capacity(trace: Trace, model: BatteryInterfaceModel,
     rng = np.random.default_rng(seed)
     if model.noise_sigma > 0:
         levels = levels * (1.0 + rng.normal(0.0, model.noise_sigma, len(levels)))
-    times = np.arange(n_read + 1) / model.reading_rate_hz
-    return BatteryReadings(model, times, _quantize(levels, model.quantization))
+    return BatteryReadings(model, _quantize(levels, model.quantization))
 
 
 def sample_interface(trace: Trace, model: BatteryInterfaceModel,

@@ -405,25 +405,11 @@ class RegressogramModel:
     """Histogram regression: per-cell mean response over binned predictors."""
 
     edges: tuple[np.ndarray, ...]     # per predictor, k+1 edges
-    cells: dict[tuple[int, ...], tuple[int, float]]   # cell -> (count, sum)
+    cells: np.ndarray                 # populated cells' bins, lexicographic
+    means: np.ndarray                 # each cell's mean response
     fallback: float                   # global mean response
     k: int
     columns: tuple[str, ...] = ()
-
-    def cell_mean(self, cell: tuple[int, ...]) -> float:
-        count, total = self.cells[cell]
-        return total / count
-
-
-def _bin_index(value: float, edges: np.ndarray, k: int) -> int | None:
-    """Bin of `value`, or None when outside the training range."""
-    lo, hi = edges[0], edges[-1]
-    if value < lo or value > hi:
-        return None
-    if hi == lo:
-        return 0
-    idx = int((value - lo) / (hi - lo) * k)
-    return min(idx, k - 1)
 
 
 def _reject_non_finite(x: np.ndarray, columns: tuple[str, ...],
@@ -440,8 +426,8 @@ def _reject_non_finite(x: np.ndarray, columns: tuple[str, ...],
 
 def _bin_rows(x: np.ndarray, edges: tuple[np.ndarray, ...],
               k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column bins of every row, by the float expression of
-    `_bin_index`, and the mask of rows inside the range in every column."""
+    """Per-column bins of every row, int((v - lo) / (hi - lo) * k) up to
+    k - 1, and the mask of rows inside the range in every column."""
     bins = np.zeros(x.shape, dtype=np.int64)
     inside = np.ones(x.shape[0], dtype=bool)
     for j, e in enumerate(edges):
@@ -457,7 +443,7 @@ def _bin_rows(x: np.ndarray, edges: tuple[np.ndarray, ...],
 
 
 def _cell_keys(bins: np.ndarray, k: int) -> np.ndarray:
-    """One int64 per row, equal exactly when the rows' cells are equal.
+    """One int64 per row, ordered as the rows' cells are lexicographically.
 
     This is the row-major cell index while k**columns fits; before a
     column would overflow it, the partial key is renumbered densely.
@@ -475,8 +461,8 @@ def _cell_keys(bins: np.ndarray, k: int) -> np.ndarray:
 
 def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
                      columns: tuple[str, ...] = ()) -> RegressogramModel:
-    """Equal-width bins over each predictor's observed range; populated
-    cells store count and running sum of the response."""
+    """Equal-width bins over each predictor's observed range; each
+    populated cell stores the mean of its rows' responses."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     if x.shape[0] == 0:
@@ -494,56 +480,35 @@ def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
     _, first, cell_of_row = np.unique(_cell_keys(bins, k), return_index=True,
                                       return_inverse=True)
     # bincount adds in row order, so each cell sum is the running sum
-    counts = np.bincount(cell_of_row)
-    sums = np.bincount(cell_of_row, weights=y)
-    order = np.argsort(first)       # cells in order of first appearance
-    cells = {tuple(cell): (count, total) for cell, count, total in zip(
-        bins[first[order]].tolist(), counts[order].tolist(),
-        sums[order].tolist())}
+    means = np.bincount(cell_of_row, weights=y) / np.bincount(cell_of_row)
     # a sequential sum like the cells', not numpy's pairwise np.sum
     fallback = float(np.cumsum(y)[-1]) / len(y)
-    return RegressogramModel(edges=edges, cells=cells, fallback=fallback,
-                             k=k, columns=columns)
+    return RegressogramModel(edges=edges, cells=bins[first], means=means,
+                             fallback=fallback, k=k, columns=columns)
 
 
 def predict_regressogram(model: RegressogramModel, x: np.ndarray) -> float:
-    """Mean of the matching cell; global mean when out of range or empty."""
-    x = np.asarray(x, dtype=float).ravel()
-    if len(x) != len(model.edges):
-        raise SchemaError(
-            f"expected {len(model.edges)} predictors, got {len(x)}")
-    cell = []
-    for j, v in enumerate(x):
-        idx = _bin_index(float(v), model.edges[j], model.k)
-        if idx is None:
-            return model.fallback
-        cell.append(idx)
-    key = tuple(cell)
-    if key not in model.cells:
-        return model.fallback
-    return model.cell_mean(key)
+    """`predict_regressogram_rows` of the one row `x`."""
+    return float(predict_regressogram_rows(model, np.ravel(x))[0])
 
 
 def predict_regressogram_rows(model: RegressogramModel, x: np.ndarray) -> np.ndarray:
-    """`predict_regressogram` of every row of `x`, as one table lookup."""
+    """Mean of each row's cell, as one table lookup; the global mean when
+    the row is out of the training range or its cell is empty."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n_cols = len(model.edges)
     if x.shape[1] != n_cols:
         raise SchemaError(f"expected {n_cols} predictors, got {x.shape[1]}")
     _reject_non_finite(x, model.columns)
-    out = np.full(x.shape[0], model.fallback)
-    if not model.cells:
-        return out
     bins, inside = _bin_rows(x, model.edges, model.k)
-    cell_bins = np.array(list(model.cells), dtype=np.int64).reshape(-1, n_cols)
-    means = np.array([model.cell_mean(cell) for cell in model.cells])
-    keys = _cell_keys(np.vstack([cell_bins, bins]), model.k)
-    cell_keys, row_keys = keys[:len(means)], keys[len(means):]
-    order = np.argsort(cell_keys)
-    pos = np.searchsorted(cell_keys, row_keys, sorter=order)
-    slot = order[np.minimum(pos, len(order) - 1)]
+    # keys keep the cells' lexicographic order, so they are sorted
+    keys = _cell_keys(np.vstack([model.cells, bins]), model.k)
+    n_cells = len(model.means)
+    cell_keys, row_keys = keys[:n_cells], keys[n_cells:]
+    slot = np.minimum(np.searchsorted(cell_keys, row_keys), n_cells - 1)
     hit = inside & (cell_keys[slot] == row_keys)
-    out[hit] = means[slot[hit]]
+    out = np.full(x.shape[0], model.fallback)
+    out[hit] = model.means[slot[hit]]
     return out
 
 

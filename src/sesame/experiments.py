@@ -222,8 +222,6 @@ def run_molding(sc: ScenarioConfig,
 
 @dataclass
 class AdaptationResult:
-    scenario: str
-    seed: int
     times_s: list[float]
     errors: list[float | None]       # None while collecting training data
     rebuild_flags: list[int]
@@ -296,8 +294,7 @@ def run_adaptation(sc: ScenarioConfig,
             collect_until = w + 1 + span
         rows.append((t_end, err, int(rebuilt)))
     times, errors, flags = (list(col) for col in zip(*rows))
-    result = AdaptationResult(sc.name, sc.seed, times, errors, flags,
-                              table)
+    result = AdaptationResult(times, errors, flags, table)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         result.write_csv(os.path.join(out_dir, "adaptation.csv"))

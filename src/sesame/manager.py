@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .constructor import EnergyModel, model_from_dict, model_to_dict
-from .errors import ParseError, read_json
+from .errors import ParseError, from_document, read_json, to_document
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,21 @@ def maybe_rebuild(table: ModelTable, t_s: float, latest_error: float,
 # Persistence
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _Entry:
+    key: tuple[tuple[str, str, str], ...]
+    model: dict                     # read by model_from_dict
+
+
+@dataclass
+class _TableDocument:
+    active_key: tuple[tuple[str, str, str], ...] | None
+    threshold: float
+    window_s: float
+    decision_log: tuple[str, ...]
+    models: tuple[_Entry, ...]
+
+
 def _check_settings(table: ModelTable) -> None:
     """Raise ValueError unless the threshold is in (0, 1) and the window is
     finite and positive, the ranges a scenario's pipeline settings take."""
@@ -140,19 +155,13 @@ def persist(table: ModelTable, path: str) -> None:
     _check_settings(table)
     if table.active_key is not None and table.active_key not in table.models:
         raise ValueError(f"active key {table.active_key} has no model")
-    doc = {
-        "active_key": list(map(list, table.active_key.triples))
-        if table.active_key else None,
-        "threshold": table.threshold,
-        "window_s": table.window_s,
-        "decision_log": list(table.decision_log),
-        "models": [
-            {"key": list(map(list, key.triples)), "model": model_to_dict(m)}
-            for key, m in table.models.items()
-        ],
-    }
+    doc = _TableDocument(
+        table.active_key.triples if table.active_key else None,
+        table.threshold, table.window_s, tuple(table.decision_log),
+        tuple(_Entry(key.triples, model_to_dict(m))
+              for key, m in table.models.items()))
     # encode first, so a value strict JSON cannot hold leaves no partial file
-    text = json.dumps(doc, indent=1, allow_nan=False)
+    text = json.dumps(to_document(doc), indent=1, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -161,29 +170,29 @@ def load(path: str) -> ModelTable:
     """Read a table written by `persist`; malformed files raise ParseError
     and unreadable ones ConfigurationError.
 
-    Keys that older files carry (`history`, `skipped_windows`,
-    `cooldown_until_s`) are ignored.
+    Keys are read by the typed rules of `errors.from_document`. Keys that
+    older files carry (`history`, `skipped_windows`, `cooldown_until_s`)
+    are ignored; any other unknown key is refused.
     """
     doc = read_json(path, "model table")
+    if isinstance(doc, dict):
+        doc = {k: v for k, v in doc.items() if k not in (
+            "history", "skipped_windows", "cooldown_until_s")}
+    doc = from_document(_TableDocument, doc, "table")
+    table = ModelTable(threshold=doc.threshold, window_s=doc.window_s,
+                       decision_log=list(doc.decision_log))
     try:
-        table = ModelTable(
-            threshold=float(doc["threshold"]),
-            window_s=float(doc["window_s"]),
-            decision_log=[str(line) for line in doc["decision_log"]],
-        )
         _check_settings(table)
-        for entry in doc["models"]:
-            key = ConfigurationKey(tuple(tuple(t) for t in entry["key"]))
-            table.models[key] = model_from_dict(entry["model"])
-        if doc["active_key"] is not None:
-            table.active_key = ConfigurationKey(
-                tuple(tuple(t) for t in doc["active_key"]))
-            if table.active_key not in table.models:
-                raise ParseError(f"{path}: active key {doc['active_key']} "
-                                 "is not among the table's models")
-        return table
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed table document: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    for entry in doc.models:
+        table.models[ConfigurationKey(entry.key)] = model_from_dict(entry.model)
+    if doc.active_key is not None:
+        table.active_key = ConfigurationKey(doc.active_key)
+        if table.active_key not in table.models:
+            raise ParseError(f"{path}: active key {doc.active_key} "
+                             "is not among the table's models")
+    return table
 
 
 def table_equals(a: ModelTable, b: ModelTable) -> bool:

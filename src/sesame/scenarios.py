@@ -90,6 +90,8 @@ class ScenarioConfig:
         if self.fit_method not in FIT_METHODS:
             raise ConfigurationError(f"fit method {self.fit_method!r} is "
                                      f"not one of {FIT_METHODS}")
+        if not self.rate_grid:
+            raise ConfigurationError("rate grid is empty")
         for rate in self.rate_grid:
             if not 0 < rate < math.inf:
                 raise ConfigurationError(f"rate {rate} Hz must be finite and > 0")

@@ -79,3 +79,42 @@ def read_grid(trace: ss.Trace, rate_hz: float) -> np.ndarray:
     """Read instants 0, 1/rate_hz, ... up to the end of the trace."""
     n_reads = int(np.floor(trace.duration_s * rate_hz + 1e-9))
     return np.arange(n_reads + 1) / rate_hz
+
+
+def bin_index(value: float, edges: np.ndarray, k: int) -> int | None:
+    """Bin of `value` among equal-width `edges`, or None outside them."""
+    lo, hi = edges[0], edges[-1]
+    if value < lo or value > hi:
+        return None
+    if hi == lo:
+        return 0
+    idx = int((value - lo) / (hi - lo) * k)
+    return min(idx, k - 1)
+
+
+def loop_fit_regressogram(x: np.ndarray, y: np.ndarray, k: int):
+    """Regressogram fit row by row: the edges, {cell: (count, running
+    sum)} in order of first appearance, and the running-sum mean."""
+    edges = tuple(np.linspace(x[:, j].min(), x[:, j].max(), k + 1)
+                  for j in range(x.shape[1]))
+    cells = {}
+    for i in range(x.shape[0]):
+        cell = tuple(bin_index(x[i, j], edges[j], k)
+                     for j in range(x.shape[1]))
+        count, total = cells.get(cell, (0, 0.0))
+        cells[cell] = (count + 1, total + float(y[i]))
+    total = 0.0
+    for v in y:
+        total += float(v)
+    return edges, cells, total / len(y)
+
+
+def loop_predict_regressogram(edges, cells, fallback: float, k: int,
+                              row: np.ndarray) -> float:
+    """The mean of `row`'s cell in a `loop_fit_regressogram` fit; the
+    fallback when a value is outside its edges or the cell is empty."""
+    cell = tuple(bin_index(float(v), e, k) for v, e in zip(row, edges))
+    if None in cell or cell not in cells:
+        return fallback
+    count, total = cells[cell]
+    return total / count

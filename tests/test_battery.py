@@ -14,6 +14,11 @@ def constant_trace(power=10.0, duration=100.0, tick=0.01):
     return ss.gen_trace(model, wl, duration, tick)
 
 
+def reading_times(readings):
+    """Reading i of a current-kind stream is taken at (i + 1) / rate."""
+    return (np.arange(len(readings)) + 1) / readings.model.reading_rate_hz
+
+
 def step_trace(level_w=10.0, duration=40.0, tick=0.01):
     """0 W then `level_w` from t = 0 is modeled by the warm-up zeros of the
     filter itself; the trace is constant at the post-step level."""
@@ -27,7 +32,8 @@ def test_instant_constant_current():
     readings = ss.sample_instant(trace, model)
     assert len(readings) == 400
     assert np.allclose(readings.values, 2.0)
-    assert readings.times_s[0] == pytest.approx(0.25)
+    # the first reading ends the first 0.25 s period, the last the trace
+    assert reading_times(readings)[[0, -1]] == pytest.approx([0.25, 100.0])
 
 
 def test_instant_quantization_floors():
@@ -72,14 +78,15 @@ def test_filtered_step_response_half_window():
                                      supply_voltage_v=5.0,
                                      filter_window_s=16.0, filter_taps=10)
     readings = ss.sample_filtered(trace, model)
-    by_time = dict(zip(readings.times_s, readings.values))
+    times = reading_times(readings)
+    by_time = dict(zip(times, readings.values))
     assert by_time[8.0] == pytest.approx(1.0)
     # at t=14 the latest complete internal sample ends at 12.8 s, so only
     # 8 of the 10 taps are past the step
     assert by_time[14.0] == pytest.approx(1.6)
     assert by_time[16.0] == pytest.approx(2.0)
     # 99% of the final value is only reached at >= window seconds
-    settle = readings.times_s[readings.values >= 0.99 * 2.0]
+    settle = times[readings.values >= 0.99 * 2.0]
     assert settle.min() >= 16.0
 
 
@@ -89,7 +96,7 @@ def test_filtered_passes_dc_exactly():
                                      supply_voltage_v=5.0,
                                      filter_window_s=16.0, filter_taps=10)
     readings = ss.sample_filtered(trace, model)
-    steady = readings.values[readings.times_s >= 16.0]
+    steady = readings.values[reading_times(readings) >= 16.0]
     assert np.allclose(steady, 2.0, atol=1e-12)
 
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import sesame as ss
-from reference import residency_beta_true, residency_predictors
+from reference import (
+    loop_fit_regressogram,
+    loop_predict_regressogram,
+    residency_beta_true,
+    residency_predictors,
+)
 from sesame.collector import DesignMatrix
 from sesame.constructor import (
     model_from_dict,
@@ -326,22 +331,6 @@ def test_regressogram_out_of_range_falls_back():
 
 
 
-def loop_fit_regressogram(x, y, k):
-    """Reference fit: cells and fallback as running sums, row by row."""
-    edges = tuple(np.linspace(x[:, j].min(), x[:, j].max(), k + 1)
-                  for j in range(x.shape[1]))
-    cells = {}
-    for i in range(x.shape[0]):
-        cell = tuple(ss.constructor._bin_index(x[i, j], edges[j], k)
-                     for j in range(x.shape[1]))
-        count, total = cells.get(cell, (0, 0.0))
-        cells[cell] = (count + 1, total + float(y[i]))
-    total = 0.0
-    for v in y:
-        total += float(v)
-    return edges, cells, total / len(y)
-
-
 def regressogram_case(name):
     rng = np.random.default_rng(18)
     x = rng.uniform(-2.0, 3.0, size=(800, 3))
@@ -360,18 +349,30 @@ def regressogram_case(name):
     return x, y, query, 10
 
 
+def assert_matches_loop(x, y, k, query):
+    """Fitted cells (lexicographic), means, fallback, edges and the rows'
+    predictions all equal the row-loop oracle's, exactly."""
+    model = ss.fit_regressogram(x, y, k=k)
+    edges, cells, fallback = loop_fit_regressogram(x, y, k)
+    order = sorted(cells)
+    assert model.cells.dtype == np.int64
+    assert np.array_equal(model.cells, np.array(order).reshape(-1, x.shape[1]))
+    assert np.array_equal(model.means,
+                          [cells[c][1] / cells[c][0] for c in order])
+    assert model.fallback == fallback
+    assert all(np.array_equal(a, b) for a, b in zip(model.edges, edges))
+    got = predict_regressogram_rows(model, query)
+    want = np.array([loop_predict_regressogram(edges, cells, fallback, k, row)
+                     for row in query])
+    assert np.array_equal(got, want)
+    return got, model
+
+
 @pytest.mark.parametrize(
     "name", ["out_of_range", "constant_column", "empty_cells", "k1"])
 def test_regressogram_matches_row_loop(name):
     x, y, query, k = regressogram_case(name)
-    model = ss.fit_regressogram(x, y, k=k)
-    edges, cells, fallback = loop_fit_regressogram(x, y, k)
-    assert list(model.cells.items()) == list(cells.items())
-    assert model.fallback == fallback
-    assert all(np.array_equal(a, b) for a, b in zip(model.edges, edges))
-    got = predict_regressogram_rows(model, query)
-    want = np.array([ss.predict_regressogram(model, row) for row in query])
-    assert np.array_equal(got, want)
+    got, model = assert_matches_loop(x, y, k, query)
     assert (got == model.fallback).any()
 
 
@@ -382,11 +383,8 @@ def test_regressogram_many_columns_keep_distinct_cells():
     x = rng.integers(0, 2, size=(400, 70)).astype(float)
     x[:, 8:] = rng.integers(0, 2, size=(4, 62))[rng.integers(0, 4, 400)]
     y = rng.normal(size=400)
-    model = ss.fit_regressogram(x, y, k=2)
-    assert model.cells == loop_fit_regressogram(x, y, 2)[1]
     query = np.vstack([x, rng.integers(0, 2, size=(200, 70))])
-    want = np.array([ss.predict_regressogram(model, row) for row in query])
-    assert np.array_equal(predict_regressogram_rows(model, query), want)
+    assert_matches_loop(x, y, 2, query)
 
 
 def test_regressogram_rejects_non_finite_values():
@@ -404,6 +402,8 @@ def test_regressogram_rejects_non_finite_values():
     bad[7, 0] = -np.inf
     with pytest.raises(ValueError, match="'cpu'"):
         predict_regressogram_rows(model, bad)
+    with pytest.raises(ValueError, match="'cpu'"):     # no fallback for inf
+        ss.predict_regressogram(model, np.array([np.inf, 1.5]))
     with pytest.raises(SchemaError):
         predict_regressogram_rows(model, x[:, :1])
 

@@ -238,8 +238,10 @@ def scenario_bytes(edit) -> bytes:
      "scenario.duration_s: expected a finite number, got nan"),
     (scenario_bytes(lambda d: d.update(pipeline=[])),
      "scenario.pipeline: expected an object"),
+    (scenario_bytes(lambda d: d["pipeline"].update(rate_grid=[])),
+     "rate grid is empty"),
 ], ids=["utf16_bom", "latin1", "deep_nesting", "directory", "huge_integer",
-        "occupancy_list", "duration_nan", "pipeline_list"])
+        "occupancy_list", "duration_nan", "pipeline_list", "rate_grid_empty"])
 def test_cli_unreadable_scenario_file_exit_1(tmp_path, content, message):
     path = tmp_path / "bad.json"
     if content is None:
@@ -267,6 +269,7 @@ def test_cli_insufficient_data_exit_2(tmp_path):
 
 BAD_FLAGS = {
     "rate_zero": (["t61like", "--rate-grid", "0"], "must be finite and > 0"),
+    "rate_grid_empty": (["t61like", "--rate-grid", ","], "rate grid is empty"),
     "rate_off_tick_grid": (["t61like", "--rate-grid", "3"],
                            "not an integral multiple"),
     "tlow_out_of_range": (["t61like", "--tlow", "30"], "outside the range"),
@@ -309,6 +312,7 @@ def test_scenario_config_rejects_bad_rates_and_tlow(updates):
     {"t_low_s": 99.0},      # on the base grid, off the 2 s reading period
     {"duration_s": float("nan")}, {"duration_s": float("inf")},
     {"duration_s": 0.0005}, {"fit_method": "XYZ"}, {"fit_method": "tls"},
+    {"rate_grid": ()},
 ])
 def test_scenario_config_rejects_bad_pipeline_fields(updates):
     with pytest.raises(ConfigurationError):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -245,12 +246,55 @@ def test_load_and_persist_refuse_bad_settings(tmp_path, field, value):
     doc = json.loads(path.read_text())
     doc[field] = value
     path.write_text(json.dumps(doc))          # NaN and Infinity as json reads them
-    with pytest.raises(ParseError, match="must be"):
+    # the typed reading refuses a non-finite number before the range check
+    message = "must be" if np.isfinite(value) else "expected a finite number"
+    with pytest.raises(ParseError, match=message):
         ss.load(str(path))
     table = ss.ModelTable(**{field: value})
     with pytest.raises(ValueError, match="must be"):
         ss.persist(table, str(tmp_path / "bad.json"))
     assert not (tmp_path / "bad.json").exists()
+
+
+def set_key(key, value):
+    return lambda doc: doc.update({key: value})
+
+
+BAD_TABLE_DOCUMENTS = {
+    "threshold_string": (set_key("threshold", "0.1"),
+                         "table.threshold: expected a number"),
+    "window_bool": (set_key("window_s", True), "table.window_s: expected a number"),
+    "log_not_strings": (set_key("decision_log", [1, None]),
+                        "table.decision_log[0]: expected a string"),
+    "key_two_items": (
+        lambda doc: doc["models"][0].update(key=[["a", "b"]]),
+        "table.models[0].key[0]: expected 3 items, got 2"),
+    "active_key_number": (set_key("active_key", 7),
+                          "table.active_key: expected a list"),
+    "models_object": (set_key("models", {}), "table.models: expected a list"),
+    "entry_extra_key": (lambda doc: doc["models"][0].update(note="x"),
+                        "table.models[0]: unknown key 'note'"),
+    "model_string": (lambda doc: doc["models"][0].update(model="m"),
+                     "table.models[0].model: expected an object"),
+    "unknown_key": (set_key("cooldown_s", 0.0), "table: unknown key 'cooldown_s'"),
+    "missing_key": (lambda doc: doc.pop("decision_log"),
+                    "table: missing key 'decision_log'"),
+    "document_empty": (lambda doc: doc.clear(), "table: missing key"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLE_DOCUMENTS))
+def test_load_reads_each_key_by_its_type(tmp_path, case):
+    edit, message = BAD_TABLE_DOCUMENTS[case]
+    table = ss.ModelTable()
+    install_model(table, key_of(dvs="off"), make_model())
+    path = tmp_path / "table.json"
+    ss.persist(table, str(path))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=re.escape(message)):
+        ss.load(str(path))
 
 
 def test_load_unreadable_files_raise_typed_errors(tmp_path):

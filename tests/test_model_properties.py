@@ -118,6 +118,21 @@ def test_energy_is_additive_across_rates(seed, kinds, use_pca, l_frac, k,
     assert parts == pytest.approx(whole, rel=1e-9)
 
 
+
+@PROPERTY
+@hypothesis.given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+                  rows_per_coef=st.integers(4, 10))
+def test_tls_equals_ols_on_clean_data(seed, n, rows_per_coef):
+    # exactly affine data leaves no residual for TLS to spread over the
+    # predictors, so both solvers recover the same coefficients
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(rows_per_coef * (n + 1), n))
+    beta = rng.uniform(-5.0, 5.0, size=n + 1)
+    y = beta[0] + x @ beta[1:]
+    ols = ss.fit_ols(x, y)
+    np.testing.assert_allclose(ss.fit_tls(x, y), ols, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(ols, beta, rtol=0.0, atol=1e-9)
+
 # -- persistence ----------------------------------------------------------------
 
 KEYS = st.lists(st.tuples(st.text(max_size=6), st.text(max_size=6),
@@ -239,3 +254,21 @@ def test_model_document_with_one_node_replaced_fails_typed(seed, kinds,
         return
     # a model that loads has a consistent shape, so it predicts
     assert back.predict_rows(np.ones((2, len(back.columns))), 1.0).shape == (2,)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(table=model_tables(), pick=st.integers(0), value=JSON_VALUES)
+def test_table_document_with_one_node_replaced_fails_typed(table, pick, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        ss.persist(table, str(path))
+        doc = json.loads(path.read_text())
+        paths = list(node_paths(doc))
+        path.write_text(json.dumps(with_node(doc, paths[pick % len(paths)],
+                                             value)))
+        try:
+            back = ss.load(str(path))
+        except SesameError:
+            return
+        # what loads is what persist accepts
+        ss.persist(back, str(Path(tmp) / "again.json"))
