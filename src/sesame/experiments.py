@@ -35,7 +35,13 @@ from .scenarios import (
     REGRESSOGRAM,
     ScenarioConfig,
 )
-from .tracesim import Trace, gen_trace, observe_predictors, true_energy
+from .tracesim import (
+    ObservedStreamSet,
+    Trace,
+    gen_trace,
+    observe_predictors,
+    true_energy,
+)
 
 BATTERY_ESTIMATOR = "battery_interface"
 ORACLE_ESTIMATOR = "external_oracle"
@@ -93,7 +99,7 @@ class RunArtifacts:
 
     scenario: ScenarioConfig
     trace: Trace
-    streams: object | None
+    streams: ObservedStreamSet
     readings: BatteryReadings
 
     _collected: dict[float, DesignMatrix] = field(default_factory=dict)
@@ -116,9 +122,7 @@ def simulate(sc: ScenarioConfig) -> RunArtifacts:
     """Generate the trace, observed streams, and battery readings."""
     trace = gen_trace(sc.system, sc.workload, sc.duration_s, sc.tick_s,
                       overhead_w=sc.collection_overhead_w)
-    streams = None
-    if sc.predictors:
-        streams = observe_predictors(trace, list(sc.predictors))
+    streams = observe_predictors(trace, list(sc.predictors))
     readings = sample_interface(trace, sc.battery, seed=sc.battery_seed())
     return RunArtifacts(scenario=sc, trace=trace, streams=streams,
                         readings=readings)
@@ -201,8 +205,6 @@ def run_molding(sc: ScenarioConfig,
     if sc.experiment != MOLDING:
         raise ConfigurationError(
             f"scenario {sc.name} is a {sc.experiment} experiment")
-    if not sc.predictors:
-        raise ConfigurationError("molding needs predictors")
     arts = simulate(sc)
     models = train_molded_variants(sc, arts)
     report = ErrorReport(sc.name, sc.seed)

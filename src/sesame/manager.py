@@ -172,7 +172,8 @@ def load(path: str) -> ModelTable:
 
     Keys are read by the typed rules of `errors.from_document`. Keys that
     older files carry (`history`, `skipped_windows`, `cooldown_until_s`)
-    are ignored; any other unknown key is refused.
+    are ignored; any other unknown key, and a key that two entries
+    share, is refused.
     """
     doc = read_json(path, "model table")
     if isinstance(doc, dict):
@@ -185,8 +186,12 @@ def load(path: str) -> ModelTable:
         _check_settings(table)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    for entry in doc.models:
-        table.models[ConfigurationKey(entry.key)] = model_from_dict(entry.model)
+    for i, entry in enumerate(doc.models):
+        key = ConfigurationKey(entry.key)
+        if key in table.models:
+            raise ParseError(f"{path}: table.models[{i}]: key {entry.key} "
+                             "repeats an earlier entry")
+        table.models[key] = model_from_dict(entry.model)
     if doc.active_key is not None:
         table.active_key = ConfigurationKey(doc.active_key)
         if table.active_key not in table.models:

@@ -90,6 +90,9 @@ class ScenarioConfig:
         if self.fit_method not in FIT_METHODS:
             raise ConfigurationError(f"fit method {self.fit_method!r} is "
                                      f"not one of {FIT_METHODS}")
+        if not self.predictors and self.experiment != ERROR_VS_RATE:
+            raise ConfigurationError(
+                f"experiment {self.experiment!r} needs predictors")
         if not self.rate_grid:
             raise ConfigurationError("rate grid is empty")
         for rate in self.rate_grid:

@@ -12,10 +12,16 @@ edges, so each component keeps the tick at which each run starts and the
 state it holds, never an array per tick. Energies, interval aggregates,
 observed register values and battery charge are evaluated from the runs
 at the queried tick indices only (`Trace.integral`, `Trace.interval_sums`).
+
+Markov chains are sampled straight into runs too: a two-state chain in
+closed form with array passes, a slow chain with one Python iteration per
+run, and only a fast chain of three or more states with one iteration
+per step. All three give the states of the step-by-step walk exactly.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -34,9 +40,17 @@ EVENT_DRIVEN = "event-driven"
 
 _REL_TOL = 1e-9
 
-# Markov steps resolved per vectorised block; bounds the successor table
-# at (number of states) x _MARKOV_BLOCK entries whatever the run length.
+# Markov steps resolved per vectorised block of the step loop; bounds the
+# successor table at (number of states) x _MARKOV_BLOCK entries whatever
+# the run length.
 _MARKOV_BLOCK = 8192
+
+# A chain of other than two states whose every diagonal entry is at least
+# this walks from exit to exit; any other keeps the step loop. On 200k
+# steps of chains with uniform exits (k = 3 and 7; 2 cores, numpy 2.4),
+# the exit walk took 3-4x the loop's time at stay 0.33, 1.1-1.2x at 0.8,
+# 0.7-0.9x at 0.85, 0.5-0.7x at 0.9 and 0.06x at 0.995.
+_SLOW_STAY = 0.9
 
 
 def _ratio_as_int(value: float, base: float, what: str) -> int:
@@ -227,6 +241,96 @@ def _rule_runs(rule, n_ticks: int, tick_s: float, period_s: float,
     return starts.astype(np.int64), rule(starts)
 
 
+def _two_state_runs(cum: np.ndarray, draws: np.ndarray,
+                    initial: int) -> tuple[np.ndarray, np.ndarray]:
+    """Runs `(starts, states)`, in steps, of a two-state chain, in
+    closed form.
+
+    A draw sends state 0 to 1 when `a = draw >= cum[0, 0]`, and state 1
+    to 1 when `b = draw >= cum[1, 0]`. Where a == b the step resets the
+    state to a whatever it was; where a and not b it swaps the states;
+    otherwise the state stays, so only the reset and swap steps are
+    kept. After each of them the state is the value at the last reset
+    (the initial state counts as one) XOR the parity of the swaps since.
+    The last draw only picks a successor past the phase end.
+    """
+    u = draws[:-1]
+    a = u >= cum[0, 0]
+    b = u >= cum[1, 0]
+    at = np.flatnonzero(a | ~b)
+    a, b = a[at], b[at]
+    value = np.concatenate([[initial], a], dtype=np.int8)
+    reset = np.concatenate([[True], a == b])
+    # the swap count wraps in int8, which keeps its parity bit
+    parity = np.concatenate([[0], np.cumsum(a & ~b, dtype=np.int8)],
+                            dtype=np.int8)
+    last = np.maximum.accumulate(np.arange(len(reset)) * reset)
+    states = value[last] ^ ((parity ^ parity[last]) & 1)
+    change = np.flatnonzero(states[1:] != states[:-1])
+    return (np.concatenate([[0], at[change] + 1]),
+            np.concatenate([[initial], states[change + 1]], dtype=np.int16))
+
+
+def _exit_walk_runs(cum: np.ndarray, draws: np.ndarray,
+                    initial: int) -> tuple[np.ndarray, np.ndarray]:
+    """Runs `(starts, states)`, in steps, of a chain walked from one
+    exit to the next.
+
+    State s stays at a step exactly when `cum[s, s-1] <= draw <
+    cum[s, s]`; state 0 has no lower bound, and the k-1 clamp leaves the
+    last state no upper bound. Each state's exit steps and their
+    successors are found with array passes; Python then iterates once
+    per run, bisecting the current state's exit list for the first exit
+    at or after the run's start. The exit lists hold about (1 - stay)
+    entries per step and state. The last draw only picks a successor
+    past the phase end.
+    """
+    k = len(cum)
+    u = draws[:-1]
+    exits, successors = [], []
+    for s in range(k):
+        lo = cum[s, s - 1] if s else -np.inf
+        hi = cum[s, s] if s < k - 1 else np.inf
+        at = np.flatnonzero((u < lo) | (u >= hi))
+        exits.append(at.tolist())
+        successors.append(np.minimum(
+            np.searchsorted(cum[s], u[at], side="right"), k - 1).tolist())
+    starts, states = [0], [initial]
+    s, step = initial, 0
+    while (r := bisect.bisect_left(exits[s], step)) < len(exits[s]):
+        step = exits[s][r] + 1
+        s = successors[s][r]
+        starts.append(step)
+        states.append(s)
+    return np.array(starts, dtype=np.int64), np.array(states, dtype=np.int16)
+
+
+def _loop_runs(cum: np.ndarray, draws: np.ndarray,
+               initial: int) -> tuple[np.ndarray, np.ndarray]:
+    """Runs `(starts, states)`, in steps, of a chain walked one step at
+    a time, in blocks."""
+    k = len(cum)
+    n_steps = len(draws)
+    states = np.empty(n_steps, dtype=np.int16)
+    s = initial
+    for start in range(0, n_steps, _MARKOV_BLOCK):
+        block = draws[start:start + _MARKOV_BLOCK]
+        # The draws do not depend on the state, so resolve the successor
+        # of every state for every step of the block up front; the clamp
+        # covers rows whose float cumsum ends just below 1.0.
+        nxt = np.minimum(
+            [np.searchsorted(row, block, side="right") for row in cum],
+            k - 1).tolist()
+        walk = []
+        for i in range(len(block)):
+            walk.append(s)
+            s = nxt[s][i]
+        states[start:start + len(walk)] = walk
+    starts = np.concatenate(
+        [[0], np.flatnonzero(states[1:] != states[:-1]) + 1])
+    return starts, states[starts]
+
+
 def _phase_states(
     proc: OccupancyProcess,
     component: Component,
@@ -240,6 +344,15 @@ def _phase_states(
     lasts until `starts[r + 1]`, the last until `n_ticks`. Timing is
     phase-local: schedules and duty cycles restart at the start of each
     phase. A tick's state is the one its midpoint falls in.
+
+    A Markov chain takes one draw per step, all from one `rng.random`
+    call, and a step's successor is `min(searchsorted(cum[s], draw,
+    side="right"), k - 1)`. Every walk below gives exactly those states
+    and emits runs, not a per-step array. Which walk runs depends on the
+    transition matrix alone, never on the draws, so a chain's cost does
+    not vary with its seed: two states in closed form, slow chains
+    (every diagonal entry at least `_SLOW_STAY`, as in any one-state
+    chain) from exit to exit, and any other chain one step at a time.
     """
     if isinstance(proc, FixedState):
         if not 0 <= proc.state < component.n_states:
@@ -288,22 +401,13 @@ def _phase_states(
         # All draws of the phase come from this one call, in step order: the
         # seeds and every calibrated anchor depend on exactly this sequence.
         draws = rng.random(n_steps)
-        states = np.empty(n_steps, dtype=np.int16)
-        s = proc.initial_state
-        for start in range(0, n_steps, _MARKOV_BLOCK):
-            block = draws[start:start + _MARKOV_BLOCK]
-            # The draws do not depend on the state, so resolve the successor
-            # of every state for every step of the block up front; the clamp
-            # covers rows whose float cumsum ends just below 1.0.
-            nxt = np.minimum(
-                [np.searchsorted(row, block, side="right") for row in cum],
-                k - 1).tolist()
-            walk = []
-            for i in range(len(block)):
-                walk.append(s)
-                s = nxt[s][i]
-            states[start:start + len(walk)] = walk
-        return np.arange(n_steps, dtype=np.int64) * ticks_per_step, states
+        if k == 2:
+            starts, states = _two_state_runs(cum, draws, proc.initial_state)
+        elif min(proc.transition[s][s] for s in range(k)) >= _SLOW_STAY:
+            starts, states = _exit_walk_runs(cum, draws, proc.initial_state)
+        else:
+            starts, states = _loop_runs(cum, draws, proc.initial_state)
+        return starts * ticks_per_step, states
 
     raise ConfigurationError(f"unknown occupancy process {proc!r}")
 

@@ -2,7 +2,9 @@
 
 The pipeline reads the run-length trace at queried ticks only; these
 expand it to one value per tick, and give the exact coefficients of a
-system whose predictors are its own state residencies.
+system whose predictors are its own state residencies. The loops walk a
+Markov chain one step at a time and fit a regressogram one row at a
+time, as the vectorised code must match bit for bit.
 """
 
 import numpy as np
@@ -79,6 +81,24 @@ def read_grid(trace: ss.Trace, rate_hz: float) -> np.ndarray:
     """Read instants 0, 1/rate_hz, ... up to the end of the trace."""
     n_reads = int(np.floor(trace.duration_s * rate_hz + 1e-9))
     return np.arange(n_reads + 1) / rate_hz
+
+
+def loop_markov_states(proc: ss.MarkovChain, n_ticks: int, tick_s: float,
+                       rng_key: tuple[int, ...]) -> np.ndarray:
+    """(n_ticks,) int16 state per tick, one searchsorted per Markov step."""
+    k = len(proc.transition)
+    ticks_per_step = int(round(proc.step_s / tick_s))
+    n_steps = -(-n_ticks // ticks_per_step)
+    rng = np.random.default_rng(rng_key)
+    cum = np.cumsum(np.asarray(proc.transition, dtype=float), axis=1)
+    draws = rng.random(n_steps)
+    states = np.empty(n_steps, dtype=np.int16)
+    s = proc.initial_state
+    for i in range(n_steps):
+        states[i] = s
+        s = int(np.searchsorted(cum[s], draws[i], side="right"))
+        s = min(s, k - 1)
+    return np.repeat(states, ticks_per_step)[:n_ticks]
 
 
 def bin_index(value: float, edges: np.ndarray, k: int) -> int | None:

@@ -219,9 +219,9 @@ def test_cli_unknown_scenario_exit_1(capsys):
     assert cli_main(["run", "no_such_thing"]) == 1
 
 
-def scenario_bytes(edit) -> bytes:
-    """The noiseless_linear scenario file after `edit(doc)`."""
-    doc = scn.scenario_to_dict(scn.builtin("noiseless_linear"))
+def scenario_bytes(edit, name="noiseless_linear") -> bytes:
+    """The built-in scenario file of `name` after `edit(doc)`."""
+    doc = scn.scenario_to_dict(scn.builtin(name))
     edit(doc)
     return json.dumps(doc).encode()
 
@@ -240,8 +240,11 @@ def scenario_bytes(edit) -> bytes:
      "scenario.pipeline: expected an object"),
     (scenario_bytes(lambda d: d["pipeline"].update(rate_grid=[])),
      "rate grid is empty"),
+    (scenario_bytes(lambda d: d.update(predictors=[]), "dvs_flip"),
+     "experiment 'adaptation' needs predictors"),
 ], ids=["utf16_bom", "latin1", "deep_nesting", "directory", "huge_integer",
-        "occupancy_list", "duration_nan", "pipeline_list", "rate_grid_empty"])
+        "occupancy_list", "duration_nan", "pipeline_list", "rate_grid_empty",
+        "predictors_empty"])
 def test_cli_unreadable_scenario_file_exit_1(tmp_path, content, message):
     path = tmp_path / "bad.json"
     if content is None:
@@ -312,7 +315,7 @@ def test_scenario_config_rejects_bad_rates_and_tlow(updates):
     {"t_low_s": 99.0},      # on the base grid, off the 2 s reading period
     {"duration_s": float("nan")}, {"duration_s": float("inf")},
     {"duration_s": 0.0005}, {"fit_method": "XYZ"}, {"fit_method": "tls"},
-    {"rate_grid": ()},
+    {"rate_grid": ()}, {"predictors": ()},
 ])
 def test_scenario_config_rejects_bad_pipeline_fields(updates):
     with pytest.raises(ConfigurationError):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import sesame as ss
+import sesame.scenarios as scn
 from reference import residency_predictors
 from sesame.collector import DesignMatrix
 from sesame.errors import ConfigurationError, ParseError
+from sesame.experiments import run_adaptation
 from sesame.manager import install_model, table_equals
 
 
@@ -223,6 +225,19 @@ def test_load_rejects_an_active_key_without_a_model(tmp_path):
     assert doc["models"] == []
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="not among"):
+        ss.load(str(path))
+
+
+def test_load_refuses_a_duplicated_entry(tmp_path):
+    table = run_adaptation(scn.builtin("dvs_flip")).table
+    path = tmp_path / "table.json"
+    ss.persist(table, str(path))
+    doc = json.loads(path.read_text())
+    doc["models"].append(doc["models"][0])
+    path.write_text(json.dumps(doc))
+    n = len(doc["models"]) - 1
+    with pytest.raises(ParseError,
+                       match=re.escape(f"table.models[{n}]: key ")):
         ss.load(str(path))
 
 

@@ -4,6 +4,7 @@ import pytest
 import sesame as ss
 from reference import (
     interval_truth,
+    loop_markov_states,
     read_grid,
     residency_beta_true,
     residency_predictors,
@@ -185,23 +186,6 @@ def test_phases_switch_and_last_phase_extends():
 
 # -- Markov sampling against the step-by-step loop ------------------------------
 
-def loop_markov_states(proc, n_ticks, tick_s, rng_key):
-    """Reference sampler: one searchsorted per Markov step."""
-    k = len(proc.transition)
-    ticks_per_step = int(round(proc.step_s / tick_s))
-    n_steps = -(-n_ticks // ticks_per_step)
-    rng = np.random.default_rng(rng_key)
-    cum = np.cumsum(np.asarray(proc.transition, dtype=float), axis=1)
-    draws = rng.random(n_steps)
-    states = np.empty(n_steps, dtype=np.int16)
-    s = proc.initial_state
-    for i in range(n_steps):
-        states[i] = s
-        s = int(np.searchsorted(cum[s], draws[i], side="right"))
-        s = min(s, k - 1)
-    return np.repeat(states, ticks_per_step)[:n_ticks]
-
-
 def phase_ticks(proc, comp, n_ticks, tick_s, rng_key):
     """The phase's state runs expanded to one state per tick."""
     starts, states = ss.tracesim._phase_states(proc, comp, n_ticks, tick_s,
@@ -223,7 +207,44 @@ MARKOV_CASES = {
     # float cumsum of ten 0.1 ends at 0.9999999999999999
     "cumsum_below_one": (((0.1,) * 10,) * 10, 7),
     "dense_k8": (random_chain(np.random.default_rng(3), 8, 0.0), 5),
+    # two states: a step can swap them, every step swaps them, state 0
+    # absorbs, and a persistent chain that starts in state 1
+    "two_state_swaps": (((0.2, 0.8), (0.9, 0.1)), 0),
+    "two_state_alternation": (((0.0, 1.0), (1.0, 0.0)), 0),
+    "two_state_absorbing": (((1.0, 0.0), (0.3, 0.7)), 1),
+    "two_state_initial_1": (((0.75, 0.25), (0.25, 0.75)), 1),
+    # three or more states on either side of the stay bound
+    "fast_k3": (((1 / 3,) * 3,) * 3, 2),
+    "slow_k7": (tuple(tuple(0.97 if i == j else 0.005 for j in range(7))
+                      for i in range(7)), 4),
 }
+
+# the walk `_phase_states` takes for each case
+MARKOV_WALKS = {
+    "single_state": "_exit_walk_runs",
+    "absorbing_rows": "_loop_runs",
+    "zero_entries": "_loop_runs",
+    "cumsum_below_one": "_loop_runs",
+    "dense_k8": "_loop_runs",
+    "two_state_swaps": "_two_state_runs",
+    "two_state_alternation": "_two_state_runs",
+    "two_state_absorbing": "_two_state_runs",
+    "two_state_initial_1": "_two_state_runs",
+    "fast_k3": "_loop_runs",
+    "slow_k7": "_exit_walk_runs",
+}
+
+
+def assert_loop_runs(chain, n_ticks, rng_key):
+    """`_phase_states` gives the step loop's states, as merged runs."""
+    comp = ss.Component("c", (1.0,) * len(chain.transition))
+    starts, states = ss.tracesim._phase_states(chain, comp, n_ticks, 0.001,
+                                               rng_key)
+    ticks = loop_markov_states(chain, n_ticks, 0.001, rng_key)
+    want = np.concatenate([[0], np.flatnonzero(ticks[1:] != ticks[:-1]) + 1])
+    assert starts.dtype == np.int64 and states.dtype == np.int16
+    assert np.array_equal(starts, want)
+    assert np.array_equal(states, ticks[want])
 
 
 @pytest.mark.parametrize("name", sorted(MARKOV_CASES))
@@ -231,11 +252,54 @@ MARKOV_CASES = {
 def test_markov_states_match_step_loop(name, n_ticks):
     transition, initial = MARKOV_CASES[name]
     chain = ss.MarkovChain(transition, step_s=0.005, initial_state=initial)
+    assert_loop_runs(chain, n_ticks, (9, 0, 1))
+
+
+@pytest.mark.parametrize("name", sorted(MARKOV_CASES))
+def test_markov_walk_depends_on_the_matrix_only(name, monkeypatch):
+    walked = []
+    for walk in ("_two_state_runs", "_exit_walk_runs", "_loop_runs"):
+        original = getattr(ss.tracesim, walk)
+        monkeypatch.setattr(
+            ss.tracesim, walk,
+            lambda *args, walk=walk, original=original: (
+                walked.append(walk), original(*args))[1])
+    transition, initial = MARKOV_CASES[name]
+    chain = ss.MarkovChain(transition, step_s=0.001, initial_state=initial)
     comp = ss.Component("c", (1.0,) * len(transition))
-    got = phase_ticks(chain, comp, n_ticks, 0.001, (9, 0, 1))
-    want = loop_markov_states(chain, n_ticks, 0.001, (9, 0, 1))
-    assert got.dtype == np.int16
-    assert np.array_equal(got, want)
+    for seed in range(4):
+        ss.tracesim._phase_states(chain, comp, 300, 0.001, (seed,))
+    assert walked == [MARKOV_WALKS[name]] * 4
+
+
+def test_markov_runs_match_step_loop_on_random_chains():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+
+    @st.composite
+    def chains(draw):
+        k = draw(st.integers(1, 6))
+        stay = draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.9, 1.0),
+                              st.sampled_from([0.0, 1.0])))
+        rows = []
+        for s in range(k):
+            off = np.array(draw(st.lists(weight, min_size=k, max_size=k)))
+            off[s] = 0.0
+            row = off * ((1.0 - stay) / off.sum()) if off.sum() > 0 else off
+            row[s] = max(0.0, 1.0 - row.sum())
+            rows.append(tuple(row))
+        return ss.MarkovChain(tuple(rows), step_s=0.001,
+                              initial_state=draw(st.integers(0, k - 1)))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(chains(),
+                      st.integers(1, ss.tracesim._MARKOV_BLOCK + 1000),
+                      st.integers(0, 2**32 - 1))
+    def check(chain, n_ticks, seed):
+        assert_loop_runs(chain, n_ticks, (seed,))
+
+    check()
 
 
 class FixedDraws:
@@ -262,6 +326,31 @@ def test_markov_clamps_draws_above_row_cumsum(monkeypatch):
     want = loop_markov_states(chain, 51, 0.001, (0,))
     assert np.array_equal(got, want)
     assert 9 in got
+
+
+EDGE_CHAINS = {
+    # slow, so walked from exit to exit; the last row sums to 1 - 5e-10,
+    # so a draw in [its cumsum, 1) keeps state 2 through the clamp
+    "slow_k3": (((0.95, 0.03, 0.02), (0.04, 0.92, 0.04),
+                 (0.04, 0.05, 0.9099999995)), 1),
+    "two_state": (((0.3, 0.7), (0.6, 0.4)), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CHAINS))
+def test_markov_draws_on_row_cumsums_give_the_loop_runs(name, monkeypatch):
+    # every draw is a row cumsum, 0, the largest float below 1 or a value
+    # between the slow chain's last row sum and 1, in shuffled order, so
+    # each state meets each bound of its stay interval
+    transition, initial = EDGE_CHAINS[name]
+    cum = np.cumsum(transition, axis=1)
+    values = np.concatenate([cum.ravel(), [0.0, np.nextafter(1.0, 0.0),
+                                           0.9999999997]])
+    draws = np.random.default_rng(0).permutation(np.repeat(values, 20))
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda key: FixedDraws(draws))
+    chain = ss.MarkovChain(transition, step_s=0.001, initial_state=initial)
+    assert_loop_runs(chain, len(draws), (0,))
 
 
 def test_markov_chain_longer_than_one_block():
