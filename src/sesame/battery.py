@@ -177,15 +177,34 @@ def sample_interface(trace: Trace, model: BatteryInterfaceModel,
     return sample_capacity(trace, model, seed)
 
 
+class RelativeErrorScorer:
+    """RMS relative error against one truth vector, for many estimates.
+
+    The mask of positive truths and the truths it keeps are taken once;
+    when every truth is positive the scorer reads the arrays whole, with
+    no masked copies. Both forms give the same floats.
+    """
+
+    def __init__(self, truth: np.ndarray):
+        self.truth = np.asarray(truth, dtype=float)
+        ok = self.truth > 0
+        self._ok = None if ok.all() else ok
+        self._positive = self.truth if self._ok is None else self.truth[ok]
+
+    def __call__(self, estimates: np.ndarray) -> float:
+        """sqrt(mean(((est - true) / true)^2)), skipping non-positive truths."""
+        est = np.asarray(estimates, dtype=float)
+        if est.shape != self.truth.shape:
+            raise AlignmentError(f"estimate/truth length mismatch: "
+                                 f"{est.shape} vs {self.truth.shape}")
+        if not self._positive.size:
+            raise ConfigurationError("no positive truth values to compare against")
+        if self._ok is not None:
+            est = est[self._ok]
+        rel = (est - self._positive) / self._positive
+        return float(np.sqrt(np.mean(rel * rel)))
+
+
 def rms_relative_error(estimates: np.ndarray, truth: np.ndarray) -> float:
     """sqrt(mean(((est - true) / true)^2)), skipping non-positive truths."""
-    est = np.asarray(estimates, dtype=float)
-    tru = np.asarray(truth, dtype=float)
-    if est.shape != tru.shape:
-        raise AlignmentError(
-            f"estimate/truth length mismatch: {est.shape} vs {tru.shape}")
-    ok = tru > 0
-    if not ok.any():
-        raise ConfigurationError("no positive truth values to compare against")
-    rel = (est[ok] - tru[ok]) / tru[ok]
-    return float(np.sqrt(np.mean(rel * rel)))
+    return RelativeErrorScorer(truth)(estimates)

@@ -217,22 +217,35 @@ class EnergyModel:
             raise SchemaError(
                 f"l = {self.l} outside [1, {len(self.kept)}] kept columns")
 
-    def _kept_idx(self) -> list[int]:
-        by_name = {c: i for i, c in enumerate(self.columns)}
-        return [by_name[c] for c in self.kept]
+    def rates(self, x: np.ndarray, interval_s: float) -> np.ndarray:
+        """The kept columns of aggregate rows (m, n_columns) as rates.
 
-    def predict_rows(self, x: np.ndarray, interval_s: float) -> np.ndarray:
-        """Predicted joules per interval for aggregate rows (m, n_columns)."""
+        When every column is kept, in order, this divides `x` whole, with
+        no column gather. Either way the rates are column-major, as a
+        gather `x[:, idx]` lays them out, because the matvec in
+        `predict_rates` rounds differently on row-major rates.
+        """
         if interval_s <= 0:
             raise ValueError("interval must be > 0")
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != len(self.columns):
             raise SchemaError(
                 f"expected {len(self.columns)} predictors, got {x.shape[1]}")
-        idx = self._kept_idx()
-        rates = x[:, idx] / _rate_divisors(self.kinds, interval_s)[idx]
+        divisors = _rate_divisors(self.kinds, interval_s)
+        if self.kept == self.columns:
+            return np.divide(x, divisors, order="F")
+        by_name = {c: i for i, c in enumerate(self.columns)}
+        idx = [by_name[c] for c in self.kept]
+        return x[:, idx] / divisors[idx]
+
+    def predict_rates(self, rates: np.ndarray, interval_s: float) -> np.ndarray:
+        """Predicted joules per interval from `rates(x, interval_s)`."""
         per_t = self.beta[0] + rates @ self.beta[1:]
         return per_t * (interval_s / self.training_interval_s)
+
+    def predict_rows(self, x: np.ndarray, interval_s: float) -> np.ndarray:
+        """Predicted joules per interval for aggregate rows (m, n_columns)."""
+        return self.predict_rates(self.rates(x, interval_s), interval_s)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnergyModel):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .battery import BatteryReadings, rms_relative_error, sample_interface
+from .battery import BatteryReadings, RelativeErrorScorer, sample_interface
 from .collector import DesignMatrix, aggregate_response, collect
 from .constructor import EnergyModel, TrainingSet, build_model
 from .constructor import fit_regressogram, iterate_construction
@@ -104,6 +104,8 @@ class RunArtifacts:
 
     _collected: dict[float, DesignMatrix] = field(default_factory=dict)
     _truth: dict[float, np.ndarray] = field(default_factory=dict)
+    _scorers: dict[tuple[float, int], RelativeErrorScorer] = field(
+        default_factory=dict)
 
     def design(self, rate_hz: float) -> DesignMatrix:
         if rate_hz not in self._collected:
@@ -116,6 +118,16 @@ class RunArtifacts:
         if rate_hz not in self._truth:
             self._truth[rate_hz] = true_energy(self.trace, 1.0 / rate_hz)
         return self._truth[rate_hz]
+
+    def score(self, rate_hz: float, estimates: np.ndarray) -> float:
+        """RMS relative error of `estimates` against the truth at
+        `rate_hz`, over the intervals both cover. The truth's mask is
+        taken once per rate and length, however many estimates."""
+        truth = self.truth(rate_hz)
+        m = min(len(estimates), len(truth))
+        if (rate_hz, m) not in self._scorers:
+            self._scorers[rate_hz, m] = RelativeErrorScorer(truth[:m])
+        return self._scorers[rate_hz, m](estimates[:m])
 
 
 def simulate(sc: ScenarioConfig) -> RunArtifacts:
@@ -137,10 +149,7 @@ def _interface_rms(arts: RunArtifacts, rate_hz: float) -> float | None:
         return None
     if abs(interval / period - round(interval / period)) > 1e-9:
         return None
-    est = aggregate_response(readings, interval)
-    truth = arts.truth(rate_hz)
-    m = min(len(est), len(truth))
-    return rms_relative_error(est[:m], truth[:m])
+    return arts.score(rate_hz, aggregate_response(readings, interval))
 
 
 def _fit_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -148,21 +157,23 @@ def _fit_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Weighted least squares with 1/y weights: the best tradeoff any affine
     model of these predictors can reach at this rate, so every molded
-    variant is dominated by it in-sample.
+    variant is dominated by it in-sample. The weighted design [1 X] * w
+    is filled in place: its first column is w itself, as 1.0 * w is.
     """
     ok = y > 0
-    a = np.column_stack([np.ones(int(ok.sum())), x[ok]])
-    w = 1.0 / y[ok]
-    coef, *_ = np.linalg.lstsq(a * w[:, None], np.ones(len(w)), rcond=None)
+    if not ok.all():
+        x, y = x[ok], y[ok]
+    w = 1.0 / y
+    a = np.empty((len(w), 1 + x.shape[1]))
+    a[:, 0] = w
+    np.multiply(x, w[:, None], out=a[:, 1:])
+    coef, *_ = np.linalg.lstsq(a, np.ones(len(w)), rcond=None)
     return coef
 
 
 def _model_rms(model: EnergyModel, arts: RunArtifacts, rate_hz: float) -> float:
-    dm = arts.design(rate_hz)
-    pred = model.predict_rows(dm.x, 1.0 / rate_hz)
-    truth = arts.truth(rate_hz)
-    m = min(len(pred), len(truth))
-    return rms_relative_error(pred[:m], truth[:m])
+    return arts.score(
+        rate_hz, model.predict_rows(arts.design(rate_hz).x, 1.0 / rate_hz))
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +221,18 @@ def run_molding(sc: ScenarioConfig,
     report = ErrorReport(sc.name, sc.seed)
     for rate in sc.rate_grid:
         report.add(rate, BATTERY_ESTIMATOR, _interface_rms(arts, rate))
-        for name in MOLDED_VARIANTS:
-            report.add(rate, name, _model_rms(models[name], arts, rate))
         dm = arts.design(rate)
+        # the variants share one training set's kept columns, so they
+        # share the rates too; each applies its own affine map
+        rates = models["molded_no_pca"].rates(dm.x, 1.0 / rate)
+        for name in MOLDED_VARIANTS:
+            report.add(rate, name, arts.score(
+                rate, models[name].predict_rates(rates, 1.0 / rate)))
         truth = arts.truth(rate)
         m = min(dm.m, len(truth))
         coef = _fit_oracle(dm.x[:m], truth[:m])
-        pred = coef[0] + dm.x[:m] @ coef[1:]
-        report.add(rate, ORACLE_ESTIMATOR, rms_relative_error(pred, truth[:m]))
+        report.add(rate, ORACLE_ESTIMATOR,
+                   arts.score(rate, coef[0] + dm.x[:m] @ coef[1:]))
     _write_outputs(sc, report, out_dir)
     return report
 
@@ -333,8 +348,8 @@ def run_regressogram_compare(sc: ScenarioConfig,
         m = min(dm.m, len(truth))
         reg = fit_regressogram(dm.x[:m], truth[:m], k=sc.regressogram_k,
                                columns=dm.columns)
-        pred = predict_regressogram_rows(reg, dm.x[:m])
-        report.add(rate, "regressogram", rms_relative_error(pred, truth[:m]))
+        report.add(rate, "regressogram",
+                   arts.score(rate, predict_regressogram_rows(reg, dm.x[:m])))
     _write_outputs(sc, report, out_dir)
     return report
 

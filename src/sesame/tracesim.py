@@ -79,8 +79,9 @@ class Component:
     def __post_init__(self):
         if len(self.state_powers) < 1:
             raise ConfigurationError(f"component {self.name}: needs >= 1 state")
-        if any(p < 0 for p in self.state_powers):
-            raise ConfigurationError(f"component {self.name}: negative power")
+        if not all(0 <= p < math.inf for p in self.state_powers):
+            raise ConfigurationError(
+                f"component {self.name}: state powers must be finite and >= 0")
         if self.state_names and len(self.state_names) != len(self.state_powers):
             raise ConfigurationError(f"component {self.name}: state name count")
 
@@ -99,8 +100,8 @@ class ComponentStateModel:
     def __post_init__(self):
         if len(self.components) < 1:
             raise ConfigurationError("system needs >= 1 component")
-        if self.base_power_w < 0:
-            raise ConfigurationError("base power must be >= 0")
+        if not 0 <= self.base_power_w < math.inf:
+            raise ConfigurationError("base power must be finite and >= 0")
         names = [c.name for c in self.components]
         if len(set(names)) != len(names):
             raise ConfigurationError("duplicate component names")
@@ -132,8 +133,9 @@ class Schedule:
     steps: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
-        if not self.steps or any(d <= 0 for d, _ in self.steps):
-            raise ConfigurationError("schedule steps need positive durations")
+        if not self.steps or not all(0 < d < math.inf for d, _ in self.steps):
+            raise ConfigurationError(
+                "schedule steps need finite, positive durations")
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,8 @@ class DutyCycle:
     state_lo: int
 
     def __post_init__(self):
-        if self.period_s <= 0:
-            raise ConfigurationError("duty cycle period must be > 0")
+        if not 0 < self.period_s < math.inf:
+            raise ConfigurationError("duty cycle period must be finite and > 0")
         if not 0.0 <= self.fraction_hi <= 1.0:
             raise ConfigurationError("duty cycle fraction must be in [0, 1]")
 
@@ -167,14 +169,15 @@ class MarkovChain:
         for row in self.transition:
             if len(row) != n:
                 raise ConfigurationError("Markov matrix must be square")
-            if any(p < 0 for p in row):
-                raise ConfigurationError("Markov probabilities must be >= 0")
+            if not all(0 <= p < math.inf for p in row):
+                raise ConfigurationError(
+                    "Markov probabilities must be finite and >= 0")
             if abs(sum(row) - 1.0) > 1e-9:
                 raise ConfigurationError(
                     f"Markov row {row} does not sum to 1 within 1e-9"
                 )
-        if self.step_s <= 0:
-            raise ConfigurationError("Markov step must be > 0")
+        if not 0 < self.step_s < math.inf:
+            raise ConfigurationError("Markov step must be finite and > 0")
         if not 0 <= self.initial_state < n:
             raise ConfigurationError("Markov initial state out of range")
 
@@ -191,8 +194,9 @@ class Phase:
     occupancy: Mapping[str, OccupancyProcess]
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ConfigurationError(f"phase {self.name}: duration must be > 0")
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigurationError(
+                f"phase {self.name}: duration must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -448,6 +452,7 @@ class Trace:
         self.overhead_w = overhead_w
         self._before: dict[int, np.ndarray] = {}
         self._prefix: dict[tuple[int, bytes], np.ndarray] = {}
+        self._per_run: dict[tuple[int, bytes], np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.n_ticks
@@ -459,8 +464,21 @@ class Trace:
     # -- truth queries on the runs ---------------------------------------------
 
     def run_index(self, c_idx: int, ticks: np.ndarray) -> np.ndarray:
-        """Index of the run of component `c_idx` that holds each tick."""
-        return np.searchsorted(self.runs[c_idx][0], ticks, side="right") - 1
+        """Index of the run of component `c_idx` that holds each tick:
+        `searchsorted(starts, ticks, side="right") - 1`.
+
+        A non-decreasing 1-D query that outnumbers the runs is merged
+        with the run starts instead: each start's first query at or
+        after it, counted per query and summed, gives the same integers.
+        """
+        starts = self.runs[c_idx][0]
+        ticks = np.asarray(ticks)
+        if (ticks.ndim == 1 and len(ticks) > len(starts)
+                and np.all(ticks[:-1] <= ticks[1:])):
+            first = np.searchsorted(ticks, starts, side="left")
+            counts = np.bincount(first, minlength=len(ticks) + 1)[:-1]
+            return np.cumsum(counts) - 1
+        return np.searchsorted(starts, ticks, side="right") - 1
 
     def _ticks_before_runs(self, c_idx: int) -> np.ndarray:
         """(runs, states) int64: ticks held in each state before each run."""
@@ -475,36 +493,54 @@ class Trace:
             self._before[c_idx] = before
         return self._before[c_idx]
 
+    def _run_weights(self, c_idx: int, weights: np.ndarray,
+                     r: np.ndarray) -> np.ndarray:
+        """`weights[state]` of the runs `r`. Where the queries outnumber
+        the runs they are read from a per-run vector, cached per
+        (component, weights); a few queries gather the states instead."""
+        states = self.runs[c_idx][1]
+        if len(r) <= len(states):
+            return weights[states[r]]
+        key = (c_idx, weights.tobytes())
+        if key not in self._per_run:
+            self._per_run[key] = weights[states]
+        return self._per_run[key][r]
+
     def integral(self, c_idx: int, weights: np.ndarray,
                  ticks: np.ndarray) -> np.ndarray:
         """Sum of `weights[state]` over ticks [0, i) of component `c_idx`,
         for each tick index i in `ticks` (0 <= i <= len(self))."""
         ticks = np.asarray(ticks, dtype=np.int64)
-        starts, states = self.runs[c_idx]
+        starts = self.runs[c_idx][0]
         key = (c_idx, weights.tobytes())
         if key not in self._prefix:
             self._prefix[key] = self._ticks_before_runs(c_idx) @ weights
         r = self.run_index(c_idx, ticks)
-        return self._prefix[key][r] + weights[states[r]] * (ticks - starts[r])
+        return (self._prefix[key][r]
+                + self._run_weights(c_idx, weights, r) * (ticks - starts[r]))
 
     def interval_sums(self, c_idx: int, weights: np.ndarray,
                       bounds: np.ndarray) -> np.ndarray:
         """Sum of `weights[state]` over ticks [bounds[k], bounds[k+1]) of
-        component `c_idx`, for increasing tick indices `bounds`."""
+        component `c_idx`, for increasing tick indices `bounds` in
+        [0, len(self)]."""
         bounds = np.asarray(bounds, dtype=np.int64)
-        starts, states = self.runs[c_idx]
+        starts = self.runs[c_idx][0]
         r = self.run_index(c_idx, bounds)
+        w = self._run_weights(c_idx, weights, r)
         lo, hi, r_lo, r_hi = bounds[:-1], bounds[1:], r[:-1], r[1:]
-        ends = np.append(starts[1:], self.n_ticks)
-        # the run holding the interval start, up to the interval end
-        sums = weights[states[r_lo]] * (np.minimum(hi, ends[r_lo]) - lo)
-        # the run holding the interval end, when that is a later run
-        later = r_hi > r_lo
-        sums[later] += (weights[states[r_hi[later]]]
-                        * (hi[later] - starts[r_hi[later]]))
+        # the intervals that end in a later run than they start in
+        cross = np.flatnonzero(r_hi > r_lo)
+        # the run holding the interval start, up to the interval end or,
+        # where the interval crosses, to the next run's start
+        span = hi - lo
+        span[cross] = starts[r_lo[cross] + 1] - lo[cross]
+        sums = w[:-1] * span
+        # the run holding the interval end, where that is a later run
+        sums[cross] += w[1:][cross] * (hi[cross] - starts[r_hi[cross]])
         # runs in between, as exact tick counts per state
-        gap = r_hi > r_lo + 1
-        if gap.any():
+        gap = cross[r_hi[cross] > r_lo[cross] + 1]
+        if len(gap):
             before = self._ticks_before_runs(c_idx)
             sums[gap] += (before[r_hi[gap]] - before[r_lo[gap] + 1]) @ weights
         return sums
@@ -632,12 +668,15 @@ class PredictorSpec:
             raise ConfigurationError(f"{self.id}: unknown kind {self.kind!r}")
         if self.policy not in (POLLED_FAST, POLLED_SLOW, EVENT_DRIVEN):
             raise ConfigurationError(f"{self.id}: unknown policy {self.policy!r}")
-        if self.update_rate_hz <= 0:
-            raise ConfigurationError(f"{self.id}: update rate must be > 0")
-        if self.delay_s < 0:
-            raise ConfigurationError(f"{self.id}: delay must be >= 0")
+        if not 0 < self.update_rate_hz < math.inf:
+            raise ConfigurationError(
+                f"{self.id}: update rate must be finite and > 0")
+        if not 0 <= self.delay_s < math.inf:
+            raise ConfigurationError(f"{self.id}: delay must be finite and >= 0")
         if not self.weights:
             raise ConfigurationError(f"{self.id}: empty weight map")
+        if not all(math.isfinite(w) for w in self.weights.values()):
+            raise ConfigurationError(f"{self.id}: weights must be finite")
 
 
 class ObservedStream:

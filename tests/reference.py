@@ -4,13 +4,15 @@ The pipeline reads the run-length trace at queried ticks only; these
 expand it to one value per tick, and give the exact coefficients of a
 system whose predictors are its own state residencies. The loops walk a
 Markov chain one step at a time and fit a regressogram one row at a
-time, as the vectorised code must match bit for bit.
+time, as the vectorised code must match bit for bit. The scoring
+formulas gather the kept columns, mask the truths and stack the oracle's
+design for every call, as the per-rate scoring must match bit for bit.
 """
 
 import numpy as np
 
 import sesame as ss
-from sesame import tracesim
+from sesame import constructor, tracesim
 
 
 def tick_states(trace: ss.Trace) -> np.ndarray:
@@ -138,3 +140,37 @@ def loop_predict_regressogram(edges, cells, fallback: float, k: int,
         return fallback
     count, total = cells[cell]
     return total / count
+
+
+def gather_predict_rows(model: ss.EnergyModel, x: np.ndarray,
+                        interval_s: float) -> np.ndarray:
+    """`EnergyModel.predict_rows`, gathering the kept columns by index
+    whichever columns the model keeps."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    by_name = {c: i for i, c in enumerate(model.columns)}
+    idx = [by_name[c] for c in model.kept]
+    rates = x[:, idx] / constructor._rate_divisors(model.kinds, interval_s)[idx]
+    per_t = model.beta[0] + rates @ model.beta[1:]
+    return per_t * (interval_s / model.training_interval_s)
+
+
+def masked_rms_relative_error(estimates: np.ndarray,
+                              truth: np.ndarray) -> float:
+    """`rms_relative_error`, masking both arrays on every call."""
+    est = np.asarray(estimates, dtype=float)
+    tru = np.asarray(truth, dtype=float)
+    assert est.shape == tru.shape
+    ok = tru > 0
+    assert ok.any()
+    rel = (est[ok] - tru[ok]) / tru[ok]
+    return float(np.sqrt(np.mean(rel * rel)))
+
+
+def stacked_fit_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The per-rate oracle's coefficients, from the design [1 X] stacked
+    over the positive-truth rows and then weighted by 1 / y."""
+    ok = y > 0
+    a = np.column_stack([np.ones(int(ok.sum())), x[ok]])
+    w = 1.0 / y[ok]
+    coef, *_ = np.linalg.lstsq(a * w[:, None], np.ones(len(w)), rcond=None)
+    return coef

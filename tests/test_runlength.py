@@ -282,6 +282,59 @@ def test_integral_at_every_tick(mixed_trace):
                                    want, rtol=RTOL)
 
 
+def one_component_trace(n_ticks: int, starts: np.ndarray) -> ss.Trace:
+    """A two-state trace whose runs start at `starts` and alternate."""
+    model = ss.ComponentStateModel((ss.Component("c", (1.0, 4.0)),))
+    states = (np.arange(len(starts)) % 2).astype(np.int16)
+    return ss.Trace(model, 0.001, n_ticks, [(starts, states)])
+
+
+def test_merged_run_lookup_equals_binary_search():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def runs_and_ticks(draw):
+        n_ticks = draw(st.integers(1, 300))
+        inner = st.integers(1, max(1, n_ticks - 1))
+        starts = sorted({0} | set(draw(st.lists(inner, max_size=40)))
+                        - {n_ticks})
+        # query ticks anywhere, or exactly at a run start, 0 or n_ticks
+        tick = st.one_of(st.integers(0, n_ticks),
+                         st.sampled_from(starts + [0, n_ticks]))
+        ticks = draw(st.lists(tick, max_size=400))
+        if draw(st.booleans()):
+            ticks.sort()
+        return n_ticks, np.array(starts, dtype=np.int64), np.array(
+            ticks, dtype=np.int64)
+
+    starts = np.array([0, 3, 7, 8], dtype=np.int64)
+    cases = {
+        "sorted_with_ties": [0, 0, 2, 3, 3, 3, 5, 7, 7, 9, 9, 10],
+        "starts_zero_and_end": [0, 0, 3, 3, 7, 8, 8, 10, 10],
+        "more_runs_than_queries": [3, 8],
+        "unsorted": [9, 0, 3, 10, 2, 7, 7, 8, 1],
+        "empty": [],
+    }
+
+    def check(case):
+        n_ticks, starts, ticks = case
+        trace = one_component_trace(n_ticks, starts)
+        got = trace.run_index(0, ticks)
+        want = np.searchsorted(starts, ticks, side="right") - 1
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the per-run weights of a merged lookup give the gathered floats
+        w = np.array([0.3, 1.7])
+        assert np.array_equal(trace.integral(0, w, ticks),
+                              trace.integral(0, w, ticks[::-1])[::-1])
+
+    check = hypothesis.given(runs_and_ticks())(check)
+    for ticks in cases.values():
+        check = hypothesis.example(
+            (10, starts, np.array(ticks, dtype=np.int64)))(check)
+    hypothesis.settings(max_examples=80, deadline=None, database=None)(check)()
+
+
 @pytest.mark.parametrize("kind,extra", [
     ("instant", {"noise_sigma": 0.01, "counter_sigma_c": 0.002,
                  "internal_rate_hz": 100.0}),

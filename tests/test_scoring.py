@@ -1,0 +1,160 @@
+"""Per-rate scoring against the formulas it replaced, float for float.
+
+A molding run scores each rate with one rates matrix shared by the four
+molded variants, one truth mask shared by all of the rate's estimates,
+and the oracle's weighted design filled in place. `reference` keeps the
+formulas that did that work on every call. Every comparison here is
+`==` or `np.array_equal`, never a tolerance.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import sesame.experiments as exp
+import sesame.scenarios as scn
+from reference import (
+    gather_predict_rows,
+    masked_rms_relative_error,
+    stacked_fit_oracle,
+)
+from sesame.battery import RelativeErrorScorer, rms_relative_error
+from sesame.collector import aggregate_response
+from sesame.constructor import TrainingSet, stretch
+from sesame.errors import AlignmentError, ConfigurationError
+
+# not a whole number of the coarsest (100 s) interval, so no rate's row
+# count is a multiple of its ratio to a coarser rate
+DURATION_S = 1234.5
+
+
+def shortened(name: str) -> scn.ScenarioConfig:
+    return dataclasses.replace(scn.builtin(name), duration_s=DURATION_S)
+
+
+@pytest.fixture(scope="module")
+def t61():
+    sc = shortened("t61like")
+    arts = exp.simulate(sc)
+    return sc, arts, exp.train_molded_variants(sc, arts)
+
+
+def truths(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
+    positive = rng.uniform(0.5, 2.0, n)
+    mixed = positive.copy()
+    mixed[::3] = 0.0
+    mixed[1::7] = -rng.uniform(0.1, 1.0, len(mixed[1::7]))
+    with_nan = mixed.copy()
+    with_nan[-1] = np.nan
+    return {"positive": positive, "zeros_and_negatives": mixed,
+            "nan": with_nan}
+
+
+@pytest.mark.parametrize("n", [1, 7, 1001, 30003])
+def test_scorer_equals_masking_on_every_call(n):
+    rng = np.random.default_rng(n)
+    for name, truth in truths(rng, n).items():
+        if not (truth > 0).any():
+            continue
+        score = RelativeErrorScorer(truth)
+        for _ in range(3):
+            est = truth * rng.normal(1.0, 0.1, n) + rng.normal(0.0, 0.01, n)
+            want = masked_rms_relative_error(est, truth)
+            assert score(est) == want, name
+            assert rms_relative_error(est, truth) == want, name
+            # a strided view scores as its copy does
+            wide = np.repeat(est, 2)[::2]
+            assert score(wide) == want, name
+
+
+def test_scorer_keeps_the_error_types():
+    with pytest.raises(AlignmentError):
+        rms_relative_error(np.ones(3), np.ones(4))
+    # the lengths are checked before the truths' signs, as before
+    with pytest.raises(AlignmentError):
+        rms_relative_error(np.ones(3), np.zeros(4))
+    for truth in (np.zeros(3), -np.ones(3), np.full(3, np.nan)):
+        with pytest.raises(ConfigurationError):
+            rms_relative_error(np.ones(3), truth)
+    with pytest.raises(ConfigurationError):
+        rms_relative_error(np.ones(0), np.ones(0))
+
+
+def test_all_kept_models_predict_as_the_gather(t61):
+    sc, arts, models = t61
+    for rate in sc.rate_grid:
+        x = arts.design(rate).x
+        for name, model in models.items():
+            assert model.kept == model.columns, name
+            want = gather_predict_rows(model, x, 1.0 / rate)
+            assert np.array_equal(model.predict_rows(x, 1.0 / rate), want)
+            # the gather lays out Fortran-ordered rows as it does C-ordered
+            xf = np.asfortranarray(x)
+            assert np.array_equal(model.predict_rows(xf, 1.0 / rate),
+                                  gather_predict_rows(model, xf, 1.0 / rate))
+
+
+def test_variants_share_one_rates_matrix(t61):
+    sc, arts, models = t61
+    rate = max(sc.rate_grid)
+    x = arts.design(rate).x
+    rates = models["molded_no_pca"].rates(x, 1.0 / rate)
+    for model in models.values():
+        assert np.array_equal(model.rates(x, 1.0 / rate), rates)
+        assert np.array_equal(model.predict_rates(rates, 1.0 / rate),
+                              gather_predict_rows(model, x, 1.0 / rate))
+
+
+def test_a_model_with_a_dropped_column_predicts_as_the_gather():
+    sc = shortened("dvs_flip")
+    arts = exp.simulate(sc)
+    with pytest.warns(UserWarning, match="p800_res"):
+        ts = TrainingSet(stretch(arts.design(sc.base_rate_hz), arts.readings,
+                                 sc.t_low_s))
+    for l in (None, 1):
+        model = ts.fit(sc.fit_method, l=l)
+        assert model.dropped == ("p800_res",)
+        for rate in sc.rate_grid:
+            x = arts.design(rate).x
+            assert np.array_equal(model.predict_rows(x, 1.0 / rate),
+                                  gather_predict_rows(model, x, 1.0 / rate))
+
+
+def test_in_place_oracle_equals_the_stacked_design(t61):
+    sc, arts, _ = t61
+    for rate in sc.rate_grid:
+        dm = arts.design(rate)
+        truth = arts.truth(rate)
+        m = min(dm.m, len(truth))
+        x, y = dm.x[:m], truth[:m]
+        assert np.array_equal(exp._fit_oracle(x, y), stacked_fit_oracle(x, y))
+        rng = np.random.default_rng(int(rate * 100))
+        for name, yy in truths(rng, m).items():
+            if name != "nan" and (yy > 0).sum() > x.shape[1] + 1:
+                assert np.array_equal(exp._fit_oracle(x, yy),
+                                      stacked_fit_oracle(x, yy)), name
+
+
+def test_molding_report_equals_scoring_each_estimate_alone(t61):
+    sc, arts, models = t61
+    report = exp.run_molding(sc)
+    want = []
+    for rate in sc.rate_grid:
+        truth = arts.truth(rate)
+        if report.value(rate, exp.BATTERY_ESTIMATOR) is None:
+            want.append(None)
+        else:
+            est = aggregate_response(arts.readings, 1.0 / rate)
+            m = min(len(est), len(truth))
+            want.append(masked_rms_relative_error(est[:m], truth[:m]))
+        dm = arts.design(rate)
+        for name in exp.MOLDED_VARIANTS:
+            pred = gather_predict_rows(models[name], dm.x, 1.0 / rate)
+            m = min(len(pred), len(truth))
+            want.append(masked_rms_relative_error(pred[:m], truth[:m]))
+        m = min(dm.m, len(truth))
+        coef = stacked_fit_oracle(dm.x[:m], truth[:m])
+        want.append(masked_rms_relative_error(coef[0] + dm.x[:m] @ coef[1:],
+                                              truth[:m]))
+    assert [row.rms_rel_error for row in report.rows] == want

@@ -92,6 +92,43 @@ def test_invalid_markov_rows_rejected():
         ss.MarkovChain(((0.5, 0.4), (0.5, 0.5)))
 
 
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = {
+    "markov_entry": lambda: ss.MarkovChain(((NAN, 1.0), (0.5, 0.5))),
+    "markov_one_state": lambda: ss.MarkovChain(((NAN,),)),
+    "markov_infinite_entry": lambda: ss.MarkovChain(((INF, 1.0), (0.5, 0.5))),
+    "markov_step": lambda: ss.MarkovChain(((1.0,),), step_s=NAN),
+    "markov_infinite_step": lambda: ss.MarkovChain(((1.0,),), step_s=INF),
+    "predictor_update_rate": lambda: ss.PredictorSpec(
+        "p", "cpu", "residency", {1: 1.0}, update_rate_hz=NAN),
+    "predictor_infinite_update_rate": lambda: ss.PredictorSpec(
+        "p", "cpu", "residency", {1: 1.0}, update_rate_hz=INF),
+    "predictor_delay": lambda: ss.PredictorSpec(
+        "p", "cpu", "residency", {1: 1.0}, delay_s=NAN),
+    "predictor_weight": lambda: ss.PredictorSpec(
+        "p", "cpu", "counter", {1: NAN}),
+    "predictor_infinite_weight": lambda: ss.PredictorSpec(
+        "p", "cpu", "counter", {1: -INF}),
+    "component_power": lambda: ss.Component("cpu", (1.0, NAN)),
+    "component_infinite_power": lambda: ss.Component("cpu", (INF,)),
+    "base_power": lambda: ss.ComponentStateModel(
+        (ss.Component("cpu", (1.0,)),), base_power_w=NAN),
+    "duty_period": lambda: ss.DutyCycle(NAN, 0.5, 1, 0),
+    "duty_infinite_period": lambda: ss.DutyCycle(INF, 0.5, 1, 0),
+    "schedule_duration": lambda: ss.Schedule(((NAN, 0),)),
+    "schedule_infinite_duration": lambda: ss.Schedule(((1.0, 0), (INF, 1))),
+    "phase_duration": lambda: ss.Phase("p", NAN, {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_non_finite_trace_model_values_are_refused(name):
+    # `x <= 0` and `x < 0` are both False for NaN, so each check must
+    # test for a finite value in range rather than for a bad one
+    with pytest.raises(ConfigurationError):
+        NON_FINITE[name]()
+
+
 def test_true_energy_constant_trace():
     model = single_state_model()
     wl = ss.WorkloadSpec(
