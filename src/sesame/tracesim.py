@@ -436,7 +436,18 @@ class Trace:
     `interval_sums` gives the sums between successive indices without
     differencing two large prefixes: the runs that an interval covers
     whole are counted as exact integer ticks per state, so every interval
-    carries a few roundings however long the trace. `cumulative` expands
+    carries a few roundings however long the trace.
+
+    Both find the run of each queried tick with `run_index`. A query
+    that is a non-decreasing 1-D array with more entries than the
+    component has runs, such as every interval boundary at a fine rate,
+    is merged with the run starts: one `searchsorted` of the starts into
+    the query, a `bincount` and a `cumsum`. Any other query is a binary
+    search of the starts. Both give the same integers, and the choice
+    reads only the query's shape and order. A query that outnumbers the
+    runs also reads the runs' weights from a per-run vector, cached per
+    (component, weights) beside the prefix; a few queries against many
+    runs gather them instead, without building it. `cumulative` expands
     one predictor's runs to a per-tick series on demand; the pipeline
     never calls it.
     """
@@ -476,8 +487,11 @@ class Trace:
         if (ticks.ndim == 1 and len(ticks) > len(starts)
                 and np.all(ticks[:-1] <= ticks[1:])):
             first = np.searchsorted(ticks, starts, side="left")
-            counts = np.bincount(first, minlength=len(ticks) + 1)[:-1]
-            return np.cumsum(counts) - 1
+            # in place: the query may be millions of ticks long
+            run = np.bincount(first, minlength=len(ticks) + 1)[:-1]
+            np.cumsum(run, out=run)
+            run -= 1
+            return run
         return np.searchsorted(starts, ticks, side="right") - 1
 
     def _ticks_before_runs(self, c_idx: int) -> np.ndarray:
@@ -531,13 +545,16 @@ class Trace:
         lo, hi, r_lo, r_hi = bounds[:-1], bounds[1:], r[:-1], r[1:]
         # the intervals that end in a later run than they start in
         cross = np.flatnonzero(r_hi > r_lo)
+        w_hi = w[1:][cross]
         # the run holding the interval start, up to the interval end or,
-        # where the interval crosses, to the next run's start
+        # where the interval crosses, to the next run's start; the sums
+        # overwrite the weights, as the query may be millions of ticks long
         span = hi - lo
         span[cross] = starts[r_lo[cross] + 1] - lo[cross]
-        sums = w[:-1] * span
+        sums = np.multiply(w[:-1], span, out=w[:-1])
+        del span      # before the crossing terms, which are up to runs long
         # the run holding the interval end, where that is a later run
-        sums[cross] += w[1:][cross] * (hi[cross] - starts[r_hi[cross]])
+        sums[cross] += w_hi * (hi[cross] - starts[r_hi[cross]])
         # runs in between, as exact tick counts per state
         gap = cross[r_hi[cross] > r_lo[cross] + 1]
         if len(gap):
