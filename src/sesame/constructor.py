@@ -220,10 +220,9 @@ class EnergyModel:
     def rates(self, x: np.ndarray, interval_s: float) -> np.ndarray:
         """The kept columns of aggregate rows (m, n_columns) as rates.
 
-        When every column is kept, in order, this divides `x` whole, with
-        no column gather. Either way the rates are column-major, as a
-        gather `x[:, idx]` lays them out, because the matvec in
-        `predict_rates` rounds differently on row-major rates.
+        The gather `x[:, idx]` lays the rates out column-major, and the
+        matvec in `predict_rates` rounds on that layout; it gathers even
+        when every column is kept, as row-major rates round differently.
         """
         if interval_s <= 0:
             raise ValueError("interval must be > 0")
@@ -232,8 +231,6 @@ class EnergyModel:
             raise SchemaError(
                 f"expected {len(self.columns)} predictors, got {x.shape[1]}")
         divisors = _rate_divisors(self.kinds, interval_s)
-        if self.kept == self.columns:
-            return np.divide(x, divisors, order="F")
         by_name = {c: i for i, c in enumerate(self.columns)}
         idx = [by_name[c] for c in self.kept]
         return x[:, idx] / divisors[idx]

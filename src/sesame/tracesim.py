@@ -444,12 +444,9 @@ class Trace:
     is merged with the run starts: one `searchsorted` of the starts into
     the query, a `bincount` and a `cumsum`. Any other query is a binary
     search of the starts. Both give the same integers, and the choice
-    reads only the query's shape and order. A query that outnumbers the
-    runs also reads the runs' weights from a per-run vector, cached per
-    (component, weights) beside the prefix; a few queries against many
-    runs gather them instead, without building it. `cumulative` expands
-    one predictor's runs to a per-tick series on demand; the pipeline
-    never calls it.
+    reads only the query's shape and order. `cumulative` expands one
+    predictor's runs to a per-tick series on demand; the pipeline never
+    calls it.
     """
 
     def __init__(self, model: ComponentStateModel, tick_s: float,
@@ -463,7 +460,6 @@ class Trace:
         self.overhead_w = overhead_w
         self._before: dict[int, np.ndarray] = {}
         self._prefix: dict[tuple[int, bytes], np.ndarray] = {}
-        self._per_run: dict[tuple[int, bytes], np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.n_ticks
@@ -507,31 +503,17 @@ class Trace:
             self._before[c_idx] = before
         return self._before[c_idx]
 
-    def _run_weights(self, c_idx: int, weights: np.ndarray,
-                     r: np.ndarray) -> np.ndarray:
-        """`weights[state]` of the runs `r`. Where the queries outnumber
-        the runs they are read from a per-run vector, cached per
-        (component, weights); a few queries gather the states instead."""
-        states = self.runs[c_idx][1]
-        if len(r) <= len(states):
-            return weights[states[r]]
-        key = (c_idx, weights.tobytes())
-        if key not in self._per_run:
-            self._per_run[key] = weights[states]
-        return self._per_run[key][r]
-
     def integral(self, c_idx: int, weights: np.ndarray,
                  ticks: np.ndarray) -> np.ndarray:
         """Sum of `weights[state]` over ticks [0, i) of component `c_idx`,
         for each tick index i in `ticks` (0 <= i <= len(self))."""
         ticks = np.asarray(ticks, dtype=np.int64)
-        starts = self.runs[c_idx][0]
+        starts, states = self.runs[c_idx]
         key = (c_idx, weights.tobytes())
         if key not in self._prefix:
             self._prefix[key] = self._ticks_before_runs(c_idx) @ weights
         r = self.run_index(c_idx, ticks)
-        return (self._prefix[key][r]
-                + self._run_weights(c_idx, weights, r) * (ticks - starts[r]))
+        return self._prefix[key][r] + weights[states[r]] * (ticks - starts[r])
 
     def interval_sums(self, c_idx: int, weights: np.ndarray,
                       bounds: np.ndarray) -> np.ndarray:
@@ -539,9 +521,9 @@ class Trace:
         component `c_idx`, for increasing tick indices `bounds` in
         [0, len(self)]."""
         bounds = np.asarray(bounds, dtype=np.int64)
-        starts = self.runs[c_idx][0]
+        starts, states = self.runs[c_idx]
         r = self.run_index(c_idx, bounds)
-        w = self._run_weights(c_idx, weights, r)
+        w = weights[states[r]]
         lo, hi, r_lo, r_hi = bounds[:-1], bounds[1:], r[:-1], r[1:]
         # the intervals that end in a later run than they start in
         cross = np.flatnonzero(r_hi > r_lo)

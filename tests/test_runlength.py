@@ -323,10 +323,13 @@ def test_merged_run_lookup_equals_binary_search():
         got = trace.run_index(0, ticks)
         want = np.searchsorted(starts, ticks, side="right") - 1
         assert got.dtype == want.dtype and np.array_equal(got, want)
-        # the per-run weights of a merged lookup give the gathered floats
+        # a merged lookup and a binary search give the same floats, and a
+        # scalar tick reads as its entry of the array query
         w = np.array([0.3, 1.7])
-        assert np.array_equal(trace.integral(0, w, ticks),
-                              trace.integral(0, w, ticks[::-1])[::-1])
+        got = trace.integral(0, w, ticks)
+        assert np.array_equal(got, trace.integral(0, w, ticks[::-1])[::-1])
+        for k in range(min(len(ticks), 5)):
+            assert trace.integral(0, w, int(ticks[k])) == got[k]
 
     check = hypothesis.given(runs_and_ticks())(check)
     for ticks in cases.values():
