@@ -223,6 +223,8 @@ class EnergyModel:
         The gather `x[:, idx]` lays the rates out column-major, and the
         matvec in `predict_rates` rounds on that layout; it gathers even
         when every column is kept, as row-major rates round differently.
+        The gathered copy is divided in place: at fine rates it is the
+        largest array a variant's prediction allocates.
         """
         if interval_s <= 0:
             raise ValueError("interval must be > 0")
@@ -233,7 +235,9 @@ class EnergyModel:
         divisors = _rate_divisors(self.kinds, interval_s)
         by_name = {c: i for i, c in enumerate(self.columns)}
         idx = [by_name[c] for c in self.kept]
-        return x[:, idx] / divisors[idx]
+        rates = x[:, idx]
+        rates /= divisors[idx]
+        return rates
 
     def predict_rates(self, rates: np.ndarray, interval_s: float) -> np.ndarray:
         """Predicted joules per interval from `rates(x, interval_s)`."""
