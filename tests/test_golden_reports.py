@@ -1,7 +1,9 @@
 """Pin the sha256 of every file each built-in scenario writes.
 
 Each built-in runs at its pinned seed, and every output file's digest is
-compared with `golden_reports.json` next to this file. The benchmark's
+compared with `golden_reports.json` next to this file. The reports print
+12 significant digits, so the same run's returned values are pinned too,
+by the sha256 of their full `repr` under the key "values.repr". The benchmark's
 three scenarios also run at seeds 1-3 against `golden_seed_reports.json`,
 so an optimisation that keeps the pinned seed's reports but moves
 another seed's fails too. A change that moves results on purpose
@@ -32,14 +34,32 @@ SEEDED_BUILTINS = ("dvs_flip", "quadratic_cpu", "t61like")
 SEEDS = (1, 2, 3)
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def value_reprs(result) -> str:
+    """`repr` of every float a run returned, one per line: each row's
+    error of an ErrorReport, or each window error and the active model's
+    beta of an AdaptationResult."""
+    if isinstance(result, exp.ErrorReport):
+        values = [row.rms_rel_error for row in result.rows]
+    else:
+        values = result.errors + result.table.active_model.beta.tolist()
+    return "\n".join(map(repr, values))
+
+
 def report_digests(name: str, out_dir: Path,
                    seed: int | None = None) -> dict[str, str]:
     """Run built-in `name`, re-seeded when `seed` is set, into `out_dir`;
-    sha256 of each file it wrote."""
+    sha256 of each file it wrote and of its returned values' reprs."""
     sc = scn.builtin(name)
-    exp.run_scenario(sc if seed is None else sc.with_seed(seed), str(out_dir))
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out_dir.iterdir())}
+    result = exp.run_scenario(sc if seed is None else sc.with_seed(seed),
+                              str(out_dir))
+    digests = {p.name: _sha256(p.read_bytes())
+               for p in sorted(out_dir.iterdir())}
+    digests["values.repr"] = _sha256(value_reprs(result).encode())
+    return digests
 
 
 def test_golden_file_covers_every_builtin():
