@@ -54,7 +54,6 @@ from .tracesim import (
     Trace,
     WorkloadSpec,
     gen_trace,
-    observe_predictors,
     true_energy,
 )
 

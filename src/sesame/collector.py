@@ -1,4 +1,5 @@
-"""Assemble aligned (X, y) training data from observed streams.
+"""Assemble aligned (X, y) training data from the trace's runs, read as
+the OS exposes the predictors: refreshed on their update grid, delayed.
 
 Polling policies follow the predictors' update behavior: fast predictors
 are differenced at the target-interval boundaries, slow predictors hold
@@ -10,23 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .battery import CAPACITY, BatteryReadings
-from .errors import (
-    ConfigurationError,
-    RateError,
-    TruncationError,
-    UnknownPredictorError,
-)
+from .errors import ConfigurationError, RateError
 from .tracesim import (
     EVENT_DRIVEN,
     LEVEL,
     POLLED_SLOW,
     RESIDENCY,
-    ObservedStreamSet,
     PredictorSpec,
+    Trace,
     _ratio_as_int,
 )
 
@@ -65,69 +62,84 @@ class DesignMatrix:
         return self.x.shape[1]
 
 
-def _interval_aggregate(streams: ObservedStreamSet, spec: PredictorSpec,
+def _observed(trace: Trace, spec: PredictorSpec,
+              times: np.ndarray) -> np.ndarray:
+    """Visible register value (cumulative kinds) or level of `spec` at
+    `times`.
+
+    Cumulative kinds expose a monotone register that advances only at
+    update instants; level kinds expose the delayed level, and an
+    event-driven level changes exactly at the delayed state changes. The
+    runs are read at the resulting ticks only.
+    """
+    t = np.asarray(times, dtype=float) - spec.delay_s
+    if not (spec.policy == EVENT_DRIVEN and spec.kind == LEVEL):
+        period = 1.0 / spec.update_rate_hz
+        t = np.floor(t / period + 1e-9) * period
+    idx = np.floor(t / trace.tick_s + 1e-9).astype(np.int64)
+    c_idx, weights = trace.model.weight_vector(spec)
+    if spec.kind == LEVEL:
+        # before the trace start the level is the first tick's
+        idx = np.clip(idx, 0, len(trace) - 1)
+        states = trace.runs[c_idx][1]
+        return weights[states[trace.run_index(c_idx, idx)]]
+    # before the trace start the register reads 0
+    idx = np.clip(idx, 0, len(trace))
+    return trace.integral(c_idx, weights, idx) * trace.tick_s
+
+
+def _interval_aggregate(trace: Trace, spec: PredictorSpec,
                         boundaries: np.ndarray, interval_s: float) -> np.ndarray:
     """One aggregate per interval for a single predictor."""
-    stream = streams.stream(spec.id)
     if spec.kind == LEVEL or spec.policy == EVENT_DRIVEN:
-        return stream.value_at(boundaries[:-1])
+        return _observed(trace, spec, boundaries[:-1])
 
     if spec.policy == POLLED_SLOW and spec.update_rate_hz < 1.0 / interval_s:
         # Poll at the predictor's own update rate and hold the last
         # completed per-period aggregate across target intervals. The
-        # delay is applied by the stream itself when the poll is served.
+        # delay is applied when the poll is served.
         period = 1.0 / spec.update_rate_hz
         starts = boundaries[:-1]
         last_poll = np.floor(starts / period + 1e-9) * period
         prev_poll = last_poll - period
         held_rate = np.where(
             last_poll >= period - 1e-12,
-            (stream.value_at(np.maximum(last_poll, 0.0))
-             - stream.value_at(np.maximum(prev_poll, 0.0))) / period,
+            (_observed(trace, spec, np.maximum(last_poll, 0.0))
+             - _observed(trace, spec, np.maximum(prev_poll, 0.0))) / period,
             0.0,
         )
         if spec.kind == RESIDENCY:
             return held_rate
         return held_rate * interval_s
 
-    cum = stream.value_at(boundaries)
+    cum = _observed(trace, spec, boundaries)
     delta = np.diff(cum)
     if spec.kind == RESIDENCY:
         return delta / interval_s
     return delta
 
 
-def collect(streams: ObservedStreamSet, specs: list[PredictorSpec],
-            target_rate_hz: float, duration_s: float) -> DesignMatrix:
-    """Build the X-only design matrix at `target_rate_hz` over `duration_s`."""
+def collect(trace: Trace, specs: Sequence[PredictorSpec],
+            target_rate_hz: float) -> DesignMatrix:
+    """Build the X-only design matrix at `target_rate_hz`, one row per
+    whole interval of the trace."""
     if target_rate_hz <= 0:
         raise ConfigurationError("target rate must be > 0")
     interval = 1.0 / target_rate_hz
-    if interval < streams.trace.tick_s - 1e-12:
+    if interval < trace.tick_s - 1e-12:
         raise ConfigurationError(
             f"target rate {target_rate_hz} Hz exceeds the trace resolution "
-            f"({1.0 / streams.trace.tick_s:g} Hz)")
-    available = streams.trace.duration_s
-    if duration_s > available + 1e-9:
-        missing = int(math.ceil((duration_s - available) * target_rate_hz))
-        raise TruncationError(
-            f"streams cover {available} s of the requested {duration_s} s",
-            missing=missing,
-        )
-    m = int(math.floor(duration_s * target_rate_hz + 1e-9))
+            f"({1.0 / trace.tick_s:g} Hz)")
+    m = int(math.floor(trace.duration_s * target_rate_hz + 1e-9))
     if m < 1:
-        raise ConfigurationError("duration shorter than one interval")
+        raise ConfigurationError("trace shorter than one interval")
     boundaries = np.arange(m + 1) * interval
-    cols = []
-    for spec in specs:
-        if spec.id not in streams.specs:
-            raise UnknownPredictorError(spec.id)
-        cols.append(_interval_aggregate(streams, spec, boundaries, interval))
     return DesignMatrix(
         interval_s=interval,
         columns=tuple(s.id for s in specs),
         kinds=tuple(s.kind for s in specs),
-        x=np.column_stack(cols),
+        x=np.column_stack([_interval_aggregate(trace, spec, boundaries,
+                                               interval) for spec in specs]),
         t_start_s=boundaries[:-1],
     )
 

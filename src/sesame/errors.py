@@ -33,19 +33,7 @@ class AlignmentError(SesameError):
 
 
 class RateError(SesameError):
-    """A requested rate cannot be served by the interface or stream."""
-
-
-class TruncationError(SesameError):
-    """A stream is shorter than the requested span."""
-
-    def __init__(self, message: str, missing: int = 0):
-        super().__init__(message)
-        self.missing = missing
-
-
-class UnknownPredictorError(SesameError):
-    """A predictor id is not present in the stream set."""
+    """A requested rate cannot be served by the battery readings."""
 
 
 class InsufficientDataError(SesameError):

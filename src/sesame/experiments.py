@@ -35,13 +35,7 @@ from .scenarios import (
     REGRESSOGRAM,
     ScenarioConfig,
 )
-from .tracesim import (
-    ObservedStreamSet,
-    Trace,
-    gen_trace,
-    observe_predictors,
-    true_energy,
-)
+from .tracesim import Trace, gen_trace, true_energy
 
 BATTERY_ESTIMATOR = "battery_interface"
 ORACLE_ESTIMATOR = "external_oracle"
@@ -99,7 +93,6 @@ class RunArtifacts:
 
     scenario: ScenarioConfig
     trace: Trace
-    streams: ObservedStreamSet
     readings: BatteryReadings
 
     _collected: dict[float, DesignMatrix] = field(default_factory=dict)
@@ -110,8 +103,7 @@ class RunArtifacts:
     def design(self, rate_hz: float) -> DesignMatrix:
         if rate_hz not in self._collected:
             self._collected[rate_hz] = collect(
-                self.streams, list(self.scenario.predictors), rate_hz,
-                self.scenario.duration_s)
+                self.trace, self.scenario.predictors, rate_hz)
         return self._collected[rate_hz]
 
     def truth(self, rate_hz: float) -> np.ndarray:
@@ -131,13 +123,12 @@ class RunArtifacts:
 
 
 def simulate(sc: ScenarioConfig) -> RunArtifacts:
-    """Generate the trace, observed streams, and battery readings."""
+    """Generate the trace and the battery readings; the predictors are
+    read off the trace when a design matrix is collected."""
     trace = gen_trace(sc.system, sc.workload, sc.duration_s, sc.tick_s,
                       overhead_w=sc.collection_overhead_w)
-    streams = observe_predictors(trace, list(sc.predictors))
     readings = sample_interface(trace, sc.battery, seed=sc.battery_seed())
-    return RunArtifacts(scenario=sc, trace=trace, streams=streams,
-                        readings=readings)
+    return RunArtifacts(scenario=sc, trace=trace, readings=readings)
 
 
 def _interface_rms(arts: RunArtifacts, rate_hz: float) -> float | None:
@@ -273,10 +264,9 @@ def run_adaptation(sc: ScenarioConfig,
             f"scenario {sc.name} is a {sc.experiment} experiment")
     arts = simulate(sc)
     window = sc.window_s
-    n_windows = int(math.floor(sc.duration_s / window + 1e-9))
     dm_win = arts.design(1.0 / window)
     y_if = aggregate_response(arts.readings, window)
-    m = min(dm_win.m, len(y_if), n_windows)
+    m = min(dm_win.m, len(y_if))
     if m < sc.train_windows + 1:
         raise InsufficientDataError(
             f"{m} windows cannot hold a {sc.train_windows}-window "

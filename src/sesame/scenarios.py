@@ -93,6 +93,11 @@ class ScenarioConfig:
         if not self.predictors and self.experiment != ERROR_VS_RATE:
             raise ConfigurationError(
                 f"experiment {self.experiment!r} needs predictors")
+        ids = [spec.id for spec in self.predictors]
+        if len(set(ids)) != len(ids):
+            raise ConfigurationError(f"duplicate predictor ids in {ids}")
+        for spec in self.predictors:
+            self.system.weight_vector(spec)
         if not self.rate_grid:
             raise ConfigurationError("rate grid is empty")
         for rate in self.rate_grid:

@@ -10,8 +10,10 @@ carry the imperfections of a real OS: finite update rates and delays.
 The trace is run-length: states change only at Markov steps or schedule
 edges, so each component keeps the tick at which each run starts and the
 state it holds, never an array per tick. Energies, interval aggregates,
-observed register values and battery charge are evaluated from the runs
-at the queried tick indices only (`Trace.integral`, `Trace.interval_sums`).
+the registers the OS exposes and battery charge are evaluated from the
+runs at the queried tick indices only (`Trace.integral`,
+`Trace.interval_sums`); the collector reads each predictor off the runs
+this way, with its update grid and delay applied.
 
 Markov chains are sampled straight into runs too: a two-state chain in
 closed form with array passes, a slow chain with one Python iteration per
@@ -28,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigurationError, UnknownPredictorError
+from .errors import AlignmentError, ConfigurationError
 
 RESIDENCY = "residency"
 COUNTER = "counter"
@@ -111,6 +113,17 @@ class ComponentStateModel:
             if c.name == name:
                 return i
         raise ConfigurationError(f"unknown component {name!r}")
+
+    def weight_vector(self, spec: PredictorSpec) -> tuple[int, np.ndarray]:
+        """(component index, per-state weight vector) of a predictor spec."""
+        c_idx = self.component_index(spec.component)
+        comp = self.components[c_idx]
+        w = np.zeros(comp.n_states)
+        for j, wj in spec.weights.items():
+            if not 0 <= j < comp.n_states:
+                raise ConfigurationError(f"{spec.id}: state {j} out of range")
+            w[j] = wj
+        return c_idx, w
 
 
 # ---------------------------------------------------------------------------
@@ -556,17 +569,6 @@ class Trace:
                 c_idx, np.asarray(comp.state_powers, dtype=float), ticks)
         return watt_ticks * self.tick_s
 
-    def weight_vector(self, spec: "PredictorSpec") -> tuple[int, np.ndarray]:
-        """(component index, per-state weight vector) of a predictor spec."""
-        c_idx = self.model.component_index(spec.component)
-        comp = self.model.components[c_idx]
-        w = np.zeros(comp.n_states)
-        for j, wj in spec.weights.items():
-            if not 0 <= j < comp.n_states:
-                raise ConfigurationError(f"{spec.id}: state {j} out of range")
-            w[j] = wj
-        return c_idx, w
-
     # -- per-tick view, expanded on demand -------------------------------------
 
     def cumulative(self, spec: "PredictorSpec") -> np.ndarray:
@@ -575,7 +577,7 @@ class Trace:
         Residency specs accumulate weighted seconds; counter specs accumulate
         weighted counts (weights are rates per second in a state).
         """
-        c_idx, w = self.weight_vector(spec)
+        c_idx, w = self.model.weight_vector(spec)
         inc = w[_expand_runs(*self.runs[c_idx], len(self))] * self.tick_s
         out = np.empty(len(self) + 1)
         out[0] = 0.0
@@ -636,7 +638,7 @@ def true_energy(trace: Trace, interval_s: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Predictors and their observation
+# Predictors
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -676,64 +678,3 @@ class PredictorSpec:
             raise ConfigurationError(f"{self.id}: empty weight map")
         if not all(math.isfinite(w) for w in self.weights.values()):
             raise ConfigurationError(f"{self.id}: weights must be finite")
-
-
-class ObservedStream:
-    """Sample-and-hold view of one predictor as the OS exposes it.
-
-    Cumulative kinds (residency, counter) expose a monotone register that
-    advances only at update instants; level kinds expose the delayed level.
-    `value_at` accepts arbitrary query times, applies the update grid and
-    delay, and reads the trace's runs at the resulting ticks only.
-    """
-
-    def __init__(self, spec: PredictorSpec, trace: Trace):
-        self.spec = spec
-        self._trace = trace
-        self._c_idx, self._weights = trace.weight_vector(spec)
-
-    def _visible_instants(self, times: np.ndarray) -> np.ndarray:
-        """Map query times to the activity time each visible value reflects."""
-        t = np.asarray(times, dtype=float) - self.spec.delay_s
-        if self.spec.policy == EVENT_DRIVEN and self.spec.kind == LEVEL:
-            return t  # value changes exactly at (delayed) state-change events
-        period = 1.0 / self.spec.update_rate_hz
-        return np.floor(t / period + 1e-9) * period
-
-    def value_at(self, times: np.ndarray) -> np.ndarray:
-        """Visible register value (cumulative kinds) or level at `times`."""
-        trace = self._trace
-        vis = self._visible_instants(np.atleast_1d(np.asarray(times, float)))
-        idx = np.floor(vis / trace.tick_s + 1e-9).astype(np.int64)
-        if self.spec.kind == LEVEL:
-            # before the trace start the level is the first tick's
-            idx = np.clip(idx, 0, len(trace) - 1)
-            states = trace.runs[self._c_idx][1]
-            return self._weights[states[trace.run_index(self._c_idx, idx)]]
-        # before the trace start the register reads 0
-        idx = np.clip(idx, 0, len(trace))
-        return trace.integral(self._c_idx, self._weights, idx) * trace.tick_s
-
-
-class ObservedStreamSet:
-    """Observed predictor streams, one per spec id."""
-
-    def __init__(self, trace: Trace, specs: Sequence[PredictorSpec]):
-        ids = [s.id for s in specs]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError("duplicate predictor ids")
-        self.trace = trace
-        self.specs = {s.id: s for s in specs}
-        self.streams = {s.id: ObservedStream(s, trace) for s in specs}
-
-    def stream(self, pid: str) -> ObservedStream:
-        if pid not in self.streams:
-            raise UnknownPredictorError(pid)
-        return self.streams[pid]
-
-
-def observe_predictors(trace: Trace,
-                       specs: Sequence[PredictorSpec]) -> ObservedStreamSet:
-    """Expose the predictors with their update-rate and delay
-    imperfections applied."""
-    return ObservedStreamSet(trace, specs)

@@ -3,16 +3,16 @@ import pytest
 
 import sesame as ss
 from reference import interval_truth
-from sesame.errors import RateError, TruncationError
+from sesame.errors import RateError
 
 
 def flat_system():
     model = ss.ComponentStateModel(
         components=(ss.Component("cpu", (1.0, 9.0)),), base_power_w=1.0)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 20.0, {"cpu": ss.DutyCycle(0.01, 0.5, 1, 0)}),),
+        phases=(ss.Phase("p", 1.0, {"cpu": ss.DutyCycle(0.01, 0.5, 1, 0)}),),
         seed=0)
-    trace = ss.gen_trace(model, wl, 20.0, 0.001)
+    trace = ss.gen_trace(model, wl, 1.0, 0.001)
     return model, trace
 
 
@@ -46,23 +46,21 @@ def three_predictor_setup(duration=30.0):
         ss.PredictorSpec(id="backlight", component="lcd", kind="level",
                          weights={0: 0.2, 1: 0.8}, policy="event-driven"),
     ]
-    streams = ss.observe_predictors(trace, specs)
-    return trace, specs, streams
+    return trace, specs
 
 
 def test_constant_predictor_collected_flat():
     model, trace = flat_system()
     spec = ss.PredictorSpec(id="cpu_busy", component="cpu", kind="residency",
                             weights={1: 1.0}, update_rate_hz=1000.0)
-    streams = ss.observe_predictors(trace, [spec])
-    dm = ss.collect(streams, [spec], 100.0, 1.0)
+    dm = ss.collect(trace, [spec], 100.0)
     assert dm.m == 100
     assert np.allclose(dm.x[:, 0], 0.5)
 
 
 def test_fast_residency_within_one_update_quantum():
-    trace, specs, streams = three_predictor_setup()
-    dm = ss.collect(streams, specs, 100.0, 30.0)
+    trace, specs = three_predictor_setup()
+    dm = ss.collect(trace, specs, 100.0)
     truth = interval_truth(trace, specs[0], 0.01)
     quantum = 1.0 / 250.0 / 0.01  # one update period as a fraction of the interval
     assert np.max(np.abs(dm.x[:, 0] - truth[: dm.m])) <= quantum + 1e-9
@@ -78,35 +76,26 @@ def test_event_driven_level_rows():
     trace = ss.gen_trace(model, wl, 10.0, 0.001)
     spec = ss.PredictorSpec(id="backlight", component="lcd", kind="level",
                             weights={0: 0.2, 1: 0.8}, policy="event-driven")
-    streams = ss.observe_predictors(trace, [spec])
-    dm = ss.collect(streams, [spec], 1.0, 10.0)
+    dm = ss.collect(trace, [spec], 1.0)
     assert np.allclose(dm.x[:5, 0], 0.2)
     assert np.allclose(dm.x[5:, 0], 0.8)
 
 
 def test_polled_slow_holds_between_updates():
-    trace, _, _ = three_predictor_setup()
+    trace, _ = three_predictor_setup()
     slow = ss.PredictorSpec(id="io", component="disk", kind="counter",
                             weights={1: 40.0}, update_rate_hz=0.5,
                             policy="polled-slow")
-    streams = ss.observe_predictors(trace, [slow])
-    dm = ss.collect(streams, [slow], 2.0, 30.0)
+    dm = ss.collect(trace, [slow], 2.0)
     # update period is 2 s; at a 0.5 s collection interval the value may only
     # change when a new update lands, i.e. every 4th row
-    dm_fine = ss.collect(streams, [slow], 2.0, 30.0)
+    dm_fine = ss.collect(trace, [slow], 2.0)
     values = dm_fine.x[:, 0]
     for i in range(len(values) - 1):
         same_update = int(dm_fine.t_start_s[i] // 2.0) == int(
             dm_fine.t_start_s[i + 1] // 2.0)
         if same_update:
             assert values[i + 1] == values[i]
-
-
-def test_truncation_error_counts_missing_rows():
-    trace, specs, streams = three_predictor_setup()
-    with pytest.raises(TruncationError) as err:
-        ss.collect(streams, specs, 1.0, 40.0)
-    assert err.value.missing == 10
 
 
 def test_aggregate_response_instant_paper_arithmetic():
@@ -139,7 +128,7 @@ def test_aggregate_response_capacity_drop():
 
 
 def test_aggregate_response_noiseless_equals_truth():
-    trace, specs, streams = three_predictor_setup()
+    trace, specs = three_predictor_setup()
     cfg = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=10.0,
                                    supply_voltage_v=5.0)
     readings = ss.sample_instant(trace, cfg)
@@ -162,12 +151,12 @@ def test_aggregate_response_rate_error():
 
 
 def test_rate_consistency_summed_rows_match_lower_rate():
-    trace, specs, streams = three_predictor_setup()
+    trace, specs = three_predictor_setup()
     cfg = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=10.0,
                                    supply_voltage_v=5.0)
     readings = ss.sample_instant(trace, cfg)
-    fine = ss.collect(streams, specs, 1.0, 30.0)
-    coarse = ss.collect(streams, specs, 0.2, 30.0)
+    fine = ss.collect(trace, specs, 1.0)
+    coarse = ss.collect(trace, specs, 0.2)
     # responses and counter columns are additive; 5 fine rows = 1 coarse row
     summed_y = ss.aggregate_response(readings, 1.0)[:30].reshape(6, 5).sum(axis=1)
     assert np.allclose(summed_y, ss.aggregate_response(readings, 5.0)[:6],

@@ -162,16 +162,15 @@ def linear_scenario(duration=2000.0, tick=0.01, seed=7):
     }),), seed=seed)
     trace = ss.gen_trace(model, wl, duration, tick)
     specs = residency_predictors(model, update_rate_hz=1.0 / tick)
-    streams = ss.observe_predictors(trace, specs)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=10.0)
     readings = ss.sample_instant(trace, battery)
-    return model, trace, specs, streams, readings
+    return model, trace, specs, readings
 
 
 def test_stretch_row_count_and_reading_grouping():
-    model, trace, specs, streams, readings = linear_scenario(duration=1000.0)
-    dm = ss.collect(streams, specs, 100.0, 1000.0)
+    model, trace, specs, readings = linear_scenario(duration=1000.0)
+    dm = ss.collect(trace, specs, 100.0)
     low = ss.stretch(dm, readings, 100.0)
     assert low.m == 10
     # each response window aggregates 100 readings of the 1 Hz interface
@@ -180,8 +179,8 @@ def test_stretch_row_count_and_reading_grouping():
 
 
 def test_stretch_range_and_insufficient_rows():
-    model, trace, specs, streams, readings = linear_scenario(duration=1000.0)
-    dm = ss.collect(streams, specs, 100.0, 1000.0)
+    model, trace, specs, readings = linear_scenario(duration=1000.0)
+    dm = ss.collect(trace, specs, 100.0)
     with pytest.raises(ValueError):
         ss.stretch(dm, readings, 5.0)
     short = DesignMatrix(interval_s=dm.interval_s, columns=dm.columns,
@@ -192,8 +191,8 @@ def test_stretch_range_and_insufficient_rows():
 
 
 def test_noiseless_fit_recovers_beta_true():
-    model, trace, specs, streams, readings = linear_scenario()
-    dm = ss.collect(streams, specs, 1.0, 2000.0)
+    model, trace, specs, readings = linear_scenario()
+    dm = ss.collect(trace, specs, 1.0)
     low = ss.stretch(dm, readings, 100.0)
     fitted = ss.build_model(low, method="TLS", use_pca=False)
     expect = residency_beta_true(model, 100.0, specs)
@@ -202,8 +201,8 @@ def test_noiseless_fit_recovers_beta_true():
 
 
 def test_pca_exactness_full_rank_matches_raw_fit():
-    model, trace, specs, streams, readings = linear_scenario()
-    dm = ss.collect(streams, specs, 1.0, 2000.0)
+    model, trace, specs, readings = linear_scenario()
+    dm = ss.collect(trace, specs, 1.0)
     low = ss.stretch(dm, readings, 100.0)
     raw = ss.build_model(low, method="TLS", use_pca=False)
     pca = ss.build_model(low, method="TLS", use_pca=True)
@@ -217,12 +216,12 @@ def test_pca_exactness_full_rank_matches_raw_fit():
 
 
 def test_beta_invariance_across_time_scales():
-    model, trace, specs, streams, readings = linear_scenario()
-    dm = ss.collect(streams, specs, 100.0, 2000.0)
+    model, trace, specs, readings = linear_scenario()
+    dm = ss.collect(trace, specs, 100.0)
     low = ss.stretch(dm, readings, 100.0)
     fitted = ss.build_model(low, method="TLS", use_pca=True)
     for t in (0.01, 0.1, 1.0, 10.0):
-        x_t = ss.collect(streams, specs, 1.0 / t, 2000.0)
+        x_t = ss.collect(trace, specs, 1.0 / t)
         pred = fitted.predict_rows(x_t.x, t)
         truth = ss.true_energy(trace, t)[: len(pred)]
         rel = np.abs(pred - truth) / truth
@@ -246,8 +245,8 @@ def test_tls_degenerate_falls_back_to_ols():
 
 
 def test_iterate_construction_targets():
-    model, trace, specs, streams, readings = linear_scenario()
-    dm = ss.collect(streams, specs, 1.0, 2000.0)
+    model, trace, specs, readings = linear_scenario()
+    dm = ss.collect(trace, specs, 1.0)
     low = ss.stretch(dm, readings, 100.0)
     # exact linear system: every l >= 1 that spans the response passes, so a
     # zero target must land on l = 1
@@ -411,8 +410,8 @@ def test_regressogram_rejects_non_finite_values():
 # -- persistence ----------------------------------------------------------------
 
 def test_model_document_round_trip():
-    model, trace, specs, streams, readings = linear_scenario()
-    dm = ss.collect(streams, specs, 1.0, 2000.0)
+    model, trace, specs, readings = linear_scenario()
+    dm = ss.collect(trace, specs, 1.0)
     low = ss.stretch(dm, readings, 100.0)
     n = low.n
     for use_pca, l in ((False, None), (True, None), (True, 1)):

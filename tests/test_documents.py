@@ -69,6 +69,12 @@ BAD_SCENARIOS = {
                       "scenario.workload: unknown key 'seed'"),
     "battery_missing": (("battery",), DELETE, ParseError,
                         "scenario: missing key 'battery'"),
+    "predictor_id_twice": (("predictors", 1, "id"), "cpu_busy",
+                           ConfigurationError, "duplicate predictor ids"),
+    "predictor_component": (("predictors", 0, "component"), "gpu",
+                            ConfigurationError, "unknown component 'gpu'"),
+    "weight_state_range": (("predictors", 0, "weights", "9"), 1.0,
+                           ConfigurationError, "cpu_busy: state 9 out of range"),
 }
 
 

@@ -96,18 +96,17 @@ def test_monitor_against_interface_stream():
         seed=9)
     trace = ss.gen_trace(model_sys, wl, 1500.0, 0.01)
     specs = residency_predictors(model_sys, update_rate_hz=100.0)
-    streams = ss.observe_predictors(trace, specs)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=10.0)
     readings = ss.sample_instant(trace, battery)
-    low = ss.stretch(ss.collect(streams, specs, 1.0, 1500.0), readings, 100.0)
+    low = ss.stretch(ss.collect(trace, specs, 1.0), readings, 100.0)
     fitted = ss.build_model(low)
 
     table = ss.ModelTable(window_s=100.0)
     key = key_of(dvs="off")
     install_model(table, key, fitted)
     ss.lookup_or_create(table, key)
-    dm = ss.collect(streams, specs, 0.01, 1500.0)
+    dm = ss.collect(trace, specs, 0.01)
     observed = ss.aggregate_response(readings, 100.0)
     errors = [ss.monitor(table, t + 100.0, x, y)
               for t, x, y in zip(dm.t_start_s, dm.x, observed)]

@@ -13,7 +13,7 @@ import sesame as ss
 import sesame.experiments as exp
 import sesame.scenarios as scn
 from reference import interval_truth, read_grid, tick_power, tick_states
-from sesame import battery, tracesim
+from sesame import battery, collector, tracesim
 
 RTOL = 1e-12
 
@@ -56,10 +56,14 @@ def ref_interval_truth(trace, spec, k):
     return vals[: m * k].reshape(m, k).mean(axis=1)
 
 
-def ref_value_at(trace, stream, times):
-    """The observed value with per-tick level and cumulative series."""
-    spec = stream.spec
-    vis = stream._visible_instants(np.asarray(times, float))
+def ref_value_at(trace, spec, times):
+    """The observed value with per-tick level and cumulative series: the
+    delayed query time, floored to the update grid unless the level is
+    event-driven, read at its tick."""
+    vis = np.asarray(times, float) - spec.delay_s
+    if not (spec.policy == "event-driven" and spec.kind == "level"):
+        period = 1.0 / spec.update_rate_hz
+        vis = np.floor(vis / period + 1e-9) * period
     idx = np.floor(vis / trace.tick_s + 1e-9).astype(np.int64)
     vals = ref_tick_values(trace, spec)
     if spec.kind == "level":
@@ -260,15 +264,13 @@ def test_interval_truth_matches_tick_values(mixed_trace, spec, interval_s):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.id)
 def test_value_at_matches_per_tick_series(mixed_trace, spec):
-    streams = ss.observe_predictors(mixed_trace, list(SPECS))
-    stream = streams.stream(spec.id)
     times = read_grid(mixed_trace, 100.0)
-    got = stream.value_at(times)
-    np.testing.assert_allclose(got, ref_value_at(mixed_trace, stream, times),
+    got = collector._observed(mixed_trace, spec, times)
+    np.testing.assert_allclose(got, ref_value_at(mixed_trace, spec, times),
                                rtol=RTOL)
     odd = np.array([-1.0, -1e-12, 0.0, 0.0004, 1.2345, 2.9999, 5.0, 7.5])
-    np.testing.assert_allclose(stream.value_at(odd),
-                               ref_value_at(mixed_trace, stream, odd),
+    np.testing.assert_allclose(collector._observed(mixed_trace, spec, odd),
+                               ref_value_at(mixed_trace, spec, odd),
                                rtol=RTOL)
 
 

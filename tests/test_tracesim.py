@@ -11,6 +11,7 @@ from reference import (
     tick_power,
     tick_states,
 )
+from sesame.collector import _observed
 from sesame.errors import AlignmentError, ConfigurationError
 
 
@@ -429,9 +430,8 @@ def test_observed_equals_truth_when_updates_are_fast():
     trace = ss.gen_trace(model, wl, duration, 0.01)
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={2: 1.0}, update_rate_hz=100.0)
-    streams = ss.observe_predictors(trace, [spec])
     times = read_grid(trace, 100.0)
-    values = streams.stream("busy").value_at(times)
+    values = _observed(trace, spec, times)
     truth = trace.cumulative(spec)
     idx = np.round(times / trace.tick_s).astype(int)
     assert np.allclose(values, truth[idx], atol=1e-12)
@@ -444,9 +444,8 @@ def test_slow_update_lag_bounded_by_one_quantum():
     trace = ss.gen_trace(model, wl, duration, 0.001)
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={2: 1.0}, update_rate_hz=250.0)
-    streams = ss.observe_predictors(trace, [spec])
     times = read_grid(trace, 100.0)
-    observed = streams.stream("busy").value_at(times)
+    observed = _observed(trace, spec, times)
     truth = trace.cumulative(spec)[np.round(times / trace.tick_s).astype(int)]
     lag = truth - observed
     assert lag.min() >= -1e-12
@@ -465,9 +464,8 @@ def test_square_wave_read_error_bounded_by_update_granularity():
     trace = ss.gen_trace(model, wl, 20.0, 0.001)
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={1: 1.0}, update_rate_hz=250.0)
-    streams = ss.observe_predictors(trace, [spec])
     times = read_grid(trace, 100.0)
-    observed = streams.stream("busy").value_at(times)
+    observed = _observed(trace, spec, times)
     truth = trace.cumulative(spec)[np.round(times / trace.tick_s).astype(int)]
     quantum = 1.0 / 250.0
     gap = truth - observed
@@ -487,9 +485,8 @@ def test_delayed_counter_cross_correlation_peaks_at_delay():
     spec = ss.PredictorSpec(id="sectors", component="disk", kind="counter",
                             weights={1: 200.0}, update_rate_hz=100.0,
                             delay_s=delay)
-    streams = ss.observe_predictors(trace, [spec])
     times = read_grid(trace, 20.0)
-    observed_cum = streams.stream("sectors").value_at(times)
+    observed_cum = _observed(trace, spec, times)
     true_spec = ss.PredictorSpec(id="sectors", component="disk",
                                  kind="counter", weights={1: 200.0},
                                  update_rate_hz=100.0)
@@ -514,7 +511,6 @@ def test_event_driven_level_changes_at_events_only():
     trace = ss.gen_trace(model, wl, 10.0, 0.01)
     spec = ss.PredictorSpec(id="bl", component="lcd", kind="level",
                             weights={0: 0.3, 1: 0.9}, policy="event-driven")
-    streams = ss.observe_predictors(trace, [spec])
-    values = streams.stream("bl").value_at(read_grid(trace, 1.0))
+    values = _observed(trace, spec, read_grid(trace, 1.0))
     assert np.all(values[:5] == 0.3)
     assert np.all(values[5:] == 0.9)
