@@ -125,6 +125,8 @@ def collect(trace: Trace, specs: Sequence[PredictorSpec],
     whole interval of the trace."""
     if target_rate_hz <= 0:
         raise ConfigurationError("target rate must be > 0")
+    if not specs:
+        raise ConfigurationError("no predictors to collect")
     interval = 1.0 / target_rate_hz
     if interval < trace.tick_s - 1e-12:
         raise ConfigurationError(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .battery import BatteryReadings, RelativeErrorScorer, sample_interface
 from .collector import DesignMatrix, aggregate_response, collect
-from .constructor import EnergyModel, TrainingSet, build_model
+from .constructor import EnergyModel, TrainingSet
 from .constructor import fit_regressogram, iterate_construction
 from .constructor import predict_regressogram_rows, stretch
 from .errors import ConfigurationError, InsufficientDataError
@@ -162,9 +162,12 @@ def _fit_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _model_rms(model: EnergyModel, arts: RunArtifacts, rate_hz: float) -> float:
-    return arts.score(
-        rate_hz, model.predict_rows(arts.design(rate_hz).x, 1.0 / rate_hz))
+def _simulate_as(sc: ScenarioConfig, experiment: str) -> RunArtifacts:
+    """`simulate(sc)`, once `sc` is known to be an `experiment` run."""
+    if sc.experiment != experiment:
+        raise ConfigurationError(
+            f"scenario {sc.name} is a {sc.experiment} experiment")
+    return simulate(sc)
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +177,7 @@ def _model_rms(model: EnergyModel, arts: RunArtifacts, rate_hz: float) -> float:
 def run_error_vs_rate(sc: ScenarioConfig,
                       out_dir: str | None = None) -> ErrorReport:
     """Raw-interface RMS error across the rate grid (Fig 3 shaped data)."""
-    if sc.experiment != ERROR_VS_RATE:
-        raise ConfigurationError(
-            f"scenario {sc.name} is a {sc.experiment} experiment")
-    arts = simulate(sc)
+    arts = _simulate_as(sc, ERROR_VS_RATE)
     report = ErrorReport(sc.name, sc.seed)
     for rate in sc.rate_grid:
         report.add(rate, BATTERY_ESTIMATOR, _interface_rms(arts, rate))
@@ -204,10 +204,7 @@ def train_molded_variants(sc: ScenarioConfig,
 def run_molding(sc: ScenarioConfig,
                 out_dir: str | None = None) -> ErrorReport:
     """Molded-model variants vs raw interface vs the per-rate oracle."""
-    if sc.experiment != MOLDING:
-        raise ConfigurationError(
-            f"scenario {sc.name} is a {sc.experiment} experiment")
-    arts = simulate(sc)
+    arts = _simulate_as(sc, MOLDING)
     models = train_molded_variants(sc, arts)
     report = ErrorReport(sc.name, sc.seed)
     for rate in sc.rate_grid:
@@ -219,6 +216,7 @@ def run_molding(sc: ScenarioConfig,
         for name in MOLDED_VARIANTS:
             report.add(rate, name, arts.score(
                 rate, models[name].predict_rates(rates, 1.0 / rate)))
+        del rates       # the oracle's design below is the run's memory peak
         truth = arts.truth(rate)
         m = min(dm.m, len(truth))
         coef = _fit_oracle(dm.x[:m], truth[:m])
@@ -259,10 +257,7 @@ def run_adaptation(sc: ScenarioConfig,
     Window-level aggregates double as the stretched training rows, so a
     construction dataset is `train_windows` consecutive windows.
     """
-    if sc.experiment != ADAPTATION:
-        raise ConfigurationError(
-            f"scenario {sc.name} is a {sc.experiment} experiment")
-    arts = simulate(sc)
+    arts = _simulate_as(sc, ADAPTATION)
     window = sc.window_s
     dm_win = arts.design(1.0 / window)
     y_if = aggregate_response(arts.readings, window)
@@ -320,20 +315,15 @@ def run_regressogram_compare(sc: ScenarioConfig,
     is the premise that makes it a what-if upper line rather than part of
     the battery-fed pipeline.
     """
-    if sc.experiment != REGRESSOGRAM:
-        raise ConfigurationError(
-            f"scenario {sc.name} is a {sc.experiment} experiment")
-    arts = simulate(sc)
-    dm_base = arts.design(sc.base_rate_hz)
-    dm_low = stretch(dm_base, arts.readings, sc.t_low_s)
-    linear = build_model(dm_low, method=sc.fit_method, use_pca=True)
-    if linear.l is not None and linear.l > sc.pca_l:
-        linear = build_model(dm_low, method=sc.fit_method, use_pca=True,
-                             l=sc.pca_l)
+    arts = _simulate_as(sc, REGRESSOGRAM)
+    ts = TrainingSet(
+        stretch(arts.design(sc.base_rate_hz), arts.readings, sc.t_low_s))
+    linear = ts.fit(sc.fit_method, l=min(sc.pca_l, len(ts.kept)))
     report = ErrorReport(sc.name, sc.seed)
     for rate in sc.rate_grid:
-        report.add(rate, "linear_molded", _model_rms(linear, arts, rate))
         dm = arts.design(rate)
+        report.add(rate, "linear_molded", arts.score(
+            rate, linear.predict_rows(dm.x, 1.0 / rate)))
         truth = arts.truth(rate)
         m = min(dm.m, len(truth))
         reg = fit_regressogram(dm.x[:m], truth[:m], k=sc.regressogram_k,

@@ -16,9 +16,8 @@ runs at the queried tick indices only (`Trace.integral`,
 this way, with its update grid and delay applied.
 
 Markov chains are sampled straight into runs too: a two-state chain in
-closed form with array passes, a slow chain with one Python iteration per
-run, and only a fast chain of three or more states with one iteration
-per step. All three give the states of the step-by-step walk exactly.
+closed form with array passes, and any other chain with one Python
+iteration per run. Both give the states of the step-by-step walk exactly.
 """
 
 from __future__ import annotations
@@ -41,18 +40,6 @@ POLLED_SLOW = "polled-slow"
 EVENT_DRIVEN = "event-driven"
 
 _REL_TOL = 1e-9
-
-# Markov steps resolved per vectorised block of the step loop; bounds the
-# successor table at (number of states) x _MARKOV_BLOCK entries whatever
-# the run length.
-_MARKOV_BLOCK = 8192
-
-# A chain of other than two states whose every diagonal entry is at least
-# this walks from exit to exit; any other keeps the step loop. On 200k
-# steps of chains with uniform exits (k = 3 and 7; 2 cores, numpy 2.4),
-# the exit walk took 3-4x the loop's time at stay 0.33, 1.1-1.2x at 0.8,
-# 0.7-0.9x at 0.85, 0.5-0.7x at 0.9 and 0.06x at 0.995.
-_SLOW_STAY = 0.9
 
 
 def _ratio_as_int(value: float, base: float, what: str) -> int:
@@ -322,32 +309,6 @@ def _exit_walk_runs(cum: np.ndarray, draws: np.ndarray,
     return np.array(starts, dtype=np.int64), np.array(states, dtype=np.int16)
 
 
-def _loop_runs(cum: np.ndarray, draws: np.ndarray,
-               initial: int) -> tuple[np.ndarray, np.ndarray]:
-    """Runs `(starts, states)`, in steps, of a chain walked one step at
-    a time, in blocks."""
-    k = len(cum)
-    n_steps = len(draws)
-    states = np.empty(n_steps, dtype=np.int16)
-    s = initial
-    for start in range(0, n_steps, _MARKOV_BLOCK):
-        block = draws[start:start + _MARKOV_BLOCK]
-        # The draws do not depend on the state, so resolve the successor
-        # of every state for every step of the block up front; the clamp
-        # covers rows whose float cumsum ends just below 1.0.
-        nxt = np.minimum(
-            [np.searchsorted(row, block, side="right") for row in cum],
-            k - 1).tolist()
-        walk = []
-        for i in range(len(block)):
-            walk.append(s)
-            s = nxt[s][i]
-        states[start:start + len(walk)] = walk
-    starts = np.concatenate(
-        [[0], np.flatnonzero(states[1:] != states[:-1]) + 1])
-    return starts, states[starts]
-
-
 def _phase_states(
     proc: OccupancyProcess,
     component: Component,
@@ -364,12 +325,10 @@ def _phase_states(
 
     A Markov chain takes one draw per step, all from one `rng.random`
     call, and a step's successor is `min(searchsorted(cum[s], draw,
-    side="right"), k - 1)`. Every walk below gives exactly those states
-    and emits runs, not a per-step array. Which walk runs depends on the
-    transition matrix alone, never on the draws, so a chain's cost does
-    not vary with its seed: two states in closed form, slow chains
-    (every diagonal entry at least `_SLOW_STAY`, as in any one-state
-    chain) from exit to exit, and any other chain one step at a time.
+    side="right"), k - 1)`. Both walks below give exactly those states
+    and emit runs, not a per-step array. Which walk runs depends on the
+    number of states alone, never on the draws: two states in closed
+    form, and any other chain from exit to exit.
     """
     if isinstance(proc, FixedState):
         if not 0 <= proc.state < component.n_states:
@@ -420,10 +379,8 @@ def _phase_states(
         draws = rng.random(n_steps)
         if k == 2:
             starts, states = _two_state_runs(cum, draws, proc.initial_state)
-        elif min(proc.transition[s][s] for s in range(k)) >= _SLOW_STAY:
-            starts, states = _exit_walk_runs(cum, draws, proc.initial_state)
         else:
-            starts, states = _loop_runs(cum, draws, proc.initial_state)
+            starts, states = _exit_walk_runs(cum, draws, proc.initial_state)
         return starts * ticks_per_step, states
 
     raise ConfigurationError(f"unknown occupancy process {proc!r}")

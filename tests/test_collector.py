@@ -3,7 +3,7 @@ import pytest
 
 import sesame as ss
 from reference import interval_truth
-from sesame.errors import RateError
+from sesame.errors import ConfigurationError, RateError
 
 
 def flat_system():
@@ -56,6 +56,8 @@ def test_constant_predictor_collected_flat():
     dm = ss.collect(trace, [spec], 100.0)
     assert dm.m == 100
     assert np.allclose(dm.x[:, 0], 0.5)
+    with pytest.raises(ConfigurationError, match="no predictors"):
+        ss.collect(trace, [], 100.0)
 
 
 def test_fast_residency_within_one_update_quantum():

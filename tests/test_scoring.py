@@ -21,7 +21,7 @@ from reference import (
 )
 from sesame.battery import RelativeErrorScorer, rms_relative_error
 from sesame.collector import aggregate_response
-from sesame.constructor import TrainingSet, stretch
+from sesame.constructor import TrainingSet, build_model, stretch
 from sesame.errors import AlignmentError, ConfigurationError
 
 # not a whole number of the coarsest (100 s) interval, so no rate's row
@@ -158,3 +158,22 @@ def test_molding_report_equals_scoring_each_estimate_alone(t61):
         want.append(masked_rms_relative_error(coef[0] + dm.x[:m] @ coef[1:],
                                               truth[:m]))
     assert [row.rms_rel_error for row in report.rows] == want
+
+
+@pytest.mark.parametrize("pca_l", [1, 2, 9])
+def test_regressogram_linear_model_is_capped_at_pca_l(pca_l):
+    # t61like keeps five columns, so l = 9 keeps them all
+    sc = dataclasses.replace(scn.t61like(experiment=scn.REGRESSOGRAM),
+                             duration_s=DURATION_S, rate_grid=(1.0,),
+                             pca_l=pca_l)
+    arts = exp.simulate(sc)
+    stretched = stretch(arts.design(sc.base_rate_hz), arts.readings,
+                        sc.t_low_s)
+    kept = len(TrainingSet(stretched).kept)
+    model = build_model(stretched, method=sc.fit_method, l=min(pca_l, kept))
+    pred = model.predict_rows(arts.design(1.0).x, 1.0)
+    truth = arts.truth(1.0)
+    m = min(len(pred), len(truth))
+    report = exp.run_regressogram_compare(sc)
+    assert report.value(1.0, "linear_molded") == masked_rms_relative_error(
+        pred[:m], truth[:m])

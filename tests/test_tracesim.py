@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sesame as ss
+import sesame.scenarios as scn
 from reference import (
     interval_truth,
     loop_markov_states,
@@ -251,7 +252,7 @@ MARKOV_CASES = {
     "two_state_alternation": (((0.0, 1.0), (1.0, 0.0)), 0),
     "two_state_absorbing": (((1.0, 0.0), (0.3, 0.7)), 1),
     "two_state_initial_1": (((0.75, 0.25), (0.25, 0.75)), 1),
-    # three or more states on either side of the stay bound
+    # three or more states, fast and slow
     "fast_k3": (((1 / 3,) * 3,) * 3, 2),
     "slow_k7": (tuple(tuple(0.97 if i == j else 0.005 for j in range(7))
                       for i in range(7)), 4),
@@ -260,21 +261,21 @@ MARKOV_CASES = {
 # the walk `_phase_states` takes for each case
 MARKOV_WALKS = {
     "single_state": "_exit_walk_runs",
-    "absorbing_rows": "_loop_runs",
-    "zero_entries": "_loop_runs",
-    "cumsum_below_one": "_loop_runs",
-    "dense_k8": "_loop_runs",
+    "absorbing_rows": "_exit_walk_runs",
+    "zero_entries": "_exit_walk_runs",
+    "cumsum_below_one": "_exit_walk_runs",
+    "dense_k8": "_exit_walk_runs",
     "two_state_swaps": "_two_state_runs",
     "two_state_alternation": "_two_state_runs",
     "two_state_absorbing": "_two_state_runs",
     "two_state_initial_1": "_two_state_runs",
-    "fast_k3": "_loop_runs",
+    "fast_k3": "_exit_walk_runs",
     "slow_k7": "_exit_walk_runs",
 }
 
 
-def assert_loop_runs(chain, n_ticks, rng_key):
-    """`_phase_states` gives the step loop's states, as merged runs."""
+def assert_reference_runs(chain, n_ticks, rng_key):
+    """`_phase_states` gives the reference loop's states, as merged runs."""
     comp = ss.Component("c", (1.0,) * len(chain.transition))
     starts, states = ss.tracesim._phase_states(chain, comp, n_ticks, 0.001,
                                                rng_key)
@@ -290,24 +291,43 @@ def assert_loop_runs(chain, n_ticks, rng_key):
 def test_markov_states_match_step_loop(name, n_ticks):
     transition, initial = MARKOV_CASES[name]
     chain = ss.MarkovChain(transition, step_s=0.005, initial_state=initial)
-    assert_loop_runs(chain, n_ticks, (9, 0, 1))
+    assert_reference_runs(chain, n_ticks, (9, 0, 1))
 
 
-@pytest.mark.parametrize("name", sorted(MARKOV_CASES))
-def test_markov_walk_depends_on_the_matrix_only(name, monkeypatch):
+def spy_on_walks(monkeypatch):
+    """The list that each Markov walk appends its name to when called."""
     walked = []
-    for walk in ("_two_state_runs", "_exit_walk_runs", "_loop_runs"):
+    for walk in ("_two_state_runs", "_exit_walk_runs"):
         original = getattr(ss.tracesim, walk)
         monkeypatch.setattr(
             ss.tracesim, walk,
             lambda *args, walk=walk, original=original: (
                 walked.append(walk), original(*args))[1])
+    return walked
+
+
+@pytest.mark.parametrize("name", sorted(MARKOV_CASES))
+def test_markov_walk_depends_on_the_matrix_only(name, monkeypatch):
+    walked = spy_on_walks(monkeypatch)
     transition, initial = MARKOV_CASES[name]
     chain = ss.MarkovChain(transition, step_s=0.001, initial_state=initial)
     comp = ss.Component("c", (1.0,) * len(transition))
     for seed in range(4):
         ss.tracesim._phase_states(chain, comp, 300, 0.001, (seed,))
     assert walked == [MARKOV_WALKS[name]] * 4
+
+
+def test_builtins_take_every_markov_walk(monkeypatch):
+    # a walk that no built-in takes is a path no pinned run checks
+    walked = spy_on_walks(monkeypatch)
+    for name in scn.BUILTIN_SCENARIOS:
+        sc = scn.builtin(name)
+        for phase in sc.workload.phases:
+            for comp in sc.system.components:
+                proc = phase.occupancy[comp.name]
+                if isinstance(proc, ss.MarkovChain):
+                    ss.tracesim._phase_states(proc, comp, 100, sc.tick_s, (0,))
+    assert set(walked) == set(MARKOV_WALKS.values())
 
 
 def test_markov_runs_match_step_loop_on_random_chains():
@@ -332,10 +352,10 @@ def test_markov_runs_match_step_loop_on_random_chains():
 
     @hypothesis.settings(max_examples=40, deadline=None, database=None)
     @hypothesis.given(chains(),
-                      st.integers(1, ss.tracesim._MARKOV_BLOCK + 1000),
+                      st.integers(1, 9192),
                       st.integers(0, 2**32 - 1))
     def check(chain, n_ticks, seed):
-        assert_loop_runs(chain, n_ticks, (seed,))
+        assert_reference_runs(chain, n_ticks, (seed,))
 
     check()
 
@@ -367,7 +387,7 @@ def test_markov_clamps_draws_above_row_cumsum(monkeypatch):
 
 
 EDGE_CHAINS = {
-    # slow, so walked from exit to exit; the last row sums to 1 - 5e-10,
+    # walked from exit to exit; the last row sums to 1 - 5e-10,
     # so a draw in [its cumsum, 1) keeps state 2 through the clamp
     "slow_k3": (((0.95, 0.03, 0.02), (0.04, 0.92, 0.04),
                  (0.04, 0.05, 0.9099999995)), 1),
@@ -376,7 +396,7 @@ EDGE_CHAINS = {
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CHAINS))
-def test_markov_draws_on_row_cumsums_give_the_loop_runs(name, monkeypatch):
+def test_markov_draws_on_row_cumsums_give_the_reference_runs(name, monkeypatch):
     # every draw is a row cumsum, 0, the largest float below 1 or a value
     # between the slow chain's last row sum and 1, in shuffled order, so
     # each state meets each bound of its stay interval
@@ -388,15 +408,15 @@ def test_markov_draws_on_row_cumsums_give_the_loop_runs(name, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng",
                         lambda key: FixedDraws(draws))
     chain = ss.MarkovChain(transition, step_s=0.001, initial_state=initial)
-    assert_loop_runs(chain, len(draws), (0,))
+    assert_reference_runs(chain, len(draws), (0,))
 
 
-def test_markov_chain_longer_than_one_block():
+def test_markov_fifty_state_chain_over_many_steps():
     rng = np.random.default_rng(21)
     chain = ss.MarkovChain(random_chain(rng, 50), step_s=0.001,
                            initial_state=17)
     comp = ss.Component("c", (1.0,) * 50)
-    n_ticks = 2 * ss.tracesim._MARKOV_BLOCK + 777
+    n_ticks = 17161
     got = phase_ticks(chain, comp, n_ticks, 0.001, (4, 2, 0))
     want = loop_markov_states(chain, n_ticks, 0.001, (4, 2, 0))
     assert np.array_equal(got, want)
