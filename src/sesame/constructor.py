@@ -22,6 +22,7 @@ import numpy as np
 from .battery import BatteryReadings, rms_relative_error
 from .collector import DesignMatrix, aggregate_response
 from .errors import (
+    ArgumentError,
     DegenerateFitError,
     InsufficientDataError,
     ParseError,
@@ -227,7 +228,7 @@ class EnergyModel:
         largest array a variant's prediction allocates.
         """
         if interval_s <= 0:
-            raise ValueError("interval must be > 0")
+            raise ArgumentError("interval must be > 0")
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != len(self.columns):
             raise SchemaError(
@@ -268,11 +269,12 @@ def stretch(dm: DesignMatrix, readings: BatteryReadings,
     """
     lo, hi = DEFAULT_T_LOW_RANGE
     if not lo <= t_low_s <= hi:
-        raise ValueError(
+        raise ArgumentError(
             f"t_low {t_low_s} s outside the configured range {DEFAULT_T_LOW_RANGE}")
     k = int(round(t_low_s / dm.interval_s))
     if abs(t_low_s / dm.interval_s - k) > 1e-9 or k < 1:
-        raise ValueError("t_low must be an integral multiple of the base interval")
+        raise ArgumentError(
+            "t_low must be an integral multiple of the base interval")
     y = aggregate_response(readings, t_low_s)
     m = min(dm.m // k, len(y))
     if m < dm.n + 2:
@@ -355,7 +357,7 @@ class TrainingSet:
                 axes, z = self._pca
                 l = n if l is None else l
                 if not 1 <= l <= n:
-                    raise ValueError(f"l must be in [1, {n}], got {l}")
+                    raise ArgumentError(f"l must be in [1, {n}], got {l}")
                 rows, feats = axes[:l], z[:, :l]
             else:
                 l, rows, feats = None, np.eye(n), self.xcs
@@ -394,7 +396,7 @@ def iterate_construction(dm: DesignMatrix, accuracy_target: float,
     one prepared training set and one PCA SVD.
     """
     if not 0.0 <= accuracy_target < 1.0:
-        raise ValueError("accuracy target must be in [0, 1)")
+        raise ArgumentError("accuracy target must be in [0, 1)")
     ts = TrainingSet(dm)
     best = ts.fit(method)
     if best.l is None:
@@ -428,14 +430,15 @@ class RegressogramModel:
 
 def _reject_non_finite(x: np.ndarray, columns: tuple[str, ...],
                        y: np.ndarray | None = None) -> None:
-    """Raise ValueError naming the first predictor (or the response) that
+    """Raise ArgumentError naming the first predictor (or the response) that
     holds a NaN or an infinity; a vectorised bin cast would hide it."""
     for j in range(x.shape[1]):
         if not np.isfinite(x[:, j]).all():
             name = columns[j] if j < len(columns) else f"x{j}"
-            raise ValueError(f"regressogram predictor {name!r} has non-finite values")
+            raise ArgumentError(
+                f"regressogram predictor {name!r} has non-finite values")
     if y is not None and not np.isfinite(y).all():
-        raise ValueError("regressogram response has non-finite values")
+        raise ArgumentError("regressogram response has non-finite values")
 
 
 def _bin_rows(x: np.ndarray, edges: tuple[np.ndarray, ...],
@@ -480,12 +483,12 @@ def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     if x.shape[0] == 0:
-        raise ValueError("empty training set")
+        raise ArgumentError("empty training set")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ArgumentError("k must be >= 1")
     if y.shape != (x.shape[0],):
-        raise ValueError(f"{x.shape[0]} training rows but responses of "
-                         f"shape {y.shape}")
+        raise ArgumentError(f"{x.shape[0]} training rows but responses of "
+                            f"shape {y.shape}")
     columns = columns or tuple(f"x{i}" for i in range(x.shape[1]))
     _reject_non_finite(x, columns, y)
     edges = tuple(np.linspace(x[:, j].min(), x[:, j].max(), k + 1)

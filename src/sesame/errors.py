@@ -52,6 +52,18 @@ class ParseError(SesameError):
     """A persisted document could not be decoded."""
 
 
+class ArgumentError(SesameError, ValueError):
+    """A library call's argument is outside the range the call accepts.
+
+    It is a ValueError too, so callers that catch ValueError still do."""
+
+
+class MissingRowError(SesameError, KeyError):
+    """A report has no row for the requested rate and estimator.
+
+    It is a KeyError too, so callers that catch KeyError still do."""
+
+
 def read_json(path: str, what: str):
     """The JSON document in `path`; `what` names it in error messages.
 

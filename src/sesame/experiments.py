@@ -20,6 +20,7 @@ from .constructor import EnergyModel, TrainingSet
 from .constructor import fit_regressogram, iterate_construction
 from .constructor import predict_regressogram_rows, stretch
 from .errors import ConfigurationError, InsufficientDataError
+from .errors import MissingRowError
 from .manager import (
     ConfigurationKey,
     ModelTable,
@@ -74,7 +75,7 @@ class ErrorReport:
         for row in self.rows:
             if row.estimator == estimator and math.isclose(row.rate_hz, rate_hz):
                 return row.rms_rel_error
-        raise KeyError((rate_hz, estimator))
+        raise MissingRowError((rate_hz, estimator))
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -143,22 +144,36 @@ def _interface_rms(arts: RunArtifacts, rate_hz: float) -> float | None:
     return arts.score(rate_hz, aggregate_response(readings, interval))
 
 
+# Solving the normal equations g c = A^T 1 loses about cond(g) * eps of
+# the coefficients' relative accuracy: below 1e8, at most about 2e-8. The
+# residual is stationary at the optimum, so the oracle's RMS moves by
+# about the square of that, below the 12 digits a report prints.
+_ORACLE_COND_BOUND = 1e8
+
+
 def _fit_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-rate linear baseline minimizing the RMS *relative* error.
 
-    Weighted least squares with 1/y weights: the best tradeoff any affine
-    model of these predictors can reach at this rate, so every molded
-    variant is dominated by it in-sample. The weighted design [1 X] * w
-    is filled in place: its first column is w itself, as 1.0 * w is.
+    Weighted least squares with 1/y weights over the rows with y > 0: the
+    best tradeoff any affine model of these predictors can reach at this
+    rate, so every molded variant is dominated by it in-sample. The
+    weighted design A = [1 X] * w is built once, transposed, with w itself
+    as its first row. The coefficients solve the (1 + n) x (1 + n) normal
+    equations (A^T A) c = A^T 1 while cond(A^T A) is below
+    `_ORACLE_COND_BOUND`; at or above it, and when A^T A is singular or
+    empty, they are `np.linalg.lstsq(A, 1)`.
     """
     ok = y > 0
     if not ok.all():
         x, y = x[ok], y[ok]
     w = 1.0 / y
-    a = np.empty((len(w), 1 + x.shape[1]))
-    a[:, 0] = w
-    np.multiply(x, w[:, None], out=a[:, 1:])
-    coef, *_ = np.linalg.lstsq(a, np.ones(len(w)), rcond=None)
+    at = np.empty((1 + x.shape[1], len(w)))
+    at[0] = w
+    np.multiply(x.T, w, out=at[1:])
+    g = at @ at.T
+    if np.linalg.cond(g) < _ORACLE_COND_BOUND:
+        return np.linalg.solve(g, at.sum(axis=1))
+    coef, *_ = np.linalg.lstsq(at.T, np.ones(len(w)), rcond=None)
     return coef
 
 
@@ -210,14 +225,15 @@ def run_molding(sc: ScenarioConfig,
     for rate in sc.rate_grid:
         report.add(rate, BATTERY_ESTIMATOR, _interface_rms(arts, rate))
         dm = arts.design(rate)
+        # the truth's temporaries are freed before the shared rates exist
+        truth = arts.truth(rate)
         # the variants share one training set's kept columns, so they
         # share the rates too; each applies its own affine map
         rates = models["molded_no_pca"].rates(dm.x, 1.0 / rate)
         for name in MOLDED_VARIANTS:
             report.add(rate, name, arts.score(
                 rate, models[name].predict_rates(rates, 1.0 / rate)))
-        del rates       # the oracle's design below is the run's memory peak
-        truth = arts.truth(rate)
+        del rates       # before the oracle's weighted design is built
         m = min(dm.m, len(truth))
         coef = _fit_oracle(dm.x[:m], truth[:m])
         report.add(rate, ORACLE_ESTIMATOR,

@@ -18,7 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from .constructor import EnergyModel, model_from_dict, model_to_dict
-from .errors import ParseError, from_document, read_json, to_document
+from .errors import (
+    ArgumentError,
+    ParseError,
+    from_document,
+    read_json,
+    to_document,
+)
 
 
 @dataclass(frozen=True)
@@ -137,24 +143,26 @@ class _TableDocument:
 
 
 def _check_settings(table: ModelTable) -> None:
-    """Raise ValueError unless the threshold is in (0, 1) and the window is
+    """Raise ArgumentError unless the threshold is in (0, 1) and the window is
     finite and positive, the ranges a scenario's pipeline settings take."""
     if not 0.0 < table.threshold < 1.0:
-        raise ValueError(f"threshold {table.threshold} must be in (0, 1)")
+        raise ArgumentError(f"threshold {table.threshold} must be in (0, 1)")
     if not 0.0 < table.window_s < math.inf:
-        raise ValueError(f"window {table.window_s} s must be finite and > 0")
+        raise ArgumentError(
+            f"window {table.window_s} s must be finite and > 0")
 
 
 def persist(table: ModelTable, path: str) -> None:
     """Write the table, including its decision log, as a strict JSON
     document.
 
-    A NaN or infinite value raises ValueError, and so do settings or an
-    active key that `load` refuses; either way no file is written.
+    A NaN or infinite value raises ValueError, and settings or an active
+    key that `load` refuses raise ArgumentError; either way no file is
+    written.
     """
     _check_settings(table)
     if table.active_key is not None and table.active_key not in table.models:
-        raise ValueError(f"active key {table.active_key} has no model")
+        raise ArgumentError(f"active key {table.active_key} has no model")
     doc = _TableDocument(
         table.active_key.triples if table.active_key else None,
         table.threshold, table.window_s, tuple(table.decision_log),
@@ -184,7 +192,7 @@ def load(path: str) -> ModelTable:
                        decision_log=list(doc.decision_log))
     try:
         _check_settings(table)
-    except ValueError as exc:
+    except ArgumentError as exc:
         raise ParseError(f"{path}: {exc}") from None
     for i, entry in enumerate(doc.models):
         key = ConfigurationKey(entry.key)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -286,8 +287,9 @@ def _exit_walk_runs(cum: np.ndarray, draws: np.ndarray,
     successors are found with array passes; Python then iterates once
     per run, bisecting the current state's exit list for the first exit
     at or after the run's start. The exit lists hold about (1 - stay)
-    entries per step and state. The last draw only picks a successor
-    past the phase end.
+    entries per step and state, as 8-byte integers in an `array("q")`
+    rather than as Python ints. The last draw only picks a successor past
+    the phase end.
     """
     k = len(cum)
     u = draws[:-1]
@@ -295,10 +297,11 @@ def _exit_walk_runs(cum: np.ndarray, draws: np.ndarray,
     for s in range(k):
         lo = cum[s, s - 1] if s else -np.inf
         hi = cum[s, s] if s < k - 1 else np.inf
-        at = np.flatnonzero((u < lo) | (u >= hi))
-        exits.append(at.tolist())
-        successors.append(np.minimum(
-            np.searchsorted(cum[s], u[at], side="right"), k - 1).tolist())
+        at = np.flatnonzero((u < lo) | (u >= hi)).astype(np.int64, copy=False)
+        exits.append(array("q", at.tobytes()))
+        successors.append(array("q", np.minimum(
+            np.searchsorted(cum[s], u[at], side="right"), k - 1,
+            dtype=np.int64).tobytes()))
     starts, states = [0], [initial]
     s, step = initial, 0
     while (r := bisect.bisect_left(exits[s], step)) < len(exits[s]):

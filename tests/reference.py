@@ -174,3 +174,11 @@ def stacked_fit_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     w = 1.0 / y[ok]
     coef, *_ = np.linalg.lstsq(a * w[:, None], np.ones(len(w)), rcond=None)
     return coef
+
+
+def oracle_rms(x: np.ndarray, y: np.ndarray, coef: np.ndarray) -> float:
+    """The oracle's objective: the RMS relative error of the affine
+    estimate `coef` over the positive-truth rows."""
+    ok = y > 0
+    rel = (coef[0] + x[ok] @ coef[1:]) / y[ok] - 1.0
+    return float(np.sqrt(np.mean(rel * rel)))

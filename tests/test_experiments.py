@@ -14,7 +14,12 @@ import sesame.experiments as exp
 import sesame.scenarios as scn
 from reference import tick_power
 from sesame.cli import main as cli_main
+from sesame.collector import DesignMatrix
+from sesame.constructor import TrainingSet, fit_regressogram
+from sesame.constructor import iterate_construction, stretch
 from sesame.errors import AlignmentError, ConfigurationError, ParseError
+from sesame.errors import SesameError
+from sesame.manager import ConfigurationKey, ModelTable, persist
 
 
 @pytest.fixture(scope="module")
@@ -409,3 +414,55 @@ def test_regressogram_k1_equals_mean_predictor_error():
     truth = arts.truth(1.0)
     mean_err = ss.rms_relative_error(np.full(len(truth), truth.mean()), truth)
     assert report.value(1.0, "regressogram") == pytest.approx(mean_err, rel=1e-9)
+
+
+def small_design() -> DesignMatrix:
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, size=(20, 2))
+    return DesignMatrix(interval_s=40.0, columns=("a", "b"),
+                        kinds=("residency", "residency"), x=x,
+                        t_start_s=np.arange(20) * 40.0,
+                        y=1.0 + x @ np.array([2.0, 3.0]))
+
+
+X4, Y4 = np.ones((4, 1)), np.ones(4)
+# each call raises a SesameError that is also the built-in error it
+# raised before it was typed
+BAD_LIBRARY_CALLS = {
+    "rates_interval": (ValueError, lambda dm, path: TrainingSet(dm).fit(
+        "OLS").rates(dm.x, 0.0)),
+    "stretch_t_low_range": (ValueError, lambda dm, path: stretch(
+        dm, None, 200.0)),
+    "stretch_t_low_multiple": (ValueError, lambda dm, path: stretch(
+        dm, None, 60.0)),
+    "fit_l": (ValueError, lambda dm, path: TrainingSet(dm).fit("OLS", l=3)),
+    "accuracy_target": (ValueError, lambda dm, path: iterate_construction(
+        dm, 1.0)),
+    "regressogram_predictor": (ValueError, lambda dm, path: fit_regressogram(
+        np.full((4, 1), np.nan), Y4)),
+    "regressogram_response": (ValueError, lambda dm, path: fit_regressogram(
+        X4, np.full(4, np.inf))),
+    "regressogram_empty": (ValueError, lambda dm, path: fit_regressogram(
+        np.empty((0, 1)), np.empty(0))),
+    "regressogram_k": (ValueError, lambda dm, path: fit_regressogram(
+        X4, Y4, k=0)),
+    "regressogram_shape": (ValueError, lambda dm, path: fit_regressogram(
+        X4, Y4[:3])),
+    "table_threshold": (ValueError, lambda dm, path: persist(
+        ModelTable(threshold=1.5), path)),
+    "table_window": (ValueError, lambda dm, path: persist(
+        ModelTable(window_s=float("inf")), path)),
+    "table_active_key": (ValueError, lambda dm, path: persist(
+        ModelTable(active_key=ConfigurationKey.canonical([("c", "n", 1)])),
+        path)),
+    "report_row": (KeyError, lambda dm, path: exp.ErrorReport("s", 0).value(
+        1.0, exp.ORACLE_ESTIMATOR)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LIBRARY_CALLS))
+def test_bad_library_calls_raise_typed_errors(name, tmp_path):
+    builtin, call = BAD_LIBRARY_CALLS[name]
+    with pytest.raises(SesameError) as info:
+        call(small_design(), str(tmp_path / "table.json"))
+    assert isinstance(info.value, builtin)

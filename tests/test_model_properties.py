@@ -2,7 +2,9 @@
 
 A fitted EnergyModel is b0 + r . b on the kept predictor rates, scaled by
 the interval ratio; these check that form against the explicit PCA
-pipeline it folds, and that its energies add up across rates. Model
+pipeline it folds, and that its energies add up across rates. The
+per-rate oracle's fit is checked against its normal equations and
+against lstsq. Model
 tables and scenarios must come back from their documents unchanged, and
 a document with any one node replaced must load or fail typed.
 """
@@ -15,7 +17,9 @@ import numpy as np
 import pytest
 
 import sesame as ss
+import sesame.experiments as exp
 import sesame.scenarios as scn
+from reference import oracle_rms, stacked_fit_oracle
 from sesame.collector import DesignMatrix
 from sesame.constructor import model_from_dict, model_to_dict
 from sesame.errors import SesameError
@@ -24,6 +28,7 @@ from sesame.tracesim import COUNTER
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
+hnp = pytest.importorskip("hypothesis.extra.numpy")
 
 PROPERTY = hypothesis.settings(max_examples=40, deadline=None, database=None)
 KINDS = ("residency", COUNTER, "level")
@@ -132,6 +137,37 @@ def test_tls_equals_ols_on_clean_data(seed, n, rows_per_coef):
     ols = ss.fit_ols(x, y)
     np.testing.assert_allclose(ss.fit_tls(x, y), ols, rtol=0.0, atol=1e-9)
     np.testing.assert_allclose(ols, beta, rtol=0.0, atol=1e-9)
+
+@st.composite
+def oracle_problems(draw):
+    """A design of 1 to 6 predictors and positive truths for its rows."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(n + 2, 40))
+    x = draw(hnp.arrays(float, (m, n), elements=st.floats(-1e3, 1e3)))
+    y = draw(hnp.arrays(float, m, elements=st.floats(1e-3, 1e3)))
+    return x, y
+
+
+@PROPERTY
+@hypothesis.given(problem=oracle_problems())
+def test_oracle_solves_its_normal_equations(problem):
+    x, y = problem
+    w = 1.0 / y
+    at = np.vstack([w, x.T * w])        # the oracle's own g, bit for bit
+    g, rhs = at @ at.T, at.sum(axis=1)
+    coef, ref = exp._fit_oracle(x, y), stacked_fit_oracle(x, y)
+    cond = np.linalg.cond(g)
+    if cond >= exp._ORACLE_COND_BOUND:
+        assert np.array_equal(coef, ref)
+        return
+    assert np.linalg.norm(g @ coef - rhs) <= 1e-12 * (
+        np.linalg.norm(g) * np.linalg.norm(coef) + np.linalg.norm(rhs))
+    # no worse a fit than lstsq's, but for roundoff: an exactly affine
+    # truth leaves the normal equations a residual near eps * cond(g)
+    slack = 1e-15 + np.finfo(float).eps * cond
+    assert oracle_rms(x, y, coef) <= (
+        oracle_rms(x, y, ref) * (1 + 1e-12) + slack)
+
 
 # -- persistence ----------------------------------------------------------------
 

@@ -1,13 +1,16 @@
 """Per-rate scoring against the formulas it replaced, float for float.
 
 A molding run scores each rate with one rates matrix shared by the four
-molded variants, one truth mask shared by all of the rate's estimates,
-and the oracle's weighted design filled in place. `reference` keeps the
-formulas that did that work on every call. Every comparison here is
-`==` or `np.array_equal`, never a tolerance.
+molded variants and one truth mask shared by all of the rate's estimates.
+`reference` keeps the formulas that did that work on every call. Every
+comparison here is `==` or `np.array_equal`, never a tolerance, but one:
+the oracle solves its normal equations while they are well conditioned,
+so there its weighted RMS is compared with the stacked design's to
+1e-12 relative or 1e-15 absolute.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ import sesame.scenarios as scn
 from reference import (
     gather_predict_rows,
     masked_rms_relative_error,
+    oracle_rms,
     stacked_fit_oracle,
 )
 from sesame.battery import RelativeErrorScorer, rms_relative_error
@@ -121,19 +125,52 @@ def test_a_model_with_a_dropped_column_predicts_as_the_gather():
                                   gather_predict_rows(model, x, 1.0 / rate))
 
 
-def test_in_place_oracle_equals_the_stacked_design(t61):
-    sc, arts, _ = t61
+def oracle_designs(sc, arts):
+    """(x, y) of every rate's oracle fit, on its truth and on the random
+    truths with enough positive rows, and one singular design per rate."""
     for rate in sc.rate_grid:
         dm = arts.design(rate)
         truth = arts.truth(rate)
         m = min(dm.m, len(truth))
         x, y = dm.x[:m], truth[:m]
-        assert np.array_equal(exp._fit_oracle(x, y), stacked_fit_oracle(x, y))
+        yield x, y
+        yield np.column_stack([x, x[:, :1]]), y
         rng = np.random.default_rng(int(rate * 100))
         for name, yy in truths(rng, m).items():
             if name != "nan" and (yy > 0).sum() > x.shape[1] + 1:
-                assert np.array_equal(exp._fit_oracle(x, yy),
-                                      stacked_fit_oracle(x, yy)), name
+                yield x, yy
+
+
+def normal_matrix(x, y):
+    """The oracle's g = A^T A, bit for bit, so both pick the same path."""
+    ok = y > 0
+    w = 1.0 / y[ok]
+    at = np.vstack([w, x[ok].T * w])
+    return at @ at.T
+
+
+def test_oracle_fallback_equals_the_stacked_design(t61):
+    sc, arts, _ = t61
+    checked = 0
+    for x, y in oracle_designs(sc, arts):
+        if np.linalg.cond(normal_matrix(x, y)) >= exp._ORACLE_COND_BOUND:
+            assert np.array_equal(exp._fit_oracle(x, y),
+                                  stacked_fit_oracle(x, y))
+            checked += 1
+    assert checked > len(sc.rate_grid)
+
+
+def test_oracle_normal_equations_fit_as_the_stacked_design(t61):
+    sc, arts, _ = t61
+    checked = 0
+    for x, y in oracle_designs(sc, arts):
+        if np.linalg.cond(normal_matrix(x, y)) < exp._ORACLE_COND_BOUND:
+            assert math.isclose(
+                oracle_rms(x, y, exp._fit_oracle(x, y)),
+                oracle_rms(x, y, stacked_fit_oracle(x, y)),
+                rel_tol=1e-12, abs_tol=1e-15)
+            checked += 1
+    assert checked >= len(sc.rate_grid)
 
 
 def test_molding_report_equals_scoring_each_estimate_alone(t61):
@@ -154,7 +191,7 @@ def test_molding_report_equals_scoring_each_estimate_alone(t61):
             m = min(len(pred), len(truth))
             want.append(masked_rms_relative_error(pred[:m], truth[:m]))
         m = min(dm.m, len(truth))
-        coef = stacked_fit_oracle(dm.x[:m], truth[:m])
+        coef = exp._fit_oracle(dm.x[:m], truth[:m])
         want.append(masked_rms_relative_error(coef[0] + dm.x[:m] @ coef[1:],
                                               truth[:m]))
     assert [row.rms_rel_error for row in report.rows] == want

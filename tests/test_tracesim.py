@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -420,6 +422,22 @@ def test_markov_fifty_state_chain_over_many_steps():
     got = phase_ticks(chain, comp, n_ticks, 0.001, (4, 2, 0))
     want = loop_markov_states(chain, n_ticks, 0.001, (4, 2, 0))
     assert np.array_equal(got, want)
+
+
+def test_dense_chain_exit_lists_stay_machine_integers():
+    # a dense k = 8 chain exits at about 7/8 of its 20k steps in every
+    # state: 8-byte exits and successors take about 2.2 MB, where lists
+    # of Python ints peaked at 7.8 MB
+    transition, initial = MARKOV_CASES["dense_k8"]
+    cum = np.cumsum(np.asarray(transition), axis=1)
+    draws = np.random.default_rng(1).random(20_000)
+    tracemalloc.start()
+    try:
+        ss.tracesim._exit_walk_runs(cum, draws, initial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_markov_phases_restart_with_their_own_draws():
