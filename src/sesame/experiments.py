@@ -145,9 +145,10 @@ def _interface_rms(arts: RunArtifacts, rate_hz: float) -> float | None:
 
 
 # Solving the normal equations g c = A^T 1 loses about cond(g) * eps of
-# the coefficients' relative accuracy: below 1e8, at most about 2e-8. The
-# residual is stationary at the optimum, so the oracle's RMS moves by
-# about the square of that, below the 12 digits a report prints.
+# the coefficients' relative accuracy: below 1e8, at most about 2e-8.
+# The residual is stationary at the optimum, so an RMS error well above
+# that moves by about its square, relative; an exact fit keeps an RMS of
+# roundoff size, as lstsq's is.
 _ORACLE_COND_BOUND = 1e8
 
 

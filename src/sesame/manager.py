@@ -18,13 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .constructor import EnergyModel, model_from_dict, model_to_dict
-from .errors import (
-    ArgumentError,
-    ParseError,
-    from_document,
-    read_json,
-    to_document,
-)
+from .errors import ArgumentError, ParseError
+from .errors import from_document, read_json, to_document
 
 
 @dataclass(frozen=True)

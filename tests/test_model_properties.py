@@ -4,9 +4,9 @@ A fitted EnergyModel is b0 + r . b on the kept predictor rates, scaled by
 the interval ratio; these check that form against the explicit PCA
 pipeline it folds, and that its energies add up across rates. The
 per-rate oracle's fit is checked against its normal equations and
-against lstsq. Model
-tables and scenarios must come back from their documents unchanged, and
-a document with any one node replaced must load or fail typed.
+against lstsq. Model tables and scenarios must come back from their
+documents unchanged, and a document with any one node replaced must
+load or fail typed.
 """
 
 import json
@@ -138,6 +138,7 @@ def test_tls_equals_ols_on_clean_data(seed, n, rows_per_coef):
     np.testing.assert_allclose(ss.fit_tls(x, y), ols, rtol=0.0, atol=1e-9)
     np.testing.assert_allclose(ols, beta, rtol=0.0, atol=1e-9)
 
+
 @st.composite
 def oracle_problems(draw):
     """A design of 1 to 6 predictors and positive truths for its rows."""
@@ -167,7 +168,6 @@ def test_oracle_solves_its_normal_equations(problem):
     slack = 1e-15 + np.finfo(float).eps * cond
     assert oracle_rms(x, y, coef) <= (
         oracle_rms(x, y, ref) * (1 + 1e-12) + slack)
-
 
 # -- persistence ----------------------------------------------------------------
 
