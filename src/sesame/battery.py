@@ -9,7 +9,6 @@ two readings to get a mean current.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,12 +87,6 @@ def _quantize(values: np.ndarray, lsb: float) -> np.ndarray:
     return np.floor(values / lsb + 1e-12) * lsb
 
 
-def _internal_current_means(trace: Trace, internal_rate_hz: float) -> np.ndarray:
-    """True mean current per internal sample window, one entry per window."""
-    period = 1.0 / internal_rate_hz
-    return true_energy(trace, period) / period
-
-
 def sample_instant(trace: Trace, model: BatteryInterfaceModel,
                    seed: int = 0) -> BatteryReadings:
     """Instant-kind readings at the model's rate.
@@ -105,11 +98,11 @@ def sample_instant(trace: Trace, model: BatteryInterfaceModel,
     if model.kind != INSTANT:
         raise ConfigurationError("sample_instant needs an instant-kind model")
     f_int = model.internal_rate_hz or model.reading_rate_hz
-    if f_int < model.reading_rate_hz:
-        raise ConfigurationError("internal rate must be >= reading rate")
     per_read = _ratio_as_int(f_int / model.reading_rate_hz, 1.0,
                              "internal samples per reading")
-    means = _internal_current_means(trace, f_int) / model.supply_voltage_v
+    # true mean current per internal sample window
+    period = 1.0 / f_int
+    means = true_energy(trace, period) / period / model.supply_voltage_v
     n_read = len(means) // per_read
     # expose the last internal sample before each reading instant
     exposed = means[per_read - 1: n_read * per_read: per_read]
@@ -133,8 +126,7 @@ def sample_filtered(trace: Trace, model: BatteryInterfaceModel,
     if model.kind != FILTERED:
         raise ConfigurationError("sample_filtered needs a filtered-kind model")
     spacing = model.filter_window_s / model.filter_taps
-    f_int = 1.0 / spacing
-    samples = _internal_current_means(trace, f_int) / model.supply_voltage_v
+    samples = true_energy(trace, spacing) / spacing / model.supply_voltage_v
     rng = np.random.default_rng(seed)
     if model.noise_sigma > 0:
         samples = samples * (1.0 + rng.normal(0.0, model.noise_sigma, len(samples)))
@@ -142,11 +134,12 @@ def sample_filtered(trace: Trace, model: BatteryInterfaceModel,
     cum = np.concatenate([[0.0], np.cumsum(padded)])
     trailing = (cum[model.filter_taps:] - cum[:-model.filter_taps]) / model.filter_taps
     # trailing[i] = mean of taps internal samples ending at time i*spacing
-    n_read = int(math.floor(trace.duration_s * model.reading_rate_hz + 1e-9))
-    times = (np.arange(n_read) + 1) / model.reading_rate_hz
-    idx = np.floor(times / spacing + 1e-9).astype(np.int64)
-    idx = np.clip(idx, 0, len(trailing) - 1)
-    return BatteryReadings(model, _quantize(trailing[idx], model.quantization))
+    per_read = _ratio_as_int(1.0 / model.reading_rate_hz, trace.tick_s,
+                             "reading period")
+    per_sample = _ratio_as_int(spacing, trace.tick_s, "filter tap spacing")
+    ends = np.arange(1, len(trace) // per_read + 1) * per_read
+    return BatteryReadings(model, _quantize(trailing[ends // per_sample],
+                                            model.quantization))
 
 
 def sample_capacity(trace: Trace, model: BatteryInterfaceModel,

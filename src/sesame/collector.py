@@ -9,7 +9,6 @@ change only when their level changes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,21 +61,28 @@ class DesignMatrix:
         return self.x.shape[1]
 
 
+def _spec_ticks(spec: PredictorSpec, tick_s: float) -> tuple[int, int]:
+    """(delay, update period) of `spec` in ticks of `tick_s`; an
+    event-driven level changes at every delayed state change (period 1)."""
+    delay = _ratio_as_int(spec.delay_s, tick_s, f"{spec.id} delay", least=0)
+    if spec.policy == EVENT_DRIVEN and spec.kind == LEVEL:
+        return delay, 1
+    return delay, _ratio_as_int(1.0 / spec.update_rate_hz, tick_s,
+                                f"{spec.id} update period")
+
+
 def _observed(trace: Trace, spec: PredictorSpec,
-              times: np.ndarray) -> np.ndarray:
-    """Visible register value (cumulative kinds) or level of `spec` at
-    `times`.
+              ticks: np.ndarray) -> np.ndarray:
+    """Visible register value (cumulative kinds) or level of `spec` at the
+    tick indices `ticks`.
 
     Cumulative kinds expose a monotone register that advances only at
-    update instants; level kinds expose the delayed level, and an
-    event-driven level changes exactly at the delayed state changes. The
-    runs are read at the resulting ticks only.
+    update instants; level kinds expose the delayed level. Each tick is
+    moved back by the delay and down to the update grid, and the runs
+    are read at the resulting ticks only.
     """
-    t = np.asarray(times, dtype=float) - spec.delay_s
-    if not (spec.policy == EVENT_DRIVEN and spec.kind == LEVEL):
-        period = 1.0 / spec.update_rate_hz
-        t = np.floor(t / period + 1e-9) * period
-    idx = np.floor(t / trace.tick_s + 1e-9).astype(np.int64)
+    delay, period = _spec_ticks(spec, trace.tick_s)
+    idx = (np.asarray(ticks, dtype=np.int64) - delay) // period * period
     c_idx, weights = trace.model.weight_vector(spec)
     if spec.kind == LEVEL:
         # before the trace start the level is the first tick's
@@ -90,24 +96,20 @@ def _observed(trace: Trace, spec: PredictorSpec,
 
 def _interval_aggregate(trace: Trace, spec: PredictorSpec,
                         boundaries: np.ndarray, interval_s: float) -> np.ndarray:
-    """One aggregate per interval for a single predictor."""
+    """One aggregate per interval between the tick indices `boundaries`."""
     if spec.kind == LEVEL or spec.policy == EVENT_DRIVEN:
         return _observed(trace, spec, boundaries[:-1])
 
-    if spec.policy == POLLED_SLOW and spec.update_rate_hz < 1.0 / interval_s:
-        # Poll at the predictor's own update rate and hold the last
-        # completed per-period aggregate across target intervals. The
-        # delay is applied when the poll is served.
-        period = 1.0 / spec.update_rate_hz
-        starts = boundaries[:-1]
-        last_poll = np.floor(starts / period + 1e-9) * period
-        prev_poll = last_poll - period
-        held_rate = np.where(
-            last_poll >= period - 1e-12,
-            (_observed(trace, spec, np.maximum(last_poll, 0.0))
-             - _observed(trace, spec, np.maximum(prev_poll, 0.0))) / period,
-            0.0,
-        )
+    period = _spec_ticks(spec, trace.tick_s)[1]
+    if spec.policy == POLLED_SLOW and period > boundaries[1]:
+        # Updates slower than the intervals (boundaries start at 0): hold
+        # the last completed per-period aggregate across target intervals.
+        # The delay is applied when the poll is served; before the first
+        # completed period both polls read 0.
+        last_poll = boundaries[:-1] // period * period
+        period_s = 1.0 / spec.update_rate_hz
+        held_rate = (_observed(trace, spec, last_poll)
+                     - _observed(trace, spec, last_poll - period)) / period_s
         if spec.kind == RESIDENCY:
             return held_rate
         return held_rate * interval_s
@@ -122,27 +124,25 @@ def _interval_aggregate(trace: Trace, spec: PredictorSpec,
 def collect(trace: Trace, specs: Sequence[PredictorSpec],
             target_rate_hz: float) -> DesignMatrix:
     """Build the X-only design matrix at `target_rate_hz`, one row per
-    whole interval of the trace."""
+    whole interval of the trace; the interval must be whole ticks."""
     if target_rate_hz <= 0:
         raise ConfigurationError("target rate must be > 0")
     if not specs:
         raise ConfigurationError("no predictors to collect")
     interval = 1.0 / target_rate_hz
-    if interval < trace.tick_s - 1e-12:
-        raise ConfigurationError(
-            f"target rate {target_rate_hz} Hz exceeds the trace resolution "
-            f"({1.0 / trace.tick_s:g} Hz)")
-    m = int(math.floor(trace.duration_s * target_rate_hz + 1e-9))
+    k = _ratio_as_int(interval, trace.tick_s,
+                      f"target rate {target_rate_hz:g} Hz interval")
+    m = len(trace) // k
     if m < 1:
         raise ConfigurationError("trace shorter than one interval")
-    boundaries = np.arange(m + 1) * interval
+    boundaries = np.arange(m + 1) * k
     return DesignMatrix(
         interval_s=interval,
         columns=tuple(s.id for s in specs),
         kinds=tuple(s.kind for s in specs),
         x=np.column_stack([_interval_aggregate(trace, spec, boundaries,
                                                interval) for spec in specs]),
-        t_start_s=boundaries[:-1],
+        t_start_s=np.arange(m) * interval,
     )
 
 
@@ -155,7 +155,7 @@ def aggregate_response(readings: BatteryReadings,
     """
     v = readings.model.supply_voltage_v
     period = readings.period_s
-    if interval_s < period - 1e-12:
+    if interval_s < period:
         raise RateError(
             f"interval {interval_s} s is shorter than the reading period {period} s")
     k = _ratio_as_int(interval_s, period, "response interval")

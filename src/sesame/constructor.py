@@ -22,6 +22,7 @@ import numpy as np
 from .battery import BatteryReadings, rms_relative_error
 from .collector import DesignMatrix, aggregate_response
 from .errors import (
+    AlignmentError,
     ArgumentError,
     DegenerateFitError,
     InsufficientDataError,
@@ -30,7 +31,7 @@ from .errors import (
     from_document,
     to_document,
 )
-from .tracesim import COUNTER, LEVEL, RESIDENCY
+from .tracesim import COUNTER, LEVEL, RESIDENCY, _ratio_as_int
 
 _ZERO_VAR_TOL = 1e-12
 # a kept column is active when the PCA rows a model keeps give it at
@@ -271,10 +272,10 @@ def stretch(dm: DesignMatrix, readings: BatteryReadings,
     if not lo <= t_low_s <= hi:
         raise ArgumentError(
             f"t_low {t_low_s} s outside the configured range {DEFAULT_T_LOW_RANGE}")
-    k = int(round(t_low_s / dm.interval_s))
-    if abs(t_low_s / dm.interval_s - k) > 1e-9 or k < 1:
-        raise ArgumentError(
-            "t_low must be an integral multiple of the base interval")
+    try:
+        k = _ratio_as_int(t_low_s, dm.interval_s, "t_low vs base interval")
+    except AlignmentError as exc:
+        raise ArgumentError(str(exc)) from None
     y = aggregate_response(readings, t_low_s)
     m = min(dm.m // k, len(y))
     if m < dm.n + 2:

@@ -28,7 +28,7 @@ class ConfigurationError(SesameError):
     """A scenario or model configuration is invalid (CLI exit code 1)."""
 
 
-class AlignmentError(SesameError):
+class AlignmentError(ConfigurationError):
     """A time interval is not an integral multiple of the underlying grid."""
 
 

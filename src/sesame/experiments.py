@@ -19,7 +19,7 @@ from .collector import DesignMatrix, aggregate_response, collect
 from .constructor import EnergyModel, TrainingSet
 from .constructor import fit_regressogram, iterate_construction
 from .constructor import predict_regressogram_rows, stretch
-from .errors import ConfigurationError, InsufficientDataError
+from .errors import AlignmentError, ConfigurationError, InsufficientDataError
 from .errors import MissingRowError
 from .manager import (
     ConfigurationKey,
@@ -36,7 +36,7 @@ from .scenarios import (
     REGRESSOGRAM,
     ScenarioConfig,
 )
-from .tracesim import Trace, gen_trace, true_energy
+from .tracesim import Trace, _ratio_as_int, gen_trace, true_energy
 
 BATTERY_ESTIMATOR = "battery_interface"
 ORACLE_ESTIMATOR = "external_oracle"
@@ -133,15 +133,14 @@ def simulate(sc: ScenarioConfig) -> RunArtifacts:
 
 
 def _interface_rms(arts: RunArtifacts, rate_hz: float) -> float | None:
-    """Raw-interface RMS error at `rate_hz`, or None when unsupported."""
-    readings = arts.readings
-    period = readings.period_s
+    """Raw-interface RMS error at `rate_hz`, or None when its interval is
+    not a whole number of reading periods."""
     interval = 1.0 / rate_hz
-    if interval < period - 1e-12:
+    try:
+        _ratio_as_int(interval, arts.readings.period_s, "interval")
+    except AlignmentError:
         return None
-    if abs(interval / period - round(interval / period)) > 1e-9:
-        return None
-    return arts.score(rate_hz, aggregate_response(readings, interval))
+    return arts.score(rate_hz, aggregate_response(arts.readings, interval))
 
 
 # Solving the normal equations g c = A^T 1 loses about cond(g) * eps of

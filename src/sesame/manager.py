@@ -151,9 +151,8 @@ def persist(table: ModelTable, path: str) -> None:
     """Write the table, including its decision log, as a strict JSON
     document.
 
-    A NaN or infinite value raises ValueError, and settings or an active
-    key that `load` refuses raise ArgumentError; either way no file is
-    written.
+    A NaN or infinite value, and settings or an active key that `load`
+    refuses, raise ArgumentError; no file is written then.
     """
     _check_settings(table)
     if table.active_key is not None and table.active_key not in table.models:
@@ -164,7 +163,10 @@ def persist(table: ModelTable, path: str) -> None:
         tuple(_Entry(key.triples, model_to_dict(m))
               for key, m in table.models.items()))
     # encode first, so a value strict JSON cannot hold leaves no partial file
-    text = json.dumps(to_document(doc), indent=1, allow_nan=False)
+    try:
+        text = json.dumps(to_document(doc), indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise ArgumentError(f"model table: {exc}") from None
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -13,10 +13,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from .battery import BatteryInterfaceModel
+from .battery import FILTERED, INSTANT, BatteryInterfaceModel
+from .collector import _spec_ticks
 from .constructor import DEFAULT_T_LOW_RANGE
 from .errors import (
-    AlignmentError,
     ConfigurationError,
     ParseError,
     from_document,
@@ -82,8 +82,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(f"unknown experiment {self.experiment!r}")
-        if not (self.tick_s > 0 and self.base_rate_hz > 0):
-            raise ConfigurationError("tick and base rate must be > 0")
+        if not self.tick_s > 0:
+            raise ConfigurationError("tick must be > 0")
         if not self.tick_s <= self.duration_s < math.inf:
             raise ConfigurationError(f"duration {self.duration_s} s must be "
                                      f"finite and >= the {self.tick_s} s tick")
@@ -98,20 +98,34 @@ class ScenarioConfig:
             raise ConfigurationError(f"duplicate predictor ids in {ids}")
         for spec in self.predictors:
             self.system.weight_vector(spec)
+            _spec_ticks(spec, self.tick_s)
         if not self.rate_grid:
             raise ConfigurationError("rate grid is empty")
-        for rate in self.rate_grid:
+        for rate in (self.base_rate_hz, *self.rate_grid):
             if not 0 < rate < math.inf:
                 raise ConfigurationError(f"rate {rate} Hz must be finite and > 0")
-            _whole_multiple(1.0 / rate, self.tick_s, f"rate {rate:g} Hz period")
+            _ratio_as_int(1.0 / rate, self.tick_s, f"rate {rate:g} Hz period")
         lo, hi = DEFAULT_T_LOW_RANGE
         if not lo <= self.t_low_s <= hi:
             raise ConfigurationError(
                 f"t_low {self.t_low_s} s outside the range [{lo:g}, {hi:g}] s")
-        _whole_multiple(self.t_low_s, 1.0 / self.base_rate_hz, "t_low")
-        period = 1.0 / self.battery.reading_rate_hz
-        _whole_multiple(self.t_low_s, period, "t_low vs battery reading period")
-        _whole_multiple(self.window_s, period, "window vs battery reading period")
+        _ratio_as_int(self.t_low_s, 1.0 / self.base_rate_hz, "t_low")
+        bat = self.battery
+        period = 1.0 / bat.reading_rate_hz
+        _ratio_as_int(period, self.tick_s, "battery reading period")
+        _ratio_as_int(self.t_low_s, period, "t_low vs battery reading period")
+        _ratio_as_int(self.window_s, period, "window vs battery reading period")
+        if bat.kind == INSTANT and bat.internal_rate_hz:
+            _ratio_as_int(1.0 / bat.internal_rate_hz, self.tick_s,
+                          "battery internal sample period")
+        if bat.kind == FILTERED:
+            _ratio_as_int(bat.filter_window_s / bat.filter_taps, self.tick_s,
+                          "battery filter tap spacing")
+        for phase in self.workload.phases:
+            for proc in phase.occupancy.values():
+                if isinstance(proc, MarkovChain):
+                    _ratio_as_int(proc.step_s, self.tick_s,
+                                  f"phase {phase.name} Markov step")
         for name in ("pca_l", "regressogram_k", "train_windows"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(
@@ -135,14 +149,6 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 # JSON (de)serialization
 # ---------------------------------------------------------------------------
-
-def _whole_multiple(value: float, base: float, what: str) -> None:
-    """Raise ConfigurationError unless value is a whole multiple of base."""
-    try:
-        _ratio_as_int(value, base, what)
-    except AlignmentError as exc:
-        raise ConfigurationError(str(exc)) from None
-
 
 def scenario_to_dict(sc: ScenarioConfig) -> dict:
     doc = to_document(sc)

@@ -43,14 +43,14 @@ EVENT_DRIVEN = "event-driven"
 _REL_TOL = 1e-9
 
 
-def _ratio_as_int(value: float, base: float, what: str) -> int:
-    """Return value/base as an int, or raise if it is not integral."""
+def _ratio_as_int(value: float, base: float, what: str, least: int = 1) -> int:
+    """value/base as an int of at least `least`, or AlignmentError: the
+    one place where seconds become a count of ticks or of readings."""
     ratio = value / base
     n = int(round(ratio)) if math.isfinite(ratio) else 0
-    if n < 1 or abs(ratio - n) > 1e-6 * max(1.0, abs(ratio)):
-        raise AlignmentError(
-            f"{what}: {value} is not an integral multiple of {base}"
-        )
+    if not (n >= least and abs(ratio - n) <= 1e-6 * max(1.0, abs(ratio))):
+        raise AlignmentError(f"{what}: {value} is not an integral "
+                             f"multiple of {base}")
     return n
 
 
@@ -436,10 +436,6 @@ class Trace:
 
     def __len__(self) -> int:
         return self.n_ticks
-
-    @property
-    def duration_s(self) -> float:
-        return len(self) * self.tick_s
 
     # -- truth queries on the runs ---------------------------------------------
 

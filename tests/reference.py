@@ -80,9 +80,10 @@ def interval_truth(trace: ss.Trace, spec: ss.PredictorSpec,
 
 
 def read_grid(trace: ss.Trace, rate_hz: float) -> np.ndarray:
-    """Read instants 0, 1/rate_hz, ... up to the end of the trace."""
-    n_reads = int(np.floor(trace.duration_s * rate_hz + 1e-9))
-    return np.arange(n_reads + 1) / rate_hz
+    """Tick indices of the read instants 0, 1/rate_hz, ... up to the end
+    of the trace."""
+    k = tracesim._ratio_as_int(1.0 / rate_hz, trace.tick_s, "read period")
+    return np.arange(len(trace) // k + 1) * k
 
 
 def loop_markov_states(proc: ss.MarkovChain, n_ticks: int, tick_s: float,

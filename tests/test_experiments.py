@@ -13,6 +13,7 @@ import sesame.cli as cli
 import sesame.experiments as exp
 import sesame.scenarios as scn
 from reference import tick_power
+from sesame.battery import BatteryInterfaceModel
 from sesame.cli import main as cli_main
 from sesame.collector import DesignMatrix
 from sesame.constructor import TrainingSet, fit_regressogram
@@ -311,6 +312,23 @@ def test_scenario_config_rejects_bad_rates_and_tlow(updates):
         dataclasses.replace(scn.builtin("t61like"), **updates)
 
 
+T61 = scn.builtin("t61like")
+
+
+def first_predictor_with(**changes) -> dict:
+    return {"predictors": (dataclasses.replace(T61.predictors[0], **changes),
+                           *T61.predictors[1:])}
+
+
+def activity_chain_with(**changes) -> dict:
+    """The occupancy mapping is out of `dataclasses.replace`'s reach."""
+    phase, = T61.workload.phases
+    chain = dataclasses.replace(phase.occupancy["act"], **changes)
+    phase = dataclasses.replace(
+        phase, occupancy={**phase.occupancy, "act": chain})
+    return {"workload": dataclasses.replace(T61.workload, phases=(phase,))}
+
+
 @pytest.mark.parametrize("updates", [
     {"pca_l": 0}, {"regressogram_k": 0}, {"train_windows": 0},
     {"accuracy_target": 1.0}, {"accuracy_target": -0.1},
@@ -321,6 +339,15 @@ def test_scenario_config_rejects_bad_rates_and_tlow(updates):
     {"duration_s": float("nan")}, {"duration_s": float("inf")},
     {"duration_s": 0.0005}, {"fit_method": "XYZ"}, {"fit_method": "tls"},
     {"rate_grid": ()}, {"predictors": ()},
+    # each passes every other check; it is off the 1 ms tick grid
+    first_predictor_with(update_rate_hz=300.0),
+    first_predictor_with(delay_s=0.0005),
+    {"battery": dataclasses.replace(T61.battery, reading_rate_hz=3.0)},
+    {"battery": dataclasses.replace(T61.battery, filter_taps=7)},
+    {"battery": BatteryInterfaceModel(kind="instant", reading_rate_hz=0.5,
+                                      internal_rate_hz=300.0)},
+    activity_chain_with(step_s=0.0015),
+    {"base_rate_hz": 300.0},
 ])
 def test_scenario_config_rejects_bad_pipeline_fields(updates):
     with pytest.raises(ConfigurationError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -8,7 +9,7 @@ import sesame as ss
 import sesame.scenarios as scn
 from reference import residency_predictors
 from sesame.collector import DesignMatrix
-from sesame.errors import ConfigurationError, ParseError
+from sesame.errors import ArgumentError, ConfigurationError, ParseError
 from sesame.experiments import run_adaptation
 from sesame.manager import install_model, table_equals
 
@@ -197,6 +198,17 @@ def test_persist_writes_strict_json(tmp_path):
     with pytest.raises(ValueError):
         ss.persist(table, str(tmp_path / "nan.json"))
     assert not (tmp_path / "nan.json").exists()
+
+
+@pytest.mark.parametrize("b0", [float("nan"), float("inf")])
+def test_persist_refuses_a_non_finite_coefficient(tmp_path, b0):
+    table = ss.ModelTable()
+    install_model(table, key_of(dvs="off"),
+                  dataclasses.replace(make_model(), beta=np.array([b0, 1.0])))
+    path = tmp_path / "table.json"
+    with pytest.raises(ArgumentError, match="Out of range float"):
+        ss.persist(table, str(path))
+    assert not path.exists()
 
 
 def test_load_accepts_infinity_cooldown_of_older_files(tmp_path):

@@ -6,9 +6,11 @@ pipeline it folds, and that its energies add up across rates. The
 per-rate oracle's fit is checked against its normal equations and
 against lstsq. Model tables and scenarios must come back from their
 documents unchanged, and a document with any one node replaced must
-load or fail typed.
+load or fail typed. A short built-in whose timing fields are drawn on
+and off the tick grid must run to finite values or fail typed.
 """
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -308,3 +310,69 @@ def test_table_document_with_one_node_replaced_fails_typed(table, pick, value):
             return
         # what loads is what persist accepts
         ss.persist(back, str(Path(tmp) / "again.json"))
+
+
+# -- timing fuzz ----------------------------------------------------------------
+
+# values on the grid of every tick in ON_GRID["tick_s"], and values off it
+ON_GRID = {"tick_s": (0.001, 0.002, 0.005),
+           "rate_hz": (0.01, 0.1, 1.0, 4.0, 10.0, 100.0),
+           "update_rate_hz": (20.0, 50.0, 100.0),
+           "delay_s": (0.0, 0.01, 0.2, 0.3),
+           "reading_rate_hz": (0.1, 0.5, 1.0, 4.0)}
+OFF_GRID = {"tick_s": (0.0015,), "rate_hz": (3.0, 300.0),
+            "update_rate_hz": (300.0,), "delay_s": (0.0005, 0.0123),
+            "reading_rate_hz": (3.0,)}
+
+
+@st.composite
+def timing_variants(draw):
+    """A built-in cut to at most 200 s, with its timing fields on the
+    tick grid or, about half the time, one of them off it: (built-in,
+    changes). It may also run as an error-vs-rate experiment, which
+    reaches every rate of its grid in 200 s."""
+    sc = scn.builtin(draw(st.sampled_from(sorted(scn.BUILTIN_SCENARIOS))))
+    off = draw(st.none() | st.sampled_from(sorted(ON_GRID)))
+
+    def value(field):
+        return draw(st.sampled_from((OFF_GRID if field == off
+                                     else ON_GRID)[field]))
+
+    rates = draw(st.lists(st.sampled_from(ON_GRID["rate_hz"]), min_size=1,
+                          max_size=3, unique=True))
+    return sc, {
+        "experiment": draw(st.sampled_from((sc.experiment,
+                                            scn.ERROR_VS_RATE))),
+        "duration_s": draw(st.sampled_from((50.0, 200.0))),
+        "t_low_s": draw(st.sampled_from((50.0, 100.0))),
+        "tick_s": value("tick_s"),
+        "rate_grid": (*rates, value("rate_hz")) if off == "rate_hz"
+        else tuple(rates),
+        "predictors": tuple(
+            dataclasses.replace(spec, update_rate_hz=value("update_rate_hz"),
+                                delay_s=value("delay_s"))
+            for spec in sc.predictors),
+        "battery": dataclasses.replace(
+            sc.battery, reading_rate_hz=value("reading_rate_hz")),
+    }
+
+
+def returned_values(result) -> list[float]:
+    """The floats a run returns, as the golden files pin them."""
+    if isinstance(result, exp.ErrorReport):
+        return [row.rms_rel_error for row in result.rows
+                if row.rms_rel_error is not None]
+    model = result.table.active_model
+    return ([e for e in result.errors if e is not None]
+            + ([] if model is None else model.beta.tolist()))
+
+
+@hypothesis.settings(max_examples=30, deadline=None, database=None)
+@hypothesis.given(variant=timing_variants())
+def test_timing_fields_run_finite_or_fail_typed(variant):
+    sc, changes = variant
+    try:
+        result = exp.run_scenario(dataclasses.replace(sc, **changes))
+    except SesameError:
+        return
+    assert np.all(np.isfinite(returned_values(result)))

@@ -14,6 +14,7 @@ import sesame.experiments as exp
 import sesame.scenarios as scn
 from reference import interval_truth, read_grid, tick_power, tick_states
 from sesame import battery, collector, tracesim
+from sesame.errors import AlignmentError
 
 RTOL = 1e-12
 
@@ -73,10 +74,9 @@ def ref_value_at(trace, spec, times):
     return np.where(vis < 0, 0.0, cum[np.clip(idx, 0, len(trace))])
 
 
-def ref_internal_current_means(trace, internal_rate_hz):
-    k = int(round(1.0 / internal_rate_hz / trace.tick_s))
-    m = len(trace) // k
-    return tick_power(trace)[: m * k].reshape(m, k).mean(axis=1)
+def ref_true_energy(trace, interval_s):
+    k = int(round(interval_s / trace.tick_s))
+    return ref_window_sums(tick_power(trace), k) * trace.tick_s
 
 
 def ref_sample_capacity(trace, model, seed):
@@ -243,11 +243,11 @@ SPECS = (
     ss.PredictorSpec(id="cpu_hi", component="cpu", kind="residency",
                      weights={2: 1.0}, update_rate_hz=1000.0, delay_s=0.003),
     ss.PredictorSpec(id="sectors", component="disk", kind="counter",
-                     weights={1: 212.5}, update_rate_hz=40.0, delay_s=0.0123,
+                     weights={1: 212.5}, update_rate_hz=40.0, delay_s=0.012,
                      policy="polled-slow"),
     ss.PredictorSpec(id="bl", component="lcd", kind="level",
                      weights={0: 0.2, 1: 0.55, 2: 0.9},
-                     policy="event-driven", delay_s=0.0071),
+                     policy="event-driven", delay_s=0.007),
     ss.PredictorSpec(id="bl_polled", component="lcd", kind="level",
                      weights={1: 0.5, 2: 1.0}, update_rate_hz=20.0),
 )
@@ -264,14 +264,18 @@ def test_interval_truth_matches_tick_values(mixed_trace, spec, interval_s):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.id)
 def test_value_at_matches_per_tick_series(mixed_trace, spec):
-    times = read_grid(mixed_trace, 100.0)
-    got = collector._observed(mixed_trace, spec, times)
-    np.testing.assert_allclose(got, ref_value_at(mixed_trace, spec, times),
-                               rtol=RTOL)
-    odd = np.array([-1.0, -1e-12, 0.0, 0.0004, 1.2345, 2.9999, 5.0, 7.5])
-    np.testing.assert_allclose(collector._observed(mixed_trace, spec, odd),
-                               ref_value_at(mixed_trace, spec, odd),
-                               rtol=RTOL)
+    tick_s = mixed_trace.tick_s
+    for ticks in (read_grid(mixed_trace, 100.0),
+                  np.array([-1000, -1, 0, 1, 1234, 2999, 5000, 7500])):
+        np.testing.assert_allclose(
+            collector._observed(mixed_trace, spec, ticks),
+            ref_value_at(mixed_trace, spec, ticks * tick_s), rtol=RTOL)
+
+
+def test_collect_refuses_a_delay_off_the_tick_grid(mixed_trace):
+    spec = dataclasses.replace(SPECS[2], delay_s=0.0123)
+    with pytest.raises(AlignmentError, match="sectors delay"):
+        collector.collect(mixed_trace, [spec], 1.0)
 
 
 def test_integral_at_every_tick(mixed_trace):
@@ -352,8 +356,7 @@ def test_current_samplers_match_per_tick_power(mixed_trace, monkeypatch,
     model = ss.BatteryInterfaceModel(kind=kind, reading_rate_hz=20.0,
                                      supply_voltage_v=3.7, **extra)
     got = ss.sample_interface(mixed_trace, model, seed=3)
-    monkeypatch.setattr(battery, "_internal_current_means",
-                        ref_internal_current_means)
+    monkeypatch.setattr(battery, "true_energy", ref_true_energy)
     want = ss.sample_interface(mixed_trace, model, seed=3)
     np.testing.assert_allclose(got.values, want.values, rtol=RTOL)
 

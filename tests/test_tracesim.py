@@ -468,11 +468,10 @@ def test_observed_equals_truth_when_updates_are_fast():
     trace = ss.gen_trace(model, wl, duration, 0.01)
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={2: 1.0}, update_rate_hz=100.0)
-    times = read_grid(trace, 100.0)
-    values = _observed(trace, spec, times)
+    ticks = read_grid(trace, 100.0)
+    values = _observed(trace, spec, ticks)
     truth = trace.cumulative(spec)
-    idx = np.round(times / trace.tick_s).astype(int)
-    assert np.allclose(values, truth[idx], atol=1e-12)
+    assert np.allclose(values, truth[ticks], atol=1e-12)
 
 
 def test_slow_update_lag_bounded_by_one_quantum():
@@ -482,9 +481,9 @@ def test_slow_update_lag_bounded_by_one_quantum():
     trace = ss.gen_trace(model, wl, duration, 0.001)
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={2: 1.0}, update_rate_hz=250.0)
-    times = read_grid(trace, 100.0)
-    observed = _observed(trace, spec, times)
-    truth = trace.cumulative(spec)[np.round(times / trace.tick_s).astype(int)]
+    ticks = read_grid(trace, 100.0)
+    observed = _observed(trace, spec, ticks)
+    truth = trace.cumulative(spec)[ticks]
     lag = truth - observed
     assert lag.min() >= -1e-12
     assert lag.max() <= 1.0 / 250.0 + 1e-12
@@ -502,9 +501,9 @@ def test_square_wave_read_error_bounded_by_update_granularity():
     trace = ss.gen_trace(model, wl, 20.0, 0.001)
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={1: 1.0}, update_rate_hz=250.0)
-    times = read_grid(trace, 100.0)
-    observed = _observed(trace, spec, times)
-    truth = trace.cumulative(spec)[np.round(times / trace.tick_s).astype(int)]
+    ticks = read_grid(trace, 100.0)
+    observed = _observed(trace, spec, ticks)
+    truth = trace.cumulative(spec)[ticks]
     quantum = 1.0 / 250.0
     gap = truth - observed
     assert gap.min() >= -1e-12 and gap.max() <= quantum + 1e-12
@@ -523,8 +522,7 @@ def test_delayed_counter_cross_correlation_peaks_at_delay():
     spec = ss.PredictorSpec(id="sectors", component="disk", kind="counter",
                             weights={1: 200.0}, update_rate_hz=100.0,
                             delay_s=delay)
-    times = read_grid(trace, 20.0)
-    observed_cum = _observed(trace, spec, times)
+    observed_cum = _observed(trace, spec, read_grid(trace, 20.0))
     true_spec = ss.PredictorSpec(id="sectors", component="disk",
                                  kind="counter", weights={1: 200.0},
                                  update_rate_hz=100.0)
