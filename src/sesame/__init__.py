@@ -45,8 +45,6 @@ from .manager import (
 from .tracesim import (
     Component,
     ComponentStateModel,
-    DutyCycle,
-    FixedState,
     MarkovChain,
     Phase,
     PredictorSpec,

@@ -1,10 +1,10 @@
 """Smart-battery-interface simulation and error-vs-rate analysis.
 
-Three interface kinds are modeled. `instant` reports the discharge current
-of the most recent internal sample, `filtered` reports a trailing moving
-average of internal samples (the laptop-style low-pass register), and
-`capacity` reports remaining charge so that the consumer has to difference
-two readings to get a mean current.
+Three interface kinds are modeled. `instant` reports the mean discharge
+current over the reading period that just ended, `filtered` reports a
+trailing moving average of internal samples (the laptop-style low-pass
+register), and `capacity` reports remaining charge so that the consumer
+has to difference two readings to get a mean current.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class BatteryInterfaceModel:
     """Fuel-gauge behavior knobs.
 
     noise_sigma is the relative std-dev of multiplicative Gaussian noise on
-    each raw internal sample (for the capacity kind it applies to the
+    each raw sample (for the capacity kind it applies to the
     remaining-capacity register). counter_sigma adds a zero-mean absolute
     error (coulombs) to the internal charge register of the instant kind;
     because consecutive readings difference that register, the resulting
@@ -41,8 +41,6 @@ class BatteryInterfaceModel:
     counter_sigma_c: float = 0.0
     filter_window_s: float = 0.0
     filter_taps: int = 0
-    quantization: float = 0.0          # A/LSB (instant, filtered) or C/LSB
-    internal_rate_hz: float = 0.0      # 0 = one internal sample per reading
     initial_capacity_c: float = 20000.0
 
     def __post_init__(self):
@@ -54,8 +52,6 @@ class BatteryInterfaceModel:
             raise ConfigurationError("supply voltage must be > 0")
         if self.noise_sigma < 0 or self.counter_sigma_c < 0:
             raise ConfigurationError("noise sigma must be >= 0")
-        if self.quantization < 0:
-            raise ConfigurationError("quantization must be >= 0")
         if self.kind == FILTERED:
             if self.filter_window_s <= 0 or self.filter_taps < 1:
                 raise ConfigurationError(
@@ -81,38 +77,26 @@ class BatteryReadings:
         return len(self.values)
 
 
-def _quantize(values: np.ndarray, lsb: float) -> np.ndarray:
-    if lsb <= 0:
-        return values
-    return np.floor(values / lsb + 1e-12) * lsb
-
-
 def sample_instant(trace: Trace, model: BatteryInterfaceModel,
                    seed: int = 0) -> BatteryReadings:
     """Instant-kind readings at the model's rate.
 
-    Reading k at t = k/rate is the true mean current of the internal sample
-    ending at t, times (1 + noise), plus the telescoped charge-register
-    error, floor-quantized.
+    Reading k, taken at t = (k + 1) / rate, is the true mean current over
+    the reading period ending at t, times (1 + noise), plus the
+    telescoped charge-register error.
     """
     if model.kind != INSTANT:
         raise ConfigurationError("sample_instant needs an instant-kind model")
-    f_int = model.internal_rate_hz or model.reading_rate_hz
-    per_read = _ratio_as_int(f_int / model.reading_rate_hz, 1.0,
-                             "internal samples per reading")
-    # true mean current per internal sample window
-    period = 1.0 / f_int
-    means = true_energy(trace, period) / period / model.supply_voltage_v
-    n_read = len(means) // per_read
-    # expose the last internal sample before each reading instant
-    exposed = means[per_read - 1: n_read * per_read: per_read]
+    period = 1.0 / model.reading_rate_hz
+    exposed = true_energy(trace, period) / period / model.supply_voltage_v
+    n_read = len(exposed)
     rng = np.random.default_rng(seed)
     if model.noise_sigma > 0:
         exposed = exposed * (1.0 + rng.normal(0.0, model.noise_sigma, n_read))
     if model.counter_sigma_c > 0:
         eta = rng.normal(0.0, model.counter_sigma_c, n_read + 1)
         exposed = exposed + np.diff(eta) * model.reading_rate_hz
-    return BatteryReadings(model, _quantize(exposed, model.quantization))
+    return BatteryReadings(model, exposed)
 
 
 def sample_filtered(trace: Trace, model: BatteryInterfaceModel,
@@ -138,13 +122,12 @@ def sample_filtered(trace: Trace, model: BatteryInterfaceModel,
                              "reading period")
     per_sample = _ratio_as_int(spacing, trace.tick_s, "filter tap spacing")
     ends = np.arange(1, len(trace) // per_read + 1) * per_read
-    return BatteryReadings(model, _quantize(trailing[ends // per_sample],
-                                            model.quantization))
+    return BatteryReadings(model, trailing[ends // per_sample])
 
 
 def sample_capacity(trace: Trace, model: BatteryInterfaceModel,
                     seed: int = 0) -> BatteryReadings:
-    """Capacity-kind readings: remaining charge, noisy and quantized.
+    """Capacity-kind readings: remaining charge, with multiplicative noise.
 
     Includes a reading at t = 0 so consumers can difference whole windows.
     """
@@ -157,7 +140,7 @@ def sample_capacity(trace: Trace, model: BatteryInterfaceModel,
     rng = np.random.default_rng(seed)
     if model.noise_sigma > 0:
         levels = levels * (1.0 + rng.normal(0.0, model.noise_sigma, len(levels)))
-    return BatteryReadings(model, _quantize(levels, model.quantization))
+    return BatteryReadings(model, levels)
 
 
 def sample_interface(trace: Trace, model: BatteryInterfaceModel,

@@ -3,8 +3,8 @@ the OS exposes the predictors: refreshed on their update grid, delayed.
 
 Polling policies follow the predictors' update behavior: fast predictors
 are differenced at the target-interval boundaries, slow predictors hold
-their last completed per-update aggregate, and event-driven predictors
-change only when their level changes.
+their last completed per-update aggregate, and an event-driven level
+changes at every delayed state change.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _spec_ticks(spec: PredictorSpec, tick_s: float) -> tuple[int, int]:
     """(delay, update period) of `spec` in ticks of `tick_s`; an
     event-driven level changes at every delayed state change (period 1)."""
     delay = _ratio_as_int(spec.delay_s, tick_s, f"{spec.id} delay", least=0)
-    if spec.policy == EVENT_DRIVEN and spec.kind == LEVEL:
+    if spec.policy == EVENT_DRIVEN:
         return delay, 1
     return delay, _ratio_as_int(1.0 / spec.update_rate_hz, tick_s,
                                 f"{spec.id} update period")
@@ -97,7 +97,7 @@ def _observed(trace: Trace, spec: PredictorSpec,
 def _interval_aggregate(trace: Trace, spec: PredictorSpec,
                         boundaries: np.ndarray, interval_s: float) -> np.ndarray:
     """One aggregate per interval between the tick indices `boundaries`."""
-    if spec.kind == LEVEL or spec.policy == EVENT_DRIVEN:
+    if spec.kind == LEVEL:
         return _observed(trace, spec, boundaries[:-1])
 
     period = _spec_ticks(spec, trace.tick_s)[1]

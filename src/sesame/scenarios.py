@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .battery import FILTERED, INSTANT, BatteryInterfaceModel
+from .battery import FILTERED, BatteryInterfaceModel
 from .collector import _spec_ticks
 from .constructor import DEFAULT_T_LOW_RANGE
 from .errors import (
@@ -73,9 +73,6 @@ class ScenarioConfig:
     # below the rebuild threshold
     accuracy_target: float = _pipeline(0.95)
     rate_grid: tuple[float, ...] = _pipeline(DEFAULT_RATE_GRID)
-    # constant additive draw standing in for the energy cost of predictor
-    # and response collection; folded into the simulated power when set
-    collection_overhead_w: float = _pipeline(0.0)
     config_triples: tuple[tuple[str, str, str], ...] = (
         ("hardware", "machine", "sim"),)
 
@@ -105,6 +102,9 @@ class ScenarioConfig:
             if not 0 < rate < math.inf:
                 raise ConfigurationError(f"rate {rate} Hz must be finite and > 0")
             _ratio_as_int(1.0 / rate, self.tick_s, f"rate {rate:g} Hz period")
+            if 1.0 / rate > self.duration_s:
+                raise ConfigurationError(f"rate {rate:g} Hz period is "
+                                         f"longer than the trace")
         lo, hi = DEFAULT_T_LOW_RANGE
         if not lo <= self.t_low_s <= hi:
             raise ConfigurationError(
@@ -115,9 +115,6 @@ class ScenarioConfig:
         _ratio_as_int(period, self.tick_s, "battery reading period")
         _ratio_as_int(self.t_low_s, period, "t_low vs battery reading period")
         _ratio_as_int(self.window_s, period, "window vs battery reading period")
-        if bat.kind == INSTANT and bat.internal_rate_hz:
-            _ratio_as_int(1.0 / bat.internal_rate_hz, self.tick_s,
-                          "battery internal sample period")
         if bat.kind == FILTERED:
             _ratio_as_int(bat.filter_window_s / bat.filter_taps, self.tick_s,
                           "battery filter tap spacing")
@@ -156,13 +153,29 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
     return doc
 
 
+# keys of removed features, which earlier exports write as 0
+_REMOVED_KEYS = (("battery", "quantization"), ("battery", "internal_rate_hz"),
+                 ("pipeline", "collection_overhead_w"))
+
+
 def scenario_from_dict(doc) -> ScenarioConfig:
     """The scenario a document describes, read against the dataclasses'
-    fields (see `sesame.errors`); the workload takes the top-level seed."""
-    if isinstance(doc, dict) and isinstance(doc.get("workload"), dict):
-        if "seed" in doc["workload"]:
-            raise ParseError("scenario.workload: unknown key 'seed'")
-        doc = {**doc, "workload": {**doc["workload"], "seed": doc.get("seed")}}
+    fields (see `sesame.errors`); the workload takes the top-level seed.
+    A key in `_REMOVED_KEYS` is dropped when it holds 0, and refused
+    otherwise."""
+    if isinstance(doc, dict):
+        doc = {k: dict(v) if isinstance(v, dict) else v
+               for k, v in doc.items()}
+        for group, key in _REMOVED_KEYS:
+            section = doc.get(group)
+            value = section.pop(key, 0) if isinstance(section, dict) else 0
+            if type(value) not in (int, float) or value != 0:
+                raise ParseError(f"scenario.{group}.{key}: removed; only 0 "
+                                 f"loads, got {value!r:.40}")
+        if isinstance(doc.get("workload"), dict):
+            if "seed" in doc["workload"]:
+                raise ParseError("scenario.workload: unknown key 'seed'")
+            doc["workload"]["seed"] = doc.get("seed")
     return from_document(ScenarioConfig, doc, "scenario")
 
 

@@ -7,13 +7,14 @@ the per-state residencies. Predictors are software-visible views of those
 residencies (residency fractions, event counters, or discrete levels) and
 carry the imperfections of a real OS: finite update rates and delays.
 
-The trace is run-length: states change only at Markov steps or schedule
-edges, so each component keeps the tick at which each run starts and the
-state it holds, never an array per tick. Energies, interval aggregates,
-the registers the OS exposes and battery charge are evaluated from the
-runs at the queried tick indices only (`Trace.integral`,
-`Trace.interval_sums`); the collector reads each predictor off the runs
-this way, with its update grid and delay applied.
+Each component follows, phase by phase, a seeded Markov chain or a
+deterministic schedule. The trace is run-length: states change only at
+Markov steps or schedule edges, so each component keeps the tick at which
+each run starts and the state it holds, never an array per tick.
+Energies, interval aggregates, the registers the OS exposes and battery
+charge are evaluated from the runs at the queried tick indices only
+(`Trace.integral`, `Trace.interval_sums`); the collector reads each
+predictor off the runs this way, with its update grid and delay applied.
 
 Markov chains are sampled straight into runs too: a two-state chain in
 closed form with array passes, and any other chain with one Python
@@ -119,41 +120,17 @@ class ComponentStateModel:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FixedState:
-    """Component pinned to one state."""
-
-    TAG = "fixed"       # the process's "type" in a scenario file
-    state: int
-
-
-@dataclass(frozen=True)
 class Schedule:
-    """Deterministic timeline of (duration_s, state), cycled over the phase."""
+    """Deterministic timeline of (duration_s, state), cycled over the
+    phase: one step pins a state, and two make a duty cycle."""
 
-    TAG = "schedule"
+    TAG = "schedule"    # the process's "type" in a scenario file
     steps: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
         if not self.steps or not all(0 < d < math.inf for d, _ in self.steps):
             raise ConfigurationError(
                 "schedule steps need finite, positive durations")
-
-
-@dataclass(frozen=True)
-class DutyCycle:
-    """Square wave: `fraction_hi` of each period in state_hi, rest in state_lo."""
-
-    TAG = "duty"
-    period_s: float
-    fraction_hi: float
-    state_hi: int
-    state_lo: int
-
-    def __post_init__(self):
-        if not 0 < self.period_s < math.inf:
-            raise ConfigurationError("duty cycle period must be finite and > 0")
-        if not 0.0 <= self.fraction_hi <= 1.0:
-            raise ConfigurationError("duty cycle fraction must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -183,7 +160,7 @@ class MarkovChain:
             raise ConfigurationError("Markov initial state out of range")
 
 
-OccupancyProcess = FixedState | Schedule | DutyCycle | MarkovChain
+OccupancyProcess = Schedule | MarkovChain
 
 
 @dataclass(frozen=True)
@@ -222,21 +199,28 @@ def _expand_runs(starts: np.ndarray, states: np.ndarray,
     return np.repeat(states, np.diff(starts, append=n_ticks))
 
 
-def _rule_runs(rule, n_ticks: int, tick_s: float, period_s: float,
-               offsets_s: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Runs of a periodic per-tick rule, evaluated only near its edges.
+def _schedule_runs(proc: Schedule, n_ticks: int,
+                   tick_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of a schedule, evaluated only near its step starts.
 
-    `rule(ticks)` gives the state of each tick from the time of its
-    midpoint modulo `period_s`, and changes only where a midpoint crosses
-    `c * period_s + offset`. A crossing at time b moves the state at tick
-    ceil(b / tick - 0.5), give or take one for rounding, so the rule is
-    compared with its value one tick earlier at those ticks only. When a
-    phase has more edges than ticks, every tick is compared.
+    A tick is in the step that its midpoint falls in, modulo the period.
+    A midpoint crossing a step start at time b moves the state at tick
+    ceil(b / tick - 0.5), give or take one for rounding, so only those
+    ticks are compared with the tick before; when a phase has more step
+    starts than ticks, every tick is.
     """
-    n_cycles = math.ceil(n_ticks * tick_s / period_s) + 1
-    if 3 * n_cycles * len(offsets_s) < n_ticks:
-        bounds = (np.arange(n_cycles)[:, None] * period_s
-                  + np.asarray(offsets_s, dtype=float)[None, :]).ravel()
+    edges = np.cumsum(np.array([d for d, _ in proc.steps]))
+    states = np.array([s for _, s in proc.steps], dtype=np.int16)
+    period = edges[-1]
+
+    def rule(ticks):
+        t = ((ticks + 0.5) * tick_s) % period
+        return states[np.searchsorted(edges[:-1], t, side="right")]
+
+    n_cycles = math.ceil(n_ticks * tick_s / period) + 1
+    if 3 * n_cycles * len(edges) < n_ticks:
+        offsets = np.concatenate([[0.0], edges[:-1]])
+        bounds = (np.arange(n_cycles)[:, None] * period + offsets).ravel()
         near = np.ceil(bounds / tick_s - 0.5).astype(np.int64)
         ticks = np.unique(np.concatenate([near - 1, near, near + 1]))
         ticks = ticks[(ticks >= 1) & (ticks < n_ticks)]
@@ -323,8 +307,8 @@ def _phase_states(
 
     `starts` are phase-local int64 tick indices, the first one 0; run r
     lasts until `starts[r + 1]`, the last until `n_ticks`. Timing is
-    phase-local: schedules and duty cycles restart at the start of each
-    phase. A tick's state is the one its midpoint falls in.
+    phase-local: a schedule restarts at the start of each phase, and a
+    tick's state is the step its midpoint falls in.
 
     A Markov chain takes one draw per step, all from one `rng.random`
     call, and a step's successor is `min(searchsorted(cum[s], draw,
@@ -333,38 +317,10 @@ def _phase_states(
     number of states alone, never on the draws: two states in closed
     form, and any other chain from exit to exit.
     """
-    if isinstance(proc, FixedState):
-        if not 0 <= proc.state < component.n_states:
-            raise ConfigurationError(f"{component.name}: state out of range")
-        return np.zeros(1, dtype=np.int64), np.array([proc.state], np.int16)
-
     if isinstance(proc, Schedule):
-        durs = np.array([d for d, _ in proc.steps])
-        states = np.array([s for _, s in proc.steps], dtype=np.int16)
-        if states.min() < 0 or states.max() >= component.n_states:
+        if not all(0 <= s < component.n_states for _, s in proc.steps):
             raise ConfigurationError(f"{component.name}: state out of range")
-        edges = np.cumsum(durs)
-        total = edges[-1]
-
-        def rule(ticks):
-            t = ((ticks + 0.5) * tick_s) % total
-            idx = np.searchsorted(edges, t, side="right")
-            return states[np.minimum(idx, len(states) - 1)]
-
-        return _rule_runs(rule, n_ticks, tick_s, total,
-                          np.concatenate([[0.0], edges[:-1]]))
-
-    if isinstance(proc, DutyCycle):
-        if max(proc.state_hi, proc.state_lo) >= component.n_states:
-            raise ConfigurationError(f"{component.name}: state out of range")
-        split = proc.fraction_hi * proc.period_s
-
-        def rule(ticks):
-            t = ((ticks + 0.5) * tick_s) % proc.period_s
-            return np.where(t < split, proc.state_hi,
-                            proc.state_lo).astype(np.int16)
-
-        return _rule_runs(rule, n_ticks, tick_s, proc.period_s, (0.0, split))
+        return _schedule_runs(proc, n_ticks, tick_s)
 
     if isinstance(proc, MarkovChain):
         k = len(proc.transition)
@@ -399,8 +355,8 @@ class Trace:
     Each component's states are stored as runs: `runs[c] = (starts,
     states)`, where component c is in `states[r]` from tick `starts[r]`
     up to the next run's start, and the last run lasts to the trace end.
-    Tick power is the base draw plus `overhead_w` plus every component's
-    active state power; nothing per tick is stored.
+    Tick power is the base draw plus every component's active state
+    power; nothing per tick is stored.
 
     Truth queries weight the states with a per-state vector and read the
     runs at the queried tick indices only. `integral` gives the sum over
@@ -423,14 +379,11 @@ class Trace:
     """
 
     def __init__(self, model: ComponentStateModel, tick_s: float,
-                 n_ticks: int,
-                 runs: Sequence[tuple[np.ndarray, np.ndarray]],
-                 overhead_w: float = 0.0):
+                 n_ticks: int, runs: Sequence[tuple[np.ndarray, np.ndarray]]):
         self.model = model
         self.tick_s = tick_s
         self.n_ticks = n_ticks
         self.runs = tuple(runs)       # per component: (int64 starts, int16 states)
-        self.overhead_w = overhead_w
         self._before: dict[int, np.ndarray] = {}
         self._prefix: dict[tuple[int, bytes], np.ndarray] = {}
 
@@ -519,7 +472,7 @@ class Trace:
         ticks = np.asarray(ticks, dtype=np.int64)
         query = self.interval_sums if per_interval else self.integral
         span = np.diff(ticks) if per_interval else ticks
-        watt_ticks = (self.model.base_power_w + self.overhead_w) * span
+        watt_ticks = self.model.base_power_w * span
         for c_idx, comp in enumerate(self.model.components):
             watt_ticks = watt_ticks + query(
                 c_idx, np.asarray(comp.state_powers, dtype=float), ticks)
@@ -542,14 +495,9 @@ class Trace:
 
 
 def gen_trace(model: ComponentStateModel, wl: WorkloadSpec,
-              duration_s: float, tick_s: float,
-              overhead_w: float = 0.0) -> Trace:
-    """Simulate the component-state system over `duration_s` at `tick_s`.
-
-    The trace covers ceil(duration/tick) ticks; identical seeds give
-    bit-identical runs. `overhead_w` is a constant draw added to the
-    tick power (the cost of collecting predictors and readings).
-    """
+              duration_s: float, tick_s: float) -> Trace:
+    """Simulate the component-state system over `duration_s` at `tick_s`:
+    ceil(duration/tick) ticks, with bit-identical runs for one seed."""
     if tick_s <= 0:
         raise ConfigurationError("tick must be > 0")
     if duration_s < tick_s:
@@ -584,7 +532,7 @@ def gen_trace(model: ComponentStateModel, wl: WorkloadSpec,
         changed[0] = True
         np.not_equal(all_states[1:], all_states[:-1], out=changed[1:])
         runs.append((all_starts[changed], all_states[changed]))
-    return Trace(model, tick_s, n_ticks, runs, overhead_w)
+    return Trace(model, tick_s, n_ticks, runs)
 
 
 def true_energy(trace: Trace, interval_s: float) -> np.ndarray:
@@ -608,7 +556,7 @@ class PredictorSpec:
 
     The OS refreshes the visible value at `update_rate_hz` and the refresh
     reflects activity `delay_s` in the past. `policy` tells the collector
-    how to poll it.
+    how to poll it; only a level can be event-driven.
     """
 
     id: str
@@ -625,6 +573,9 @@ class PredictorSpec:
             raise ConfigurationError(f"{self.id}: unknown kind {self.kind!r}")
         if self.policy not in (POLLED_FAST, POLLED_SLOW, EVENT_DRIVEN):
             raise ConfigurationError(f"{self.id}: unknown policy {self.policy!r}")
+        if self.policy == EVENT_DRIVEN and self.kind != LEVEL:
+            raise ConfigurationError(
+                f"{self.id}: only a level can be event-driven")
         if not 0 < self.update_rate_hz < math.inf:
             raise ConfigurationError(
                 f"{self.id}: update rate must be finite and > 0")

@@ -26,7 +26,21 @@ def tick_power(trace: ss.Trace) -> np.ndarray:
     power = np.full(len(trace), trace.model.base_power_w)
     for comp, states in zip(trace.model.components, tick_states(trace)):
         power += np.asarray(comp.state_powers)[states]
-    return power + trace.overhead_w
+    return power
+
+
+def fixed(state: int) -> ss.Schedule:
+    """A component pinned to `state`: a one-step schedule."""
+    return ss.Schedule(((1.0, state),))
+
+
+def duty(period_s: float, fraction_hi: float, state_hi: int,
+         state_lo: int) -> ss.Schedule:
+    """A square wave, `fraction_hi` of each period in `state_hi` and the
+    rest in `state_lo`, as a schedule; a part of zero length is left out."""
+    steps = ((fraction_hi * period_s, state_hi),
+             ((1.0 - fraction_hi) * period_s, state_lo))
+    return ss.Schedule(tuple(step for step in steps if step[0] != 0))
 
 
 def residency_predictors(model: ss.ComponentStateModel,

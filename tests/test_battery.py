@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sesame as ss
-from reference import tick_power
+from reference import fixed
 from sesame.errors import ConfigurationError
 
 
@@ -10,7 +10,7 @@ def constant_trace(power=10.0, duration=100.0, tick=0.01):
     model = ss.ComponentStateModel(
         components=(ss.Component("box", (power,)),), base_power_w=0.0)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", duration, {"box": ss.FixedState(0)}),), seed=0)
+        phases=(ss.Phase("p", duration, {"box": fixed(0)}),), seed=0)
     return ss.gen_trace(model, wl, duration, tick)
 
 
@@ -34,14 +34,6 @@ def test_instant_constant_current():
     assert np.allclose(readings.values, 2.0)
     # the first reading ends the first 0.25 s period, the last the trace
     assert reading_times(readings)[[0, -1]] == pytest.approx([0.25, 100.0])
-
-
-def test_instant_quantization_floors():
-    trace = constant_trace(6.17, duration=10.0)  # 1.234 A at 5 V
-    model = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
-                                     supply_voltage_v=5.0, quantization=0.01)
-    readings = ss.sample_instant(trace, model)
-    assert np.allclose(readings.values, 1.23)
 
 
 def test_instant_unbiased_under_multiplicative_noise():
@@ -110,33 +102,6 @@ def test_capacity_constant_drain():
     assert np.allclose(drops, 10.0)
     derived_current = drops / 10.0
     assert np.allclose(derived_current, 1.0)
-
-
-def test_capacity_quantization_hides_slow_drain():
-    # one 1 mAh LSB is 3.6 C: a 10 s window at 0.01 A drains 0.1 C, so each
-    # differenced reading shows 0 or a whole LSB, never the true current.
-    # The span must drain tens of LSBs before the +-1 LSB boundary error is
-    # guaranteed under 5% (10 000 s drains 100 C = 27.8 LSB here).
-    trace = constant_trace(0.05, duration=10000.0, tick=0.05)  # 0.01 A at 5 V
-    model = ss.BatteryInterfaceModel(kind="capacity", reading_rate_hz=0.1,
-                                     supply_voltage_v=5.0, quantization=3.6,
-                                     initial_capacity_c=20000.0)
-    readings = ss.sample_capacity(trace, model)
-    per_window = -np.diff(readings.values) / 10.0
-    assert set(np.round(per_window, 6)) <= {0.0, 0.36}
-    long_mean = (readings.values[0] - readings.values[-1]) / 10000.0
-    assert long_mean == pytest.approx(0.01, rel=0.05)
-
-
-def test_capacity_conservation_within_quantization():
-    model_trace = constant_trace(5.0, duration=200.0)
-    model = ss.BatteryInterfaceModel(kind="capacity", reading_rate_hz=0.1,
-                                     supply_voltage_v=5.0, quantization=0.5,
-                                     initial_capacity_c=20000.0)
-    readings = ss.sample_capacity(model_trace, model)
-    true_charge = tick_power(model_trace).sum() * model_trace.tick_s / 5.0
-    drop = readings.values[0] - readings.values[-1]
-    assert abs(drop - true_charge) <= 0.5 * 2  # one LSB per boundary reading
 
 
 def test_iid_noise_rms_scales_with_sqrt_k():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sesame as ss
-from reference import interval_truth
+from reference import duty, fixed, interval_truth
 from sesame.errors import ConfigurationError, RateError
 
 
@@ -10,7 +10,7 @@ def flat_system():
     model = ss.ComponentStateModel(
         components=(ss.Component("cpu", (1.0, 9.0)),), base_power_w=1.0)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 1.0, {"cpu": ss.DutyCycle(0.01, 0.5, 1, 0)}),),
+        phases=(ss.Phase("p", 1.0, {"cpu": duty(0.01, 0.5, 1, 0)}),),
         seed=0)
     trace = ss.gen_trace(model, wl, 1.0, 0.001)
     return model, trace
@@ -29,12 +29,12 @@ def three_predictor_setup(duration=30.0):
         ss.Phase("a", duration / 2, {
             "cpu": ss.MarkovChain(((0.9, 0.1), (0.1, 0.9)), step_s=0.05),
             "disk": ss.MarkovChain(((0.95, 0.05), (0.1, 0.9)), step_s=0.05),
-            "lcd": ss.FixedState(0),
+            "lcd": fixed(0),
         }),
         ss.Phase("b", duration / 2, {
             "cpu": ss.MarkovChain(((0.8, 0.2), (0.2, 0.8)), step_s=0.05),
             "disk": ss.MarkovChain(((0.9, 0.1), (0.2, 0.8)), step_s=0.05),
-            "lcd": ss.FixedState(1),
+            "lcd": fixed(1),
         }),
     ), seed=5)
     trace = ss.gen_trace(model, wl, duration, 0.001)
@@ -72,8 +72,8 @@ def test_event_driven_level_rows():
     model = ss.ComponentStateModel(
         components=(ss.Component("lcd", (0.5, 1.5)),), base_power_w=0.0)
     wl = ss.WorkloadSpec(phases=(
-        ss.Phase("dim", 5.0, {"lcd": ss.FixedState(0)}),
-        ss.Phase("bright", 5.0, {"lcd": ss.FixedState(1)}),
+        ss.Phase("dim", 5.0, {"lcd": fixed(0)}),
+        ss.Phase("bright", 5.0, {"lcd": fixed(1)}),
     ), seed=0)
     trace = ss.gen_trace(model, wl, 10.0, 0.001)
     spec = ss.PredictorSpec(id="backlight", component="lcd", kind="level",
@@ -105,7 +105,7 @@ def test_aggregate_response_instant_paper_arithmetic():
     model = ss.ComponentStateModel(
         components=(ss.Component("box", (10.0,)),), base_power_w=0.0)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 200.0, {"box": ss.FixedState(0)}),), seed=0)
+        phases=(ss.Phase("p", 200.0, {"box": fixed(0)}),), seed=0)
     trace = ss.gen_trace(model, wl, 200.0, 0.01)
     cfg = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=0.5,
                                    supply_voltage_v=5.0)
@@ -118,7 +118,7 @@ def test_aggregate_response_capacity_drop():
     model = ss.ComponentStateModel(
         components=(ss.Component("box", (1.0,)),), base_power_w=0.0)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 500.0, {"box": ss.FixedState(0)}),), seed=0)
+        phases=(ss.Phase("p", 500.0, {"box": fixed(0)}),), seed=0)
     trace = ss.gen_trace(model, wl, 500.0, 0.01)
     cfg = ss.BatteryInterfaceModel(kind="capacity", reading_rate_hz=0.1,
                                    supply_voltage_v=5.0,
@@ -143,7 +143,7 @@ def test_aggregate_response_rate_error():
     model = ss.ComponentStateModel(
         components=(ss.Component("box", (10.0,)),), base_power_w=0.0)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 100.0, {"box": ss.FixedState(0)}),), seed=0)
+        phases=(ss.Phase("p", 100.0, {"box": fixed(0)}),), seed=0)
     trace = ss.gen_trace(model, wl, 100.0, 0.01)
     cfg = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=0.5,
                                    supply_voltage_v=5.0)

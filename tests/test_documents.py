@@ -75,6 +75,19 @@ BAD_SCENARIOS = {
                             ConfigurationError, "unknown component 'gpu'"),
     "weight_state_range": (("predictors", 0, "weights", "9"), 1.0,
                            ConfigurationError, "cpu_busy: state 9 out of range"),
+    # removed features: an earlier export's 0 loads, any other value fails
+    "removed_quantization": (("battery", "quantization"), 0.01, ParseError,
+                             "scenario.battery.quantization"),
+    "removed_internal_rate": (("battery", "internal_rate_hz"), 10.0,
+                              ParseError, "scenario.battery.internal_rate_hz"),
+    "removed_overhead": (("pipeline", "collection_overhead_w"), 0.25,
+                         ParseError,
+                         "scenario.pipeline.collection_overhead_w"),
+    "removed_fixed": (ACT, {"type": "fixed", "state": 0}, ParseError,
+                      "occupancy.act.type: expected one of"),
+    "removed_duty": (ACT, {"type": "duty", "period_s": 1.0,
+                           "fraction_hi": 0.5, "state_hi": 1, "state_lo": 0},
+                     ParseError, "occupancy.act.type: expected one of"),
 }
 
 
@@ -191,7 +204,11 @@ EARLIER_LAYOUT = json.loads("""{
 def test_document_in_the_earlier_layout_loads_equal():
     sc = scn.builtin("noiseless_linear")
     assert scn.scenario_from_dict(EARLIER_LAYOUT) == sc
-    assert scn.scenario_to_dict(sc) == EARLIER_LAYOUT
+    # the keys of removed features, which held 0, are no longer written
+    current = edited(EARLIER_LAYOUT, ("battery", "quantization"), DELETE)
+    current = edited(current, ("battery", "internal_rate_hz"), DELETE)
+    current = edited(current, ("pipeline", "collection_overhead_w"), DELETE)
+    assert scn.scenario_to_dict(sc) == current
 
 
 def test_model_equality_covers_every_field():

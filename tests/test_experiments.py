@@ -12,8 +12,6 @@ import pytest
 import sesame.cli as cli
 import sesame.experiments as exp
 import sesame.scenarios as scn
-from reference import tick_power
-from sesame.battery import BatteryInterfaceModel
 from sesame.cli import main as cli_main
 from sesame.collector import DesignMatrix
 from sesame.constructor import TrainingSet, fit_regressogram
@@ -108,14 +106,6 @@ def test_oracle_dominates_molded_variants(noiseless_report):
 def test_error_vs_rate_rejects_wrong_experiment():
     with pytest.raises(ConfigurationError):
         exp.run_error_vs_rate(scn.builtin("t61like"))
-
-
-def test_collection_overhead_raises_mean_power():
-    sc = scn.builtin("noiseless_linear")
-    base = tick_power(exp.simulate(sc).trace).mean()
-    bumped = tick_power(exp.simulate(
-        dataclasses.replace(sc, collection_overhead_w=0.5)).trace).mean()
-    assert bumped == pytest.approx(base + 0.5)
 
 
 def test_adaptation_csv_and_log_shape(tmp_path):
@@ -338,19 +328,23 @@ def activity_chain_with(**changes) -> dict:
     {"t_low_s": 99.0},      # on the base grid, off the 2 s reading period
     {"duration_s": float("nan")}, {"duration_s": float("inf")},
     {"duration_s": 0.0005}, {"fit_method": "XYZ"}, {"fit_method": "tls"},
+    {"duration_s": 50.0},   # shorter than the 100 s period of 0.01 Hz
     {"rate_grid": ()}, {"predictors": ()},
     # each passes every other check; it is off the 1 ms tick grid
     first_predictor_with(update_rate_hz=300.0),
     first_predictor_with(delay_s=0.0005),
     {"battery": dataclasses.replace(T61.battery, reading_rate_hz=3.0)},
     {"battery": dataclasses.replace(T61.battery, filter_taps=7)},
-    {"battery": BatteryInterfaceModel(kind="instant", reading_rate_hz=0.5,
-                                      internal_rate_hz=300.0)},
     activity_chain_with(step_s=0.0015),
     {"base_rate_hz": 300.0},
+    # built under the check, as the predictor itself is refused
+    pytest.param(lambda: first_predictor_with(policy="event-driven"),
+                 id="event_driven_residency"),
 ])
 def test_scenario_config_rejects_bad_pipeline_fields(updates):
     with pytest.raises(ConfigurationError):
+        if callable(updates):
+            updates = updates()
         dataclasses.replace(scn.builtin("t61like"), **updates)
 
 

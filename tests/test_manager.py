@@ -7,7 +7,7 @@ import pytest
 
 import sesame as ss
 import sesame.scenarios as scn
-from reference import residency_predictors
+from reference import fixed, residency_predictors
 from sesame.collector import DesignMatrix
 from sesame.errors import ArgumentError, ConfigurationError, ParseError
 from sesame.experiments import run_adaptation
@@ -65,7 +65,7 @@ def test_monitor_relative_error_arithmetic():
     sys_model = ss.ComponentStateModel(
         components=(ss.Component("box", (1.0,)),), base_power_w=0.0)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 500.0, {"box": ss.FixedState(0)}),), seed=0)
+        phases=(ss.Phase("p", 500.0, {"box": fixed(0)}),), seed=0)
     trace = ss.gen_trace(sys_model, wl, 500.0, 0.01)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=5.0)

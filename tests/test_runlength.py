@@ -12,7 +12,14 @@ import pytest
 import sesame as ss
 import sesame.experiments as exp
 import sesame.scenarios as scn
-from reference import interval_truth, read_grid, tick_power, tick_states
+from reference import (
+    duty,
+    fixed,
+    interval_truth,
+    read_grid,
+    tick_power,
+    tick_states,
+)
 from sesame import battery, collector, tracesim
 from sesame.errors import AlignmentError
 
@@ -28,12 +35,6 @@ def schedule_ticks(proc, n_ticks, tick_s):
     t = ((np.arange(n_ticks) + 0.5) * tick_s) % edges[-1]
     idx = np.searchsorted(edges, t, side="right")
     return states[np.minimum(idx, len(states) - 1)]
-
-
-def duty_ticks(proc, n_ticks, tick_s):
-    t = ((np.arange(n_ticks) + 0.5) * tick_s) % proc.period_s
-    hi = t < proc.fraction_hi * proc.period_s
-    return np.where(hi, proc.state_hi, proc.state_lo).astype(np.int16)
 
 
 def ref_window_sums(values, k):
@@ -89,10 +90,10 @@ def ref_sample_capacity(trace, model, seed):
     if model.noise_sigma > 0:
         levels = levels * (1.0 + rng.normal(0.0, model.noise_sigma,
                                             len(levels)))
-    return battery._quantize(levels, model.quantization)
+    return levels
 
 
-# -- schedule and duty-cycle edges --------------------------------------------
+# -- schedule edges -----------------------------------------------------------
 
 SCHEDULES = {
     "tick_aligned": ((0.5, 1), (0.25, 0)),
@@ -136,18 +137,20 @@ def test_random_schedules_match_per_tick_rule():
     (1.0, 0.5), (0.0333, 0.3), (0.1, 0.123456), (0.0007, 0.5),
     (0.05, 0.0), (0.05, 1.0), (0.0123, 0.999)])
 def test_duty_cycle_runs_match_per_tick_rule(period, fraction):
-    proc = ss.DutyCycle(period, fraction, 1, 0)
+    # a two-step schedule, or one step where a part has zero length, with
+    # edges off the tick grid
+    proc = duty(period, fraction, 1, 0)
     comp = ss.Component("c", (1.0, 2.0))
     for n_ticks in (1, 1999, 150_007):
         starts, states = tracesim._phase_states(proc, comp, n_ticks, 0.001,
                                                 (0,))
         got = tracesim._expand_runs(starts, states, n_ticks)
-        assert np.array_equal(got, duty_ticks(proc, n_ticks, 0.001))
+        assert np.array_equal(got, schedule_ticks(proc, n_ticks, 0.001))
 
 
 def test_fixed_state_is_one_run():
     starts, states = tracesim._phase_states(
-        ss.FixedState(2), ss.Component("c", (1.0, 2.0, 3.0)), 5000, 0.001,
+        fixed(2), ss.Component("c", (1.0, 2.0, 3.0)), 5000, 0.001,
         (0,))
     assert starts.tolist() == [0] and states.tolist() == [2]
 
@@ -155,9 +158,9 @@ def test_fixed_state_is_one_run():
 # -- trace queries ------------------------------------------------------------
 
 def mixed_system():
-    """Every occupancy process, three phases with durations that are not
-    tick multiples, the last phase running to the trace end, and a
-    collection overhead."""
+    """Markov chains and schedules of one, two and three steps, in three
+    phases with durations that are not tick multiples, the last phase
+    running to the trace end."""
     model = ss.ComponentStateModel(
         components=(
             ss.Component("cpu", (1.0, 5.5, 9.3)),
@@ -173,18 +176,18 @@ def mixed_system():
     wl = ss.WorkloadSpec(phases=(
         ss.Phase("a", 1.2345, {
             "cpu": chain,
-            "disk": ss.FixedState(1),
+            "disk": fixed(1),
             "lcd": ss.Schedule(((0.0137, 1), (0.0291, 0), (0.005, 2))),
         }),
         ss.Phase("b", 0.8004, {
             "cpu": ss.Schedule(((0.011, 2), (0.0035, 0))),
-            "disk": ss.DutyCycle(0.0333, 0.3, 1, 0),
-            "lcd": ss.FixedState(2),
+            "disk": duty(0.0333, 0.3, 1, 0),
+            "lcd": fixed(2),
         }),
         ss.Phase("c", 1.0, {
-            "cpu": ss.DutyCycle(0.1, 0.25, 2, 1),
+            "cpu": duty(0.1, 0.25, 2, 1),
             "disk": disk_chain,
-            "lcd": ss.FixedState(0),
+            "lcd": fixed(0),
         }),
     ), seed=7)
     return model, wl
@@ -193,7 +196,7 @@ def mixed_system():
 @pytest.fixture(scope="module")
 def mixed_trace():
     model, wl = mixed_system()
-    return ss.gen_trace(model, wl, 5.0, 0.001, overhead_w=0.37)
+    return ss.gen_trace(model, wl, 5.0, 0.001)
 
 
 def test_mixed_trace_states_follow_the_phases(mixed_trace):
@@ -205,10 +208,6 @@ def test_mixed_trace_states_follow_the_phases(mixed_trace):
             proc = phase.occupancy[comp.name]
             if isinstance(proc, ss.Schedule):
                 want.append(schedule_ticks(proc, n_phase, 0.001))
-            elif isinstance(proc, ss.DutyCycle):
-                want.append(duty_ticks(proc, n_phase, 0.001))
-            elif isinstance(proc, ss.FixedState):
-                want.append(np.full(n_phase, proc.state, dtype=np.int16))
             else:
                 starts, states = tracesim._phase_states(
                     proc, comp, n_phase, 0.001, (wl.seed, c_idx, p_idx))
@@ -225,16 +224,6 @@ def test_true_energy_matches_tick_sums(mixed_trace, interval_s):
     want = ref_window_sums(tick_power(mixed_trace), k) * 0.001
     got = ss.true_energy(mixed_trace, interval_s)
     np.testing.assert_allclose(got, want, rtol=RTOL)
-
-
-def test_power_view_includes_the_overhead(mixed_trace):
-    model, wl = mixed_system()
-    plain = ss.gen_trace(model, wl, 5.0, 0.001)
-    np.testing.assert_allclose(tick_power(mixed_trace) - tick_power(plain),
-                               0.37, rtol=RTOL)
-    np.testing.assert_allclose(
-        ss.true_energy(mixed_trace, 1.0) - ss.true_energy(plain, 1.0),
-        0.37, rtol=1e-9)
 
 
 SPECS = (
@@ -345,8 +334,7 @@ def test_merged_run_lookup_equals_binary_search():
 
 
 @pytest.mark.parametrize("kind,extra", [
-    ("instant", {"noise_sigma": 0.01, "counter_sigma_c": 0.002,
-                 "internal_rate_hz": 100.0}),
+    ("instant", {"noise_sigma": 0.01, "counter_sigma_c": 0.002}),
     ("instant", {}),
     ("filtered", {"noise_sigma": 0.02, "filter_window_s": 0.5,
                   "filter_taps": 5}),
@@ -389,8 +377,7 @@ def test_pipeline_builds_no_per_tick_array(monkeypatch, tmp_path, name):
 
     monkeypatch.setattr(ss.Trace, "cumulative", refuse)
     monkeypatch.setattr(tracesim, "_expand_runs", refuse)
-    sc = dataclasses.replace(scn.builtin(name), duration_s=GUARDED[name],
-                             collection_overhead_w=0.25)
+    sc = dataclasses.replace(scn.builtin(name), duration_s=GUARDED[name])
     exp.run_scenario(sc, str(tmp_path))
     assert any(tmp_path.iterdir())
 

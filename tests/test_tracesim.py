@@ -6,6 +6,8 @@ import pytest
 import sesame as ss
 import sesame.scenarios as scn
 from reference import (
+    duty,
+    fixed,
     interval_truth,
     loop_markov_states,
     read_grid,
@@ -36,8 +38,8 @@ def duty_cycle_system():
     )
     wl = ss.WorkloadSpec(
         phases=(ss.Phase("main", 10.0, {
-            "cpu": ss.DutyCycle(1.0, 0.5, 1, 0),
-            "disk": ss.FixedState(0),
+            "cpu": duty(1.0, 0.5, 1, 0),
+            "disk": fixed(0),
         }),),
         seed=0,
     )
@@ -61,7 +63,7 @@ def markov_cpu(seed=11, duration=50.0):
 def test_single_state_trace_is_flat():
     model = single_state_model()
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 10.0, {"box": ss.FixedState(0)}),), seed=1)
+        phases=(ss.Phase("p", 10.0, {"box": fixed(0)}),), seed=1)
     trace = ss.gen_trace(model, wl, 10.0, 0.01)
     assert len(trace) == 1000
     assert np.all(tick_power(trace) == 5.0)
@@ -117,8 +119,8 @@ NON_FINITE = {
     "component_infinite_power": lambda: ss.Component("cpu", (INF,)),
     "base_power": lambda: ss.ComponentStateModel(
         (ss.Component("cpu", (1.0,)),), base_power_w=NAN),
-    "duty_period": lambda: ss.DutyCycle(NAN, 0.5, 1, 0),
-    "duty_infinite_period": lambda: ss.DutyCycle(INF, 0.5, 1, 0),
+    "duty_period": lambda: duty(NAN, 0.5, 1, 0),
+    "duty_infinite_period": lambda: duty(INF, 0.5, 1, 0),
     "schedule_duration": lambda: ss.Schedule(((NAN, 0),)),
     "schedule_infinite_duration": lambda: ss.Schedule(((1.0, 0), (INF, 1))),
     "phase_duration": lambda: ss.Phase("p", NAN, {}),
@@ -136,7 +138,7 @@ def test_non_finite_trace_model_values_are_refused(name):
 def test_true_energy_constant_trace():
     model = single_state_model()
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 200.0, {"box": ss.FixedState(0)}),), seed=1)
+        phases=(ss.Phase("p", 200.0, {"box": fixed(0)}),), seed=1)
     trace = ss.gen_trace(model, wl, 200.0, 0.01)
     energy = ss.true_energy(trace, 100.0)
     assert np.allclose(energy, 500.0)
@@ -216,8 +218,8 @@ def test_phases_switch_and_last_phase_extends():
     model = ss.ComponentStateModel(
         components=(ss.Component("box", (1.0, 4.0)),), base_power_w=0.0)
     wl = ss.WorkloadSpec(phases=(
-        ss.Phase("a", 2.0, {"box": ss.FixedState(0)}),
-        ss.Phase("b", 2.0, {"box": ss.FixedState(1)}),
+        ss.Phase("a", 2.0, {"box": fixed(0)}),
+        ss.Phase("b", 2.0, {"box": fixed(1)}),
     ), seed=3)
     trace = ss.gen_trace(model, wl, 6.0, 0.01)
     assert np.all(tick_power(trace)[:200] == 1.0)
@@ -496,7 +498,7 @@ def test_square_wave_read_error_bounded_by_update_granularity():
     model = ss.ComponentStateModel(
         components=(ss.Component("cpu", (1.0, 9.0)),), base_power_w=0.0)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 20.0, {"cpu": ss.DutyCycle(1.0, 0.5, 1, 0)}),),
+        phases=(ss.Phase("p", 20.0, {"cpu": duty(1.0, 0.5, 1, 0)}),),
         seed=0)
     trace = ss.gen_trace(model, wl, 20.0, 0.001)
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
@@ -541,8 +543,8 @@ def test_event_driven_level_changes_at_events_only():
     model = ss.ComponentStateModel(
         components=(ss.Component("lcd", (1.0, 2.0)),), base_power_w=0.0)
     wl = ss.WorkloadSpec(phases=(
-        ss.Phase("dim", 5.0, {"lcd": ss.FixedState(0)}),
-        ss.Phase("bright", 5.0, {"lcd": ss.FixedState(1)}),
+        ss.Phase("dim", 5.0, {"lcd": fixed(0)}),
+        ss.Phase("bright", 5.0, {"lcd": fixed(1)}),
     ), seed=0)
     trace = ss.gen_trace(model, wl, 10.0, 0.01)
     spec = ss.PredictorSpec(id="bl", component="lcd", kind="level",
