@@ -13,9 +13,6 @@ from .battery import (
     BatteryInterfaceModel,
     BatteryReadings,
     rms_relative_error,
-    sample_capacity,
-    sample_filtered,
-    sample_instant,
     sample_interface,
 )
 from .collector import DesignMatrix, aggregate_response, collect

@@ -9,6 +9,7 @@ has to difference two readings to get a mean current.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +47,13 @@ class BatteryInterfaceModel:
     def __post_init__(self):
         if self.kind not in (INSTANT, FILTERED, CAPACITY):
             raise ConfigurationError(f"unknown battery interface kind {self.kind!r}")
-        if self.reading_rate_hz <= 0:
-            raise ConfigurationError("reading rate must be > 0")
-        if self.supply_voltage_v <= 0:
-            raise ConfigurationError("supply voltage must be > 0")
-        if self.noise_sigma < 0 or self.counter_sigma_c < 0:
-            raise ConfigurationError("noise sigma must be >= 0")
+        for name in ("reading_rate_hz", "supply_voltage_v"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and > 0")
+        for name in ("noise_sigma", "counter_sigma_c", "filter_window_s",
+                     "initial_capacity_c"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0")
         if self.kind == FILTERED:
             if self.filter_window_s <= 0 or self.filter_taps < 1:
                 raise ConfigurationError(
@@ -77,16 +79,14 @@ class BatteryReadings:
         return len(self.values)
 
 
-def sample_instant(trace: Trace, model: BatteryInterfaceModel,
-                   seed: int = 0) -> BatteryReadings:
+def _sample_instant(trace: Trace, model: BatteryInterfaceModel,
+                    seed: int = 0) -> BatteryReadings:
     """Instant-kind readings at the model's rate.
 
     Reading k, taken at t = (k + 1) / rate, is the true mean current over
     the reading period ending at t, times (1 + noise), plus the
     telescoped charge-register error.
     """
-    if model.kind != INSTANT:
-        raise ConfigurationError("sample_instant needs an instant-kind model")
     period = 1.0 / model.reading_rate_hz
     exposed = true_energy(trace, period) / period / model.supply_voltage_v
     n_read = len(exposed)
@@ -99,16 +99,14 @@ def sample_instant(trace: Trace, model: BatteryInterfaceModel,
     return BatteryReadings(model, exposed)
 
 
-def sample_filtered(trace: Trace, model: BatteryInterfaceModel,
-                    seed: int = 0) -> BatteryReadings:
+def _sample_filtered(trace: Trace, model: BatteryInterfaceModel,
+                     seed: int = 0) -> BatteryReadings:
     """Filtered-kind readings: trailing mean of the last `taps` internal samples.
 
     Internal samples sit window/taps apart, each the true mean current of
     its own sub-window with multiplicative noise. Samples from before the
     trace start are zero, so a step input needs a full window to settle.
     """
-    if model.kind != FILTERED:
-        raise ConfigurationError("sample_filtered needs a filtered-kind model")
     spacing = model.filter_window_s / model.filter_taps
     samples = true_energy(trace, spacing) / spacing / model.supply_voltage_v
     rng = np.random.default_rng(seed)
@@ -125,14 +123,12 @@ def sample_filtered(trace: Trace, model: BatteryInterfaceModel,
     return BatteryReadings(model, trailing[ends // per_sample])
 
 
-def sample_capacity(trace: Trace, model: BatteryInterfaceModel,
-                    seed: int = 0) -> BatteryReadings:
+def _sample_capacity(trace: Trace, model: BatteryInterfaceModel,
+                     seed: int = 0) -> BatteryReadings:
     """Capacity-kind readings: remaining charge, with multiplicative noise.
 
     Includes a reading at t = 0 so consumers can difference whole windows.
     """
-    if model.kind != CAPACITY:
-        raise ConfigurationError("sample_capacity needs a capacity-kind model")
     k = _ratio_as_int(1.0 / model.reading_rate_hz, trace.tick_s, "reading period")
     n_read = len(trace) // k
     charge = trace.energy(np.arange(n_read + 1) * k) / model.supply_voltage_v
@@ -143,44 +139,33 @@ def sample_capacity(trace: Trace, model: BatteryInterfaceModel,
     return BatteryReadings(model, levels)
 
 
+_SAMPLERS = {INSTANT: _sample_instant, FILTERED: _sample_filtered,
+             CAPACITY: _sample_capacity}
+
+
 def sample_interface(trace: Trace, model: BatteryInterfaceModel,
                      seed: int = 0) -> BatteryReadings:
-    """Dispatch to the sampler matching the interface kind."""
-    if model.kind == INSTANT:
-        return sample_instant(trace, model, seed)
-    if model.kind == FILTERED:
-        return sample_filtered(trace, model, seed)
-    return sample_capacity(trace, model, seed)
-
-
-class RelativeErrorScorer:
-    """RMS relative error against one truth vector, for many estimates.
-
-    The mask of positive truths and the truths it keeps are taken once;
-    when every truth is positive the scorer reads the arrays whole, with
-    no masked copies. Both forms give the same floats.
-    """
-
-    def __init__(self, truth: np.ndarray):
-        self.truth = np.asarray(truth, dtype=float)
-        ok = self.truth > 0
-        self._ok = None if ok.all() else ok
-        self._positive = self.truth if self._ok is None else self.truth[ok]
-
-    def __call__(self, estimates: np.ndarray) -> float:
-        """sqrt(mean(((est - true) / true)^2)), skipping non-positive truths."""
-        est = np.asarray(estimates, dtype=float)
-        if est.shape != self.truth.shape:
-            raise AlignmentError(f"estimate/truth length mismatch: "
-                                 f"{est.shape} vs {self.truth.shape}")
-        if not self._positive.size:
-            raise ConfigurationError("no positive truth values to compare against")
-        if self._ok is not None:
-            est = est[self._ok]
-        rel = (est - self._positive) / self._positive
-        return float(np.sqrt(np.mean(rel * rel)))
+    """Readings of the interface `model` describes, from its kind's sampler."""
+    return _SAMPLERS[model.kind](trace, model, seed)
 
 
 def rms_relative_error(estimates: np.ndarray, truth: np.ndarray) -> float:
-    """sqrt(mean(((est - true) / true)^2)), skipping non-positive truths."""
-    return RelativeErrorScorer(truth)(estimates)
+    """sqrt(mean(((est - true) / true)^2)), skipping non-positive truths.
+
+    Both arrays are read whole, with no masked copies, when every truth
+    is positive.
+    """
+    est = np.asarray(estimates, dtype=float)
+    truth = np.asarray(truth, dtype=float)
+    if est.shape != truth.shape:
+        raise AlignmentError(f"estimate/truth length mismatch: "
+                             f"{est.shape} vs {truth.shape}")
+    # no mask outlives this test when every truth is positive: held while
+    # `rel` is built, it would add to the peak memory of fine-rate scoring
+    if not (truth > 0).all():
+        ok = truth > 0
+        est, truth = est[ok], truth[ok]
+    if not truth.size:
+        raise ConfigurationError("no positive truth values to compare against")
+    rel = (est - truth) / truth
+    return float(np.sqrt(np.mean(rel * rel)))

@@ -3,8 +3,9 @@ the OS exposes the predictors: refreshed on their update grid, delayed.
 
 Polling policies follow the predictors' update behavior: fast predictors
 are differenced at the target-interval boundaries, slow predictors hold
-their last completed per-update aggregate, and an event-driven level
-changes at every delayed state change.
+their last completed per-update rate, and an event-driven level changes
+at every delayed state change. Every cumulative column is written as a
+rate, so this module is the one place that knows predictor units.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .tracesim import (
     EVENT_DRIVEN,
     LEVEL,
     POLLED_SLOW,
-    RESIDENCY,
     PredictorSpec,
     Trace,
     _ratio_as_int,
@@ -29,11 +29,12 @@ from .tracesim import (
 
 @dataclass
 class DesignMatrix:
-    """Per-interval predictor aggregates, with an optional response vector.
+    """Per-interval predictor rates, with an optional response vector.
 
-    Residency columns hold interval fractions, counter columns hold summed
-    deltas, level columns hold the level at the interval start. `y`, when
-    present, is joules per interval.
+    Residency columns hold interval fractions, counter columns hold events
+    per second, level columns hold the level at the interval start; no
+    column depends on the interval's length. `y`, when present, is joules
+    per interval.
     """
 
     interval_s: float
@@ -96,28 +97,25 @@ def _observed(trace: Trace, spec: PredictorSpec,
 
 def _interval_aggregate(trace: Trace, spec: PredictorSpec,
                         boundaries: np.ndarray, interval_s: float) -> np.ndarray:
-    """One aggregate per interval between the tick indices `boundaries`."""
+    """One value per interval between the tick indices `boundaries`: the
+    level at the interval start, or the register's rate over the
+    interval (a residency fraction or counter events per second)."""
     if spec.kind == LEVEL:
         return _observed(trace, spec, boundaries[:-1])
 
     period = _spec_ticks(spec, trace.tick_s)[1]
     if spec.policy == POLLED_SLOW and period > boundaries[1]:
         # Updates slower than the intervals (boundaries start at 0): hold
-        # the last completed per-period aggregate across target intervals.
+        # the last completed per-period rate across target intervals.
         # The delay is applied when the poll is served; before the first
         # completed period both polls read 0.
         last_poll = boundaries[:-1] // period * period
         period_s = 1.0 / spec.update_rate_hz
-        held_rate = (_observed(trace, spec, last_poll)
-                     - _observed(trace, spec, last_poll - period)) / period_s
-        if spec.kind == RESIDENCY:
-            return held_rate
-        return held_rate * interval_s
+        return (_observed(trace, spec, last_poll)
+                - _observed(trace, spec, last_poll - period)) / period_s
 
-    cum = _observed(trace, spec, boundaries)
-    delta = np.diff(cum)
-    if spec.kind == RESIDENCY:
-        return delta / interval_s
+    delta = np.diff(_observed(trace, spec, boundaries))
+    delta /= interval_s
     return delta
 
 

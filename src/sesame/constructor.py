@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +31,7 @@ from .errors import (
     from_document,
     to_document,
 )
-from .tracesim import COUNTER, LEVEL, RESIDENCY, _ratio_as_int
+from .tracesim import _ratio_as_int
 
 _ZERO_VAR_TOL = 1e-12
 # a kept column is active when the PCA rows a model keeps give it at
@@ -166,20 +166,14 @@ def pca_transform(x: np.ndarray,
 # Energy model
 # ---------------------------------------------------------------------------
 
-def _rate_divisors(kinds: tuple[str, ...], interval_s: float) -> np.ndarray:
-    """Per-column divisors that turn interval aggregates into scale-free
-    rates: the interval for counters, 1.0 (exact) for every other kind."""
-    return np.array([interval_s if kind == COUNTER else 1.0 for kind in kinds])
-
-
 @dataclass
 class EnergyModel:
     """Affine energy predictor: yhat(t) = (t / T) * (b0 + r(t) . b).
 
     beta = (b0, b) is in joules per training interval T. r(t) holds the
-    kept columns of one interval's aggregates, with counter columns divided
-    by the interval t so every input is a scale-free rate; b has one weight
-    per kept column, and the interval ratio is the only time dependence.
+    kept columns of one interval's row from the collector, which are
+    scale-free rates already; b has one weight per kept column, and the
+    interval ratio is the only time dependence.
     A PCA fit solves on the top-l components of the standardized rates and
     folds its solution into this same form, so the model stores no basis:
     `l` is the number of components the fit kept (None for a fit without
@@ -188,7 +182,6 @@ class EnergyModel:
 
     beta: np.ndarray
     columns: tuple[str, ...]          # full input order, including dropped
-    kinds: tuple[str, ...]
     training_interval_s: float
     fit_method: str                   # "TLS" or "OLS"
     training_error: float
@@ -199,10 +192,6 @@ class EnergyModel:
     active_columns: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if (len(self.kinds) != len(self.columns)
-                or not set(self.kinds) <= {RESIDENCY, COUNTER, LEVEL}):
-            raise SchemaError(f"kinds {self.kinds} do not give each of the "
-                              f"{len(self.columns)} columns a known kind")
         if not self.kept:
             self.kept = tuple(c for c in self.columns if c not in self.dropped)
         absent = set(self.kept + self.dropped + self.active_columns)
@@ -219,36 +208,30 @@ class EnergyModel:
             raise SchemaError(
                 f"l = {self.l} outside [1, {len(self.kept)}] kept columns")
 
-    def rates(self, x: np.ndarray, interval_s: float) -> np.ndarray:
-        """The kept columns of aggregate rows (m, n_columns) as rates.
+    def rates(self, x: np.ndarray) -> np.ndarray:
+        """The kept columns of collected rows (m, n_columns).
 
         The gather `x[:, idx]` lays the rates out column-major, and the
         matvec in `predict_rates` rounds on that layout; it gathers even
         when every column is kept, as row-major rates round differently.
-        The gathered copy is divided in place: at fine rates it is the
-        largest array a variant's prediction allocates.
         """
-        if interval_s <= 0:
-            raise ArgumentError("interval must be > 0")
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != len(self.columns):
             raise SchemaError(
                 f"expected {len(self.columns)} predictors, got {x.shape[1]}")
-        divisors = _rate_divisors(self.kinds, interval_s)
         by_name = {c: i for i, c in enumerate(self.columns)}
-        idx = [by_name[c] for c in self.kept]
-        rates = x[:, idx]
-        rates /= divisors[idx]
-        return rates
+        return x[:, [by_name[c] for c in self.kept]]
 
     def predict_rates(self, rates: np.ndarray, interval_s: float) -> np.ndarray:
-        """Predicted joules per interval from `rates(x, interval_s)`."""
+        """Predicted joules per interval from `rates(x)`."""
+        if interval_s <= 0:
+            raise ArgumentError("interval must be > 0")
         per_t = self.beta[0] + rates @ self.beta[1:]
         return per_t * (interval_s / self.training_interval_s)
 
     def predict_rows(self, x: np.ndarray, interval_s: float) -> np.ndarray:
         """Predicted joules per interval for aggregate rows (m, n_columns)."""
-        return self.predict_rates(self.rates(x, interval_s), interval_s)
+        return self.predict_rates(self.rates(x), interval_s)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnergyModel):
@@ -265,7 +248,7 @@ def stretch(dm: DesignMatrix, readings: BatteryReadings,
             t_low_s: float) -> DesignMatrix:
     """Re-aggregate a base-rate matrix to `t_low_s` rows with a response.
 
-    Residency and level columns average, counter columns sum; the response
+    Every column averages, as each holds a rate or a level; the response
     comes from aggregating the battery readings over the same windows.
     """
     lo, hi = DEFAULT_T_LOW_RANGE
@@ -281,15 +264,11 @@ def stretch(dm: DesignMatrix, readings: BatteryReadings,
     if m < dm.n + 2:
         raise InsufficientDataError(
             f"stretching yields {m} rows for {dm.n} predictors (need {dm.n + 2})")
-    cols = []
-    for i, kind in enumerate(dm.kinds):
-        chunk = dm.x[: m * k, i].reshape(m, k)
-        cols.append(chunk.sum(axis=1) if kind == COUNTER else chunk.mean(axis=1))
-    return DesignMatrix(
+    return replace(
+        dm,
         interval_s=t_low_s,
-        columns=dm.columns,
-        kinds=dm.kinds,
-        x=np.column_stack(cols),
+        x=np.column_stack([dm.x[: m * k, i].reshape(m, k).mean(axis=1)
+                           for i in range(dm.n)]),
         t_start_s=dm.t_start_s[0] + np.arange(m) * t_low_s,
         y=y[:m],
     )
@@ -314,16 +293,15 @@ def _solve(feats: np.ndarray, yc: np.ndarray, method: str) -> tuple[np.ndarray, 
 class TrainingSet:
     """A design matrix with a response, prepared once to fit models at any l.
 
-    Preparation turns counter columns into rates, drops constant columns
-    with a warning and standardizes the kept ones; the PCA SVD runs on the
-    first PCA fit, and every l slices its transformed matrix.
+    Preparation drops constant columns with a warning and standardizes the
+    kept ones; the PCA SVD runs on the first PCA fit, and every l slices
+    its transformed matrix.
     """
 
     def __init__(self, dm: DesignMatrix):
         if dm.y is None:
             raise InsufficientDataError("design matrix has no response vector")
-        x = dm.x / _rate_divisors(dm.kinds, dm.interval_s)
-        keep = _varying(x)
+        keep = _varying(dm.x)
         self.kept = tuple(c for c, kf in zip(dm.columns, keep) if kf)
         self.dropped = tuple(c for c, kf in zip(dm.columns, keep) if not kf)
         if self.dropped:
@@ -335,7 +313,7 @@ class TrainingSet:
         self.dm = dm
         self.y = np.asarray(dm.y, dtype=float)
         self.y_mean = float(self.y.mean())
-        self.means, self.scales, self.xcs = _standardize(x[:, keep])
+        self.means, self.scales, self.xcs = _standardize(dm.x[:, keep])
 
     @cached_property
     def _pca(self) -> tuple[np.ndarray, np.ndarray]:
@@ -371,7 +349,7 @@ class TrainingSet:
                            if wt > _ACTIVE_WEIGHT_MIN)
         dm = self.dm
         model = EnergyModel(
-            beta=beta, columns=dm.columns, kinds=dm.kinds,
+            beta=beta, columns=dm.columns,
             training_interval_s=dm.interval_s, fit_method=tag,
             training_error=0.0, l=l, kept=self.kept, dropped=self.dropped,
             active_columns=active,
@@ -540,8 +518,13 @@ def model_to_dict(model: EnergyModel) -> dict:
 
 def model_from_dict(doc) -> EnergyModel:
     """The model a document written by `model_to_dict` describes; unlike a
-    scenario file, a model document carries every field."""
+    scenario file, a model document carries every field.
+
+    The `kinds` key of earlier documents is ignored: their beta already
+    weighs the rates the collector now writes.
+    """
     if isinstance(doc, dict):
+        doc = {k: v for k, v in doc.items() if k != "kinds"}
         stale = sorted({"pca", "column_means"} & set(doc))
         if stale:
             # the basis form of earlier documents: a full-l beta has the

@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .battery import BatteryReadings, RelativeErrorScorer, sample_interface
+from .battery import BatteryReadings, rms_relative_error, sample_interface
 from .collector import DesignMatrix, aggregate_response, collect
 from .constructor import EnergyModel, TrainingSet
 from .constructor import fit_regressogram, iterate_construction
@@ -98,8 +98,6 @@ class RunArtifacts:
 
     _collected: dict[float, DesignMatrix] = field(default_factory=dict)
     _truth: dict[float, np.ndarray] = field(default_factory=dict)
-    _scorers: dict[tuple[float, int], RelativeErrorScorer] = field(
-        default_factory=dict)
 
     def design(self, rate_hz: float) -> DesignMatrix:
         if rate_hz not in self._collected:
@@ -114,13 +112,10 @@ class RunArtifacts:
 
     def score(self, rate_hz: float, estimates: np.ndarray) -> float:
         """RMS relative error of `estimates` against the truth at
-        `rate_hz`, over the intervals both cover. The truth's mask is
-        taken once per rate and length, however many estimates."""
+        `rate_hz`, over the intervals both cover."""
         truth = self.truth(rate_hz)
         m = min(len(estimates), len(truth))
-        if (rate_hz, m) not in self._scorers:
-            self._scorers[rate_hz, m] = RelativeErrorScorer(truth[:m])
-        return self._scorers[rate_hz, m](estimates[:m])
+        return rms_relative_error(estimates[:m], truth[:m])
 
 
 def simulate(sc: ScenarioConfig) -> RunArtifacts:
@@ -228,7 +223,7 @@ def run_molding(sc: ScenarioConfig,
         truth = arts.truth(rate)
         # the variants share one training set's kept columns, so they
         # share the rates too; each applies its own affine map
-        rates = models["molded_no_pca"].rates(dm.x, 1.0 / rate)
+        rates = models["molded_no_pca"].rates(dm.x)
         for name in MOLDED_VARIANTS:
             report.add(rate, name, arts.score(
                 rate, models[name].predict_rates(rates, 1.0 / rate)))
@@ -283,10 +278,8 @@ def run_adaptation(sc: ScenarioConfig,
             "construction dataset plus monitoring")
 
     def train_on(w0: int, w1: int) -> EnergyModel:
-        dm = DesignMatrix(
-            interval_s=window, columns=dm_win.columns, kinds=dm_win.kinds,
-            x=dm_win.x[w0:w1], t_start_s=dm_win.t_start_s[w0:w1],
-            y=y_if[w0:w1])
+        dm = replace(dm_win, x=dm_win.x[w0:w1],
+                     t_start_s=dm_win.t_start_s[w0:w1], y=y_if[w0:w1])
         return iterate_construction(dm, sc.accuracy_target,
                                     method=sc.fit_method)
 

@@ -12,7 +12,7 @@ design for every call, as the per-rate scoring must match bit for bit.
 import numpy as np
 
 import sesame as ss
-from sesame import constructor, tracesim
+from sesame import tracesim
 
 
 def tick_states(trace: ss.Trace) -> np.ndarray:
@@ -164,7 +164,7 @@ def gather_predict_rows(model: ss.EnergyModel, x: np.ndarray,
     x = np.atleast_2d(np.asarray(x, dtype=float))
     by_name = {c: i for i, c in enumerate(model.columns)}
     idx = [by_name[c] for c in model.kept]
-    rates = x[:, idx] / constructor._rate_divisors(model.kinds, interval_s)[idx]
+    rates = x[:, idx]
     per_t = model.beta[0] + rates @ model.beta[1:]
     return per_t * (interval_s / model.training_interval_s)
 

@@ -29,7 +29,7 @@ def test_instant_constant_current():
     trace = constant_trace(10.0)
     model = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=4.0,
                                      supply_voltage_v=5.0)
-    readings = ss.sample_instant(trace, model)
+    readings = ss.sample_interface(trace, model)
     assert len(readings) == 400
     assert np.allclose(readings.values, 2.0)
     # the first reading ends the first 0.25 s period, the last the trace
@@ -41,7 +41,7 @@ def test_instant_unbiased_under_multiplicative_noise():
     sigma = 0.2
     model = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=4.0,
                                      supply_voltage_v=5.0, noise_sigma=sigma)
-    readings = ss.sample_instant(trace, model, seed=5)
+    readings = ss.sample_interface(trace, model, seed=5)
     n = len(readings)
     tol = 3 * sigma * 2.0 / np.sqrt(n)
     assert abs(readings.values.mean() - 2.0) < tol
@@ -54,7 +54,7 @@ def test_instant_counter_noise_telescopes():
     model = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=4.0,
                                      supply_voltage_v=5.0,
                                      counter_sigma_c=0.1)
-    readings = ss.sample_instant(trace, model, seed=9)
+    readings = ss.sample_interface(trace, model, seed=9)
     err4 = ss.rms_relative_error(readings.values, np.full(len(readings), 2.0))
     # mean current over 4 s windows: energy per window / (voltage x window)
     down = ss.aggregate_response(readings, 4.0) / (5.0 * 4.0)
@@ -69,7 +69,7 @@ def test_filtered_step_response_half_window():
     model = ss.BatteryInterfaceModel(kind="filtered", reading_rate_hz=0.5,
                                      supply_voltage_v=5.0,
                                      filter_window_s=16.0, filter_taps=10)
-    readings = ss.sample_filtered(trace, model)
+    readings = ss.sample_interface(trace, model)
     times = reading_times(readings)
     by_time = dict(zip(times, readings.values))
     assert by_time[8.0] == pytest.approx(1.0)
@@ -87,7 +87,7 @@ def test_filtered_passes_dc_exactly():
     model = ss.BatteryInterfaceModel(kind="filtered", reading_rate_hz=0.5,
                                      supply_voltage_v=5.0,
                                      filter_window_s=16.0, filter_taps=10)
-    readings = ss.sample_filtered(trace, model)
+    readings = ss.sample_interface(trace, model)
     steady = readings.values[reading_times(readings) >= 16.0]
     assert np.allclose(steady, 2.0, atol=1e-12)
 
@@ -97,7 +97,7 @@ def test_capacity_constant_drain():
     model = ss.BatteryInterfaceModel(kind="capacity", reading_rate_hz=0.1,
                                      supply_voltage_v=5.0,
                                      initial_capacity_c=20000.0)
-    readings = ss.sample_capacity(trace, model)
+    readings = ss.sample_interface(trace, model)
     drops = -np.diff(readings.values)
     assert np.allclose(drops, 10.0)
     derived_current = drops / 10.0

@@ -10,6 +10,7 @@ from reference import (
     residency_beta_true,
     residency_predictors,
 )
+from sesame import collector
 from sesame.collector import DesignMatrix
 from sesame.constructor import (
     model_from_dict,
@@ -164,7 +165,7 @@ def linear_scenario(duration=2000.0, tick=0.01, seed=7):
     specs = residency_predictors(model, update_rate_hz=1.0 / tick)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=10.0)
-    readings = ss.sample_instant(trace, battery)
+    readings = ss.sample_interface(trace, battery)
     return model, trace, specs, readings
 
 
@@ -426,6 +427,40 @@ def test_model_document_round_trip():
                               fitted.predict_rows(x, 2.0))
         with pytest.raises(SchemaError):
             back.predict_rows(x[:, :1], 2.0)
+
+
+def test_model_document_with_kinds_predicts_as_it_did():
+    # an earlier document names each column's kind, because the rows it
+    # was applied to held counter sums and the model divided them by the
+    # interval; the rows now hold that rate already, so its beta applies
+    # as it is and predicts the same floats
+    _, trace, _, _ = linear_scenario(duration=200.0)
+    specs = [ss.PredictorSpec(id=name, component=comp, kind=kind,
+                              weights={1: w}, update_rate_hz=100.0)
+             for name, comp, kind, w in (("cpu_busy", "cpu", "residency", 1.0),
+                                         ("disk_ops", "disk", "counter", 40.0))]
+    doc = {
+        "beta": [300.0, 800.0, 2.5], "columns": ["cpu_busy", "disk_ops"],
+        "kinds": ["residency", "counter"], "training_interval_s": 100.0,
+        "fit_method": "TLS", "training_error": 0.01, "l": None,
+        "kept": ["cpu_busy", "disk_ops"], "dropped": [],
+        "below_target": False, "active_columns": ["cpu_busy", "disk_ops"],
+    }
+    loaded = model_from_dict(json.loads(json.dumps(doc)))
+    assert loaded == model_from_dict({k: v for k, v in doc.items()
+                                      if k != "kinds"})
+    for rate in (1.0, 100.0):
+        interval = 1.0 / rate
+        dm = ss.collect(trace, specs, rate)
+        # the earlier rows: the residency's fraction, the counter's sum
+        ends = np.arange(dm.m + 1) * round(interval / trace.tick_s)
+        summed = np.diff(collector._observed(trace, specs[1], ends))
+        # gathered and divided in place, as the earlier model did
+        earlier = np.column_stack([dm.x[:, 0], summed])[:, [0, 1]]
+        earlier /= np.array([1.0, interval])
+        want = ((doc["beta"][0] + earlier @ np.array(doc["beta"][1:]))
+                * (interval / 100.0))
+        assert np.array_equal(loaded.predict_rows(dm.x, interval), want)
 
 
 def test_model_document_malformed():

@@ -101,7 +101,7 @@ def test_malformed_scenario_document_fails_typed(case):
 
 MODEL = {
     "beta": [5.0, 1.0, 0.5], "columns": ["cpu", "disk"],
-    "kinds": ["residency", "counter"], "training_interval_s": 100.0,
+    "training_interval_s": 100.0,
     "fit_method": "TLS", "training_error": 0.01, "l": None,
     "kept": ["cpu", "disk"], "dropped": [], "below_target": False,
     "active_columns": ["cpu", "disk"],
@@ -114,8 +114,6 @@ BAD_MODELS = {
     "beta_nan": ("beta", [5.0, float("nan"), 0.5], ParseError,
                  "model.beta[1]"),
     "l_bool": ("l", True, ParseError, "model.l: expected an integer"),
-    "kinds_short": ("kinds", ["residency"], SchemaError, "kinds"),
-    "kind_unknown": ("kinds", ["residency", "bogus"], SchemaError, "kinds"),
     "kept_absent": ("kept", ["cpu", "gpu"], SchemaError, "'gpu'"),
     "dropped_absent": ("dropped", ["gpu"], SchemaError, "'gpu'"),
     "active_absent": ("active_columns", ["gpu"], SchemaError, "'gpu'"),

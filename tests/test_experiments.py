@@ -348,6 +348,22 @@ def test_scenario_config_rejects_bad_pipeline_fields(updates):
         dataclasses.replace(scn.builtin("t61like"), **updates)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("supply_voltage_v", float("inf")), ("supply_voltage_v", float("nan")),
+    ("reading_rate_hz", float("inf")), ("noise_sigma", float("nan")),
+    ("noise_sigma", float("inf")), ("counter_sigma_c", float("nan")),
+    ("filter_window_s", float("nan")), ("initial_capacity_c", float("inf")),
+])
+def test_battery_refuses_non_finite_fields(field, value):
+    # scenario files refuse these already; from the Python API an infinite
+    # voltage made every reading 0 and a NaN noise sigma switched the
+    # noise off, so the run either failed untyped or ran wrong
+    sc = scn.builtin("noiseless_linear")
+    with pytest.raises(ConfigurationError, match=field):
+        exp.run_scenario(dataclasses.replace(sc, duration_s=400.0, battery=(
+            dataclasses.replace(sc.battery, **{field: value}))))
+
+
 def test_cli_other_sesame_errors_exit_1(monkeypatch, tmp_path, capsys):
     def fail(sc, out_dir):
         raise AlignmentError("interval: 0.3 is not an integral multiple")
@@ -451,7 +467,7 @@ X4, Y4 = np.ones((4, 1)), np.ones(4)
 # raised before it was typed
 BAD_LIBRARY_CALLS = {
     "rates_interval": (ValueError, lambda dm, path: TrainingSet(dm).fit(
-        "OLS").rates(dm.x, 0.0)),
+        "OLS").predict_rows(dm.x, 0.0)),
     "stretch_t_low_range": (ValueError, lambda dm, path: stretch(
         dm, None, 200.0)),
     "stretch_t_low_multiple": (ValueError, lambda dm, path: stretch(

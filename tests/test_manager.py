@@ -69,9 +69,9 @@ def test_monitor_relative_error_arithmetic():
     trace = ss.gen_trace(sys_model, wl, 500.0, 0.01)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=5.0)
-    readings = ss.sample_instant(trace, battery)
+    readings = ss.sample_interface(trace, battery)
     biased = ss.EnergyModel(
-        beta=np.array([110.0, 0.0]), columns=("dummy",), kinds=("residency",),
+        beta=np.array([110.0, 0.0]), columns=("dummy",),
         training_interval_s=100.0, fit_method="OLS", training_error=0.0,
         kept=("dummy",))
     table = ss.ModelTable(window_s=100.0)
@@ -99,7 +99,7 @@ def test_monitor_against_interface_stream():
     specs = residency_predictors(model_sys, update_rate_hz=100.0)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=10.0)
-    readings = ss.sample_instant(trace, battery)
+    readings = ss.sample_interface(trace, battery)
     low = ss.stretch(ss.collect(trace, specs, 1.0), readings, 100.0)
     fitted = ss.build_model(low)
 

@@ -50,11 +50,10 @@ def training_matrix(seed: int, n: int, kinds: tuple[str, ...]) -> DesignMatrix:
     x = 0.8 * load + 0.2 * rng.uniform(0.0, 1.0, size=(m, n))
     rate_w = rng.uniform(0.5, 5.0, size=n)
     for j, kind in enumerate(kinds):
-        if kind == COUNTER:           # summed deltas over the interval
-            x[:, j] *= rng.uniform(1.0, 50.0) * T_TRAIN
-    rates = x / np.array([T_TRAIN if k == COUNTER else 1.0 for k in kinds])
+        if kind == COUNTER:           # events per second
+            x[:, j] *= rng.uniform(1.0, 50.0)
     scale = np.array([1.0 / 50.0 if k == COUNTER else 1.0 for k in kinds])
-    y = (5.0 + rates @ (rate_w * scale)) * T_TRAIN
+    y = (5.0 + x @ (rate_w * scale)) * T_TRAIN
     y *= 1.0 + rng.normal(0.0, 0.001, size=m)
     return DesignMatrix(interval_s=T_TRAIN,
                         columns=tuple(f"p{j}" for j in range(n)), kinds=kinds,
@@ -66,9 +65,7 @@ def oracle_predict(dm: DesignMatrix, model: ss.EnergyModel, x: np.ndarray,
     """Standardize, rotate onto the top-l principal axes, apply the
     rotated coefficients: the PCA model written out step by step."""
     idx = [dm.columns.index(c) for c in model.kept]
-    div = np.array([dm.interval_s if dm.kinds[i] == COUNTER else 1.0
-                    for i in idx])
-    basis, z = ss.pca_transform(dm.x[:, idx] / div, model.kept)
+    basis, z = ss.pca_transform(dm.x[:, idx], model.kept)
     z = z[:, :model.l]
     y = np.asarray(dm.y, dtype=float)
     yc = y - y.mean()
@@ -76,9 +73,7 @@ def oracle_predict(dm: DesignMatrix, model: ss.EnergyModel, x: np.ndarray,
         coef = ss.fit_tls(z, yc / yc.std()) * yc.std()
     else:
         coef = ss.fit_ols(z, yc)
-    q_div = np.array([interval_s if dm.kinds[i] == COUNTER else 1.0
-                      for i in idx])
-    zq = ((x[:, idx] / q_div - basis.column_means) / basis.column_scales
+    zq = ((x[:, idx] - basis.column_means) / basis.column_scales
           ) @ basis.rows[:model.l].T
     return (y.mean() + coef[0] + zq @ coef[1:]) * (interval_s / dm.interval_s)
 
@@ -96,7 +91,6 @@ def test_pca_model_equals_explicit_rotated_pipeline(seed, kinds, l_frac,
     model = ss.build_model(dm, use_pca=True, l=l)
     assert model.l == l and len(model.beta) == 1 + n
     x = training_matrix(seed + 1, n, tuple(kinds)).x
-    x[:, [k == COUNTER for k in kinds]] *= interval_s / T_TRAIN
     got = model.predict_rows(x, interval_s)
     want = oracle_predict(dm, model, x, interval_s)
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -117,9 +111,10 @@ def test_energy_is_additive_across_rates(seed, kinds, use_pca, l_frac, k,
     rng = np.random.default_rng(seed + 2)
     sub = rng.uniform(0.0, 1.0, size=(k, n))
     counter = np.array([kind == COUNTER for kind in kinds])
-    sub[:, counter] *= 1000.0 * interval_s
-    # residency fractions average over the merged interval, counters sum
-    merged = np.where(counter, sub.sum(axis=0), sub.mean(axis=0))
+    sub[:, counter] *= 1000.0
+    # residency fractions and counter rates alike average over the
+    # merged interval
+    merged = sub.mean(axis=0)
     parts = model.predict_rows(sub, interval_s).sum()
     whole = model.predict_rows(merged, k * interval_s)[0]
     assert parts == pytest.approx(whole, rel=1e-9)

@@ -354,7 +354,7 @@ def test_capacity_sampler_matches_per_tick_charge(mixed_trace, noise):
     model = ss.BatteryInterfaceModel(kind="capacity", reading_rate_hz=10.0,
                                      supply_voltage_v=3.7, noise_sigma=noise,
                                      initial_capacity_c=50.0)
-    got = ss.sample_capacity(mixed_trace, model, seed=5)
+    got = ss.sample_interface(mixed_trace, model, seed=5)
     np.testing.assert_allclose(got.values,
                                ref_sample_capacity(mixed_trace, model, 5),
                                rtol=RTOL)
