@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -88,7 +87,6 @@ class PCABasis:
     the centered, unit-variance design matrix, as rows."""
 
     rows: np.ndarray                  # (l, n)
-    singular_values: np.ndarray       # (l,) non-increasing
     column_means: np.ndarray          # (n,)
     column_scales: np.ndarray         # (n,)
     columns: tuple[str, ...]
@@ -109,24 +107,28 @@ def _canonical_signs(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _varying(x: np.ndarray) -> np.ndarray:
-    """Mask of the columns whose spread is above round-off."""
-    std = x.std(axis=0)
-    return std > _ZERO_VAR_TOL * np.maximum(1.0, np.abs(x).max(axis=0))
+def _prepare(x: np.ndarray, columns: tuple[str, ...]
+             ) -> tuple[PCABasis, np.ndarray]:
+    """Drop the constant columns of `x` with a warning, standardize the
+    rest and take all their principal axes, as sign-canonical rows.
 
-
-def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column means, standard deviations and the centered, scaled matrix."""
-    means = x.mean(axis=0)
-    scales = x.std(axis=0)
-    return means, scales, (x - means) / scales
-
-
-def _principal_axes(xcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right singular vectors of a standardized matrix, as sign-canonical
-    rows, and the singular values."""
-    _, sing, vt = np.linalg.svd(xcs, full_matrices=False)
-    return _canonical_signs(vt), sing
+    Returns the basis over the kept columns and the standardized matrix.
+    A column is constant when its spread is at round-off.
+    """
+    floor = _ZERO_VAR_TOL * np.maximum(1.0, np.abs(x).max(axis=0))
+    keep = x.std(axis=0) > floor
+    if not keep.all():
+        dropped = [c for c, kf in zip(columns, keep) if not kf]
+        warnings.warn(f"dropping constant predictors: {dropped}")
+    xk = x[:, keep]
+    means = xk.mean(axis=0)
+    scales = xk.std(axis=0)
+    xcs = (xk - means) / scales
+    _, _, vt = np.linalg.svd(xcs, full_matrices=False)
+    basis = PCABasis(rows=_canonical_signs(vt), column_means=means,
+                     column_scales=scales,
+                     columns=tuple(c for c, kf in zip(columns, keep) if kf))
+    return basis, xcs
 
 
 def pca_transform(x: np.ndarray,
@@ -135,8 +137,8 @@ def pca_transform(x: np.ndarray,
     """Full-rank predictor transformation of a design matrix.
 
     Columns are mean-centered and scaled to unit standard deviation (both
-    stored in the basis); zero-variance columns are dropped with a warning
-    before the SVD. Returns the l = n basis and the transformed matrix Z.
+    stored in the basis); zero-variance columns are dropped with a warning.
+    Returns the l = n basis and the transformed matrix Z.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     m, n_all = x.shape
@@ -144,22 +146,13 @@ def pca_transform(x: np.ndarray,
         columns = tuple(f"x{i}" for i in range(n_all))
     if len(columns) != n_all:
         raise SchemaError("column label count does not match the matrix")
-    keep = _varying(x)
-    if not keep.all():
-        dropped = [columns[i] for i in range(n_all) if not keep[i]]
-        warnings.warn(f"dropping zero-variance columns before SVD: {dropped}")
-    xk = x[:, keep]
-    kept_cols = tuple(c for c, k in zip(columns, keep) if k)
-    n = xk.shape[1]
+    basis, xcs = _prepare(x, columns)
+    n = len(basis.columns)
     if n < 1:
         raise InsufficientDataError("no non-constant columns to transform")
     if m < n:
         raise InsufficientDataError(f"PCA needs m >= n ({m} < {n})")
-    means, scales, xcs = _standardize(xk)
-    rows, sing = _principal_axes(xcs)
-    basis = PCABasis(rows=rows, singular_values=sing, column_means=means,
-                     column_scales=scales, columns=kept_cols)
-    return basis, xcs @ rows.T
+    return basis, xcs @ basis.rows.T
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +286,17 @@ def _solve(feats: np.ndarray, yc: np.ndarray, method: str) -> tuple[np.ndarray, 
 class TrainingSet:
     """A design matrix with a response, prepared once to fit models at any l.
 
-    Preparation drops constant columns with a warning and standardizes the
-    kept ones; the PCA SVD runs on the first PCA fit, and every l slices
-    its transformed matrix.
+    Preparation drops constant columns with a warning, standardizes the
+    kept ones and takes their PCA SVD; every l slices its transformed
+    matrix.
     """
 
     def __init__(self, dm: DesignMatrix):
         if dm.y is None:
             raise InsufficientDataError("design matrix has no response vector")
-        keep = _varying(dm.x)
-        self.kept = tuple(c for c, kf in zip(dm.columns, keep) if kf)
-        self.dropped = tuple(c for c, kf in zip(dm.columns, keep) if not kf)
-        if self.dropped:
-            warnings.warn(f"dropping constant predictors: {list(self.dropped)}")
+        self.basis, self.xcs = _prepare(dm.x, dm.columns)
+        self.kept = self.basis.columns
+        self.dropped = tuple(c for c in dm.columns if c not in self.kept)
         n = len(self.kept)
         if n and dm.m < n + 2:
             raise InsufficientDataError(
@@ -313,13 +304,7 @@ class TrainingSet:
         self.dm = dm
         self.y = np.asarray(dm.y, dtype=float)
         self.y_mean = float(self.y.mean())
-        self.means, self.scales, self.xcs = _standardize(dm.x[:, keep])
-
-    @cached_property
-    def _pca(self) -> tuple[np.ndarray, np.ndarray]:
-        """All principal axes as rows, and the transformed matrix Z."""
-        rows, _ = _principal_axes(self.xcs)
-        return rows, self.xcs @ rows.T
+        self.z = self.xcs @ self.basis.rows.T
 
     def fit(self, method: str = "TLS", use_pca: bool = True,
             l: int | None = None) -> EnergyModel:
@@ -333,16 +318,15 @@ class TrainingSet:
             beta, tag, l, active = np.array([self.y_mean]), "OLS", None, ()
         else:
             if use_pca:
-                axes, z = self._pca
                 l = n if l is None else l
                 if not 1 <= l <= n:
                     raise ArgumentError(f"l must be in [1, {n}], got {l}")
-                rows, feats = axes[:l], z[:, :l]
+                rows, feats = self.basis.rows[:l], self.z[:, :l]
             else:
                 l, rows, feats = None, np.eye(n), self.xcs
             coef, tag = _solve(feats, self.y - self.y_mean, method)
-            w = rows.T @ coef[1:] / self.scales
-            b0 = self.y_mean + coef[0] - float(w @ self.means)
+            w = rows.T @ coef[1:] / self.basis.column_scales
+            b0 = self.y_mean + coef[0] - float(w @ self.basis.column_means)
             beta = np.concatenate([[b0], w])
             weights = np.linalg.norm(rows, axis=0)
             active = tuple(c for c, wt in zip(self.kept, weights)
@@ -367,28 +351,25 @@ def build_model(dm: DesignMatrix, method: str = "TLS", use_pca: bool = True,
 
 def iterate_construction(dm: DesignMatrix, accuracy_target: float,
                          method: str = "TLS") -> EnergyModel:
-    """Fit at l = n, then shrink l while training accuracy stays at target.
+    """Fit l = 1, 2, ... n and return the first model whose training
+    accuracy (1 - RMS relative error) meets the target.
 
-    Returns the model with the smallest l whose training accuracy
-    (1 - RMS relative error) still meets the target; if even l = n misses,
-    that model is returned flagged `below_target`. Every l is fitted from
-    one prepared training set and one PCA SVD.
+    That is the smallest such l: training accuracy need not rise with l,
+    as TLS on near-collinear axes shows. If no l meets the target, the
+    l = n model is returned flagged `below_target`; with no kept column,
+    the mean model. Every l is fitted from one prepared training set.
     """
     if not 0.0 <= accuracy_target < 1.0:
         raise ArgumentError("accuracy target must be in [0, 1)")
     ts = TrainingSet(dm)
-    best = ts.fit(method)
-    if best.l is None:
-        return best
-    if 1.0 - best.training_error < accuracy_target:
-        best.below_target = True
-        return best
-    for l in range(best.l - 1, 0, -1):
-        candidate = ts.fit(method, l=l)
-        if 1.0 - candidate.training_error < accuracy_target:
-            break
-        best = candidate
-    return best
+    if not ts.kept:
+        return ts.fit(method)
+    for l in range(1, len(ts.kept) + 1):
+        model = ts.fit(method, l=l)
+        if 1.0 - model.training_error >= accuracy_target:
+            return model
+    model.below_target = True
+    return model
 
 
 # ---------------------------------------------------------------------------

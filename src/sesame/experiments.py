@@ -112,10 +112,8 @@ class RunArtifacts:
 
     def score(self, rate_hz: float, estimates: np.ndarray) -> float:
         """RMS relative error of `estimates` against the truth at
-        `rate_hz`, over the intervals both cover."""
-        truth = self.truth(rate_hz)
-        m = min(len(estimates), len(truth))
-        return rms_relative_error(estimates[:m], truth[:m])
+        `rate_hz`; both hold one row per whole interval of the trace."""
+        return rms_relative_error(estimates, self.truth(rate_hz))
 
 
 def simulate(sc: ScenarioConfig) -> RunArtifacts:
@@ -137,11 +135,13 @@ def _interface_rms(arts: RunArtifacts, rate_hz: float) -> float | None:
     return arts.score(rate_hz, aggregate_response(arts.readings, interval))
 
 
-# Solving the normal equations g c = A^T 1 loses about cond(g) * eps of
-# the coefficients' relative accuracy: below 1e8, at most about 2e-8.
-# The residual is stationary at the optimum, so an RMS error well above
-# that moves by about its square, relative; an exact fit keeps an RMS of
-# roundoff size, as lstsq's is.
+# Solving the normal equations loses about cond * eps of the
+# coefficients' relative accuracy, cond being that of g scaled to a unit
+# diagonal, which takes out the rate columns' spread of scales (1 to
+# about 1e3): below 1e8, at most about 2e-8; the built-ins read at most
+# about 4e3. The residual is stationary at the optimum, so an RMS error
+# well above that moves by about its square, relative; an exact fit
+# keeps an RMS of roundoff size, as lstsq's is.
 _ORACLE_COND_BOUND = 1e8
 
 
@@ -152,10 +152,11 @@ def _fit_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     best tradeoff any affine model of these predictors can reach at this
     rate, so every molded variant is dominated by it in-sample. The
     weighted design A = [1 X] * w is built once, transposed, with w itself
-    as its first row. The coefficients solve the (1 + n) x (1 + n) normal
-    equations (A^T A) c = A^T 1 while cond(A^T A) is below
-    `_ORACLE_COND_BOUND`; at or above it, and when A^T A is singular or
-    empty, they are `np.linalg.lstsq(A, 1)`.
+    as its first row. With d = sqrt(diag(A^T A)), the coefficients solve
+    the normal equations (A^T A) c = A^T 1 scaled by d on both sides
+    while the scaled matrix's condition number is below
+    `_ORACLE_COND_BOUND`; at or above it, and when d holds a zero, they
+    are `np.linalg.lstsq(A, 1)`.
     """
     ok = y > 0
     if not ok.all():
@@ -165,8 +166,11 @@ def _fit_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     at[0] = w
     np.multiply(x.T, w, out=at[1:])
     g = at @ at.T
-    if np.linalg.cond(g) < _ORACLE_COND_BOUND:
-        return np.linalg.solve(g, at.sum(axis=1))
+    d = np.sqrt(np.diag(g))
+    if d.all():
+        gs = g / d / d[:, None]
+        if np.linalg.cond(gs) < _ORACLE_COND_BOUND:
+            return np.linalg.solve(gs, at.sum(axis=1) / d) / d
     coef, *_ = np.linalg.lstsq(at.T, np.ones(len(w)), rcond=None)
     return coef
 
@@ -204,8 +208,7 @@ def train_molded_variants(sc: ScenarioConfig,
         "molded_no_pca": ts.fit(sc.fit_method, use_pca=False),
         "molded_all_pcs": ts.fit(sc.fit_method),
     }
-    n_kept = models["molded_all_pcs"].l or 1
-    models["molded_l2"] = ts.fit(sc.fit_method, l=min(2, n_kept))
+    models["molded_l2"] = ts.fit(sc.fit_method, l=min(2, len(ts.kept)))
     models["molded_l1"] = ts.fit(sc.fit_method, l=1)
     return models
 
@@ -228,10 +231,9 @@ def run_molding(sc: ScenarioConfig,
             report.add(rate, name, arts.score(
                 rate, models[name].predict_rates(rates, 1.0 / rate)))
         del rates       # before the oracle's weighted design is built
-        m = min(dm.m, len(truth))
-        coef = _fit_oracle(dm.x[:m], truth[:m])
+        coef = _fit_oracle(dm.x, truth)
         report.add(rate, ORACLE_ESTIMATOR,
-                   arts.score(rate, coef[0] + dm.x[:m] @ coef[1:]))
+                   arts.score(rate, coef[0] + dm.x @ coef[1:]))
     _write_outputs(sc, report, out_dir)
     return report
 
@@ -269,9 +271,10 @@ def run_adaptation(sc: ScenarioConfig,
     """
     arts = _simulate_as(sc, ADAPTATION)
     window = sc.window_s
-    dm_win = arts.design(1.0 / window)
-    y_if = aggregate_response(arts.readings, window)
-    m = min(dm_win.m, len(y_if))
+    # one response per window row: DesignMatrix refuses unequal counts
+    dm_win = replace(arts.design(1.0 / window),
+                     y=aggregate_response(arts.readings, window))
+    m = dm_win.m
     if m < sc.train_windows + 1:
         raise InsufficientDataError(
             f"{m} windows cannot hold a {sc.train_windows}-window "
@@ -279,7 +282,7 @@ def run_adaptation(sc: ScenarioConfig,
 
     def train_on(w0: int, w1: int) -> EnergyModel:
         dm = replace(dm_win, x=dm_win.x[w0:w1],
-                     t_start_s=dm_win.t_start_s[w0:w1], y=y_if[w0:w1])
+                     t_start_s=dm_win.t_start_s[w0:w1], y=dm_win.y[w0:w1])
         return iterate_construction(dm, sc.accuracy_target,
                                     method=sc.fit_method)
 
@@ -296,7 +299,7 @@ def run_adaptation(sc: ScenarioConfig,
         if w == collect_until - 1:
             install_model(table, key, train_on(w + 1 - span, w + 1), t_end)
         elif w >= collect_until:
-            err = monitor(table, t_end, dm_win.x[w], float(y_if[w]))
+            err = monitor(table, t_end, dm_win.x[w], float(dm_win.y[w]))
             if err is not None:
                 rebuilt = maybe_rebuild(table, t_end, err, w + 1 + span <= m)
         if rebuilt:
@@ -332,12 +335,10 @@ def run_regressogram_compare(sc: ScenarioConfig,
         dm = arts.design(rate)
         report.add(rate, "linear_molded", arts.score(
             rate, linear.predict_rows(dm.x, 1.0 / rate)))
-        truth = arts.truth(rate)
-        m = min(dm.m, len(truth))
-        reg = fit_regressogram(dm.x[:m], truth[:m], k=sc.regressogram_k,
+        reg = fit_regressogram(dm.x, arts.truth(rate), k=sc.regressogram_k,
                                columns=dm.columns)
         report.add(rate, "regressogram",
-                   arts.score(rate, predict_regressogram_rows(reg, dm.x[:m])))
+                   arts.score(rate, predict_regressogram_rows(reg, dm.x)))
     _write_outputs(sc, report, out_dir)
     return report
 

@@ -7,6 +7,8 @@ Markov chain one step at a time and fit a regressogram one row at a
 time, as the vectorised code must match bit for bit. The scoring
 formulas gather the kept columns, mask the truths and stack the oracle's
 design for every call, as the per-rate scoring must match bit for bit.
+The smallest l that meets a target is found by fitting every l on its
+own training set.
 """
 
 import numpy as np
@@ -197,3 +199,21 @@ def oracle_rms(x: np.ndarray, y: np.ndarray, coef: np.ndarray) -> float:
     ok = y > 0
     rel = (coef[0] + x[ok] @ coef[1:]) / y[ok] - 1.0
     return float(np.sqrt(np.mean(rel * rel)))
+
+
+def scaled_cond(g: np.ndarray) -> float:
+    """Condition number of `g` scaled to a unit diagonal, the oracle's
+    test for solving its normal equations; infinite when the diagonal
+    holds a zero."""
+    d = np.sqrt(np.diag(g))
+    return float(np.linalg.cond(g / d / d[:, None])) if d.all() else np.inf
+
+
+def smallest_l_meeting(dm, target: float, method: str = "TLS") -> int | None:
+    """The smallest l whose PCA fit, built from scratch, has a training
+    accuracy (1 - RMS relative error) of at least `target`; None when no
+    l in 1..n does."""
+    n = ss.build_model(dm, method).l
+    meets = [l for l in range(1, n + 1)
+             if 1.0 - ss.build_model(dm, method, l=l).training_error >= target]
+    return min(meets, default=None)

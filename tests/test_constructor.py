@@ -115,8 +115,10 @@ def test_pca_single_column_is_identity_direction():
 def test_pca_duplicate_columns_expose_rank_deficiency():
     rng = np.random.default_rng(8)
     col = rng.normal(size=100)
-    basis, _ = ss.pca_transform(np.column_stack([col, col]))
-    assert basis.singular_values[1] / basis.singular_values[0] < 1e-9
+    _, z = ss.pca_transform(np.column_stack([col, col]))
+    # Z = U S, so its column norms are the singular values
+    sing = np.linalg.norm(z, axis=0)
+    assert sing[1] / sing[0] < 1e-9
 
 
 def test_pca_orthonormal_sorted_round_trip():
@@ -125,7 +127,7 @@ def test_pca_orthonormal_sorted_round_trip():
     basis, z = ss.pca_transform(x)
     gram = basis.rows @ basis.rows.T
     assert np.allclose(gram, np.eye(5), atol=1e-9)
-    assert np.all(np.diff(basis.singular_values) <= 1e-12)
+    assert np.all(np.diff(np.linalg.norm(z, axis=0)) <= 1e-12)
     back = basis.inverse_transform(z)
     assert np.allclose(back, x, rtol=1e-9, atol=1e-9)
     # Z must match the direct product with the transform rows

@@ -393,6 +393,33 @@ def test_iterate_construction_picks_two_components_on_t61like():
     assert not model.below_target
 
 
+def redundant_pool(sc: scn.ScenarioConfig, seed: int) -> scn.ScenarioConfig:
+    """`sc` with a copy of each predictor whose weights are perturbed by
+    N(0, 0.05), relative: a pool of overlapping statistics."""
+    rng = np.random.default_rng(seed)
+    copies = tuple(dataclasses.replace(
+        spec, id=f"{spec.id}_copy",
+        weights={s: w * (1.0 + rng.normal(0.0, 0.05))
+                 for s, w in spec.weights.items()})
+        for spec in sc.predictors)
+    return dataclasses.replace(sc, predictors=sc.predictors + copies)
+
+
+def test_iterate_construction_picks_the_smallest_l_on_a_redundant_pool():
+    # training accuracy is 0.84, 0.96, 0.97, 0.97, 0.94, 0.94, 0.77,
+    # 0.96, 0.98 and 0.96 for l = 1..10: it does not rise with l, so a
+    # walk down from l = n stops at l = 8, above the first l that meets
+    # the 0.95 target
+    sc = redundant_pool(dataclasses.replace(scn.builtin("t61like"),
+                                            duration_s=1500.0), seed=1)
+    arts = exp.simulate(sc)
+    dm_low = stretch(arts.design(sc.base_rate_hz), arts.readings, sc.t_low_s)
+    model = iterate_construction(dm_low, sc.accuracy_target)
+    assert len(model.kept) == 10
+    assert model.l == 2
+    assert not model.below_target
+
+
 def test_n85like_averaging_reproduces_error_drop():
     import sesame as ss
 

@@ -4,9 +4,12 @@ A fitted EnergyModel is b0 + r . b on the kept predictor rates, scaled by
 the interval ratio; these check that form against the explicit PCA
 pipeline it folds, and that its energies add up across rates. The
 per-rate oracle's fit is checked against its normal equations and
-against lstsq. Model tables and scenarios must come back from their
-documents unchanged, and a document with any one node replaced must
-load or fail typed. A short built-in whose timing fields are drawn on
+against lstsq. `iterate_construction` returns the first l whose fit
+meets its target, as fitting every l on its own finds. Every rate's
+design, truth and battery response hold one row per whole interval of
+the trace, for every battery kind. Model tables and scenarios must
+come back from their documents unchanged, and a document with any one
+node replaced must load or fail typed. A short built-in whose timing fields are drawn on
 and off the tick grid must run to finite values or fail typed.
 """
 
@@ -21,10 +24,16 @@ import pytest
 import sesame as ss
 import sesame.experiments as exp
 import sesame.scenarios as scn
-from reference import oracle_rms, stacked_fit_oracle
-from sesame.collector import DesignMatrix
+from reference import (
+    oracle_rms,
+    scaled_cond,
+    smallest_l_meeting,
+    stacked_fit_oracle,
+)
+from sesame.battery import BatteryInterfaceModel
+from sesame.collector import DesignMatrix, aggregate_response
 from sesame.constructor import model_from_dict, model_to_dict
-from sesame.errors import SesameError
+from sesame.errors import AlignmentError, RateError, SesameError
 from sesame.manager import table_equals
 from sesame.tracesim import COUNTER
 
@@ -154,7 +163,7 @@ def test_oracle_solves_its_normal_equations(problem):
     at = np.vstack([w, x.T * w])        # the oracle's own g, bit for bit
     g, rhs = at @ at.T, at.sum(axis=1)
     coef, ref = exp._fit_oracle(x, y), stacked_fit_oracle(x, y)
-    cond = np.linalg.cond(g)
+    cond = scaled_cond(g)
     if cond >= exp._ORACLE_COND_BOUND:
         assert np.array_equal(coef, ref)
         return
@@ -165,6 +174,65 @@ def test_oracle_solves_its_normal_equations(problem):
     slack = 1e-15 + np.finfo(float).eps * cond
     assert oracle_rms(x, y, coef) <= (
         oracle_rms(x, y, ref) * (1 + 1e-12) + slack)
+
+
+@PROPERTY
+@hypothesis.given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+                  target=st.floats(0.0, 0.999))
+def test_iterate_construction_returns_the_first_l_that_meets(seed, n,
+                                                               target):
+    # each column is a scaled copy of one of a few sources plus its own
+    # noise, from 1e-3 to 1 relative, so some axes nearly coincide
+    rng = np.random.default_rng(seed)
+    m = n + 2 + int(rng.integers(0, 30))
+    sources = rng.uniform(0.0, 1.0, size=(m, int(rng.integers(1, n + 1))))
+    x = (sources[:, rng.integers(0, sources.shape[1], n)]
+         * rng.uniform(0.5, 2.0, n)
+         + rng.normal(0.0, 1.0, (m, n)) * 10.0 ** rng.uniform(-3, 0, n))
+    y = (5.0 + x @ rng.uniform(0.5, 5.0, n)) * T_TRAIN
+    y *= 1.0 + rng.normal(0.0, 10.0 ** rng.uniform(-3, -0.5), m)
+    dm = DesignMatrix(interval_s=T_TRAIN,
+                      columns=tuple(f"p{j}" for j in range(n)),
+                      kinds=("residency",) * n, x=x,
+                      t_start_s=np.arange(m) * T_TRAIN, y=y)
+    want = smallest_l_meeting(dm, target)
+    expect = ss.build_model(dm, l=want)
+    expect.below_target = want is None
+    assert ss.iterate_construction(dm, target) == expect
+
+
+BATTERY_KINDS = {
+    "instant": {"kind": "instant"},
+    "filtered": {"kind": "filtered", "filter_window_s": 16.0,
+                 "filter_taps": 10},
+    "capacity": {"kind": "capacity"},
+}
+
+
+@hypothesis.settings(max_examples=20, deadline=None, database=None)
+@hypothesis.given(name=st.sampled_from([n for n in sorted(scn.BUILTIN_SCENARIOS)
+                                        if scn.builtin(n).predictors]),
+                  kind=st.sampled_from(sorted(BATTERY_KINDS)),
+                  reading_rate_hz=st.sampled_from((0.1, 0.5, 1.0, 4.0)),
+                  ticks=st.integers(200_000, 600_000))
+def test_every_rate_has_one_row_count(name, kind, reading_rate_hz, ticks):
+    # the duration is rarely a whole number of any interval, so each
+    # count is a floor; the scorers compare the rows without truncating
+    sc = scn.builtin(name)
+    sc = dataclasses.replace(
+        sc, duration_s=ticks * sc.tick_s,
+        battery=BatteryInterfaceModel(reading_rate_hz=reading_rate_hz,
+                                      **BATTERY_KINDS[kind]))
+    arts = exp.simulate(sc)
+    for rate in (*sc.rate_grid, 1.0 / sc.window_s):
+        rows = ticks // round(1.0 / (rate * sc.tick_s))
+        assert arts.design(rate).m == rows
+        assert len(arts.truth(rate)) == rows
+        try:
+            response = aggregate_response(arts.readings, 1.0 / rate)
+        except (AlignmentError, RateError):
+            continue            # not a whole number of reading periods
+        assert len(response) == rows
 
 # -- persistence ----------------------------------------------------------------
 
