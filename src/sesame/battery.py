@@ -153,7 +153,8 @@ def rms_relative_error(estimates: np.ndarray, truth: np.ndarray) -> float:
     """sqrt(mean(((est - true) / true)^2)), skipping non-positive truths.
 
     Both arrays are read whole, with no masked copies, when every truth
-    is positive.
+    is positive, and the relative errors are built and squared in place
+    in one row-length temporary.
     """
     est = np.asarray(estimates, dtype=float)
     truth = np.asarray(truth, dtype=float)
@@ -167,5 +168,7 @@ def rms_relative_error(estimates: np.ndarray, truth: np.ndarray) -> float:
         est, truth = est[ok], truth[ok]
     if not truth.size:
         raise ConfigurationError("no positive truth values to compare against")
-    rel = (est - truth) / truth
-    return float(np.sqrt(np.mean(rel * rel)))
+    rel = np.subtract(est, truth)
+    rel /= truth
+    rel *= rel
+    return float(np.sqrt(np.mean(rel)))

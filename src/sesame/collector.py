@@ -2,10 +2,12 @@
 the OS exposes the predictors: refreshed on their update grid, delayed.
 
 Polling policies follow the predictors' update behavior: fast predictors
-are differenced at the target-interval boundaries, slow predictors hold
-their last completed per-update rate, and an event-driven level changes
-at every delayed state change. Every cumulative column is written as a
-rate, so this module is the one place that knows predictor units.
+are summed exactly between the delayed update-grid ticks of the
+target-interval boundaries, slow predictors hold their last completed
+per-update rate, and an event-driven level changes at every delayed state
+change. The sums come from the truth's own interval-sum kernel
+(`RunLookup.sums`). Every cumulative column is written as a rate, so this
+module is the one place that knows predictor units.
 """
 
 from __future__ import annotations
@@ -72,57 +74,23 @@ def _spec_ticks(spec: PredictorSpec, tick_s: float) -> tuple[int, int]:
                                 f"{spec.id} update period")
 
 
-def _observed(trace: Trace, spec: PredictorSpec,
-              ticks: np.ndarray) -> np.ndarray:
-    """Visible register value (cumulative kinds) or level of `spec` at the
-    tick indices `ticks`.
-
-    Cumulative kinds expose a monotone register that advances only at
-    update instants; level kinds expose the delayed level. Each tick is
-    moved back by the delay and down to the update grid, and the runs
-    are read at the resulting ticks only.
-    """
-    delay, period = _spec_ticks(spec, trace.tick_s)
-    idx = (np.asarray(ticks, dtype=np.int64) - delay) // period * period
-    c_idx, weights = trace.model.weight_vector(spec)
-    if spec.kind == LEVEL:
-        # before the trace start the level is the first tick's
-        idx = np.clip(idx, 0, len(trace) - 1)
-        states = trace.runs[c_idx][1]
-        return weights[states[trace.run_index(c_idx, idx)]]
-    # before the trace start the register reads 0
-    idx = np.clip(idx, 0, len(trace))
-    return trace.integral(c_idx, weights, idx) * trace.tick_s
-
-
-def _interval_aggregate(trace: Trace, spec: PredictorSpec,
-                        boundaries: np.ndarray, interval_s: float) -> np.ndarray:
-    """One value per interval between the tick indices `boundaries`: the
-    level at the interval start, or the register's rate over the
-    interval (a residency fraction or counter events per second)."""
-    if spec.kind == LEVEL:
-        return _observed(trace, spec, boundaries[:-1])
-
-    period = _spec_ticks(spec, trace.tick_s)[1]
-    if spec.policy == POLLED_SLOW and period > boundaries[1]:
-        # Updates slower than the intervals (boundaries start at 0): hold
-        # the last completed per-period rate across target intervals.
-        # The delay is applied when the poll is served; before the first
-        # completed period both polls read 0.
-        last_poll = boundaries[:-1] // period * period
-        period_s = 1.0 / spec.update_rate_hz
-        return (_observed(trace, spec, last_poll)
-                - _observed(trace, spec, last_poll - period)) / period_s
-
-    delta = np.diff(_observed(trace, spec, boundaries))
-    delta /= interval_s
-    return delta
-
-
 def collect(trace: Trace, specs: Sequence[PredictorSpec],
             target_rate_hz: float) -> DesignMatrix:
     """Build the X-only design matrix at `target_rate_hz`, one row per
-    whole interval of the trace; the interval must be whole ticks."""
+    whole interval of the trace; the interval must be whole ticks.
+
+    The OS refreshes a predictor every update period and reflects the
+    state `delay` ticks back, so the value visible at tick b was current
+    at (b - delay) // period * period, and at 0 before the trace start.
+    Specs of one component with the same delay and update period share
+    one such delayed grid and its `RunLookup`. A level reads its weight at
+    each interval start's grid tick. A cumulative column (residency or
+    counter) is the exact sum over its grid interval, divided by the
+    target interval: a fraction or events per second. A polled-slow one
+    whose period exceeds the interval holds instead the sum over the last
+    update period completed before each interval start, on the delayed
+    period grid, divided by the period.
+    """
     if target_rate_hz <= 0:
         raise ConfigurationError("target rate must be > 0")
     if not specs:
@@ -134,12 +102,54 @@ def collect(trace: Trace, specs: Sequence[PredictorSpec],
     if m < 1:
         raise ConfigurationError("trace shorter than one interval")
     boundaries = np.arange(m + 1) * k
+
+    groups: dict[tuple[int, int, int, bool], list[int]] = {}
+    for i, spec in enumerate(specs):
+        delay, period = _spec_ticks(spec, trace.tick_s)
+        held = (spec.kind != LEVEL and spec.policy == POLLED_SLOW
+                and period > k)
+        key = (trace.model.component_index(spec.component), delay, period,
+               held)
+        groups.setdefault(key, []).append(i)
+
+    # row-major, as the rows are what a model's predictions gather
+    x = np.empty((m, len(specs)))
+    for (c_idx, delay, period, held), columns in groups.items():
+        if held:
+            # each row's last update instant p, in periods; a poll at p
+            # reads the register up to (p + shift) * period, the delay
+            # taking whole periods off, so sum p is over the period
+            # before that
+            polls = boundaries[:-1] // period
+            shift = -delay // period
+            grid = np.arange(shift - 1, polls[-1] + shift + 1) * period
+            np.maximum(grid, 0, out=grid)
+        elif delay or k % period:
+            grid = boundaries - delay
+            grid //= period
+            grid *= period
+            np.maximum(grid, 0, out=grid)
+        else:
+            grid = boundaries
+        lookup = trace.locate(c_idx, grid)
+        for i in columns:
+            spec = specs[i]
+            weights = trace.model.weight_vector(spec)[1]
+            if spec.kind == LEVEL:
+                x[:, i] = lookup.at(weights)[:-1]
+                continue
+            sums = lookup.sums(weights)
+            sums *= trace.tick_s
+            if held:
+                sums /= 1.0 / spec.update_rate_hz
+                x[:, i] = sums[polls]
+            else:
+                np.divide(sums, interval, out=x[:, i])
     return DesignMatrix(
         interval_s=interval,
         columns=tuple(s.id for s in specs),
         kinds=tuple(s.kind for s in specs),
-        x=np.column_stack([_interval_aggregate(trace, spec, boundaries,
-                                               interval) for spec in specs]),
+        x=x,
         t_start_s=np.arange(m) * interval,
     )
 

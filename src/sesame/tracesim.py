@@ -11,10 +11,15 @@ Each component follows, phase by phase, a seeded Markov chain or a
 deterministic schedule. The trace is run-length: states change only at
 Markov steps or schedule edges, so each component keeps the tick at which
 each run starts and the state it holds, never an array per tick.
-Energies, interval aggregates, the registers the OS exposes and battery
-charge are evaluated from the runs at the queried tick indices only
-(`Trace.integral`, `Trace.interval_sums`); the collector reads each
-predictor off the runs this way, with its update grid and delay applied.
+Energies, interval aggregates and battery charge are evaluated from the
+runs at the queried tick indices only, through a `RunLookup`
+(`Trace.locate`). A sorted query that outnumbers a component's runs is
+answered run-major: one `searchsorted` of the run starts into the query,
+and per-run values expanded with `np.repeat`. Any other query is a
+binary search. The truth and the collector share one interval-sum
+kernel, `RunLookup.sums`: the collector sums each cumulative predictor
+exactly over its delayed update grid, located once per (component,
+delay, update period).
 
 Markov chains are sampled straight into runs too: a two-state chain in
 closed form with array passes, and any other chain with one Python
@@ -27,11 +32,12 @@ import bisect
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigurationError
+from .errors import AlignmentError, ArgumentError, ConfigurationError
 
 RESIDENCY = "residency"
 COUNTER = "counter"
@@ -349,6 +355,154 @@ def _phase_states(
 # Trace
 # ---------------------------------------------------------------------------
 
+class _Query:
+    """Query ticks, with what the lookups of them in every component
+    share: whether they are sorted, and the spans between them."""
+
+    def __init__(self, ticks: np.ndarray):
+        self.ticks = np.asarray(ticks, dtype=np.int64)
+
+    @cached_property
+    def ascending(self) -> bool:
+        """Whether the ticks are a non-decreasing 1-D array."""
+        q = self.ticks
+        return q.ndim == 1 and bool(np.all(q[:-1] <= q[1:]))
+
+    @cached_property
+    def spans(self) -> np.ndarray:
+        """Ticks in each interval [ticks[k], ticks[k+1])."""
+        return np.diff(self.ticks)
+
+
+def _run_major(starts: np.ndarray, query: _Query) -> bool:
+    """Whether `query` is located run-major: a non-decreasing 1-D array
+    with more entries than there are `starts`."""
+    return query.ticks.size > len(starts) and query.ascending
+
+
+class RunLookup:
+    """The runs of one trace component located at an array of query ticks.
+
+    A query that is a non-decreasing 1-D array with more entries than the
+    component has runs, such as every interval boundary at a fine rate, is
+    located run-major: one `searchsorted` of the run starts into the query
+    gives each run's first query, hence how many queries each run holds,
+    and per-run values reach the queries through `np.repeat`. Any other
+    query is located by a binary search of the starts, one run index per
+    query, and per-run values reach it through a gather. Both give the
+    same values, and the choice reads only the query's shape and order.
+    A query tick outside [0, n_ticks] raises `ArgumentError`.
+    """
+
+    def __init__(self, trace: "Trace", c_idx: int, query: _Query):
+        self.trace = trace
+        self.c_idx = c_idx
+        self.query = query
+        self.ticks = q = query.ticks
+        if q.size:
+            low, high = ((q[0], q[-1]) if query.ascending
+                         else (q.min(), q.max()))
+            if low < 0 or high > trace.n_ticks:
+                raise ArgumentError(f"query ticks {low}..{high} outside "
+                                    f"the trace's [0, {trace.n_ticks}]")
+        starts = trace.runs[c_idx][0]
+        if _run_major(starts, query):
+            self._first = np.searchsorted(q, starts, side="left")
+            self._counts = np.diff(self._first, append=len(q))
+            self._run = None
+        else:
+            self._run = np.searchsorted(starts, q, side="right") - 1
+
+    def take(self, per_run: np.ndarray) -> np.ndarray:
+        """`per_run[r]` for the run r that holds each query tick."""
+        if self._run is None:
+            return np.repeat(per_run, self._counts)
+        return per_run[self._run]
+
+    def at(self, weights: np.ndarray) -> np.ndarray:
+        """`weights[state]` of the state held at each query tick."""
+        states = self.trace.runs[self.c_idx][1]
+        # per run when the runs are fewer than the queries, else per query
+        if self._run is None:
+            return self.take(weights[states])
+        return weights[self.take(states)]
+
+    def integral(self, weights: np.ndarray) -> np.ndarray:
+        """Sum of `weights[state]` over ticks [0, i) for each query tick i:
+        the prefix up to the run that holds i, plus that run's part."""
+        starts = self.trace.runs[self.c_idx][0]
+        prefix = self.trace._prefix_sums(self.c_idx, weights)
+        return self.take(prefix) + self.at(weights) * (self.ticks
+                                                       - self.take(starts))
+
+    @cached_property
+    def _crossings(self) -> tuple[np.ndarray, ...]:
+        """The intervals [ticks[k], ticks[k+1]) that end in a later run
+        than they start in, with what their sums need besides weights:
+        `(k, head, tail, s_head, s_tail, gap, gap_ticks)`.
+
+        `head` counts the ticks from the interval start to the first run
+        that starts inside it, in state `s_head`; `tail` counts those
+        from the last such run's start to the interval end, in state
+        `s_tail`. For the intervals `gap` among them that cover whole runs
+        in between, `gap_ticks` counts those runs' ticks per state.
+
+        Run-major, each later run's start s lies in the interval whose
+        end is the first query at or after s, so the intervals are found
+        from the runs alone, in O(runs); otherwise from the run index of
+        every bound.
+        """
+        starts, states = self.trace.runs[self.c_idx]
+        if self._run is None:
+            # the runs that start after the first query and at or before
+            # the last one, and the interval each starts in
+            first = self._first
+            j0 = int(np.searchsorted(first, 1, side="left"))
+            j1 = int(np.searchsorted(first, len(self.ticks) - 1,
+                                     side="right"))
+            k = first[j0:j1] - 1
+            new = np.ones(len(k), dtype=bool)
+            np.not_equal(k[1:], k[:-1], out=new[1:])
+            end = np.ones(len(k), dtype=bool)
+            end[:-1] = new[1:]
+            cross = k[new]
+            inner = np.flatnonzero(new) + j0
+            last = np.flatnonzero(end) + j0
+        else:
+            r = self._run
+            cross = np.flatnonzero(r[1:] > r[:-1])
+            inner, last = r[cross] + 1, r[cross + 1]
+        head = starts[inner] - self.ticks[cross]
+        tail = self.ticks[cross + 1] - starts[last]
+        gap = np.flatnonzero(last > inner)
+        gap_ticks = None
+        if len(gap):
+            before = self.trace._ticks_before_runs(self.c_idx)
+            gap_ticks = before[last[gap]] - before[inner[gap]]
+        return (cross, head, tail, states[inner - 1], states[last], gap,
+                gap_ticks)
+
+    def sums(self, weights: np.ndarray) -> np.ndarray:
+        """Sum of `weights[state]` over ticks [ticks[k], ticks[k+1]) for
+        each k, for a non-decreasing 1-D query.
+
+        No two large prefixes are differenced. An interval within one run
+        is its weight times its ticks; one that crosses run starts is its
+        head run's part plus its tail run's part, plus the runs it covers
+        whole counted as exact integer ticks per state. So every interval
+        carries a few roundings however long the trace.
+        """
+        cross, head, tail, s_head, s_tail, gap, gap_ticks = self._crossings
+        # the sums overwrite the per-query weights, as the query may be
+        # millions of ticks long
+        sums = self.at(weights)[:-1]
+        np.multiply(sums, self.query.spans, out=sums)
+        sums[cross] = weights[s_head] * head + weights[s_tail] * tail
+        if len(gap):
+            sums[cross[gap]] += gap_ticks @ weights
+        return sums
+
+
 class Trace:
     """Run-length ground truth on a tick grid.
 
@@ -359,23 +513,24 @@ class Trace:
     power; nothing per tick is stored.
 
     Truth queries weight the states with a per-state vector and read the
-    runs at the queried tick indices only. `integral` gives the sum over
-    ticks [0, i) for an array of indices i: a prefix sum over runs, cached
-    per (component, weights), plus the partial run that holds tick i.
-    `interval_sums` gives the sums between successive indices without
-    differencing two large prefixes: the runs that an interval covers
-    whole are counted as exact integer ticks per state, so every interval
-    carries a few roundings however long the trace.
+    runs at the queried tick indices only, through the `RunLookup` that
+    `locate` returns. Its `integral` gives the sum over ticks [0, i) for
+    an array of indices i: a prefix sum over runs, cached per (component,
+    weights), plus the partial run that holds tick i. Its `sums` gives
+    the sums between successive indices without differencing two large
+    prefixes: the runs that an interval covers whole are counted as exact
+    integer ticks per state, so every interval carries a few roundings
+    however long the trace. The truth (`energy`) and the collector's
+    cumulative columns share this one interval-sum kernel.
 
-    Both find the run of each queried tick with `run_index`. A query
-    that is a non-decreasing 1-D array with more entries than the
-    component has runs, such as every interval boundary at a fine rate,
-    is merged with the run starts: one `searchsorted` of the starts into
-    the query, a `bincount` and a `cumsum`. Any other query is a binary
-    search of the starts. Both give the same integers, and the choice
-    reads only the query's shape and order. `cumulative` expands one
-    predictor's runs to a per-tick series on demand; the pipeline never
-    calls it.
+    A sorted query that outnumbers the component's runs, such as every
+    interval boundary at a fine rate, is answered run-major: one
+    `searchsorted` of the run starts into the query, per-run values
+    expanded with `np.repeat`, and the intervals that cross a run start
+    found from the runs, in O(runs). Any other query is a binary search
+    of the starts. Both give the same floats, and the choice reads only
+    the query's shape and order. `cumulative` expands one predictor's
+    runs to a per-tick series on demand; the pipeline never calls it.
     """
 
     def __init__(self, model: ComponentStateModel, tick_s: float,
@@ -392,25 +547,9 @@ class Trace:
 
     # -- truth queries on the runs ---------------------------------------------
 
-    def run_index(self, c_idx: int, ticks: np.ndarray) -> np.ndarray:
-        """Index of the run of component `c_idx` that holds each tick:
-        `searchsorted(starts, ticks, side="right") - 1`.
-
-        A non-decreasing 1-D query that outnumbers the runs is merged
-        with the run starts instead: each start's first query at or
-        after it, counted per query and summed, gives the same integers.
-        """
-        starts = self.runs[c_idx][0]
-        ticks = np.asarray(ticks)
-        if (ticks.ndim == 1 and len(ticks) > len(starts)
-                and np.all(ticks[:-1] <= ticks[1:])):
-            first = np.searchsorted(ticks, starts, side="left")
-            # in place: the query may be millions of ticks long
-            run = np.bincount(first, minlength=len(ticks) + 1)[:-1]
-            np.cumsum(run, out=run)
-            run -= 1
-            return run
-        return np.searchsorted(starts, ticks, side="right") - 1
+    def locate(self, c_idx: int, ticks: np.ndarray) -> RunLookup:
+        """The runs of component `c_idx` located at the query `ticks`."""
+        return RunLookup(self, c_idx, _Query(ticks))
 
     def _ticks_before_runs(self, c_idx: int) -> np.ndarray:
         """(runs, states) int64: ticks held in each state before each run."""
@@ -425,58 +564,28 @@ class Trace:
             self._before[c_idx] = before
         return self._before[c_idx]
 
-    def integral(self, c_idx: int, weights: np.ndarray,
-                 ticks: np.ndarray) -> np.ndarray:
-        """Sum of `weights[state]` over ticks [0, i) of component `c_idx`,
-        for each tick index i in `ticks` (0 <= i <= len(self))."""
-        ticks = np.asarray(ticks, dtype=np.int64)
-        starts, states = self.runs[c_idx]
+    def _prefix_sums(self, c_idx: int, weights: np.ndarray) -> np.ndarray:
+        """Sum of `weights[state]` over the ticks before each run, cached
+        per (component, weights)."""
         key = (c_idx, weights.tobytes())
         if key not in self._prefix:
             self._prefix[key] = self._ticks_before_runs(c_idx) @ weights
-        r = self.run_index(c_idx, ticks)
-        return self._prefix[key][r] + weights[states[r]] * (ticks - starts[r])
-
-    def interval_sums(self, c_idx: int, weights: np.ndarray,
-                      bounds: np.ndarray) -> np.ndarray:
-        """Sum of `weights[state]` over ticks [bounds[k], bounds[k+1]) of
-        component `c_idx`, for increasing tick indices `bounds` in
-        [0, len(self)]."""
-        bounds = np.asarray(bounds, dtype=np.int64)
-        starts, states = self.runs[c_idx]
-        r = self.run_index(c_idx, bounds)
-        w = weights[states[r]]
-        lo, hi, r_lo, r_hi = bounds[:-1], bounds[1:], r[:-1], r[1:]
-        # the intervals that end in a later run than they start in
-        cross = np.flatnonzero(r_hi > r_lo)
-        w_hi = w[1:][cross]
-        # the run holding the interval start, up to the interval end or,
-        # where the interval crosses, to the next run's start; the sums
-        # overwrite the weights, as the query may be millions of ticks long
-        span = hi - lo
-        span[cross] = starts[r_lo[cross] + 1] - lo[cross]
-        sums = np.multiply(w[:-1], span, out=w[:-1])
-        del span      # before the crossing terms, which are up to runs long
-        # the run holding the interval end, where that is a later run
-        sums[cross] += w_hi * (hi[cross] - starts[r_hi[cross]])
-        # runs in between, as exact tick counts per state
-        gap = cross[r_hi[cross] > r_lo[cross] + 1]
-        if len(gap):
-            before = self._ticks_before_runs(c_idx)
-            sums[gap] += (before[r_hi[gap]] - before[r_lo[gap] + 1]) @ weights
-        return sums
+        return self._prefix[key]
 
     def energy(self, ticks: np.ndarray, per_interval: bool = False) -> np.ndarray:
         """Joules over ticks [0, i) for each tick index i in `ticks`, or with
         `per_interval` between successive indices."""
-        ticks = np.asarray(ticks, dtype=np.int64)
-        query = self.interval_sums if per_interval else self.integral
-        span = np.diff(ticks) if per_interval else ticks
-        watt_ticks = self.model.base_power_w * span
+        # every component's lookup shares the query's order and spans
+        query = _Query(ticks)
+        span = query.spans if per_interval else query.ticks
+        watt_ticks = span * float(self.model.base_power_w)
         for c_idx, comp in enumerate(self.model.components):
-            watt_ticks = watt_ticks + query(
-                c_idx, np.asarray(comp.state_powers, dtype=float), ticks)
-        return watt_ticks * self.tick_s
+            lookup = RunLookup(self, c_idx, query)
+            powers = np.asarray(comp.state_powers, dtype=float)
+            watt_ticks += (lookup.sums(powers) if per_interval
+                           else lookup.integral(powers))
+        watt_ticks *= self.tick_s
+        return watt_ticks
 
     # -- per-tick view, expanded on demand -------------------------------------
 

@@ -89,7 +89,7 @@ def interval_truth(trace: ss.Trace, spec: ss.PredictorSpec,
     """Exact per-interval aggregate: fraction, count delta, or mean level."""
     k = tracesim._ratio_as_int(interval_s, trace.tick_s, "interval")
     c_idx, w = trace.model.weight_vector(spec)
-    sums = trace.interval_sums(c_idx, w, np.arange(len(trace) // k + 1) * k)
+    sums = trace.locate(c_idx, np.arange(len(trace) // k + 1) * k).sums(w)
     if spec.kind == tracesim.COUNTER:
         return sums * trace.tick_s
     return sums / k

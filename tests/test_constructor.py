@@ -10,7 +10,6 @@ from reference import (
     residency_beta_true,
     residency_predictors,
 )
-from sesame import collector
 from sesame.collector import DesignMatrix
 from sesame.constructor import (
     model_from_dict,
@@ -454,9 +453,11 @@ def test_model_document_with_kinds_predicts_as_it_did():
     for rate in (1.0, 100.0):
         interval = 1.0 / rate
         dm = ss.collect(trace, specs, rate)
-        # the earlier rows: the residency's fraction, the counter's sum
+        # the earlier rows: the residency's fraction, the counter's sum,
+        # which `collect` divides by the interval to give its rate column
         ends = np.arange(dm.m + 1) * round(interval / trace.tick_s)
-        summed = np.diff(collector._observed(trace, specs[1], ends))
+        c_idx, w = trace.model.weight_vector(specs[1])
+        summed = trace.locate(c_idx, ends).sums(w) * trace.tick_s
         # gathered and divided in place, as the earlier model did
         earlier = np.column_stack([dm.x[:, 0], summed])[:, [0, 1]]
         earlier /= np.array([1.0, interval])

@@ -21,7 +21,7 @@ from reference import (
     tick_states,
 )
 from sesame import battery, collector, tracesim
-from sesame.errors import AlignmentError
+from sesame.errors import AlignmentError, ArgumentError
 
 RTOL = 1e-12
 
@@ -58,21 +58,55 @@ def ref_interval_truth(trace, spec, k):
     return vals[: m * k].reshape(m, k).mean(axis=1)
 
 
-def ref_value_at(trace, spec, times):
-    """The observed value with per-tick level and cumulative series: the
-    delayed query time, floored to the update grid unless the level is
-    event-driven, read at its tick."""
+def ref_visible_tick(trace, spec, times):
+    """The tick whose state a read at each of `times` shows: the delayed
+    time, floored to the update grid unless the level is event-driven,
+    and clipped to the trace, since a register reads 0 and a level its
+    first tick before the trace start."""
     vis = np.asarray(times, float) - spec.delay_s
     if not (spec.policy == "event-driven" and spec.kind == "level"):
         period = 1.0 / spec.update_rate_hz
         vis = np.floor(vis / period + 1e-9) * period
     idx = np.floor(vis / trace.tick_s + 1e-9).astype(np.int64)
-    vals = ref_tick_values(trace, spec)
+    return np.clip(idx, 0, len(trace) - (spec.kind == "level"))
+
+
+def exact_sums(trace, c_idx, weights, lo, hi):
+    """Sum of `weights[state]` over ticks [lo, hi) of component `c_idx`,
+    from integer per-state tick counts: one rounding per state, free of
+    the runs' bookkeeping."""
+    states = tick_states(trace)[c_idx]
+    onehot = states[:, None] == np.arange(len(weights))
+    counts = np.concatenate([np.zeros((1, len(weights)), dtype=np.int64),
+                             np.cumsum(onehot, axis=0)])
+    return (counts[hi] - counts[lo]) @ weights
+
+
+def ref_column(trace, spec, rate_hz):
+    """`collect`'s column from per-tick values at read times in seconds:
+    a level at each interval start; a cumulative column as the sum
+    between the visible ticks of successive boundaries over the interval
+    or, polled-slow and updated less often than the interval, between
+    the last two update instants at or before each interval start over
+    the update period."""
+    interval = 1.0 / rate_hz
+    m = int(np.floor(len(trace) * trace.tick_s / interval + 1e-9))
+    times = np.arange(m + 1) * interval
     if spec.kind == "level":
-        out = vals[np.clip(idx, 0, len(trace) - 1)]
-        return np.where(vis < 0, vals[0], out)
-    cum = np.concatenate([[0.0], np.cumsum(vals * trace.tick_s)])
-    return np.where(vis < 0, 0.0, cum[np.clip(idx, 0, len(trace))])
+        return ref_tick_values(trace, spec)[
+            ref_visible_tick(trace, spec, times[:-1])]
+    period = 1.0 / spec.update_rate_hz
+    if spec.policy == "polled-slow" and period > interval + 1e-12:
+        polls = np.floor(times[:-1] / period + 1e-9) * period
+        lo, hi = polls - period, polls
+        span = period
+    else:
+        lo, hi = times[:-1], times[1:]
+        span = interval
+    sums = exact_sums(trace, *trace.model.weight_vector(spec),
+                      ref_visible_tick(trace, spec, lo),
+                      ref_visible_tick(trace, spec, hi))
+    return sums * trace.tick_s / span
 
 
 def ref_true_energy(trace, interval_s):
@@ -253,12 +287,13 @@ def test_interval_truth_matches_tick_values(mixed_trace, spec, interval_s):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.id)
 def test_value_at_matches_per_tick_series(mixed_trace, spec):
-    tick_s = mixed_trace.tick_s
-    for ticks in (read_grid(mixed_trace, 100.0),
-                  np.array([-1000, -1, 0, 1, 1234, 2999, 5000, 7500])):
-        np.testing.assert_allclose(
-            collector._observed(mixed_trace, spec, ticks),
-            ref_value_at(mixed_trace, spec, ticks * tick_s), rtol=RTOL)
+    # rates at which the 40 Hz polled-slow counter holds its update
+    # period's rate (1000, 100 Hz) and at which it is summed (40, 10, 1 Hz)
+    for rate_hz in (1000.0, 100.0, 40.0, 10.0, 1.0):
+        dm = collector.collect(mixed_trace, [spec], rate_hz)
+        np.testing.assert_allclose(dm.x[:, 0],
+                                   ref_column(mixed_trace, spec, rate_hz),
+                                   rtol=RTOL)
 
 
 def test_collect_refuses_a_delay_off_the_tick_grid(mixed_trace):
@@ -273,18 +308,25 @@ def test_integral_at_every_tick(mixed_trace):
         w = np.linspace(0.3, 2.9, comp.n_states)
         states = tick_states(mixed_trace)[c_idx]
         want = np.concatenate([[0.0], np.cumsum(w[states])])
-        np.testing.assert_allclose(mixed_trace.integral(c_idx, w, ticks),
+        np.testing.assert_allclose(mixed_trace.locate(c_idx, ticks).integral(w),
                                    want, rtol=RTOL)
 
 
-def one_component_trace(n_ticks: int, starts: np.ndarray) -> ss.Trace:
-    """A two-state trace whose runs start at `starts` and alternate."""
-    model = ss.ComponentStateModel((ss.Component("c", (1.0, 4.0)),))
-    states = (np.arange(len(starts)) % 2).astype(np.int16)
-    return ss.Trace(model, 0.001, n_ticks, [(starts, states)])
+def one_component_trace(n_ticks: int, starts: np.ndarray,
+                        states: np.ndarray | None = None) -> ss.Trace:
+    """A trace of one component whose runs start at `starts`, in `states`
+    or, by default, alternating between two states."""
+    if states is None:
+        states = np.arange(len(starts)) % 2
+    powers = tuple(1.0 + 3.0 * j for j in range(int(max(states)) + 1))
+    model = ss.ComponentStateModel((ss.Component("c", powers),))
+    return ss.Trace(model, 0.001, n_ticks,
+                    [(starts, np.asarray(states, dtype=np.int16))])
 
 
 def test_merged_run_lookup_equals_binary_search():
+    # a sorted query that outnumbers the runs is located run-major; the
+    # same query forced onto the binary search must give the same floats
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -294,43 +336,80 @@ def test_merged_run_lookup_equals_binary_search():
         inner = st.integers(1, max(1, n_ticks - 1))
         starts = sorted({0} | set(draw(st.lists(inner, max_size=40)))
                         - {n_ticks})
+        states = draw(st.lists(st.integers(0, 3), min_size=len(starts),
+                               max_size=len(starts)))
         # query ticks anywhere, or exactly at a run start, 0 or n_ticks
         tick = st.one_of(st.integers(0, n_ticks),
                          st.sampled_from(starts + [0, n_ticks]))
         ticks = draw(st.lists(tick, max_size=400))
         if draw(st.booleans()):
             ticks.sort()
-        return n_ticks, np.array(starts, dtype=np.int64), np.array(
-            ticks, dtype=np.int64)
+        return (n_ticks, np.array(starts, dtype=np.int64),
+                np.array(states), np.array(ticks, dtype=np.int64))
 
     starts = np.array([0, 3, 7, 8], dtype=np.int64)
+    states = np.array([0, 1, 0, 1])
     cases = {
         "sorted_with_ties": [0, 0, 2, 3, 3, 3, 5, 7, 7, 9, 9, 10],
         "starts_zero_and_end": [0, 0, 3, 3, 7, 8, 8, 10, 10],
+        "not_from_zero_spanning_runs": [1, 1, 2, 9, 9, 9, 10],
+        "empty_intervals_only": [4, 4, 4, 4, 4, 4],
+        "one_interval_over_every_run": [0, 0, 0, 0, 10],
         "more_runs_than_queries": [3, 8],
         "unsorted": [9, 0, 3, 10, 2, 7, 7, 8, 1],
         "empty": [],
     }
+    run_major = 0
 
     def check(case):
-        n_ticks, starts, ticks = case
-        trace = one_component_trace(n_ticks, starts)
-        got = trace.run_index(0, ticks)
+        nonlocal run_major
+        n_ticks, starts, states, ticks = case
+        trace = one_component_trace(n_ticks, starts, states)
+        w = np.linspace(0.3, 1.7, trace.model.components[0].n_states)
+        lookup = trace.locate(0, ticks)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tracesim, "_run_major", lambda starts, ticks: False)
+            binary = trace.locate(0, ticks)
+        run_major += lookup._run is None
+        runs = np.arange(len(starts))
         want = np.searchsorted(starts, ticks, side="right") - 1
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        # a merged lookup and a binary search give the same floats, and a
-        # scalar tick reads as its entry of the array query
-        w = np.array([0.3, 1.7])
-        got = trace.integral(0, w, ticks)
-        assert np.array_equal(got, trace.integral(0, w, ticks[::-1])[::-1])
+        for got in (lookup.take(runs), binary.take(runs)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for query in ("at", "integral"):
+            got = getattr(lookup, query)(w)
+            assert np.array_equal(got, getattr(binary, query)(w))
+        # reversed, the query takes the binary search; a scalar tick reads
+        # as its entry of the array query
+        got = lookup.integral(w)
+        assert np.array_equal(
+            got, trace.locate(0, ticks[::-1]).integral(w)[::-1])
         for k in range(min(len(ticks), 5)):
-            assert trace.integral(0, w, int(ticks[k])) == got[k]
+            assert trace.locate(0, int(ticks[k])).integral(w) == got[k]
+        if len(ticks) and np.all(ticks[:-1] <= ticks[1:]):
+            got = lookup.sums(w)
+            assert np.array_equal(got, binary.sums(w))
+            want = exact_sums(trace, 0, w, ticks[:-1], ticks[1:])
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-13)
 
     check = hypothesis.given(runs_and_ticks())(check)
     for ticks in cases.values():
         check = hypothesis.example(
-            (10, starts, np.array(ticks, dtype=np.int64)))(check)
+            (10, starts, states, np.array(ticks, dtype=np.int64)))(check)
     hypothesis.settings(max_examples=80, deadline=None, database=None)(check)()
+    # the five sorted explicit examples that outnumber the runs, at least
+    assert run_major >= 5
+
+
+def test_lookup_refuses_ticks_outside_the_trace():
+    trace = one_component_trace(10, np.array([0, 3, 7], dtype=np.int64))
+    w = np.array([0.3, 1.7])
+    for ticks in ([-1, 2, 5], [0, 11], [11], -1, [[0, 3], [12, 1]]):
+        with pytest.raises(ArgumentError, match="outside"):
+            trace.locate(0, ticks).integral(w)
+    # a sorted query longer than the runs is checked at its ends
+    with pytest.raises(ArgumentError, match="-2..9"):
+        trace.locate(0, np.arange(-2, 10))
+    assert trace.locate(0, [0, 10]).sums(w) == pytest.approx([0.3 * 6 + 1.7 * 4])
 
 
 @pytest.mark.parametrize("kind,extra", [

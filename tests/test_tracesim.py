@@ -16,7 +16,6 @@ from reference import (
     tick_power,
     tick_states,
 )
-from sesame.collector import _observed
 from sesame.errors import AlignmentError, ConfigurationError
 
 
@@ -465,15 +464,23 @@ def test_markov_phases_restart_with_their_own_draws():
 
 # -- observation ------------------------------------------------------------
 
+def register_reads(trace, spec, rate_hz):
+    """The cumulative register that `spec`'s collected column implies at
+    each interval boundary: 0 at the trace start, then the running sum of
+    the column times the interval."""
+    x = ss.collect(trace, [spec], rate_hz).x[:, 0]
+    return np.concatenate([[0.0], np.cumsum(x / rate_hz)])
+
+
 def test_observed_equals_truth_when_updates_are_fast():
     model, wl, duration = markov_cpu(duration=20.0)
     trace = ss.gen_trace(model, wl, duration, 0.01)
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={2: 1.0}, update_rate_hz=100.0)
     ticks = read_grid(trace, 100.0)
-    values = _observed(trace, spec, ticks)
+    values = ss.collect(trace, [spec], 100.0).x[:, 0] / 100.0
     truth = trace.cumulative(spec)
-    assert np.allclose(values, truth[ticks], atol=1e-12)
+    assert np.allclose(values, np.diff(truth[ticks]), atol=1e-12)
 
 
 def test_slow_update_lag_bounded_by_one_quantum():
@@ -484,7 +491,7 @@ def test_slow_update_lag_bounded_by_one_quantum():
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={2: 1.0}, update_rate_hz=250.0)
     ticks = read_grid(trace, 100.0)
-    observed = _observed(trace, spec, ticks)
+    observed = register_reads(trace, spec, 100.0)
     truth = trace.cumulative(spec)[ticks]
     lag = truth - observed
     assert lag.min() >= -1e-12
@@ -504,7 +511,7 @@ def test_square_wave_read_error_bounded_by_update_granularity():
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={1: 1.0}, update_rate_hz=250.0)
     ticks = read_grid(trace, 100.0)
-    observed = _observed(trace, spec, ticks)
+    observed = register_reads(trace, spec, 100.0)
     truth = trace.cumulative(spec)[ticks]
     quantum = 1.0 / 250.0
     gap = truth - observed
@@ -524,12 +531,11 @@ def test_delayed_counter_cross_correlation_peaks_at_delay():
     spec = ss.PredictorSpec(id="sectors", component="disk", kind="counter",
                             weights={1: 200.0}, update_rate_hz=100.0,
                             delay_s=delay)
-    observed_cum = _observed(trace, spec, read_grid(trace, 20.0))
     true_spec = ss.PredictorSpec(id="sectors", component="disk",
                                  kind="counter", weights={1: 200.0},
                                  update_rate_hz=100.0)
     true_deltas = interval_truth(trace, true_spec, 0.05)
-    obs_deltas = np.diff(observed_cum)
+    obs_deltas = ss.collect(trace, [spec], 20.0).x[:, 0] * 0.05
     n = min(len(true_deltas), len(obs_deltas))
     a = true_deltas[:n] - true_deltas[:n].mean()
     b = obs_deltas[:n] - obs_deltas[:n].mean()
@@ -549,6 +555,7 @@ def test_event_driven_level_changes_at_events_only():
     trace = ss.gen_trace(model, wl, 10.0, 0.01)
     spec = ss.PredictorSpec(id="bl", component="lcd", kind="level",
                             weights={0: 0.3, 1: 0.9}, policy="event-driven")
-    values = _observed(trace, spec, read_grid(trace, 1.0))
+    values = ss.collect(trace, [spec], 1.0).x[:, 0]
+    assert len(values) == 10
     assert np.all(values[:5] == 0.3)
     assert np.all(values[5:] == 0.9)
