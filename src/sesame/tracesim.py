@@ -437,20 +437,15 @@ class RunLookup:
 
     @cached_property
     def _crossings(self) -> tuple[np.ndarray, ...]:
-        """The intervals [ticks[k], ticks[k+1]) that end in a later run
-        than they start in, with what their sums need besides weights:
-        `(k, head, tail, s_head, s_tail, gap, gap_ticks)`.
+        """`(k, head, tail, s_head, s_tail, gap, gap_ticks)` of the
+        intervals [ticks[k], ticks[k+1]) that cross a run start.
 
-        `head` counts the ticks from the interval start to the first run
-        that starts inside it, in state `s_head`; `tail` counts those
-        from the last such run's start to the interval end, in state
-        `s_tail`. For the intervals `gap` among them that cover whole runs
-        in between, `gap_ticks` counts those runs' ticks per state.
-
-        Run-major, each later run's start s lies in the interval whose
-        end is the first query at or after s, so the intervals are found
-        from the runs alone, in O(runs); otherwise from the run index of
-        every bound.
+        `head` ticks in state `s_head` precede the first run that starts
+        inside the interval, and `tail` ticks in state `s_tail` follow
+        the last one's start. The intervals `gap` among them cover whole
+        runs in between, `gap_ticks` ticks of them per state. Run-major,
+        each later run's start s lies in the interval that ends at the
+        first query at or after s, so the runs alone give the intervals.
         """
         starts, states = self.trace.runs[self.c_idx]
         if self._run is None:
@@ -492,6 +487,9 @@ class RunLookup:
         whole counted as exact integer ticks per state. So every interval
         carries a few roundings however long the trace.
         """
+        if not self.query.ascending:
+            raise ArgumentError("interval bounds must be a non-decreasing "
+                                "1-D array of ticks")
         cross, head, tail, s_head, s_tail, gap, gap_ticks = self._crossings
         # the sums overwrite the per-query weights, as the query may be
         # millions of ticks long
@@ -524,13 +522,11 @@ class Trace:
     cumulative columns share this one interval-sum kernel.
 
     A sorted query that outnumbers the component's runs, such as every
-    interval boundary at a fine rate, is answered run-major: one
-    `searchsorted` of the run starts into the query, per-run values
-    expanded with `np.repeat`, and the intervals that cross a run start
-    found from the runs, in O(runs). Any other query is a binary search
-    of the starts. Both give the same floats, and the choice reads only
-    the query's shape and order. `cumulative` expands one predictor's
-    runs to a per-tick series on demand; the pipeline never calls it.
+    interval boundary at a fine rate, is answered run-major, in O(runs)
+    beyond one pass over the query; any other query by a binary search of
+    the run starts (see `RunLookup`). Both give the same floats.
+    `cumulative` expands one predictor's runs to a per-tick series on
+    demand; the pipeline never calls it.
     """
 
     def __init__(self, model: ComponentStateModel, tick_s: float,

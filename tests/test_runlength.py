@@ -409,6 +409,9 @@ def test_lookup_refuses_ticks_outside_the_trace():
     # a sorted query longer than the runs is checked at its ends
     with pytest.raises(ArgumentError, match="-2..9"):
         trace.locate(0, np.arange(-2, 10))
+    for bounds in ([0, 5, 4, 10], [[0, 10]], 3):
+        with pytest.raises(ArgumentError, match="non-decreasing"):
+            trace.locate(0, bounds).sums(w)
     assert trace.locate(0, [0, 10]).sums(w) == pytest.approx([0.3 * 6 + 1.7 * 4])
 
 

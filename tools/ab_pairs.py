@@ -1,15 +1,16 @@
 """Alternating A/B pairs of the benchmark across two checkouts.
 
-    python tools/ab_pairs.py A B [--pairs N] [--seconds S]
+    python tools/ab_pairs.py A B [--pairs N] [--seconds S] [--seed N]
                              [--workload NAME ...] [--out BENCH_<n>.json]
 
 A and B are git revisions of this repository (A the parent, B the
 change), each unpacked with `git archive` into its own directory under
 `--workdir`, or checkout roots given as directories, used in place. For
 every workload, pair i runs `perfbench/run.py --trace 0` once on each
-side, A first in even pairs and B first in odd ones; every `__pycache__`
-and `.perfbench_out` under the side's root is deleted before each run,
-and each run is a fresh interpreter. For each end-to-end metric that
+side, at `--seed` when given and else at the workload's own seed, A
+first in even pairs and B first in odd ones. Every `__pycache__` and
+`.perfbench_out` under the side's root is deleted before each run, and
+each run is a fresh interpreter. For each end-to-end metric that
 `BENCHMARK.json` declares, the script prints each side's median and
 quartiles, how many pairs B wins in the metric's better direction, and a
 verdict:
@@ -56,12 +57,14 @@ def clear_caches(root: Path) -> None:
         shutil.rmtree(path, ignore_errors=True)
 
 
-def run_once(root: Path, workload: str, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seconds: float,
+             seed: int | None) -> dict:
     """One benchmark run: its last JSON line plus the report digest."""
     clear_caches(root)
+    seed_args = [] if seed is None else ["--seed", str(seed)]
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", "0", *seed_args],
         cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode or not lines:
@@ -108,6 +111,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0,
                         help="perfbench --seconds of every run")
+    parser.add_argument("--seed", type=int,
+                        help="workload seed (default: each workload's own)")
     parser.add_argument("--workload", action="append",
                         help="only these workloads (default: every one)")
     parser.add_argument("--workdir", type=Path,
@@ -128,16 +133,18 @@ def main(argv: list[str] | None = None) -> int:
         bench = json.loads((roots["b"] / "BENCHMARK.json").read_text())
         metrics = {m["name"]: m for m in bench["end_to_end"]}
         workloads = args.workload or [w["name"] for w in bench["workloads"]]
+        seed = "" if args.seed is None else f" --seed {args.seed}"
         result = {"a": args.a, "b": args.b, "pairs": args.pairs,
                   "command": (f"python3 perfbench/run.py --workload <name> "
-                              f"--seconds {args.seconds:g} --trace 0"),
+                              f"--seconds {args.seconds:g} --trace 0{seed}"),
                   "workloads": {}}
         failed = False
         for workload in workloads:
             runs = {"a": [], "b": []}
             for i in range(args.pairs):
                 for side in ("a", "b") if i % 2 == 0 else ("b", "a"):
-                    run = run_once(roots[side], workload, args.seconds)
+                    run = run_once(roots[side], workload, args.seconds,
+                                   args.seed)
                     runs[side].append(run)
                     print(f"{workload} pair {i} {side}: "
                           + (f"run_s {run['metrics']['run_s']:.4f}"
