@@ -116,21 +116,18 @@ def collect(trace: Trace, specs: Sequence[PredictorSpec],
     x = np.empty((m, len(specs)))
     for (c_idx, delay, period, held), columns in groups.items():
         if held:
-            # each row's last update instant p, in periods; a poll at p
-            # reads the register up to (p + shift) * period, the delay
-            # taking whole periods off, so sum p is over the period
-            # before that
+            # a row whose last update instant is p (in periods) holds
+            # sum p: the period ending where a poll at p reads, at
+            # (p + shift) * period, the delay rounded up to whole periods
             polls = boundaries[:-1] // period
             shift = -delay // period
             grid = np.arange(shift - 1, polls[-1] + shift + 1) * period
             np.maximum(grid, 0, out=grid)
-        elif delay or k % period:
+        else:
             grid = boundaries - delay
             grid //= period
             grid *= period
             np.maximum(grid, 0, out=grid)
-        else:
-            grid = boundaries
         lookup = trace.locate(c_idx, grid)
         for i in columns:
             spec = specs[i]
