@@ -16,7 +16,6 @@ from reference import (
     duty,
     fixed,
     interval_truth,
-    read_grid,
     tick_power,
     tick_states,
 )
