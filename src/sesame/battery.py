@@ -127,11 +127,13 @@ def _sample_capacity(trace: Trace, model: BatteryInterfaceModel,
                      seed: int = 0) -> BatteryReadings:
     """Capacity-kind readings: remaining charge, with multiplicative noise.
 
-    Includes a reading at t = 0 so consumers can difference whole windows.
+    The charge register integrates the same per-period energy that the
+    instant sampler reads: charge drawn is the running sum of the true
+    energy per reading period, over the supply voltage. Includes a
+    reading at t = 0 so consumers can difference whole windows.
     """
-    k = _ratio_as_int(1.0 / model.reading_rate_hz, trace.tick_s, "reading period")
-    n_read = len(trace) // k
-    charge = trace.energy(np.arange(n_read + 1) * k) / model.supply_voltage_v
+    energy = true_energy(trace, 1.0 / model.reading_rate_hz)
+    charge = np.concatenate([[0.0], np.cumsum(energy)]) / model.supply_voltage_v
     levels = model.initial_capacity_c - charge
     rng = np.random.default_rng(seed)
     if model.noise_sigma > 0:

@@ -161,12 +161,14 @@ def pca_transform(x: np.ndarray,
 
 @dataclass
 class EnergyModel:
-    """Affine energy predictor: yhat(t) = (t / T) * (b0 + r(t) . b).
+    """Affine energy predictor: yhat(t) = (t / T) * (b0 + x(t) . w).
 
-    beta = (b0, b) is in joules per training interval T. r(t) holds the
-    kept columns of one interval's row from the collector, which are
-    scale-free rates already; b has one weight per kept column, and the
-    interval ratio is the only time dependence.
+    beta = (b0, b) is in joules per training interval T, with one weight
+    in b per kept column. x(t) is one interval's full row from the
+    collector, whose columns are scale-free rates already, and w is b
+    spread to the full input width, with 0 for each dropped column; the
+    interval ratio is the only time dependence. A model persists beta in
+    its kept-length form.
     A PCA fit solves on the top-l components of the standardized rates and
     folds its solution into this same form, so the model stores no basis:
     `l` is the number of components the fit kept (None for a fit without
@@ -201,30 +203,21 @@ class EnergyModel:
             raise SchemaError(
                 f"l = {self.l} outside [1, {len(self.kept)}] kept columns")
 
-    def rates(self, x: np.ndarray) -> np.ndarray:
-        """The kept columns of collected rows (m, n_columns).
-
-        The gather `x[:, idx]` lays the rates out column-major, and the
-        matvec in `predict_rates` rounds on that layout; it gathers even
-        when every column is kept, as row-major rates round differently.
-        """
+    def predict_rows(self, x: np.ndarray, interval_s: float) -> np.ndarray:
+        """Predicted joules per interval t for aggregate rows (m,
+        n_columns): (b0 + x @ w) * t / T, where w is b spread to the full
+        input width, with 0 for each dropped column."""
+        if not 0.0 < interval_s < math.inf:
+            raise ArgumentError(f"interval {interval_s} s must be finite "
+                                "and > 0")
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != len(self.columns):
             raise SchemaError(
                 f"expected {len(self.columns)} predictors, got {x.shape[1]}")
-        by_name = {c: i for i, c in enumerate(self.columns)}
-        return x[:, [by_name[c] for c in self.kept]]
-
-    def predict_rates(self, rates: np.ndarray, interval_s: float) -> np.ndarray:
-        """Predicted joules per interval from `rates(x)`."""
-        if interval_s <= 0:
-            raise ArgumentError("interval must be > 0")
-        per_t = self.beta[0] + rates @ self.beta[1:]
+        by_name = dict(zip(self.kept, self.beta[1:]))
+        w = np.array([by_name.get(c, 0.0) for c in self.columns])
+        per_t = self.beta[0] + x @ w
         return per_t * (interval_s / self.training_interval_s)
-
-    def predict_rows(self, x: np.ndarray, interval_s: float) -> np.ndarray:
-        """Predicted joules per interval for aggregate rows (m, n_columns)."""
-        return self.predict_rates(self.rates(x), interval_s)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnergyModel):

@@ -222,15 +222,12 @@ def run_molding(sc: ScenarioConfig,
     for rate in sc.rate_grid:
         report.add(rate, BATTERY_ESTIMATOR, _interface_rms(arts, rate))
         dm = arts.design(rate)
-        # the truth's temporaries are freed before the shared rates exist
+        # the truth's temporaries are freed before the first prediction
+        # exists
         truth = arts.truth(rate)
-        # the variants share one training set's kept columns, so they
-        # share the rates too; each applies its own affine map
-        rates = models["molded_no_pca"].rates(dm.x)
         for name in MOLDED_VARIANTS:
             report.add(rate, name, arts.score(
-                rate, models[name].predict_rates(rates, 1.0 / rate)))
-        del rates       # before the oracle's weighted design is built
+                rate, models[name].predict_rows(dm.x, 1.0 / rate)))
         coef = _fit_oracle(dm.x, truth)
         report.add(rate, ORACLE_ESTIMATOR,
                    arts.score(rate, coef[0] + dm.x @ coef[1:]))

@@ -85,11 +85,15 @@ def monitor(table: ModelTable, t_s: float, x: np.ndarray,
 
     `x` is the window's predictor row, shape (n,), and `observed_j` the
     energy the battery interface reports over the window. A window with
-    non-positive interface energy is logged as skipped and gives None.
+    non-positive interface energy is logged as skipped and gives None. A
+    non-finite energy or row raises ArgumentError.
     """
     model = table.active_model
     if model is None:
         raise ParseError("no active model to monitor")
+    if not (math.isfinite(observed_j) and np.isfinite(x).all()):
+        raise ArgumentError(f"window ending at {t_s} s: observed energy and "
+                            "predictor row must be finite")
     if observed_j <= 0:
         table._log(t_s, None, "skip-window")
         return None
@@ -107,8 +111,11 @@ def maybe_rebuild(table: ModelTable, t_s: float, latest_error: float,
     says the run still holds a full construction dataset after `t_s`. The
     caller then collects that dataset and installs the model fitted on it
     with `install_model`. An over-threshold window without that data is
-    logged and changes nothing.
+    logged and changes nothing. A non-finite error raises ArgumentError.
     """
+    if not math.isfinite(latest_error):
+        raise ArgumentError(f"window ending at {t_s} s: error "
+                            f"{latest_error} is not finite")
     if latest_error <= table.threshold:
         return False
     if not data_left:

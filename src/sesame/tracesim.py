@@ -11,15 +11,16 @@ Each component follows, phase by phase, a seeded Markov chain or a
 deterministic schedule. The trace is run-length: states change only at
 Markov steps or schedule edges, so each component keeps the tick at which
 each run starts and the state it holds, never an array per tick.
-Energies, interval aggregates and battery charge are evaluated from the
-runs at the queried tick indices only, through a `RunLookup`
-(`Trace.locate`). A sorted query that outnumbers a component's runs is
-answered run-major: one `searchsorted` of the run starts into the query,
-and per-run values expanded with `np.repeat`. Any other query is a
-binary search. The truth and the collector share one interval-sum
-kernel, `RunLookup.sums`: the collector sums each cumulative predictor
-exactly over its delayed update grid, located once per (component,
-delay, update period).
+The trace answers one question: interval sums of per-state weights
+between sorted query ticks, through a `RunLookup` (`Trace.locate`) and
+its one kernel, `RunLookup.sums`. The truth is those sums of the state
+powers (`true_energy`); the capacity sampler's charge register is their
+running total; the collector sums each cumulative predictor exactly
+over its delayed update grid, located once per (component, delay,
+update period). A query that outnumbers a component's runs is answered
+run-major: one `searchsorted` of the run starts into the query, and
+per-run values expanded with `np.repeat`. A shorter one is a binary
+search.
 
 Markov chains are sampled straight into runs too: a two-state chain in
 closed form with array passes, and any other chain with one Python
@@ -356,17 +357,15 @@ def _phase_states(
 # ---------------------------------------------------------------------------
 
 class _Query:
-    """Query ticks, with what the lookups of them in every component
-    share: whether they are sorted, and the spans between them."""
+    """Query ticks, a non-decreasing 1-D array, with the spans between
+    them, which the lookups of every component share."""
 
     def __init__(self, ticks: np.ndarray):
-        self.ticks = np.asarray(ticks, dtype=np.int64)
-
-    @cached_property
-    def ascending(self) -> bool:
-        """Whether the ticks are a non-decreasing 1-D array."""
-        q = self.ticks
-        return q.ndim == 1 and bool(np.all(q[:-1] <= q[1:]))
+        q = np.asarray(ticks, dtype=np.int64)
+        if q.ndim != 1 or bool(np.any(q[:-1] > q[1:])):
+            raise ArgumentError("query ticks must be a non-decreasing "
+                                "1-D array")
+        self.ticks = q
 
     @cached_property
     def spans(self) -> np.ndarray:
@@ -375,23 +374,25 @@ class _Query:
 
 
 def _run_major(starts: np.ndarray, query: _Query) -> bool:
-    """Whether `query` is located run-major: a non-decreasing 1-D array
-    with more entries than there are `starts`."""
-    return query.ticks.size > len(starts) and query.ascending
+    """Whether `query` is located run-major: it has more entries than
+    there are `starts`."""
+    return query.ticks.size > len(starts)
 
 
 class RunLookup:
-    """The runs of one trace component located at an array of query ticks.
+    """The runs of one trace component located at a sorted array of
+    query ticks.
 
-    A query that is a non-decreasing 1-D array with more entries than the
-    component has runs, such as every interval boundary at a fine rate, is
-    located run-major: one `searchsorted` of the run starts into the query
-    gives each run's first query, hence how many queries each run holds,
-    and per-run values reach the queries through `np.repeat`. Any other
-    query is located by a binary search of the starts, one run index per
-    query, and per-run values reach it through a gather. Both give the
-    same values, and the choice reads only the query's shape and order.
-    A query tick outside [0, n_ticks] raises `ArgumentError`.
+    A query with more entries than the component has runs, such as every
+    interval boundary at a fine rate, is located run-major: one
+    `searchsorted` of the run starts into the query gives each run's
+    first query, hence how many queries each run holds, and per-run
+    values reach the queries through `np.repeat`. A shorter query, such
+    as a few monitoring windows, is located by a binary search of the
+    starts, one run index per query, and per-run values reach it through
+    a gather. Both give the same values, and the choice reads only the
+    query's length. A query that is not a non-decreasing 1-D array, or
+    that holds a tick outside [0, n_ticks], raises `ArgumentError`.
     """
 
     def __init__(self, trace: "Trace", c_idx: int, query: _Query):
@@ -399,12 +400,9 @@ class RunLookup:
         self.c_idx = c_idx
         self.query = query
         self.ticks = q = query.ticks
-        if q.size:
-            low, high = ((q[0], q[-1]) if query.ascending
-                         else (q.min(), q.max()))
-            if low < 0 or high > trace.n_ticks:
-                raise ArgumentError(f"query ticks {low}..{high} outside "
-                                    f"the trace's [0, {trace.n_ticks}]")
+        if q.size and (q[0] < 0 or q[-1] > trace.n_ticks):
+            raise ArgumentError(f"query ticks {q[0]}..{q[-1]} outside "
+                                f"the trace's [0, {trace.n_ticks}]")
         starts = trace.runs[c_idx][0]
         if _run_major(starts, query):
             self._first = np.searchsorted(q, starts, side="left")
@@ -413,27 +411,13 @@ class RunLookup:
         else:
             self._run = np.searchsorted(starts, q, side="right") - 1
 
-    def take(self, per_run: np.ndarray) -> np.ndarray:
-        """`per_run[r]` for the run r that holds each query tick."""
-        if self._run is None:
-            return np.repeat(per_run, self._counts)
-        return per_run[self._run]
-
     def at(self, weights: np.ndarray) -> np.ndarray:
         """`weights[state]` of the state held at each query tick."""
         states = self.trace.runs[self.c_idx][1]
         # per run when the runs are fewer than the queries, else per query
         if self._run is None:
-            return self.take(weights[states])
-        return weights[self.take(states)]
-
-    def integral(self, weights: np.ndarray) -> np.ndarray:
-        """Sum of `weights[state]` over ticks [0, i) for each query tick i:
-        the prefix up to the run that holds i, plus that run's part."""
-        starts = self.trace.runs[self.c_idx][0]
-        prefix = self.trace._prefix_sums(self.c_idx, weights)
-        return self.take(prefix) + self.at(weights) * (self.ticks
-                                                       - self.take(starts))
+            return np.repeat(weights[states], self._counts)
+        return weights[states[self._run]]
 
     @cached_property
     def _crossings(self) -> tuple[np.ndarray, ...]:
@@ -479,7 +463,7 @@ class RunLookup:
 
     def sums(self, weights: np.ndarray) -> np.ndarray:
         """Sum of `weights[state]` over ticks [ticks[k], ticks[k+1]) for
-        each k, for a non-decreasing 1-D query.
+        each k.
 
         No two large prefixes are differenced. An interval within one run
         is its weight times its ticks; one that crosses run starts is its
@@ -487,9 +471,6 @@ class RunLookup:
         whole counted as exact integer ticks per state. So every interval
         carries a few roundings however long the trace.
         """
-        if not self.query.ascending:
-            raise ArgumentError("interval bounds must be a non-decreasing "
-                                "1-D array of ticks")
         cross, head, tail, s_head, s_tail, gap, gap_ticks = self._crossings
         # the sums overwrite the per-query weights, as the query may be
         # millions of ticks long
@@ -511,20 +492,18 @@ class Trace:
     power; nothing per tick is stored.
 
     Truth queries weight the states with a per-state vector and read the
-    runs at the queried tick indices only, through the `RunLookup` that
-    `locate` returns. Its `integral` gives the sum over ticks [0, i) for
-    an array of indices i: a prefix sum over runs, cached per (component,
-    weights), plus the partial run that holds tick i. Its `sums` gives
-    the sums between successive indices without differencing two large
-    prefixes: the runs that an interval covers whole are counted as exact
-    integer ticks per state, so every interval carries a few roundings
-    however long the trace. The truth (`energy`) and the collector's
-    cumulative columns share this one interval-sum kernel.
+    runs at sorted query ticks only, through the `RunLookup` that
+    `locate` returns. Its `sums` gives the sums between successive ticks
+    without differencing two large prefixes: the runs that an interval
+    covers whole are counted as exact integer ticks per state, so every
+    interval carries a few roundings however long the trace. The truth
+    (`true_energy`) and the collector's cumulative columns share this one
+    kernel.
 
-    A sorted query that outnumbers the component's runs, such as every
-    interval boundary at a fine rate, is answered run-major, in O(runs)
-    beyond one pass over the query; any other query by a binary search of
-    the run starts (see `RunLookup`). Both give the same floats.
+    A query that outnumbers the component's runs, such as every interval
+    boundary at a fine rate, is answered run-major, in O(runs) beyond one
+    pass over the query; a shorter one by a binary search of the run
+    starts (see `RunLookup`). Both give the same floats.
     `cumulative` expands one predictor's runs to a per-tick series on
     demand; the pipeline never calls it.
     """
@@ -536,7 +515,6 @@ class Trace:
         self.n_ticks = n_ticks
         self.runs = tuple(runs)       # per component: (int64 starts, int16 states)
         self._before: dict[int, np.ndarray] = {}
-        self._prefix: dict[tuple[int, bytes], np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.n_ticks
@@ -559,29 +537,6 @@ class Trace:
                           out=before[1:, j])
             self._before[c_idx] = before
         return self._before[c_idx]
-
-    def _prefix_sums(self, c_idx: int, weights: np.ndarray) -> np.ndarray:
-        """Sum of `weights[state]` over the ticks before each run, cached
-        per (component, weights)."""
-        key = (c_idx, weights.tobytes())
-        if key not in self._prefix:
-            self._prefix[key] = self._ticks_before_runs(c_idx) @ weights
-        return self._prefix[key]
-
-    def energy(self, ticks: np.ndarray, per_interval: bool = False) -> np.ndarray:
-        """Joules over ticks [0, i) for each tick index i in `ticks`, or with
-        `per_interval` between successive indices."""
-        # every component's lookup shares the query's order and spans
-        query = _Query(ticks)
-        span = query.spans if per_interval else query.ticks
-        watt_ticks = span * float(self.model.base_power_w)
-        for c_idx, comp in enumerate(self.model.components):
-            lookup = RunLookup(self, c_idx, query)
-            powers = np.asarray(comp.state_powers, dtype=float)
-            watt_ticks += (lookup.sums(powers) if per_interval
-                           else lookup.integral(powers))
-        watt_ticks *= self.tick_s
-        return watt_ticks
 
     # -- per-tick view, expanded on demand -------------------------------------
 
@@ -641,9 +596,17 @@ def gen_trace(model: ComponentStateModel, wl: WorkloadSpec,
 
 
 def true_energy(trace: Trace, interval_s: float) -> np.ndarray:
-    """Exact energy per interval, in joules."""
+    """Exact energy per interval, in joules: the base draw plus each
+    component's interval sums of its state powers."""
     k = _ratio_as_int(interval_s, trace.tick_s, "interval")
-    return trace.energy(np.arange(len(trace) // k + 1) * k, per_interval=True)
+    # every component's lookup shares the query's spans
+    query = _Query(np.arange(len(trace) // k + 1) * k)
+    watt_ticks = query.spans * float(trace.model.base_power_w)
+    for c_idx, comp in enumerate(trace.model.components):
+        powers = np.asarray(comp.state_powers, dtype=float)
+        watt_ticks += RunLookup(trace, c_idx, query).sums(powers)
+    watt_ticks *= trace.tick_s
+    return watt_ticks
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import sesame as ss
+import sesame.scenarios as scn
 from reference import fixed
 from sesame.errors import ConfigurationError
 
@@ -167,3 +170,22 @@ def test_error_vs_rate_monotone_per_kind():
         assert len(errors) >= 2
         assert all(errors[i + 1] <= errors[i] + 1e-9 for i in range(len(errors) - 1)), (
             cfg.kind, errors)
+
+
+@pytest.mark.parametrize("name", ["n900like", "t61like", "dvs_flip"])
+def test_capacity_and_instant_interfaces_agree_on_every_window(name):
+    # both noiseless interfaces read the same per-period truth, one as
+    # mean currents and the other as a running charge, so every window's
+    # energy agrees up to the roundoff of differencing the charge levels
+    # (at most 1.5e-12 relative on these traces)
+    sc = scn.builtin(name)
+    trace = ss.gen_trace(sc.system, sc.workload, sc.duration_s, sc.tick_s)
+    for rate_hz in (0.1, 1.0):
+        current, charge = (ss.sample_interface(trace, dataclasses.replace(
+            sc.battery, kind=kind, reading_rate_hz=rate_hz, noise_sigma=0.0,
+            counter_sigma_c=0.0)) for kind in ("instant", "capacity"))
+        for window_s in (10.0, 100.0):
+            got = ss.aggregate_response(charge, window_s)
+            want = ss.aggregate_response(current, window_s)
+            assert len(got) == len(want) == sc.duration_s // window_s
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)

@@ -18,7 +18,8 @@ from sesame.constructor import TrainingSet, fit_regressogram
 from sesame.constructor import iterate_construction, stretch
 from sesame.errors import AlignmentError, ConfigurationError, ParseError
 from sesame.errors import SesameError
-from sesame.manager import ConfigurationKey, ModelTable, persist
+from sesame.manager import ConfigurationKey, ModelTable, install_model
+from sesame.manager import maybe_rebuild, monitor, persist
 
 
 @pytest.fixture(scope="module")
@@ -503,12 +504,31 @@ def small_design() -> DesignMatrix:
                         y=1.0 + x @ np.array([2.0, 3.0]))
 
 
+def monitored_table(dm: DesignMatrix) -> ModelTable:
+    """A table whose active model is fitted on `dm`, with windows of its
+    interval."""
+    table = ModelTable(window_s=dm.interval_s)
+    install_model(table, ConfigurationKey.canonical([("c", "n", 1)]),
+                  TrainingSet(dm).fit("OLS"))
+    return table
+
+
 X4, Y4 = np.ones((4, 1)), np.ones(4)
 # each call raises a SesameError that is also the built-in error it
 # raised before it was typed
 BAD_LIBRARY_CALLS = {
     "rates_interval": (ValueError, lambda dm, path: TrainingSet(dm).fit(
         "OLS").predict_rows(dm.x, 0.0)),
+    "rates_interval_nan": (ValueError, lambda dm, path: TrainingSet(dm).fit(
+        "OLS").predict_rows(dm.x, float("nan"))),
+    "rates_interval_inf": (ValueError, lambda dm, path: TrainingSet(dm).fit(
+        "OLS").predict_rows(dm.x, float("inf"))),
+    "monitor_observed_nan": (ValueError, lambda dm, path: monitor(
+        monitored_table(dm), 40.0, dm.x[0], float("nan"))),
+    "monitor_row_nan": (ValueError, lambda dm, path: monitor(
+        monitored_table(dm), 40.0, np.array([np.nan, 0.5]), 1.0)),
+    "rebuild_error_nan": (ValueError, lambda dm, path: maybe_rebuild(
+        monitored_table(dm), 40.0, float("nan"), True)),
     "stretch_t_low_range": (ValueError, lambda dm, path: stretch(
         dm, None, 200.0)),
     "stretch_t_low_multiple": (ValueError, lambda dm, path: stretch(

@@ -301,14 +301,15 @@ def test_collect_refuses_a_delay_off_the_tick_grid(mixed_trace):
         collector.collect(mixed_trace, [spec], 1.0)
 
 
-def test_integral_at_every_tick(mixed_trace):
-    ticks = np.arange(len(mixed_trace) + 1)
-    for c_idx, comp in enumerate(mixed_trace.model.components):
-        w = np.linspace(0.3, 2.9, comp.n_states)
-        states = tick_states(mixed_trace)[c_idx]
-        want = np.concatenate([[0.0], np.cumsum(w[states])])
-        np.testing.assert_allclose(mixed_trace.locate(c_idx, ticks).integral(w),
-                                   want, rtol=RTOL)
+def test_capacity_charge_at_every_tick(mixed_trace):
+    # read every tick, the charge register's running sum of the truth is
+    # the integral of the per-tick power
+    model = ss.BatteryInterfaceModel(
+        kind="capacity", reading_rate_hz=1.0 / mixed_trace.tick_s,
+        supply_voltage_v=1.0, initial_capacity_c=0.0)
+    charge = -ss.sample_interface(mixed_trace, model).values
+    want = np.concatenate([[0.0], np.cumsum(tick_power(mixed_trace))])
+    np.testing.assert_allclose(charge, want * mixed_trace.tick_s, rtol=RTOL)
 
 
 def one_component_trace(n_ticks: int, starts: np.ndarray,
@@ -340,9 +341,7 @@ def test_merged_run_lookup_equals_binary_search():
         # query ticks anywhere, or exactly at a run start, 0 or n_ticks
         tick = st.one_of(st.integers(0, n_ticks),
                          st.sampled_from(starts + [0, n_ticks]))
-        ticks = draw(st.lists(tick, max_size=400))
-        if draw(st.booleans()):
-            ticks.sort()
+        ticks = sorted(draw(st.lists(tick, max_size=400)))
         return (n_ticks, np.array(starts, dtype=np.int64),
                 np.array(states), np.array(ticks, dtype=np.int64))
 
@@ -355,7 +354,6 @@ def test_merged_run_lookup_equals_binary_search():
         "empty_intervals_only": [4, 4, 4, 4, 4, 4],
         "one_interval_over_every_run": [0, 0, 0, 0, 10],
         "more_runs_than_queries": [3, 8],
-        "unsorted": [9, 0, 3, 10, 2, 7, 7, 8, 1],
         "empty": [],
     }
     run_major = 0
@@ -370,25 +368,13 @@ def test_merged_run_lookup_equals_binary_search():
             mp.setattr(tracesim, "_run_major", lambda starts, ticks: False)
             binary = trace.locate(0, ticks)
         run_major += lookup._run is None
-        runs = np.arange(len(starts))
-        want = np.searchsorted(starts, ticks, side="right") - 1
-        for got in (lookup.take(runs), binary.take(runs)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        for query in ("at", "integral"):
-            got = getattr(lookup, query)(w)
-            assert np.array_equal(got, getattr(binary, query)(w))
-        # reversed, the query takes the binary search; a scalar tick reads
-        # as its entry of the array query
-        got = lookup.integral(w)
-        assert np.array_equal(
-            got, trace.locate(0, ticks[::-1]).integral(w)[::-1])
-        for k in range(min(len(ticks), 5)):
-            assert trace.locate(0, int(ticks[k])).integral(w) == got[k]
-        if len(ticks) and np.all(ticks[:-1] <= ticks[1:]):
-            got = lookup.sums(w)
-            assert np.array_equal(got, binary.sums(w))
-            want = exact_sums(trace, 0, w, ticks[:-1], ticks[1:])
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-13)
+        want = w[states[np.searchsorted(starts, ticks, side="right") - 1]]
+        for got in (lookup.at(w), binary.at(w)):
+            assert np.array_equal(got, want)
+        got = lookup.sums(w)
+        assert np.array_equal(got, binary.sums(w))
+        want = exact_sums(trace, 0, w, ticks[:-1], ticks[1:])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-13)
 
     check = hypothesis.given(runs_and_ticks())(check)
     for ticks in cases.values():
@@ -402,15 +388,18 @@ def test_merged_run_lookup_equals_binary_search():
 def test_lookup_refuses_ticks_outside_the_trace():
     trace = one_component_trace(10, np.array([0, 3, 7], dtype=np.int64))
     w = np.array([0.3, 1.7])
-    for ticks in ([-1, 2, 5], [0, 11], [11], -1, [[0, 3], [12, 1]]):
+    for ticks in ([-1, 2, 5], [0, 11], [11]):
         with pytest.raises(ArgumentError, match="outside"):
-            trace.locate(0, ticks).integral(w)
-    # a sorted query longer than the runs is checked at its ends
+            trace.locate(0, ticks)
+    # a query is checked at its ends
     with pytest.raises(ArgumentError, match="-2..9"):
         trace.locate(0, np.arange(-2, 10))
-    for bounds in ([0, 5, 4, 10], [[0, 10]], 3):
+    # a query that is not a non-decreasing 1-D array is refused before
+    # its range is read
+    for ticks in ([0, 5, 4, 10], [9, 0, 3, 10, 2], [[0, 10]], 3, -1,
+                  [[0, 3], [12, 1]]):
         with pytest.raises(ArgumentError, match="non-decreasing"):
-            trace.locate(0, bounds).sums(w)
+            trace.locate(0, ticks)
     assert trace.locate(0, [0, 10]).sums(w) == pytest.approx([0.3 * 6 + 1.7 * 4])
 
 

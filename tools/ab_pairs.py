@@ -16,7 +16,10 @@ quartiles, how many pairs B wins in the metric's better direction, and a
 verdict:
 
 - `gain`: B wins at least 9 of 10 pairs (the same share of N) and its
-  median beats A's by more than A's interquartile range;
+  median beats A's by more than A's interquartile range and by more
+  than the resolution floor, 1e-9 of A's median: a deterministic metric
+  such as `acc_1hz` has an interquartile range of 0, so without the
+  floor a roundoff move would read as a gain;
 - `worse`: B's median is worse than A's by more than the metric's bound;
 - `same` otherwise.
 
@@ -36,6 +39,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# the least relative move of a median that can be a gain
+RESOLUTION = 1e-9
 
 
 def checkout(spec: str, workdir: Path, label: str) -> Path:
@@ -90,7 +95,8 @@ def summarize(a: list[float], b: list[float], better: str,
     qa, qb = quartiles(a), quartiles(b)
     wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
     gain = sign * (qb[1] - qa[1])
-    if wins >= math.ceil(0.9 * len(a)) and gain > qa[2] - qa[0]:
+    if (wins >= math.ceil(0.9 * len(a)) and gain > qa[2] - qa[0]
+            and gain > RESOLUTION * abs(qa[1])):
         verdict = "gain"
     elif -gain > bound * abs(qa[1]):
         verdict = "worse"
