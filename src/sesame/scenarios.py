@@ -31,6 +31,7 @@ from .tracesim import (
     PredictorSpec,
     Schedule,
     WorkloadSpec,
+    _phase_edges,
     _ratio_as_int,
 )
 
@@ -79,11 +80,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(f"unknown experiment {self.experiment!r}")
-        if not self.tick_s > 0:
-            raise ConfigurationError("tick must be > 0")
-        if not self.tick_s <= self.duration_s < math.inf:
-            raise ConfigurationError(f"duration {self.duration_s} s must be "
-                                     f"finite and >= the {self.tick_s} s tick")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed {self.seed} must be >= 0")
+        _phase_edges(self.system, self.workload, self.duration_s, self.tick_s)
         if self.fit_method not in FIT_METHODS:
             raise ConfigurationError(f"fit method {self.fit_method!r} is "
                                      f"not one of {FIT_METHODS}")
@@ -118,11 +117,6 @@ class ScenarioConfig:
         if bat.kind == FILTERED:
             _ratio_as_int(bat.filter_window_s / bat.filter_taps, self.tick_s,
                           "battery filter tap spacing")
-        for phase in self.workload.phases:
-            for proc in phase.occupancy.values():
-                if isinstance(proc, MarkovChain):
-                    _ratio_as_int(proc.step_s, self.tick_s,
-                                  f"phase {phase.name} Markov step")
         for name in ("pca_l", "regressogram_k", "train_windows"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(

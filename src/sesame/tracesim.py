@@ -8,9 +8,10 @@ residencies (residency fractions, event counters, or discrete levels) and
 carry the imperfections of a real OS: finite update rates and delays.
 
 Each component follows, phase by phase, a seeded Markov chain or a
-deterministic schedule. The trace is run-length: states change only at
-Markov steps or schedule edges, so each component keeps the tick at which
-each run starts and the state it holds, never an array per tick.
+deterministic schedule; phases and steps are whole ticks (`_phase_edges`).
+The trace is run-length: states change only at Markov steps or schedule
+edges, so each component keeps the tick at which each run starts and the
+state it holds, never an array per tick.
 The trace answers one question: interval sums of per-state weights
 between sorted query ticks, through a `RunLookup` (`Trace.locate`) and
 its one kernel, `RunLookup.sums`. The truth is those sums of the state
@@ -48,15 +49,14 @@ POLLED_FAST = "polled-fast"
 POLLED_SLOW = "polled-slow"
 EVENT_DRIVEN = "event-driven"
 
-_REL_TOL = 1e-9
-
 
 def _ratio_as_int(value: float, base: float, what: str, least: int = 1) -> int:
     """value/base as an int of at least `least`, or AlignmentError: the
-    one place where seconds become a count of ticks or of readings."""
+    one place where seconds become a count of ticks or of readings; its
+    1e-9 relative bound refuses half a tick up to 5e8 ticks."""
     ratio = value / base
     n = int(round(ratio)) if math.isfinite(ratio) else 0
-    if not (n >= least and abs(ratio - n) <= 1e-6 * max(1.0, abs(ratio))):
+    if not (n >= least and abs(ratio - n) <= 1e-9 * max(1.0, abs(ratio))):
         raise AlignmentError(f"{what}: {value} is not an integral "
                              f"multiple of {base}")
     return n
@@ -198,6 +198,8 @@ class WorkloadSpec:
     def __post_init__(self):
         if not self.phases:
             raise ConfigurationError("workload needs >= 1 phase")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed {self.seed} must be >= 0")
 
 
 def _expand_runs(starts: np.ndarray, states: np.ndarray,
@@ -206,35 +208,31 @@ def _expand_runs(starts: np.ndarray, states: np.ndarray,
     return np.repeat(states, np.diff(starts, append=n_ticks))
 
 
+def _merged_runs(starts: np.ndarray,
+                 states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Runs `(starts, states)` with every run that holds the state of the
+    run before it merged into that run."""
+    keep = np.empty(len(states), dtype=bool)
+    keep[0] = True
+    np.not_equal(states[1:], states[:-1], out=keep[1:])
+    return starts[keep], states[keep]
+
+
 def _schedule_runs(proc: Schedule, n_ticks: int,
                    tick_s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Runs of a schedule, evaluated only near its step starts.
-
-    A tick is in the step that its midpoint falls in, modulo the period.
-    A midpoint crossing a step start at time b moves the state at tick
-    ceil(b / tick - 0.5), give or take one for rounding, so only those
-    ticks are compared with the tick before; when a phase has more step
-    starts than ticks, every tick is.
-    """
-    edges = np.cumsum(np.array([d for d, _ in proc.steps]))
-    states = np.array([s for _, s in proc.steps], dtype=np.int16)
-    period = edges[-1]
-
-    def rule(ticks):
-        t = ((ticks + 0.5) * tick_s) % period
-        return states[np.searchsorted(edges[:-1], t, side="right")]
-
-    n_cycles = math.ceil(n_ticks * tick_s / period) + 1
-    if 3 * n_cycles * len(edges) < n_ticks:
-        offsets = np.concatenate([[0.0], edges[:-1]])
-        bounds = (np.arange(n_cycles)[:, None] * period + offsets).ravel()
-        near = np.ceil(bounds / tick_s - 0.5).astype(np.int64)
-        ticks = np.unique(np.concatenate([near - 1, near, near + 1]))
-        ticks = ticks[(ticks >= 1) & (ticks < n_ticks)]
-    else:
-        ticks = np.arange(1, n_ticks, dtype=np.int64)
-    starts = np.concatenate([[0], ticks[rule(ticks) != rule(ticks - 1)]])
-    return starts.astype(np.int64), rule(starts)
+    """Runs of a schedule whose steps last whole ticks: each step's start
+    in the first cycle, plus the cycle times the period, cut at
+    `n_ticks`."""
+    lengths = np.array([_ratio_as_int(d, tick_s, "schedule step")
+                        for d, _ in proc.steps], dtype=np.int64)
+    period = int(lengths.sum())
+    n_cycles = -(-n_ticks // period)
+    starts = (np.arange(n_cycles, dtype=np.int64)[:, None] * period
+              + (np.cumsum(lengths) - lengths)).ravel()
+    states = np.tile(np.array([s for _, s in proc.steps], dtype=np.int16),
+                     n_cycles)
+    inside = starts < n_ticks
+    return _merged_runs(starts[inside], states[inside])
 
 
 def _two_state_runs(cum: np.ndarray, draws: np.ndarray,
@@ -303,19 +301,55 @@ def _exit_walk_runs(cum: np.ndarray, draws: np.ndarray,
     return np.array(starts, dtype=np.int64), np.array(states, dtype=np.int16)
 
 
-def _phase_states(
-    proc: OccupancyProcess,
-    component: Component,
-    n_ticks: int,
-    tick_s: float,
-    rng_key: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray]:
+def _phase_edges(model: ComponentStateModel, wl: WorkloadSpec,
+                 duration_s: float, tick_s: float) -> list[int]:
+    """The first tick of each phase, then the trace's length: phase p
+    covers ticks [edges[p], edges[p + 1]), is empty past the trace end,
+    and runs to the end if it is the last. The one check of a workload
+    against a system: a finite tick > 0; whole ticks in the duration and
+    every phase, schedule step and Markov step; each phase naming exactly
+    the system's components, schedule states in range and k x k Markov
+    matrices for k states."""
+    if not 0 < tick_s < math.inf:
+        raise ConfigurationError(f"tick {tick_s} s must be finite and > 0")
+    n_ticks = _ratio_as_int(duration_s, tick_s, "duration")
+    edges = [0]
+    for phase in wl.phases:
+        odd = sorted(set(phase.occupancy) ^ {c.name for c in model.components})
+        if odd:
+            raise ConfigurationError(f"phase {phase.name}: occupancy and "
+                                     f"system components differ in {odd}")
+        for comp in model.components:
+            proc = phase.occupancy[comp.name]
+            where = f"phase {phase.name} {comp.name}"
+            if isinstance(proc, Schedule):
+                for d, s in proc.steps:
+                    _ratio_as_int(d, tick_s, f"{where} schedule step")
+                    if not 0 <= s < comp.n_states:
+                        raise ConfigurationError(f"{where}: state {s} "
+                                                 f"out of range")
+            elif isinstance(proc, MarkovChain):
+                if len(proc.transition) != comp.n_states:
+                    raise ConfigurationError(
+                        f"{where}: Markov matrix for {len(proc.transition)} "
+                        f"states, not {comp.n_states}")
+                _ratio_as_int(proc.step_s, tick_s, f"{where} Markov step")
+            else:
+                raise ConfigurationError(f"{where}: no occupancy process")
+        edges.append(min(n_ticks, edges[-1] + _ratio_as_int(
+            phase.duration_s, tick_s, f"phase {phase.name} duration")))
+    edges[-1] = n_ticks
+    return edges
+
+
+def _phase_states(proc: OccupancyProcess, n_ticks: int, tick_s: float,
+                  rng_key: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """State runs `(starts, states)` for one component over one phase.
 
     `starts` are phase-local int64 tick indices, the first one 0; run r
     lasts until `starts[r + 1]`, the last until `n_ticks`. Timing is
-    phase-local: a schedule restarts at the start of each phase, and a
-    tick's state is the step its midpoint falls in.
+    phase-local: a schedule restarts at the start of each phase. Schedule
+    steps and Markov steps are whole ticks (`_phase_edges`).
 
     A Markov chain takes one draw per step, all from one `rng.random`
     call, and a step's successor is `min(searchsorted(cum[s], draw,
@@ -325,31 +359,19 @@ def _phase_states(
     form, and any other chain from exit to exit.
     """
     if isinstance(proc, Schedule):
-        if not all(0 <= s < component.n_states for _, s in proc.steps):
-            raise ConfigurationError(f"{component.name}: state out of range")
         return _schedule_runs(proc, n_ticks, tick_s)
 
-    if isinstance(proc, MarkovChain):
-        k = len(proc.transition)
-        if k != component.n_states:
-            raise ConfigurationError(
-                f"{component.name}: Markov matrix is {k}x{k} for "
-                f"{component.n_states} states"
-            )
-        ticks_per_step = _ratio_as_int(proc.step_s, tick_s, "Markov step")
-        n_steps = math.ceil(n_ticks / ticks_per_step)
-        rng = np.random.default_rng(rng_key)
-        cum = np.cumsum(np.asarray(proc.transition, dtype=float), axis=1)
-        # All draws of the phase come from this one call, in step order: the
-        # seeds and every calibrated anchor depend on exactly this sequence.
-        draws = rng.random(n_steps)
-        if k == 2:
-            starts, states = _two_state_runs(cum, draws, proc.initial_state)
-        else:
-            starts, states = _exit_walk_runs(cum, draws, proc.initial_state)
-        return starts * ticks_per_step, states
-
-    raise ConfigurationError(f"unknown occupancy process {proc!r}")
+    ticks_per_step = _ratio_as_int(proc.step_s, tick_s, "Markov step")
+    cum = np.cumsum(np.asarray(proc.transition, dtype=float), axis=1)
+    # All draws of the phase come from this one call, in step order: the
+    # seeds and every calibrated anchor depend on exactly this sequence.
+    draws = np.random.default_rng(rng_key).random(
+        -(-n_ticks // ticks_per_step))
+    if len(cum) == 2:
+        starts, states = _two_state_runs(cum, draws, proc.initial_state)
+    else:
+        starts, states = _exit_walk_runs(cum, draws, proc.initial_state)
+    return starts * ticks_per_step, states
 
 
 # ---------------------------------------------------------------------------
@@ -556,43 +578,23 @@ class Trace:
 
 def gen_trace(model: ComponentStateModel, wl: WorkloadSpec,
               duration_s: float, tick_s: float) -> Trace:
-    """Simulate the component-state system over `duration_s` at `tick_s`:
-    ceil(duration/tick) ticks, with bit-identical runs for one seed."""
-    if tick_s <= 0:
-        raise ConfigurationError("tick must be > 0")
-    if duration_s < tick_s:
-        raise ConfigurationError("duration must be >= tick")
-    n_ticks = math.ceil(duration_s / tick_s - _REL_TOL)
-
+    """Simulate the component-state system over `duration_s` at `tick_s`,
+    both checked by `_phase_edges`: bit-identical runs for one seed."""
+    edges = _phase_edges(model, wl, duration_s, tick_s)
     runs = []
     for c_idx, comp in enumerate(model.components):
-        starts: list[np.ndarray] = []
-        states: list[np.ndarray] = []
-        tick_cursor = 0
+        starts, states = [], []
         for p_idx, phase in enumerate(wl.phases):
-            if tick_cursor >= n_ticks:
-                break
-            if comp.name not in phase.occupancy:
-                raise ConfigurationError(
-                    f"phase {phase.name}: no occupancy for {comp.name}"
-                )
-            last = p_idx == len(wl.phases) - 1
-            n_phase = math.ceil(phase.duration_s / tick_s - _REL_TOL)
-            n = n_ticks - tick_cursor if last else min(n_phase,
-                                                       n_ticks - tick_cursor)
-            phase_starts, phase_states = _phase_states(
-                phase.occupancy[comp.name], comp, n, tick_s,
-                (wl.seed, c_idx, p_idx))
-            starts.append(phase_starts + tick_cursor)
-            states.append(phase_states)
-            tick_cursor += n
-        all_starts = np.concatenate(starts)
-        all_states = np.concatenate(states)
-        changed = np.empty(len(all_states), dtype=bool)
-        changed[0] = True
-        np.not_equal(all_states[1:], all_states[:-1], out=changed[1:])
-        runs.append((all_starts[changed], all_states[changed]))
-    return Trace(model, tick_s, n_ticks, runs)
+            lo, hi = edges[p_idx], edges[p_idx + 1]
+            if lo < hi:
+                phase_starts, phase_states = _phase_states(
+                    phase.occupancy[comp.name], hi - lo, tick_s,
+                    (wl.seed, c_idx, p_idx))
+                starts.append(phase_starts + lo)
+                states.append(phase_states)
+        runs.append(_merged_runs(np.concatenate(starts),
+                                 np.concatenate(states)))
+    return Trace(model, tick_s, edges[-1], runs)
 
 
 def true_energy(trace: Trace, interval_s: float) -> np.ndarray:

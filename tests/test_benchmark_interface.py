@@ -7,11 +7,20 @@ parsed, not imported, so the harness is neither run nor edited. Each
 `Target("sesame.<module>", "<path>", ...)` must resolve, and so must
 every `from sesame.<module> import <name>` and every attribute read off
 a module imported as `from sesame import <module>`.
+
+`perfbench/workloads.py` also repeats the trace generator's phase split,
+to count ticks and Markov steps; it is loaded from its source, writing
+no bytecode, and checked against the generator.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
+
+import sesame.scenarios as scn
+from sesame import tracesim
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 HARNESS = (BENCH / "run.py", BENCH / "workloads.py")
@@ -93,3 +102,24 @@ def test_harness_reads_only_names_the_package_has():
             "sesame.scenarios:builtin"} <= refs
     missing = sorted(ref for ref in refs if not resolves(ref))
     assert missing == sorted(EXPECTED_ABSENT)
+
+
+def test_workloads_count_the_ticks_and_draws_of_gen_trace(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    draws = []
+    for walk in ("_two_state_runs", "_exit_walk_runs"):
+        original = getattr(tracesim, walk)
+        monkeypatch.setattr(tracesim, walk, lambda cum, u, initial, f=original:
+                            (draws.append(len(u)), f(cum, u, initial))[1])
+    for name in sorted(scn.BUILTIN_SCENARIOS):
+        sc = scn.builtin(name)
+        draws.clear()
+        trace = tracesim.gen_trace(sc.system, sc.workload, sc.duration_s,
+                                   sc.tick_s)
+        assert workloads.n_ticks(sc) == len(trace), name
+        assert workloads.markov_steps(sc) == sum(draws), name

@@ -11,7 +11,8 @@ import pytest
 
 import sesame.scenarios as scn
 from sesame.constructor import model_from_dict
-from sesame.errors import ConfigurationError, ParseError, SchemaError
+from sesame.errors import AlignmentError, ConfigurationError, ParseError
+from sesame.errors import SchemaError
 
 DELETE = object()
 
@@ -88,6 +89,30 @@ BAD_SCENARIOS = {
     "removed_duty": (ACT, {"type": "duty", "period_s": 1.0,
                            "fraction_hi": 0.5, "state_hi": 1, "state_lo": 0},
                      ParseError, "occupancy.act.type: expected one of"),
+    "seed_negative": (("seed",), -3, ConfigurationError,
+                      "seed -3 must be >= 0"),
+    # a phase names exactly the system's components
+    "occupancy_unknown_component": (
+        ACT[:-1] + ("lcdd",), T61["workload"]["phases"][0]["occupancy"]["lcd"],
+        ConfigurationError,
+        "phase steady: occupancy and system components differ in ['lcdd']"),
+    "occupancy_missing_component": (
+        ACT, DELETE, ConfigurationError,
+        "phase steady: occupancy and system components differ in ['act']"),
+    # the trace's timing is whole ticks
+    "duration_off_grid": (("duration_s",), 3000.0005, AlignmentError,
+                          "duration: 3000.0005 is not an integral multiple"),
+    "phase_off_grid": (("workload", "phases", 0, "duration_s"), 2999.9995,
+                       AlignmentError, "phase steady duration: 2999.9995"),
+    "schedule_step_off_grid": (ACT[:-1] + ("lcd", "steps", 0, 0), 400.0005,
+                               AlignmentError,
+                               "phase steady lcd schedule step: 400.0005"),
+    "schedule_state_range": (ACT[:-1] + ("lcd", "steps", 0, 1), 3,
+                             ConfigurationError,
+                             "phase steady lcd: state 3 out of range"),
+    "markov_size": (ACT[:-1] + ("bridge", "transition"), [[1.0]],
+                    ConfigurationError,
+                    "phase steady bridge: Markov matrix for 1 states, not 2"),
 }
 
 

@@ -253,9 +253,17 @@ def scenario_bytes(edit, name="noiseless_linear") -> bytes:
      "rate grid is empty"),
     (scenario_bytes(lambda d: d.update(predictors=[]), "dvs_flip"),
      "experiment 'adaptation' needs predictors"),
+    (scenario_bytes(lambda d: d.update(seed=-3)), "seed -3 must be >= 0"),
+    (scenario_bytes(lambda d: d["workload"]["phases"][0]["occupancy"].update(
+        cpuu=d["workload"]["phases"][0]["occupancy"]["cpu"])),
+     "phase steady: occupancy and system components differ in ['cpuu']"),
+    (scenario_bytes(lambda d: d["workload"]["phases"][0].update(
+        duration_s=1999.9995)),
+     "phase steady duration: 1999.9995 is not an integral multiple"),
 ], ids=["utf16_bom", "latin1", "deep_nesting", "directory", "huge_integer",
         "occupancy_list", "duration_nan", "pipeline_list", "rate_grid_empty",
-        "predictors_empty"])
+        "predictors_empty", "seed_negative", "occupancy_unknown_component",
+        "phase_off_grid"])
 def test_cli_unreadable_scenario_file_exit_1(tmp_path, content, message):
     path = tmp_path / "bad.json"
     if content is None:
@@ -293,6 +301,8 @@ BAD_FLAGS = {
     "l_negative": (["quadratic_cpu", "--l", "-1"], "pca_l must be >= 1"),
     "l_for_molding": (["t61like", "--l", "3"], "regressogram-compare runs only"),
     "threshold_nan": (["dvs_flip", "--threshold", "nan"], "threshold nan"),
+    "seed_negative": (["noiseless_linear", "--seed", "-1"],
+                      "seed -1 must be >= 0"),
 }
 
 
@@ -325,13 +335,21 @@ def first_predictor_with(**changes) -> dict:
                            *T61.predictors[1:])}
 
 
-def activity_chain_with(**changes) -> dict:
-    """The occupancy mapping is out of `dataclasses.replace`'s reach."""
-    phase, = T61.workload.phases
-    chain = dataclasses.replace(phase.occupancy["act"], **changes)
-    phase = dataclasses.replace(
-        phase, occupancy={**phase.occupancy, "act": chain})
+def phase_with(**changes) -> dict:
+    """The workload, whose one phase is out of `dataclasses.replace`'s
+    reach, with that phase changed."""
+    phase = dataclasses.replace(T61.workload.phases[0], **changes)
     return {"workload": dataclasses.replace(T61.workload, phases=(phase,))}
+
+
+def occupancy_with(**processes) -> dict:
+    return phase_with(occupancy={**T61.workload.phases[0].occupancy,
+                                 **processes})
+
+
+def activity_chain_with(**changes) -> dict:
+    return occupancy_with(act=dataclasses.replace(
+        T61.workload.phases[0].occupancy["act"], **changes))
 
 
 @pytest.mark.parametrize("updates", [
@@ -355,6 +373,11 @@ def activity_chain_with(**changes) -> dict:
     # built under the check, as the predictor itself is refused
     pytest.param(lambda: first_predictor_with(policy="event-driven"),
                  id="event_driven_residency"),
+    # the workload against the system: timing off the tick grid, a
+    # negative seed and a phase naming a component the system lacks
+    {"duration_s": 2999.9995}, phase_with(duration_s=2999.9995),
+    occupancy_with(lcd=scn.Schedule(((400.0005, 0), (500.0, 2)))),
+    {"seed": -1}, occupancy_with(lcdd=T61.workload.phases[0].occupancy["lcd"]),
 ])
 def test_scenario_config_rejects_bad_pipeline_fields(updates):
     with pytest.raises(ConfigurationError):

@@ -128,6 +128,15 @@ def ref_sample_capacity(trace, model, seed):
 
 # -- schedule edges -----------------------------------------------------------
 
+def on_grid(proc, tick_s):
+    """`proc` with each step rounded to the nearest whole tick, at least
+    one: the nearest schedule that a workload check lets through."""
+    return ss.Schedule(tuple((max(1, round(d / tick_s)) * tick_s, s)
+                             for d, s in proc.steps))
+
+
+# steps in seconds; the test moves each onto the tick grid, and
+# `test_off_grid_schedule_steps_are_refused` runs those that are not
 SCHEDULES = {
     "tick_aligned": ((0.5, 1), (0.25, 0)),
     "not_tick_multiples": ((0.0137, 1), (0.0291, 0), (0.005, 2)),
@@ -144,9 +153,8 @@ SCHEDULES = {
                          [(1, 0.001), (7, 0.001), (4321, 0.001),
                           (200_000, 0.001), (999, 0.01)])
 def test_schedule_runs_match_per_tick_rule(name, n_ticks, tick_s):
-    proc = ss.Schedule(SCHEDULES[name])
-    comp = ss.Component("c", (1.0, 2.0, 3.0))
-    starts, states = tracesim._phase_states(proc, comp, n_ticks, tick_s, (0,))
+    proc = on_grid(ss.Schedule(SCHEDULES[name]), tick_s)
+    starts, states = tracesim._phase_states(proc, n_ticks, tick_s, (0,))
     assert starts[0] == 0 and np.all(np.diff(starts) > 0)
     got = tracesim._expand_runs(starts, states, n_ticks)
     assert np.array_equal(got, schedule_ticks(proc, n_ticks, tick_s))
@@ -154,14 +162,12 @@ def test_schedule_runs_match_per_tick_rule(name, n_ticks, tick_s):
 
 def test_random_schedules_match_per_tick_rule():
     rng = np.random.default_rng(17)
-    comp = ss.Component("c", (1.0,) * 4)
     for _ in range(40):
         n_steps = int(rng.integers(1, 6))
-        steps = tuple((float(rng.uniform(1e-4, 0.05)), int(rng.integers(4)))
+        steps = tuple((int(rng.integers(1, 51)) * 0.001, int(rng.integers(4)))
                       for _ in range(n_steps))
         proc = ss.Schedule(steps)
-        starts, states = tracesim._phase_states(proc, comp, 30_011, 0.001,
-                                                (0,))
+        starts, states = tracesim._phase_states(proc, 30_011, 0.001, (0,))
         got = tracesim._expand_runs(starts, states, 30_011)
         assert np.array_equal(got, schedule_ticks(proc, 30_011, 0.001)), steps
 
@@ -170,30 +176,52 @@ def test_random_schedules_match_per_tick_rule():
     (1.0, 0.5), (0.0333, 0.3), (0.1, 0.123456), (0.0007, 0.5),
     (0.05, 0.0), (0.05, 1.0), (0.0123, 0.999)])
 def test_duty_cycle_runs_match_per_tick_rule(period, fraction):
-    # a two-step schedule, or one step where a part has zero length, with
-    # edges off the tick grid
-    proc = duty(period, fraction, 1, 0)
-    comp = ss.Component("c", (1.0, 2.0))
+    # a two-step schedule, or one step where a part has zero length,
+    # moved onto the tick grid
+    proc = on_grid(duty(period, fraction, 1, 0), 0.001)
     for n_ticks in (1, 1999, 150_007):
-        starts, states = tracesim._phase_states(proc, comp, n_ticks, 0.001,
-                                                (0,))
+        starts, states = tracesim._phase_states(proc, n_ticks, 0.001, (0,))
         got = tracesim._expand_runs(starts, states, n_ticks)
         assert np.array_equal(got, schedule_ticks(proc, n_ticks, 0.001))
 
 
 def test_fixed_state_is_one_run():
-    starts, states = tracesim._phase_states(
-        fixed(2), ss.Component("c", (1.0, 2.0, 3.0)), 5000, 0.001,
-        (0,))
+    starts, states = tracesim._phase_states(fixed(2), 5000, 0.001, (0,))
     assert starts.tolist() == [0] and states.tolist() == [2]
+
+
+def one_phase_trace(proc, duration_s=1.0, phase_s=1.0):
+    """`gen_trace` of one component in `proc` for one phase of `phase_s`,
+    then in state 0, at a 1 ms tick."""
+    model = ss.ComponentStateModel((ss.Component("c", (1.0, 2.0, 3.0)),))
+    wl = ss.WorkloadSpec((ss.Phase("p", phase_s, {"c": proc}),
+                          ss.Phase("q", 1.0, {"c": fixed(0)})), seed=0)
+    return ss.gen_trace(model, wl, duration_s, 0.001)
+
+
+@pytest.mark.parametrize("name", ["not_tick_multiples", "period_below_a_tick",
+                                  "repeated_state", "steps_below_a_tick",
+                                  "thirds"])
+def test_off_grid_schedule_steps_are_refused(name):
+    # a step off the tick grid would move its edge by up to half a tick
+    with pytest.raises(AlignmentError, match="phase p c schedule step"):
+        one_phase_trace(ss.Schedule(SCHEDULES[name]))
+
+
+@pytest.mark.parametrize("duration_s,phase_s,message", [
+    (1.0005, 1.0, "duration: 1.0005"), (0.0004, 1.0, "duration: 0.0004"),
+    (2.0, 0.8004, "phase p duration: 0.8004"),
+])
+def test_off_grid_durations_are_refused(duration_s, phase_s, message):
+    with pytest.raises(AlignmentError, match=message):
+        one_phase_trace(fixed(1), duration_s, phase_s)
 
 
 # -- trace queries ------------------------------------------------------------
 
 def mixed_system():
     """Markov chains and schedules of one, two and three steps, in three
-    phases with durations that are not tick multiples, the last phase
-    running to the trace end."""
+    phases of uneven lengths, the last phase running to the trace end."""
     model = ss.ComponentStateModel(
         components=(
             ss.Component("cpu", (1.0, 5.5, 9.3)),
@@ -207,14 +235,14 @@ def mixed_system():
         step_s=0.02, initial_state=1)
     disk_chain = ss.MarkovChain(((0.7, 0.3), (0.4, 0.6)), step_s=0.005)
     wl = ss.WorkloadSpec(phases=(
-        ss.Phase("a", 1.2345, {
+        ss.Phase("a", 1.235, {
             "cpu": chain,
             "disk": fixed(1),
-            "lcd": ss.Schedule(((0.0137, 1), (0.0291, 0), (0.005, 2))),
+            "lcd": ss.Schedule(((0.014, 1), (0.029, 0), (0.005, 2))),
         }),
-        ss.Phase("b", 0.8004, {
-            "cpu": ss.Schedule(((0.011, 2), (0.0035, 0))),
-            "disk": duty(0.0333, 0.3, 1, 0),
+        ss.Phase("b", 0.801, {
+            "cpu": ss.Schedule(((0.011, 2), (0.004, 0))),
+            "disk": duty(0.03, 0.3, 1, 0),
             "lcd": fixed(2),
         }),
         ss.Phase("c", 1.0, {
@@ -243,7 +271,7 @@ def test_mixed_trace_states_follow_the_phases(mixed_trace):
                 want.append(schedule_ticks(proc, n_phase, 0.001))
             else:
                 starts, states = tracesim._phase_states(
-                    proc, comp, n_phase, 0.001, (wl.seed, c_idx, p_idx))
+                    proc, n_phase, 0.001, (wl.seed, c_idx, p_idx))
                 want.append(tracesim._expand_runs(starts, states, n_phase))
         assert np.array_equal(tick_states(mixed_trace)[c_idx],
                               np.concatenate(want))

@@ -187,7 +187,7 @@ def test_residency_closure():
         step_s=0.02)
     wl = ss.WorkloadSpec(phases=(ss.Phase("main", 30.0, {
         "cpu": chain,
-        "disk": ss.Schedule(((0.0137, 1), (0.0291, 0), (0.005, 1))),
+        "disk": ss.Schedule(((0.014, 1), (0.029, 0), (0.005, 1))),
     }),), seed=11)
     trace = ss.gen_trace(model, wl, 30.0, 0.001)
     for comp in model.components:
@@ -228,10 +228,9 @@ def test_phases_switch_and_last_phase_extends():
 
 # -- Markov sampling against the step-by-step loop ------------------------------
 
-def phase_ticks(proc, comp, n_ticks, tick_s, rng_key):
+def phase_ticks(proc, n_ticks, tick_s, rng_key):
     """The phase's state runs expanded to one state per tick."""
-    starts, states = ss.tracesim._phase_states(proc, comp, n_ticks, tick_s,
-                                               rng_key)
+    starts, states = ss.tracesim._phase_states(proc, n_ticks, tick_s, rng_key)
     return ss.tracesim._expand_runs(starts, states, n_ticks)
 
 
@@ -279,8 +278,7 @@ MARKOV_WALKS = {
 
 def assert_reference_runs(chain, n_ticks, rng_key):
     """`_phase_states` gives the reference loop's states, as merged runs."""
-    comp = ss.Component("c", (1.0,) * len(chain.transition))
-    starts, states = ss.tracesim._phase_states(chain, comp, n_ticks, 0.001,
+    starts, states = ss.tracesim._phase_states(chain, n_ticks, 0.001,
                                                rng_key)
     ticks = loop_markov_states(chain, n_ticks, 0.001, rng_key)
     want = np.concatenate([[0], np.flatnonzero(ticks[1:] != ticks[:-1]) + 1])
@@ -314,9 +312,8 @@ def test_markov_walk_depends_on_the_matrix_only(name, monkeypatch):
     walked = spy_on_walks(monkeypatch)
     transition, initial = MARKOV_CASES[name]
     chain = ss.MarkovChain(transition, step_s=0.001, initial_state=initial)
-    comp = ss.Component("c", (1.0,) * len(transition))
     for seed in range(4):
-        ss.tracesim._phase_states(chain, comp, 300, 0.001, (seed,))
+        ss.tracesim._phase_states(chain, 300, 0.001, (seed,))
     assert walked == [MARKOV_WALKS[name]] * 4
 
 
@@ -326,10 +323,9 @@ def test_builtins_take_every_markov_walk(monkeypatch):
     for name in scn.BUILTIN_SCENARIOS:
         sc = scn.builtin(name)
         for phase in sc.workload.phases:
-            for comp in sc.system.components:
-                proc = phase.occupancy[comp.name]
+            for proc in phase.occupancy.values():
                 if isinstance(proc, ss.MarkovChain):
-                    ss.tracesim._phase_states(proc, comp, 100, sc.tick_s, (0,))
+                    ss.tracesim._phase_states(proc, 100, sc.tick_s, (0,))
     assert set(walked) == set(MARKOV_WALKS.values())
 
 
@@ -382,8 +378,7 @@ def test_markov_clamps_draws_above_row_cumsum(monkeypatch):
                         lambda key: FixedDraws(draws))
     transition, _ = MARKOV_CASES["cumsum_below_one"]
     chain = ss.MarkovChain(transition, step_s=0.002, initial_state=2)
-    comp = ss.Component("c", (1.0,) * 10)
-    got = phase_ticks(chain, comp, 51, 0.001, (0,))
+    got = phase_ticks(chain, 51, 0.001, (0,))
     want = loop_markov_states(chain, 51, 0.001, (0,))
     assert np.array_equal(got, want)
     assert 9 in got
@@ -418,9 +413,8 @@ def test_markov_fifty_state_chain_over_many_steps():
     rng = np.random.default_rng(21)
     chain = ss.MarkovChain(random_chain(rng, 50), step_s=0.001,
                            initial_state=17)
-    comp = ss.Component("c", (1.0,) * 50)
     n_ticks = 17161
-    got = phase_ticks(chain, comp, n_ticks, 0.001, (4, 2, 0))
+    got = phase_ticks(chain, n_ticks, 0.001, (4, 2, 0))
     want = loop_markov_states(chain, n_ticks, 0.001, (4, 2, 0))
     assert np.array_equal(got, want)
 
