@@ -112,8 +112,8 @@ def collect(trace: Trace, specs: Sequence[PredictorSpec],
                held)
         groups.setdefault(key, []).append(i)
 
-    # row-major, as the rows are what a model's predictions gather
-    x = np.empty((m, len(specs)))
+    # column-major: each column is written, and later read, whole
+    x = np.empty((m, len(specs)), order="F")
     for (c_idx, delay, period, held), columns in groups.items():
         if held:
             # a row whose last update instant is p (in periods) holds

@@ -203,10 +203,15 @@ class EnergyModel:
             raise SchemaError(
                 f"l = {self.l} outside [1, {len(self.kept)}] kept columns")
 
+    def full_width_weights(self) -> np.ndarray:
+        """w: b spread to the full input width, with 0 for each dropped
+        column, so that b0 + x @ w is the energy per T of a full row x."""
+        by_name = dict(zip(self.kept, self.beta[1:]))
+        return np.array([by_name.get(c, 0.0) for c in self.columns])
+
     def predict_rows(self, x: np.ndarray, interval_s: float) -> np.ndarray:
         """Predicted joules per interval t for aggregate rows (m,
-        n_columns): (b0 + x @ w) * t / T, where w is b spread to the full
-        input width, with 0 for each dropped column."""
+        n_columns): (b0 + x @ w) * t / T, w being `full_width_weights`."""
         if not 0.0 < interval_s < math.inf:
             raise ArgumentError(f"interval {interval_s} s must be finite "
                                 "and > 0")
@@ -214,9 +219,7 @@ class EnergyModel:
         if x.shape[1] != len(self.columns):
             raise SchemaError(
                 f"expected {len(self.columns)} predictors, got {x.shape[1]}")
-        by_name = dict(zip(self.kept, self.beta[1:]))
-        w = np.array([by_name.get(c, 0.0) for c in self.columns])
-        per_t = self.beta[0] + x @ w
+        per_t = self.beta[0] + x @ self.full_width_weights()
         return per_t * (interval_s / self.training_interval_s)
 
     def __eq__(self, other) -> bool:

@@ -2,7 +2,10 @@
 
 Every runner is deterministic given the scenario seed: two runs write
 byte-identical reports. Estimates are always scored as RMS relative error
-against exact ground-truth energy at the evaluated rate.
+against exact ground-truth energy at the evaluated rate. A molding run
+scores its four molded variants and the per-rate oracle, all affine in
+the collected rates, in one chunked pass over the oracle's weighted
+design, after a first pass that fits the oracle from the same chunks.
 """
 
 from __future__ import annotations
@@ -135,6 +138,43 @@ def _interface_rms(arts: RunArtifacts, rate_hz: float) -> float | None:
     return arts.score(rate_hz, aggregate_response(arts.readings, interval))
 
 
+# Rows per chunk of the scoring passes. A chunk's weighted design and
+# its residuals take (n + 1 + estimators) * 8 bytes a row, about 3 MB at
+# 2^15 rows with 5 predictors: small enough that scoring adds nothing
+# row-length to a 100 Hz run's peak memory, and large enough that numpy's
+# per-call cost stays negligible (10 chunks for 300,000 rows).
+_CHUNK_ROWS = 1 << 15
+
+
+def _weighted_chunks(x: np.ndarray, y: np.ndarray):
+    """A^T over each chunk of `_CHUNK_ROWS` rows, A = [1 X] / y over the
+    rows with y > 0, as one (1 + n, rows) array: w = 1 / y is its first
+    row. Chunks with no such row are skipped.
+
+    Raises AlignmentError when x and y differ in length, and, once every
+    chunk is read, ConfigurationError when no y is positive.
+    """
+    if len(y) != x.shape[0]:
+        raise AlignmentError(f"design/truth length mismatch: "
+                             f"{x.shape[0]} vs {len(y)}")
+    seen = False
+    for start in range(0, len(y), _CHUNK_ROWS):
+        xc, yc = x[start:start + _CHUNK_ROWS], y[start:start + _CHUNK_ROWS]
+        ok = yc > 0
+        if not ok.all():
+            xc, yc = xc[ok], yc[ok]
+        if not len(yc):
+            continue
+        seen = True
+        w = 1.0 / yc
+        at = np.empty((1 + x.shape[1], len(w)))
+        at[0] = w
+        np.multiply(xc.T, w, out=at[1:])
+        yield at
+    if not seen:
+        raise ConfigurationError("no positive truth values to compare against")
+
+
 # Solving the normal equations loses about cond * eps of the
 # coefficients' relative accuracy, cond being that of g scaled to a unit
 # diagonal, which takes out the rate columns' spread of scales (1 to
@@ -150,29 +190,48 @@ def _fit_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Weighted least squares with 1/y weights over the rows with y > 0: the
     best tradeoff any affine model of these predictors can reach at this
-    rate, so every molded variant is dominated by it in-sample. The
-    weighted design A = [1 X] * w is built once, transposed, with w itself
-    as its first row. With d = sqrt(diag(A^T A)), the coefficients solve
-    the normal equations (A^T A) c = A^T 1 scaled by d on both sides
-    while the scaled matrix's condition number is below
+    rate, so every molded variant is dominated by it in-sample. One pass
+    over `_weighted_chunks` sums the normal equations g = A^T A and
+    A^T 1 of the weighted design A = [1 X] / y chunk by chunk. With
+    d = sqrt(diag(g)), the coefficients solve g c = A^T 1 scaled by d on
+    both sides while the scaled matrix's condition number is below
     `_ORACLE_COND_BOUND`; at or above it, and when d holds a zero, they
-    are `np.linalg.lstsq(A, 1)`.
+    are `np.linalg.lstsq(A, 1)` over the whole A, built from the same
+    chunks.
     """
-    ok = y > 0
-    if not ok.all():
-        x, y = x[ok], y[ok]
-    w = 1.0 / y
-    at = np.empty((1 + x.shape[1], len(w)))
-    at[0] = w
-    np.multiply(x.T, w, out=at[1:])
-    g = at @ at.T
+    g = np.zeros((1 + x.shape[1],) * 2)
+    at_1 = np.zeros(1 + x.shape[1])
+    for at in _weighted_chunks(x, y):
+        g += at @ at.T
+        at_1 += at.sum(axis=1)
     d = np.sqrt(np.diag(g))
     if d.all():
         gs = g / d / d[:, None]
         if np.linalg.cond(gs) < _ORACLE_COND_BOUND:
-            return np.linalg.solve(gs, at.sum(axis=1) / d) / d
-    coef, *_ = np.linalg.lstsq(at.T, np.ones(len(w)), rcond=None)
+            return np.linalg.solve(gs, at_1 / d) / d
+    a = np.hstack(list(_weighted_chunks(x, y))).T
+    coef, *_ = np.linalg.lstsq(a, np.ones(len(a)), rcond=None)
     return coef
+
+
+def _affine_rms(x: np.ndarray, y: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """RMS relative error of each affine estimate c0 + x @ c[1:] against
+    y over the rows with y > 0, for each column c of `coefs` (1 + n, k).
+
+    The relative error of row i is (c0 + x_i @ c[1:]) / y_i - 1 = a_i @ c
+    - 1, a_i being row i of the oracle's weighted design, so one pass
+    over `_weighted_chunks` scores every column at once; it raises that
+    generator's typed errors.
+    """
+    sse = np.zeros(coefs.shape[1])
+    count = 0
+    for at in _weighted_chunks(x, y):
+        rel = coefs.T @ at
+        rel -= 1.0
+        rel *= rel
+        sse += rel.sum(axis=1)
+        count += at.shape[1]
+    return np.sqrt(sse / count)
 
 
 def _simulate_as(sc: ScenarioConfig, experiment: str) -> RunArtifacts:
@@ -222,15 +281,17 @@ def run_molding(sc: ScenarioConfig,
     for rate in sc.rate_grid:
         report.add(rate, BATTERY_ESTIMATOR, _interface_rms(arts, rate))
         dm = arts.design(rate)
-        # the truth's temporaries are freed before the first prediction
-        # exists
-        truth = arts.truth(rate)
+        coefs = []
         for name in MOLDED_VARIANTS:
-            report.add(rate, name, arts.score(
-                rate, models[name].predict_rows(dm.x, 1.0 / rate)))
-        coef = _fit_oracle(dm.x, truth)
-        report.add(rate, ORACLE_ESTIMATOR,
-                   arts.score(rate, coef[0] + dm.x @ coef[1:]))
+            model = models[name]
+            coefs.append(np.concatenate(
+                ([model.beta[0]], model.full_width_weights()))
+                * ((1.0 / rate) / model.training_interval_s))
+        truth = arts.truth(rate)
+        coefs.append(_fit_oracle(dm.x, truth))
+        rms = _affine_rms(dm.x, truth, np.column_stack(coefs))
+        for name, value in zip(MOLDED_VARIANTS + (ORACLE_ESTIMATOR,), rms):
+            report.add(rate, name, float(value))
     _write_outputs(sc, report, out_dir)
     return report
 

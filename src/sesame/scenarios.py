@@ -82,6 +82,10 @@ class ScenarioConfig:
             raise ConfigurationError(f"unknown experiment {self.experiment!r}")
         if self.seed < 0:
             raise ConfigurationError(f"seed {self.seed} must be >= 0")
+        if self.workload.seed != self.seed:
+            raise ConfigurationError(
+                f"workload seed {self.workload.seed} differs from the "
+                f"scenario seed {self.seed}; re-seed with with_seed")
         _phase_edges(self.system, self.workload, self.duration_s, self.tick_s)
         if self.fit_method not in FIT_METHODS:
             raise ConfigurationError(f"fit method {self.fit_method!r} is "

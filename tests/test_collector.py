@@ -168,3 +168,47 @@ def test_rate_consistency_summed_rows_match_lower_rate():
         i = fine.columns.index(name)
         mean_rate = fine.x[:30, i].reshape(6, 5).mean(axis=1)
         assert np.allclose(mean_rate, coarse.x[:6, i], rtol=1e-12)
+
+
+def test_one_interval_collects_and_aggregates():
+    # a trace exactly one interval long gives one row, as do readings
+    # spanning exactly one response interval, for either kind of register
+    model, trace = flat_system()
+    spec = ss.PredictorSpec(id="cpu_busy", component="cpu", kind="residency",
+                            weights={1: 1.0}, update_rate_hz=1000.0)
+    dm = ss.collect(trace, [spec], 1.0)
+    assert dm.m == 1 and dm.x[0, 0] == 0.5
+    box = ss.ComponentStateModel(
+        components=(ss.Component("box", (1.0,)),), base_power_w=0.0)
+    wl = ss.WorkloadSpec(
+        phases=(ss.Phase("p", 100.0, {"box": fixed(0)}),), seed=0)
+    trace = ss.gen_trace(box, wl, 100.0, 0.01)
+    for kind in ("instant", "capacity"):
+        cfg = ss.BatteryInterfaceModel(kind=kind, reading_rate_hz=0.1,
+                                       supply_voltage_v=5.0)
+        y = ss.aggregate_response(ss.sample_interface(trace, cfg), 100.0)
+        # 0.2 A for 100 s at 5 V
+        assert len(y) == 1 and np.isclose(y[0], 100.0), kind
+
+
+def test_held_column_whose_last_interval_opens_an_update_period():
+    # 2 s updates read at 0.5 s: the last of the 9 intervals starts at
+    # 4 s, where a new update period opens, so its row holds the rate
+    # over [2, 4) s
+    trace, _ = three_predictor_setup(duration=4.5)
+    slow = ss.PredictorSpec(id="io", component="disk", kind="counter",
+                            weights={1: 40.0}, update_rate_hz=0.5,
+                            policy="polled-slow")
+    dm = ss.collect(trace, [slow], 2.0)
+    per_period = interval_truth(trace, slow, 2.0) / 2.0
+    assert dm.m == 9
+    assert np.array_equal(dm.x[:4, 0], np.zeros(4))
+    assert np.allclose(dm.x[4:8, 0], per_period[0], rtol=1e-12)
+    assert np.isclose(dm.x[8, 0], per_period[1], rtol=1e-12)
+    assert per_period[1] != per_period[0]
+
+
+def test_collected_columns_are_column_major():
+    trace, specs = three_predictor_setup()
+    x = ss.collect(trace, specs, 100.0).x
+    assert x.flags.f_contiguous and not x.flags.c_contiguous

@@ -59,6 +59,16 @@ def test_with_seed_rethreads_workload():
     assert sc.workload.seed == 123
 
 
+def test_a_scenario_refuses_a_workload_seed_of_its_own():
+    # the battery seed follows the scenario seed and the trace follows the
+    # workload's, so a second seed would pair one run's trace with
+    # another's battery
+    with pytest.raises(ConfigurationError, match="workload seed 1"):
+        dataclasses.replace(scn.builtin("noiseless_linear"), seed=5)
+    sc = scn.builtin("noiseless_linear").with_seed(5)
+    assert (sc.seed, sc.workload.seed) == (5, 5)
+
+
 def test_grid_coverage_every_rate_once_per_estimator(noiseless_report):
     sc, report, _ = noiseless_report
     for est in dict.fromkeys(r.estimator for r in report.rows):

@@ -89,6 +89,21 @@ def test_monitor_relative_error_arithmetic():
     assert table.decision_log[-1] == "600,,0.1,skip-window"
 
 
+def test_monitor_scores_a_window_under_one_joule():
+    # only a non-positive energy skips a window; 0.5 J is scored
+    model = ss.EnergyModel(
+        beta=np.array([0.55, 0.0]), columns=("dummy",),
+        training_interval_s=100.0, fit_method="OLS", training_error=0.0,
+        kept=("dummy",))
+    table = ss.ModelTable(window_s=100.0)
+    key = key_of(dvs="off")
+    install_model(table, key, model)
+    ss.lookup_or_create(table, key)
+    err = ss.monitor(table, 100.0, np.array([0.5]), 0.5)
+    assert np.isclose(err, 0.10)
+    assert table.decision_log[-1].endswith(",monitor")
+
+
 def test_monitor_against_interface_stream():
     model_sys = ss.ComponentStateModel(
         components=(ss.Component("cpu", (1.0, 9.0)),), base_power_w=3.0)

@@ -1,15 +1,21 @@
 """Per-rate scoring against the formulas it replaced.
 
-A molding run scores each molded variant with its own `predict_rows`,
-and `rms_relative_error` masks only truths that hold a non-positive
-value. `reference` keeps the formulas that gather and mask on every
+A molding run scores the four molded variants and the oracle in one
+chunked pass over the oracle's weighted design A = [1 X] / y, and
+`rms_relative_error` masks only truths that hold a non-positive value.
+`reference` keeps the formulas that gather, predict and mask on every
 call. `predict_rows` takes the full rows against weights spread to the
 full width, while the reference gathers the kept columns first, so the
 two round differently: they agree within (n + 2) eps of each row's scale
-(|b0| + |x_kept| @ |b|) t / T. The oracle solves its normal equations
-while they are well conditioned, so there its weighted RMS is compared
-with the stacked design's to 1e-12 relative or 1e-15 absolute. Every
-other comparison is `==` or `np.array_equal`.
+(|b0| + |x_kept| @ |b|) t / T. The chunked scorer forms each row's
+relative error as a_i @ c - 1 rather than (estimate - y) / y, and sums
+the squares chunk by chunk, so it agrees with the per-estimate formula
+within the bound `assert_scores_as_each_estimate_alone` derives from
+each row's scale. The oracle solves its normal equations, summed chunk
+by chunk, while they are well conditioned, so there its weighted RMS is
+compared with the stacked design's to 1e-12 relative or 1e-15 absolute;
+on a singular design it equals the stacked design's `lstsq` bit for bit.
+Every other comparison is `==` or `np.array_equal`.
 """
 
 import dataclasses
@@ -143,11 +149,18 @@ def oracle_designs(sc, arts):
 
 
 def normal_matrix(x, y):
-    """The oracle's g = A^T A, bit for bit, so both pick the same path."""
-    ok = y > 0
-    w = 1.0 / y[ok]
-    at = np.vstack([w, x[ok].T * w])
-    return at @ at.T
+    """The oracle's g = A^T A, bit for bit, so both pick the same path:
+    the sum over chunks of `_CHUNK_ROWS` rows of each chunk's A^T A over
+    its positive-truth rows, starting from zeros."""
+    g = np.zeros((1 + x.shape[1],) * 2)
+    for start in range(0, len(y), exp._CHUNK_ROWS):
+        xc, yc = x[start:start + exp._CHUNK_ROWS], y[start:start + exp._CHUNK_ROWS]
+        ok = yc > 0
+        if ok.any():
+            w = 1.0 / yc[ok]
+            at = np.vstack([w, xc[ok].T * w])
+            g += at @ at.T
+    return g
 
 
 def test_oracle_fallback_equals_the_stacked_design(t61):
@@ -175,25 +188,121 @@ def test_oracle_normal_equations_fit_as_the_stacked_design(t61):
     assert checked >= len(sc.rate_grid)
 
 
+def assert_scores_as_each_estimate_alone(got, x, y, coefs, want):
+    """`got[j]`, the chunked score of column j of `coefs` (1 + n, k),
+    equals `want[j]`, the per-estimate formula's, within a bound from
+    each row's scale.
+
+    With u = eps / 2, row i's relative error r_i, and its scale
+    S_i = (|c0| + |x_i| @ |c[1:]|) / y_i:
+    - the scorer's a_i @ c - 1 rounds 1 / y_i, each x_ij / y_i, a
+      coefficient scaled by t / T, each product and the n additions, so
+      it is within (n + 4) u S_i of a_i @ c, and subtracting 1 adds
+      u |r_i|;
+    - the formula's (c0 + x_i @ c[1:]) t / T - y_i, divided by y_i, is
+      within (n + 2) u S_i + 2 u |r_i|;
+    so the two relative errors differ by at most
+    e_i = (2 n + 7) u S_i + 3 u |r_i|, one u of slack for second order.
+    Over the N scored rows their RMS values then differ by at most
+    sqrt(mean(e_i^2)) (the triangle inequality), plus each side's
+    rounding of the squares, the sum, the division and the square root:
+    numpy's pairwise sum of nonnegative terms rounds at most
+    ceil(log2(N / 128)) + 18 times, and the scorer adds one rounding a
+    chunk. Each side's sum counts its own N; 4 roundings beyond the sum
+    are counted for each.
+    """
+    n = x.shape[1]
+    u = np.finfo(float).eps / 2
+    ok = y > 0
+    xo, yo = x[ok], y[ok]
+    scale = (np.abs(coefs[0]) + np.abs(xo) @ np.abs(coefs[1:])) / yo[:, None]
+    rel = (coefs[0] + xo @ coefs[1:]) / yo[:, None] - 1.0
+    e = (2 * n + 7) * u * scale + 3 * u * np.abs(rel)
+    roundings = (2 * (max(0, math.ceil(math.log2(len(yo) / 128))) + 22)
+                 + math.ceil(len(y) / exp._CHUNK_ROWS))
+    bound = np.sqrt(np.mean(e * e, axis=0)) + roundings * u * np.asarray(want)
+    assert got.shape == bound.shape
+    assert (np.abs(got - np.asarray(want)) <= bound).all(), (got, want, bound)
+
+
 def test_molding_report_equals_scoring_each_estimate_alone(t61):
     sc, arts, models = t61
     report = exp.run_molding(sc)
-    want = []
     for rate in sc.rate_grid:
         truth = arts.truth(rate)
-        if report.value(rate, exp.BATTERY_ESTIMATOR) is None:
-            want.append(None)
-        else:
+        battery = report.value(rate, exp.BATTERY_ESTIMATOR)
+        if battery is not None:
             est = aggregate_response(arts.readings, 1.0 / rate)
-            want.append(masked_rms_relative_error(est, truth))
+            assert battery == masked_rms_relative_error(est, truth)
         dm = arts.design(rate)
+        coefs, alone = [], []
         for name in exp.MOLDED_VARIANTS:
-            pred = models[name].predict_rows(dm.x, 1.0 / rate)
-            want.append(masked_rms_relative_error(pred, truth))
+            model = models[name]
+            ratio = (1.0 / rate) / model.training_interval_s
+            coefs.append(np.concatenate(
+                ([model.beta[0]], model.full_width_weights())) * ratio)
+            alone.append(masked_rms_relative_error(
+                model.predict_rows(dm.x, 1.0 / rate), truth))
         coef = exp._fit_oracle(dm.x, truth)
-        want.append(masked_rms_relative_error(coef[0] + dm.x @ coef[1:],
-                                              truth))
-    assert [row.rms_rel_error for row in report.rows] == want
+        coefs.append(coef)
+        alone.append(masked_rms_relative_error(coef[0] + dm.x @ coef[1:],
+                                               truth))
+        scores = np.array([report.value(rate, name) for name in
+                           exp.MOLDED_VARIANTS + (exp.ORACLE_ESTIMATOR,)])
+        assert_scores_as_each_estimate_alone(
+            scores, dm.x, truth, np.column_stack(coefs), alone)
+
+
+@pytest.mark.parametrize("m", [1, exp._CHUNK_ROWS, exp._CHUNK_ROWS + 1])
+def test_scorer_and_oracle_at_the_chunk_edges(m):
+    rng = np.random.default_rng(m)
+    x = np.asfortranarray(rng.uniform(0.0, 2.0, (m, 3)))
+    singular = np.asfortranarray(np.column_stack([x, x[:, :1]]))
+    for name, y in truths(rng, m).items():
+        if not (y > 0).any():
+            with pytest.raises(ConfigurationError, match="no positive"):
+                exp._fit_oracle(x, y)
+            with pytest.raises(ConfigurationError, match="no positive"):
+                exp._affine_rms(x, y, np.ones((4, 1)))
+            continue
+        coef = exp._fit_oracle(x, y)
+        if scaled_cond(normal_matrix(x, y)) < exp._ORACLE_COND_BOUND:
+            assert math.isclose(oracle_rms(x, y, coef),
+                                oracle_rms(x, y, stacked_fit_oracle(x, y)),
+                                rel_tol=1e-12, abs_tol=1e-15), name
+        else:
+            assert np.array_equal(coef, stacked_fit_oracle(x, y)), name
+        # a duplicated column is singular at any length: lstsq on the
+        # whole design, as the stacked reference solves it
+        assert scaled_cond(normal_matrix(singular, y)) >= \
+            exp._ORACLE_COND_BOUND
+        assert np.array_equal(exp._fit_oracle(singular, y),
+                              stacked_fit_oracle(singular, y)), name
+        coefs = np.column_stack(
+            [rng.normal(0.0, 1.0, (4, 3)), coef, np.zeros(4)])
+        want = [masked_rms_relative_error(c[0] + x @ c[1:], y)
+                for c in coefs.T]
+        got = exp._affine_rms(x, y, coefs)
+        assert_scores_as_each_estimate_alone(got, x, y, coefs, want)
+        # a zero estimate is off by exactly 1 on every scored row
+        assert got[-1] == 1.0
+
+
+def test_chunked_scoring_keeps_the_error_types():
+    x = np.ones((exp._CHUNK_ROWS + 1, 2), order="F")
+    y = np.ones(exp._CHUNK_ROWS + 1)
+    with pytest.raises(AlignmentError):
+        exp._fit_oracle(x, y[:-1])
+    with pytest.raises(AlignmentError):
+        exp._affine_rms(x[:-1], y, np.ones((3, 1)))
+    # the lengths are checked before the truths' signs
+    with pytest.raises(AlignmentError):
+        exp._fit_oracle(x, np.zeros(3))
+    for truth in (np.zeros_like(y), -y, np.full_like(y, np.nan)):
+        with pytest.raises(ConfigurationError):
+            exp._fit_oracle(x, truth)
+        with pytest.raises(ConfigurationError):
+            exp._affine_rms(x, truth, np.ones((3, 1)))
 
 
 @pytest.mark.parametrize("pca_l", [1, 2, 9])

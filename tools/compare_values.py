@@ -10,23 +10,42 @@ returns: each report row's RMS error (an ErrorReport), or each window
 error and the active model's beta (an AdaptationResult), the values the
 golden files pin by their `repr`. For each value that differs, one line
 gives its scenario, seed and name, its `repr` on both sides and the
-relative change (B - A) / |A|. The exit code is 0 when nothing moved and
-1 otherwise.
+relative change (B - A) / |A|.
+
+After that list, one line per scenario gives how many of its values
+moved, the largest relative move among values whose magnitude on side A
+is above 1e-13 (smaller ones are roundoff-sized errors of exact fits),
+and the largest absolute move. With `--seeds N`, each anchor's min,
+median and max over seeds 1..N follow, on both sides: the accuracy
+(1 - RMS error) of `molded_l2` at 1 and 100 Hz on t61like and n900like,
+and the rebuild count of each adaptation built-in. The exit code is 0
+when nothing moved and 1 otherwise.
 """
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
+# values this small are an exact fit's roundoff; their relative moves are
+# noise, not a measure of the change
+TINY = 1e-13
+# scored as accuracy, 1 - RMS relative error, as the anchors are stated
+ANCHOR_VALUES = tuple((scenario, f"{rate} Hz molded_l2")
+                      for scenario in ("t61like", "n900like")
+                      for rate in (1, 100))
+REBUILD_ANCHORS = ("dvs_flip", "workload_switch", "adaptation_control")
 
-def run_values(seeds: int) -> dict[str, list[tuple[str, float | None]]]:
-    """Every built-in's named returned values, keyed "scenario@seed"."""
+
+def run_values(seeds: int) -> dict:
+    """Every built-in's named returned values, keyed "scenario@seed", and
+    each adaptation run's rebuild count under the same keys."""
     import sesame.experiments as exp
     import sesame.scenarios as scn
 
-    out = {}
+    out, rebuilds = {}, {}
     for name in sorted(scn.BUILTIN_SCENARIOS):
         sc = scn.builtin(name)
         for seed in (None, *range(1, seeds + 1)):
@@ -40,8 +59,11 @@ def run_values(seeds: int) -> dict[str, list[tuple[str, float | None]]]:
                 values = ([(f"window {i}", e)
                            for i, e in enumerate(result.errors)]
                           + [(f"beta[{j}]", b) for j, b in enumerate(beta)])
-            out[f"{name}@{'pinned' if seed is None else seed}"] = values
-    return out
+            run_key = f"{name}@{'pinned' if seed is None else seed}"
+            out[run_key] = values
+            if not isinstance(result, exp.ErrorReport):
+                rebuilds[run_key] = result.rebuild_count
+    return {"values": out, "rebuilds": rebuilds}
 
 
 def side(root: Path, seeds: int) -> dict:
@@ -53,17 +75,65 @@ def side(root: Path, seeds: int) -> dict:
     return json.loads(proc.stdout)
 
 
-def moved(a: dict, b: dict) -> list[str]:
-    lines = []
+def moved(a: dict, b: dict) -> list[tuple[str, str, float | None,
+                                         float | None]]:
+    """(run, name, A's value, B's value) of every value whose `repr`
+    differs between the sides."""
+    out = []
     for run in sorted(a.keys() | b.keys()):
         va, vb = dict(a.get(run, [])), dict(b.get(run, []))
         for name in list(va) + [n for n in vb if n not in va]:
             x, y = va.get(name), vb.get(name)
-            if repr(x) == repr(y):
-                continue
-            rel = ("n/a" if x is None or y is None or x == 0
-                   else f"{(y - x) / abs(x):+.3g}")
-            lines.append(f"{run} {name}: {x!r} -> {y!r} (rel {rel})")
+            if repr(x) != repr(y):
+                out.append((run, name, x, y))
+    return out
+
+
+def moved_line(run: str, name: str, x, y) -> str:
+    rel = ("n/a" if x is None or y is None or x == 0
+           else f"{(y - x) / abs(x):+.3g}")
+    return f"{run} {name}: {x!r} -> {y!r} (rel {rel})"
+
+
+def scenario_summaries(a: dict, moves: list) -> list[str]:
+    """One line per scenario: its moved values, the largest relative move
+    on values above `TINY` and the largest absolute move."""
+    lines = []
+    for scenario in sorted({run.split("@")[0] for run in a}):
+        mine = [(x, y) for run, _, x, y in moves
+                if run.split("@")[0] == scenario]
+        pairs = [(x, y) for x, y in mine if x is not None and y is not None]
+        total = sum(len(v) for run, v in a.items()
+                    if run.split("@")[0] == scenario)
+        rel = max((abs(y - x) / abs(x) for x, y in pairs if abs(x) > TINY),
+                  default=0.0)
+        absolute = max((abs(y - x) for x, y in pairs), default=0.0)
+        lines.append(f"{scenario}: {len(mine)} of {total} moved, largest "
+                     f"relative move {rel:.3g} (values above {TINY:g}), "
+                     f"largest absolute move {absolute:.3g}")
+    return lines
+
+
+def spread(values: list[float]) -> str:
+    return (f"{min(values):.6g} / {statistics.median(values):.6g} / "
+            f"{max(values):.6g}")
+
+
+def anchor_summaries(a: dict, b: dict, seeds: int) -> list[str]:
+    """Each anchor's min / median / max over seeds 1..`seeds` on both
+    sides."""
+    runs = [str(seed) for seed in range(1, seeds + 1)]
+    lines = []
+    for scenario, name in ANCHOR_VALUES:
+        sides = [[1.0 - dict(side["values"][f"{scenario}@{seed}"])[name]
+                  for seed in runs] for side in (a, b)]
+        lines.append(f"{scenario} {name} accuracy: A {spread(sides[0])}   "
+                     f"B {spread(sides[1])}")
+    for scenario in REBUILD_ANCHORS:
+        sides = [[side["rebuilds"][f"{scenario}@{seed}"] for seed in runs]
+                 for side in (a, b)]
+        lines.append(f"{scenario} rebuilds: A {spread(sides[0])}   "
+                     f"B {spread(sides[1])}")
     return lines
 
 
@@ -87,11 +157,15 @@ def main(argv: list[str] | None = None) -> int:
         if not (root / "src" / "sesame" / "__init__.py").is_file():
             parser.error(f"no sesame package under {root / 'src'}")
     a, b = side(args.a, args.seeds), side(args.b, args.seeds)
-    lines = moved(a, b)
-    total = sum(len(v) for v in a.values())
-    print("\n".join(lines))
-    print(f"{len(lines)} of {total} values moved over {len(a)} runs")
-    return 1 if lines else 0
+    moves = moved(a["values"], b["values"])
+    total = sum(len(v) for v in a["values"].values())
+    print("\n".join(moved_line(*move) for move in moves))
+    print(f"{len(moves)} of {total} values moved over {len(a['values'])} runs")
+    print("\n".join(scenario_summaries(a["values"], moves)))
+    if args.seeds:
+        print(f"anchors over seeds 1-{args.seeds}, min / median / max:")
+        print("\n".join(anchor_summaries(a, b, args.seeds)))
+    return 1 if moves else 0
 
 
 if __name__ == "__main__":
