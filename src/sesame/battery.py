@@ -80,7 +80,7 @@ class BatteryReadings:
 
 
 def _sample_instant(trace: Trace, model: BatteryInterfaceModel,
-                    seed: int = 0) -> BatteryReadings:
+                    seed: int) -> BatteryReadings:
     """Instant-kind readings at the model's rate.
 
     Reading k, taken at t = (k + 1) / rate, is the true mean current over
@@ -100,7 +100,7 @@ def _sample_instant(trace: Trace, model: BatteryInterfaceModel,
 
 
 def _sample_filtered(trace: Trace, model: BatteryInterfaceModel,
-                     seed: int = 0) -> BatteryReadings:
+                     seed: int) -> BatteryReadings:
     """Filtered-kind readings: trailing mean of the last `taps` internal samples.
 
     Internal samples sit window/taps apart, each the true mean current of
@@ -124,7 +124,7 @@ def _sample_filtered(trace: Trace, model: BatteryInterfaceModel,
 
 
 def _sample_capacity(trace: Trace, model: BatteryInterfaceModel,
-                     seed: int = 0) -> BatteryReadings:
+                     seed: int) -> BatteryReadings:
     """Capacity-kind readings: remaining charge, with multiplicative noise.
 
     The charge register integrates the same per-period energy that the
@@ -146,7 +146,7 @@ _SAMPLERS = {INSTANT: _sample_instant, FILTERED: _sample_filtered,
 
 
 def sample_interface(trace: Trace, model: BatteryInterfaceModel,
-                     seed: int = 0) -> BatteryReadings:
+                     seed: int) -> BatteryReadings:
     """Readings of the interface `model` describes, from its kind's sampler."""
     return _SAMPLERS[model.kind](trace, model, seed)
 

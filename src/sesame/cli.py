@@ -1,7 +1,8 @@
 """Command-line driver: run scenario files or built-ins end to end.
 
 Exit codes: 0 success, 2 insufficient data, 1 any other error (an
-invalid scenario, flag or persisted document).
+invalid scenario, flag or persisted document, or an unwritable output
+path).
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     except InsufficientDataError as exc:
         print(f"error: insufficient data: {exc}", file=sys.stderr)
         return 2
-    except SesameError as exc:
+    except (SesameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

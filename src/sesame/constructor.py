@@ -32,6 +32,7 @@ from .errors import (
 )
 from .tracesim import _ratio_as_int
 
+FIT_METHODS = ("TLS", "OLS")
 _ZERO_VAR_TOL = 1e-12
 # a kept column is active when the PCA rows a model keeps give it at
 # least this much weight (the norm of its column in those rows)
@@ -43,6 +44,26 @@ DEFAULT_T_LOW_RANGE = (50.0, 100.0)
 # Low-level regression solvers
 # ---------------------------------------------------------------------------
 
+def _regression(x: np.ndarray, y: np.ndarray, method: str,
+                extra_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """`x` as (m, n) floats and `y` as (m,) floats, or ArgumentError when
+    the row counts differ or a value is not finite, and
+    InsufficientDataError when there are fewer than n + `extra_rows` rows."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float)
+    m, n = x.shape
+    if y.shape != (m,):
+        raise ArgumentError(f"{method}: {m} predictor rows but a response "
+                            f"of shape {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ArgumentError(f"{method}: predictors and response must be "
+                            "finite")
+    if m < n + extra_rows:
+        raise InsufficientDataError(
+            f"{method} needs >= {n + extra_rows} rows, got {m}")
+    return x, y
+
+
 def fit_tls(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Total least squares via the SVD of the augmented matrix.
 
@@ -50,12 +71,8 @@ def fit_tls(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     coefficient vector is the smallest right singular vector of [1 X y]
     normalized on its last entry. Returns (1 + n,) coefficients.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    m, n = x.shape
-    if m < n + 2:
-        raise InsufficientDataError(f"TLS needs >= {n + 2} rows, got {m}")
-    a = np.column_stack([np.ones(m), x, y])
+    x, y = _regression(x, y, "TLS", 2)
+    a = np.column_stack([np.ones(len(y)), x, y])
     _, _, vt = np.linalg.svd(a, full_matrices=False)
     v = vt[-1]
     if abs(v[-1]) < 1e-12:
@@ -65,12 +82,9 @@ def fit_tls(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def fit_ols(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Ordinary least squares with an intercept; exact on consistent data."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    m, n = x.shape
-    if m < n + 1:
-        raise InsufficientDataError(f"OLS needs >= {n + 1} rows, got {m}")
-    a = np.column_stack([np.ones(m), x])
+    x, y = _regression(x, y, "OLS", 1)
+    n = x.shape[1]
+    a = np.column_stack([np.ones(len(y)), x])
     beta, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
     if rank < n + 1:
         raise DegenerateFitError(f"rank-deficient design: rank {rank} < {n + 1}")
@@ -203,24 +217,34 @@ class EnergyModel:
             raise SchemaError(
                 f"l = {self.l} outside [1, {len(self.kept)}] kept columns")
 
-    def full_width_weights(self) -> np.ndarray:
+    def _scale(self, interval_s: float) -> float:
+        """t / T, for a finite and positive interval t."""
+        if not 0.0 < interval_s < math.inf:
+            raise ArgumentError(f"interval {interval_s} s must be finite "
+                                "and > 0")
+        return interval_s / self.training_interval_s
+
+    def _weights(self) -> np.ndarray:
         """w: b spread to the full input width, with 0 for each dropped
         column, so that b0 + x @ w is the energy per T of a full row x."""
         by_name = dict(zip(self.kept, self.beta[1:]))
         return np.array([by_name.get(c, 0.0) for c in self.columns])
 
+    def coefficients(self, interval_s: float) -> np.ndarray:
+        """[b0, w] * t / T: the affine map of a full row x to joules per
+        interval t, as the constant and then one weight per column."""
+        return np.concatenate(([self.beta[0]], self._weights())) * (
+            self._scale(interval_s))
+
     def predict_rows(self, x: np.ndarray, interval_s: float) -> np.ndarray:
         """Predicted joules per interval t for aggregate rows (m,
-        n_columns): (b0 + x @ w) * t / T, w being `full_width_weights`."""
-        if not 0.0 < interval_s < math.inf:
-            raise ArgumentError(f"interval {interval_s} s must be finite "
-                                "and > 0")
+        n_columns): (b0 + x @ w) * t / T, the map `coefficients` gives."""
+        scale = self._scale(interval_s)
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != len(self.columns):
             raise SchemaError(
                 f"expected {len(self.columns)} predictors, got {x.shape[1]}")
-        per_t = self.beta[0] + x @ self.full_width_weights()
-        return per_t * (interval_s / self.training_interval_s)
+        return (self.beta[0] + x @ self._weights()) * scale
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnergyModel):
@@ -307,8 +331,15 @@ class TrainingSet:
         """Standardize, rotate, solve, fold: the model on the kept rates.
 
         The rotation is the top-l principal axes (all of them when l is
-        None), or the identity when `use_pca` is False.
+        None), or the identity when `use_pca` is False. An unknown method
+        or a non-integer l raises ArgumentError.
         """
+        if method not in FIT_METHODS:
+            raise ArgumentError(f"fit method {method!r} is not one of "
+                                f"{FIT_METHODS}")
+        if l is not None and (isinstance(l, bool)
+                              or not isinstance(l, (int, np.integer))):
+            raise ArgumentError(f"l must be an integer, got {l!r:.40}")
         n = len(self.kept)
         if n == 0:
             beta, tag, l, active = np.array([self.y_mean]), "OLS", None, ()
@@ -495,20 +526,9 @@ def model_to_dict(model: EnergyModel) -> dict:
 
 def model_from_dict(doc) -> EnergyModel:
     """The model a document written by `model_to_dict` describes; unlike a
-    scenario file, a model document carries every field.
-
-    The `kinds` key of earlier documents is ignored: their beta already
-    weighs the rates the collector now writes.
-    """
-    if isinstance(doc, dict):
-        doc = {k: v for k, v in doc.items() if k != "kinds"}
-        stale = sorted({"pca", "column_means"} & set(doc))
-        if stale:
-            # the basis form of earlier documents: a full-l beta has the
-            # right length but acts on rotated predictors
-            raise ParseError(f"model document in the old basis form "
-                             f"(has {stale}); rebuild the model")
-        missing = [f.name for f in fields(EnergyModel) if f.name not in doc]
-        if missing:
-            raise ParseError(f"model: missing keys {missing}")
-    return from_document(EnergyModel, doc, "model")
+    scenario file, a model document carries every field."""
+    model = from_document(EnergyModel, doc, "model")
+    missing = [f.name for f in fields(EnergyModel) if f.name not in doc]
+    if missing:
+        raise ParseError(f"model: missing keys {missing}")
+    return model

@@ -281,12 +281,8 @@ def run_molding(sc: ScenarioConfig,
     for rate in sc.rate_grid:
         report.add(rate, BATTERY_ESTIMATOR, _interface_rms(arts, rate))
         dm = arts.design(rate)
-        coefs = []
-        for name in MOLDED_VARIANTS:
-            model = models[name]
-            coefs.append(np.concatenate(
-                ([model.beta[0]], model.full_width_weights()))
-                * ((1.0 / rate) / model.training_interval_s))
+        coefs = [models[name].coefficients(1.0 / rate)
+                 for name in MOLDED_VARIANTS]
         truth = arts.truth(rate)
         coefs.append(_fit_oracle(dm.x, truth))
         rms = _affine_rms(dm.x, truth, np.column_stack(coefs))

@@ -182,16 +182,11 @@ def load(path: str) -> ModelTable:
     """Read a table written by `persist`; malformed files raise ParseError
     and unreadable ones ConfigurationError.
 
-    Keys are read by the typed rules of `errors.from_document`. Keys that
-    older files carry (`history`, `skipped_windows`, `cooldown_until_s`)
-    are ignored; any other unknown key, and a key that two entries
-    share, is refused.
+    Keys are read by the typed rules of `errors.from_document`; an unknown
+    key, and a key that two entries share, is refused.
     """
-    doc = read_json(path, "model table")
-    if isinstance(doc, dict):
-        doc = {k: v for k, v in doc.items() if k not in (
-            "history", "skipped_windows", "cooldown_until_s")}
-    doc = from_document(_TableDocument, doc, "table")
+    doc = from_document(_TableDocument, read_json(path, "model table"),
+                        "table")
     table = ModelTable(threshold=doc.threshold, window_s=doc.window_s,
                        decision_log=list(doc.decision_log))
     try:

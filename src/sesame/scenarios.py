@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .battery import FILTERED, BatteryInterfaceModel
 from .collector import _spec_ticks
-from .constructor import DEFAULT_T_LOW_RANGE
+from .constructor import DEFAULT_T_LOW_RANGE, FIT_METHODS
 from .errors import (
     ConfigurationError,
     ParseError,
@@ -43,7 +43,6 @@ REGRESSOGRAM = "regressogram-compare"
 EXPERIMENTS = (ERROR_VS_RATE, MOLDING, ADAPTATION, REGRESSOGRAM)
 
 DEFAULT_RATE_GRID = (0.01, 0.1, 0.5, 1.0, 4.0, 10.0, 100.0)
-FIT_METHODS = ("TLS", "OLS")
 
 
 def _pipeline(default):
@@ -151,29 +150,13 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
     return doc
 
 
-# keys of removed features, which earlier exports write as 0
-_REMOVED_KEYS = (("battery", "quantization"), ("battery", "internal_rate_hz"),
-                 ("pipeline", "collection_overhead_w"))
-
-
 def scenario_from_dict(doc) -> ScenarioConfig:
     """The scenario a document describes, read against the dataclasses'
-    fields (see `sesame.errors`); the workload takes the top-level seed.
-    A key in `_REMOVED_KEYS` is dropped when it holds 0, and refused
-    otherwise."""
-    if isinstance(doc, dict):
-        doc = {k: dict(v) if isinstance(v, dict) else v
-               for k, v in doc.items()}
-        for group, key in _REMOVED_KEYS:
-            section = doc.get(group)
-            value = section.pop(key, 0) if isinstance(section, dict) else 0
-            if type(value) not in (int, float) or value != 0:
-                raise ParseError(f"scenario.{group}.{key}: removed; only 0 "
-                                 f"loads, got {value!r:.40}")
-        if isinstance(doc.get("workload"), dict):
-            if "seed" in doc["workload"]:
-                raise ParseError("scenario.workload: unknown key 'seed'")
-            doc["workload"]["seed"] = doc.get("seed")
+    fields (see `sesame.errors`); the workload takes the top-level seed."""
+    if isinstance(doc, dict) and isinstance(doc.get("workload"), dict):
+        if "seed" in doc["workload"]:
+            raise ParseError("scenario.workload: unknown key 'seed'")
+        doc = dict(doc, workload=dict(doc["workload"], seed=doc.get("seed")))
     return from_document(ScenarioConfig, doc, "scenario")
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sesame as ss
+import sesame.battery as battery
 import sesame.scenarios as scn
 from reference import fixed
 from sesame.errors import ConfigurationError
@@ -28,11 +29,23 @@ def step_trace(level_w=10.0, duration=40.0, tick=0.01):
     return constant_trace(power=level_w, duration=duration, tick=tick)
 
 
+@pytest.mark.parametrize("kind", ["instant", "filtered", "capacity"])
+def test_every_sampler_needs_a_seed(kind):
+    # a default seed could change with no test noticing, so each caller
+    # states the seed it samples with
+    model = ss.BatteryInterfaceModel(kind=kind, reading_rate_hz=1.0,
+                                     filter_window_s=4.0, filter_taps=4)
+    trace = constant_trace()
+    for sample in (ss.sample_interface, battery._SAMPLERS[kind]):
+        with pytest.raises(TypeError, match="seed"):
+            sample(trace, model)
+
+
 def test_instant_constant_current():
     trace = constant_trace(10.0)
     model = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=4.0,
                                      supply_voltage_v=5.0)
-    readings = ss.sample_interface(trace, model)
+    readings = ss.sample_interface(trace, model, seed=0)
     assert len(readings) == 400
     assert np.allclose(readings.values, 2.0)
     # the first reading ends the first 0.25 s period, the last the trace
@@ -72,7 +85,7 @@ def test_filtered_step_response_half_window():
     model = ss.BatteryInterfaceModel(kind="filtered", reading_rate_hz=0.5,
                                      supply_voltage_v=5.0,
                                      filter_window_s=16.0, filter_taps=10)
-    readings = ss.sample_interface(trace, model)
+    readings = ss.sample_interface(trace, model, seed=0)
     times = reading_times(readings)
     by_time = dict(zip(times, readings.values))
     assert by_time[8.0] == pytest.approx(1.0)
@@ -90,7 +103,7 @@ def test_filtered_passes_dc_exactly():
     model = ss.BatteryInterfaceModel(kind="filtered", reading_rate_hz=0.5,
                                      supply_voltage_v=5.0,
                                      filter_window_s=16.0, filter_taps=10)
-    readings = ss.sample_interface(trace, model)
+    readings = ss.sample_interface(trace, model, seed=0)
     steady = readings.values[reading_times(readings) >= 16.0]
     assert np.allclose(steady, 2.0, atol=1e-12)
 
@@ -100,7 +113,7 @@ def test_capacity_constant_drain():
     model = ss.BatteryInterfaceModel(kind="capacity", reading_rate_hz=0.1,
                                      supply_voltage_v=5.0,
                                      initial_capacity_c=20000.0)
-    readings = ss.sample_interface(trace, model)
+    readings = ss.sample_interface(trace, model, seed=0)
     drops = -np.diff(readings.values)
     assert np.allclose(drops, 10.0)
     derived_current = drops / 10.0
@@ -183,7 +196,7 @@ def test_capacity_and_instant_interfaces_agree_on_every_window(name):
     for rate_hz in (0.1, 1.0):
         current, charge = (ss.sample_interface(trace, dataclasses.replace(
             sc.battery, kind=kind, reading_rate_hz=rate_hz, noise_sigma=0.0,
-            counter_sigma_c=0.0)) for kind in ("instant", "capacity"))
+            counter_sigma_c=0.0), seed=0) for kind in ("instant", "capacity"))
         for window_s in (10.0, 100.0):
             got = ss.aggregate_response(charge, window_s)
             want = ss.aggregate_response(current, window_s)

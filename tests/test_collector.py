@@ -109,7 +109,7 @@ def test_aggregate_response_instant_paper_arithmetic():
     trace = ss.gen_trace(model, wl, 200.0, 0.01)
     cfg = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=0.5,
                                    supply_voltage_v=5.0)
-    readings = ss.sample_interface(trace, cfg)
+    readings = ss.sample_interface(trace, cfg, seed=0)
     y = ss.aggregate_response(readings, 100.0)
     assert np.allclose(y, 1000.0)
 
@@ -123,7 +123,7 @@ def test_aggregate_response_capacity_drop():
     cfg = ss.BatteryInterfaceModel(kind="capacity", reading_rate_hz=0.1,
                                    supply_voltage_v=5.0,
                                    initial_capacity_c=20000.0)
-    readings = ss.sample_interface(trace, cfg)
+    readings = ss.sample_interface(trace, cfg, seed=0)
     y = ss.aggregate_response(readings, 100.0)
     # 0.2 A for 100 s drops 20 C; at 5 V that is 100 J
     assert np.allclose(y, 100.0)
@@ -133,7 +133,7 @@ def test_aggregate_response_noiseless_equals_truth():
     trace, specs = three_predictor_setup()
     cfg = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=10.0,
                                    supply_voltage_v=5.0)
-    readings = ss.sample_interface(trace, cfg)
+    readings = ss.sample_interface(trace, cfg, seed=0)
     y = ss.aggregate_response(readings, 1.0)
     truth = ss.true_energy(trace, 1.0)
     assert np.allclose(y, truth[: len(y)], rtol=1e-12)
@@ -147,7 +147,7 @@ def test_aggregate_response_rate_error():
     trace = ss.gen_trace(model, wl, 100.0, 0.01)
     cfg = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=0.5,
                                    supply_voltage_v=5.0)
-    readings = ss.sample_interface(trace, cfg)
+    readings = ss.sample_interface(trace, cfg, seed=0)
     with pytest.raises(RateError):
         ss.aggregate_response(readings, 1.0)
 
@@ -156,7 +156,7 @@ def test_rate_consistency_summed_rows_match_lower_rate():
     trace, specs = three_predictor_setup()
     cfg = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=10.0,
                                    supply_voltage_v=5.0)
-    readings = ss.sample_interface(trace, cfg)
+    readings = ss.sample_interface(trace, cfg, seed=0)
     fine = ss.collect(trace, specs, 1.0)
     coarse = ss.collect(trace, specs, 0.2)
     # responses are additive: 5 fine rows sum to 1 coarse row
@@ -186,7 +186,7 @@ def test_one_interval_collects_and_aggregates():
     for kind in ("instant", "capacity"):
         cfg = ss.BatteryInterfaceModel(kind=kind, reading_rate_hz=0.1,
                                        supply_voltage_v=5.0)
-        y = ss.aggregate_response(ss.sample_interface(trace, cfg), 100.0)
+        y = ss.aggregate_response(ss.sample_interface(trace, cfg, seed=0), 100.0)
         # 0.2 A for 100 s at 5 V
         assert len(y) == 1 and np.isclose(y[0], 100.0), kind
 

@@ -17,6 +17,7 @@ from sesame.constructor import (
     predict_regressogram_rows,
 )
 from sesame.errors import (
+    ArgumentError,
     DegenerateFitError,
     InsufficientDataError,
     ParseError,
@@ -51,6 +52,44 @@ def test_tls_and_ols_agree_on_noise_free_data():
 def test_tls_needs_rows():
     with pytest.raises(InsufficientDataError):
         ss.fit_tls(np.ones((3, 2)), np.ones(3))
+
+
+def small_training_matrix(m=30):
+    rng = np.random.default_rng(14)
+    x = rng.normal(0.5, 0.2, size=(m, 2))
+    y = 5.0 + x @ np.array([2.0, 1.0]) + rng.normal(0.0, 0.01, m)
+    return DesignMatrix(interval_s=100.0, columns=("a", "b"),
+                        kinds=("residency", "residency"), x=x,
+                        t_start_s=np.arange(m) * 100.0, y=y)
+
+
+def nan_at(a, i=3):
+    a = np.array(a, dtype=float)
+    a.flat[i] = np.nan
+    return a
+
+
+BAD_FIT_CALLS = {
+    # a misspelt method used to fit OLS silently
+    "method_lower_case": lambda dm: ss.build_model(dm, method="tls"),
+    "method_spaced": lambda dm: ss.iterate_construction(dm, 0.5,
+                                                        method="T L S"),
+    "l_fraction": lambda dm: ss.build_model(dm, l=1.5),
+    "l_bool": lambda dm: ss.build_model(dm, l=True),
+    "tls_short_response": lambda dm: ss.fit_tls(dm.x, dm.y[:-1]),
+    "ols_short_response": lambda dm: ss.fit_ols(dm.x, dm.y[:-1]),
+    "tls_nan_response": lambda dm: ss.fit_tls(dm.x, nan_at(dm.y)),
+    "ols_nan_response": lambda dm: ss.fit_ols(dm.x, nan_at(dm.y)),
+    "tls_inf_predictor": lambda dm: ss.fit_tls(np.where(dm.x > 0.6, np.inf,
+                                                        dm.x), dm.y),
+    "ols_nan_predictor": lambda dm: ss.fit_ols(nan_at(dm.x), dm.y),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIT_CALLS))
+def test_bad_fit_arguments_fail_typed(case):
+    with pytest.raises(ArgumentError):
+        BAD_FIT_CALLS[case](small_training_matrix())
 
 
 def test_tls_beats_ols_with_noise_in_predictors():
@@ -166,7 +205,7 @@ def linear_scenario(duration=2000.0, tick=0.01, seed=7):
     specs = residency_predictors(model, update_rate_hz=1.0 / tick)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=10.0)
-    readings = ss.sample_interface(trace, battery)
+    readings = ss.sample_interface(trace, battery, seed=0)
     return model, trace, specs, readings
 
 
@@ -409,6 +448,24 @@ def test_regressogram_rejects_non_finite_values():
         predict_regressogram_rows(model, x[:, :1])
 
 
+def test_coefficients_are_the_affine_map_at_an_interval():
+    # the dropped column gets weight 0, and every coefficient scales by t / T
+    model = ss.EnergyModel(
+        beta=np.array([6.0, 2.0, 4.0]), columns=("a", "b", "c"),
+        training_interval_s=100.0, fit_method="OLS", training_error=0.0,
+        dropped=("b",))
+    c = model.coefficients(0.5)
+    assert np.array_equal(c, np.array([6.0, 2.0, 0.0, 4.0]) * (0.5 / 100.0))
+    x = np.random.default_rng(15).uniform(0.0, 1.0, (20, 3))
+    assert np.allclose(c[0] + x @ c[1:], model.predict_rows(x, 0.5),
+                       rtol=1e-14, atol=0.0)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ArgumentError, match="interval"):
+            model.coefficients(bad)
+        with pytest.raises(ArgumentError, match="interval"):
+            model.predict_rows(x, bad)
+
+
 # -- persistence ----------------------------------------------------------------
 
 def test_model_document_round_trip():
@@ -430,42 +487,6 @@ def test_model_document_round_trip():
             back.predict_rows(x[:, :1], 2.0)
 
 
-def test_model_document_with_kinds_predicts_as_it_did():
-    # an earlier document names each column's kind, because the rows it
-    # was applied to held counter sums and the model divided them by the
-    # interval; the rows now hold that rate already, so its beta applies
-    # as it is and predicts the same floats
-    _, trace, _, _ = linear_scenario(duration=200.0)
-    specs = [ss.PredictorSpec(id=name, component=comp, kind=kind,
-                              weights={1: w}, update_rate_hz=100.0)
-             for name, comp, kind, w in (("cpu_busy", "cpu", "residency", 1.0),
-                                         ("disk_ops", "disk", "counter", 40.0))]
-    doc = {
-        "beta": [300.0, 800.0, 2.5], "columns": ["cpu_busy", "disk_ops"],
-        "kinds": ["residency", "counter"], "training_interval_s": 100.0,
-        "fit_method": "TLS", "training_error": 0.01, "l": None,
-        "kept": ["cpu_busy", "disk_ops"], "dropped": [],
-        "below_target": False, "active_columns": ["cpu_busy", "disk_ops"],
-    }
-    loaded = model_from_dict(json.loads(json.dumps(doc)))
-    assert loaded == model_from_dict({k: v for k, v in doc.items()
-                                      if k != "kinds"})
-    for rate in (1.0, 100.0):
-        interval = 1.0 / rate
-        dm = ss.collect(trace, specs, rate)
-        # the earlier rows: the residency's fraction, the counter's sum,
-        # which `collect` divides by the interval to give its rate column
-        ends = np.arange(dm.m + 1) * round(interval / trace.tick_s)
-        c_idx, w = trace.model.weight_vector(specs[1])
-        summed = trace.locate(c_idx, ends).sums(w) * trace.tick_s
-        # gathered and divided in place, as the earlier model did
-        earlier = np.column_stack([dm.x[:, 0], summed])[:, [0, 1]]
-        earlier /= np.array([1.0, interval])
-        want = ((doc["beta"][0] + earlier @ np.array(doc["beta"][1:]))
-                * (interval / 100.0))
-        assert np.array_equal(loaded.predict_rows(dm.x, interval), want)
-
-
 def test_model_document_malformed():
     with pytest.raises(ParseError):
         model_from_dict({"beta": [1.0]})
@@ -479,7 +500,7 @@ def test_model_document_in_the_old_basis_form_is_rejected():
     # loading it as the affine form would predict wrong energies
     doc = {
         "beta": [5.0, 1.0, 0.5], "columns": ["cpu", "disk"],
-        "kinds": ["residency", "residency"], "training_interval_s": 100.0,
+        "training_interval_s": 100.0,
         "fit_method": "TLS", "training_error": 0.01,
         "kept": ["cpu", "disk"], "dropped": [], "below_target": False,
         "active_columns": ["cpu", "disk"],
@@ -487,11 +508,11 @@ def test_model_document_in_the_old_basis_form_is_rejected():
                 "singular_values": [9.0, 3.0], "column_means": [0.4, 0.2],
                 "column_scales": [0.1, 0.05], "columns": ["cpu", "disk"]},
     }
-    with pytest.raises(ParseError, match="rebuild"):
+    with pytest.raises(ParseError, match="model: unknown key 'pca'"):
         model_from_dict(doc)
     no_pca = {k: v for k, v in doc.items() if k != "pca"}
     no_pca["column_means"] = [0.4, 0.2]
-    with pytest.raises(ParseError, match="rebuild"):
+    with pytest.raises(ParseError, match="model: unknown key 'column_means'"):
         model_from_dict(no_pca)
     current = {k: v for k, v in no_pca.items() if k != "column_means"}
     with pytest.raises(ParseError):     # no "l": not a current document

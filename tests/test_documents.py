@@ -1,11 +1,11 @@
 """Scenario files and model documents are read against the dataclasses'
 fields and type hints: wrong JSON types, non-finite numbers, unknown keys
 and inconsistent models fail typed and name the key path, absent optional
-keys take the dataclass defaults, and the file layout is unchanged."""
+keys take the dataclass defaults, and the keys of earlier versions'
+documents are unknown keys."""
 
 import copy
 import dataclasses
-import json
 
 import pytest
 
@@ -76,14 +76,24 @@ BAD_SCENARIOS = {
                             ConfigurationError, "unknown component 'gpu'"),
     "weight_state_range": (("predictors", 0, "weights", "9"), 1.0,
                            ConfigurationError, "cpu_busy: state 9 out of range"),
-    # removed features: an earlier export's 0 loads, any other value fails
+    # removed features: an earlier export's keys are unknown keys, also
+    # at the 0 that earlier exports wrote
     "removed_quantization": (("battery", "quantization"), 0.01, ParseError,
-                             "scenario.battery.quantization"),
+                             "scenario.battery: unknown key 'quantization'"),
+    "removed_quantization_0": (("battery", "quantization"), 0.0, ParseError,
+                               "scenario.battery: unknown key 'quantization'"),
     "removed_internal_rate": (("battery", "internal_rate_hz"), 10.0,
-                              ParseError, "scenario.battery.internal_rate_hz"),
+                              ParseError,
+                              "scenario.battery: unknown key 'internal_rate_hz'"),
+    "removed_internal_rate_0": (("battery", "internal_rate_hz"), 0.0,
+                                ParseError, "scenario.battery: unknown key "
+                                            "'internal_rate_hz'"),
     "removed_overhead": (("pipeline", "collection_overhead_w"), 0.25,
-                         ParseError,
-                         "scenario.pipeline.collection_overhead_w"),
+                         ParseError, "scenario.pipeline: unknown key "
+                                     "'collection_overhead_w'"),
+    "removed_overhead_0": (("pipeline", "collection_overhead_w"), 0.0,
+                           ParseError, "scenario.pipeline: unknown key "
+                                       "'collection_overhead_w'"),
     "removed_fixed": (ACT, {"type": "fixed", "state": 0}, ParseError,
                       "occupancy.act.type: expected one of"),
     "removed_duty": (ACT, {"type": "duty", "period_s": 1.0,
@@ -147,6 +157,13 @@ BAD_MODELS = {
     "interval_zero": ("training_interval_s", 0, SchemaError,
                       "training interval"),
     "unknown_key": ("basis", [], ParseError, "model: unknown key 'basis'"),
+    # keys of earlier model documents
+    "earlier_kinds": ("kinds", ["residency", "residency"], ParseError,
+                      "model: unknown key 'kinds'"),
+    "earlier_pca": ("pca", {"rows": [[1.0, 0.0], [0.0, 1.0]]}, ParseError,
+                    "model: unknown key 'pca'"),
+    "earlier_column_means": ("column_means", [0.4, 0.2], ParseError,
+                             "model: unknown key 'column_means'"),
     "l_missing": ("l", DELETE, ParseError, "missing keys ['l']"),
 }
 
@@ -189,49 +206,6 @@ def test_minimal_scenario_document_takes_every_default():
         for f in dataclasses.fields(obj):
             if f.default is not dataclasses.MISSING:
                 assert getattr(obj, f.name) == f.default, f.name
-
-
-# `sesame export noiseless_linear` as written before the document reader
-# was derived from the dataclasses: its key order and layout must load
-EARLIER_LAYOUT = json.loads("""{
- "name": "noiseless_linear", "experiment": "molding", "seed": 1,
- "duration_s": 2000.0, "tick_s": 0.001,
- "system": {"base_power_w": 3.0, "components": [
-  {"name": "cpu", "state_powers": [1.0, 9.0], "state_names": ["idle", "busy"]},
-  {"name": "disk", "state_powers": [0.5, 2.5],
-   "state_names": ["idle", "active"]}]},
- "workload": {"phases": [{"name": "steady", "duration_s": 2000.0, "occupancy": {
-  "cpu": {"type": "markov", "transition": [[0.97, 0.03], [0.02, 0.98]],
-          "step_s": 0.1, "initial_state": 0},
-  "disk": {"type": "markov", "transition": [[0.99, 0.01], [0.03, 0.97]],
-           "step_s": 0.1, "initial_state": 0}}}]},
- "predictors": [
-  {"id": "cpu:busy", "component": "cpu", "kind": "residency",
-   "weights": {"1": 1.0}, "update_rate_hz": 1000.0, "delay_s": 0.0,
-   "policy": "polled-fast", "name": ""},
-  {"id": "disk:active", "component": "disk", "kind": "residency",
-   "weights": {"1": 1.0}, "update_rate_hz": 1000.0, "delay_s": 0.0,
-   "policy": "polled-fast", "name": ""}],
- "battery": {"kind": "instant", "reading_rate_hz": 1.0,
-  "supply_voltage_v": 10.0, "noise_sigma": 0.0, "counter_sigma_c": 0.0,
-  "filter_window_s": 0.0, "filter_taps": 0, "quantization": 0.0,
-  "internal_rate_hz": 0.0, "initial_capacity_c": 20000.0},
- "pipeline": {"base_rate_hz": 100.0, "t_low_s": 100.0, "pca_l": 2,
-  "fit_method": "TLS", "regressogram_k": 10, "threshold": 0.1,
-  "window_s": 100.0, "train_windows": 12, "accuracy_target": 0.95,
-  "rate_grid": [0.01, 0.1, 1.0, 10.0, 100.0], "collection_overhead_w": 0.0},
- "config_triples": [["hardware", "machine", "sim"]]
-}""")
-
-
-def test_document_in_the_earlier_layout_loads_equal():
-    sc = scn.builtin("noiseless_linear")
-    assert scn.scenario_from_dict(EARLIER_LAYOUT) == sc
-    # the keys of removed features, which held 0, are no longer written
-    current = edited(EARLIER_LAYOUT, ("battery", "quantization"), DELETE)
-    current = edited(current, ("battery", "internal_rate_hz"), DELETE)
-    current = edited(current, ("pipeline", "collection_overhead_w"), DELETE)
-    assert scn.scenario_to_dict(sc) == current
 
 
 def test_model_equality_covers_every_field():

@@ -270,10 +270,13 @@ def scenario_bytes(edit, name="noiseless_linear") -> bytes:
     (scenario_bytes(lambda d: d["workload"]["phases"][0].update(
         duration_s=1999.9995)),
      "phase steady duration: 1999.9995 is not an integral multiple"),
+    # a file an earlier version exported
+    (scenario_bytes(lambda d: d["battery"].update(quantization=0.0)),
+     "scenario.battery: unknown key 'quantization'"),
 ], ids=["utf16_bom", "latin1", "deep_nesting", "directory", "huge_integer",
         "occupancy_list", "duration_nan", "pipeline_list", "rate_grid_empty",
         "predictors_empty", "seed_negative", "occupancy_unknown_component",
-        "phase_off_grid"])
+        "phase_off_grid", "earlier_export"])
 def test_cli_unreadable_scenario_file_exit_1(tmp_path, content, message):
     path = tmp_path / "bad.json"
     if content is None:
@@ -426,6 +429,18 @@ def test_cli_export(tmp_path):
     path = tmp_path / "t61.json"
     assert cli_main(["export", "t61like", str(path)]) == 0
     assert scn.load_scenario(str(path)).name == "t61like"
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["export", "t61like", str(tmp / "missing" / "x.json")],
+    lambda tmp: ["run", "noiseless_linear", "--rate-grid", "1",
+                 "--out", str(tmp / "file" / "sub")],
+], ids=["export_missing_dir", "run_out_under_a_file"])
+def test_cli_unwritable_output_exit_1(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    assert cli_main(argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 # -- calibrated-scenario behaviors beyond the acceptance gate -------------------

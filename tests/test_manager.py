@@ -69,7 +69,7 @@ def test_monitor_relative_error_arithmetic():
     trace = ss.gen_trace(sys_model, wl, 500.0, 0.01)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=5.0)
-    readings = ss.sample_interface(trace, battery)
+    readings = ss.sample_interface(trace, battery, seed=0)
     biased = ss.EnergyModel(
         beta=np.array([110.0, 0.0]), columns=("dummy",),
         training_interval_s=100.0, fit_method="OLS", training_error=0.0,
@@ -114,7 +114,7 @@ def test_monitor_against_interface_stream():
     specs = residency_predictors(model_sys, update_rate_hz=100.0)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=10.0)
-    readings = ss.sample_interface(trace, battery)
+    readings = ss.sample_interface(trace, battery, seed=0)
     low = ss.stretch(ss.collect(trace, specs, 1.0), readings, 100.0)
     fitted = ss.build_model(low)
 
@@ -226,21 +226,22 @@ def test_persist_refuses_a_non_finite_coefficient(tmp_path, b0):
     assert not path.exists()
 
 
-def test_load_accepts_infinity_cooldown_of_older_files(tmp_path):
-    # older files carry the monitor history and a cool-down, spelled
-    # -Infinity or null; they load, and those keys are ignored
+@pytest.mark.parametrize("key, value", [
+    ("history", [[100.0, 0.05]]), ("skipped_windows", 2),
+    ("cooldown_until_s", None), ("cooldown_until_s", float("-inf")),
+], ids=["history", "skipped_windows", "cooldown_null", "cooldown_minus_infinity"])
+def test_load_refuses_the_keys_of_older_files(tmp_path, key, value):
+    # older files carried the monitor history and a cool-down, spelled
+    # -Infinity or null; no current table has them
     table = ss.ModelTable()
     install_model(table, key_of(dvs="off"), make_model())
     path = tmp_path / "table.json"
     ss.persist(table, str(path))
     doc = json.loads(path.read_text())
-    doc.update(history=[[100.0, 0.05]], skipped_windows=2)
-    for cooldown in (float("-inf"), None, 1234.0):
-        doc["cooldown_until_s"] = cooldown
-        path.write_text(json.dumps(doc))
-        back = ss.load(str(path))
-        assert table_equals(back, table)
-        assert not hasattr(back, "cooldown_until_s")
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=f"^table: unknown key '{key}'$"):
+        ss.load(str(path))
 
 
 def test_load_rejects_an_active_key_without_a_model(tmp_path):

@@ -238,9 +238,7 @@ def test_molding_report_equals_scoring_each_estimate_alone(t61):
         coefs, alone = [], []
         for name in exp.MOLDED_VARIANTS:
             model = models[name]
-            ratio = (1.0 / rate) / model.training_interval_s
-            coefs.append(np.concatenate(
-                ([model.beta[0]], model.full_width_weights())) * ratio)
+            coefs.append(model.coefficients(1.0 / rate))
             alone.append(masked_rms_relative_error(
                 model.predict_rows(dm.x, 1.0 / rate), truth))
         coef = exp._fit_oracle(dm.x, truth)
