@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -25,10 +26,7 @@ from .errors import (
     ArgumentError,
     DegenerateFitError,
     InsufficientDataError,
-    ParseError,
     SchemaError,
-    from_document,
-    to_document,
 )
 from .tracesim import _ratio_as_int
 
@@ -182,7 +180,8 @@ class EnergyModel:
     collector, whose columns are scale-free rates already, and w is b
     spread to the full input width, with 0 for each dropped column; the
     interval ratio is the only time dependence. A model persists beta in
-    its kept-length form.
+    its kept-length form, through `errors.to_document`, and is read back
+    by `errors.from_document`, which requires every field.
     A PCA fit solves on the top-l components of the standardized rates and
     folds its solution into this same form, so the model stores no basis:
     `l` is the number of components the fit kept (None for a fit without
@@ -194,19 +193,27 @@ class EnergyModel:
     training_interval_s: float
     fit_method: str                   # "TLS" or "OLS"
     training_error: float
-    l: int | None = None
-    kept: tuple[str, ...] = ()
-    dropped: tuple[str, ...] = ()
-    below_target: bool = False
-    active_columns: tuple[str, ...] = ()
+    l: int | None
+    kept: tuple[str, ...]             # the columns not dropped, in order
+    dropped: tuple[str, ...]
+    below_target: bool
+    active_columns: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.kept:
-            self.kept = tuple(c for c in self.columns if c not in self.dropped)
+        twice = {c for c in self.columns if self.columns.count(c) > 1}
+        if twice:
+            raise SchemaError(f"model repeats columns {sorted(twice)}")
         absent = set(self.kept + self.dropped + self.active_columns)
         absent -= set(self.columns)
         if absent:
             raise SchemaError(f"model names columns it lacks: {sorted(absent)}")
+        want = tuple(c for c in self.columns if c not in self.dropped)
+        if self.kept != want:
+            k, w = next(p for p in zip_longest(self.kept, want) if p[0] != p[1])
+            raise SchemaError(
+                f"kept columns {list(self.kept)} are not the columns not "
+                f"dropped, in column order, {list(want)}: first at "
+                f"{k if k is not None else w!r}")
         if not 0.0 < self.training_interval_s < math.inf:
             raise SchemaError(f"training interval {self.training_interval_s} "
                               "s must be finite and > 0")
@@ -331,8 +338,8 @@ class TrainingSet:
         """Standardize, rotate, solve, fold: the model on the kept rates.
 
         The rotation is the top-l principal axes (all of them when l is
-        None), or the identity when `use_pca` is False. An unknown method
-        or a non-integer l raises ArgumentError.
+        None), or the identity when `use_pca` is False. An unknown method,
+        a non-integer l, and an l without PCA raise ArgumentError.
         """
         if method not in FIT_METHODS:
             raise ArgumentError(f"fit method {method!r} is not one of "
@@ -340,6 +347,8 @@ class TrainingSet:
         if l is not None and (isinstance(l, bool)
                               or not isinstance(l, (int, np.integer))):
             raise ArgumentError(f"l must be an integer, got {l!r:.40}")
+        if l is not None and not use_pca:
+            raise ArgumentError(f"l = {l} needs a PCA fit; use_pca is False")
         n = len(self.kept)
         if n == 0:
             beta, tag, l, active = np.array([self.y_mean]), "OLS", None, ()
@@ -363,7 +372,7 @@ class TrainingSet:
             beta=beta, columns=dm.columns,
             training_interval_s=dm.interval_s, fit_method=tag,
             training_error=0.0, l=l, kept=self.kept, dropped=self.dropped,
-            active_columns=active,
+            below_target=False, active_columns=active,
         )
         model.training_error = rms_relative_error(
             model.predict_rows(dm.x, dm.interval_s), self.y)
@@ -515,20 +524,3 @@ def predict_regressogram_rows(model: RegressogramModel, x: np.ndarray) -> np.nda
     out[hit] = model.means[slot[hit]]
     return out
 
-
-# ---------------------------------------------------------------------------
-# Model persistence
-# ---------------------------------------------------------------------------
-
-def model_to_dict(model: EnergyModel) -> dict:
-    return to_document(model)
-
-
-def model_from_dict(doc) -> EnergyModel:
-    """The model a document written by `model_to_dict` describes; unlike a
-    scenario file, a model document carries every field."""
-    model = from_document(EnergyModel, doc, "model")
-    missing = [f.name for f in fields(EnergyModel) if f.name not in doc]
-    if missing:
-        raise ParseError(f"model: missing keys {missing}")
-    return model

@@ -10,7 +10,6 @@ design, after a first pass that fits the oracle from the same chunks.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -38,6 +37,7 @@ from .scenarios import (
     MOLDING,
     REGRESSOGRAM,
     ScenarioConfig,
+    save_scenario,
 )
 from .tracesim import Trace, _ratio_as_int, gen_trace, true_energy
 
@@ -362,13 +362,7 @@ def run_adaptation(sc: ScenarioConfig,
         rows.append((t_end, err, int(rebuilt)))
     times, errors, flags = (list(col) for col in zip(*rows))
     result = AdaptationResult(times, errors, flags, table)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        result.write_csv(os.path.join(out_dir, "adaptation.csv"))
-        with open(os.path.join(out_dir, "decisions.log"), "w") as fh:
-            for line in table.decision_log:
-                fh.write(line + "\n")
-        _write_metadata(sc, out_dir)
+    _write_outputs(sc, result, out_dir)
     return result
 
 
@@ -408,27 +402,18 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | None = None):
     return runner(sc, out_dir)
 
 
-def _write_metadata(sc: ScenarioConfig, out_dir: str) -> None:
-    meta = {
-        "scenario": sc.name,
-        "experiment": sc.experiment,
-        "seed": sc.seed,
-        "duration_s": sc.duration_s,
-        "rate_grid": list(sc.rate_grid),
-        "t_low_s": sc.t_low_s,
-        "pca_l": sc.pca_l,
-        "fit_method": sc.fit_method,
-        "threshold": sc.threshold,
-        "window_s": sc.window_s,
-    }
-    with open(os.path.join(out_dir, "run.json"), "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-
-
-def _write_outputs(sc: ScenarioConfig, report: ErrorReport,
+def _write_outputs(sc: ScenarioConfig, result: ErrorReport | AdaptationResult,
                    out_dir: str | None) -> None:
+    """Write a run's files into `out_dir`, unless it is None: the report,
+    or the adaptation trace and the decision log, and `run.json`, the
+    scenario document that `sesame run` replays."""
     if out_dir is None:
         return
     os.makedirs(out_dir, exist_ok=True)
-    report.write_csv(os.path.join(out_dir, "report.csv"))
-    _write_metadata(sc, out_dir)
+    if isinstance(result, AdaptationResult):
+        result.write_csv(os.path.join(out_dir, "adaptation.csv"))
+        with open(os.path.join(out_dir, "decisions.log"), "w") as fh:
+            fh.writelines(line + "\n" for line in result.table.decision_log)
+    else:
+        result.write_csv(os.path.join(out_dir, "report.csv"))
+    save_scenario(sc, os.path.join(out_dir, "run.json"))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constructor import EnergyModel, model_from_dict, model_to_dict
+from .constructor import EnergyModel
 from .errors import ArgumentError, ParseError
 from .errors import from_document, read_json, to_document
 
@@ -86,11 +86,12 @@ def monitor(table: ModelTable, t_s: float, x: np.ndarray,
     `x` is the window's predictor row, shape (n,), and `observed_j` the
     energy the battery interface reports over the window. A window with
     non-positive interface energy is logged as skipped and gives None. A
-    non-finite energy or row raises ArgumentError.
+    table with no active model, and a non-finite energy or row, raise
+    ArgumentError.
     """
     model = table.active_model
     if model is None:
-        raise ParseError("no active model to monitor")
+        raise ArgumentError("no active model to monitor")
     if not (math.isfinite(observed_j) and np.isfinite(x).all()):
         raise ArgumentError(f"window ending at {t_s} s: observed energy and "
                             "predictor row must be finite")
@@ -132,7 +133,7 @@ def maybe_rebuild(table: ModelTable, t_s: float, latest_error: float,
 @dataclass
 class _Entry:
     key: tuple[tuple[str, str, str], ...]
-    model: dict                     # read by model_from_dict
+    model: EnergyModel
 
 
 @dataclass
@@ -167,8 +168,7 @@ def persist(table: ModelTable, path: str) -> None:
     doc = _TableDocument(
         table.active_key.triples if table.active_key else None,
         table.threshold, table.window_s, tuple(table.decision_log),
-        tuple(_Entry(key.triples, model_to_dict(m))
-              for key, m in table.models.items()))
+        tuple(_Entry(key.triples, m) for key, m in table.models.items()))
     # encode first, so a value strict JSON cannot hold leaves no partial file
     try:
         text = json.dumps(to_document(doc), indent=1, allow_nan=False)
@@ -198,7 +198,7 @@ def load(path: str) -> ModelTable:
         if key in table.models:
             raise ParseError(f"{path}: table.models[{i}]: key {entry.key} "
                              "repeats an earlier entry")
-        table.models[key] = model_from_dict(entry.model)
+        table.models[key] = entry.model
     if doc.active_key is not None:
         table.active_key = ConfigurationKey(doc.active_key)
         if table.active_key not in table.models:

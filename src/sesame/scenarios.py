@@ -161,8 +161,9 @@ def scenario_from_dict(doc) -> ScenarioConfig:
 
 
 def save_scenario(sc: ScenarioConfig, path: str) -> None:
+    text = json.dumps(scenario_to_dict(sc), indent=1)
     with open(path, "w") as fh:
-        json.dump(scenario_to_dict(sc), fh, indent=1)
+        fh.write(text)
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -11,17 +11,15 @@ from reference import (
     residency_predictors,
 )
 from sesame.collector import DesignMatrix
-from sesame.constructor import (
-    model_from_dict,
-    model_to_dict,
-    predict_regressogram_rows,
-)
+from sesame.constructor import predict_regressogram_rows
 from sesame.errors import (
     ArgumentError,
     DegenerateFitError,
     InsufficientDataError,
     ParseError,
     SchemaError,
+    from_document,
+    to_document,
 )
 
 
@@ -76,6 +74,8 @@ BAD_FIT_CALLS = {
                                                         method="T L S"),
     "l_fraction": lambda dm: ss.build_model(dm, l=1.5),
     "l_bool": lambda dm: ss.build_model(dm, l=True),
+    # l counts principal components, so a fit without PCA used to drop it
+    "l_without_pca": lambda dm: ss.build_model(dm, use_pca=False, l=1),
     "tls_short_response": lambda dm: ss.fit_tls(dm.x, dm.y[:-1]),
     "ols_short_response": lambda dm: ss.fit_ols(dm.x, dm.y[:-1]),
     "tls_nan_response": lambda dm: ss.fit_tls(dm.x, nan_at(dm.y)),
@@ -453,7 +453,8 @@ def test_coefficients_are_the_affine_map_at_an_interval():
     model = ss.EnergyModel(
         beta=np.array([6.0, 2.0, 4.0]), columns=("a", "b", "c"),
         training_interval_s=100.0, fit_method="OLS", training_error=0.0,
-        dropped=("b",))
+        l=None, kept=("a", "c"), dropped=("b",), below_target=False,
+        active_columns=("a", "c"))
     c = model.coefficients(0.5)
     assert np.array_equal(c, np.array([6.0, 2.0, 0.0, 4.0]) * (0.5 / 100.0))
     x = np.random.default_rng(15).uniform(0.0, 1.0, (20, 3))
@@ -468,6 +469,10 @@ def test_coefficients_are_the_affine_map_at_an_interval():
 
 # -- persistence ----------------------------------------------------------------
 
+def read_model(doc) -> ss.EnergyModel:
+    return from_document(ss.EnergyModel, doc, "model")
+
+
 def test_model_document_round_trip():
     model, trace, specs, readings = linear_scenario()
     dm = ss.collect(trace, specs, 1.0)
@@ -476,9 +481,9 @@ def test_model_document_round_trip():
     for use_pca, l in ((False, None), (True, None), (True, 1)):
         fitted = ss.build_model(low, use_pca=use_pca, l=l)
         assert fitted.l == (n if use_pca and l is None else l)
-        text = json.dumps(model_to_dict(fitted))
+        text = json.dumps(to_document(fitted))
         assert len(text) < 4096
-        back = model_from_dict(json.loads(text))
+        back = read_model(json.loads(text))
         assert back == fitted
         x = low.x[:3]
         assert np.array_equal(back.predict_rows(x, 2.0),
@@ -489,9 +494,9 @@ def test_model_document_round_trip():
 
 def test_model_document_malformed():
     with pytest.raises(ParseError):
-        model_from_dict({"beta": [1.0]})
+        read_model({"beta": [1.0]})
     with pytest.raises(ParseError):
-        model_from_dict([1.0])
+        read_model([1.0])
 
 
 def test_model_document_in_the_old_basis_form_is_rejected():
@@ -501,7 +506,7 @@ def test_model_document_in_the_old_basis_form_is_rejected():
     doc = {
         "beta": [5.0, 1.0, 0.5], "columns": ["cpu", "disk"],
         "training_interval_s": 100.0,
-        "fit_method": "TLS", "training_error": 0.01,
+        "fit_method": "TLS", "training_error": 0.01, "l": 2,
         "kept": ["cpu", "disk"], "dropped": [], "below_target": False,
         "active_columns": ["cpu", "disk"],
         "pca": {"rows": [[0.7071, 0.7071], [0.7071, -0.7071]],
@@ -509,16 +514,17 @@ def test_model_document_in_the_old_basis_form_is_rejected():
                 "column_scales": [0.1, 0.05], "columns": ["cpu", "disk"]},
     }
     with pytest.raises(ParseError, match="model: unknown key 'pca'"):
-        model_from_dict(doc)
+        read_model(doc)
     no_pca = {k: v for k, v in doc.items() if k != "pca"}
     no_pca["column_means"] = [0.4, 0.2]
     with pytest.raises(ParseError, match="model: unknown key 'column_means'"):
-        model_from_dict(no_pca)
+        read_model(no_pca)
     current = {k: v for k, v in no_pca.items() if k != "column_means"}
-    with pytest.raises(ParseError):     # no "l": not a current document
-        model_from_dict(current)
-    assert model_from_dict(dict(current, l=2)).l == 2
+    assert read_model(current).l == 2
+    # no "l": not a current document
+    with pytest.raises(ParseError, match="model: missing key 'l'"):
+        read_model({k: v for k, v in current.items() if k != "l"})
     with pytest.raises(ParseError):
-        model_from_dict(dict(current, l=1.5))
+        read_model(dict(current, l=1.5))
     with pytest.raises(SchemaError):
-        model_from_dict(dict(current, l=3))
+        read_model(dict(current, l=3))

@@ -10,9 +10,9 @@ import dataclasses
 import pytest
 
 import sesame.scenarios as scn
-from sesame.constructor import model_from_dict
+from sesame.constructor import EnergyModel
 from sesame.errors import AlignmentError, ConfigurationError, ParseError
-from sesame.errors import SchemaError
+from sesame.errors import SchemaError, from_document
 
 DELETE = object()
 
@@ -164,22 +164,34 @@ BAD_MODELS = {
                     "model: unknown key 'pca'"),
     "earlier_column_means": ("column_means", [0.4, 0.2], ParseError,
                              "model: unknown key 'column_means'"),
-    "l_missing": ("l", DELETE, ParseError, "missing keys ['l']"),
+    "l_missing": ("l", DELETE, ParseError, "model: missing key 'l'"),
+    # kept and dropped partition the columns, kept in column order
+    "columns_repeated": ("columns", ["cpu", "cpu"], SchemaError,
+                         "model repeats columns ['cpu']"),
+    "kept_repeated": ("kept", ["cpu", "cpu"], SchemaError, "first at 'cpu'"),
+    "kept_out_of_order": ("kept", ["disk", "cpu"], SchemaError,
+                          "first at 'disk'"),
+    "kept_also_dropped": ("dropped", ["disk"], SchemaError, "first at 'disk'"),
+    "kept_short": ("kept", ["cpu"], SchemaError, "first at 'disk'"),
 }
+
+
+def read_model(doc) -> EnergyModel:
+    return from_document(EnergyModel, doc, "model")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_MODELS))
 def test_malformed_model_document_fails_typed(case):
     key, value, error, message = BAD_MODELS[case]
     with pytest.raises(error) as info:
-        model_from_dict(edited(MODEL, (key,), value))
+        read_model(edited(MODEL, (key,), value))
     assert message in str(info.value)
 
 
 def test_model_document_reads_json_types_exactly():
-    model = model_from_dict(MODEL)
+    model = read_model(MODEL)
     assert model.columns == ("cpu", "disk") and model.l is None
-    assert model_from_dict(dict(MODEL, training_interval_s=100)) == model
+    assert read_model(dict(MODEL, training_interval_s=100)) == model
 
 
 def test_minimal_scenario_document_takes_every_default():
@@ -209,10 +221,10 @@ def test_minimal_scenario_document_takes_every_default():
 
 
 def test_model_equality_covers_every_field():
-    model = model_from_dict(MODEL)
-    assert model == model_from_dict(copy.deepcopy(MODEL))
+    model = read_model(MODEL)
+    assert model == read_model(copy.deepcopy(MODEL))
     for key, value in (("beta", [5.0, 1.0, 0.25]), ("training_error", 0.02),
                        ("l", 1), ("below_target", True),
                        ("active_columns", ["cpu"])):
-        assert model != model_from_dict(dict(MODEL, **{key: value})), key
+        assert model != read_model(dict(MODEL, **{key: value})), key
     assert model != dataclasses.replace(model, fit_method="OLS")

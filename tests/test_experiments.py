@@ -225,7 +225,35 @@ def test_cli_run_with_overrides(tmp_path, capsys):
     rc = cli_main(["run", "quadratic_cpu", "--out", str(tmp_path / "q"),
                    "--rate-grid", "1", "--l", "2"])
     assert rc == 0
-    assert json.loads((tmp_path / "q" / "run.json").read_text())["pca_l"] == 2
+    meta = json.loads((tmp_path / "q" / "run.json").read_text())
+    assert meta["pipeline"]["pca_l"] == 2
+
+
+# one built-in of each experiment kind, with the overrides its kind reads
+REPLAYS = {
+    "n85like": ["--seed", "3"],
+    "dvs_flip": ["--threshold", "0.12"],
+    "quadratic_cpu": ["--l", "1", "--rate-grid", "1,100"],
+    "n900like": ["--tlow", "50"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAYS))
+def test_run_json_replays_the_run(name, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli_main(["run", name, "--out", str(a), *REPLAYS[name]]) == 0
+    assert cli_main(["run", str(a / "run.json"), "--out", str(b)]) == 0
+    files = sorted(p.name for p in a.iterdir())
+    assert sorted(p.name for p in b.iterdir()) == files
+    for f in files:
+        assert (b / f).read_bytes() == (a / f).read_bytes(), f
+
+
+def test_run_json_of_a_builtin_is_its_export(tmp_path):
+    assert cli_main(["run", "t61like", "--out", str(tmp_path / "o")]) == 0
+    assert cli_main(["export", "t61like", str(tmp_path / "t61like.json")]) == 0
+    assert ((tmp_path / "o" / "run.json").read_bytes()
+            == (tmp_path / "t61like.json").read_bytes())
 
 
 def test_cli_run_scenario_file(tmp_path):

@@ -73,7 +73,8 @@ def test_monitor_relative_error_arithmetic():
     biased = ss.EnergyModel(
         beta=np.array([110.0, 0.0]), columns=("dummy",),
         training_interval_s=100.0, fit_method="OLS", training_error=0.0,
-        kept=("dummy",))
+        l=None, kept=("dummy",), dropped=(), below_target=False,
+        active_columns=("dummy",))
     table = ss.ModelTable(window_s=100.0)
     key = key_of(dvs="off")
     install_model(table, key, biased)
@@ -94,7 +95,8 @@ def test_monitor_scores_a_window_under_one_joule():
     model = ss.EnergyModel(
         beta=np.array([0.55, 0.0]), columns=("dummy",),
         training_interval_s=100.0, fit_method="OLS", training_error=0.0,
-        kept=("dummy",))
+        l=None, kept=("dummy",), dropped=(), below_target=False,
+        active_columns=("dummy",))
     table = ss.ModelTable(window_s=100.0)
     key = key_of(dvs="off")
     install_model(table, key, model)
@@ -102,6 +104,16 @@ def test_monitor_scores_a_window_under_one_joule():
     err = ss.monitor(table, 100.0, np.array([0.5]), 0.5)
     assert np.isclose(err, 0.10)
     assert table.decision_log[-1].endswith(",monitor")
+
+
+def test_monitor_without_an_active_model_is_an_argument_error():
+    # no file is read, so this is a bad call, not a parse failure
+    table = ss.ModelTable()
+    with pytest.raises(ArgumentError, match="no active model"):
+        ss.monitor(table, 100.0, np.array([0.5]), 1.0)
+    ss.lookup_or_create(table, key_of(dvs="off"))      # a cold-start key
+    with pytest.raises(ArgumentError, match="no active model"):
+        ss.monitor(table, 100.0, np.array([0.5]), 1.0)
 
 
 def test_monitor_against_interface_stream():
@@ -318,6 +330,8 @@ BAD_TABLE_DOCUMENTS = {
                         "table.models[0]: unknown key 'note'"),
     "model_string": (lambda doc: doc["models"][0].update(model="m"),
                      "table.models[0].model: expected an object"),
+    "model_missing_key": (lambda doc: doc["models"][0]["model"].pop("l"),
+                          "table.models[0].model: missing key 'l'"),
     "unknown_key": (set_key("cooldown_s", 0.0), "table: unknown key 'cooldown_s'"),
     "missing_key": (lambda doc: doc.pop("decision_log"),
                     "table: missing key 'decision_log'"),

@@ -32,8 +32,8 @@ from reference import (
 )
 from sesame.battery import BatteryInterfaceModel
 from sesame.collector import DesignMatrix, aggregate_response
-from sesame.constructor import model_from_dict, model_to_dict
 from sesame.errors import AlignmentError, RateError, SesameError
+from sesame.errors import from_document, to_document
 from sesame.manager import table_equals
 from sesame.tracesim import COUNTER
 
@@ -41,7 +41,10 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 hnp = pytest.importorskip("hypothesis.extra.numpy")
 
-PROPERTY = hypothesis.settings(max_examples=40, deadline=None, database=None)
+# No example database is kept, so every property prints the blob that
+# replays a failing input (`@hypothesis.reproduce_failure`).
+PROPERTY = hypothesis.settings(max_examples=40, deadline=None, database=None,
+                              print_blob=True)
 KINDS = ("residency", COUNTER, "level")
 T_TRAIN = 100.0
 
@@ -209,7 +212,8 @@ BATTERY_KINDS = {
 }
 
 
-@hypothesis.settings(max_examples=20, deadline=None, database=None)
+@hypothesis.settings(max_examples=20, deadline=None, database=None,
+                     print_blob=True)
 @hypothesis.given(name=st.sampled_from([n for n in sorted(scn.BUILTIN_SCENARIOS)
                                         if scn.builtin(n).predictors]),
                   kind=st.sampled_from(sorted(BATTERY_KINDS)),
@@ -282,7 +286,8 @@ def test_persisted_table_loads_back_equal(table, seed, interval_s):
 
 
 @pytest.mark.parametrize("name", sorted(scn.BUILTIN_SCENARIOS))
-@hypothesis.settings(max_examples=10, deadline=None, database=None)
+@hypothesis.settings(max_examples=10, deadline=None, database=None,
+                     print_blob=True)
 @hypothesis.given(seed=st.integers(0, 2**31 - 1))
 def test_scenario_document_round_trips(name, seed):
     sc = scn.builtin(name).with_seed(seed)
@@ -323,7 +328,8 @@ def with_node(doc, path, value):
     return doc
 
 
-@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.settings(max_examples=200, deadline=None, database=None,
+                     print_blob=True)
 @hypothesis.given(name=st.sampled_from(sorted(scn.BUILTIN_SCENARIOS)),
                   pick=st.integers(0), value=JSON_VALUES)
 def test_scenario_document_with_one_node_replaced_fails_typed(name, pick,
@@ -336,7 +342,8 @@ def test_scenario_document_with_one_node_replaced_fails_typed(name, pick,
         pass
 
 
-@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.settings(max_examples=200, deadline=None, database=None,
+                     print_blob=True)
 @hypothesis.given(seed=st.integers(0, 2**32 - 1),
                   kinds=st.lists(st.sampled_from(KINDS), min_size=1,
                                  max_size=3),
@@ -347,17 +354,20 @@ def test_model_document_with_one_node_replaced_fails_typed(seed, kinds,
                                                            value):
     model = ss.build_model(training_matrix(seed, len(kinds), tuple(kinds)),
                            use_pca=use_pca)
-    doc = json.loads(json.dumps(model_to_dict(model)))
+    doc = json.loads(json.dumps(to_document(model)))
     paths = list(node_paths(doc))
     try:
-        back = model_from_dict(with_node(doc, paths[pick % len(paths)], value))
+        back = from_document(ss.EnergyModel,
+                             with_node(doc, paths[pick % len(paths)], value),
+                             "model")
     except SesameError:
         return
     # a model that loads has a consistent shape, so it predicts
     assert back.predict_rows(np.ones((2, len(back.columns))), 1.0).shape == (2,)
 
 
-@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.settings(max_examples=200, deadline=None, database=None,
+                     print_blob=True)
 @hypothesis.given(table=model_tables(), pick=st.integers(0), value=JSON_VALUES)
 def test_table_document_with_one_node_replaced_fails_typed(table, pick, value):
     with tempfile.TemporaryDirectory() as tmp:
@@ -430,7 +440,8 @@ def returned_values(result) -> list[float]:
             + ([] if model is None else model.beta.tolist()))
 
 
-@hypothesis.settings(max_examples=30, deadline=None, database=None)
+@hypothesis.settings(max_examples=30, deadline=None, database=None,
+                     print_blob=True)
 @hypothesis.given(variant=timing_variants())
 def test_timing_fields_run_finite_or_fail_typed(variant):
     sc, changes = variant
@@ -439,3 +450,10 @@ def test_timing_fields_run_finite_or_fail_typed(variant):
     except SesameError:
         return
     assert np.all(np.isfinite(returned_values(result)))
+
+
+def test_every_property_prints_its_failing_input():
+    properties = [f for f in globals().values() if hasattr(f, "hypothesis")]
+    assert properties
+    for f in properties:
+        assert f._hypothesis_internal_use_settings.print_blob, f.__name__
