@@ -214,6 +214,14 @@ class EnergyModel:
                 f"kept columns {list(self.kept)} are not the columns not "
                 f"dropped, in column order, {list(want)}: first at "
                 f"{k if k is not None else w!r}")
+        rest = iter(self.kept)
+        # `in` consumes `rest` up to the match, so a repeat or a step back
+        # fails as a column outside the kept ones does
+        for c in self.active_columns:
+            if c not in rest:
+                raise SchemaError(
+                    f"active columns {list(self.active_columns)} are not "
+                    f"distinct kept columns in column order: first at {c!r}")
         if not 0.0 < self.training_interval_s < math.inf:
             raise SchemaError(f"training interval {self.training_interval_s} "
                               "s must be finite and > 0")
@@ -414,9 +422,14 @@ def iterate_construction(dm: DesignMatrix, accuracy_target: float,
 
 @dataclass
 class RegressogramModel:
-    """Histogram regression: per-cell mean response over binned predictors."""
+    """Histogram regression: per-cell mean response over binned predictors.
 
-    edges: tuple[np.ndarray, ...]     # per predictor, k+1 edges
+    Each predictor's observed range splits into k equal-width bins, so a
+    column needs only its (lo, hi); the model holds O(columns + cells)
+    numbers whatever k is.
+    """
+
+    edges: np.ndarray                 # (columns, 2): each predictor's lo, hi
     cells: np.ndarray                 # populated cells' bins, lexicographic
     means: np.ndarray                 # each cell's mean response
     fallback: float                   # global mean response
@@ -437,14 +450,13 @@ def _reject_non_finite(x: np.ndarray, columns: tuple[str, ...],
         raise ArgumentError("regressogram response has non-finite values")
 
 
-def _bin_rows(x: np.ndarray, edges: tuple[np.ndarray, ...],
+def _bin_rows(x: np.ndarray, edges: np.ndarray,
               k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-column bins of every row, int((v - lo) / (hi - lo) * k) up to
     k - 1, and the mask of rows inside the range in every column."""
     bins = np.zeros(x.shape, dtype=np.int64)
     inside = np.ones(x.shape[0], dtype=bool)
-    for j, e in enumerate(edges):
-        lo, hi = e[0], e[-1]
+    for j, (lo, hi) in enumerate(edges):
         v = x[:, j]
         ok = (v >= lo) & (v <= hi)
         inside &= ok
@@ -455,27 +467,39 @@ def _bin_rows(x: np.ndarray, edges: tuple[np.ndarray, ...],
     return bins, inside
 
 
-def _cell_keys(bins: np.ndarray, k: int) -> np.ndarray:
-    """One int64 per row, ordered as the rows' cells are lexicographically.
+def _cell_keys(bins: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """One int64 per row, ordered as the rows' cells are lexicographically,
+    and the size of the key space, at most min(k**columns, rows): every
+    key is below it.
 
-    This is the row-major cell index while k**columns fits; before a
-    column would overflow it, the partial key is renumbered densely.
+    The key is the row-major cell index while that stays within the row
+    count. A column that would take it past the row count is joined by
+    renumbering the distinct (key, bin) pairs densely, the one sort, so no
+    array is ever sized by k and no key can overflow.
     """
-    key = np.zeros(bins.shape[0], dtype=np.int64)
+    rows = bins.shape[0]
+    key = np.zeros(rows, dtype=np.int64)
     span = 1
     for col in bins.T:
-        if span * k > 2**62:
-            uniq, key = np.unique(key, return_inverse=True)
+        if span * k > rows:
+            uniq, key = np.unique(np.column_stack([key, col]), axis=0,
+                                  return_inverse=True)
             span = len(uniq)
-        key = key * k + col
-        span *= k
-    return key
+        else:
+            key = key * k + col
+            span *= k
+    return key, span
 
 
 def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
                      columns: tuple[str, ...] = ()) -> RegressogramModel:
     """Equal-width bins over each predictor's observed range; each
-    populated cell stores the mean of its rows' responses."""
+    populated cell stores the mean of its rows' responses.
+
+    Counts and sums are bincounts over the cell keys, in row order, so
+    the fit is linear in the rows, with no sort when k**columns is at most
+    the row count, and its memory is O(rows + cells) for any k.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     if x.shape[0] == 0:
@@ -487,17 +511,22 @@ def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
                             f"shape {y.shape}")
     columns = columns or tuple(f"x{i}" for i in range(x.shape[1]))
     _reject_non_finite(x, columns, y)
-    edges = tuple(np.linspace(x[:, j].min(), x[:, j].max(), k + 1)
-                  for j in range(x.shape[1]))
+    edges = np.column_stack([x.min(axis=0), x.max(axis=0)])
     bins, _ = _bin_rows(x, edges, k)
-    _, first, cell_of_row = np.unique(_cell_keys(bins, k), return_index=True,
-                                      return_inverse=True)
+    key, span = _cell_keys(bins, k)
+    counts = np.bincount(key, minlength=span)
+    populated = np.flatnonzero(counts)
     # bincount adds in row order, so each cell sum is the running sum
-    means = np.bincount(cell_of_row, weights=y) / np.bincount(cell_of_row)
+    means = (np.bincount(key, weights=y, minlength=span)[populated]
+             / counts[populated])
+    # every row of a cell has the cell's bins, so any one row gives them
+    row_of = np.empty(span, dtype=np.int64)
+    row_of[key] = np.arange(len(key))
     # a sequential sum like the cells', not numpy's pairwise np.sum
     fallback = float(np.cumsum(y)[-1]) / len(y)
-    return RegressogramModel(edges=edges, cells=bins[first], means=means,
-                             fallback=fallback, k=k, columns=columns)
+    return RegressogramModel(edges=edges, cells=bins[row_of[populated]],
+                             means=means, fallback=fallback, k=k,
+                             columns=columns)
 
 
 def predict_regressogram(model: RegressogramModel, x: np.ndarray) -> float:
@@ -507,20 +536,21 @@ def predict_regressogram(model: RegressogramModel, x: np.ndarray) -> float:
 
 def predict_regressogram_rows(model: RegressogramModel, x: np.ndarray) -> np.ndarray:
     """Mean of each row's cell, as one table lookup; the global mean when
-    the row is out of the training range or its cell is empty."""
+    the row is out of the training range or its cell is empty.
+
+    The cells and the rows are keyed together, so the table has one entry
+    per key and the lookup is O(cells + rows), with no search.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n_cols = len(model.edges)
     if x.shape[1] != n_cols:
         raise SchemaError(f"expected {n_cols} predictors, got {x.shape[1]}")
     _reject_non_finite(x, model.columns)
     bins, inside = _bin_rows(x, model.edges, model.k)
-    # keys keep the cells' lexicographic order, so they are sorted
-    keys = _cell_keys(np.vstack([model.cells, bins]), model.k)
+    keys, span = _cell_keys(np.vstack([model.cells, bins]), model.k)
     n_cells = len(model.means)
-    cell_keys, row_keys = keys[:n_cells], keys[n_cells:]
-    slot = np.minimum(np.searchsorted(cell_keys, row_keys), n_cells - 1)
-    hit = inside & (cell_keys[slot] == row_keys)
-    out = np.full(x.shape[0], model.fallback)
-    out[hit] = model.means[slot[hit]]
+    table = np.full(span, model.fallback)
+    table[keys[:n_cells]] = model.means
+    out = table[keys[n_cells:]]
+    out[~inside] = model.fallback
     return out
-

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sesame as ss
 from reference import (
+    bin_index,
     loop_fit_regressogram,
     loop_predict_regressogram,
     residency_beta_true,
@@ -390,8 +392,8 @@ def regressogram_case(name):
 
 
 def assert_matches_loop(x, y, k, query):
-    """Fitted cells (lexicographic), means, fallback, edges and the rows'
-    predictions all equal the row-loop oracle's, exactly."""
+    """Fitted cells (lexicographic), means, fallback, each column's range
+    and the rows' predictions all equal the row-loop oracle's, exactly."""
     model = ss.fit_regressogram(x, y, k=k)
     edges, cells, fallback = loop_fit_regressogram(x, y, k)
     order = sorted(cells)
@@ -400,7 +402,7 @@ def assert_matches_loop(x, y, k, query):
     assert np.array_equal(model.means,
                           [cells[c][1] / cells[c][0] for c in order])
     assert model.fallback == fallback
-    assert all(np.array_equal(a, b) for a, b in zip(model.edges, edges))
+    assert np.array_equal(model.edges, [(e[0], e[-1]) for e in edges])
     got = predict_regressogram_rows(model, query)
     want = np.array([loop_predict_regressogram(edges, cells, fallback, k, row)
                      for row in query])
@@ -425,6 +427,90 @@ def test_regressogram_many_columns_keep_distinct_cells():
     y = rng.normal(size=400)
     query = np.vstack([x, rng.integers(0, 2, size=(200, 70))])
     assert_matches_loop(x, y, 2, query)
+
+
+def test_regressogram_matches_row_loop_on_random_inputs():
+    # k**columns below, at and above the row count, so that the cell keys
+    # are renumbered at no column, at the first, or at later ones
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def inputs(draw):
+        m, n, k = (draw(st.integers(1, 200)), draw(st.integers(1, 4)),
+                   draw(st.integers(1, 40)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        # a column takes `levels` distinct values (1: constant), or
+        # continuous ones at 0, so that cells repeat and bins hit the edges
+        levels = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+        x = np.column_stack([rng.uniform(-1.0, 3.0, m) if lv == 0
+                             else rng.integers(0, lv, m) * 0.37 - 1.0
+                             for lv in levels])
+        # uniform rows straddle the range, so some are outside it in one
+        # column or more
+        query = np.vstack([x, x.min(axis=0), x.max(axis=0), rng.uniform(
+            -3.0, 5.0, (draw(st.integers(0, 30)), n))])
+        return x, rng.normal(size=m), k, query
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None,
+                         print_blob=True)
+    @hypothesis.given(inputs())
+    def check(case):
+        assert_matches_loop(*case)
+
+    check()
+
+
+def test_regressogram_sorts_only_past_the_row_count(monkeypatch):
+    # np.unique is the cell index's one sort: one column at k = 10, as
+    # every built-in is, never reaches it; each column that would take the
+    # key space past the row count renumbers once
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique",
+                        lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+    rng = np.random.default_rng(20)
+    for shape, k, sorts in (((300, 1), 10, 0), ((100, 2), 10, 0),
+                            ((50, 1), 100, 1), ((50, 2), 10, 1),
+                            ((50, 3), 10, 2)):
+        calls.clear()
+        x = rng.uniform(0.0, 1.0, shape)
+        model = ss.fit_regressogram(x, rng.normal(size=shape[0]), k=k)
+        assert len(calls) == sorts, (shape, k)
+        if not sorts:       # cells and rows together are no fewer rows
+            predict_regressogram_rows(model, x)
+            assert not calls, (shape, k)
+
+
+def test_regressogram_memory_does_not_grow_with_k():
+    # only each column's (lo, hi) is kept, and no array is sized by k
+    rng = np.random.default_rng(21)
+    x = rng.uniform(0.0, 1.0, (50, 3))
+    y = rng.normal(size=50)
+    tracemalloc.start()
+    try:
+        model = ss.fit_regressogram(x, y, k=10**6)
+        got = predict_regressogram_rows(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert model.edges.shape == (3, 2) and len(model.means) == 50
+    assert np.array_equal(got, y)
+
+
+def test_regressogram_keys_do_not_overflow_at_huge_k():
+    # a row-major key over two columns would pass 2**63 at this k, and a
+    # wrapped key breaks the cells' order or merges cells
+    rng = np.random.default_rng(22)
+    x = rng.uniform(0.0, 1.0, (50, 2))
+    y = rng.normal(size=50)
+    k = 10**18
+    model = ss.fit_regressogram(x, y, k=k)
+    want = sorted([bin_index(v, e, k) for v, e in zip(row, model.edges)]
+                  for row in x)
+    assert model.cells.tolist() == want
+    assert np.array_equal(predict_regressogram_rows(model, x), y)
 
 
 def test_regressogram_rejects_non_finite_values():

@@ -173,6 +173,16 @@ BAD_MODELS = {
                           "first at 'disk'"),
     "kept_also_dropped": ("dropped", ["disk"], SchemaError, "first at 'disk'"),
     "kept_short": ("kept", ["cpu"], SchemaError, "first at 'disk'"),
+    # the active columns are distinct kept columns, in column order
+    "active_dropped": ("active_columns", ["disk"], SchemaError,
+                       "active columns ['disk'] are not distinct kept "
+                       "columns in column order: first at 'disk'",
+                       dict(MODEL, beta=[5.0, 1.0], kept=["cpu"],
+                            dropped=["disk"], active_columns=["cpu"])),
+    "active_repeated": ("active_columns", ["disk", "disk"], SchemaError,
+                        "first at 'disk'"),
+    "active_order": ("active_columns", ["disk", "cpu"], SchemaError,
+                     "first at 'cpu'"),
 }
 
 
@@ -182,9 +192,9 @@ def read_model(doc) -> EnergyModel:
 
 @pytest.mark.parametrize("case", sorted(BAD_MODELS))
 def test_malformed_model_document_fails_typed(case):
-    key, value, error, message = BAD_MODELS[case]
+    key, value, error, message, *base = BAD_MODELS[case]
     with pytest.raises(error) as info:
-        read_model(edited(MODEL, (key,), value))
+        read_model(edited(base[0] if base else MODEL, (key,), value))
     assert message in str(info.value)
 
 

@@ -13,6 +13,7 @@ node replaced must load or fail typed. A short built-in whose timing fields are 
 and off the tick grid must run to finite values or fail typed.
 """
 
+import ast
 import dataclasses
 import json
 import tempfile
@@ -457,3 +458,20 @@ def test_every_property_prints_its_failing_input():
     assert properties
     for f in properties:
         assert f._hypothesis_internal_use_settings.print_blob, f.__name__
+
+
+def test_every_settings_call_in_the_tests_prints_its_blob():
+    # the check above sees only this module's top-level properties; this
+    # one reads every settings call in every test module, nested or not
+    calls = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr == "settings"
+                    or isinstance(func, ast.Name) and func.id == "settings"):
+                blob = [kw.value for kw in node.keywords
+                        if kw.arg == "print_blob"]
+                calls.append((f"{path.name}:{node.lineno}",
+                              [ast.literal_eval(v) for v in blob] == [True]))
+    assert calls
+    assert [where for where, ok in calls if not ok] == []

@@ -408,7 +408,8 @@ def test_merged_run_lookup_equals_binary_search():
     for ticks in cases.values():
         check = hypothesis.example(
             (10, starts, states, np.array(ticks, dtype=np.int64)))(check)
-    hypothesis.settings(max_examples=80, deadline=None, database=None)(check)()
+    hypothesis.settings(max_examples=80, deadline=None, database=None,
+                        print_blob=True)(check)()
     # the five sorted explicit examples that outnumber the runs, at least
     assert run_major >= 5
 

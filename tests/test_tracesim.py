@@ -349,7 +349,8 @@ def test_markov_runs_match_step_loop_on_random_chains():
         return ss.MarkovChain(tuple(rows), step_s=0.001,
                               initial_state=draw(st.integers(0, k - 1)))
 
-    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.settings(max_examples=40, deadline=None, database=None,
+                         print_blob=True)
     @hypothesis.given(chains(),
                       st.integers(1, 9192),
                       st.integers(0, 2**32 - 1))
