@@ -36,6 +36,9 @@ _ZERO_VAR_TOL = 1e-12
 # least this much weight (the norm of its column in those rows)
 _ACTIVE_WEIGHT_MIN = 0.05
 DEFAULT_T_LOW_RANGE = (50.0, 100.0)
+# the largest regressogram k: past 2**53 a float bin position is no longer
+# exact, and near 2**63 its int64 cast is invalid
+REGRESSOGRAM_K_MAX = 2**53
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +501,17 @@ def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
 
     Counts and sums are bincounts over the cell keys, in row order, so
     the fit is linear in the rows, with no sort when k**columns is at most
-    the row count, and its memory is O(rows + cells) for any k.
+    the row count, and its memory is O(rows + cells) for any k, an
+    integer in [1, 2**53].
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     if x.shape[0] == 0:
         raise ArgumentError("empty training set")
-    if k < 1:
-        raise ArgumentError("k must be >= 1")
+    if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
+            or not 1 <= k <= REGRESSOGRAM_K_MAX):
+        raise ArgumentError(f"k must be an integer in [1, 2**53], "
+                            f"got {k!r:.40}")
     if y.shape != (x.shape[0],):
         raise ArgumentError(f"{x.shape[0]} training rows but responses of "
                             f"shape {y.shape}")

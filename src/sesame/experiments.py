@@ -122,7 +122,8 @@ class RunArtifacts:
 def simulate(sc: ScenarioConfig) -> RunArtifacts:
     """Generate the trace and the battery readings; the predictors are
     read off the trace when a design matrix is collected."""
-    trace = gen_trace(sc.system, sc.workload, sc.duration_s, sc.tick_s)
+    trace = gen_trace(sc.system, sc.workload, sc.duration_s, sc.tick_s,
+                      sc.seed)
     readings = sample_interface(trace, sc.battery, seed=sc.battery_seed())
     return RunArtifacts(scenario=sc, trace=trace, readings=readings)
 

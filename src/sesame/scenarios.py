@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 from .battery import FILTERED, BatteryInterfaceModel
 from .collector import _spec_ticks
-from .constructor import DEFAULT_T_LOW_RANGE, FIT_METHODS
-from .errors import (
-    ConfigurationError,
-    ParseError,
-    from_document,
-    read_json,
-    to_document,
-)
+from .constructor import DEFAULT_T_LOW_RANGE, FIT_METHODS, REGRESSOGRAM_K_MAX
+from .errors import ConfigurationError, from_document, read_json, to_document
 from .tracesim import (
     Component,
     ComponentStateModel,
@@ -31,6 +25,7 @@ from .tracesim import (
     PredictorSpec,
     Schedule,
     WorkloadSpec,
+    _check_seed,
     _phase_edges,
     _ratio_as_int,
 )
@@ -79,12 +74,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(f"unknown experiment {self.experiment!r}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed {self.seed} must be >= 0")
-        if self.workload.seed != self.seed:
-            raise ConfigurationError(
-                f"workload seed {self.workload.seed} differs from the "
-                f"scenario seed {self.seed}; re-seed with with_seed")
+        _check_seed(self.seed)
         _phase_edges(self.system, self.workload, self.duration_s, self.tick_s)
         if self.fit_method not in FIT_METHODS:
             raise ConfigurationError(f"fit method {self.fit_method!r} is "
@@ -124,6 +114,9 @@ class ScenarioConfig:
             if getattr(self, name) < 1:
                 raise ConfigurationError(
                     f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.regressogram_k > REGRESSOGRAM_K_MAX:
+            raise ConfigurationError(f"regressogram_k must be <= 2**53, "
+                                     f"got {self.regressogram_k}")
         if not 0.0 <= self.accuracy_target < 1.0:
             raise ConfigurationError(
                 f"accuracy target {self.accuracy_target} outside [0, 1)")
@@ -132,9 +125,7 @@ class ScenarioConfig:
                 f"threshold {self.threshold} must be finite and in (0, 1)")
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        return dataclasses.replace(
-            self, seed=seed,
-            workload=dataclasses.replace(self.workload, seed=seed))
+        return dataclasses.replace(self, seed=seed)
 
     def battery_seed(self) -> int:
         return self.seed + 7919
@@ -144,30 +135,17 @@ class ScenarioConfig:
 # JSON (de)serialization
 # ---------------------------------------------------------------------------
 
-def scenario_to_dict(sc: ScenarioConfig) -> dict:
-    doc = to_document(sc)
-    del doc["workload"]["seed"]     # a scenario file states its seed once
-    return doc
-
-
-def scenario_from_dict(doc) -> ScenarioConfig:
-    """The scenario a document describes, read against the dataclasses'
-    fields (see `sesame.errors`); the workload takes the top-level seed."""
-    if isinstance(doc, dict) and isinstance(doc.get("workload"), dict):
-        if "seed" in doc["workload"]:
-            raise ParseError("scenario.workload: unknown key 'seed'")
-        doc = dict(doc, workload=dict(doc["workload"], seed=doc.get("seed")))
-    return from_document(ScenarioConfig, doc, "scenario")
-
-
 def save_scenario(sc: ScenarioConfig, path: str) -> None:
-    text = json.dumps(scenario_to_dict(sc), indent=1)
+    text = json.dumps(to_document(sc), indent=1)
     with open(path, "w") as fh:
         fh.write(text)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    return scenario_from_dict(read_json(path, "scenario"))
+    """The scenario a file describes, read against the dataclasses'
+    fields (see `sesame.errors`)."""
+    return from_document(ScenarioConfig, read_json(path, "scenario"),
+                         "scenario")
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +222,7 @@ def _laptop_system() -> ComponentStateModel:
     )
 
 
-def _laptop_workload(duration_s: float, seed: int) -> WorkloadSpec:
+def _laptop_workload(duration_s: float) -> WorkloadSpec:
     bridge = _chain([[0.667, 0.333], [0.333, 0.667]], step_s=0.02)
     return WorkloadSpec(phases=(
         Phase("steady", duration_s, {
@@ -252,7 +230,7 @@ def _laptop_workload(duration_s: float, seed: int) -> WorkloadSpec:
             "lcd": _brightness_schedule(),
             "bridge": bridge,
         }),
-    ), seed=seed)
+    ))
 
 
 def _laptop_predictors() -> tuple[PredictorSpec, ...]:
@@ -287,7 +265,7 @@ def t61like(seed: int = 61, experiment: str = MOLDING) -> ScenarioConfig:
         seed=seed,
         duration_s=duration,
         system=_laptop_system(),
-        workload=_laptop_workload(duration, seed),
+        workload=_laptop_workload(duration),
         predictors=_laptop_predictors(),
         battery=BatteryInterfaceModel(
             kind="filtered", reading_rate_hz=0.5, supply_voltage_v=12.0,
@@ -317,7 +295,7 @@ def n85like(seed: int = 85, experiment: str = ERROR_VS_RATE) -> ScenarioConfig:
             ]),
             "radio": _chain([[0.995, 0.005], [0.02, 0.98]]),
         }),
-    ), seed=seed)
+    ))
     return ScenarioConfig(
         name="n85like",
         experiment=experiment,
@@ -355,7 +333,7 @@ def n900like(seed: int = 900, experiment: str = MOLDING) -> ScenarioConfig:
             "lcd": _brightness_schedule(),
             "gps": gps,
         }),
-    ), seed=seed)
+    ))
     predictors = (
         PredictorSpec(id="cpu_util", component="act", kind="residency",
                       weights={s: 1.0 for s in range(1, 7)},
@@ -405,7 +383,7 @@ def noiseless_linear(seed: int = 1, experiment: str = MOLDING) -> ScenarioConfig
             "cpu": _chain([[0.97, 0.03], [0.02, 0.98]], step_s=0.1),
             "disk": _chain([[0.99, 0.01], [0.03, 0.97]], step_s=0.1),
         }),
-    ), seed=seed)
+    ))
     predictors = (
         PredictorSpec(id="cpu:busy", component="cpu", kind="residency",
                       weights={1: 1.0}, update_rate_hz=1000.0),
@@ -426,6 +404,36 @@ def noiseless_linear(seed: int = 1, experiment: str = MOLDING) -> ScenarioConfig
     )
 
 
+# Desktop parts of the adaptation scenarios. The cpu has an idle and two
+# busy states; it leaves any state after 30 s on average and, while both
+# busy states are in use, flips between them every 20 s.
+_LEAVE = 0.05 / 30.0
+_FLIP = 0.05 / 20.0
+_CPU_ONE_BUSY = _chain([
+    [1 - _LEAVE, _LEAVE, 0.0],
+    [_LEAVE, 1 - _LEAVE, 0.0],
+    [0.0, 0.0, 1.0],          # never entered
+])
+_CPU_TWO_BUSY = _chain([
+    [1 - _LEAVE, _LEAVE / 2, _LEAVE / 2],
+    [_LEAVE, 1 - _LEAVE - _FLIP, _FLIP],
+    [_LEAVE, _FLIP, 1 - _LEAVE - _FLIP],
+])
+_DISK = Component("disk", (0.2, 2.7), ("idle", "active"))
+_DISK_CHAIN = _chain([[1 - 0.05 / 20.0, 0.05 / 20.0],
+                      [0.05 / 10.0, 1 - 0.05 / 10.0]])
+_CPU_BUSY = PredictorSpec(id="cpu_busy", component="cpu", kind="residency",
+                          weights={1: 1.0, 2: 1.0}, update_rate_hz=250.0)
+_DISK_SECTORS = PredictorSpec(
+    id="disk_sectors", component="disk", kind="counter", weights={1: 130.0},
+    update_rate_hz=250.0, delay_s=0.3)
+# 1 Hz instant interface (Latitude-class): no filter lag, so the monitored
+# windows isolate the model-vs-configuration mismatch
+_DESKTOP_BATTERY = BatteryInterfaceModel(
+    kind="instant", reading_rate_hz=1.0, supply_voltage_v=12.0,
+    noise_sigma=0.10)
+
+
 def dvs_flip(seed: int = 44) -> ScenarioConfig:
     """Adaptation: enabling frequency scaling mid-run changes the power map.
 
@@ -435,39 +443,24 @@ def dvs_flip(seed: int = 44) -> ScenarioConfig:
     system = ComponentStateModel(
         components=(
             Component("cpu", (3.0, 14.0, 7.2), ("idle", "busy2g", "busy800")),
-            Component("disk", (0.2, 2.7), ("idle", "active")),
+            _DISK,
             Component("bridge", (0.2, 1.0), ("lo", "hi")),
         ),
         base_power_w=2.5,
     )
-    leave = 0.05 / 30.0
-    flip = 0.05 / 20.0
-    cpu_off = _chain([
-        [1 - leave, leave, 0.0],
-        [leave, 1 - leave, 0.0],
-        [0.0, 0.0, 1.0],          # unreachable while DVS is off
-    ])
-    cpu_on = _chain([
-        [1 - leave, leave / 2, leave / 2],
-        [leave, 1 - leave - flip, flip],
-        [leave, flip, 1 - leave - flip],
-    ])
-    disk = _chain([[1 - 0.05 / 20.0, 0.05 / 20.0],
-                   [0.05 / 10.0, 1 - 0.05 / 10.0]])
     bridge = _chain([[0.75, 0.25], [0.25, 0.75]], step_s=0.02)
+    # the 800 MHz busy state is never entered while DVS is off
     workload = WorkloadSpec(phases=(
         Phase("dvs_off", 1800.0, {
-            "cpu": cpu_off, "disk": disk, "bridge": bridge}),
+            "cpu": _CPU_ONE_BUSY, "disk": _DISK_CHAIN, "bridge": bridge}),
         Phase("dvs_on", 2700.0, {
-            "cpu": cpu_on, "disk": disk, "bridge": bridge}),
-    ), seed=seed)
+            "cpu": _CPU_TWO_BUSY, "disk": _DISK_CHAIN, "bridge": bridge}),
+    ))
     predictors = (
-        PredictorSpec(id="cpu_busy", component="cpu", kind="residency",
-                      weights={1: 1.0, 2: 1.0}, update_rate_hz=250.0),
+        _CPU_BUSY,
         PredictorSpec(id="p800_res", component="cpu", kind="residency",
                       weights={2: 1.0}, update_rate_hz=250.0),
-        PredictorSpec(id="disk_sectors", component="disk", kind="counter",
-                      weights={1: 130.0}, update_rate_hz=250.0, delay_s=0.3),
+        _DISK_SECTORS,
     )
     return ScenarioConfig(
         name="dvs_flip",
@@ -477,11 +470,7 @@ def dvs_flip(seed: int = 44) -> ScenarioConfig:
         system=system,
         workload=workload,
         predictors=predictors,
-        # 1 Hz instant interface (Latitude-class): no filter lag, so the
-        # monitored windows isolate the model-vs-configuration mismatch
-        battery=BatteryInterfaceModel(
-            kind="instant", reading_rate_hz=1.0, supply_voltage_v=12.0,
-            noise_sigma=0.10),
+        battery=_DESKTOP_BATTERY,
         config_triples=(("hardware", "machine", "d630like"),
                         ("software", "dvs", "off")),
     )
@@ -497,40 +486,20 @@ def workload_switch(seed: int = 45) -> ScenarioConfig:
     system = ComponentStateModel(
         components=(
             Component("cpu", (3.0, 17.0, 14.3), ("idle", "busy_heavy", "busy_light")),
-            Component("disk", (0.2, 2.7), ("idle", "active")),
+            _DISK,
         ),
         base_power_w=2.5,
     )
-    leave = 0.05 / 30.0
-    flip = 0.05 / 20.0
-    cpu_a = _chain([
-        [1 - leave, leave, 0.0],
-        [leave, 1 - leave, 0.0],
-        [0.0, 0.0, 1.0],
-    ])
-    cpu_mid = _chain([
-        [1 - leave, leave / 2, leave / 2],
-        [leave, 1 - leave - flip, flip],
-        [leave, flip, 1 - leave - flip],
-    ])
-    cpu_b = _chain([
-        [1 - leave, 0.0, leave],
+    cpu_light = _chain([
+        [1 - _LEAVE, 0.0, _LEAVE],
         [0.0, 1.0, 0.0],
-        [leave, 0.0, 1 - leave],
+        [_LEAVE, 0.0, 1 - _LEAVE],
     ], initial=0)
-    disk = _chain([[1 - 0.05 / 20.0, 0.05 / 20.0],
-                   [0.05 / 10.0, 1 - 0.05 / 10.0]])
     workload = WorkloadSpec(phases=(
-        Phase("editor", 1800.0, {"cpu": cpu_a, "disk": disk}),
-        Phase("mixed", 300.0, {"cpu": cpu_mid, "disk": disk}),
-        Phase("office", 2700.0, {"cpu": cpu_b, "disk": disk}),
-    ), seed=seed)
-    predictors = (
-        PredictorSpec(id="cpu_busy", component="cpu", kind="residency",
-                      weights={1: 1.0, 2: 1.0}, update_rate_hz=250.0),
-        PredictorSpec(id="disk_sectors", component="disk", kind="counter",
-                      weights={1: 130.0}, update_rate_hz=250.0, delay_s=0.3),
-    )
+        Phase("editor", 1800.0, {"cpu": _CPU_ONE_BUSY, "disk": _DISK_CHAIN}),
+        Phase("mixed", 300.0, {"cpu": _CPU_TWO_BUSY, "disk": _DISK_CHAIN}),
+        Phase("office", 2700.0, {"cpu": cpu_light, "disk": _DISK_CHAIN}),
+    ))
     return ScenarioConfig(
         name="workload_switch",
         experiment=ADAPTATION,
@@ -538,10 +507,8 @@ def workload_switch(seed: int = 45) -> ScenarioConfig:
         duration_s=4800.0,
         system=system,
         workload=workload,
-        predictors=predictors,
-        battery=BatteryInterfaceModel(
-            kind="instant", reading_rate_hz=1.0, supply_voltage_v=12.0,
-            noise_sigma=0.10),
+        predictors=(_CPU_BUSY, _DISK_SECTORS),
+        battery=_DESKTOP_BATTERY,
         config_triples=(("hardware", "machine", "d630like"),),
     )
 
@@ -549,7 +516,7 @@ def workload_switch(seed: int = 45) -> ScenarioConfig:
 def adaptation_control(seed: int = 46) -> ScenarioConfig:
     """Adaptation control run: no change, so no rebuild may fire."""
     sc = dvs_flip(seed=seed)
-    workload = WorkloadSpec(phases=(sc.workload.phases[0],), seed=seed)
+    workload = WorkloadSpec(phases=(sc.workload.phases[0],))
     return dataclasses.replace(
         sc, name="adaptation_control", duration_s=3600.0, workload=workload)
 
@@ -592,7 +559,7 @@ def quadratic_cpu(seed: int = 47) -> ScenarioConfig:
             "cpu": MarkovChain(tuple(tuple(r) for r in rows), step_s=0.05),
             "bridge": _chain([[0.6, 0.4], [0.4, 0.6]], step_s=0.02),
         }),
-    ), seed=seed)
+    ))
     predictors = (
         PredictorSpec(id="util_level", component="cpu", kind="level",
                       weights={i: u for i, u in enumerate(levels)},

@@ -7,8 +7,10 @@ the per-state residencies. Predictors are software-visible views of those
 residencies (residency fractions, event counters, or discrete levels) and
 carry the imperfections of a real OS: finite update rates and delays.
 
-Each component follows, phase by phase, a seeded Markov chain or a
+Each component follows, phase by phase, a Markov chain or a
 deterministic schedule; phases and steps are whole ticks (`_phase_edges`).
+The one seed is the caller's (a scenario's `seed`), passed to `gen_trace`,
+and each chain draws from the key (seed, component, phase).
 The trace is run-length: states change only at Markov steps or schedule
 edges, so each component keeps the tick at which each run starts and the
 state it holds, never an array per tick.
@@ -186,20 +188,26 @@ class Phase:
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Sequence of phases plus the seed that makes the run reproducible.
+    """Sequence of phases. The seed that makes a run reproducible is the
+    scenario's, passed to `gen_trace`.
 
     If the phases end before the requested trace duration, the final
     phase's processes keep running.
     """
 
     phases: tuple[Phase, ...]
-    seed: int
 
     def __post_init__(self):
         if not self.phases:
             raise ConfigurationError("workload needs >= 1 phase")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed {self.seed} must be >= 0")
+
+
+def _check_seed(seed: int) -> None:
+    """Refuse a seed that is not an integer >= 0 (a bool is not one)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ConfigurationError(f"seed {seed!r:.40} must be an integer")
+    if seed < 0:
+        raise ConfigurationError(f"seed {seed} must be >= 0")
 
 
 def _expand_runs(starts: np.ndarray, states: np.ndarray,
@@ -577,9 +585,11 @@ class Trace:
 
 
 def gen_trace(model: ComponentStateModel, wl: WorkloadSpec,
-              duration_s: float, tick_s: float) -> Trace:
+              duration_s: float, tick_s: float, seed: int) -> Trace:
     """Simulate the component-state system over `duration_s` at `tick_s`,
-    both checked by `_phase_edges`: bit-identical runs for one seed."""
+    both checked by `_phase_edges`: bit-identical runs for one `seed`, an
+    integer >= 0 that keys each component's draws in each phase."""
+    _check_seed(seed)
     edges = _phase_edges(model, wl, duration_s, tick_s)
     runs = []
     for c_idx, comp in enumerate(model.components):
@@ -589,7 +599,7 @@ def gen_trace(model: ComponentStateModel, wl: WorkloadSpec,
             if lo < hi:
                 phase_starts, phase_states = _phase_states(
                     phase.occupancy[comp.name], hi - lo, tick_s,
-                    (wl.seed, c_idx, p_idx))
+                    (seed, c_idx, p_idx))
                 starts.append(phase_starts + lo)
                 states.append(phase_states)
         runs.append(_merged_runs(np.concatenate(starts),

@@ -14,8 +14,8 @@ def constant_trace(power=10.0, duration=100.0, tick=0.01):
     model = ss.ComponentStateModel(
         components=(ss.Component("box", (power,)),), base_power_w=0.0)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", duration, {"box": fixed(0)}),), seed=0)
-    return ss.gen_trace(model, wl, duration, tick)
+        phases=(ss.Phase("p", duration, {"box": fixed(0)}),))
+    return ss.gen_trace(model, wl, duration, tick, 0)
 
 
 def reading_times(readings):
@@ -157,8 +157,8 @@ def test_error_vs_rate_monotone_per_kind():
         components=(ss.Component("cpu", (2.0, 12.0)),), base_power_w=1.0)
     chain = ss.MarkovChain(((0.9, 0.1), (0.1, 0.9)), step_s=0.05)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 2000.0, {"cpu": chain}),), seed=3)
-    trace = ss.gen_trace(model, wl, 2000.0, 0.01)
+        phases=(ss.Phase("p", 2000.0, {"cpu": chain}),))
+    trace = ss.gen_trace(model, wl, 2000.0, 0.01, 3)
     configs = [
         ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=4.0,
                                  supply_voltage_v=5.0, noise_sigma=0.2,
@@ -192,7 +192,8 @@ def test_capacity_and_instant_interfaces_agree_on_every_window(name):
     # energy agrees up to the roundoff of differencing the charge levels
     # (at most 1.5e-12 relative on these traces)
     sc = scn.builtin(name)
-    trace = ss.gen_trace(sc.system, sc.workload, sc.duration_s, sc.tick_s)
+    trace = ss.gen_trace(sc.system, sc.workload, sc.duration_s, sc.tick_s,
+                         sc.seed)
     for rate_hz in (0.1, 1.0):
         current, charge = (ss.sample_interface(trace, dataclasses.replace(
             sc.battery, kind=kind, reading_rate_hz=rate_hz, noise_sigma=0.0,

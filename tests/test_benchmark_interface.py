@@ -120,6 +120,6 @@ def test_workloads_count_the_ticks_and_draws_of_gen_trace(monkeypatch):
         sc = scn.builtin(name)
         draws.clear()
         trace = tracesim.gen_trace(sc.system, sc.workload, sc.duration_s,
-                                   sc.tick_s)
+                                   sc.tick_s, sc.seed)
         assert workloads.n_ticks(sc) == len(trace), name
         assert workloads.markov_steps(sc) == sum(draws), name

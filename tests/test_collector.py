@@ -10,9 +10,8 @@ def flat_system():
     model = ss.ComponentStateModel(
         components=(ss.Component("cpu", (1.0, 9.0)),), base_power_w=1.0)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 1.0, {"cpu": duty(0.01, 0.5, 1, 0)}),),
-        seed=0)
-    trace = ss.gen_trace(model, wl, 1.0, 0.001)
+        phases=(ss.Phase("p", 1.0, {"cpu": duty(0.01, 0.5, 1, 0)}),))
+    trace = ss.gen_trace(model, wl, 1.0, 0.001, 0)
     return model, trace
 
 
@@ -36,8 +35,8 @@ def three_predictor_setup(duration=30.0):
             "disk": ss.MarkovChain(((0.9, 0.1), (0.2, 0.8)), step_s=0.05),
             "lcd": fixed(1),
         }),
-    ), seed=5)
-    trace = ss.gen_trace(model, wl, duration, 0.001)
+    ))
+    trace = ss.gen_trace(model, wl, duration, 0.001, 5)
     specs = [
         ss.PredictorSpec(id="cpu_busy", component="cpu", kind="residency",
                          weights={1: 1.0}, update_rate_hz=250.0),
@@ -74,8 +73,8 @@ def test_event_driven_level_rows():
     wl = ss.WorkloadSpec(phases=(
         ss.Phase("dim", 5.0, {"lcd": fixed(0)}),
         ss.Phase("bright", 5.0, {"lcd": fixed(1)}),
-    ), seed=0)
-    trace = ss.gen_trace(model, wl, 10.0, 0.001)
+    ))
+    trace = ss.gen_trace(model, wl, 10.0, 0.001, 0)
     spec = ss.PredictorSpec(id="backlight", component="lcd", kind="level",
                             weights={0: 0.2, 1: 0.8}, policy="event-driven")
     dm = ss.collect(trace, [spec], 1.0)
@@ -105,8 +104,8 @@ def test_aggregate_response_instant_paper_arithmetic():
     model = ss.ComponentStateModel(
         components=(ss.Component("box", (10.0,)),), base_power_w=0.0)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 200.0, {"box": fixed(0)}),), seed=0)
-    trace = ss.gen_trace(model, wl, 200.0, 0.01)
+        phases=(ss.Phase("p", 200.0, {"box": fixed(0)}),))
+    trace = ss.gen_trace(model, wl, 200.0, 0.01, 0)
     cfg = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=0.5,
                                    supply_voltage_v=5.0)
     readings = ss.sample_interface(trace, cfg, seed=0)
@@ -118,8 +117,8 @@ def test_aggregate_response_capacity_drop():
     model = ss.ComponentStateModel(
         components=(ss.Component("box", (1.0,)),), base_power_w=0.0)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 500.0, {"box": fixed(0)}),), seed=0)
-    trace = ss.gen_trace(model, wl, 500.0, 0.01)
+        phases=(ss.Phase("p", 500.0, {"box": fixed(0)}),))
+    trace = ss.gen_trace(model, wl, 500.0, 0.01, 0)
     cfg = ss.BatteryInterfaceModel(kind="capacity", reading_rate_hz=0.1,
                                    supply_voltage_v=5.0,
                                    initial_capacity_c=20000.0)
@@ -143,8 +142,8 @@ def test_aggregate_response_rate_error():
     model = ss.ComponentStateModel(
         components=(ss.Component("box", (10.0,)),), base_power_w=0.0)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 100.0, {"box": fixed(0)}),), seed=0)
-    trace = ss.gen_trace(model, wl, 100.0, 0.01)
+        phases=(ss.Phase("p", 100.0, {"box": fixed(0)}),))
+    trace = ss.gen_trace(model, wl, 100.0, 0.01, 0)
     cfg = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=0.5,
                                    supply_voltage_v=5.0)
     readings = ss.sample_interface(trace, cfg, seed=0)
@@ -181,8 +180,8 @@ def test_one_interval_collects_and_aggregates():
     box = ss.ComponentStateModel(
         components=(ss.Component("box", (1.0,)),), base_power_w=0.0)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 100.0, {"box": fixed(0)}),), seed=0)
-    trace = ss.gen_trace(box, wl, 100.0, 0.01)
+        phases=(ss.Phase("p", 100.0, {"box": fixed(0)}),))
+    trace = ss.gen_trace(box, wl, 100.0, 0.01, 0)
     for kind in ("instant", "capacity"):
         cfg = ss.BatteryInterfaceModel(kind=kind, reading_rate_hz=0.1,
                                        supply_voltage_v=5.0)

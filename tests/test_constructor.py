@@ -202,8 +202,8 @@ def linear_scenario(duration=2000.0, tick=0.01, seed=7):
     wl = ss.WorkloadSpec(phases=(ss.Phase("p", duration, {
         "cpu": ss.MarkovChain(((0.97, 0.03), (0.02, 0.98)), step_s=0.1),
         "disk": ss.MarkovChain(((0.99, 0.01), (0.03, 0.97)), step_s=0.1),
-    }),), seed=seed)
-    trace = ss.gen_trace(model, wl, duration, tick)
+    }),))
+    trace = ss.gen_trace(model, wl, duration, tick, seed)
     specs = residency_predictors(model, update_rate_hz=1.0 / tick)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=10.0)
@@ -500,12 +500,13 @@ def test_regressogram_memory_does_not_grow_with_k():
 
 
 def test_regressogram_keys_do_not_overflow_at_huge_k():
-    # a row-major key over two columns would pass 2**63 at this k, and a
+    # at the largest k, 2**53, a row-major key over two columns passes
+    # 2**63, and so does a dense key over more than 1,024 rows times k; a
     # wrapped key breaks the cells' order or merges cells
     rng = np.random.default_rng(22)
-    x = rng.uniform(0.0, 1.0, (50, 2))
-    y = rng.normal(size=50)
-    k = 10**18
+    x = rng.uniform(0.0, 1.0, (1100, 2))
+    y = rng.normal(size=1100)
+    k = 2**53
     model = ss.fit_regressogram(x, y, k=k)
     want = sorted([bin_index(v, e, k) for v, e in zip(row, model.edges)]
                   for row in x)

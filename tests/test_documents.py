@@ -12,7 +12,7 @@ import pytest
 import sesame.scenarios as scn
 from sesame.constructor import EnergyModel
 from sesame.errors import AlignmentError, ConfigurationError, ParseError
-from sesame.errors import SchemaError, from_document
+from sesame.errors import SchemaError, from_document, to_document
 
 DELETE = object()
 
@@ -31,7 +31,7 @@ def edited(doc: dict, path: tuple, value) -> dict:
     return doc
 
 
-T61 = scn.scenario_to_dict(scn.builtin("t61like"))
+T61 = to_document(scn.builtin("t61like"))
 ACT = ("workload", "phases", 0, "occupancy", "act")
 
 BAD_SCENARIOS = {
@@ -130,7 +130,7 @@ BAD_SCENARIOS = {
 def test_malformed_scenario_document_fails_typed(case):
     path, value, error, message = BAD_SCENARIOS[case]
     with pytest.raises(error) as info:
-        scn.scenario_from_dict(edited(T61, path, value))
+        from_document(scn.ScenarioConfig, edited(T61, path, value), "scenario")
     assert message in str(info.value)
 
 
@@ -219,8 +219,8 @@ def test_minimal_scenario_document_takes_every_default():
                         "kind": "residency", "weights": {"1": 1}}],
         "battery": {"kind": "instant", "reading_rate_hz": 1},
     }
-    sc = scn.scenario_from_dict(doc)
-    assert sc.workload.seed == 3 and sc.duration_s == 600.0
+    sc = from_document(scn.ScenarioConfig, doc, "scenario")
+    assert sc.seed == 3 and sc.duration_s == 600.0
     chain = sc.workload.phases[0].occupancy["cpu"]
     assert sc.predictors[0].weights == {1: 1.0}
     for obj in (sc, sc.system, sc.system.components[0], chain,

@@ -17,7 +17,7 @@ from sesame.collector import DesignMatrix
 from sesame.constructor import TrainingSet, fit_regressogram
 from sesame.constructor import iterate_construction, stretch
 from sesame.errors import AlignmentError, ConfigurationError, ParseError
-from sesame.errors import SesameError
+from sesame.errors import SesameError, from_document, to_document
 from sesame.manager import ConfigurationKey, ModelTable, install_model
 from sesame.manager import maybe_rebuild, monitor, persist
 
@@ -36,7 +36,7 @@ def test_scenario_file_round_trip(tmp_path):
         path = tmp_path / f"{name}.json"
         scn.save_scenario(sc, str(path))
         back = scn.load_scenario(str(path))
-        assert scn.scenario_to_dict(back) == scn.scenario_to_dict(sc)
+        assert to_document(back) == to_document(sc)
 
 
 def test_scenario_file_malformed(tmp_path):
@@ -45,7 +45,7 @@ def test_scenario_file_malformed(tmp_path):
     with pytest.raises(ParseError):
         scn.load_scenario(str(path))
     with pytest.raises(ParseError):
-        scn.scenario_from_dict({"name": "x"})
+        from_document(scn.ScenarioConfig, {"name": "x"}, "scenario")
 
 
 def test_unknown_builtin():
@@ -56,17 +56,26 @@ def test_unknown_builtin():
 def test_with_seed_rethreads_workload():
     sc = scn.builtin("t61like").with_seed(123)
     assert sc.seed == 123
-    assert sc.workload.seed == 123
 
 
-def test_a_scenario_refuses_a_workload_seed_of_its_own():
-    # the battery seed follows the scenario seed and the trace follows the
-    # workload's, so a second seed would pair one run's trace with
-    # another's battery
-    with pytest.raises(ConfigurationError, match="workload seed 1"):
-        dataclasses.replace(scn.builtin("noiseless_linear"), seed=5)
-    sc = scn.builtin("noiseless_linear").with_seed(5)
-    assert (sc.seed, sc.workload.seed) == (5, 5)
+def test_a_replaced_seed_reseeds_the_trace_and_the_battery():
+    # the scenario's seed is the only one: the trace is drawn from it and
+    # the battery noise from battery_seed(), so replace and with_seed agree
+    sc = dataclasses.replace(scn.builtin("dvs_flip"), duration_s=300.0)
+    a, b, pinned = (exp.simulate(s) for s in (
+        dataclasses.replace(sc, seed=5), sc.with_seed(5), sc))
+    for (starts_a, states_a), (starts_b, states_b) in zip(a.trace.runs,
+                                                          b.trace.runs):
+        assert np.array_equal(starts_a, starts_b)
+        assert np.array_equal(states_a, states_b)
+    assert np.array_equal(a.readings.values, b.readings.values)
+    assert not np.array_equal(a.readings.values, pinned.readings.values)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1])
+def test_with_seed_refuses_a_seed_that_is_not_an_integer_at_least_0(seed):
+    with pytest.raises(ConfigurationError, match="seed"):
+        scn.builtin("noiseless_linear").with_seed(seed)
 
 
 def test_grid_coverage_every_rate_once_per_estimator(noiseless_report):
@@ -270,7 +279,7 @@ def test_cli_unknown_scenario_exit_1(capsys):
 
 def scenario_bytes(edit, name="noiseless_linear") -> bytes:
     """The built-in scenario file of `name` after `edit(doc)`."""
-    doc = scn.scenario_to_dict(scn.builtin(name))
+    doc = to_document(scn.builtin(name))
     edit(doc)
     return json.dumps(doc).encode()
 
@@ -395,6 +404,8 @@ def activity_chain_with(**changes) -> dict:
 
 @pytest.mark.parametrize("updates", [
     {"pca_l": 0}, {"regressogram_k": 0}, {"train_windows": 0},
+    # a bin past 2**53 is not exact, and near 2**63 its cast is invalid
+    {"regressogram_k": 2**53 + 1}, {"regressogram_k": 2**63},
     {"accuracy_target": 1.0}, {"accuracy_target": -0.1},
     {"threshold": float("nan")}, {"threshold": 0.0}, {"threshold": 1.0},
     {"threshold": float("inf")},
@@ -419,6 +430,7 @@ def activity_chain_with(**changes) -> dict:
     {"duration_s": 2999.9995}, phase_with(duration_s=2999.9995),
     occupancy_with(lcd=scn.Schedule(((400.0005, 0), (500.0, 2)))),
     {"seed": -1}, occupancy_with(lcdd=T61.workload.phases[0].occupancy["lcd"]),
+    {"seed": 1.5}, {"seed": True},
 ])
 def test_scenario_config_rejects_bad_pipeline_fields(updates):
     with pytest.raises(ConfigurationError):
@@ -590,8 +602,8 @@ def monitored_table(dm: DesignMatrix) -> ModelTable:
 
 
 X4, Y4 = np.ones((4, 1)), np.ones(4)
-# each call raises a SesameError that is also the built-in error it
-# raised before it was typed
+# each call raises a SesameError that is also the built-in error named
+# with it
 BAD_LIBRARY_CALLS = {
     "rates_interval": (ValueError, lambda dm, path: TrainingSet(dm).fit(
         "OLS").predict_rows(dm.x, 0.0)),
@@ -620,6 +632,14 @@ BAD_LIBRARY_CALLS = {
         np.empty((0, 1)), np.empty(0))),
     "regressogram_k": (ValueError, lambda dm, path: fit_regressogram(
         X4, Y4, k=0)),
+    "regressogram_k_past_2_53": (ValueError, lambda dm, path: fit_regressogram(
+        X4, Y4, k=2**53 + 1)),
+    "regressogram_k_2_64": (ValueError, lambda dm, path: fit_regressogram(
+        X4, Y4, k=2**64)),
+    "regressogram_k_fraction": (ValueError, lambda dm, path: fit_regressogram(
+        X4, Y4, k=2.5)),
+    "regressogram_k_bool": (ValueError, lambda dm, path: fit_regressogram(
+        X4, Y4, k=True)),
     "regressogram_shape": (ValueError, lambda dm, path: fit_regressogram(
         X4, Y4[:3])),
     "table_threshold": (ValueError, lambda dm, path: persist(

@@ -65,8 +65,8 @@ def test_monitor_relative_error_arithmetic():
     sys_model = ss.ComponentStateModel(
         components=(ss.Component("box", (1.0,)),), base_power_w=0.0)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 500.0, {"box": fixed(0)}),), seed=0)
-    trace = ss.gen_trace(sys_model, wl, 500.0, 0.01)
+        phases=(ss.Phase("p", 500.0, {"box": fixed(0)}),))
+    trace = ss.gen_trace(sys_model, wl, 500.0, 0.01, 0)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=5.0)
     readings = ss.sample_interface(trace, battery, seed=0)
@@ -120,9 +120,8 @@ def test_monitor_against_interface_stream():
     model_sys = ss.ComponentStateModel(
         components=(ss.Component("cpu", (1.0, 9.0)),), base_power_w=3.0)
     wl = ss.WorkloadSpec(phases=(ss.Phase("p", 1500.0, {
-        "cpu": ss.MarkovChain(((0.95, 0.05), (0.05, 0.95)), step_s=0.1)}),),
-        seed=9)
-    trace = ss.gen_trace(model_sys, wl, 1500.0, 0.01)
+        "cpu": ss.MarkovChain(((0.95, 0.05), (0.05, 0.95)), step_s=0.1)}),))
+    trace = ss.gen_trace(model_sys, wl, 1500.0, 0.01, 9)
     specs = residency_predictors(model_sys, update_rate_hz=100.0)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=10.0)

@@ -292,10 +292,11 @@ def test_persisted_table_loads_back_equal(table, seed, interval_s):
 @hypothesis.given(seed=st.integers(0, 2**31 - 1))
 def test_scenario_document_round_trips(name, seed):
     sc = scn.builtin(name).with_seed(seed)
-    doc = scn.scenario_to_dict(sc)
-    back = scn.scenario_from_dict(json.loads(json.dumps(doc)))
+    doc = to_document(sc)
+    back = from_document(scn.ScenarioConfig, json.loads(json.dumps(doc)),
+                         "scenario")
     assert back == sc
-    assert scn.scenario_to_dict(back) == doc
+    assert to_document(back) == doc
 
 
 # -- document fuzz --------------------------------------------------------------
@@ -335,10 +336,12 @@ def with_node(doc, path, value):
                   pick=st.integers(0), value=JSON_VALUES)
 def test_scenario_document_with_one_node_replaced_fails_typed(name, pick,
                                                               value):
-    doc = scn.scenario_to_dict(scn.builtin(name))
+    doc = to_document(scn.builtin(name))
     paths = list(node_paths(doc))
     try:
-        scn.scenario_from_dict(with_node(doc, paths[pick % len(paths)], value))
+        from_document(scn.ScenarioConfig,
+                      with_node(doc, paths[pick % len(paths)], value),
+                      "scenario")
     except SesameError:
         pass
 

@@ -195,8 +195,8 @@ def one_phase_trace(proc, duration_s=1.0, phase_s=1.0):
     then in state 0, at a 1 ms tick."""
     model = ss.ComponentStateModel((ss.Component("c", (1.0, 2.0, 3.0)),))
     wl = ss.WorkloadSpec((ss.Phase("p", phase_s, {"c": proc}),
-                          ss.Phase("q", 1.0, {"c": fixed(0)})), seed=0)
-    return ss.gen_trace(model, wl, duration_s, 0.001)
+                          ss.Phase("q", 1.0, {"c": fixed(0)})))
+    return ss.gen_trace(model, wl, duration_s, 0.001, 0)
 
 
 @pytest.mark.parametrize("name", ["not_tick_multiples", "period_below_a_tick",
@@ -218,6 +218,9 @@ def test_off_grid_durations_are_refused(duration_s, phase_s, message):
 
 
 # -- trace queries ------------------------------------------------------------
+
+MIXED_SEED = 7
+
 
 def mixed_system():
     """Markov chains and schedules of one, two and three steps, in three
@@ -250,14 +253,14 @@ def mixed_system():
             "disk": disk_chain,
             "lcd": fixed(0),
         }),
-    ), seed=7)
+    ))
     return model, wl
 
 
 @pytest.fixture(scope="module")
 def mixed_trace():
     model, wl = mixed_system()
-    return ss.gen_trace(model, wl, 5.0, 0.001)
+    return ss.gen_trace(model, wl, 5.0, 0.001, MIXED_SEED)
 
 
 def test_mixed_trace_states_follow_the_phases(mixed_trace):
@@ -271,7 +274,7 @@ def test_mixed_trace_states_follow_the_phases(mixed_trace):
                 want.append(schedule_ticks(proc, n_phase, 0.001))
             else:
                 starts, states = tracesim._phase_states(
-                    proc, n_phase, 0.001, (wl.seed, c_idx, p_idx))
+                    proc, n_phase, 0.001, (MIXED_SEED, c_idx, p_idx))
                 want.append(tracesim._expand_runs(starts, states, n_phase))
         assert np.array_equal(tick_states(mixed_trace)[c_idx],
                               np.concatenate(want))

@@ -40,12 +40,11 @@ def duty_cycle_system():
             "cpu": duty(1.0, 0.5, 1, 0),
             "disk": fixed(0),
         }),),
-        seed=0,
     )
     return model, wl
 
 
-def markov_cpu(seed=11, duration=50.0):
+def markov_cpu(duration=50.0):
     model = ss.ComponentStateModel(
         components=(ss.Component("cpu", (1.0, 5.0, 9.0)),),
         base_power_w=0.5,
@@ -55,22 +54,22 @@ def markov_cpu(seed=11, duration=50.0):
         step_s=0.1,
     )
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("main", duration, {"cpu": chain}),), seed=seed)
+        phases=(ss.Phase("main", duration, {"cpu": chain}),))
     return model, wl, duration
 
 
 def test_single_state_trace_is_flat():
     model = single_state_model()
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 10.0, {"box": fixed(0)}),), seed=1)
-    trace = ss.gen_trace(model, wl, 10.0, 0.01)
+        phases=(ss.Phase("p", 10.0, {"box": fixed(0)}),))
+    trace = ss.gen_trace(model, wl, 10.0, 0.01, 1)
     assert len(trace) == 1000
     assert np.all(tick_power(trace) == 5.0)
 
 
 def test_duty_cycle_mean_power_matches_closed_form():
     model, wl = duty_cycle_system()
-    trace = ss.gen_trace(model, wl, 10.0, 0.01)
+    trace = ss.gen_trace(model, wl, 10.0, 0.01, 0)
     # closed form: 3 + 2 + (1 + 9) / 2 = 10 W over any whole period
     per_period = tick_power(trace).reshape(10, 100).mean(axis=1)
     assert np.allclose(per_period, 10.0)
@@ -78,18 +77,32 @@ def test_duty_cycle_mean_power_matches_closed_form():
 
 def test_same_seed_same_trace():
     model, wl, duration = markov_cpu()
-    a = ss.gen_trace(model, wl, duration, 0.01)
-    b = ss.gen_trace(model, wl, duration, 0.01)
+    a = ss.gen_trace(model, wl, duration, 0.01, 11)
+    b = ss.gen_trace(model, wl, duration, 0.01, 11)
     assert np.array_equal(tick_states(a), tick_states(b))
     assert np.array_equal(tick_power(a), tick_power(b))
 
 
 def test_different_seed_differs():
-    model, wl, duration = markov_cpu(seed=11)
-    model2, wl2, _ = markov_cpu(seed=12)
-    a = ss.gen_trace(model, wl, duration, 0.01)
-    b = ss.gen_trace(model2, wl2, duration, 0.01)
+    model, wl, duration = markov_cpu()
+    a = ss.gen_trace(model, wl, duration, 0.01, 11)
+    b = ss.gen_trace(model, wl, duration, 0.01, 12)
     assert not np.array_equal(tick_states(a), tick_states(b))
+
+
+def test_gen_trace_needs_a_seed():
+    # a default seed could change with no test noticing, so each caller
+    # states the seed it draws with
+    model, wl, duration = markov_cpu()
+    with pytest.raises(TypeError, match="seed"):
+        ss.gen_trace(model, wl, duration, 0.01)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_gen_trace_refuses_a_seed_that_is_not_an_integer_at_least_0(seed):
+    model, wl, duration = markov_cpu()
+    with pytest.raises(ConfigurationError, match="seed"):
+        ss.gen_trace(model, wl, duration, 0.01, seed)
 
 
 def test_invalid_markov_rows_rejected():
@@ -137,15 +150,15 @@ def test_non_finite_trace_model_values_are_refused(name):
 def test_true_energy_constant_trace():
     model = single_state_model()
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 200.0, {"box": fixed(0)}),), seed=1)
-    trace = ss.gen_trace(model, wl, 200.0, 0.01)
+        phases=(ss.Phase("p", 200.0, {"box": fixed(0)}),))
+    trace = ss.gen_trace(model, wl, 200.0, 0.01, 1)
     energy = ss.true_energy(trace, 100.0)
     assert np.allclose(energy, 500.0)
 
 
 def test_true_energy_duty_cycle_per_second():
     model, wl = duty_cycle_system()
-    trace = ss.gen_trace(model, wl, 10.0, 0.01)
+    trace = ss.gen_trace(model, wl, 10.0, 0.01, 0)
     # oracle: direct tick sums
     expect = tick_power(trace).reshape(10, 100).sum(axis=1) * 0.01
     assert np.allclose(ss.true_energy(trace, 1.0), expect)
@@ -154,7 +167,7 @@ def test_true_energy_duty_cycle_per_second():
 
 def test_true_energy_whole_trace_additivity():
     model, wl, duration = markov_cpu()
-    trace = ss.gen_trace(model, wl, duration, 0.01)
+    trace = ss.gen_trace(model, wl, duration, 0.01, 11)
     total = ss.true_energy(trace, duration)
     assert total.shape == (1,)
     assert total[0] == pytest.approx(tick_power(trace).sum() * 0.01, rel=1e-12)
@@ -162,14 +175,14 @@ def test_true_energy_whole_trace_additivity():
 
 def test_true_energy_alignment_error():
     model, wl = duty_cycle_system()
-    trace = ss.gen_trace(model, wl, 10.0, 0.01)
+    trace = ss.gen_trace(model, wl, 10.0, 0.01, 0)
     with pytest.raises(AlignmentError):
         ss.true_energy(trace, 0.0151)
 
 
 def test_partition_additivity():
     model, wl, duration = markov_cpu(duration=40.0)
-    trace = ss.gen_trace(model, wl, duration, 0.01)
+    trace = ss.gen_trace(model, wl, duration, 0.01, 11)
     whole = ss.true_energy(trace, 40.0)[0]
     for interval in (0.1, 0.5, 2.0, 8.0):
         parts = ss.true_energy(trace, interval)
@@ -188,8 +201,8 @@ def test_residency_closure():
     wl = ss.WorkloadSpec(phases=(ss.Phase("main", 30.0, {
         "cpu": chain,
         "disk": ss.Schedule(((0.014, 1), (0.029, 0), (0.005, 1))),
-    }),), seed=11)
-    trace = ss.gen_trace(model, wl, 30.0, 0.001)
+    }),))
+    trace = ss.gen_trace(model, wl, 30.0, 0.001, 11)
     for comp in model.components:
         specs = [
             ss.PredictorSpec(id=f"{comp.name}{j}", component=comp.name,
@@ -204,7 +217,7 @@ def test_residency_closure():
 
 def test_ground_truth_linearity_beta_true():
     model, wl, duration = markov_cpu(duration=60.0)
-    trace = ss.gen_trace(model, wl, duration, 0.01)
+    trace = ss.gen_trace(model, wl, duration, 0.01, 11)
     specs = residency_predictors(model)
     beta = residency_beta_true(model, 2.0, specs)
     x = np.column_stack([interval_truth(trace, s, 2.0) for s in specs])
@@ -219,8 +232,8 @@ def test_phases_switch_and_last_phase_extends():
     wl = ss.WorkloadSpec(phases=(
         ss.Phase("a", 2.0, {"box": fixed(0)}),
         ss.Phase("b", 2.0, {"box": fixed(1)}),
-    ), seed=3)
-    trace = ss.gen_trace(model, wl, 6.0, 0.01)
+    ))
+    trace = ss.gen_trace(model, wl, 6.0, 0.01, 3)
     assert np.all(tick_power(trace)[:200] == 1.0)
     assert np.all(tick_power(trace)[200:] == 4.0)  # phase b runs to the end
 
@@ -446,8 +459,8 @@ def test_markov_phases_restart_with_their_own_draws():
     wl = ss.WorkloadSpec(phases=tuple(
         ss.Phase(f"p{i}", 0.5 + 0.25 * i,
                  {"cpu": chain, "gpu": chains[(i + 1) % 3]})
-        for i, chain in enumerate(chains)), seed=5)
-    trace = ss.gen_trace(model, wl, 2.5, 0.001)
+        for i, chain in enumerate(chains)))
+    trace = ss.gen_trace(model, wl, 2.5, 0.001, 5)
     phase_ticks = [500, 750, 1250]         # the last phase runs to the end
     for c_idx in range(2):
         want = np.concatenate([
@@ -469,7 +482,7 @@ def register_reads(trace, spec, rate_hz):
 
 def test_observed_equals_truth_when_updates_are_fast():
     model, wl, duration = markov_cpu(duration=20.0)
-    trace = ss.gen_trace(model, wl, duration, 0.01)
+    trace = ss.gen_trace(model, wl, duration, 0.01, 11)
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={2: 1.0}, update_rate_hz=100.0)
     ticks = read_grid(trace, 100.0)
@@ -482,7 +495,7 @@ def test_slow_update_lag_bounded_by_one_quantum():
     # 250 Hz updates read at 100 Hz: the visible register trails the true
     # one by at most one update period of accumulation (4 ms here).
     model, wl, duration = markov_cpu(duration=20.0)
-    trace = ss.gen_trace(model, wl, duration, 0.001)
+    trace = ss.gen_trace(model, wl, duration, 0.001, 11)
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={2: 1.0}, update_rate_hz=250.0)
     ticks = read_grid(trace, 100.0)
@@ -500,9 +513,8 @@ def test_square_wave_read_error_bounded_by_update_granularity():
     model = ss.ComponentStateModel(
         components=(ss.Component("cpu", (1.0, 9.0)),), base_power_w=0.0)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 20.0, {"cpu": duty(1.0, 0.5, 1, 0)}),),
-        seed=0)
-    trace = ss.gen_trace(model, wl, 20.0, 0.001)
+        phases=(ss.Phase("p", 20.0, {"cpu": duty(1.0, 0.5, 1, 0)}),))
+    trace = ss.gen_trace(model, wl, 20.0, 0.001, 0)
     spec = ss.PredictorSpec(id="busy", component="cpu", kind="residency",
                             weights={1: 1.0}, update_rate_hz=250.0)
     ticks = read_grid(trace, 100.0)
@@ -520,8 +532,8 @@ def test_delayed_counter_cross_correlation_peaks_at_delay():
         components=(ss.Component("disk", (0.0, 1.0)),), base_power_w=1.0)
     chain = ss.MarkovChain(((0.95, 0.05), (0.05, 0.95)), step_s=0.05)
     wl = ss.WorkloadSpec(
-        phases=(ss.Phase("p", 120.0, {"disk": chain}),), seed=21)
-    trace = ss.gen_trace(model, wl, 120.0, 0.01)
+        phases=(ss.Phase("p", 120.0, {"disk": chain}),))
+    trace = ss.gen_trace(model, wl, 120.0, 0.01, 21)
     delay = 0.5
     spec = ss.PredictorSpec(id="sectors", component="disk", kind="counter",
                             weights={1: 200.0}, update_rate_hz=100.0,
@@ -546,8 +558,8 @@ def test_event_driven_level_changes_at_events_only():
     wl = ss.WorkloadSpec(phases=(
         ss.Phase("dim", 5.0, {"lcd": fixed(0)}),
         ss.Phase("bright", 5.0, {"lcd": fixed(1)}),
-    ), seed=0)
-    trace = ss.gen_trace(model, wl, 10.0, 0.01)
+    ))
+    trace = ss.gen_trace(model, wl, 10.0, 0.01, 0)
     spec = ss.PredictorSpec(id="bl", component="lcd", kind="level",
                             weights={0: 0.3, 1: 0.9}, policy="event-driven")
     values = ss.collect(trace, [spec], 1.0).x[:, 0]
