@@ -646,7 +646,6 @@ class PredictorSpec:
     update_rate_hz: float = 1000.0
     delay_s: float = 0.0
     policy: str = POLLED_FAST
-    name: str = ""
 
     def __post_init__(self):
         if self.kind not in (RESIDENCY, COUNTER, LEVEL):

@@ -94,6 +94,8 @@ BAD_SCENARIOS = {
     "removed_overhead_0": (("pipeline", "collection_overhead_w"), 0.0,
                            ParseError, "scenario.pipeline: unknown key "
                                        "'collection_overhead_w'"),
+    "removed_predictor_name": (("predictors", 0, "name"), "", ParseError,
+                               "scenario.predictors[0]: unknown key 'name'"),
     "removed_fixed": (ACT, {"type": "fixed", "state": 0}, ParseError,
                       "occupancy.act.type: expected one of"),
     "removed_duty": (ACT, {"type": "duty", "period_s": 1.0,
