@@ -449,7 +449,6 @@ def dvs_flip(seed: int = 44) -> ScenarioConfig:
         base_power_w=2.5,
     )
     bridge = _chain([[0.75, 0.25], [0.25, 0.75]], step_s=0.02)
-    # the 800 MHz busy state is never entered while DVS is off
     workload = WorkloadSpec(phases=(
         Phase("dvs_off", 1800.0, {
             "cpu": _CPU_ONE_BUSY, "disk": _DISK_CHAIN, "bridge": bridge}),

@@ -72,8 +72,8 @@ def test_a_replaced_seed_reseeds_the_trace_and_the_battery():
     assert not np.array_equal(a.readings.values, pinned.readings.values)
 
 
-@pytest.mark.parametrize("seed", [1.5, True, -1])
-def test_with_seed_refuses_a_seed_that_is_not_an_integer_at_least_0(seed):
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_with_seed_refuses_a_seed_that_is_not_an_integer(seed):
     with pytest.raises(ConfigurationError, match="seed"):
         scn.builtin("noiseless_linear").with_seed(seed)
 
@@ -430,7 +430,6 @@ def activity_chain_with(**changes) -> dict:
     {"duration_s": 2999.9995}, phase_with(duration_s=2999.9995),
     occupancy_with(lcd=scn.Schedule(((400.0005, 0), (500.0, 2)))),
     {"seed": -1}, occupancy_with(lcdd=T61.workload.phases[0].occupancy["lcd"]),
-    {"seed": 1.5}, {"seed": True},
 ])
 def test_scenario_config_rejects_bad_pipeline_fields(updates):
     with pytest.raises(ConfigurationError):
