@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ConfigurationError
-from .tracesim import Trace, _ratio_as_int, true_energy
+from .tracesim import Trace, _check_seed, _ratio_as_int, true_energy
 
 INSTANT = "instant"
 FILTERED = "filtered"
@@ -147,7 +147,9 @@ _SAMPLERS = {INSTANT: _sample_instant, FILTERED: _sample_filtered,
 
 def sample_interface(trace: Trace, model: BatteryInterfaceModel,
                      seed: int) -> BatteryReadings:
-    """Readings of the interface `model` describes, from its kind's sampler."""
+    """Readings of the interface `model` describes, from its kind's
+    sampler, whose noise draws `seed`, an integer >= 0, keys."""
+    _check_seed(seed)
     return _SAMPLERS[model.kind](trace, model, seed)
 
 

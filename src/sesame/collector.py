@@ -74,6 +74,44 @@ def _spec_ticks(spec: PredictorSpec, tick_s: float) -> tuple[int, int]:
                                 f"{spec.id} update period")
 
 
+def _collect_group(trace: Trace, specs: Sequence[PredictorSpec],
+                   key: tuple[int, int, int, bool], columns: list[int],
+                   boundaries: np.ndarray, interval: float,
+                   x: np.ndarray) -> None:
+    """Write the `columns` of `x` whose specs share the delayed grid of
+    `key`, (component, delay, update period, held), as `collect` says.
+    The grid, its lookup and the sums are freed on return, so that
+    `collect` never holds two groups' at once."""
+    c_idx, delay, period, held = key
+    if held:
+        # a row whose last update instant is p (in periods) holds
+        # sum p: the period ending where a poll at p reads, at
+        # (p + shift) * period, the delay rounded up to whole periods
+        polls = boundaries[:-1] // period
+        shift = -delay // period
+        grid = np.arange(shift - 1, polls[-1] + shift + 1) * period
+        np.maximum(grid, 0, out=grid)
+    else:
+        grid = boundaries - delay
+        grid //= period
+        grid *= period
+        np.maximum(grid, 0, out=grid)
+    lookup = trace.locate(c_idx, grid)
+    for i in columns:
+        spec = specs[i]
+        weights = trace.model.weight_vector(spec)[1]
+        if spec.kind == LEVEL:
+            x[:, i] = lookup.at(weights)[:-1]
+            continue
+        sums = lookup.sums(weights)
+        sums *= trace.tick_s
+        if held:
+            sums /= 1.0 / spec.update_rate_hz
+            x[:, i] = sums[polls]
+        else:
+            np.divide(sums, interval, out=x[:, i])
+
+
 def collect(trace: Trace, specs: Sequence[PredictorSpec],
             target_rate_hz: float) -> DesignMatrix:
     """Build the X-only design matrix at `target_rate_hz`, one row per
@@ -114,34 +152,8 @@ def collect(trace: Trace, specs: Sequence[PredictorSpec],
 
     # column-major: each column is written, and later read, whole
     x = np.empty((m, len(specs)), order="F")
-    for (c_idx, delay, period, held), columns in groups.items():
-        if held:
-            # a row whose last update instant is p (in periods) holds
-            # sum p: the period ending where a poll at p reads, at
-            # (p + shift) * period, the delay rounded up to whole periods
-            polls = boundaries[:-1] // period
-            shift = -delay // period
-            grid = np.arange(shift - 1, polls[-1] + shift + 1) * period
-            np.maximum(grid, 0, out=grid)
-        else:
-            grid = boundaries - delay
-            grid //= period
-            grid *= period
-            np.maximum(grid, 0, out=grid)
-        lookup = trace.locate(c_idx, grid)
-        for i in columns:
-            spec = specs[i]
-            weights = trace.model.weight_vector(spec)[1]
-            if spec.kind == LEVEL:
-                x[:, i] = lookup.at(weights)[:-1]
-                continue
-            sums = lookup.sums(weights)
-            sums *= trace.tick_s
-            if held:
-                sums /= 1.0 / spec.update_rate_hz
-                x[:, i] = sums[polls]
-            else:
-                np.divide(sums, interval, out=x[:, i])
+    for key, columns in groups.items():
+        _collect_group(trace, specs, key, columns, boundaries, interval, x)
     return DesignMatrix(
         interval_s=interval,
         columns=tuple(s.id for s in specs),

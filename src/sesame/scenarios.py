@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .battery import FILTERED, BatteryInterfaceModel
 from .collector import _spec_ticks
 from .constructor import DEFAULT_T_LOW_RANGE, FIT_METHODS, REGRESSOGRAM_K_MAX
@@ -111,9 +113,13 @@ class ScenarioConfig:
             _ratio_as_int(bat.filter_window_s / bat.filter_taps, self.tick_s,
                           "battery filter tap spacing")
         for name in ("pca_l", "regressogram_k", "train_windows"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
                 raise ConfigurationError(
-                    f"{name} must be >= 1, got {getattr(self, name)}")
+                    f"{name} must be an integer, got {value!r:.40}")
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
         if self.regressogram_k > REGRESSOGRAM_K_MAX:
             raise ConfigurationError(f"regressogram_k must be <= 2**53, "
                                      f"got {self.regressogram_k}")

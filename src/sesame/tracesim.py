@@ -22,8 +22,11 @@ running total; the collector sums each cumulative predictor exactly
 over its delayed update grid, located once per (component, delay,
 update period). A query that outnumbers a component's runs is answered
 run-major: one `searchsorted` of the run starts into the query, and
-per-run values expanded with `np.repeat`. A shorter one is a binary
-search.
+per-run values expanded with `np.repeat`; the truth's uniform query
+finds each run's first query by a division instead. A shorter one is a
+binary search. A scenario run takes its truth from `true_energy` at its
+grid's finest rate only, and sums those rows into each coarser rate
+(`experiments.RunArtifacts`).
 
 Markov chains are sampled straight into runs too: a two-state chain in
 closed form with array passes, and any other chain with one Python
@@ -388,19 +391,38 @@ def _phase_states(proc: OccupancyProcess, n_ticks: int, tick_s: float,
 
 class _Query:
     """Query ticks, a non-decreasing 1-D array, with the spans between
-    them, which the lookups of every component share."""
+    them, which the lookups of every component share.
 
-    def __init__(self, ticks: np.ndarray):
+    A uniform query (`uniform`), `step` times 0..n, keeps its step: it is
+    sorted as built, each span is the step, and the first query at or
+    after a tick is found by a division, with no search.
+    """
+
+    def __init__(self, ticks: np.ndarray, step: int | None = None):
         q = np.asarray(ticks, dtype=np.int64)
-        if q.ndim != 1 or bool(np.any(q[:-1] > q[1:])):
+        if step is None and (q.ndim != 1 or bool(np.any(q[:-1] > q[1:]))):
             raise ArgumentError("query ticks must be a non-decreasing "
                                 "1-D array")
         self.ticks = q
+        self.step = step
+
+    @classmethod
+    def uniform(cls, n: int, step: int) -> "_Query":
+        """The n + 1 ticks 0, step, ..., n * step."""
+        return cls(np.arange(n + 1, dtype=np.int64) * step, step)
 
     @cached_property
-    def spans(self) -> np.ndarray:
-        """Ticks in each interval [ticks[k], ticks[k+1])."""
-        return np.diff(self.ticks)
+    def spans(self) -> np.ndarray | int:
+        """Ticks in each interval [ticks[k], ticks[k+1]): the step of a
+        uniform query."""
+        return np.diff(self.ticks) if self.step is None else self.step
+
+    def first_at(self, ticks: np.ndarray) -> np.ndarray:
+        """Index of the first query at or after each of `ticks` (each
+        >= 0), or len(self.ticks) past the last query."""
+        if self.step is None:
+            return np.searchsorted(self.ticks, ticks, side="left")
+        return np.minimum(-(-ticks // self.step), len(self.ticks))
 
 
 def _run_major(starts: np.ndarray, query: _Query) -> bool:
@@ -435,7 +457,7 @@ class RunLookup:
                                 f"the trace's [0, {trace.n_ticks}]")
         starts = trace.runs[c_idx][0]
         if _run_major(starts, query):
-            self._first = np.searchsorted(q, starts, side="left")
+            self._first = query.first_at(starts)
             self._counts = np.diff(self._first, append=len(q))
             self._run = None
         else:
@@ -611,9 +633,9 @@ def true_energy(trace: Trace, interval_s: float) -> np.ndarray:
     """Exact energy per interval, in joules: the base draw plus each
     component's interval sums of its state powers."""
     k = _ratio_as_int(interval_s, trace.tick_s, "interval")
-    # every component's lookup shares the query's spans
-    query = _Query(np.arange(len(trace) // k + 1) * k)
-    watt_ticks = query.spans * float(trace.model.base_power_w)
+    # every component's lookup shares the query and its step
+    query = _Query.uniform(len(trace) // k, k)
+    watt_ticks = np.full(len(trace) // k, k * float(trace.model.base_power_w))
     for c_idx, comp in enumerate(trace.model.components):
         powers = np.asarray(comp.state_powers, dtype=float)
         watt_ticks += RunLookup(trace, c_idx, query).sums(powers)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sesame as ss
 import sesame.cli as cli
 import sesame.experiments as exp
 import sesame.scenarios as scn
@@ -431,12 +432,29 @@ def activity_chain_with(**changes) -> dict:
     # a bin past 2**53 is not exact, and near 2**63 its cast is invalid
     pytest.param({"regressogram_k": 2**53 + 1}, id="regressogram_k_past_2_53"),
     pytest.param({"regressogram_k": 2**63}, id="regressogram_k_2_63"),
+    # a count is an integer, and a bool is not one
+    pytest.param({"pca_l": 1.5}, id="pca_l_fraction"),
+    pytest.param({"regressogram_k": 2.5}, id="regressogram_k_fraction"),
+    pytest.param({"train_windows": 2.5}, id="train_windows_fraction"),
+    pytest.param({"pca_l": True}, id="pca_l_bool"),
+    pytest.param({"regressogram_k": True}, id="regressogram_k_bool"),
+    pytest.param({"train_windows": True}, id="train_windows_bool"),
 ])
 def test_scenario_config_rejects_bad_pipeline_fields(updates):
     with pytest.raises(ConfigurationError):
         if callable(updates):
             updates = updates()
         dataclasses.replace(scn.builtin("t61like"), **updates)
+
+
+@pytest.mark.parametrize("name", ["pca_l", "regressogram_k", "train_windows"])
+def test_a_pipeline_count_must_be_an_integer(name):
+    sc = scn.builtin("dvs_flip")
+    for value in (2.5, 2.0, True, "2"):
+        with pytest.raises(ConfigurationError,
+                           match=f"{name} must be an integer"):
+            dataclasses.replace(sc, **{name: value})
+    assert getattr(dataclasses.replace(sc, **{name: np.int64(3)}), name) == 3
 
 
 @pytest.mark.parametrize("field,value", [
@@ -602,8 +620,12 @@ def monitored_table(dm: DesignMatrix) -> ModelTable:
 
 
 X4, Y4 = np.ones((4, 1)), np.ones(4)
-# each call raises a SesameError that is also the built-in error named
-# with it
+ONE_STATE = ss.Trace(ss.ComponentStateModel((ss.Component("c", (1.0,)),)),
+                     0.001, 1000, [(np.zeros(1, dtype=np.int64),
+                                    np.zeros(1, dtype=np.int16))])
+GAUGE = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0)
+# each call raises a SesameError that is also the error named with it,
+# a built-in one where there is one
 BAD_LIBRARY_CALLS = {
     "rates_interval": (ValueError, lambda dm, path: TrainingSet(dm).fit(
         "OLS").predict_rows(dm.x, 0.0)),
@@ -651,6 +673,12 @@ BAD_LIBRARY_CALLS = {
         path)),
     "report_row": (KeyError, lambda dm, path: exp.ErrorReport("s", 0).value(
         1.0, exp.ORACLE_ESTIMATOR)),
+    "sample_seed_bool": (ConfigurationError, lambda dm, path:
+                         ss.sample_interface(ONE_STATE, GAUGE, seed=True)),
+    "sample_seed_fraction": (ConfigurationError, lambda dm, path:
+                             ss.sample_interface(ONE_STATE, GAUGE, seed=1.5)),
+    "sample_seed_negative": (ConfigurationError, lambda dm, path:
+                             ss.sample_interface(ONE_STATE, GAUGE, seed=-1)),
 }
 
 

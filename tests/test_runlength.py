@@ -417,6 +417,57 @@ def test_merged_run_lookup_equals_binary_search():
     assert run_major >= 5
 
 
+def test_uniform_query_equals_the_same_ticks_searched():
+    # a uniform query finds each run's first query by a division and
+    # spans every interval with its step; the same ticks without the step
+    # are searched and differenced, and must give the same floats
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def runs_and_step(draw):
+        n_ticks = draw(st.integers(1, 300))
+        inner = st.integers(1, max(1, n_ticks - 1))
+        starts = sorted({0} | set(draw(st.lists(inner, max_size=40)))
+                        - {n_ticks})
+        states = draw(st.lists(st.integers(0, 3), min_size=len(starts),
+                               max_size=len(starts)))
+        step = draw(st.integers(1, n_ticks))
+        n = draw(st.integers(0, n_ticks // step))
+        return (n_ticks, np.array(starts, dtype=np.int64),
+                np.array(states), step, n)
+
+    run_major = 0
+
+    @hypothesis.given(runs_and_step())
+    @hypothesis.example((10, np.array([0, 3, 7, 8]), np.array([0, 1, 0, 1]),
+                         1, 10))
+    @hypothesis.example((10, np.array([0, 3, 7, 8]), np.array([0, 1, 0, 1]),
+                         3, 3))
+    @hypothesis.settings(max_examples=80, deadline=None, database=None,
+                         print_blob=True)
+    def check(case):
+        nonlocal run_major
+        n_ticks, starts, states, step, n = case
+        trace = one_component_trace(n_ticks, starts, states)
+        w = np.linspace(0.3, 1.7, trace.model.components[0].n_states)
+        uniform = tracesim._Query.uniform(n, step)
+        searched = tracesim._Query(np.arange(n + 1) * step)
+        assert uniform.step == step and searched.step is None
+        assert np.array_equal(uniform.ticks, searched.ticks)
+        assert np.array_equal(uniform.first_at(starts),
+                              searched.first_at(starts))
+        got = tracesim.RunLookup(trace, 0, uniform)
+        want = tracesim.RunLookup(trace, 0, searched)
+        run_major += got._run is None
+        assert np.array_equal(got.at(w), want.at(w))
+        assert np.array_equal(got.sums(w), want.sums(w))
+
+    check()
+    # both explicit examples outnumber the runs
+    assert run_major >= 2
+
+
 def test_lookup_refuses_ticks_outside_the_trace():
     trace = one_component_trace(10, np.array([0, 3, 7], dtype=np.int64))
     w = np.array([0.3, 1.7])

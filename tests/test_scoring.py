@@ -15,6 +15,9 @@ each row's scale. The oracle solves its normal equations, summed chunk
 by chunk, while they are well conditioned, so there its weighted RMS is
 compared with the stacked design's to 1e-12 relative or 1e-15 absolute;
 on a singular design it equals the stacked design's `lstsq` bit for bit.
+A run's truth at a rate coarser than its grid's finest sums rows of the
+finest rate's, so it agrees with `true_energy` within 4e-15 relative:
+pairwise summation of up to 10^4 rows carries a few roundings each.
 Every other comparison is `==` or `np.array_equal`.
 """
 
@@ -37,6 +40,7 @@ from sesame.battery import rms_relative_error
 from sesame.collector import aggregate_response
 from sesame.constructor import TrainingSet, build_model, stretch
 from sesame.errors import AlignmentError, ConfigurationError
+from sesame.tracesim import true_energy
 
 # not a whole number of the coarsest (100 s) interval, so no rate's row
 # count is a multiple of its ratio to a coarser rate
@@ -318,3 +322,39 @@ def test_regressogram_linear_model_is_capped_at_pca_l(pca_l):
     report = exp.run_regressogram_compare(sc)
     assert report.value(1.0, "linear_molded") == masked_rms_relative_error(
         pred, arts.truth(1.0))
+
+
+@pytest.mark.parametrize("name", sorted(scn.BUILTIN_SCENARIOS))
+def test_coarser_truths_sum_the_finest_rate(name, monkeypatch):
+    # every built-in grid nests, so only the finest rate runs the kernel,
+    # whichever rate is asked for first
+    sc = scn.builtin(name)
+    arts = exp.simulate(sc)
+    fine = max(sc.rate_grid)
+    want = {rate: true_energy(arts.trace, 1.0 / rate) for rate in sc.rate_grid}
+    calls = []
+
+    def counted(trace, interval_s):
+        calls.append(interval_s)
+        return true_energy(trace, interval_s)
+
+    monkeypatch.setattr(exp, "true_energy", counted)
+    for rate in sorted(sc.rate_grid):
+        got = arts.truth(rate)
+        if rate == fine:
+            assert np.array_equal(got, want[rate])
+        else:
+            np.testing.assert_allclose(got, want[rate], rtol=4e-15, atol=0)
+    fine_first = exp.RunArtifacts(sc, arts.trace, arts.readings)
+    for rate in sorted(sc.rate_grid, reverse=True):
+        assert np.array_equal(fine_first.truth(rate), arts.truth(rate))
+    assert calls == [1.0 / fine] * 2
+
+
+def test_a_grid_that_does_not_nest_takes_true_energy():
+    # 0.4 Hz is 2.5 intervals of 1 Hz, so it is not summed from them
+    sc = dataclasses.replace(shortened("t61like"), rate_grid=(0.4, 1.0))
+    arts = exp.simulate(sc)
+    for rate in sc.rate_grid:
+        assert np.array_equal(arts.truth(rate),
+                              true_energy(arts.trace, 1.0 / rate))

@@ -17,9 +17,10 @@ moved, the largest relative move among values whose magnitude on side A
 is above 1e-13 (smaller ones are roundoff-sized errors of exact fits),
 and the largest absolute move. With `--seeds N`, each anchor's min,
 median and max over seeds 1..N follow, on both sides: the accuracy
-(1 - RMS error) of `molded_l2` at 1 and 100 Hz on t61like and n900like,
-and the rebuild count of each adaptation built-in. The exit code is 0
-when nothing moved and 1 otherwise.
+(1 - RMS error) of `molded_l2` and of `molded_all_pcs` at 1 and 100 Hz on
+t61like and n900like, and the rebuild count of each adaptation built-in.
+`molded_all_pcs` falls below 0.8 on some seeds, which the pinned seeds
+do not show. The exit code is 0 when nothing moved and 1 otherwise.
 """
 
 import argparse
@@ -33,7 +34,8 @@ from pathlib import Path
 # noise, not a measure of the change
 TINY = 1e-13
 # scored as accuracy, 1 - RMS relative error, as the anchors are stated
-ANCHOR_VALUES = tuple((scenario, f"{rate} Hz molded_l2")
+ANCHOR_VALUES = tuple((scenario, f"{rate} Hz {variant}")
+                      for variant in ("molded_l2", "molded_all_pcs")
                       for scenario in ("t61like", "n900like")
                       for rate in (1, 100))
 REBUILD_ANCHORS = ("dvs_flip", "workload_switch", "adaptation_control")
