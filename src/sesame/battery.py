@@ -9,12 +9,11 @@ has to difference two readings to get a mean current.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigurationError
+from .errors import AlignmentError, ConfigurationError, check_fields
 from .tracesim import Trace, _check_seed, _ratio_as_int, true_energy
 
 INSTANT = "instant"
@@ -45,14 +44,15 @@ class BatteryInterfaceModel:
     initial_capacity_c: float = 20000.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in (INSTANT, FILTERED, CAPACITY):
             raise ConfigurationError(f"unknown battery interface kind {self.kind!r}")
         for name in ("reading_rate_hz", "supply_voltage_v"):
-            if not 0 < getattr(self, name) < math.inf:
+            if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be finite and > 0")
         for name in ("noise_sigma", "counter_sigma_c", "filter_window_s",
                      "initial_capacity_c"):
-            if not 0 <= getattr(self, name) < math.inf:
+            if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be finite and >= 0")
         if self.kind == FILTERED:
             if self.filter_window_s <= 0 or self.filter_taps < 1:

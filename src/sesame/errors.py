@@ -8,10 +8,15 @@ float is a finite JSON number, an int a JSON integer and never `true` or
 `group` in its metadata sits in that nested object; a union of dataclasses
 is told apart by each member's `TAG` under "type". Any other document
 raises ParseError naming the key path, such as `scenario.battery.kind`.
+
+A scenario built in Python takes the same rules through `check_fields`,
+which every scenario dataclass calls first: a tuple stands for a list, a
+numpy scalar for its Python value and a built dataclass for itself.
 """
 
 import collections.abc
 import dataclasses
+import functools
 import json
 import sys
 import types
@@ -100,8 +105,11 @@ def _expect(kind: type, value, path: str):
     return value
 
 
+_hints = functools.cache(typing.get_type_hints)     # slow to resolve
+
+
 def _read_dataclass(cls, doc: dict, path: str):
-    hints, kwargs, by_group = typing.get_type_hints(cls), {}, {}
+    hints, kwargs, by_group = _hints(cls), {}, {}
     for f in dataclasses.fields(cls):
         by_group.setdefault(f.metadata.get("group"), {})[f.name] = f
     # the top level also holds the groups, and a tagged class's "type"
@@ -126,8 +134,11 @@ def from_document(hint, value, path: str):
     """The value of type `hint` that the JSON `value` at key path `path`
     encodes; a dataclass is built, so its own checks run too."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if dataclasses.is_dataclass(hint):
-        return _read_dataclass(hint, _expect(dict, value, path), path)
+    if isinstance(value, np.generic):
+        value = value.item()
+    if dataclasses.is_dataclass(hint):  # a built one has checked itself
+        return value if isinstance(value, hint) else _read_dataclass(
+            hint, _expect(dict, value, path), path)
     if origin is types.UnionType:   # X | None, or dataclasses with a TAG
         if value is None and type(None) in args:
             return None
@@ -135,13 +146,13 @@ def from_document(hint, value, path: str):
                 if a is not type(None)}
         if None in tags:
             return from_document(tags[None], value, path)
-        tag = _expect(dict, value, path).get("type")
+        tag = getattr(value, "TAG", 0) or _expect(dict, value, path).get("type")
         if tag not in sorted(tags):     # a list, as the tag may not hash
             raise ParseError(f"{path}.type: expected one of "
                              f"{sorted(tags)}, got {tag!r:.40}")
         return from_document(tags[tag], value, path)
     if origin is tuple:
-        items = _expect(list, value, path)
+        items = value if type(value) is tuple else _expect(list, value, path)
         if args[-1] is Ellipsis:
             args = args[:1] * len(items)
         elif len(items) != len(args):
@@ -152,12 +163,13 @@ def from_document(hint, value, path: str):
     if origin is collections.abc.Mapping:
         out = {}
         for key, item in _expect(dict, value, path).items():
-            try:
-                name = args[0](key)
+            try:    # only a JSON object's key is parsed
+                name = int(key) if type(key) is str and args[0] is int else key
             except ValueError:
                 raise ParseError(
                     f"{path}: key {key!r:.40} is not an integer") from None
-            out[name] = from_document(args[1], item, f"{path}.{key}")
+            out[from_document(args[0], name, f"{path}.{key}")] = from_document(
+                args[1], item, f"{path}.{key}")
         return out
     if hint is np.ndarray:
         return np.array(from_document(tuple[float, ...], value, path))
@@ -185,4 +197,18 @@ def to_document(obj):
         return {str(k): to_document(v) for k, v in obj.items()}
     if isinstance(obj, (tuple, list, np.ndarray)):
         return [to_document(v) for v in obj]
-    return obj
+    return obj.item() if isinstance(obj, np.generic) else obj
+
+
+def check_fields(obj) -> None:
+    """Refuse, with a ConfigurationError naming `Class.field`, a dataclass
+    whose fields do not each read, under their type hints, as themselves."""
+    cls = type(obj)
+    for name, hint in _hints(cls).items():
+        value, path = getattr(obj, name), f"{cls.__name__}.{name}"
+        try:
+            if from_document(hint, value, path) != value:
+                raise ParseError(f"{path}: expected a built value, not the "
+                                 f"document form {value!r:.40}")
+        except ParseError as exc:
+            raise ConfigurationError(str(exc)) from None

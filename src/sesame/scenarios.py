@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .battery import FILTERED, BatteryInterfaceModel
 from .collector import _spec_ticks
 from .constructor import DEFAULT_T_LOW_RANGE, FIT_METHODS, REGRESSOGRAM_K_MAX
-from .errors import ConfigurationError, from_document, read_json, to_document
+from .errors import ConfigurationError, check_fields, from_document
+from .errors import read_json, to_document
 from .tracesim import (
     Component,
     ComponentStateModel,
@@ -27,7 +25,6 @@ from .tracesim import (
     PredictorSpec,
     Schedule,
     WorkloadSpec,
-    _check_seed,
     _phase_edges,
     _ratio_as_int,
 )
@@ -74,9 +71,11 @@ class ScenarioConfig:
         ("hardware", "machine", "sim"),)
 
     def __post_init__(self):
+        check_fields(self)
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(f"unknown experiment {self.experiment!r}")
-        _check_seed(self.seed)
+        if self.seed < 0:
+            raise ConfigurationError(f"seed {self.seed} must be >= 0")
         _phase_edges(self.system, self.workload, self.duration_s, self.tick_s)
         if self.fit_method not in FIT_METHODS:
             raise ConfigurationError(f"fit method {self.fit_method!r} is "
@@ -93,7 +92,7 @@ class ScenarioConfig:
         if not self.rate_grid:
             raise ConfigurationError("rate grid is empty")
         for rate in (self.base_rate_hz, *self.rate_grid):
-            if not 0 < rate < math.inf:
+            if rate <= 0:
                 raise ConfigurationError(f"rate {rate} Hz must be finite and > 0")
             _ratio_as_int(1.0 / rate, self.tick_s, f"rate {rate:g} Hz period")
             if 1.0 / rate > self.duration_s:
@@ -114,10 +113,6 @@ class ScenarioConfig:
                           "battery filter tap spacing")
         for name in ("pca_l", "regressogram_k", "train_windows"):
             value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))):
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r:.40}")
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
         if self.regressogram_k > REGRESSOGRAM_K_MAX:

@@ -44,7 +44,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ArgumentError, ConfigurationError
+from .errors import AlignmentError, ArgumentError, ConfigurationError, check_fields
 
 RESIDENCY = "residency"
 COUNTER = "counter"
@@ -80,9 +80,10 @@ class Component:
     state_names: tuple[str, ...] = ()
 
     def __post_init__(self):
+        check_fields(self)
         if len(self.state_powers) < 1:
             raise ConfigurationError(f"component {self.name}: needs >= 1 state")
-        if not all(0 <= p < math.inf for p in self.state_powers):
+        if min(self.state_powers) < 0:
             raise ConfigurationError(
                 f"component {self.name}: state powers must be finite and >= 0")
         if self.state_names and len(self.state_names) != len(self.state_powers):
@@ -101,9 +102,10 @@ class ComponentStateModel:
     base_power_w: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         if len(self.components) < 1:
             raise ConfigurationError("system needs >= 1 component")
-        if not 0 <= self.base_power_w < math.inf:
+        if self.base_power_w < 0:
             raise ConfigurationError("base power must be finite and >= 0")
         names = [c.name for c in self.components]
         if len(set(names)) != len(names):
@@ -140,7 +142,8 @@ class Schedule:
     steps: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
-        if not self.steps or not all(0 < d < math.inf for d, _ in self.steps):
+        check_fields(self)
+        if not self.steps or not all(d > 0 for d, _ in self.steps):
             raise ConfigurationError(
                 "schedule steps need finite, positive durations")
 
@@ -155,18 +158,19 @@ class MarkovChain:
     initial_state: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         n = len(self.transition)
         for row in self.transition:
             if len(row) != n:
                 raise ConfigurationError("Markov matrix must be square")
-            if not all(0 <= p < math.inf for p in row):
+            if min(row) < 0:
                 raise ConfigurationError(
                     "Markov probabilities must be finite and >= 0")
             if abs(sum(row) - 1.0) > 1e-9:
                 raise ConfigurationError(
                     f"Markov row {row} does not sum to 1 within 1e-9"
                 )
-        if not 0 < self.step_s < math.inf:
+        if self.step_s <= 0:
             raise ConfigurationError("Markov step must be finite and > 0")
         if not 0 <= self.initial_state < n:
             raise ConfigurationError("Markov initial state out of range")
@@ -184,7 +188,8 @@ class Phase:
     occupancy: Mapping[str, OccupancyProcess]
 
     def __post_init__(self):
-        if not 0 < self.duration_s < math.inf:
+        check_fields(self)
+        if self.duration_s <= 0:
             raise ConfigurationError(
                 f"phase {self.name}: duration must be finite and > 0")
 
@@ -201,6 +206,7 @@ class WorkloadSpec:
     phases: tuple[Phase, ...]
 
     def __post_init__(self):
+        check_fields(self)
         if not self.phases:
             raise ConfigurationError("workload needs >= 1 phase")
 
@@ -339,14 +345,12 @@ def _phase_edges(model: ComponentStateModel, wl: WorkloadSpec,
                     if not 0 <= s < comp.n_states:
                         raise ConfigurationError(f"{where}: state {s} "
                                                  f"out of range")
-            elif isinstance(proc, MarkovChain):
-                if len(proc.transition) != comp.n_states:
-                    raise ConfigurationError(
-                        f"{where}: Markov matrix for {len(proc.transition)} "
-                        f"states, not {comp.n_states}")
-                _ratio_as_int(proc.step_s, tick_s, f"{where} Markov step")
+            elif len(proc.transition) != comp.n_states:   # a MarkovChain
+                raise ConfigurationError(
+                    f"{where}: Markov matrix for {len(proc.transition)} "
+                    f"states, not {comp.n_states}")
             else:
-                raise ConfigurationError(f"{where}: no occupancy process")
+                _ratio_as_int(proc.step_s, tick_s, f"{where} Markov step")
         edges.append(min(n_ticks, edges[-1] + _ratio_as_int(
             phase.duration_s, tick_s, f"phase {phase.name} duration")))
     edges[-1] = n_ticks
@@ -670,6 +674,7 @@ class PredictorSpec:
     policy: str = POLLED_FAST
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in (RESIDENCY, COUNTER, LEVEL):
             raise ConfigurationError(f"{self.id}: unknown kind {self.kind!r}")
         if self.policy not in (POLLED_FAST, POLLED_SLOW, EVENT_DRIVEN):
@@ -677,12 +682,10 @@ class PredictorSpec:
         if self.policy == EVENT_DRIVEN and self.kind != LEVEL:
             raise ConfigurationError(
                 f"{self.id}: only a level can be event-driven")
-        if not 0 < self.update_rate_hz < math.inf:
+        if self.update_rate_hz <= 0:
             raise ConfigurationError(
                 f"{self.id}: update rate must be finite and > 0")
-        if not 0 <= self.delay_s < math.inf:
+        if self.delay_s < 0:
             raise ConfigurationError(f"{self.id}: delay must be finite and >= 0")
         if not self.weights:
             raise ConfigurationError(f"{self.id}: empty weight map")
-        if not all(math.isfinite(w) for w in self.weights.values()):
-            raise ConfigurationError(f"{self.id}: weights must be finite")

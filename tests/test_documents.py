@@ -2,11 +2,15 @@
 fields and type hints: wrong JSON types, non-finite numbers, unknown keys
 and inconsistent models fail typed and name the key path, absent optional
 keys take the dataclass defaults, and the keys of earlier versions'
-documents are unknown keys."""
+documents are unknown keys. A scenario built in Python is held to the same
+rules, field by field, and a saved scenario loads back equal."""
 
+import collections.abc
 import copy
 import dataclasses
+import typing
 
+import numpy as np
 import pytest
 
 import sesame.scenarios as scn
@@ -240,3 +244,97 @@ def test_model_equality_covers_every_field():
                        ("active_columns", ["cpu"])):
         assert model != read_model(dict(MODEL, **{key: value})), key
     assert model != dataclasses.replace(model, fit_method="OLS")
+
+
+def hint_classes(hint, found: dict) -> dict:
+    """Each dataclass that `hint` reaches, mapped to its type hints."""
+    if dataclasses.is_dataclass(hint):
+        if hint not in found:
+            found[hint] = typing.get_type_hints(hint)
+            for field_hint in found[hint].values():
+                hint_classes(field_hint, found)
+    for arg in typing.get_args(hint):
+        hint_classes(arg, found)
+    return found
+
+
+def first_instances(obj, found: dict) -> dict:
+    """The first instance of each dataclass in `obj`, `obj` included."""
+    if dataclasses.is_dataclass(obj):
+        found.setdefault(type(obj), obj)
+        children = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    else:
+        children = obj.values() if isinstance(obj, dict) else (
+            obj if isinstance(obj, tuple) else ())
+    for child in children:
+        first_instances(child, found)
+    return found
+
+
+SCENARIO_HINTS = hint_classes(scn.ScenarioConfig, {})
+BUILT_INSTANCES = {}
+for _name in scn.BUILTIN_SCENARIOS:
+    first_instances(scn.builtin(_name), BUILT_INSTANCES)
+
+
+def wrong_kinds(hint, value) -> list:
+    """Values of a field of type `hint`, now `value`, each with a wrong
+    kind at one place: a bool for an int or a float, 1.5 for an int, a
+    string for a number and a number for a string or a dataclass."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in (int, float, str):
+        return {int: [True, 1.5, "1"], float: [True, "1.0"],
+                str: [1.0]}[hint]
+    if origin is tuple:
+        hints = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return [value[:i] + (wrong,) + value[i + 1:]
+                for i in range(1 if args[-1] is Ellipsis else len(args))
+                for wrong in wrong_kinds(hints[i], value[i])]
+    if origin is collections.abc.Mapping:
+        key, item = next(iter(value.items()))
+        return ([{wrong: item} for wrong in wrong_kinds(args[0], key)]
+                + [{**value, key: wrong}
+                   for wrong in wrong_kinds(args[1], item)])
+    return [1.0, "markov"]      # a dataclass, or a union of dataclasses
+
+
+FIELDS = [(cls, name) for cls, hints in SCENARIO_HINTS.items()
+          for name in hints]
+
+
+def test_the_walk_reaches_every_scenario_dataclass():
+    assert {cls.__name__ for cls in SCENARIO_HINTS} == {
+        "ScenarioConfig", "ComponentStateModel", "Component",
+        "WorkloadSpec", "Phase", "Schedule", "MarkovChain",
+        "PredictorSpec", "BatteryInterfaceModel"}
+
+
+@pytest.mark.parametrize("cls,name", FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n in FIELDS])
+def test_every_scenario_field_refuses_a_wrong_kind(cls, name):
+    # a dataclass that skips `check_fields` in its `__post_init__`, or a
+    # built-in that holds none of its instances, fails here
+    built = BUILT_INSTANCES[cls]
+    wrongs = wrong_kinds(SCENARIO_HINTS[cls][name], getattr(built, name))
+    assert wrongs
+    for wrong in wrongs:
+        with pytest.raises(ConfigurationError) as info:
+            dataclasses.replace(built, **{name: wrong})
+        assert str(info.value).startswith(f"{cls.__name__}.{name}"), wrong
+
+
+NUMPY_SCALARS = dataclasses.replace(
+    scn.builtin("noiseless_linear"), seed=np.int64(3), pca_l=np.int64(2),
+    threshold=np.float64(0.2))
+ROUND_TRIPS = {**{name: scn.builtin(name) for name in scn.BUILTIN_SCENARIOS},
+               "numpy_scalars": NUMPY_SCALARS,
+               "numpy_scalars_dvs_flip": dataclasses.replace(
+                   scn.builtin("dvs_flip"), seed=np.int64(44),
+                   pca_l=np.int64(1), threshold=np.float64(0.15))}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+def test_a_saved_scenario_loads_back_equal(name, tmp_path):
+    sc, path = ROUND_TRIPS[name], str(tmp_path / "scenario.json")
+    scn.save_scenario(sc, path)
+    assert scn.load_scenario(path) == sc

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -351,7 +352,9 @@ BAD_FLAGS = {
     "l_zero": (["quadratic_cpu", "--l", "0"], "pca_l must be >= 1"),
     "l_negative": (["quadratic_cpu", "--l", "-1"], "pca_l must be >= 1"),
     "l_for_molding": (["t61like", "--l", "3"], "regressogram-compare runs only"),
-    "threshold_nan": (["dvs_flip", "--threshold", "nan"], "threshold nan"),
+    "threshold_nan": (["dvs_flip", "--threshold", "nan"],
+                      "ScenarioConfig.threshold: expected a finite number, "
+                      "got nan"),
     "seed_negative": (["noiseless_linear", "--seed", "-1"],
                       "seed -1 must be >= 0"),
 }
@@ -451,10 +454,19 @@ def test_scenario_config_rejects_bad_pipeline_fields(updates):
 def test_a_pipeline_count_must_be_an_integer(name):
     sc = scn.builtin("dvs_flip")
     for value in (2.5, 2.0, True, "2"):
-        with pytest.raises(ConfigurationError,
-                           match=f"{name} must be an integer"):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"ScenarioConfig.{name}: expected an integer, got {value!r}")):
             dataclasses.replace(sc, **{name: value})
     assert getattr(dataclasses.replace(sc, **{name: np.int64(3)}), name) == 3
+
+
+def test_numpy_scalar_fields_run_and_replay(tmp_path):
+    # a numpy seed once passed validation, wrote report.csv and then
+    # failed untyped in json.dumps while writing run.json
+    sc = dataclasses.replace(scn.builtin("noiseless_linear"),
+                             seed=np.int64(3), pca_l=np.int64(2))
+    exp.run_scenario(sc, str(tmp_path))
+    assert scn.load_scenario(str(tmp_path / "run.json")) == sc
 
 
 @pytest.mark.parametrize("field,value", [
@@ -679,6 +691,25 @@ BAD_LIBRARY_CALLS = {
                              ss.sample_interface(ONE_STATE, GAUGE, seed=1.5)),
     "sample_seed_negative": (ConfigurationError, lambda dm, path:
                              ss.sample_interface(ONE_STATE, GAUGE, seed=-1)),
+    # a field of the wrong kind, refused by the documents' reader
+    "battery_rate_bool": (ConfigurationError, lambda dm, path:
+                          ss.BatteryInterfaceModel(kind="instant",
+                                                   reading_rate_hz=True)),
+    "battery_taps_fraction": (ConfigurationError, lambda dm, path:
+                              dataclasses.replace(T61.battery,
+                                                  filter_taps=2.5)),
+    "battery_voltage_string": (ConfigurationError, lambda dm, path:
+                               dataclasses.replace(GAUGE,
+                                                   supply_voltage_v="12")),
+    "markov_initial_fraction": (ConfigurationError, lambda dm, path:
+                                ss.MarkovChain(((1.0,),), initial_state=1.5)),
+    "schedule_state_fraction": (ConfigurationError, lambda dm, path:
+                                ss.Schedule(((1.0, 1.5),))),
+    "component_name_number": (ConfigurationError, lambda dm, path:
+                              ss.Component(name=3, state_powers=(1.0,))),
+    "predictor_weight_key_string": (ConfigurationError, lambda dm, path:
+                                    ss.PredictorSpec("p", "c", "residency",
+                                                     {"0": 1.0})),
 }
 
 
