@@ -263,9 +263,10 @@ def first_instances(obj, found: dict) -> dict:
     if dataclasses.is_dataclass(obj):
         found.setdefault(type(obj), obj)
         children = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, dict):
+        children = obj.values()
     else:
-        children = obj.values() if isinstance(obj, dict) else (
-            obj if isinstance(obj, tuple) else ())
+        children = obj if isinstance(obj, tuple) else ()
     for child in children:
         first_instances(child, found)
     return found
@@ -323,14 +324,10 @@ def test_every_scenario_field_refuses_a_wrong_kind(cls, name):
         assert str(info.value).startswith(f"{cls.__name__}.{name}"), wrong
 
 
-NUMPY_SCALARS = dataclasses.replace(
-    scn.builtin("noiseless_linear"), seed=np.int64(3), pca_l=np.int64(2),
-    threshold=np.float64(0.2))
 ROUND_TRIPS = {**{name: scn.builtin(name) for name in scn.BUILTIN_SCENARIOS},
-               "numpy_scalars": NUMPY_SCALARS,
-               "numpy_scalars_dvs_flip": dataclasses.replace(
-                   scn.builtin("dvs_flip"), seed=np.int64(44),
-                   pca_l=np.int64(1), threshold=np.float64(0.15))}
+               "numpy_scalars": dataclasses.replace(
+                   scn.builtin("noiseless_linear"), seed=np.int64(3),
+                   pca_l=np.int64(2), threshold=np.float64(0.2))}
 
 
 @pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
