@@ -6,8 +6,10 @@ are summed exactly between the delayed update-grid ticks of the
 target-interval boundaries, slow predictors hold their last completed
 per-update rate, and an event-driven level changes at every delayed state
 change. The sums come from the truth's own interval-sum kernel
-(`RunLookup.sums`). Every cumulative column is written as a rate, so this
-module is the one place that knows predictor units.
+(`RunLookup.sums`), on a delayed grid that is located by division
+(`tracesim._Grid`), so no array of grid ticks is built. Every cumulative
+column is written as a rate, so this module is the one place that knows
+predictor units.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from .tracesim import (
     LEVEL,
     POLLED_SLOW,
     PredictorSpec,
+    RunLookup,
     Trace,
+    _Grid,
     _ratio_as_int,
 )
 
@@ -76,27 +80,24 @@ def _spec_ticks(spec: PredictorSpec, tick_s: float) -> tuple[int, int]:
 
 def _collect_group(trace: Trace, specs: Sequence[PredictorSpec],
                    key: tuple[int, int, int, bool], columns: list[int],
-                   boundaries: np.ndarray, interval: float,
-                   x: np.ndarray) -> None:
+                   m: int, k: int, interval: float, x: np.ndarray) -> None:
     """Write the `columns` of `x` whose specs share the delayed grid of
-    `key`, (component, delay, update period, held), as `collect` says.
-    The grid, its lookup and the sums are freed on return, so that
-    `collect` never holds two groups' at once."""
+    `key`, (component, delay, update period, held), as `collect` says,
+    for `m` intervals of `k` ticks. The lookup and the sums are freed on
+    return, so that `collect` never holds two groups' at once."""
     c_idx, delay, period, held = key
     if held:
-        # a row whose last update instant is p (in periods) holds
-        # sum p: the period ending where a poll at p reads, at
-        # (p + shift) * period, the delay rounded up to whole periods
-        polls = boundaries[:-1] // period
-        shift = -delay // period
-        grid = np.arange(shift - 1, polls[-1] + shift + 1) * period
-        np.maximum(grid, 0, out=grid)
+        # a row whose last update instant is p (in periods) holds sum p:
+        # the period ending where a poll at p reads, at (p - lag + 1) *
+        # period, where lag is the delay in whole periods, rounded up,
+        # plus one
+        polls = np.arange(m) * k
+        polls //= period
+        lag = 1 - -delay // period
+        grid = _Grid(int(polls[-1]) + 1, period, lag * period, period)
     else:
-        grid = boundaries - delay
-        grid //= period
-        grid *= period
-        np.maximum(grid, 0, out=grid)
-    lookup = trace.locate(c_idx, grid)
+        grid = _Grid(m, k, delay, period)
+    lookup = RunLookup(trace, c_idx, grid)
     for i in columns:
         spec = specs[i]
         weights = trace.model.weight_vector(spec)[1]
@@ -121,13 +122,14 @@ def collect(trace: Trace, specs: Sequence[PredictorSpec],
     state `delay` ticks back, so the value visible at tick b was current
     at (b - delay) // period * period, and at 0 before the trace start.
     Specs of one component with the same delay and update period share
-    one such delayed grid and its `RunLookup`. A level reads its weight at
-    each interval start's grid tick. A cumulative column (residency or
-    counter) is the exact sum over its grid interval, divided by the
-    target interval: a fraction or events per second. A polled-slow one
-    whose period exceeds the interval holds instead the sum over the last
-    update period completed before each interval start, on the delayed
-    period grid, divided by the period.
+    one such delayed grid, a `_Grid` answered by division, and its
+    `RunLookup`. A level reads its weight at each interval start's grid
+    tick. A cumulative column (residency or counter) is the exact sum
+    over its grid interval, divided by the target interval: a fraction
+    or events per second. A polled-slow one whose period exceeds the
+    interval holds instead the sum over the last update period completed
+    before each interval start, on the delayed period grid, divided by
+    the period.
     """
     if target_rate_hz <= 0:
         raise ConfigurationError("target rate must be > 0")
@@ -139,7 +141,6 @@ def collect(trace: Trace, specs: Sequence[PredictorSpec],
     m = len(trace) // k
     if m < 1:
         raise ConfigurationError("trace shorter than one interval")
-    boundaries = np.arange(m + 1) * k
 
     groups: dict[tuple[int, int, int, bool], list[int]] = {}
     for i, spec in enumerate(specs):
@@ -153,7 +154,7 @@ def collect(trace: Trace, specs: Sequence[PredictorSpec],
     # column-major: each column is written, and later read, whole
     x = np.empty((m, len(specs)), order="F")
     for key, columns in groups.items():
-        _collect_group(trace, specs, key, columns, boundaries, interval, x)
+        _collect_group(trace, specs, key, columns, m, k, interval, x)
     return DesignMatrix(
         interval_s=interval,
         columns=tuple(s.id for s in specs),

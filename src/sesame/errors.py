@@ -130,6 +130,17 @@ def _read_dataclass(cls, doc: dict, path: str):
     return cls(**kwargs)
 
 
+def _int_key(key: str, path: str) -> int:
+    """The int that the JSON object key `key` names: a plain decimal, the
+    key that `to_document` writes for it."""
+    try:
+        if str(name := int(key)) == key:
+            return name
+    except ValueError:
+        pass
+    raise ParseError(f"{path}: key {key!r:.40} is not an integer")
+
+
 def from_document(hint, value, path: str):
     """The value of type `hint` that the JSON `value` at key path `path`
     encodes; a dataclass is built, so its own checks run too."""
@@ -163,11 +174,9 @@ def from_document(hint, value, path: str):
     if origin is collections.abc.Mapping:
         out = {}
         for key, item in _expect(dict, value, path).items():
-            try:    # only a JSON object's key is parsed
-                name = int(key) if type(key) is str and args[0] is int else key
-            except ValueError:
-                raise ParseError(
-                    f"{path}: key {key!r:.40} is not an integer") from None
+            # only a JSON object's key is parsed
+            name = (_int_key(key, path) if type(key) is str and args[0] is int
+                    else key)
             out[from_document(args[0], name, f"{path}.{key}")] = from_document(
                 args[1], item, f"{path}.{key}")
         return out

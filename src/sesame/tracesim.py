@@ -15,22 +15,27 @@ The trace is run-length: states change only at Markov steps or schedule
 edges, so each component keeps the tick at which each run starts and the
 state it holds, never an array per tick.
 The trace answers one question: interval sums of per-state weights
-between sorted query ticks, through a `RunLookup` (`Trace.locate`) and
-its one kernel, `RunLookup.sums`. The truth is those sums of the state
-powers (`true_energy`); the capacity sampler's charge register is their
-running total; the collector sums each cumulative predictor exactly
-over its delayed update grid, located once per (component, delay,
-update period). A query that outnumbers a component's runs is answered
-run-major: one `searchsorted` of the run starts into the query, and
-per-run values expanded with `np.repeat`; the truth's uniform query
-finds each run's first query by a division instead. A shorter one is a
-binary search. A scenario run takes its truth from `true_energy` at its
-grid's finest rate only, and sums those rows into each coarser rate
-(`experiments.RunArtifacts`).
+between sorted query ticks, through a `RunLookup` and its one kernel,
+`RunLookup.sums`. The truth is those sums of the state powers
+(`true_energy`); the capacity sampler's charge register is their running
+total; the collector sums each cumulative predictor exactly over its
+delayed update grid, one per (component, delay, update period). Every
+query of the pipeline is such a grid, `_Grid`: interval boundaries seen
+late through a value refreshed every period, answered in closed form
+with no array of its ticks. A query that outnumbers a component's runs
+is answered run-major: each run's first query comes from one division,
+ticks are computed only where an interval crosses a run start, and
+per-run values are expanded with `np.repeat`. A shorter one is a binary
+search of the run starts at its ticks, which are then no more than the
+runs. A query given as an array of ticks (`_Query`) is searched
+instead, and gives the same floats. A scenario run takes its truth from
+`true_energy` at its grid's finest rate only, and sums those rows into
+each coarser rate (`experiments.RunArtifacts`).
 
 Markov chains are sampled straight into runs too: a two-state chain in
-closed form with array passes, and any other chain with one Python
-iteration per run. Both give the states of the step-by-step walk exactly.
+closed form from its state-changing steps, and any other chain with one
+Python iteration per run. Both give the states of the step-by-step walk
+exactly.
 """
 
 from __future__ import annotations
@@ -260,26 +265,32 @@ def _two_state_runs(cum: np.ndarray, draws: np.ndarray,
     A draw sends state 0 to 1 when `a = draw >= cum[0, 0]`, and state 1
     to 1 when `b = draw >= cum[1, 0]`. Where a == b the step resets the
     state to a whatever it was; where a and not b it swaps the states;
-    otherwise the state stays, so only the reset and swap steps are
-    kept. After each of them the state is the value at the last reset
-    (the initial state counts as one) XOR the parity of the swaps since.
+    otherwise the state stays. Every swap changes the state. The state
+    before a reset is the previous reset's value (the initial state
+    counts as one, at index -1 of the reset and swap steps), flipped
+    when an odd number of swaps lies between them, that is, when the
+    gap of their indices is even. So a reset changes the state exactly
+    when its value XOR its index's parity equals the previous reset's,
+    and the states of the kept steps alternate from the initial state.
     The last draw only picks a successor past the phase end.
     """
     u = draws[:-1]
     a = u >= cum[0, 0]
     b = u >= cum[1, 0]
     at = np.flatnonzero(a | ~b)
-    a, b = a[at], b[at]
-    value = np.concatenate([[initial], a], dtype=np.int8)
-    reset = np.concatenate([[True], a == b])
-    # the swap count wraps in int8, which keeps its parity bit
-    parity = np.concatenate([[0], np.cumsum(a & ~b, dtype=np.int8)],
-                            dtype=np.int8)
-    last = np.maximum.accumulate(np.arange(len(reset)) * reset)
-    states = value[last] ^ ((parity ^ parity[last]) & 1)
-    change = np.flatnonzero(states[1:] != states[:-1])
-    return (np.concatenate([[0], at[change] + 1]),
-            np.concatenate([[initial], states[change + 1]], dtype=np.int16))
+    a = a[at]
+    reset = np.flatnonzero(a == b[at])
+    mark = (reset & 1).astype(bool)
+    mark ^= a[reset]
+    before = np.empty(len(mark), dtype=bool)
+    before[:1] = not initial
+    before[1:] = mark[:-1]
+    keep = np.ones(len(at), dtype=bool)
+    keep[reset] = mark == before
+    starts = np.concatenate([[0], at[keep] + 1])
+    states = np.arange(len(starts), dtype=np.int16) & 1
+    states ^= initial
+    return starts, states
 
 
 def _exit_walk_runs(cum: np.ndarray, draws: np.ndarray,
@@ -394,78 +405,124 @@ def _phase_states(proc: OccupancyProcess, n_ticks: int, tick_s: float,
 # ---------------------------------------------------------------------------
 
 class _Query:
-    """Query ticks, a non-decreasing 1-D array, with the spans between
-    them, which the lookups of every component share.
-
-    A uniform query (`uniform`), `step` times 0..n, keeps its step: it is
-    sorted as built, each span is the step, and the first query at or
-    after a tick is found by a division, with no search.
+    """Query ticks given as a non-decreasing 1-D array, searched and
+    differenced. Every query of the pipeline is a `_Grid`, which answers
+    the same in closed form; the lookups of every component share one.
     """
 
-    def __init__(self, ticks: np.ndarray, step: int | None = None):
+    def __init__(self, ticks: np.ndarray):
         q = np.asarray(ticks, dtype=np.int64)
-        if step is None and (q.ndim != 1 or bool(np.any(q[:-1] > q[1:]))):
+        if q.ndim != 1 or bool(np.any(q[:-1] > q[1:])):
             raise ArgumentError("query ticks must be a non-decreasing "
                                 "1-D array")
         self.ticks = q
-        self.step = step
+        self.size = q.size
 
-    @classmethod
-    def uniform(cls, n: int, step: int) -> "_Query":
-        """The n + 1 ticks 0, step, ..., n * step."""
-        return cls(np.arange(n + 1, dtype=np.int64) * step, step)
-
-    @cached_property
-    def spans(self) -> np.ndarray | int:
-        """Ticks in each interval [ticks[k], ticks[k+1]): the step of a
-        uniform query."""
-        return np.diff(self.ticks) if self.step is None else self.step
+    def ticks_at(self, j):
+        """The query ticks at the indices `j`."""
+        return self.ticks[j]
 
     def first_at(self, ticks: np.ndarray) -> np.ndarray:
         """Index of the first query at or after each of `ticks` (each
-        >= 0), or len(self.ticks) past the last query."""
-        if self.step is None:
-            return np.searchsorted(self.ticks, ticks, side="left")
-        return np.minimum(-(-ticks // self.step), len(self.ticks))
+        >= 0), or `size` past the last query."""
+        return np.searchsorted(self.ticks, ticks, side="left")
+
+    def times_spans(self, values: np.ndarray) -> None:
+        """Multiply each `values[j]` in place by the ticks in the
+        interval [ticks[j], ticks[j+1]), j < size - 1."""
+        np.multiply(values, np.diff(self.ticks), out=values)
+
+
+class _Grid(_Query):
+    """The ticks g_j = max(floor((j k - d) / p) p, 0), j = 0..n: the
+    interval boundaries j `step` k seen `delay` d ticks late through a
+    value refreshed every `period` p ticks; with d = 0 and p = 1, the
+    uniform boundaries. It stores no ticks and answers by division;
+    `ticks` is built only for a binary search, which a query runs only
+    when it has no more entries than the runs.
+
+    Below j = ceil(d / k) every tick is 0. From there on the clamp is
+    idle and g_{j+L} = g_j + L k with L = p / gcd(k, p), a multiple of
+    p, so the spans repeat with period L.
+    """
+
+    def __init__(self, n: int, step: int, delay: int = 0, period: int = 1):
+        self.size = n + 1
+        self.step, self.delay, self.period = step, delay, period
+
+    @cached_property
+    def ticks(self) -> np.ndarray:
+        return self.ticks_at(np.arange(self.size, dtype=np.int64))
+
+    def ticks_at(self, j):
+        k, d, p = self.step, self.delay, self.period
+        return np.maximum((j * k - d) // p * p, 0)
+
+    def first_at(self, ticks: np.ndarray) -> np.ndarray:
+        # g_j >= t > 0 exactly when j k >= ceil(t / p) p + d
+        k, d, p = self.step, self.delay, self.period
+        least = -(-ticks // p) * p + d
+        return np.where(ticks > 0, np.minimum(-(-least // k), self.size), 0)
+
+    def times_spans(self, values: np.ndarray) -> None:
+        k = self.step
+        head = min(-(-self.delay // k), self.size - 1)
+        if head:        # every span before index head is 0 but the last
+            values[:head - 1] *= 0
+            values[head - 1] *= self.ticks_at(head)
+        rest = values[head:]
+        repeat = min(self.period // math.gcd(k, self.period), len(rest))
+        pattern = np.diff(self.ticks_at(
+            np.arange(head, head + repeat + 1, dtype=np.int64)))
+        # a multiply broadcast over rows of a few spans runs a short inner
+        # loop per row, slower than laying the pattern end to end
+        if repeat == 1:
+            rest *= pattern[0]
+        elif repeat:
+            rest *= np.tile(pattern.astype(float),
+                            -(-len(rest) // repeat))[:len(rest)]
 
 
 def _run_major(starts: np.ndarray, query: _Query) -> bool:
     """Whether `query` is located run-major: it has more entries than
     there are `starts`."""
-    return query.ticks.size > len(starts)
+    return query.size > len(starts)
 
 
 class RunLookup:
-    """The runs of one trace component located at a sorted array of
-    query ticks.
+    """The runs of one trace component located at the sorted ticks of a
+    query: a `_Grid`, or a `_Query` given as an array.
 
     A query with more entries than the component has runs, such as every
-    interval boundary at a fine rate, is located run-major: one
-    `searchsorted` of the run starts into the query gives each run's
+    interval boundary at a fine rate, is located run-major: the query's
+    `first_at` the run starts (a division for a grid) gives each run's
     first query, hence how many queries each run holds, and per-run
-    values reach the queries through `np.repeat`. A shorter query, such
-    as a few monitoring windows, is located by a binary search of the
-    starts, one run index per query, and per-run values reach it through
-    a gather. Both give the same values, and the choice reads only the
-    query's length. A query that is not a non-decreasing 1-D array, or
-    that holds a tick outside [0, n_ticks], raises `ArgumentError`.
+    values reach the queries through `np.repeat`; ticks are read only at
+    the intervals that cross a run start. A shorter query, such as a few
+    monitoring windows, is located by a binary search of the starts, one
+    run index per query, and per-run values reach it through a gather.
+    Both give the same values, and the choice reads only the query's
+    length. A query that holds a tick outside [0, n_ticks] raises
+    `ArgumentError`.
     """
 
     def __init__(self, trace: "Trace", c_idx: int, query: _Query):
         self.trace = trace
         self.c_idx = c_idx
         self.query = query
-        self.ticks = q = query.ticks
-        if q.size and (q[0] < 0 or q[-1] > trace.n_ticks):
-            raise ArgumentError(f"query ticks {q[0]}..{q[-1]} outside "
-                                f"the trace's [0, {trace.n_ticks}]")
+        if query.size:
+            lo, hi = query.ticks_at(0), query.ticks_at(query.size - 1)
+            if lo < 0 or hi > trace.n_ticks:
+                raise ArgumentError(f"query ticks {lo}..{hi} outside "
+                                    f"the trace's [0, {trace.n_ticks}]")
         starts = trace.runs[c_idx][0]
         if _run_major(starts, query):
             self._first = query.first_at(starts)
-            self._counts = np.diff(self._first, append=len(q))
+            self._counts = np.diff(self._first, append=query.size)
             self._run = None
         else:
-            self._run = np.searchsorted(starts, q, side="right") - 1
+            self._run = np.searchsorted(starts, query.ticks,
+                                        side="right") - 1
 
     def at(self, weights: np.ndarray) -> np.ndarray:
         """`weights[state]` of the state held at each query tick."""
@@ -493,7 +550,7 @@ class RunLookup:
             # the last one, and the interval each starts in
             first = self._first
             j0 = int(np.searchsorted(first, 1, side="left"))
-            j1 = int(np.searchsorted(first, len(self.ticks) - 1,
+            j1 = int(np.searchsorted(first, self.query.size - 1,
                                      side="right"))
             k = first[j0:j1] - 1
             new = np.ones(len(k), dtype=bool)
@@ -507,8 +564,8 @@ class RunLookup:
             r = self._run
             cross = np.flatnonzero(r[1:] > r[:-1])
             inner, last = r[cross] + 1, r[cross + 1]
-        head = starts[inner] - self.ticks[cross]
-        tail = self.ticks[cross + 1] - starts[last]
+        head = starts[inner] - self.query.ticks_at(cross)
+        tail = self.query.ticks_at(cross + 1) - starts[last]
         gap = np.flatnonzero(last > inner)
         gap_ticks = None
         if len(gap):
@@ -531,7 +588,7 @@ class RunLookup:
         # the sums overwrite the per-query weights, as the query may be
         # millions of ticks long
         sums = self.at(weights)[:-1]
-        np.multiply(sums, self.query.spans, out=sums)
+        self.query.times_spans(sums)
         sums[cross] = weights[s_head] * head + weights[s_tail] * tail
         if len(gap):
             sums[cross[gap]] += gap_ticks @ weights
@@ -548,18 +605,18 @@ class Trace:
     power; nothing per tick is stored.
 
     Truth queries weight the states with a per-state vector and read the
-    runs at sorted query ticks only, through the `RunLookup` that
-    `locate` returns. Its `sums` gives the sums between successive ticks
-    without differencing two large prefixes: the runs that an interval
-    covers whole are counted as exact integer ticks per state, so every
-    interval carries a few roundings however long the trace. The truth
-    (`true_energy`) and the collector's cumulative columns share this one
-    kernel.
+    runs at sorted query ticks only, through a `RunLookup` of one
+    component at a query, in the pipeline always a `_Grid`. Its `sums`
+    gives the sums between successive ticks without differencing two
+    large prefixes: the runs that an interval covers whole are counted
+    as exact integer ticks per state, so every interval carries a few
+    roundings however long the trace. The truth (`true_energy`) and the
+    collector's cumulative columns share this one kernel.
 
     A query that outnumbers the component's runs, such as every interval
-    boundary at a fine rate, is answered run-major, in O(runs) beyond one
-    pass over the query; a shorter one by a binary search of the run
-    starts (see `RunLookup`). Both give the same floats.
+    boundary at a fine rate, is answered run-major, in O(runs) beyond the
+    passes that write the result; a shorter one by a binary search of
+    the run starts (see `RunLookup`). Both give the same floats.
     `cumulative` expands one predictor's runs to a per-tick series on
     demand; the pipeline never calls it.
     """
@@ -574,12 +631,6 @@ class Trace:
 
     def __len__(self) -> int:
         return self.n_ticks
-
-    # -- truth queries on the runs ---------------------------------------------
-
-    def locate(self, c_idx: int, ticks: np.ndarray) -> RunLookup:
-        """The runs of component `c_idx` located at the query `ticks`."""
-        return RunLookup(self, c_idx, _Query(ticks))
 
     def _ticks_before_runs(self, c_idx: int) -> np.ndarray:
         """(runs, states) int64: ticks held in each state before each run."""
@@ -637,8 +688,8 @@ def true_energy(trace: Trace, interval_s: float) -> np.ndarray:
     """Exact energy per interval, in joules: the base draw plus each
     component's interval sums of its state powers."""
     k = _ratio_as_int(interval_s, trace.tick_s, "interval")
-    # every component's lookup shares the query and its step
-    query = _Query.uniform(len(trace) // k, k)
+    # every component's lookup shares the query
+    query = _Grid(len(trace) // k, k)
     watt_ticks = np.full(len(trace) // k, k * float(trace.model.base_power_w))
     for c_idx, comp in enumerate(trace.model.components):
         powers = np.asarray(comp.state_powers, dtype=float)

@@ -2,9 +2,11 @@
 
 The pipeline reads the run-length trace at queried ticks only; these
 expand it to one value per tick, and give the exact coefficients of a
-system whose predictors are its own state residencies. The loops walk a
-Markov chain one step at a time and fit a regressogram one row at a
-time, as the vectorised code must match bit for bit. The scoring
+system whose predictors are its own state residencies. The reference
+collector builds each delayed update grid as an array of ticks and
+searches it, and the loops walk a Markov chain one step at a time and
+fit a regressogram one row at a time, as the closed-form grid and the
+vectorised code must match bit for bit. The scoring
 formulas gather the kept columns, mask the truths and stack the oracle's
 design for every call, as the per-rate scoring must match bit for bit.
 The smallest l that meets a target is found by fitting every l on its
@@ -14,7 +16,7 @@ own training set.
 import numpy as np
 
 import sesame as ss
-from sesame import tracesim
+from sesame import collector, tracesim
 
 
 def tick_states(trace: ss.Trace) -> np.ndarray:
@@ -84,15 +86,59 @@ def residency_beta_true(model: ss.ComponentStateModel, interval_s: float,
     return np.array([base] + coefs) * interval_s
 
 
+def locate(trace: ss.Trace, c_idx: int,
+           ticks: np.ndarray) -> tracesim.RunLookup:
+    """The runs of component `c_idx` located at the query `ticks`, given
+    as an array."""
+    return tracesim.RunLookup(trace, c_idx, tracesim._Query(ticks))
+
+
 def interval_truth(trace: ss.Trace, spec: ss.PredictorSpec,
                    interval_s: float) -> np.ndarray:
     """Exact per-interval aggregate: fraction, count delta, or mean level."""
     k = tracesim._ratio_as_int(interval_s, trace.tick_s, "interval")
     c_idx, w = trace.model.weight_vector(spec)
-    sums = trace.locate(c_idx, np.arange(len(trace) // k + 1) * k).sums(w)
+    sums = locate(trace, c_idx, np.arange(len(trace) // k + 1) * k).sums(w)
     if spec.kind == tracesim.COUNTER:
         return sums * trace.tick_s
     return sums / k
+
+
+def array_grid_collect(trace: ss.Trace, specs: list[ss.PredictorSpec],
+                       rate_hz: float) -> np.ndarray:
+    """`collect`'s design matrix x, with each spec's delayed update grid
+    built as an array of ticks and located by a search of that array.
+
+    The value visible at tick b was current at (b - delay) // period *
+    period, and at 0 before the trace start. A held column (polled-slow,
+    its period longer than the interval) reads, at each interval start
+    b, the rate over the update period that ends (b // period - ceil(
+    delay / period)) periods in, and 0 before the trace start.
+    """
+    interval = 1.0 / rate_hz
+    k = tracesim._ratio_as_int(interval, trace.tick_s, "interval")
+    boundaries = np.arange(len(trace) // k + 1) * k
+    x = np.empty((len(boundaries) - 1, len(specs)), order="F")
+    for i, spec in enumerate(specs):
+        delay, period = collector._spec_ticks(spec, trace.tick_s)
+        c_idx, w = trace.model.weight_vector(spec)
+        held = (spec.kind != tracesim.LEVEL
+                and spec.policy == tracesim.POLLED_SLOW and period > k)
+        if held:
+            polls = boundaries[:-1] // period
+            shift = -delay // period
+            grid = np.arange(shift - 1, polls[-1] + shift + 1) * period
+        else:
+            grid = (boundaries - delay) // period * period
+        lookup = locate(trace, c_idx, np.maximum(grid, 0))
+        if spec.kind == tracesim.LEVEL:
+            x[:, i] = lookup.at(w)[:-1]
+        elif held:
+            x[:, i] = lookup.sums(w)[polls] * trace.tick_s / (
+                1.0 / spec.update_rate_hz)
+        else:
+            x[:, i] = lookup.sums(w) * trace.tick_s / interval
+    return x
 
 
 def read_grid(trace: ss.Trace, rate_hz: float) -> np.ndarray:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import sesame as ss
-from reference import duty, fixed, interval_truth
+import sesame.scenarios as scn
+from reference import array_grid_collect, duty, fixed, interval_truth
 from sesame.errors import ConfigurationError, RateError
 
 
@@ -211,3 +212,17 @@ def test_collected_columns_are_column_major():
     trace, specs = three_predictor_setup()
     x = ss.collect(trace, specs, 100.0).x
     assert x.flags.f_contiguous and not x.flags.c_contiguous
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(scn.BUILTIN_SCENARIOS)
+                                  if scn.builtin(name).predictors])
+def test_collect_equals_the_array_grid_reference(name):
+    # every grid, base and window rate of each built-in with predictors,
+    # with its held, delayed and event-driven columns, byte for byte
+    sc = scn.builtin(name)
+    trace = ss.gen_trace(sc.system, sc.workload, sc.duration_s, sc.tick_s,
+                         sc.seed)
+    for rate in sorted({*sc.rate_grid, sc.base_rate_hz, 1.0 / sc.window_s}):
+        got = ss.collect(trace, sc.predictors, rate).x
+        assert got.tobytes() == array_grid_collect(
+            trace, sc.predictors, rate).tobytes(), rate

@@ -59,6 +59,19 @@ BAD_SCENARIOS = {
                      "scenario.predictors[0].weights: expected an object"),
     "weights_key": (("predictors", 0, "weights", "busy"), 1.0, ParseError,
                     "key 'busy' is not an integer"),
+    # a key names its state as a plain decimal, as it is written back
+    "weights_key_underscore": (("predictors", 0, "weights", "0_1"), 1.0,
+                               ParseError, "scenario.predictors[0].weights: "
+                               "key '0_1' is not an integer"),
+    "weights_key_space": (("predictors", 0, "weights", " 1"), 1.0,
+                          ParseError, "scenario.predictors[0].weights: "
+                          "key ' 1' is not an integer"),
+    "weights_key_plus": (("predictors", 0, "weights", "+1"), 1.0,
+                         ParseError, "scenario.predictors[0].weights: "
+                         "key '+1' is not an integer"),
+    "weights_key_zero": (("predictors", 0, "weights", "01"), 1.0,
+                         ParseError, "scenario.predictors[0].weights: "
+                         "key '01' is not an integer"),
     "pipeline_list": (("pipeline",), [], ParseError,
                       "scenario.pipeline: expected an object"),
     "noise_nan": (("battery", "noise_sigma"), float("nan"), ParseError,

@@ -5,6 +5,7 @@ formulas the simulator used when it stored per-tick arrays.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from reference import (
     duty,
     fixed,
     interval_truth,
+    locate,
     tick_power,
     tick_states,
 )
@@ -394,10 +396,10 @@ def test_merged_run_lookup_equals_binary_search():
         n_ticks, starts, states, ticks = case
         trace = one_component_trace(n_ticks, starts, states)
         w = np.linspace(0.3, 1.7, trace.model.components[0].n_states)
-        lookup = trace.locate(0, ticks)
+        lookup = locate(trace, 0, ticks)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tracesim, "_run_major", lambda starts, ticks: False)
-            binary = trace.locate(0, ticks)
+            binary = locate(trace, 0, ticks)
         run_major += lookup._run is None
         want = w[states[np.searchsorted(starts, ticks, side="right") - 1]]
         for got in (lookup.at(w), binary.at(w)):
@@ -417,55 +419,75 @@ def test_merged_run_lookup_equals_binary_search():
     assert run_major >= 5
 
 
-def test_uniform_query_equals_the_same_ticks_searched():
-    # a uniform query finds each run's first query by a division and
-    # spans every interval with its step; the same ticks without the step
-    # are searched and differenced, and must give the same floats
+def test_grid_query_equals_the_same_ticks_as_an_array():
+    # a grid g_j = max(floor((j k - d) / p) p, 0) is answered by division
+    # and its spans repeat with period p / gcd(k, p); the same ticks given
+    # as an array are searched and differenced, and must give the same
+    # ticks, spans, first queries and lookups, run-major and by a binary
+    # search alike
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @st.composite
-    def runs_and_step(draw):
+    def runs_and_grid(draw):
         n_ticks = draw(st.integers(1, 300))
         inner = st.integers(1, max(1, n_ticks - 1))
         starts = sorted({0} | set(draw(st.lists(inner, max_size=40)))
                         - {n_ticks})
         states = draw(st.lists(st.integers(0, 3), min_size=len(starts),
                                max_size=len(starts)))
-        step = draw(st.integers(1, n_ticks))
-        n = draw(st.integers(0, n_ticks // step))
+        k = draw(st.integers(1, n_ticks))
+        n = draw(st.integers(0, n_ticks // k))
+        # a delay up to past the last boundary, a period up to past the
+        # trace end
+        d = draw(st.integers(0, n * k + 2 * k))
+        p = draw(st.integers(1, n_ticks + 1))
         return (n_ticks, np.array(starts, dtype=np.int64),
-                np.array(states), step, n)
+                np.array(states), n, k, d, p)
 
-    run_major = 0
+    seen = set()
+    trace10 = (10, np.array([0, 3, 7, 8]), np.array([0, 1, 0, 1]))
 
-    @hypothesis.given(runs_and_step())
-    @hypothesis.example((10, np.array([0, 3, 7, 8]), np.array([0, 1, 0, 1]),
-                         1, 10))
-    @hypothesis.example((10, np.array([0, 3, 7, 8]), np.array([0, 1, 0, 1]),
-                         3, 3))
-    @hypothesis.settings(max_examples=80, deadline=None, database=None,
+    @hypothesis.given(runs_and_grid())
+    @hypothesis.example(trace10 + (10, 1, 0, 1))     # every tick
+    @hypothesis.example(trace10 + (3, 3, 0, 1))      # uniform, step 3
+    @hypothesis.example(trace10 + (5, 2, 3, 4))      # delayed, p > k
+    @hypothesis.example(trace10 + (3, 3, 9, 2))      # d >= n k: all 0
+    @hypothesis.example(trace10 + (3, 3, 12, 5))     # d > n k
+    @hypothesis.example(trace10 + (4, 2, 1, 7))      # L = 7 > n
+    @hypothesis.example(trace10 + (9, 1, 0, 10))     # L = 10 > n
+    @hypothesis.settings(max_examples=100, deadline=None, database=None,
                          print_blob=True)
     def check(case):
-        nonlocal run_major
-        n_ticks, starts, states, step, n = case
+        n_ticks, starts, states, n, k, d, p = case
         trace = one_component_trace(n_ticks, starts, states)
         w = np.linspace(0.3, 1.7, trace.model.components[0].n_states)
-        uniform = tracesim._Query.uniform(n, step)
-        searched = tracesim._Query(np.arange(n + 1) * step)
-        assert uniform.step == step and searched.step is None
-        assert np.array_equal(uniform.ticks, searched.ticks)
-        assert np.array_equal(uniform.first_at(starts),
-                              searched.first_at(starts))
-        got = tracesim.RunLookup(trace, 0, uniform)
-        want = tracesim.RunLookup(trace, 0, searched)
-        run_major += got._run is None
-        assert np.array_equal(got.at(w), want.at(w))
-        assert np.array_equal(got.sums(w), want.sums(w))
+        grid = tracesim._Grid(n, k, d, p)
+        want = np.maximum((np.arange(n + 1) * k - d) // p * p, 0)
+        array = tracesim._Query(want)
+        assert grid.size == array.size == n + 1
+        assert np.array_equal(grid.ticks, want)
+        spans = np.ones(n)
+        grid.times_spans(spans)
+        assert np.array_equal(spans, np.diff(want))
+        at = np.concatenate([starts, np.arange(n_ticks + 1)])
+        assert np.array_equal(grid.first_at(at), array.first_at(at))
+        for run_major in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tracesim, "_run_major",
+                           lambda starts, query: run_major)
+                got = tracesim.RunLookup(trace, 0, tracesim._Grid(n, k, d, p))
+                same = tracesim.RunLookup(trace, 0, tracesim._Query(want))
+            assert (got._run is None) == run_major
+            assert np.array_equal(got.at(w), same.at(w))
+            assert np.array_equal(got.sums(w), same.sums(w))
+        seen.add((d >= n * k, p > k, p // math.gcd(k, p) > n))
 
     check()
-    # both explicit examples outnumber the runs
-    assert run_major >= 2
+    # the explicit examples reach a delay past the grid, a period past
+    # the step and a span pattern longer than the grid
+    assert {(True, False, False), (False, True, False),
+            (False, True, True)} <= seen
 
 
 def test_lookup_refuses_ticks_outside_the_trace():
@@ -473,17 +495,17 @@ def test_lookup_refuses_ticks_outside_the_trace():
     w = np.array([0.3, 1.7])
     for ticks in ([-1, 2, 5], [0, 11], [11]):
         with pytest.raises(ArgumentError, match="outside"):
-            trace.locate(0, ticks)
+            locate(trace, 0, ticks)
     # a query is checked at its ends
     with pytest.raises(ArgumentError, match="-2..9"):
-        trace.locate(0, np.arange(-2, 10))
+        locate(trace, 0, np.arange(-2, 10))
     # a query that is not a non-decreasing 1-D array is refused before
     # its range is read
     for ticks in ([0, 5, 4, 10], [9, 0, 3, 10, 2], [[0, 10]], 3, -1,
                   [[0, 3], [12, 1]]):
         with pytest.raises(ArgumentError, match="non-decreasing"):
-            trace.locate(0, ticks)
-    assert trace.locate(0, [0, 10]).sums(w) == pytest.approx([0.3 * 6 + 1.7 * 4])
+            locate(trace, 0, ticks)
+    assert locate(trace, 0, [0, 10]).sums(w) == pytest.approx([0.3 * 6 + 1.7 * 4])
 
 
 @pytest.mark.parametrize("kind,extra", [
