@@ -93,7 +93,7 @@ def _collect_group(trace: Trace, specs: Sequence[PredictorSpec],
         # plus one
         polls = np.arange(m) * k
         polls //= period
-        lag = 1 - -delay // period
+        lag = 1 + -(-delay // period)
         grid = _Grid(int(polls[-1]) + 1, period, lag * period, period)
     else:
         grid = _Grid(m, k, delay, period)
