@@ -429,7 +429,10 @@ class RegressogramModel:
 
     Each predictor's observed range splits into k equal-width bins, so a
     column needs only its (lo, hi); the model holds O(columns + cells)
-    numbers whatever k is.
+    numbers whatever k is. `training_error` is the in-sample RMS relative
+    error: each training row is predicted by its cell's mean, exactly as
+    `predict_regressogram_rows` would predict it, and that function
+    serves rows outside the training set.
     """
 
     edges: np.ndarray                 # (columns, 2): each predictor's lo, hi
@@ -437,7 +440,8 @@ class RegressogramModel:
     means: np.ndarray                 # each cell's mean response
     fallback: float                   # global mean response
     k: int
-    columns: tuple[str, ...] = ()
+    columns: tuple[str, ...]
+    training_error: float | None      # None when no response is positive
 
 
 def _reject_non_finite(x: np.ndarray, columns: tuple[str, ...],
@@ -464,9 +468,15 @@ def _bin_rows(x: np.ndarray, edges: np.ndarray,
         ok = (v >= lo) & (v <= hi)
         inside &= ok
         if hi != lo:
-            # out-of-range rows are binned as lo so the cast stays in range
-            idx = ((np.where(ok, v, lo) - lo) / (hi - lo) * k).astype(np.int64)
-            bins[:, j] = np.minimum(idx, k - 1)
+            if not ok.all():
+                # out-of-range rows are binned as lo so the cast stays in range
+                v = np.where(ok, v, lo)
+            pos = v - lo
+            pos /= hi - lo
+            pos *= k
+            col = bins[:, j]
+            col[:] = pos
+            np.minimum(col, k - 1, out=col)
     return bins, inside
 
 
@@ -478,19 +488,24 @@ def _cell_keys(bins: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     The key is the row-major cell index while that stays within the row
     count. A column that would take it past the row count is joined by
     renumbering the distinct (key, bin) pairs densely, the one sort, so no
-    array is ever sized by k and no key can overflow.
+    array is ever sized by k and no key can overflow. The key may be a
+    view of `bins`.
     """
     rows = bins.shape[0]
-    key = np.zeros(rows, dtype=np.int64)
-    span = 1
+    key, span = None, 1
     for col in bins.T:
         if span * k > rows:
-            uniq, key = np.unique(np.column_stack([key, col]), axis=0,
-                                  return_inverse=True)
+            pairs = col if key is None else np.column_stack([key, col])
+            uniq, key = np.unique(pairs, axis=0, return_inverse=True)
             span = len(uniq)
+        elif key is None:
+            key, span = col, k
         else:
-            key = key * k + col
+            key = key * k
+            key += col
             span *= k
+    if key is None:         # no columns: one cell
+        key = np.zeros(rows, dtype=np.int64)
     return key, span
 
 
@@ -528,11 +543,19 @@ def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
     # every row of a cell has the cell's bins, so any one row gives them
     row_of = np.empty(span, dtype=np.int64)
     row_of[key] = np.arange(len(key))
+    cells = bins[row_of[populated]]
+    del bins, row_of
+    # each training row is inside the edges and its cell is populated, so
+    # its prediction is its cell's mean
+    table = np.empty(span)
+    table[populated] = means
+    training_error = (rms_relative_error(table[key], y)
+                      if (y > 0).any() else None)
     # a sequential sum like the cells', not numpy's pairwise np.sum
     fallback = float(np.cumsum(y)[-1]) / len(y)
-    return RegressogramModel(edges=edges, cells=bins[row_of[populated]],
-                             means=means, fallback=fallback, k=k,
-                             columns=columns)
+    return RegressogramModel(edges=edges, cells=cells, means=means,
+                             fallback=fallback, k=k, columns=columns,
+                             training_error=training_error)
 
 
 def predict_regressogram(model: RegressogramModel, x: np.ndarray) -> float:

@@ -19,8 +19,7 @@ import numpy as np
 from .battery import BatteryReadings, rms_relative_error, sample_interface
 from .collector import DesignMatrix, aggregate_response, collect
 from .constructor import EnergyModel, TrainingSet
-from .constructor import fit_regressogram, iterate_construction
-from .constructor import predict_regressogram_rows, stretch
+from .constructor import fit_regressogram, iterate_construction, stretch
 from .errors import AlignmentError, ConfigurationError, InsufficientDataError
 from .errors import MissingRowError
 from .manager import (
@@ -389,7 +388,9 @@ def run_regressogram_compare(sc: ScenarioConfig,
 
     The regressogram trains on ground-truth responses at each rate, which
     is the premise that makes it a what-if upper line rather than part of
-    the battery-fed pipeline.
+    the battery-fed pipeline. Its row is the fit's in-sample error
+    (`RegressogramModel.training_error`): it is scored on the rows it was
+    fitted on, so the rows are binned once per rate.
     """
     arts = _simulate_as(sc, REGRESSOGRAM)
     ts = TrainingSet(
@@ -402,8 +403,7 @@ def run_regressogram_compare(sc: ScenarioConfig,
             rate, linear.predict_rows(dm.x, 1.0 / rate)))
         reg = fit_regressogram(dm.x, arts.truth(rate), k=sc.regressogram_k,
                                columns=dm.columns)
-        report.add(rate, "regressogram",
-                   arts.score(rate, predict_regressogram_rows(reg, dm.x)))
+        report.add(rate, "regressogram", reg.training_error)
     _write_outputs(sc, report, out_dir)
     return report
 

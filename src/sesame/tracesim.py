@@ -27,10 +27,9 @@ is answered run-major: each run's first query comes from one division,
 ticks are computed only where an interval crosses a run start, and
 per-run values are expanded with `np.repeat`. A shorter one is a binary
 search of the run starts at its ticks, which are then no more than the
-runs. A query given as an array of ticks (`_Query`) is searched
-instead, and gives the same floats. A scenario run takes its truth from
-`true_energy` at its grid's finest rate only, and sums those rows into
-each coarser rate (`experiments.RunArtifacts`).
+runs. A scenario run takes its truth from `true_energy` at its grid's
+finest rate only, and sums those rows into each coarser rate
+(`experiments.RunArtifacts`).
 
 Markov chains are sampled straight into runs too: a two-state chain in
 closed form from its state-changing steps, and any other chain with one
@@ -404,36 +403,7 @@ def _phase_states(proc: OccupancyProcess, n_ticks: int, tick_s: float,
 # Trace
 # ---------------------------------------------------------------------------
 
-class _Query:
-    """Query ticks given as a non-decreasing 1-D array, searched and
-    differenced. Every query of the pipeline is a `_Grid`, which answers
-    the same in closed form; the lookups of every component share one.
-    """
-
-    def __init__(self, ticks: np.ndarray):
-        q = np.asarray(ticks, dtype=np.int64)
-        if q.ndim != 1 or bool(np.any(q[:-1] > q[1:])):
-            raise ArgumentError("query ticks must be a non-decreasing "
-                                "1-D array")
-        self.ticks = q
-        self.size = q.size
-
-    def ticks_at(self, j):
-        """The query ticks at the indices `j`."""
-        return self.ticks[j]
-
-    def first_at(self, ticks: np.ndarray) -> np.ndarray:
-        """Index of the first query at or after each of `ticks` (each
-        >= 0), or `size` past the last query."""
-        return np.searchsorted(self.ticks, ticks, side="left")
-
-    def times_spans(self, values: np.ndarray) -> None:
-        """Multiply each `values[j]` in place by the ticks in the
-        interval [ticks[j], ticks[j+1]), j < size - 1."""
-        np.multiply(values, np.diff(self.ticks), out=values)
-
-
-class _Grid(_Query):
+class _Grid:
     """The ticks g_j = max(floor((j k - d) / p) p, 0), j = 0..n: the
     interval boundaries j `step` k seen `delay` d ticks late through a
     value refreshed every `period` p ticks; with d = 0 and p = 1, the
@@ -455,16 +425,21 @@ class _Grid(_Query):
         return self.ticks_at(np.arange(self.size, dtype=np.int64))
 
     def ticks_at(self, j):
+        """The query ticks at the indices `j`."""
         k, d, p = self.step, self.delay, self.period
         return np.maximum((j * k - d) // p * p, 0)
 
     def first_at(self, ticks: np.ndarray) -> np.ndarray:
+        """Index of the first query at or after each of `ticks` (each
+        >= 0), or `size` past the last query."""
         # g_j >= t > 0 exactly when j k >= ceil(t / p) p + d
         k, d, p = self.step, self.delay, self.period
         least = -(-ticks // p) * p + d
         return np.where(ticks > 0, np.minimum(-(-least // k), self.size), 0)
 
     def times_spans(self, values: np.ndarray) -> None:
+        """Multiply each `values[j]` in place by the ticks in the
+        interval [ticks[j], ticks[j+1]), j < size - 1."""
         k = self.step
         head = min(-(-self.delay // k), self.size - 1)
         if head:        # every span before index head is 0 but the last
@@ -483,7 +458,7 @@ class _Grid(_Query):
                             -(-len(rest) // repeat))[:len(rest)]
 
 
-def _run_major(starts: np.ndarray, query: _Query) -> bool:
+def _run_major(starts: np.ndarray, query: _Grid) -> bool:
     """Whether `query` is located run-major: it has more entries than
     there are `starts`."""
     return query.size > len(starts)
@@ -491,7 +466,7 @@ def _run_major(starts: np.ndarray, query: _Query) -> bool:
 
 class RunLookup:
     """The runs of one trace component located at the sorted ticks of a
-    query: a `_Grid`, or a `_Query` given as an array.
+    query, a `_Grid`.
 
     A query with more entries than the component has runs, such as every
     interval boundary at a fine rate, is located run-major: the query's
@@ -506,7 +481,7 @@ class RunLookup:
     `ArgumentError`.
     """
 
-    def __init__(self, trace: "Trace", c_idx: int, query: _Query):
+    def __init__(self, trace: "Trace", c_idx: int, query: _Grid):
         self.trace = trace
         self.c_idx = c_idx
         self.query = query
@@ -606,12 +581,12 @@ class Trace:
 
     Truth queries weight the states with a per-state vector and read the
     runs at sorted query ticks only, through a `RunLookup` of one
-    component at a query, in the pipeline always a `_Grid`. Its `sums`
-    gives the sums between successive ticks without differencing two
-    large prefixes: the runs that an interval covers whole are counted
-    as exact integer ticks per state, so every interval carries a few
-    roundings however long the trace. The truth (`true_energy`) and the
-    collector's cumulative columns share this one kernel.
+    component at a query, a `_Grid`. Its `sums` gives the sums between
+    successive ticks without differencing two large prefixes: the runs
+    that an interval covers whole are counted as exact integer ticks per
+    state, so every interval carries a few roundings however long the
+    trace. The truth (`true_energy`) and the collector's cumulative
+    columns share this one kernel.
 
     A query that outnumbers the component's runs, such as every interval
     boundary at a fine rate, is answered run-major, in O(runs) beyond the

@@ -2,11 +2,13 @@
 
 The pipeline reads the run-length trace at queried ticks only; these
 expand it to one value per tick, and give the exact coefficients of a
-system whose predictors are its own state residencies. The reference
-collector builds each delayed update grid as an array of ticks and
-searches it, and the loops walk a Markov chain one step at a time and
-fit a regressogram one row at a time, as the closed-form grid and the
-vectorised code must match bit for bit. The scoring
+system whose predictors are its own state residencies. `ArrayQuery` is
+a query given as an array of ticks, searched and differenced, against
+which the closed-form grid is pinned; the reference collector builds
+each delayed update grid as such an array, and the loops walk a Markov
+chain one step at a time and fit a regressogram one row at a time, as
+the closed-form grid and the vectorised code must match bit for bit.
+The scoring
 formulas gather the kept columns, mask the truths and stack the oracle's
 design for every call, as the per-rate scoring must match bit for bit.
 The smallest l that meets a target is found by fitting every l on its
@@ -17,6 +19,7 @@ import numpy as np
 
 import sesame as ss
 from sesame import collector, tracesim
+from sesame.errors import ArgumentError
 
 
 def tick_states(trace: ss.Trace) -> np.ndarray:
@@ -86,11 +89,40 @@ def residency_beta_true(model: ss.ComponentStateModel, interval_s: float,
     return np.array([base] + coefs) * interval_s
 
 
+class ArrayQuery:
+    """Query ticks given as a non-decreasing 1-D array, searched and
+    differenced: the interface of `tracesim._Grid`, which answers the
+    same in closed form.
+    """
+
+    def __init__(self, ticks: np.ndarray):
+        q = np.asarray(ticks, dtype=np.int64)
+        if q.ndim != 1 or bool(np.any(q[:-1] > q[1:])):
+            raise ArgumentError("query ticks must be a non-decreasing "
+                                "1-D array")
+        self.ticks = q
+        self.size = q.size
+
+    def ticks_at(self, j):
+        """The query ticks at the indices `j`."""
+        return self.ticks[j]
+
+    def first_at(self, ticks: np.ndarray) -> np.ndarray:
+        """Index of the first query at or after each of `ticks` (each
+        >= 0), or `size` past the last query."""
+        return np.searchsorted(self.ticks, ticks, side="left")
+
+    def times_spans(self, values: np.ndarray) -> None:
+        """Multiply each `values[j]` in place by the ticks in the
+        interval [ticks[j], ticks[j+1]), j < size - 1."""
+        np.multiply(values, np.diff(self.ticks), out=values)
+
+
 def locate(trace: ss.Trace, c_idx: int,
            ticks: np.ndarray) -> tracesim.RunLookup:
     """The runs of component `c_idx` located at the query `ticks`, given
     as an array."""
-    return tracesim.RunLookup(trace, c_idx, tracesim._Query(ticks))
+    return tracesim.RunLookup(trace, c_idx, ArrayQuery(ticks))
 
 
 def interval_truth(trace: ss.Trace, spec: ss.PredictorSpec,

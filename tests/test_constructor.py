@@ -16,6 +16,7 @@ from sesame.collector import DesignMatrix
 from sesame.constructor import predict_regressogram_rows
 from sesame.errors import (
     ArgumentError,
+    ConfigurationError,
     DegenerateFitError,
     InsufficientDataError,
     ParseError,
@@ -391,10 +392,21 @@ def regressogram_case(name):
     return x, y, query, 10
 
 
+def in_sample_error(model, x, y):
+    """The RMS relative error of the predict path on the training rows,
+    or None when no response is positive."""
+    try:
+        return ss.rms_relative_error(predict_regressogram_rows(model, x), y)
+    except ConfigurationError:
+        return None
+
+
 def assert_matches_loop(x, y, k, query):
     """Fitted cells (lexicographic), means, fallback, each column's range
-    and the rows' predictions all equal the row-loop oracle's, exactly."""
+    and the rows' predictions all equal the row-loop oracle's, exactly,
+    and the training error is the predict path's on the training rows."""
     model = ss.fit_regressogram(x, y, k=k)
+    assert model.training_error == in_sample_error(model, x, y)
     edges, cells, fallback = loop_fit_regressogram(x, y, k)
     order = sorted(cells)
     assert model.cells.dtype == np.int64
@@ -512,6 +524,19 @@ def test_regressogram_keys_do_not_overflow_at_huge_k():
                   for row in x)
     assert model.cells.tolist() == want
     assert np.array_equal(predict_regressogram_rows(model, x), y)
+    assert model.training_error == in_sample_error(model, x, y)
+
+
+def test_regressogram_training_error_needs_a_positive_response():
+    x = np.linspace(0.0, 1.0, 30)[:, None]
+    for y in (np.zeros(30), -1.0 - x[:, 0]):
+        model = ss.fit_regressogram(x, y, k=4)
+        assert model.training_error is None
+        assert in_sample_error(model, x, y) is None
+    # the non-positive responses are skipped, as the scoring skips them
+    y = np.where(x[:, 0] > 0.5, x[:, 0], -1.0)
+    model = ss.fit_regressogram(x, y, k=4)
+    assert model.training_error == in_sample_error(model, x, y) > 0.0
 
 
 def test_regressogram_rejects_non_finite_values():

@@ -613,6 +613,39 @@ def test_regressogram_k1_equals_mean_predictor_error():
     assert report.value(1.0, "regressogram") == pytest.approx(mean_err, rel=1e-9)
 
 
+def test_regressogram_row_is_the_fit_in_sample_error(monkeypatch):
+    # each rate's rows are binned once, by the fit, and the row equals the
+    # predict path on those same rows
+    import sesame.constructor as con
+
+    calls = {"bin": 0, "predict": 0}
+    fits = []
+    bin_rows, predict = con._bin_rows, con.predict_regressogram_rows
+
+    def counted_bins(*args, **kwargs):
+        calls["bin"] += 1
+        return bin_rows(*args, **kwargs)
+
+    def counted_predict(*args, **kwargs):
+        calls["predict"] += 1
+        return predict(*args, **kwargs)
+
+    def recorded_fit(x, y, **kwargs):
+        fits.append((x, y, fit_regressogram(x, y, **kwargs)))
+        return fits[-1][2]
+
+    monkeypatch.setattr(con, "_bin_rows", counted_bins)
+    monkeypatch.setattr(con, "predict_regressogram_rows", counted_predict)
+    monkeypatch.setattr(exp, "fit_regressogram", recorded_fit)
+    sc = dataclasses.replace(scn.builtin("quadratic_cpu"), duration_s=600.0)
+    report = exp.run_regressogram_compare(sc)
+    assert calls == {"bin": len(sc.rate_grid), "predict": 0}
+    assert len(fits) == len(sc.rate_grid)
+    for rate, (x, y, model) in zip(sc.rate_grid, fits):
+        want = ss.rms_relative_error(predict(model, x), y)
+        assert report.value(rate, "regressogram") == want
+
+
 def small_design() -> DesignMatrix:
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 1.0, size=(20, 2))

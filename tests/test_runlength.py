@@ -14,6 +14,7 @@ import sesame as ss
 import sesame.experiments as exp
 import sesame.scenarios as scn
 from reference import (
+    ArrayQuery,
     duty,
     fixed,
     interval_truth,
@@ -464,7 +465,7 @@ def test_grid_query_equals_the_same_ticks_as_an_array():
         w = np.linspace(0.3, 1.7, trace.model.components[0].n_states)
         grid = tracesim._Grid(n, k, d, p)
         want = np.maximum((np.arange(n + 1) * k - d) // p * p, 0)
-        array = tracesim._Query(want)
+        array = ArrayQuery(want)
         assert grid.size == array.size == n + 1
         assert np.array_equal(grid.ticks, want)
         spans = np.ones(n)
@@ -477,7 +478,7 @@ def test_grid_query_equals_the_same_ticks_as_an_array():
                 mp.setattr(tracesim, "_run_major",
                            lambda starts, query: run_major)
                 got = tracesim.RunLookup(trace, 0, tracesim._Grid(n, k, d, p))
-                same = tracesim.RunLookup(trace, 0, tracesim._Query(want))
+                same = tracesim.RunLookup(trace, 0, ArrayQuery(want))
             assert (got._run is None) == run_major
             assert np.array_equal(got.at(w), same.at(w))
             assert np.array_equal(got.sums(w), same.sums(w))
