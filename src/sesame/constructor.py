@@ -549,10 +549,12 @@ def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
     # its prediction is its cell's mean
     table = np.empty(span)
     table[populated] = means
-    training_error = (rms_relative_error(table[key], y)
+    fitted = table[key]
+    training_error = (rms_relative_error(fitted, y)
                       if (y > 0).any() else None)
-    # a sequential sum like the cells', not numpy's pairwise np.sum
-    fallback = float(np.cumsum(y)[-1]) / len(y)
+    # a sequential sum like the cells', not numpy's pairwise np.sum, run
+    # into the row-length buffer already held
+    fallback = float(np.cumsum(y, out=fitted)[-1]) / len(y)
     return RegressogramModel(edges=edges, cells=cells, means=means,
                              fallback=fallback, k=k, columns=columns,
                              training_error=training_error)

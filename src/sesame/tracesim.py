@@ -229,21 +229,12 @@ def _expand_runs(starts: np.ndarray, states: np.ndarray,
     return np.repeat(states, np.diff(starts, append=n_ticks))
 
 
-def _merged_runs(starts: np.ndarray,
-                 states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Runs `(starts, states)` with every run that holds the state of the
-    run before it merged into that run."""
-    keep = np.empty(len(states), dtype=bool)
-    keep[0] = True
-    np.not_equal(states[1:], states[:-1], out=keep[1:])
-    return starts[keep], states[keep]
-
-
 def _schedule_runs(proc: Schedule, n_ticks: int,
                    tick_s: float) -> tuple[np.ndarray, np.ndarray]:
     """Runs of a schedule whose steps last whole ticks: each step's start
     in the first cycle, plus the cycle times the period, cut at
-    `n_ticks`."""
+    `n_ticks`, with a step that holds the state of the step before it
+    merged into that step's run."""
     lengths = np.array([_ratio_as_int(d, tick_s, "schedule step")
                         for d, _ in proc.steps], dtype=np.int64)
     period = int(lengths.sum())
@@ -252,8 +243,14 @@ def _schedule_runs(proc: Schedule, n_ticks: int,
               + (np.cumsum(lengths) - lengths)).ravel()
     states = np.tile(np.array([s for _, s in proc.steps], dtype=np.int16),
                      n_cycles)
-    inside = starts < n_ticks
-    return _merged_runs(starts[inside], states[inside])
+    keep = np.empty(len(states), dtype=bool)
+    keep[0] = True
+    np.not_equal(states[1:], states[:-1], out=keep[1:])
+    keep &= starts < n_ticks
+    # a schedule that repeats a state, such as (1, 0, 1) across its cycle
+    # wrap, keeps a mid share of its steps, where a boolean mask is slow
+    keep = np.flatnonzero(keep)
+    return starts[keep], states[keep]
 
 
 def _two_state_runs(cum: np.ndarray, draws: np.ndarray,
@@ -262,31 +259,34 @@ def _two_state_runs(cum: np.ndarray, draws: np.ndarray,
     closed form.
 
     A draw sends state 0 to 1 when `a = draw >= cum[0, 0]`, and state 1
-    to 1 when `b = draw >= cum[1, 0]`. Where a == b the step resets the
-    state to a whatever it was; where a and not b it swaps the states;
-    otherwise the state stays. Every swap changes the state. The state
-    before a reset is the previous reset's value (the initial state
-    counts as one, at index -1 of the reset and swap steps), flipped
-    when an odd number of swaps lies between them, that is, when the
-    gap of their indices is even. So a reset changes the state exactly
-    when its value XOR its index's parity equals the previous reset's,
-    and the states of the kept steps alternate from the initial state.
-    The last draw only picks a successor past the phase end.
+    to 0 when `below = draw < cum[1, 0]`. Where a == not below the step
+    resets the state to a whatever it was; where a and below it swaps
+    the states; otherwise the state stays. A stay needs cum[1, 0] <=
+    draw < cum[0, 0] and a swap cum[0, 0] <= draw < cum[1, 0], so a
+    chain has stays or swaps, never both: a persistent chain (cum[1, 0]
+    <= cum[0, 0], every built-in) only resets and stays, and one with
+    swaps never stays, so each step is its own index among the steps
+    that are not stays. The state after each of those steps is a's
+    value at a reset; a swap flips the state after the last reset
+    before it once per swap since. The runs start after the steps whose
+    state differs from the one before (the initial state before the
+    first), so their states alternate from the initial state. The last
+    draw only picks a successor past the phase end.
     """
     u = draws[:-1]
     a = u >= cum[0, 0]
-    b = u >= cum[1, 0]
-    at = np.flatnonzero(a | ~b)
-    a = a[at]
-    reset = np.flatnonzero(a == b[at])
-    mark = (reset & 1).astype(bool)
-    mark ^= a[reset]
-    before = np.empty(len(mark), dtype=bool)
-    before[:1] = not initial
-    before[1:] = mark[:-1]
-    keep = np.ones(len(at), dtype=bool)
-    keep[reset] = mark == before
-    starts = np.concatenate([[0], at[keep] + 1])
+    below = u < cum[1, 0]
+    at = np.flatnonzero(a | below)
+    state = np.empty(len(at) + 1, dtype=bool)
+    state[0] = initial
+    np.take(a, at, out=state[1:])
+    swap = np.flatnonzero(a & below) + 1
+    lead = np.ones(len(swap), dtype=bool)
+    np.not_equal(swap[1:] - 1, swap[:-1], out=lead[1:])
+    reset = np.maximum.accumulate((swap - 1) * lead)
+    state[swap] = state[reset] ^ ((swap - reset) & 1).astype(bool)
+    change = np.flatnonzero(state[1:] != state[:-1])
+    starts = np.concatenate([[0], at[change] + 1])
     states = np.arange(len(starts), dtype=np.int16) & 1
     states ^= initial
     return starts, states
@@ -518,6 +518,9 @@ class RunLookup:
         runs in between, `gap_ticks` ticks of them per state. Run-major,
         each later run's start s lies in the interval that ends at the
         first query at or after s, so the runs alone give the intervals.
+        A run that starts on that query itself and alone in its interval
+        is left out: the interval holds one state, which `at` and
+        `times_spans` already give it, and its tail would be 0.
         """
         starts, states = self.trace.runs[self.c_idx]
         if self._run is None:
@@ -532,8 +535,12 @@ class RunLookup:
             np.not_equal(k[1:], k[:-1], out=new[1:])
             end = np.ones(len(k), dtype=bool)
             end[:-1] = new[1:]
-            cross = k[new]
-            inner = np.flatnonzero(new) + j0
+            lone = np.flatnonzero(new & end)
+            new[lone] = end[lone] = (self.query.ticks_at(k[lone] + 1)
+                                     != starts[lone + j0])
+            inner = np.flatnonzero(new)
+            cross = k[inner]
+            inner += j0
             last = np.flatnonzero(end) + j0
         else:
             r = self._run
@@ -645,17 +652,20 @@ def gen_trace(model: ComponentStateModel, wl: WorkloadSpec,
     edges = _phase_edges(model, wl, duration_s, tick_s)
     runs = []
     for c_idx, comp in enumerate(model.components):
-        starts, states = [], []
+        starts, states, last = [], [], None
         for p_idx, phase in enumerate(wl.phases):
             lo, hi = edges[p_idx], edges[p_idx + 1]
             if lo < hi:
                 phase_starts, phase_states = _phase_states(
                     phase.occupancy[comp.name], hi - lo, tick_s,
                     (seed, c_idx, p_idx))
-                starts.append(phase_starts + lo)
-                states.append(phase_states)
-        runs.append(_merged_runs(np.concatenate(starts),
-                                 np.concatenate(states)))
+                # a phase's runs are merged already; its first run goes
+                # on with the last phase's last run if it holds that state
+                cut = int(phase_states[0] == last)
+                last = phase_states[-1]
+                starts.append(phase_starts[cut:] + lo)
+                states.append(phase_states[cut:])
+        runs.append((np.concatenate(starts), np.concatenate(states)))
     return Trace(model, tick_s, edges[-1], runs)
 
 
