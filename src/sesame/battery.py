@@ -168,8 +168,8 @@ def rms_relative_error(estimates: np.ndarray, truth: np.ndarray) -> float:
     # no mask outlives this test when every truth is positive: held while
     # `rel` is built, it would add to the peak memory of fine-rate scoring
     if not (truth > 0).all():
-        ok = truth > 0
-        est, truth = est[ok], truth[ok]
+        ok = np.flatnonzero(truth > 0)
+        est, truth = np.take(est, ok), np.take(truth, ok)
     if not truth.size:
         raise ConfigurationError("no positive truth values to compare against")
     rel = np.subtract(est, truth)

@@ -583,5 +583,5 @@ def predict_regressogram_rows(model: RegressogramModel, x: np.ndarray) -> np.nda
     table = np.full(span, model.fallback)
     table[keys[:n_cells]] = model.means
     out = table[keys[n_cells:]]
-    out[~inside] = model.fallback
+    out[np.flatnonzero(~inside)] = model.fallback
     return out

@@ -178,6 +178,7 @@ def _weighted_chunks(x: np.ndarray, y: np.ndarray):
         xc, yc = x[start:start + _CHUNK_ROWS], y[start:start + _CHUNK_ROWS]
         ok = yc > 0
         if not ok.all():
+            ok = np.flatnonzero(ok)
             xc, yc = xc[ok], yc[ok]
         if not len(yc):
             continue

@@ -25,16 +25,18 @@ late through a value refreshed every period, answered in closed form
 with no array of its ticks. A query that outnumbers a component's runs
 is answered run-major: each run's first query comes from one division,
 ticks are computed only where an interval crosses a run start, and
-per-run values are expanded with `np.repeat`. A shorter one is a binary
-search of the run starts at its ticks, which are then no more than the
-runs. A scenario run takes its truth from `true_energy` at its grid's
-finest rate only, and sums those rows into each coarser rate
-(`experiments.RunArtifacts`).
+per-run values are expanded with `np.repeat`; a run that starts on the
+query tick closing its interval, with no other run starting inside it,
+crosses nothing. A shorter one is a binary search of the run starts at
+its ticks, which are then no more than the runs. A scenario run takes
+its truth from `true_energy` at its grid's finest rate only, and sums
+those rows into each coarser rate (`experiments.RunArtifacts`).
 
 Markov chains are sampled straight into runs too: a two-state chain in
-closed form from its state-changing steps, and any other chain with one
-Python iteration per run. Both give the states of the step-by-step walk
-exactly.
+closed form, in one pass over its steps that are not stays, and any
+other chain with one Python iteration per run. Both give the states of
+the step-by-step walk exactly. Each phase's runs come out merged, so
+`gen_trace` merges runs only where a phase meets the next.
 """
 
 from __future__ import annotations
@@ -259,19 +261,19 @@ def _two_state_runs(cum: np.ndarray, draws: np.ndarray,
     closed form.
 
     A draw sends state 0 to 1 when `a = draw >= cum[0, 0]`, and state 1
-    to 0 when `below = draw < cum[1, 0]`. Where a == not below the step
-    resets the state to a whatever it was; where a and below it swaps
-    the states; otherwise the state stays. A stay needs cum[1, 0] <=
-    draw < cum[0, 0] and a swap cum[0, 0] <= draw < cum[1, 0], so a
+    to 0 when `below = draw < cum[1, 0]`. Where a != below the step
+    resets the state to a, whatever it was; where a and below it swaps
+    the states; where neither, the state stays. A stay needs cum[1, 0]
+    <= draw < cum[0, 0] and a swap cum[0, 0] <= draw < cum[1, 0], so a
     chain has stays or swaps, never both: a persistent chain (cum[1, 0]
-    <= cum[0, 0], every built-in) only resets and stays, and one with
-    swaps never stays, so each step is its own index among the steps
-    that are not stays. The state after each of those steps is a's
-    value at a reset; a swap flips the state after the last reset
-    before it once per swap since. The runs start after the steps whose
-    state differs from the one before (the initial state before the
-    first), so their states alternate from the initial state. The last
-    draw only picks a successor past the phase end.
+    <= cum[0, 0], every built-in) only resets and stays, and a chain
+    with swaps has no stays to skip. One pass takes the state after each
+    step that is not a stay: a's value at a reset, and at a swap the
+    state of the last reset before it flipped once per swap since. The
+    runs start after the steps whose state differs from the one before
+    (the initial state before the first), so their states alternate
+    from the initial state. The last draw only picks a successor past
+    the phase end.
     """
     u = draws[:-1]
     a = u >= cum[0, 0]
@@ -280,9 +282,12 @@ def _two_state_runs(cum: np.ndarray, draws: np.ndarray,
     state = np.empty(len(at) + 1, dtype=bool)
     state[0] = initial
     np.take(a, at, out=state[1:])
+    # with no stays, step i is entry i + 1 of `state`
     swap = np.flatnonzero(a & below) + 1
     lead = np.ones(len(swap), dtype=bool)
     np.not_equal(swap[1:] - 1, swap[:-1], out=lead[1:])
+    # the entry before each run of consecutive swaps: a reset or the
+    # initial state
     reset = np.maximum.accumulate((swap - 1) * lead)
     state[swap] = state[reset] ^ ((swap - reset) & 1).astype(bool)
     change = np.flatnonzero(state[1:] != state[:-1])
@@ -473,9 +478,11 @@ class RunLookup:
     `first_at` the run starts (a division for a grid) gives each run's
     first query, hence how many queries each run holds, and per-run
     values reach the queries through `np.repeat`; ticks are read only at
-    the intervals that cross a run start. A shorter query, such as a few
-    monitoring windows, is located by a binary search of the starts, one
-    run index per query, and per-run values reach it through a gather.
+    the intervals that cross a run start, and a run that starts on the
+    query closing its interval, alone there, crosses none. A shorter
+    query, such as a few monitoring windows, is located by a binary
+    search of the starts, one run index per query, and per-run values
+    reach it through a gather; there every run start is a crossing.
     Both give the same values, and the choice reads only the query's
     length. A query that holds a tick outside [0, n_ticks] raises
     `ArgumentError`.
@@ -535,6 +542,8 @@ class RunLookup:
             np.not_equal(k[1:], k[:-1], out=new[1:])
             end = np.ones(len(k), dtype=bool)
             end[:-1] = new[1:]
+            # a run alone in its interval that starts on the query
+            # closing it crosses nothing
             lone = np.flatnonzero(new & end)
             new[lone] = end[lone] = (self.query.ticks_at(k[lone] + 1)
                                      != starts[lone + j0])

@@ -358,6 +358,17 @@ def one_component_trace(n_ticks: int, starts: np.ndarray,
                     [(starts, np.asarray(states, dtype=np.int16))])
 
 
+def assert_no_lone_aligned_crossing(lookup: tracesim.RunLookup) -> None:
+    """A run-major lookup lists no crossing of a run that starts on the
+    query closing its interval and alone there: its tail would be 0 and
+    no gap would follow its head run."""
+    if lookup._run is None:
+        cross, _, tail, _, _, gap, _ = lookup._crossings
+        lone = np.ones(len(cross), dtype=bool)
+        lone[gap] = False
+        assert not np.any(lone & (tail == 0))
+
+
 def test_merged_run_lookup_equals_binary_search():
     # a sorted query that outnumbers the runs is located run-major; the
     # same query forced onto the binary search must give the same floats
@@ -389,6 +400,10 @@ def test_merged_run_lookup_equals_binary_search():
         "one_interval_over_every_run": [0, 0, 0, 0, 10],
         "more_runs_than_queries": [3, 8],
         "empty": [],
+        # every run start on a query tick; and 8 on the tick that closes
+        # [5, 8), which 7 starts inside
+        "every_start_on_a_query": [0, 3, 5, 7, 8, 10],
+        "aligned_start_after_an_inner_one": [0, 1, 5, 8, 9, 10],
     }
     run_major = 0
 
@@ -407,6 +422,7 @@ def test_merged_run_lookup_equals_binary_search():
             assert np.array_equal(got, want)
         got = lookup.sums(w)
         assert np.array_equal(got, binary.sums(w))
+        assert_no_lone_aligned_crossing(lookup)
         want = exact_sums(trace, 0, w, ticks[:-1], ticks[1:])
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-13)
 
@@ -416,8 +432,8 @@ def test_merged_run_lookup_equals_binary_search():
             (10, starts, states, np.array(ticks, dtype=np.int64)))(check)
     hypothesis.settings(max_examples=80, deadline=None, database=None,
                         print_blob=True)(check)()
-    # the five sorted explicit examples that outnumber the runs, at least
-    assert run_major >= 5
+    # the seven sorted explicit examples that outnumber the runs, at least
+    assert run_major >= 7
 
 
 def test_grid_query_equals_the_same_ticks_as_an_array():
@@ -457,6 +473,8 @@ def test_grid_query_equals_the_same_ticks_as_an_array():
     @hypothesis.example(trace10 + (3, 3, 12, 5))     # d > n k
     @hypothesis.example(trace10 + (4, 2, 1, 7))      # L = 7 > n
     @hypothesis.example(trace10 + (9, 1, 0, 10))     # L = 10 > n
+    @hypothesis.example(trace10 + (10, 1, 2, 1))     # every start a tick
+    @hypothesis.example(trace10 + (2, 4, 0, 1))      # 8 closes [4, 8)
     @hypothesis.settings(max_examples=100, deadline=None, database=None,
                          print_blob=True)
     def check(case):
@@ -482,6 +500,7 @@ def test_grid_query_equals_the_same_ticks_as_an_array():
             assert (got._run is None) == run_major
             assert np.array_equal(got.at(w), same.at(w))
             assert np.array_equal(got.sums(w), same.sums(w))
+            assert_no_lone_aligned_crossing(got)
         seen.add((d >= n * k, p > k, p // math.gcd(k, p) > n))
 
     check()
@@ -489,6 +508,20 @@ def test_grid_query_equals_the_same_ticks_as_an_array():
     # the step and a span pattern longer than the grid
     assert {(True, False, False), (False, True, False),
             (False, True, True)} <= seen
+
+
+def test_bridge_runs_start_on_100hz_queries_and_cross_none():
+    # t61like's bridge steps every 20 ticks, so at 100 Hz (10 ticks) each
+    # of its runs starts on a query tick, alone in its interval
+    sc = scn.builtin("t61like")
+    trace = ss.gen_trace(sc.system, sc.workload, sc.duration_s, sc.tick_s,
+                         sc.seed)
+    c_idx = sc.system.component_index("bridge")
+    k = tracesim._ratio_as_int(0.01, sc.tick_s, "interval")
+    lookup = tracesim.RunLookup(trace, c_idx,
+                                tracesim._Grid(len(trace) // k, k))
+    assert lookup._run is None and len(trace.runs[c_idx][0]) > 50_000
+    assert len(lookup._crossings[0]) == 0
 
 
 def test_lookup_refuses_ticks_outside_the_trace():

@@ -267,6 +267,8 @@ MARKOV_CASES = {
     "two_state_alternation": (((0.0, 1.0), (1.0, 0.0)), 0),
     "two_state_absorbing": (((1.0, 0.0), (0.3, 0.7)), 1),
     "two_state_initial_1": (((0.75, 0.25), (0.25, 0.75)), 1),
+    # the laptop bridge's chain: a switch at about every third step
+    "two_state_dense": (((0.667, 0.333), (0.333, 0.667)), 0),
     # three or more states, fast and slow
     "fast_k3": (((1 / 3,) * 3,) * 3, 2),
     "slow_k7": (tuple(tuple(0.97 if i == j else 0.005 for j in range(7))
@@ -284,6 +286,7 @@ MARKOV_WALKS = {
     "two_state_alternation": "_two_state_runs",
     "two_state_absorbing": "_two_state_runs",
     "two_state_initial_1": "_two_state_runs",
+    "two_state_dense": "_two_state_runs",
     "fast_k3": "_exit_walk_runs",
     "slow_k7": "_exit_walk_runs",
 }
@@ -371,6 +374,50 @@ def test_markov_runs_match_step_loop_on_random_chains():
         assert_reference_runs(chain, n_ticks, (seed,))
 
     check()
+
+
+def test_two_state_runs_match_step_loop_on_random_chains():
+    # a two-state chain has stays (cum[1, 0] < cum[0, 0], persistent) or
+    # swaps (cum[0, 0] < cum[1, 0], which no built-in has), never both;
+    # rows may absorb and entries may be exactly 0 or 1
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    to_0 = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+
+    @st.composite
+    def chains(draw):
+        p0, p1 = draw(to_0), draw(to_0)
+        return ss.MarkovChain(((p0, 1.0 - p0), (p1, 1.0 - p1)),
+                              step_s=0.001 * draw(st.integers(1, 3)),
+                              initial_state=draw(st.integers(0, 1)))
+
+    seen = set()
+
+    @hypothesis.given(chains(), st.integers(1, 3000),
+                      st.integers(0, 2**32 - 1))
+    @hypothesis.example(ss.MarkovChain(((0.2, 0.8), (0.9, 0.1)), 0.001, 1),
+                        2000, 3)
+    @hypothesis.example(ss.MarkovChain(((0.0, 1.0), (1.0, 0.0)), 0.002, 0),
+                        999, 4)
+    @hypothesis.example(ss.MarkovChain(((1.0, 0.0), (0.3, 0.7)), 0.001, 1),
+                        2000, 5)
+    @hypothesis.example(ss.MarkovChain(((0.6, 0.4), (0.0, 1.0)), 0.001, 0),
+                        2000, 6)
+    @hypothesis.example(ss.MarkovChain(((0.5, 0.5), (0.5, 0.5)), 0.001, 1),
+                        2000, 7)
+    @hypothesis.example(ss.MarkovChain(((0.667, 0.333), (0.333, 0.667)),
+                                       0.003, 1), 3000, 8)
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         print_blob=True)
+    def check(chain, n_ticks, seed):
+        (p0, _), (p1, _) = chain.transition
+        seen.add((p1 < p0, p0 < p1, p0 in (0.0, 1.0) or p1 in (0.0, 1.0)))
+        assert_reference_runs(chain, n_ticks, (seed,))
+
+    check()
+    # the explicit examples reach stays, swaps and 0/1 entries with both
+    assert {(True, False, False), (False, True, False),
+            (True, False, True), (False, True, True)} <= seen
 
 
 class FixedDraws:
