@@ -5,7 +5,8 @@ byte-identical reports. Estimates are always scored as RMS relative error
 against exact ground-truth energy at the evaluated rate. A molding run
 scores its four molded variants and the per-rate oracle, all affine in
 the collected rates, in one chunked pass over the oracle's weighted
-design, after a first pass that fits the oracle from the same chunks.
+design that also sums the oracle's normal equations, so the oracle is
+fitted and scored without a second pass.
 """
 
 from __future__ import annotations
@@ -128,11 +129,6 @@ class RunArtifacts:
                 self._truth[rate_hz] = true_energy(self.trace, 1.0 / rate_hz)
         return self._truth[rate_hz]
 
-    def score(self, rate_hz: float, estimates: np.ndarray) -> float:
-        """RMS relative error of `estimates` against the truth at
-        `rate_hz`; both hold one row per whole interval of the trace."""
-        return rms_relative_error(estimates, self.truth(rate_hz))
-
 
 def simulate(sc: ScenarioConfig) -> RunArtifacts:
     """Generate the trace and the battery readings; the predictors are
@@ -151,21 +147,28 @@ def _interface_rms(arts: RunArtifacts, rate_hz: float) -> float | None:
         _ratio_as_int(interval, arts.readings.period_s, "interval")
     except AlignmentError:
         return None
-    return arts.score(rate_hz, aggregate_response(arts.readings, interval))
+    return rms_relative_error(aggregate_response(arts.readings, interval),
+                              arts.truth(rate_hz))
 
 
-# Rows per chunk of the scoring passes. A chunk's weighted design and
-# its residuals take (n + 1 + estimators) * 8 bytes a row, about 3 MB at
+# Rows per chunk of the scoring pass. A chunk's weighted design and its
+# residuals take (n + 1 + estimators) * 8 bytes a row, about 3 MB at
 # 2^15 rows with 5 predictors: small enough that scoring adds nothing
 # row-length to a 100 Hz run's peak memory, and large enough that numpy's
 # per-call cost stays negligible (10 chunks for 300,000 rows).
 _CHUNK_ROWS = 1 << 15
 
 
-def _weighted_chunks(x: np.ndarray, y: np.ndarray):
-    """A^T over each chunk of `_CHUNK_ROWS` rows, A = [1 X] / y over the
-    rows with y > 0, as one (1 + n, rows) array: w = 1 / y is its first
-    row. Chunks with no such row are skipped.
+def _weighted_chunks(x: np.ndarray, y: np.ndarray, coefs: np.ndarray):
+    """For each chunk of `_CHUNK_ROWS` rows, (A^T, R^T) over its rows
+    with y > 0: A^T = ([1 X] / y)^T, one (1 + n, rows) array whose first
+    row is w = 1 / y, and R^T = C^T A^T - 1, one (k, rows) array holding
+    each column of `coefs` C (1 + n, k)'s relative errors. Chunks with no
+    such row are skipped.
+
+    Both arrays are views of two buffers that the call allocates once and
+    every chunk overwrites: a caller that keeps a chunk past the next one
+    copies it.
 
     Raises AlignmentError when x and y differ in length, and, once every
     chunk is read, ConfigurationError when no y is positive.
@@ -173,6 +176,9 @@ def _weighted_chunks(x: np.ndarray, y: np.ndarray):
     if len(y) != x.shape[0]:
         raise AlignmentError(f"design/truth length mismatch: "
                              f"{x.shape[0]} vs {len(y)}")
+    n1, k = coefs.shape
+    size = min(len(y), _CHUNK_ROWS)
+    at_buf, r_buf = np.empty(n1 * size), np.empty(k * size)
     seen = False
     for start in range(0, len(y), _CHUNK_ROWS):
         xc, yc = x[start:start + _CHUNK_ROWS], y[start:start + _CHUNK_ROWS]
@@ -180,16 +186,38 @@ def _weighted_chunks(x: np.ndarray, y: np.ndarray):
         if not ok.all():
             ok = np.flatnonzero(ok)
             xc, yc = xc[ok], yc[ok]
-        if not len(yc):
+        rows = len(yc)
+        if not rows:
             continue
         seen = True
-        w = 1.0 / yc
-        at = np.empty((1 + x.shape[1], len(w)))
-        at[0] = w
-        np.multiply(xc.T, w, out=at[1:])
-        yield at
+        at = at_buf[:n1 * rows].reshape(n1, rows)
+        np.divide(1.0, yc, out=at[0])
+        np.multiply(xc.T, at[0], out=at[1:])
+        rt = r_buf[:k * rows].reshape(k, rows)
+        np.matmul(coefs.T, at, out=rt)
+        rt -= 1.0
+        yield at, rt
     if not seen:
         raise ConfigurationError("no positive truth values to compare against")
+
+
+def _chunk_sums(x: np.ndarray, y: np.ndarray, coefs: np.ndarray,
+                oracle: bool):
+    """One pass over `_weighted_chunks`: the scored row count m and each
+    column's sum of squared relative errors SSE, then g = A^T A, A^T 1
+    and H = A^T R, which only a pass with `oracle` sums (else all 0)."""
+    n1, k = coefs.shape
+    m, sse = 0, np.zeros(k)
+    g, at_1, h = np.zeros((n1, n1)), np.zeros(n1), np.zeros((n1, k))
+    for at, rt in _weighted_chunks(x, y, coefs):
+        m += at.shape[1]
+        if oracle:
+            g += at @ at.T
+            at_1 += at.sum(axis=1)
+            h += at @ rt.T
+        rt *= rt
+        sse += rt.sum(axis=1)
+    return m, sse, g, at_1, h
 
 
 # Solving the normal equations loses about cond * eps of the
@@ -202,53 +230,57 @@ def _weighted_chunks(x: np.ndarray, y: np.ndarray):
 _ORACLE_COND_BOUND = 1e8
 
 
-def _fit_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _fit_oracle(x: np.ndarray, y: np.ndarray, sums=None) -> np.ndarray:
     """Per-rate linear baseline minimizing the RMS *relative* error.
 
     Weighted least squares with 1/y weights over the rows with y > 0: the
     best tradeoff any affine model of these predictors can reach at this
-    rate, so every molded variant is dominated by it in-sample. One pass
-    over `_weighted_chunks` sums the normal equations g = A^T A and
-    A^T 1 of the weighted design A = [1 X] / y chunk by chunk. With
-    d = sqrt(diag(g)), the coefficients solve g c = A^T 1 scaled by d on
-    both sides while the scaled matrix's condition number is below
-    `_ORACLE_COND_BOUND`; at or above it, and when d holds a zero, they
-    are `np.linalg.lstsq(A, 1)` over the whole A, built from the same
-    chunks.
+    rate, so every molded variant is dominated by it in-sample. Its
+    normal equations g = A^T A and A^T 1, A = [1 X] / y, come from
+    `sums`, a `_chunk_sums` pass with the oracle's sums, or else from a
+    pass of their own. With d = sqrt(diag(g)), the coefficients solve
+    g c = A^T 1 scaled by d on both sides while the scaled matrix's
+    condition number is below `_ORACLE_COND_BOUND`; at or above it, and
+    when d holds a zero, they are `np.linalg.lstsq(A, 1)` over the whole
+    A, stacked from copies of `_weighted_chunks`' reused chunks.
     """
-    g = np.zeros((1 + x.shape[1],) * 2)
-    at_1 = np.zeros(1 + x.shape[1])
-    for at in _weighted_chunks(x, y):
-        g += at @ at.T
-        at_1 += at.sum(axis=1)
+    no_columns = np.empty((1 + x.shape[1], 0))
+    _, _, g, at_1, _ = sums or _chunk_sums(x, y, no_columns, oracle=True)
     d = np.sqrt(np.diag(g))
     if d.all():
         gs = g / d / d[:, None]
         if np.linalg.cond(gs) < _ORACLE_COND_BOUND:
             return np.linalg.solve(gs, at_1 / d) / d
-    a = np.hstack(list(_weighted_chunks(x, y))).T
+    a = np.hstack([at.copy()
+                   for at, _ in _weighted_chunks(x, y, no_columns)]).T
     coef, *_ = np.linalg.lstsq(a, np.ones(len(a)), rcond=None)
     return coef
 
 
-def _affine_rms(x: np.ndarray, y: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+def _affine_rms(x: np.ndarray, y: np.ndarray, coefs: np.ndarray,
+                oracle: bool = False) -> np.ndarray:
     """RMS relative error of each affine estimate c0 + x @ c[1:] against
-    y over the rows with y > 0, for each column c of `coefs` (1 + n, k).
+    y over the rows with y > 0, for each column c of `coefs` (1 + n, k),
+    and with `oracle` one more, the per-rate oracle's (`_fit_oracle`),
+    all from one `_chunk_sums` pass; it raises `_weighted_chunks`' typed
+    errors.
 
-    The relative error of row i is (c0 + x_i @ c[1:]) / y_i - 1 = a_i @ c
-    - 1, a_i being row i of the oracle's weighted design, so one pass
-    over `_weighted_chunks` scores every column at once; it raises that
-    generator's typed errors.
+    Row i's relative error is a_i @ c - 1, a_i being row i of the
+    oracle's weighted design. With j the column of least SSE and
+    delta = c - c_j, the oracle's SSE is SSE_j + 2 delta^T H_j
+    + delta^T g delta, exact for any c. Shifted to an estimate close to
+    the oracle's (Chan, Golub and LeVeque's shifted data), the form
+    cancels only small terms; an exact fit may round it below 0, read
+    as 0.
     """
-    sse = np.zeros(coefs.shape[1])
-    count = 0
-    for at in _weighted_chunks(x, y):
-        rel = coefs.T @ at
-        rel -= 1.0
-        rel *= rel
-        sse += rel.sum(axis=1)
-        count += at.shape[1]
-    return np.sqrt(sse / count)
+    sums = _chunk_sums(x, y, coefs, oracle)
+    m, sse, g, _, h = sums
+    if oracle:
+        j = int(np.argmin(sse))
+        delta = _fit_oracle(x, y, sums) - coefs[:, j]
+        sse = np.append(sse, max(0.0, sse[j] + 2.0 * (delta @ h[:, j])
+                                 + delta @ g @ delta))
+    return np.sqrt(sse / m)
 
 
 def _simulate_as(sc: ScenarioConfig, experiment: str) -> RunArtifacts:
@@ -298,11 +330,9 @@ def run_molding(sc: ScenarioConfig,
     for rate in sc.rate_grid:
         report.add(rate, BATTERY_ESTIMATOR, _interface_rms(arts, rate))
         dm = arts.design(rate)
-        coefs = [models[name].coefficients(1.0 / rate)
-                 for name in MOLDED_VARIANTS]
-        truth = arts.truth(rate)
-        coefs.append(_fit_oracle(dm.x, truth))
-        rms = _affine_rms(dm.x, truth, np.column_stack(coefs))
+        coefs = np.column_stack([models[name].coefficients(1.0 / rate)
+                                 for name in MOLDED_VARIANTS])
+        rms = _affine_rms(dm.x, arts.truth(rate), coefs, oracle=True)
         for name, value in zip(MOLDED_VARIANTS + (ORACLE_ESTIMATOR,), rms):
             report.add(rate, name, float(value))
     _write_outputs(sc, report, out_dir)
@@ -399,10 +429,11 @@ def run_regressogram_compare(sc: ScenarioConfig,
     linear = ts.fit(sc.fit_method, l=min(sc.pca_l, len(ts.kept)))
     report = ErrorReport(sc.name, sc.seed)
     for rate in sc.rate_grid:
-        dm = arts.design(rate)
-        report.add(rate, "linear_molded", arts.score(
-            rate, linear.predict_rows(dm.x, 1.0 / rate)))
-        reg = fit_regressogram(dm.x, arts.truth(rate), k=sc.regressogram_k,
+        dm, truth = arts.design(rate), arts.truth(rate)
+        coef = linear.coefficients(1.0 / rate)[:, None]
+        report.add(rate, "linear_molded",
+                   float(_affine_rms(dm.x, truth, coef)[0]))
+        reg = fit_regressogram(dm.x, truth, k=sc.regressogram_k,
                                columns=dm.columns)
         report.add(rate, "regressogram", reg.training_error)
     _write_outputs(sc, report, out_dir)

@@ -4,7 +4,9 @@ A fitted EnergyModel is b0 + r . b on the kept predictor rates, scaled by
 the interval ratio; these check that form against the explicit PCA
 pipeline it folds, and that its energies add up across rates. The
 per-rate oracle's fit is checked against its normal equations and
-against lstsq. `iterate_construction` returns the first l whose fit
+against lstsq, and the one scoring pass against scoring each estimate
+alone, at the chunk edges and on exact, near-collinear and partly
+non-positive truths. `iterate_construction` returns the first l whose fit
 meets its target, as fitting every l on its own finds. Every rate's
 design, truth and battery response hold one row per whole interval of
 the trace, for every battery kind. Model tables and scenarios must
@@ -26,6 +28,7 @@ import sesame as ss
 import sesame.experiments as exp
 import sesame.scenarios as scn
 from reference import (
+    masked_rms_relative_error,
     oracle_rms,
     scaled_cond,
     smallest_l_meeting,
@@ -33,10 +36,15 @@ from reference import (
 )
 from sesame.battery import BatteryInterfaceModel
 from sesame.collector import DesignMatrix, aggregate_response
-from sesame.errors import AlignmentError, RateError, SesameError
+from sesame.errors import AlignmentError, ConfigurationError, RateError
+from sesame.errors import SesameError
 from sesame.errors import from_document, to_document
 from sesame.manager import table_equals
 from sesame.tracesim import COUNTER
+from test_scoring import (
+    assert_oracle_scores_as_alone,
+    assert_scores_as_each_estimate_alone,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -178,6 +186,56 @@ def test_oracle_solves_its_normal_equations(problem):
     slack = 1e-15 + np.finfo(float).eps * cond
     assert oracle_rms(x, y, coef) <= (
         oracle_rms(x, y, ref) * (1 + 1e-12) + slack)
+
+
+@st.composite
+def scored_problems(draw):
+    """A design x, truths y and molded coefficients C (1 + n, k) near the
+    truths' own: 1 or 2 rows or at the chunk edges, y exactly affine in
+    x or not, two columns near-collinear or not, and a share of the
+    truths at 0 or -1."""
+    m = draw(st.sampled_from(
+        [1, 2, 50, exp._CHUNK_ROWS, exp._CHUNK_ROWS + 1]))
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    exact, collinear = draw(st.booleans()), draw(st.booleans())
+    dropped = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    spread = draw(st.sampled_from([0.0, 1e-6, 0.1, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.asfortranarray(rng.uniform(0.0, 100.0, (m, n)))
+    if collinear and n > 1:
+        x[:, 1] = x[:, 0] * (1.0 + 1e-9 * rng.standard_normal(m))
+    beta = rng.uniform(0.1, 2.0, n + 1)
+    y = beta[0] + x @ beta[1:]
+    if not exact:
+        y *= rng.uniform(0.8, 1.2, m)
+    low = rng.random(m) < dropped
+    y[low] = -rng.integers(0, 2, low.sum())
+    coefs = beta[:, None] * (1.0 + spread * rng.standard_normal((n + 1, k)))
+    return x, y, coefs
+
+
+@hypothesis.settings(max_examples=30, deadline=None, database=None,
+                     print_blob=True)
+@hypothesis.given(problem=scored_problems())
+def test_one_pass_scores_as_each_estimate_alone(problem):
+    x, y, coefs = problem
+    # the lengths are checked before the truths' signs
+    with pytest.raises(AlignmentError):
+        exp._affine_rms(x[:-1], y, coefs, oracle=True)
+    if not (y > 0).any():
+        with pytest.raises(ConfigurationError, match="no positive"):
+            exp._affine_rms(x, y, coefs, oracle=True)
+        return
+    got = exp._affine_rms(x, y, coefs, oracle=True)
+    # the oracle's sums leave the columns' scores as they are
+    assert np.array_equal(got[:-1], exp._affine_rms(x, y, coefs))
+    assert_scores_as_each_estimate_alone(
+        got[:-1], x, y, coefs,
+        [masked_rms_relative_error(c[0] + x @ c[1:], y) for c in coefs.T])
+    coef = exp._fit_oracle(x, y)
+    assert_oracle_scores_as_alone(
+        got, x, y, coefs, coef,
+        masked_rms_relative_error(coef[0] + x @ coef[1:], y))
 
 
 @PROPERTY

@@ -11,7 +11,10 @@ two round differently: they agree within (n + 2) eps of each row's scale
 relative error as a_i @ c - 1 rather than (estimate - y) / y, and sums
 the squares chunk by chunk, so it agrees with the per-estimate formula
 within the bound `assert_scores_as_each_estimate_alone` derives from
-each row's scale. The oracle solves its normal equations, summed chunk
+each row's scale. The oracle's score is a quadratic form shifted to the
+best-scored column, within the bound `assert_oracle_scores_as_alone`
+derives from the same data. The regressogram runner's `linear_molded`
+row takes the same scorer. The oracle solves its normal equations, summed chunk
 by chunk, while they are well conditioned, so there its weighted RMS is
 compared with the stacked design's to 1e-12 relative or 1e-15 absolute;
 on a singular design it equals the stacked design's `lstsq` bit for bit.
@@ -229,6 +232,71 @@ def assert_scores_as_each_estimate_alone(got, x, y, coefs, want):
     assert (np.abs(got - np.asarray(want)) <= bound).all(), (got, want, bound)
 
 
+def assert_oracle_scores_as_alone(got, x, y, coefs, coef, want):
+    """`got[-1]`, the chunked score of the oracle's coefficients `coef`
+    by the shifted form, equals `want`, the per-estimate formula's, within
+    a bound from the data; `got[:-1]` are the chunked scores of the
+    columns of `coefs` (1 + n, k) that the form starts from.
+
+    With u = eps / 2, N scored rows a_i of A = [1 X] / y, C chunks of at
+    most K rows, and j the column of least score (the least SSE, as the
+    square root is monotone; every tied column is tried), d = c - c_j
+    and r_i = a_i @ c_j - 1. Over the scorer's computed rows and
+    residuals, SSE_j + 2 d^T H_j + d^T G d is exactly sum_i rho_i^2, with
+    rho_i their a_i @ c - 1, so the bound has three parts:
+    - the form's rounding, E: SSE_j is a sum of squares, within
+      (ceil(log2(N / 128)) + 21 + C) u SSE_j (the pairwise sum, the
+      square, the chunk sums and the form's two additions); each entry
+      of H_j and G is a BLAS dot product over a chunk, which rounds at
+      most K times in any order, summed over C chunks and then taken
+      with d, so 2 d^T H_j and d^T G d are within
+      2 (K + C + n + 3) u |d|^T sum_i |a_i| |r_i| and
+      (K + C + 2 n + 4) u |d|^T (sum_i |a_i| |a_i|^T) |d|, one u of
+      slack each. Clamping the form at 0 moves it no further from
+      sum_i rho_i^2 >= 0.
+    - the square root: with p the clamped form / N and q = mean(rho^2),
+      |sqrt p - sqrt q| <= min(|p - q| / (sqrt p + sqrt q), sqrt |p - q|),
+      plus 2 u got for the division and the root. sqrt q >= want - B.
+    - rho against the formula's relative errors r^c_i of c, B: the
+      scorer's r_i is within (n + 4) u S_i + u |r_i| of its exact value,
+      S_i = |a_i| @ |c_j| (see `assert_scores_as_each_estimate_alone`);
+      the computed a_i @ d within 3 u |a_i| @ |d| (a_i rounds twice, d
+      once); and the formula's within (n + 2) u (S_i + |a_i| @ |d|)
+      + 2 u |r^c_i|. So rho_i differs by at most
+      e_i = (2 n + 7) u S_i + (n + 6) u |a_i| @ |d| + 2 u |r_i|
+      + 3 u |r^c_i|, one u of slack for second order, and the RMS values
+      by B = sqrt(mean(e_i^2)) + (ceil(log2(N / 128)) + 22) u want, the
+      formula's own rounding as above.
+    """
+    n, k = x.shape[1], coefs.shape[1]
+    u = np.finfo(float).eps / 2
+    ok = y > 0
+    a = np.column_stack([np.ones(ok.sum()), x[ok]]) / y[ok][:, None]
+    big_n, abs_a = len(a), np.abs(a)
+    depth = max(0, math.ceil(math.log2(big_n / 128))) + 18
+    rows = min(len(y), exp._CHUNK_ROWS)
+    chunks = math.ceil(len(y) / exp._CHUNK_ROWS)
+    rel_c = np.abs(a @ coef - 1.0)
+    got = np.asarray(got)
+    bounds = []
+    for j in np.flatnonzero(got[:k] == got[:k].min()):
+        d = np.abs(coef - coefs[:, j])
+        rel = np.abs(a @ coefs[:, j] - 1.0)
+        ad = abs_a @ d
+        e = ((2 * n + 7) * u * (abs_a @ np.abs(coefs[:, j]))
+             + (n + 6) * u * ad + 2 * u * rel + 3 * u * rel_c)
+        b = math.sqrt(np.mean(e * e)) + (depth + 22) * u * want
+        err = ((depth + 21 + chunks) * u * (rel @ rel)
+               + 2 * (rows + chunks + n + 3) * u * (d @ (abs_a.T @ rel))
+               + (rows + chunks + 2 * n + 4) * u * (ad @ ad)) / big_n
+        den = got[-1] + max(0.0, want - b)
+        root = math.sqrt(err)
+        if den > 0:
+            root = min(root, err / den)
+        bounds.append(root + 2 * u * got[-1] + b)
+    assert abs(got[-1] - want) <= max(bounds), (got, want, bounds)
+
+
 def test_molding_report_equals_scoring_each_estimate_alone(t61):
     sc, arts, models = t61
     report = exp.run_molding(sc)
@@ -246,13 +314,14 @@ def test_molding_report_equals_scoring_each_estimate_alone(t61):
             alone.append(masked_rms_relative_error(
                 model.predict_rows(dm.x, 1.0 / rate), truth))
         coef = exp._fit_oracle(dm.x, truth)
-        coefs.append(coef)
-        alone.append(masked_rms_relative_error(coef[0] + dm.x @ coef[1:],
-                                               truth))
         scores = np.array([report.value(rate, name) for name in
                            exp.MOLDED_VARIANTS + (exp.ORACLE_ESTIMATOR,)])
+        coefs = np.column_stack(coefs)
         assert_scores_as_each_estimate_alone(
-            scores, dm.x, truth, np.column_stack(coefs), alone)
+            scores[:-1], dm.x, truth, coefs, alone)
+        assert_oracle_scores_as_alone(
+            scores, dm.x, truth, coefs, coef, masked_rms_relative_error(
+                coef[0] + dm.x @ coef[1:], truth))
 
 
 @pytest.mark.parametrize("m", [1, exp._CHUNK_ROWS, exp._CHUNK_ROWS + 1])
@@ -318,10 +387,12 @@ def test_regressogram_linear_model_is_capped_at_pca_l(pca_l):
                         sc.t_low_s)
     kept = len(TrainingSet(stretched).kept)
     model = build_model(stretched, method=sc.fit_method, l=min(pca_l, kept))
-    pred = model.predict_rows(arts.design(1.0).x, 1.0)
+    x, truth = arts.design(1.0).x, arts.truth(1.0)
     report = exp.run_regressogram_compare(sc)
-    assert report.value(1.0, "linear_molded") == masked_rms_relative_error(
-        pred, arts.truth(1.0))
+    assert_scores_as_each_estimate_alone(
+        np.array([report.value(1.0, "linear_molded")]), x, truth,
+        model.coefficients(1.0)[:, None],
+        [masked_rms_relative_error(model.predict_rows(x, 1.0), truth)])
 
 
 @pytest.mark.parametrize("name", sorted(scn.BUILTIN_SCENARIOS))
