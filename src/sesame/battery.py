@@ -172,7 +172,12 @@ def rms_relative_error(estimates: np.ndarray, truth: np.ndarray) -> float:
         est, truth = np.take(est, ok), np.take(truth, ok)
     if not truth.size:
         raise ConfigurationError("no positive truth values to compare against")
-    rel = np.subtract(est, truth)
-    rel /= truth
-    rel *= rel
-    return float(np.sqrt(np.mean(rel)))
+    return _rms_relative_in(np.subtract(est, truth), truth)
+
+
+def _rms_relative_in(diff: np.ndarray, truth: np.ndarray) -> float:
+    """sqrt(mean((diff / truth)^2)) against positive truths, built and
+    squared in `diff`, which it overwrites."""
+    diff /= truth
+    diff *= diff
+    return float(np.sqrt(np.mean(diff)))

@@ -19,7 +19,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .battery import BatteryReadings, rms_relative_error
+from .battery import BatteryReadings, _rms_relative_in, rms_relative_error
 from .collector import DesignMatrix, aggregate_response
 from .errors import (
     AlignmentError,
@@ -457,21 +457,26 @@ def _reject_non_finite(x: np.ndarray, columns: tuple[str, ...],
         raise ArgumentError("regressogram response has non-finite values")
 
 
-def _bin_rows(x: np.ndarray, edges: np.ndarray,
-              k: int) -> tuple[np.ndarray, np.ndarray]:
+def _bin_rows(x: np.ndarray, edges: np.ndarray, k: int,
+              pos: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-column bins of every row, int((v - lo) / (hi - lo) * k) up to
-    k - 1, and the mask of rows inside the range in every column."""
+    k - 1, and the mask of rows inside the range in every column. Each
+    position is computed in `pos`, a float buffer of one per row that the
+    call overwrites, or else one it allocates."""
     bins = np.zeros(x.shape, dtype=np.int64)
     inside = np.ones(x.shape[0], dtype=bool)
+    if pos is None:
+        pos = np.empty(x.shape[0])
     for j, (lo, hi) in enumerate(edges):
         v = x[:, j]
-        ok = (v >= lo) & (v <= hi)
+        ok = v >= lo
+        ok &= v <= hi
         inside &= ok
         if hi != lo:
             if not ok.all():
                 # out-of-range rows are binned as lo so the cast stays in range
                 v = np.where(ok, v, lo)
-            pos = v - lo
+            np.subtract(v, lo, out=pos)
             pos /= hi - lo
             pos *= k
             col = bins[:, j]
@@ -509,15 +514,25 @@ def _cell_keys(bins: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     return key, span
 
 
+# Rows per block of a regressogram fit's pass over the cell keys: each
+# block's row indices are the only index array the fit allocates.
+_BLOCK_ROWS = 1 << 13
+
+
 def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
                      columns: tuple[str, ...] = ()) -> RegressogramModel:
     """Equal-width bins over each predictor's observed range; each
     populated cell stores the mean of its rows' responses.
 
-    Counts and sums are bincounts over the cell keys, in row order, so
-    the fit is linear in the rows, with no sort when k**columns is at most
-    the row count, and its memory is O(rows + cells) for any k, an
-    integer in [1, 2**53].
+    Counts are a bincount over the cell keys, and each cell sum adds its
+    rows in row order, as a weighted bincount would, through `np.add.at`
+    over blocks of `_BLOCK_ROWS` rows. So the fit is linear in the rows,
+    with no sort when k**columns is at most the row count, for any k, an
+    integer in [1, 2**53]. Beyond its inputs it holds the bins, the keys
+    (a view of the bins for one column) and one float per row, which
+    takes in turn the bin positions, each row's fitted mean, its squared
+    relative error and the running sum of the fallback, plus O(cells +
+    block).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -533,25 +548,34 @@ def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
     columns = columns or tuple(f"x{i}" for i in range(x.shape[1]))
     _reject_non_finite(x, columns, y)
     edges = np.column_stack([x.min(axis=0), x.max(axis=0)])
-    bins, _ = _bin_rows(x, edges, k)
+    fitted = np.empty(len(y))
+    bins, _ = _bin_rows(x, edges, k, pos=fitted)
     key, span = _cell_keys(bins, k)
     counts = np.bincount(key, minlength=span)
     populated = np.flatnonzero(counts)
-    # bincount adds in row order, so each cell sum is the running sum
-    means = (np.bincount(key, weights=y, minlength=span)[populated]
-             / counts[populated])
-    # every row of a cell has the cell's bins, so any one row gives them
-    row_of = np.empty(span, dtype=np.int64)
-    row_of[key] = np.arange(len(key))
+    sums, row_of = np.zeros(span), np.empty(span, dtype=np.int64)
+    for start in range(0, len(key), _BLOCK_ROWS):
+        block = key[start:start + _BLOCK_ROWS]
+        # unbuffered, in row order: each cell sum is the running sum
+        np.add.at(sums, block, y[start:start + _BLOCK_ROWS])
+        # every row of a cell has the cell's bins, so any one row gives them
+        row_of[block] = np.arange(start, start + len(block))
+    means = sums[populated] / counts[populated]
     cells = bins[row_of[populated]]
     del bins, row_of
     # each training row is inside the edges and its cell is populated, so
     # its prediction is its cell's mean
     table = np.empty(span)
     table[populated] = means
-    fitted = table[key]
-    training_error = (rms_relative_error(fitted, y)
-                      if (y > 0).any() else None)
+    # every key is below span; the default mode="raise" would buffer
+    # `out` through a temporary of one float per row
+    np.take(table, key, out=fitted, mode="clip")
+    if (y > 0).all():
+        fitted -= y
+        training_error = _rms_relative_in(fitted, y)
+    else:
+        training_error = (rms_relative_error(fitted, y)
+                          if (y > 0).any() else None)
     # a sequential sum like the cells', not numpy's pairwise np.sum, run
     # into the row-length buffer already held
     fallback = float(np.cumsum(y, out=fitted)[-1]) / len(y)

@@ -100,34 +100,42 @@ class RunArtifacts:
     of its rows at a time, within a few roundings of `true_energy`; any
     other rate is `true_energy`'s. The rule reads only the grid, so a
     rate's values do not depend on which rate was asked for first.
+
+    Two arrays are kept once built: the design at the scenario's base
+    rate, which a runner both trains and scores on, and the truth at the
+    finest rate, which every coarser truth sums. Any other rate's design
+    or truth is built afresh on each call, so it is held only as long as
+    its caller holds it.
     """
 
     scenario: ScenarioConfig
     trace: Trace
     readings: BatteryReadings
 
-    _collected: dict[float, DesignMatrix] = field(default_factory=dict)
-    _truth: dict[float, np.ndarray] = field(default_factory=dict)
+    _base_design: DesignMatrix | None = None
+    _fine_truth: np.ndarray | None = None
 
     def design(self, rate_hz: float) -> DesignMatrix:
-        if rate_hz not in self._collected:
-            self._collected[rate_hz] = collect(
+        if rate_hz != self.scenario.base_rate_hz:
+            return collect(self.trace, self.scenario.predictors, rate_hz)
+        if self._base_design is None:
+            self._base_design = collect(
                 self.trace, self.scenario.predictors, rate_hz)
-        return self._collected[rate_hz]
+        return self._base_design
 
     def truth(self, rate_hz: float) -> np.ndarray:
-        if rate_hz not in self._truth:
-            fine = max(self.scenario.rate_grid)
-            tick = self.trace.tick_s
-            k = _ratio_as_int(1.0 / rate_hz, tick, "interval")
-            r, rest = divmod(k, _ratio_as_int(1.0 / fine, tick, "interval"))
-            if r > 1 and not rest:
-                m = len(self.trace) // k
-                rows = self.truth(fine)[:m * r]
-                self._truth[rate_hz] = rows.reshape(m, r).sum(axis=1)
-            else:
-                self._truth[rate_hz] = true_energy(self.trace, 1.0 / rate_hz)
-        return self._truth[rate_hz]
+        fine = max(self.scenario.rate_grid)
+        if rate_hz == fine:
+            if self._fine_truth is None:
+                self._fine_truth = true_energy(self.trace, 1.0 / fine)
+            return self._fine_truth
+        tick = self.trace.tick_s
+        k = _ratio_as_int(1.0 / rate_hz, tick, "interval")
+        r, rest = divmod(k, _ratio_as_int(1.0 / fine, tick, "interval"))
+        if r > 1 and not rest:
+            m = len(self.trace) // k
+            return self.truth(fine)[:m * r].reshape(m, r).sum(axis=1)
+        return true_energy(self.trace, 1.0 / rate_hz)
 
 
 def simulate(sc: ScenarioConfig) -> RunArtifacts:
@@ -139,24 +147,28 @@ def simulate(sc: ScenarioConfig) -> RunArtifacts:
     return RunArtifacts(scenario=sc, trace=trace, readings=readings)
 
 
-def _interface_rms(arts: RunArtifacts, rate_hz: float) -> float | None:
-    """Raw-interface RMS error at `rate_hz`, or None when its interval is
-    not a whole number of reading periods."""
+def _interface_rms(readings: BatteryReadings, rate_hz: float,
+                   truth: np.ndarray) -> float | None:
+    """Raw-interface RMS error against `truth` at `rate_hz`, or None when
+    its interval is not a whole number of reading periods."""
     interval = 1.0 / rate_hz
     try:
-        _ratio_as_int(interval, arts.readings.period_s, "interval")
+        _ratio_as_int(interval, readings.period_s, "interval")
     except AlignmentError:
         return None
-    return rms_relative_error(aggregate_response(arts.readings, interval),
-                              arts.truth(rate_hz))
+    return rms_relative_error(aggregate_response(readings, interval), truth)
 
 
-# Rows per chunk of the scoring pass. A chunk's weighted design and its
-# residuals take (n + 1 + estimators) * 8 bytes a row, about 3 MB at
-# 2^15 rows with 5 predictors: small enough that scoring adds nothing
-# row-length to a 100 Hz run's peak memory, and large enough that numpy's
-# per-call cost stays negligible (10 chunks for 300,000 rows).
-_CHUNK_ROWS = 1 << 15
+# Rows per chunk of the scoring pass, sized to a core's 2 MB L2 cache. A
+# chunk's weighted design and residuals take (n + 1 + estimators) * 8
+# bytes a row, and its slices of x and y (n + 1) * 8 more: about 1.1 MB
+# at 2^13 rows with 5 predictors and 4 estimators, so a chunk is read
+# back from L2 by the sums that follow its writes, and scoring adds
+# nothing row-length to a 100 Hz run's peak memory. Over t61like's 7
+# rates (one thread, median of 25) the pass took 5.42 ms at 2^13 rows,
+# against 5.80 ms at 2^12, 5.50 ms at 2^14 and 6.24 ms at 2^15; numpy's
+# per-call cost stays small at 37 chunks for 300,000 rows.
+_CHUNK_ROWS = 1 << 13
 
 
 def _weighted_chunks(x: np.ndarray, y: np.ndarray, coefs: np.ndarray):
@@ -212,6 +224,8 @@ def _chunk_sums(x: np.ndarray, y: np.ndarray, coefs: np.ndarray,
     for at, rt in _weighted_chunks(x, y, coefs):
         m += at.shape[1]
         if oracle:
+            # numpy's syrk path: a GEMM form of G, even at @ at.copy().T,
+            # put noiseless_linear's oracle above its 1e-14 roundoff bound
             g += at @ at.T
             at_1 += at.sum(axis=1)
             h += at @ rt.T
@@ -301,7 +315,8 @@ def run_error_vs_rate(sc: ScenarioConfig,
     arts = _simulate_as(sc, ERROR_VS_RATE)
     report = ErrorReport(sc.name, sc.seed)
     for rate in sc.rate_grid:
-        report.add(rate, BATTERY_ESTIMATOR, _interface_rms(arts, rate))
+        report.add(rate, BATTERY_ESTIMATOR,
+                   _interface_rms(arts.readings, rate, arts.truth(rate)))
     _write_outputs(sc, report, out_dir)
     return report
 
@@ -323,16 +338,24 @@ def train_molded_variants(sc: ScenarioConfig,
 
 def run_molding(sc: ScenarioConfig,
                 out_dir: str | None = None) -> ErrorReport:
-    """Molded-model variants vs raw interface vs the per-rate oracle."""
+    """Molded-model variants vs raw interface vs the per-rate oracle.
+
+    Across the rates the run holds the finest truth and the base-rate
+    design, built in that order, so the truth kernel's temporaries are
+    freed before the design is held; each other rate's design and truth
+    are held only while that rate is scored.
+    """
     arts = _simulate_as(sc, MOLDING)
+    arts.truth(max(sc.rate_grid))
     models = train_molded_variants(sc, arts)
     report = ErrorReport(sc.name, sc.seed)
     for rate in sc.rate_grid:
-        report.add(rate, BATTERY_ESTIMATOR, _interface_rms(arts, rate))
-        dm = arts.design(rate)
+        truth = arts.truth(rate)
+        report.add(rate, BATTERY_ESTIMATOR,
+                   _interface_rms(arts.readings, rate, truth))
         coefs = np.column_stack([models[name].coefficients(1.0 / rate)
                                  for name in MOLDED_VARIANTS])
-        rms = _affine_rms(dm.x, arts.truth(rate), coefs, oracle=True)
+        rms = _affine_rms(arts.design(rate).x, truth, coefs, oracle=True)
         for name, value in zip(MOLDED_VARIANTS + (ORACLE_ESTIMATOR,), rms):
             report.add(rate, name, float(value))
     _write_outputs(sc, report, out_dir)
@@ -421,9 +444,11 @@ def run_regressogram_compare(sc: ScenarioConfig,
     is the premise that makes it a what-if upper line rather than part of
     the battery-fed pipeline. Its row is the fit's in-sample error
     (`RegressogramModel.training_error`): it is scored on the rows it was
-    fitted on, so the rows are binned once per rate.
+    fitted on, so the rows are binned once per rate. The run holds what
+    `run_molding` holds across the rates.
     """
     arts = _simulate_as(sc, REGRESSOGRAM)
+    arts.truth(max(sc.rate_grid))
     ts = TrainingSet(
         stretch(arts.design(sc.base_rate_hz), arts.readings, sc.t_low_s))
     linear = ts.fit(sc.fit_method, l=min(sc.pca_l, len(ts.kept)))

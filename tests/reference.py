@@ -4,7 +4,9 @@ The pipeline reads the run-length trace at queried ticks only; these
 expand it to one value per tick, and give the exact coefficients of a
 system whose predictors are its own state residencies. `ArrayQuery` is
 a query given as an array of ticks, searched and differenced, against
-which the closed-form grid is pinned; the reference collector builds
+which the closed-form grid is pinned, and `tiled_times_spans` the grid's
+span product through one tiled pattern array, against which its
+in-place product is pinned; the reference collector builds
 each delayed update grid as such an array, and the loops walk a Markov
 chain one step at a time and fit a regressogram one row at a time, as
 the closed-form grid and the vectorised code must match bit for bit.
@@ -14,6 +16,8 @@ design for every call, as the per-rate scoring must match bit for bit.
 The smallest l that meets a target is found by fitting every l on its
 own training set.
 """
+
+import math
 
 import numpy as np
 
@@ -116,6 +120,26 @@ class ArrayQuery:
         """Multiply each `values[j]` in place by the ticks in the
         interval [ticks[j], ticks[j+1]), j < size - 1."""
         np.multiply(values, np.diff(self.ticks), out=values)
+
+
+def tiled_times_spans(grid: tracesim._Grid, values: np.ndarray) -> None:
+    """`_Grid.times_spans` with the span pattern laid end to end: each
+    `values[j]` times the ticks in [ticks[j], ticks[j+1]), in place, past
+    the head through one tiled array as long as `values`."""
+    k = grid.step
+    head = min(-(-grid.delay // k), grid.size - 1)
+    if head:
+        values[:head - 1] *= 0
+        values[head - 1] *= grid.ticks_at(head)
+    rest = values[head:]
+    repeat = min(grid.period // math.gcd(k, grid.period), len(rest))
+    pattern = np.diff(grid.ticks_at(
+        np.arange(head, head + repeat + 1, dtype=np.int64)))
+    if repeat == 1:
+        rest *= pattern[0]
+    elif repeat:
+        rest *= np.tile(pattern.astype(float),
+                        -(-len(rest) // repeat))[:len(rest)]
 
 
 def locate(trace: ss.Trace, c_idx: int,

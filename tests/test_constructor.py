@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sesame as ss
+import sesame.constructor as con
 from reference import (
     bin_index,
     loop_fit_regressogram,
@@ -509,6 +510,46 @@ def test_regressogram_memory_does_not_grow_with_k():
     assert peak < 2**20
     assert model.edges.shape == (3, 2) and len(model.means) == 50
     assert np.array_equal(got, y)
+
+
+@pytest.mark.parametrize("m", [con._BLOCK_ROWS - 1, con._BLOCK_ROWS,
+                               con._BLOCK_ROWS + 1])
+@pytest.mark.parametrize("k, levels", [(10, 0), (2**20, 6)])
+def test_regressogram_matches_row_loop_at_the_block_edges(m, k, levels):
+    # the cell sums run over blocks of rows; at k = 10 the keys are
+    # row-major, and at k = 2**20 > m they are joined at the first column,
+    # with six levels per column so that each cell sums many rows
+    rng = np.random.default_rng(m + k)
+    if levels:
+        x = rng.integers(0, levels, (m, 2)) * 0.37 - 1.0
+        y = rng.normal(1.0, 1.0, m)
+    else:
+        x = rng.uniform(-1.0, 3.0, (m, 2))
+        y = rng.uniform(0.5, 2.0, m)
+    query = np.vstack([x[:40], rng.uniform(-2.0, 4.0, (20, 2))])
+    assert_matches_loop(x, y, k, query)
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+def test_regressogram_fit_holds_its_keys_and_one_float_per_row(columns):
+    # beyond its inputs the fit holds the bins, the keys (the bins
+    # themselves for one column) and one float per row, besides masks of
+    # one byte per row and O(cells + block): 2 row-length arrays for one
+    # column, as every built-in has, and 4 for two
+    rows = 2**17 + 3
+    rng = np.random.default_rng(23)
+    x = rng.uniform(0.0, 1.0, (rows, columns))
+    y = rng.uniform(0.5, 2.0, rows)
+    tracemalloc.start()
+    try:
+        model = ss.fit_regressogram(x, y, k=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row_arrays = 2 if columns == 1 else 4
+    assert peak <= (rows * (8 * row_arrays + 3)
+                    + 4 * 8 * (10**columns + con._BLOCK_ROWS) + 2**14)
+    assert model.training_error == in_sample_error(model, x, y)
 
 
 def test_regressogram_keys_do_not_overflow_at_huge_k():

@@ -6,6 +6,7 @@ formulas the simulator used when it stored per-tick arrays.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from reference import (
     locate,
     tick_power,
     tick_states,
+    tiled_times_spans,
 )
 from sesame import battery, collector, tracesim
 from sesame.errors import AlignmentError, ArgumentError
@@ -508,6 +510,70 @@ def test_grid_query_equals_the_same_ticks_as_an_array():
     # the step and a span pattern longer than the grid
     assert {(True, False, False), (False, True, False),
             (False, True, True)} <= seen
+
+
+def test_grid_spans_multiply_as_the_tiled_pattern():
+    # past the head the spans repeat with period L = p / gcd(k, p): below
+    # 5 spans one strided pass per span, from 5 on a broadcast over whole
+    # periods, and both give the tiled product byte for byte
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def grid_and_values(draw):
+        k = draw(st.integers(1, 64))
+        p = draw(st.one_of(st.integers(1, 8), st.integers(9, 1000)))
+        n = draw(st.integers(0, 3000))
+        # a delay of no tick, one ahead of the head by a few boundaries,
+        # or up to past the last boundary
+        d = draw(st.one_of(st.just(0), st.integers(0, 3 * k),
+                           st.integers(0, n * k + 2 * k)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        stride = draw(st.integers(1, 2))
+        return k, p, n, d, rng.normal(size=n * stride)[::stride]
+
+    seen = set()
+
+    @hypothesis.given(grid_and_values())
+    @hypothesis.example((10, 4, 300, 0, np.linspace(-1.0, 2.0, 300)))
+    @hypothesis.example((3, 997, 2500, 7, np.linspace(-1.0, 2.0, 2500)))
+    @hypothesis.example((5, 4, 40, 300, np.linspace(-1.0, 2.0, 40)))
+    @hypothesis.settings(max_examples=150, deadline=None, database=None,
+                         print_blob=True)
+    def check(case):
+        k, p, n, d, values = case
+        grid = tracesim._Grid(n, k, d, p)
+        got, want = values.copy(), values.copy()
+        grid.times_spans(got)
+        tiled_times_spans(grid, want)
+        assert got.tobytes() == want.tobytes()
+        repeat = p // math.gcd(k, p)
+        if d and n:
+            seen.add("head")
+        if repeat < n:
+            seen.add("strided" if repeat < 5 else "broadcast")
+        if repeat > 500 and n > 2 * repeat:
+            seen.add("long")
+
+    check()
+    assert seen == {"head", "strided", "broadcast", "long"}
+
+
+@pytest.mark.parametrize("k, d, p", [(10, 0, 1), (10, 0, 4), (3, 5, 4),
+                                     (10, 3, 25), (3, 7, 997)])
+def test_grid_spans_allocate_no_row_length_array(k, d, p):
+    # one span per period, at most 997 floats here, against 1.6 MB a row
+    rows = 200_000
+    values = np.ones(rows)
+    grid = tracesim._Grid(rows, k, d, p)
+    tracemalloc.start()
+    try:
+        grid.times_spans(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes / 10
+    assert np.array_equal(values, np.diff(grid.ticks))
 
 
 def test_bridge_runs_start_on_100hz_queries_and_cross_none():

@@ -26,6 +26,7 @@ Every other comparison is `==` or `np.array_equal`.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,6 +358,25 @@ def test_scorer_and_oracle_at_the_chunk_edges(m):
         assert_scores_as_each_estimate_alone(got, x, y, coefs, want)
         # a zero estimate is off by exactly 1 on every scored row
         assert got[-1] == 1.0
+
+
+def test_scoring_holds_its_chunk_buffers_and_the_sums_only():
+    # each call writes every chunk into one (1 + n, chunk) design buffer
+    # and one (k, chunk) residual buffer; beyond them it holds a chunk's
+    # mask of positive truths, one byte a row, and O(n^2) sums, never an
+    # array of one float a row (1 MB here)
+    rows, n, k = 16 * exp._CHUNK_ROWS + 5, 5, 4
+    rng = np.random.default_rng(24)
+    x = np.asfortranarray(rng.uniform(0.0, 2.0, (rows, n)))
+    y = rng.uniform(0.5, 2.0, rows)
+    coefs = rng.normal(0.0, 1.0, (1 + n, k))
+    tracemalloc.start()
+    try:
+        exp._affine_rms(x, y, coefs, oracle=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (8 * (1 + n + k) + 1) * exp._CHUNK_ROWS + 2**15
 
 
 def test_chunked_scoring_keeps_the_error_types():
