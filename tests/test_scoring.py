@@ -325,7 +325,10 @@ def test_molding_report_equals_scoring_each_estimate_alone(t61):
                 coef[0] + dm.x @ coef[1:], truth))
 
 
-@pytest.mark.parametrize("m", [1, exp._CHUNK_ROWS, exp._CHUNK_ROWS + 1])
+# one row, one full chunk with and without one more row, and four full
+# chunks with and without a last chunk of one row
+@pytest.mark.parametrize("m", [1, exp._CHUNK_ROWS, exp._CHUNK_ROWS + 1,
+                               4 * exp._CHUNK_ROWS, 4 * exp._CHUNK_ROWS + 1])
 def test_scorer_and_oracle_at_the_chunk_edges(m):
     rng = np.random.default_rng(m)
     x = np.asfortranarray(rng.uniform(0.0, 2.0, (m, 3)))
