@@ -469,13 +469,14 @@ def _bin_rows(x: np.ndarray, edges: np.ndarray, k: int,
         pos = np.empty(x.shape[0])
     for j, (lo, hi) in enumerate(edges):
         v = x[:, j]
-        ok = v >= lo
-        ok &= v <= hi
-        inside &= ok
+        # a column within its range, as every training column is, builds
+        # no mask
+        if v.size and not lo <= v.min() <= v.max() <= hi:
+            ok = (v >= lo) & (v <= hi)
+            inside &= ok
+            # out-of-range rows are binned as lo so the cast stays in range
+            v = np.where(ok, v, lo)
         if hi != lo:
-            if not ok.all():
-                # out-of-range rows are binned as lo so the cast stays in range
-                v = np.where(ok, v, lo)
             np.subtract(v, lo, out=pos)
             pos /= hi - lo
             pos *= k

@@ -533,9 +533,9 @@ def test_regressogram_matches_row_loop_at_the_block_edges(m, k, levels):
 @pytest.mark.parametrize("columns", [1, 2])
 def test_regressogram_fit_holds_its_keys_and_one_float_per_row(columns):
     # beyond its inputs the fit holds the bins, the keys (the bins
-    # themselves for one column) and one float per row, besides masks of
-    # one byte per row and O(cells + block): 2 row-length arrays for one
-    # column, as every built-in has, and 4 for two
+    # themselves for one column) and one float per row, besides two masks
+    # of one byte per row and O(cells + block): 2 row-length arrays for
+    # one column, as every built-in has, and 4 for two
     rows = 2**17 + 3
     rng = np.random.default_rng(23)
     x = rng.uniform(0.0, 1.0, (rows, columns))
@@ -547,7 +547,7 @@ def test_regressogram_fit_holds_its_keys_and_one_float_per_row(columns):
     finally:
         tracemalloc.stop()
     row_arrays = 2 if columns == 1 else 4
-    assert peak <= (rows * (8 * row_arrays + 3)
+    assert peak <= (rows * (8 * row_arrays + 2)
                     + 4 * 8 * (10**columns + con._BLOCK_ROWS) + 2**14)
     assert model.training_error == in_sample_error(model, x, y)
 
