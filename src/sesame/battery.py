@@ -165,19 +165,21 @@ def rms_relative_error(estimates: np.ndarray, truth: np.ndarray) -> float:
     if est.shape != truth.shape:
         raise AlignmentError(f"estimate/truth length mismatch: "
                              f"{est.shape} vs {truth.shape}")
+    return rms_relative_difference(np.subtract(est, truth), truth)
+
+
+def rms_relative_difference(diff: np.ndarray, truth: np.ndarray) -> float:
+    """`rms_relative_error` of the estimates `truth + diff`, given their
+    differences `diff` (est - true), a float array of truth's shape that
+    it overwrites: sqrt(mean((diff / true)^2)) over positive truths.
+    """
     # no mask outlives this test when every truth is positive: held while
-    # `rel` is built, it would add to the peak memory of fine-rate scoring
+    # `diff` is squared, it would add to the peak memory of fine-rate scoring
     if not (truth > 0).all():
         ok = np.flatnonzero(truth > 0)
-        est, truth = np.take(est, ok), np.take(truth, ok)
+        diff, truth = np.take(diff, ok), np.take(truth, ok)
     if not truth.size:
         raise ConfigurationError("no positive truth values to compare against")
-    return _rms_relative_in(np.subtract(est, truth), truth)
-
-
-def _rms_relative_in(diff: np.ndarray, truth: np.ndarray) -> float:
-    """sqrt(mean((diff / truth)^2)) against positive truths, built and
-    squared in `diff`, which it overwrites."""
     diff /= truth
     diff *= diff
     return float(np.sqrt(np.mean(diff)))

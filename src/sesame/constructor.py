@@ -19,7 +19,11 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .battery import BatteryReadings, _rms_relative_in, rms_relative_error
+from .battery import (
+    BatteryReadings,
+    rms_relative_difference,
+    rms_relative_error,
+)
 from .collector import DesignMatrix, aggregate_response
 from .errors import (
     AlignmentError,
@@ -571,12 +575,10 @@ def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
     # every key is below span; the default mode="raise" would buffer
     # `out` through a temporary of one float per row
     np.take(table, key, out=fitted, mode="clip")
-    if (y > 0).all():
+    training_error = None
+    if (y > 0).any():
         fitted -= y
-        training_error = _rms_relative_in(fitted, y)
-    else:
-        training_error = (rms_relative_error(fitted, y)
-                          if (y > 0).any() else None)
+        training_error = rms_relative_difference(fitted, y)
     # a sequential sum like the cells', not numpy's pairwise np.sum, run
     # into the row-length buffer already held
     fallback = float(np.cumsum(y, out=fitted)[-1]) / len(y)

@@ -105,7 +105,9 @@ class RunArtifacts:
     rate, which a runner both trains and scores on, and the truth at the
     finest rate, which every coarser truth sums. Any other rate's design
     or truth is built afresh on each call, so it is held only as long as
-    its caller holds it.
+    its caller holds it, and a second call for the same rate pays for it
+    again: a caller that needs one of them twice holds the array it got,
+    as `run_molding` does.
     """
 
     scenario: ScenarioConfig

@@ -458,19 +458,15 @@ class _Grid:
         repeat = min(self.period // math.gcd(k, self.period), len(rest))
         pattern = np.diff(self.ticks_at(
             np.arange(head, head + repeat + 1, dtype=np.int64))).astype(float)
-        # a broadcast over rows of a few spans runs a short inner loop per
-        # row: on 300,000 rows, 2 spans took 161 us strided and 585 us
-        # broadcast, and 8 spans 443 us strided and 192 us broadcast
-        if repeat < 5:
-            for phase, span in enumerate(pattern):
-                every = rest[phase::repeat]
-                every *= span
-        else:
-            rows, tail = divmod(len(rest), repeat)
-            periods = rest[:rows * repeat].reshape(rows, repeat)
-            periods *= pattern
-            last = rest[rows * repeat:]
-            last *= pattern[:tail]
+        # one strided pass per span, which every built-in's L of 1 to 4
+        # takes: on 300,000 rows (one thread) L = 1..4 took 55-210 us,
+        # below a broadcast over (rows / L, L) rows of one period (55-586
+        # us) and a tiled pattern array (216-373 us). Past L = 5 the
+        # broadcast would win (L = 8: 430 against 185 us; L = 997: 685
+        # against 107 us), but no benchmark workload has such a period.
+        for phase, span in enumerate(pattern):
+            every = rest[phase::repeat]
+            every *= span
 
 
 def _run_major(starts: np.ndarray, query: _Grid) -> bool:

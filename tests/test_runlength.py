@@ -513,9 +513,9 @@ def test_grid_query_equals_the_same_ticks_as_an_array():
 
 
 def test_grid_spans_multiply_as_the_tiled_pattern():
-    # past the head the spans repeat with period L = p / gcd(k, p): below
-    # 5 spans one strided pass per span, from 5 on a broadcast over whole
-    # periods, and both give the tiled product byte for byte
+    # past the head the spans repeat with period L = p / gcd(k, p), and
+    # one strided pass per span gives the tiled product byte for byte,
+    # for a few spans as for hundreds
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -550,13 +550,13 @@ def test_grid_spans_multiply_as_the_tiled_pattern():
         repeat = p // math.gcd(k, p)
         if d and n:
             seen.add("head")
-        if repeat < n:
-            seen.add("strided" if repeat < 5 else "broadcast")
+        if 1 < repeat <= 4 and repeat < n:
+            seen.add("short")
         if repeat > 500 and n > 2 * repeat:
             seen.add("long")
 
     check()
-    assert seen == {"head", "strided", "broadcast", "long"}
+    assert seen == {"head", "short", "long"}
 
 
 @pytest.mark.parametrize("k, d, p", [(10, 0, 1), (10, 0, 4), (3, 5, 4),

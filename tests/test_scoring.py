@@ -445,6 +445,37 @@ def test_coarser_truths_sum_the_finest_rate(name, monkeypatch):
     assert calls == [1.0 / fine] * 2
 
 
+def test_artifacts_keep_the_base_design_and_the_finest_truth_only(
+        monkeypatch):
+    # the base-rate design and the finest truth are built once and the
+    # same object on every call; any other rate's design and truth are
+    # built again on each call, new arrays equal to the first
+    sc = shortened("t61like")
+    arts = exp.simulate(sc)
+    fine = max(sc.rate_grid)
+    built, collect = [], exp.collect
+
+    def counted(trace, predictors, rate_hz):
+        built.append(rate_hz)
+        return collect(trace, predictors, rate_hz)
+
+    monkeypatch.setattr(exp, "collect", counted)
+    rates = sorted({sc.base_rate_hz, *sc.rate_grid})
+    assert sc.base_rate_hz in rates and fine in rates and len(rates) > 2
+    for rate in rates:
+        first, second = arts.design(rate), arts.design(rate)
+        kept = rate == sc.base_rate_hz
+        assert (first is second) == kept
+        assert np.array_equal(first.x, second.x)
+        assert np.shares_memory(first.x, second.x) == kept
+        assert built.count(rate) == (1 if kept else 2)
+        first, second = arts.truth(rate), arts.truth(rate)
+        kept = rate == fine
+        assert (first is second) == kept
+        assert np.array_equal(first, second)
+        assert np.shares_memory(first, second) == kept
+
+
 def test_a_grid_that_does_not_nest_takes_true_energy():
     # 0.4 Hz is 2.5 intervals of 1 Hz, so it is not summed from them
     sc = dataclasses.replace(shortened("t61like"), rate_grid=(0.4, 1.0))

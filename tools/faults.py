@@ -1,7 +1,6 @@
 """Minor page faults, wall time and heap high-water of the benchmark's runs.
 
     python tools/faults.py WORKLOAD [WORKLOAD ...] [--root ROOT] [--runs N]
-                           [--seed N]
 
 ROOT is a checkout root (default: this checkout); its `perfbench/run.py`
 and `perfbench/workloads.py` are imported, read-only, and its package
@@ -43,8 +42,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parents[1])
     parser.add_argument("--runs", type=int, default=15)
-    parser.add_argument("--seed", type=int,
-                        help="workload seed (default: the built-in's own)")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")
@@ -67,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in args.workload:
             workload = workloads.WORKLOADS[name]
             runner = run.Runner(workload,
-                                workloads.scenario(workload, args.seed),
+                                workloads.scenario(workload, None),
                                 scratch)
             runner.run_once()
             faults, walls = [], []
