@@ -28,6 +28,7 @@ from .collector import DesignMatrix, aggregate_response
 from .errors import (
     AlignmentError,
     ArgumentError,
+    ConfigurationError,
     DegenerateFitError,
     InsufficientDataError,
     SchemaError,
@@ -448,34 +449,37 @@ class RegressogramModel:
     training_error: float | None      # None when no response is positive
 
 
-def _reject_non_finite(x: np.ndarray, columns: tuple[str, ...],
-                       y: np.ndarray | None = None) -> None:
-    """Raise ArgumentError naming the first predictor (or the response) that
-    holds a NaN or an infinity; a vectorised bin cast would hide it."""
-    for j in range(x.shape[1]):
-        if not np.isfinite(x[:, j]).all():
-            name = columns[j] if j < len(columns) else f"x{j}"
-            raise ArgumentError(
-                f"regressogram predictor {name!r} has non-finite values")
-    if y is not None and not np.isfinite(y).all():
-        raise ArgumentError("regressogram response has non-finite values")
+def _finite_ranges(x: np.ndarray, columns: tuple[str, ...]) -> np.ndarray:
+    """Each column's (min, max) over the rows `x`, at least one, as a
+    (columns, 2) array. A column holds a NaN or an infinity exactly when
+    its min or max is not finite; ArgumentError then names the first
+    such predictor, which a vectorised bin cast would hide."""
+    ranges = np.column_stack([x.min(axis=0), x.max(axis=0)])
+    bad = np.flatnonzero(~np.isfinite(ranges).all(axis=1))
+    if len(bad):
+        j = bad[0]
+        name = columns[j] if j < len(columns) else f"x{j}"
+        raise ArgumentError(
+            f"regressogram predictor {name!r} has non-finite values")
+    return ranges
 
 
-def _bin_rows(x: np.ndarray, edges: np.ndarray, k: int,
+def _bin_rows(x: np.ndarray, edges: np.ndarray, k: int, ranges: np.ndarray,
               pos: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-column bins of every row, int((v - lo) / (hi - lo) * k) up to
-    k - 1, and the mask of rows inside the range in every column. Each
-    position is computed in `pos`, a float buffer of one per row that the
-    call overwrites, or else one it allocates."""
+    k - 1, and the mask of rows inside the `edges` in every column, given
+    each column's `ranges` (`_finite_ranges`). Each position is computed
+    in `pos`, a float buffer of one per row that the call overwrites, or
+    else one it allocates."""
     bins = np.zeros(x.shape, dtype=np.int64)
     inside = np.ones(x.shape[0], dtype=bool)
     if pos is None:
         pos = np.empty(x.shape[0])
-    for j, (lo, hi) in enumerate(edges):
+    for j, ((lo, hi), (v_min, v_max)) in enumerate(zip(edges, ranges)):
         v = x[:, j]
-        # a column within its range, as every training column is, builds
+        # a column within its edges, as every training column is, builds
         # no mask
-        if v.size and not lo <= v.min() <= v.max() <= hi:
+        if not lo <= v_min <= v_max <= hi:
             ok = (v >= lo) & (v <= hi)
             inside &= ok
             # out-of-range rows are binned as lo so the cast stays in range
@@ -519,8 +523,9 @@ def _cell_keys(bins: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     return key, span
 
 
-# Rows per block of a regressogram fit's pass over the cell keys: each
-# block's row indices are the only index array the fit allocates.
+# Rows per block of a regressogram fit's pass that finds one row of each
+# cell: each block's row indices are the only index array the fit
+# allocates.
 _BLOCK_ROWS = 1 << 13
 
 
@@ -529,15 +534,16 @@ def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
     """Equal-width bins over each predictor's observed range; each
     populated cell stores the mean of its rows' responses.
 
-    Counts are a bincount over the cell keys, and each cell sum adds its
-    rows in row order, as a weighted bincount would, through `np.add.at`
-    over blocks of `_BLOCK_ROWS` rows. So the fit is linear in the rows,
-    with no sort when k**columns is at most the row count, for any k, an
-    integer in [1, 2**53]. Beyond its inputs it holds the bins, the keys
-    (a view of the bins for one column) and one float per row, which
-    takes in turn the bin positions, each row's fitted mean, its squared
-    relative error and the running sum of the fallback, plus O(cells +
-    block).
+    Each column's min and max, read once, are its edges; they also show
+    that the column is finite and that every row is inside the edges.
+    Counts are a bincount over the cell keys, and the cell sums a
+    weighted bincount, which adds each cell's rows in row order. So the
+    fit is linear in the rows, with no sort when k**columns is at most
+    the row count, for any k, an integer in [1, 2**53]. Beyond its inputs
+    it holds the bins, the keys (a view of the bins for one column) and
+    one float per row, which takes in turn the bin positions, each row's
+    fitted mean, its squared relative error and the running sum of the
+    fallback, plus O(cells + `_BLOCK_ROWS`).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -551,19 +557,20 @@ def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
         raise ArgumentError(f"{x.shape[0]} training rows but responses of "
                             f"shape {y.shape}")
     columns = columns or tuple(f"x{i}" for i in range(x.shape[1]))
-    _reject_non_finite(x, columns, y)
-    edges = np.column_stack([x.min(axis=0), x.max(axis=0)])
+    edges = _finite_ranges(x, columns)
+    if not np.isfinite(y).all():
+        raise ArgumentError("regressogram response has non-finite values")
     fitted = np.empty(len(y))
-    bins, _ = _bin_rows(x, edges, k, pos=fitted)
+    bins, _ = _bin_rows(x, edges, k, edges, pos=fitted)
     key, span = _cell_keys(bins, k)
     counts = np.bincount(key, minlength=span)
     populated = np.flatnonzero(counts)
-    sums, row_of = np.zeros(span), np.empty(span, dtype=np.int64)
+    # in row order: each cell sum is the running sum of its rows
+    sums = np.bincount(key, weights=y, minlength=span)
+    row_of = np.empty(span, dtype=np.int64)
     for start in range(0, len(key), _BLOCK_ROWS):
-        block = key[start:start + _BLOCK_ROWS]
-        # unbuffered, in row order: each cell sum is the running sum
-        np.add.at(sums, block, y[start:start + _BLOCK_ROWS])
         # every row of a cell has the cell's bins, so any one row gives them
+        block = key[start:start + _BLOCK_ROWS]
         row_of[block] = np.arange(start, start + len(block))
     means = sums[populated] / counts[populated]
     cells = bins[row_of[populated]]
@@ -575,10 +582,11 @@ def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
     # every key is below span; the default mode="raise" would buffer
     # `out` through a temporary of one float per row
     np.take(table, key, out=fitted, mode="clip")
-    training_error = None
-    if (y > 0).any():
-        fitted -= y
+    fitted -= y
+    try:
         training_error = rms_relative_difference(fitted, y)
+    except ConfigurationError:      # no response is positive
+        training_error = None
     # a sequential sum like the cells', not numpy's pairwise np.sum, run
     # into the row-length buffer already held
     fallback = float(np.cumsum(y, out=fitted)[-1]) / len(y)
@@ -603,8 +611,9 @@ def predict_regressogram_rows(model: RegressogramModel, x: np.ndarray) -> np.nda
     n_cols = len(model.edges)
     if x.shape[1] != n_cols:
         raise SchemaError(f"expected {n_cols} predictors, got {x.shape[1]}")
-    _reject_non_finite(x, model.columns)
-    bins, inside = _bin_rows(x, model.edges, model.k)
+    ranges = (_finite_ranges(x, model.columns) if len(x)
+              else model.edges)     # no row is outside any edges
+    bins, inside = _bin_rows(x, model.edges, model.k, ranges)
     keys, span = _cell_keys(np.vstack([model.cells, bins]), model.k)
     n_cells = len(model.means)
     table = np.full(span, model.fallback)

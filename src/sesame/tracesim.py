@@ -27,7 +27,9 @@ is answered run-major: each run's first query comes from one division,
 ticks are computed only where an interval crosses a run start, and
 per-run values are expanded with `np.repeat`; a run that starts on the
 query tick closing its interval, with no other run starting inside it,
-crosses nothing. A shorter one is a binary search of the run starts at
+crosses nothing, and on a uniform grid whose step divides every run
+start, as the 100 Hz truth's does on every built-in, no crossing is
+sought at all. A shorter one is a binary search of the run starts at
 its ticks, which are then no more than the runs. A scenario run takes
 its truth from `true_energy` at its grid's finest rate only, and sums
 those rows into each coarser rate (`experiments.RunArtifacts`).
@@ -429,6 +431,12 @@ class _Grid:
     def ticks(self) -> np.ndarray:
         return self.ticks_at(np.arange(self.size, dtype=np.int64))
 
+    @property
+    def uniform(self) -> bool:
+        """Whether g_j = j k, every interval `step` ticks long: with
+        d = 0 and p dividing k."""
+        return self.delay == 0 and self.step % self.period == 0
+
     def ticks_at(self, j):
         """The query ticks at the indices `j`."""
         k, d, p = self.step, self.delay, self.period
@@ -485,7 +493,11 @@ class RunLookup:
     first query, hence how many queries each run holds, and per-run
     values reach the queries through `np.repeat`; ticks are read only at
     the intervals that cross a run start, and a run that starts on the
-    query closing its interval, alone there, crosses none. A shorter
+    query closing its interval, alone there, crosses none. On a uniform
+    grid whose step divides every run start, as the 100 Hz truth's does
+    on every built-in, each run's first query is its start divided by
+    the step and no interval crosses a run start, so neither `first_at`
+    nor the crossings run. A shorter
     query, such as a few monitoring windows, is located by a binary
     search of the starts, one run index per query, and per-run values
     reach it through a gather; there every run start is a crossing.
@@ -504,21 +516,33 @@ class RunLookup:
                 raise ArgumentError(f"query ticks {lo}..{hi} outside "
                                     f"the trace's [0, {trace.n_ticks}]")
         starts = trace.runs[c_idx][0]
+        self._aligned = False
         if _run_major(starts, query):
-            self._first = query.first_at(starts)
+            if query.uniform:
+                # on g_j = j k a run starts on a query tick exactly when k
+                # divides its start, and that query is its first
+                first, off = np.divmod(starts, query.step)
+                self._aligned = not off.any()
+            if self._aligned:
+                self._first = np.minimum(first, query.size, out=first)
+            else:
+                self._first = query.first_at(starts)
             self._counts = np.diff(self._first, append=query.size)
             self._run = None
         else:
             self._run = np.searchsorted(starts, query.ticks,
                                         side="right") - 1
 
-    def at(self, weights: np.ndarray) -> np.ndarray:
-        """`weights[state]` of the state held at each query tick."""
+    def at(self, weights: np.ndarray, span: int = 1) -> np.ndarray:
+        """`weights[state]` of the state held at each query tick, times
+        `span`."""
         states = self.trace.runs[self.c_idx][1]
         # per run when the runs are fewer than the queries, else per query
-        if self._run is None:
-            return np.repeat(weights[states], self._counts)
-        return weights[states[self._run]]
+        run_major = self._run is None
+        values = weights[states if run_major else states[self._run]]
+        if span != 1:
+            values *= span
+        return np.repeat(values, self._counts) if run_major else values
 
     @cached_property
     def _crossings(self) -> tuple[np.ndarray, ...]:
@@ -581,11 +605,17 @@ class RunLookup:
         whole counted as exact integer ticks per state. So every interval
         carries a few roundings however long the trace.
         """
-        cross, head, tail, s_head, s_tail, gap, gap_ticks = self._crossings
         # the sums overwrite the per-query weights, as the query may be
-        # millions of ticks long
-        sums = self.at(weights)[:-1]
-        self.query.times_spans(sums)
+        # millions of ticks long; on a uniform grid each run's weight is
+        # multiplied by the span before it is expanded
+        if self.query.uniform:
+            sums = self.at(weights, self.query.step)[:-1]
+        else:
+            sums = self.at(weights)[:-1]
+            self.query.times_spans(sums)
+        if self._aligned:       # no interval crosses a run start
+            return sums
+        cross, head, tail, s_head, s_tail, gap, gap_ticks = self._crossings
         sums[cross] = weights[s_head] * head + weights[s_tail] * tail
         if len(gap):
             sums[cross[gap]] += gap_ticks @ weights
@@ -690,10 +720,15 @@ def true_energy(trace: Trace, interval_s: float) -> np.ndarray:
     k = _ratio_as_int(interval_s, trace.tick_s, "interval")
     # every component's lookup shares the query
     query = _Grid(len(trace) // k, k)
-    watt_ticks = np.full(len(trace) // k, k * float(trace.model.base_power_w))
-    for c_idx, comp in enumerate(trace.model.components):
-        powers = np.asarray(comp.state_powers, dtype=float)
-        watt_ticks += RunLookup(trace, c_idx, query).sums(powers)
+    parts = (RunLookup(trace, c_idx, query).sums(
+                 np.asarray(comp.state_powers, dtype=float))
+             for c_idx, comp in enumerate(trace.model.components))
+    # the first component's sums take the base draw in place: the sum
+    # k * base + sums of the first component, as addition commutes
+    watt_ticks = next(parts)
+    watt_ticks += k * float(trace.model.base_power_w)
+    for sums in parts:
+        watt_ticks += sums
     watt_ticks *= trace.tick_s
     return watt_ticks
 

@@ -96,8 +96,12 @@ def residency_beta_true(model: ss.ComponentStateModel, interval_s: float,
 class ArrayQuery:
     """Query ticks given as a non-decreasing 1-D array, searched and
     differenced: the interface of `tracesim._Grid`, which answers the
-    same in closed form.
+    same in closed form. It is never taken as uniform, so a lookup on it
+    always takes the general path: `first_at`, `times_spans` and the
+    crossings.
     """
+
+    uniform = False
 
     def __init__(self, ticks: np.ndarray):
         q = np.asarray(ticks, dtype=np.int64)

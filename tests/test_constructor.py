@@ -516,8 +516,8 @@ def test_regressogram_memory_does_not_grow_with_k():
                                con._BLOCK_ROWS + 1])
 @pytest.mark.parametrize("k, levels", [(10, 0), (2**20, 6)])
 def test_regressogram_matches_row_loop_at_the_block_edges(m, k, levels):
-    # the cell sums run over blocks of rows; at k = 10 the keys are
-    # row-major, and at k = 2**20 > m they are joined at the first column,
+    # one row of each cell is found over blocks of rows; at k = 10 the
+    # keys are row-major, and at k = 2**20 > m they are joined at the first column,
     # with six levels per column so that each cell sums many rows
     rng = np.random.default_rng(m + k)
     if levels:
@@ -578,6 +578,32 @@ def test_regressogram_training_error_needs_a_positive_response():
     y = np.where(x[:, 0] > 0.5, x[:, 0], -1.0)
     model = ss.fit_regressogram(x, y, k=4)
     assert model.training_error == in_sample_error(model, x, y) > 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_regressogram_fit_names_the_non_finite_column(value):
+    # finiteness is read from each column's min and max, the edges: a
+    # NaN, +inf or -inf in the first or the last column, at its first,
+    # an inner or its last row, is named by its column, and with both
+    # columns bad the first is named
+    x = np.column_stack([np.linspace(0, 1, 20), np.linspace(1, 2, 20),
+                         np.linspace(-3, 3, 20)])
+    y = x.sum(axis=1)
+    cols = ("cpu", "disk", "wifi")
+    for row in (0, 7, 19):
+        for j, name in ((0, "cpu"), (2, "wifi")):
+            bad = x.copy()
+            bad[row, j] = value
+            with pytest.raises(ArgumentError, match=f"'{name}'"):
+                ss.fit_regressogram(bad, y, k=4, columns=cols)
+        bad = x.copy()
+        bad[row, [0, 2]] = value
+        with pytest.raises(ArgumentError, match="'cpu'"):
+            ss.fit_regressogram(bad, y, k=4, columns=cols)
+    bad = x.copy()
+    bad[7, 2] = value
+    with pytest.raises(ArgumentError, match="'x2'"):  # unnamed columns
+        ss.fit_regressogram(bad, y, k=4)
 
 
 def test_regressogram_rejects_non_finite_values():

@@ -295,6 +295,24 @@ def test_true_energy_matches_tick_sums(mixed_trace, interval_s):
     np.testing.assert_allclose(got, want, rtol=RTOL)
 
 
+@pytest.mark.parametrize("interval_s", [0.001, 0.01, 0.037, 0.5])
+def test_true_energy_adds_as_a_base_filled_accumulator(mixed_trace,
+                                                       interval_s):
+    # the first component's sums take the base draw in place, which is
+    # bit for bit a base-filled accumulator that each component's sums
+    # are added to in turn; every lookup is aligned at 1 ms, run-major
+    # at 10 ms, mixed at 37 ms and a binary search at 0.5 s
+    trace = mixed_trace
+    k = int(round(interval_s / trace.tick_s))
+    m = len(trace) // k
+    want = np.full(m, k * float(trace.model.base_power_w))
+    for c_idx, comp in enumerate(trace.model.components):
+        want += locate(trace, c_idx, np.arange(m + 1) * k).sums(
+            np.asarray(comp.state_powers, dtype=float))
+    want *= trace.tick_s
+    assert np.array_equal(ss.true_energy(trace, interval_s), want)
+
+
 SPECS = (
     ss.PredictorSpec(id="cpu_busy", component="cpu", kind="residency",
                      weights={1: 1.0, 2: 1.0}, update_rate_hz=250.0),
@@ -464,8 +482,14 @@ def test_grid_query_equals_the_same_ticks_as_an_array():
         return (n_ticks, np.array(starts, dtype=np.int64),
                 np.array(states), n, k, d, p)
 
-    seen = set()
+    seen, aligned = set(), set()
     trace10 = (10, np.array([0, 3, 7, 8]), np.array([0, 1, 0, 1]))
+    # 23 ticks, 11 whole intervals of 2; the run at 22 starts on the last
+    # query, in the cut-off tail, and moving 10 to 11 takes one run off
+    # the grid
+    tail = (23, np.array([0, 4, 10, 22]), np.array([0, 1, 2, 1]), 11, 2,
+            0, 1)
+    off_grid = (tail[0], np.array([0, 4, 11, 22])) + tail[2:]
 
     @hypothesis.given(runs_and_grid())
     @hypothesis.example(trace10 + (10, 1, 0, 1))     # every tick
@@ -477,6 +501,8 @@ def test_grid_query_equals_the_same_ticks_as_an_array():
     @hypothesis.example(trace10 + (9, 1, 0, 10))     # L = 10 > n
     @hypothesis.example(trace10 + (10, 1, 2, 1))     # every start a tick
     @hypothesis.example(trace10 + (2, 4, 0, 1))      # 8 closes [4, 8)
+    @hypothesis.example(tail)                        # every start aligned
+    @hypothesis.example(off_grid)                    # all but one aligned
     @hypothesis.settings(max_examples=100, deadline=None, database=None,
                          print_blob=True)
     def check(case):
@@ -503,13 +529,17 @@ def test_grid_query_equals_the_same_ticks_as_an_array():
             assert np.array_equal(got.at(w), same.at(w))
             assert np.array_equal(got.sums(w), same.sums(w))
             assert_no_lone_aligned_crossing(got)
+            if run_major and grid.uniform:
+                aligned.add(got._aligned)
         seen.add((d >= n * k, p > k, p // math.gcd(k, p) > n))
 
     check()
     # the explicit examples reach a delay past the grid, a period past
-    # the step and a span pattern longer than the grid
+    # the step and a span pattern longer than the grid, and uniform grids
+    # run-major with every run start on a query and without
     assert {(True, False, False), (False, True, False),
             (False, True, True)} <= seen
+    assert aligned == {True, False}
 
 
 def test_grid_spans_multiply_as_the_tiled_pattern():
@@ -587,7 +617,7 @@ def test_bridge_runs_start_on_100hz_queries_and_cross_none():
     lookup = tracesim.RunLookup(trace, c_idx,
                                 tracesim._Grid(len(trace) // k, k))
     assert lookup._run is None and len(trace.runs[c_idx][0]) > 50_000
-    assert len(lookup._crossings[0]) == 0
+    assert lookup._aligned and len(lookup._crossings[0]) == 0
 
 
 def test_lookup_refuses_ticks_outside_the_trace():

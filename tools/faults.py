@@ -13,12 +13,15 @@ directory and checks it. `calibrate()` frees two 16 MB arrays, after
 which the allocator may hand pages back to the system, so each run
 faults in again what it holds at once. One line per workload gives the
 median minor faults of a run (`getrusage`'s `ru_minflt`, taken around
-`run_once` alone), the median wall time of `run_scenario` as the
-harness times it, and the `tracemalloc` high-water of one more run. The
-exit code is 1 when a run fails its check, else 0.
+`run_once` alone), the median growth of the malloc arena over a run and
+the arena's median size before and after it (glibc's `mallinfo2`, read
+through `ctypes`; `n/a` where libc lacks it), the median wall time of
+`run_scenario` as the harness times it, and the `tracemalloc` high-water
+of one more run. The exit code is 1 when a run fails its check, else 0.
 """
 
 import argparse
+import ctypes
 import math
 import os
 import resource
@@ -34,6 +37,34 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 def minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(field, ctypes.c_size_t) for field in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+def arena_reader():
+    """A function that returns the bytes of the malloc arena, the heap
+    that `sbrk` extends (`mallinfo2().arena`), or None when libc has no
+    `mallinfo2` (glibc before 2.33, or another libc)."""
+    try:
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+    except (OSError, AttributeError):
+        return None
+    mallinfo2.argtypes = []
+    mallinfo2.restype = MallInfo2
+    return lambda: mallinfo2().arena
+
+
+def arena_text(before: list[int], after: list[int]) -> str:
+    if not before:
+        return "arena growth n/a"
+    growth = statistics.median(b - a for a, b in zip(before, after))
+    return (f"arena growth {growth / 1e6:.2f} MB per run "
+            f"({statistics.median(before) / 1e6:.2f} -> "
+            f"{statistics.median(after) / 1e6:.2f} MB)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -59,6 +90,7 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown workloads {unknown}; "
                      f"known: {sorted(workloads.WORKLOADS)}")
+    arena = arena_reader()
     failed = False
     with tempfile.TemporaryDirectory() as scratch:
         for name in args.workload:
@@ -67,12 +99,16 @@ def main(argv: list[str] | None = None) -> int:
                                 workloads.scenario(workload, None),
                                 scratch)
             runner.run_once()
-            faults, walls = [], []
+            faults, walls, arena_before, arena_after = [], [], [], []
             for _ in range(args.runs):
                 run.calibrate()
+                if arena:
+                    arena_before.append(arena())
                 before = minflt()
                 wall, _ = runner.run_once()
                 faults.append(minflt() - before)
+                if arena:
+                    arena_after.append(arena())
                 if wall is not None:
                     walls.append(wall)
             tracemalloc.start()
@@ -84,7 +120,8 @@ def main(argv: list[str] | None = None) -> int:
             failed |= runner.failed > 0
             wall = statistics.median(walls) * 1e3 if walls else math.nan
             print(f"{name}: {statistics.median(faults):.0f} minor faults "
-                  f"per run, median run {wall:.2f} ms, tracemalloc "
+                  f"per run, {arena_text(arena_before, arena_after)}, "
+                  f"median run {wall:.2f} ms, tracemalloc "
                   f"high-water {peak / 1e6:.2f} MB, {runner.failed} of "
                   f"{runner.attempted} runs failed")
     return 1 if failed else 0
