@@ -487,9 +487,9 @@ def _bin_rows(x: np.ndarray, edges: np.ndarray, k: int, ranges: np.ndarray,
         if hi != lo:
             np.subtract(v, lo, out=pos)
             pos /= hi - lo
-            pos *= k
+            # the product is cast to the bins as it is written
             col = bins[:, j]
-            col[:] = pos
+            np.multiply(pos, k, out=col, casting="unsafe")
             np.minimum(col, k - 1, out=col)
     return bins, inside
 
