@@ -465,14 +465,15 @@ def _finite_ranges(x: np.ndarray, columns: tuple[str, ...]) -> np.ndarray:
 
 
 def _bin_rows(x: np.ndarray, edges: np.ndarray, k: int, ranges: np.ndarray,
-              pos: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+              pos: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-column bins of every row, int((v - lo) / (hi - lo) * k) up to
-    k - 1, and the mask of rows inside the `edges` in every column, given
-    each column's `ranges` (`_finite_ranges`). Each position is computed
-    in `pos`, a float buffer of one per row that the call overwrites, or
-    else one it allocates."""
+    k - 1, and the mask of rows inside the `edges` in every column, or
+    None when each column's `ranges` (`_finite_ranges`) lie inside its
+    edges. Each position is computed in `pos`, a float buffer of one per
+    row that the call overwrites, or else one it allocates."""
     bins = np.zeros(x.shape, dtype=np.int64)
-    inside = np.ones(x.shape[0], dtype=bool)
+    inside = None
     if pos is None:
         pos = np.empty(x.shape[0])
     for j, ((lo, hi), (v_min, v_max)) in enumerate(zip(edges, ranges)):
@@ -481,7 +482,10 @@ def _bin_rows(x: np.ndarray, edges: np.ndarray, k: int, ranges: np.ndarray,
         # no mask
         if not lo <= v_min <= v_max <= hi:
             ok = (v >= lo) & (v <= hi)
-            inside &= ok
+            if inside is None:
+                inside = ok
+            else:
+                inside &= ok
             # out-of-range rows are binned as lo so the cast stays in range
             v = np.where(ok, v, lo)
         if hi != lo:
@@ -619,5 +623,6 @@ def predict_regressogram_rows(model: RegressogramModel, x: np.ndarray) -> np.nda
     table = np.full(span, model.fallback)
     table[keys[:n_cells]] = model.means
     out = table[keys[n_cells:]]
-    out[np.flatnonzero(~inside)] = model.fallback
+    if inside is not None:
+        out[np.flatnonzero(~inside)] = model.fallback
     return out

@@ -517,8 +517,9 @@ def test_regressogram_memory_does_not_grow_with_k():
 @pytest.mark.parametrize("k, levels", [(10, 0), (2**20, 6)])
 def test_regressogram_matches_row_loop_at_the_block_edges(m, k, levels):
     # one row of each cell is found over blocks of rows; at k = 10 the
-    # keys are row-major, and at k = 2**20 > m they are joined at the first column,
-    # with six levels per column so that each cell sums many rows
+    # keys are row-major, and at k = 2**20 > m they are joined at the
+    # first column, with six levels per column so that each cell sums
+    # many rows
     rng = np.random.default_rng(m + k)
     if levels:
         x = rng.integers(0, levels, (m, 2)) * 0.37 - 1.0
