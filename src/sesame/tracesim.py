@@ -521,9 +521,11 @@ class RunLookup:
             if query.uniform:
                 # on g_j = j k a run starts on a query tick exactly when k
                 # divides its start, and that query is its first
-                first, off = np.divmod(starts, query.step)
-                self._aligned = not off.any()
+                first = np.remainder(starts, query.step)
+                self._aligned = not first.any()
             if self._aligned:
+                # the remainders' buffer takes each run's first query
+                np.floor_divide(starts, query.step, out=first)
                 self._first = np.minimum(first, query.size, out=first)
             else:
                 self._first = query.first_at(starts)
@@ -533,16 +535,13 @@ class RunLookup:
             self._run = np.searchsorted(starts, query.ticks,
                                         side="right") - 1
 
-    def at(self, weights: np.ndarray, span: int = 1) -> np.ndarray:
-        """`weights[state]` of the state held at each query tick, times
-        `span`."""
+    def at(self, weights: np.ndarray) -> np.ndarray:
+        """`weights[state]` of the state held at each query tick."""
         states = self.trace.runs[self.c_idx][1]
         # per run when the runs are fewer than the queries, else per query
-        run_major = self._run is None
-        values = weights[states if run_major else states[self._run]]
-        if span != 1:
-            values *= span
-        return np.repeat(values, self._counts) if run_major else values
+        if self._run is None:
+            return np.repeat(weights[states], self._counts)
+        return weights[states[self._run]]
 
     @cached_property
     def _crossings(self) -> tuple[np.ndarray, ...]:
@@ -606,13 +605,9 @@ class RunLookup:
         carries a few roundings however long the trace.
         """
         # the sums overwrite the per-query weights, as the query may be
-        # millions of ticks long; on a uniform grid each run's weight is
-        # multiplied by the span before it is expanded
-        if self.query.uniform:
-            sums = self.at(weights, self.query.step)[:-1]
-        else:
-            sums = self.at(weights)[:-1]
-            self.query.times_spans(sums)
+        # millions of ticks long
+        sums = self.at(weights)[:-1]
+        self.query.times_spans(sums)
         if self._aligned:       # no interval crosses a run start
             return sums
         cross, head, tail, s_head, s_tail, gap, gap_ticks = self._crossings

@@ -581,33 +581,30 @@ def test_regressogram_training_error_needs_a_positive_response():
     assert model.training_error == in_sample_error(model, x, y) > 0.0
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_regressogram_fit_names_the_non_finite_column(value):
-    # finiteness is read from each column's min and max, the edges: a
-    # NaN, +inf or -inf in the first or the last column, at its first,
+def test_regressogram_rejects_non_finite_values():
+    # the fit reads finiteness from each column's min and max, its edges:
+    # a NaN, +inf or -inf in the first or the last column, at its first,
     # an inner or its last row, is named by its column, and with both
     # columns bad the first is named
-    x = np.column_stack([np.linspace(0, 1, 20), np.linspace(1, 2, 20),
-                         np.linspace(-3, 3, 20)])
-    y = x.sum(axis=1)
-    cols = ("cpu", "disk", "wifi")
-    for row in (0, 7, 19):
-        for j, name in ((0, "cpu"), (2, "wifi")):
-            bad = x.copy()
-            bad[row, j] = value
-            with pytest.raises(ArgumentError, match=f"'{name}'"):
-                ss.fit_regressogram(bad, y, k=4, columns=cols)
-        bad = x.copy()
-        bad[row, [0, 2]] = value
-        with pytest.raises(ArgumentError, match="'cpu'"):
-            ss.fit_regressogram(bad, y, k=4, columns=cols)
-    bad = x.copy()
-    bad[7, 2] = value
-    with pytest.raises(ArgumentError, match="'x2'"):  # unnamed columns
-        ss.fit_regressogram(bad, y, k=4)
-
-
-def test_regressogram_rejects_non_finite_values():
+    x3 = np.column_stack([np.linspace(0, 1, 20), np.linspace(1, 2, 20),
+                          np.linspace(-3, 3, 20)])
+    y3 = x3.sum(axis=1)
+    cols3 = ("cpu", "disk", "wifi")
+    for value in (np.nan, np.inf, -np.inf):
+        for row in (0, 7, 19):
+            for j, name in ((0, "cpu"), (2, "wifi")):
+                bad = x3.copy()
+                bad[row, j] = value
+                with pytest.raises(ArgumentError, match=f"'{name}'"):
+                    ss.fit_regressogram(bad, y3, k=4, columns=cols3)
+            bad = x3.copy()
+            bad[row, [0, 2]] = value
+            with pytest.raises(ArgumentError, match="'cpu'"):
+                ss.fit_regressogram(bad, y3, k=4, columns=cols3)
+        bad = x3.copy()
+        bad[7, 2] = value
+        with pytest.raises(ArgumentError, match="'x2'"):  # unnamed columns
+            ss.fit_regressogram(bad, y3, k=4)
     x = np.column_stack([np.linspace(0, 1, 20), np.linspace(1, 2, 20)])
     y = x.sum(axis=1)
     cols = ("cpu", "disk")
