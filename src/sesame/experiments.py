@@ -174,13 +174,13 @@ _CHUNK_ROWS = 1 << 13
 
 
 def _weighted_chunks(x: np.ndarray, y: np.ndarray, coefs: np.ndarray):
-    """For each chunk of `_CHUNK_ROWS` rows, (A^T, R^T) over its rows
-    with y > 0: A^T = ([1 X] / y)^T, one (1 + n, rows) array whose first
-    row is w = 1 / y, and R^T = C^T A^T - 1, one (k, rows) array holding
-    each column of `coefs` C (1 + n, k)'s relative errors. Chunks with no
-    such row are skipped.
+    """For each chunk of `_CHUNK_ROWS` rows, B = [A^T; R^T] over its rows
+    with y > 0, one (1 + n + k, rows) array: its first 1 + n rows are
+    A^T = ([1 X] / y)^T, whose first row is w = 1 / y, and its last k
+    rows are R^T = C^T A^T - 1, each column of `coefs` C (1 + n, k)'s
+    relative errors. Chunks with no such row are skipped.
 
-    Both arrays are views of two buffers that the call allocates once and
+    Every chunk is a view of one buffer that the call allocates once and
     every chunk overwrites: a caller that keeps a chunk past the next one
     copies it.
 
@@ -192,7 +192,7 @@ def _weighted_chunks(x: np.ndarray, y: np.ndarray, coefs: np.ndarray):
                              f"{x.shape[0]} vs {len(y)}")
     n1, k = coefs.shape
     size = min(len(y), _CHUNK_ROWS)
-    at_buf, r_buf = np.empty(n1 * size), np.empty(k * size)
+    buf = np.empty((n1 + k) * size)
     seen = False
     for start in range(0, len(y), _CHUNK_ROWS):
         xc, yc = x[start:start + _CHUNK_ROWS], y[start:start + _CHUNK_ROWS]
@@ -204,71 +204,80 @@ def _weighted_chunks(x: np.ndarray, y: np.ndarray, coefs: np.ndarray):
         if not rows:
             continue
         seen = True
-        at = at_buf[:n1 * rows].reshape(n1, rows)
-        np.divide(1.0, yc, out=at[0])
-        np.multiply(xc.T, at[0], out=at[1:])
-        rt = r_buf[:k * rows].reshape(k, rows)
-        np.matmul(coefs.T, at, out=rt)
-        rt -= 1.0
-        yield at, rt
+        b = buf[:(n1 + k) * rows].reshape(n1 + k, rows)
+        np.divide(1.0, yc, out=b[0])
+        np.multiply(xc.T, b[0], out=b[1:n1])
+        np.matmul(coefs.T, b[:n1], out=b[n1:])
+        b[n1:] -= 1.0
+        yield b
     if not seen:
         raise ConfigurationError("no positive truth values to compare against")
 
 
 def _chunk_sums(x: np.ndarray, y: np.ndarray, coefs: np.ndarray,
                 oracle: bool):
-    """One pass over `_weighted_chunks`: the scored row count m and each
-    column's sum of squared relative errors SSE, then g = A^T A, A^T 1
-    and H = A^T R, which only a pass with `oracle` sums (else all 0)."""
+    """One pass over `_weighted_chunks`: the scored row count m, each
+    column's sum of squared relative errors SSE, and, only in a pass
+    with `oracle` sums (else all 0), G = A^T A and H = A^T R. Each chunk
+    adds B A, a GEMM, into one (1 + n + k, 1 + n) sum whose top block is
+    G and whose bottom block is H^T; G and H are views of it."""
     n1, k = coefs.shape
-    m, sse = 0, np.zeros(k)
-    g, at_1, h = np.zeros((n1, n1)), np.zeros(n1), np.zeros((n1, k))
-    for at, rt in _weighted_chunks(x, y, coefs):
-        m += at.shape[1]
+    m, sse, gh = 0, np.zeros(k), np.zeros((n1 + k, n1))
+    for b in _weighted_chunks(x, y, coefs):
+        m += b.shape[1]
         if oracle:
-            # numpy's syrk path: a GEMM form of G, even at @ at.copy().T,
-            # put noiseless_linear's oracle above its 1e-14 roundoff bound
-            g += at @ at.T
-            at_1 += at.sum(axis=1)
-            h += at @ rt.T
+            gh += b @ b[:n1].T
+        rt = b[n1:]
         rt *= rt
         sse += rt.sum(axis=1)
-    return m, sse, g, at_1, h
+    return m, sse, gh[:n1], gh[n1:].T
 
 
-# Solving the normal equations loses about cond * eps of the
-# coefficients' relative accuracy, cond being that of g scaled to a unit
-# diagonal, which takes out the rate columns' spread of scales (1 to
-# about 1e3): below 1e8, at most about 2e-8; the built-ins read at most
-# about 4e3. The residual is stationary at the optimum, so an RMS error
-# well above that moves by about its square, relative; an exact fit
-# keeps an RMS of roundoff size, as lstsq's is.
+# Solving the normal equations loses about cond * eps of the solution's
+# relative accuracy, cond being that of G scaled to a unit diagonal,
+# which takes out the rate columns' spread of scales (1 to about 1e3):
+# below 1e8, at most about 2e-8; the built-ins read at most about 4e3.
+# The oracle solves for its step from a start, so the loss is relative
+# to the step, not to the coefficients. The residual is stationary at
+# the optimum, so an RMS error well above that moves by about its
+# square, relative; an exact fit keeps an RMS of roundoff size, as
+# lstsq's is.
 _ORACLE_COND_BOUND = 1e8
 
 
-def _fit_oracle(x: np.ndarray, y: np.ndarray, sums=None) -> np.ndarray:
+def _fit_oracle(x: np.ndarray, y: np.ndarray, sums=None,
+                start=None) -> np.ndarray:
     """Per-rate linear baseline minimizing the RMS *relative* error.
 
     Weighted least squares with 1/y weights over the rows with y > 0: the
     best tradeoff any affine model of these predictors can reach at this
-    rate, so every molded variant is dominated by it in-sample. Its
-    normal equations g = A^T A and A^T 1, A = [1 X] / y, come from
-    `sums`, a `_chunk_sums` pass with the oracle's sums, or else from a
-    pass of their own. With d = sqrt(diag(g)), the coefficients solve
-    g c = A^T 1 scaled by d on both sides while the scaled matrix's
-    condition number is below `_ORACLE_COND_BOUND`; at or above it, and
-    when d holds a zero, they are `np.linalg.lstsq(A, 1)` over the whole
-    A, stacked from copies of `_weighted_chunks`' reused chunks.
+    rate, so every molded variant is dominated by it in-sample. `start`
+    holds candidate coefficients, one column each of a (1 + n, k) array
+    or one vector (default: zeros), and `sums` a `_chunk_sums` pass with
+    the oracle's sums over them, or else the call makes its own. From
+    c_j, the column of least SSE, one Newton step (one step of iterative
+    refinement) gives c_j - G^-1 H_j, with G = A^T A, A = [1 X] / y, and
+    H_j = A^T (A c_j - 1): from zeros, H = -A^T 1 and the step solves
+    G c = A^T 1. With d = sqrt(diag(G)), the step is solved scaled by d
+    on both sides while the scaled matrix's condition number is below
+    `_ORACLE_COND_BOUND`, so G's rounding costs about cond eps of the
+    step, not of c. At or above the bound, and when d holds a zero, the
+    coefficients are `np.linalg.lstsq(A, 1)` over the whole A, stacked
+    from copies of `_weighted_chunks`' reused chunks.
     """
-    no_columns = np.empty((1 + x.shape[1], 0))
-    _, _, g, at_1, _ = sums or _chunk_sums(x, y, no_columns, oracle=True)
+    n1 = 1 + x.shape[1]
+    start = np.zeros((n1, 1)) if start is None else np.reshape(start,
+                                                               (n1, -1))
+    _, sse, g, h = sums or _chunk_sums(x, y, start, oracle=True)
+    j = int(np.argmin(sse))
     d = np.sqrt(np.diag(g))
     if d.all():
         gs = g / d / d[:, None]
         if np.linalg.cond(gs) < _ORACLE_COND_BOUND:
-            return np.linalg.solve(gs, at_1 / d) / d
-    a = np.hstack([at.copy()
-                   for at, _ in _weighted_chunks(x, y, no_columns)]).T
+            return start[:, j] - np.linalg.solve(gs, h[:, j] / d) / d
+    no_columns = np.empty((n1, 0))
+    a = np.hstack([b.copy()
+                   for b in _weighted_chunks(x, y, no_columns)]).T
     coef, *_ = np.linalg.lstsq(a, np.ones(len(a)), rcond=None)
     return coef
 
@@ -277,23 +286,23 @@ def _affine_rms(x: np.ndarray, y: np.ndarray, coefs: np.ndarray,
                 oracle: bool = False) -> np.ndarray:
     """RMS relative error of each affine estimate c0 + x @ c[1:] against
     y over the rows with y > 0, for each column c of `coefs` (1 + n, k),
-    and with `oracle` one more, the per-rate oracle's (`_fit_oracle`),
-    all from one `_chunk_sums` pass; it raises `_weighted_chunks`' typed
-    errors.
+    and with `oracle` one more, the per-rate oracle's (`_fit_oracle`,
+    stepped from these columns), all from one `_chunk_sums` pass; it
+    raises `_weighted_chunks`' typed errors.
 
     Row i's relative error is a_i @ c - 1, a_i being row i of the
     oracle's weighted design. With j the column of least SSE and
     delta = c - c_j, the oracle's SSE is SSE_j + 2 delta^T H_j
-    + delta^T g delta, exact for any c. Shifted to an estimate close to
+    + delta^T G delta, exact for any c. Shifted to an estimate close to
     the oracle's (Chan, Golub and LeVeque's shifted data), the form
     cancels only small terms; an exact fit may round it below 0, read
     as 0.
     """
     sums = _chunk_sums(x, y, coefs, oracle)
-    m, sse, g, _, h = sums
+    m, sse, g, h = sums
     if oracle:
         j = int(np.argmin(sse))
-        delta = _fit_oracle(x, y, sums) - coefs[:, j]
+        delta = _fit_oracle(x, y, sums, coefs) - coefs[:, j]
         sse = np.append(sse, max(0.0, sse[j] + 2.0 * (delta @ h[:, j])
                                  + delta @ g @ delta))
     return np.sqrt(sse / m)

@@ -167,14 +167,18 @@ def oracle_problems(draw):
     return x, y
 
 
-@PROPERTY
-@hypothesis.given(problem=oracle_problems())
-def test_oracle_solves_its_normal_equations(problem):
-    x, y = problem
+def assert_solves_its_normal_equations(x, y, coef):
+    """`coef`, an oracle fit of (x, y) from any start, leaves the normal
+    equations G c = A^T 1 a residual of roundoff size, and fits no worse
+    than lstsq, but for roundoff; on the `_ORACLE_COND_BOUND` side of
+    lstsq, it is lstsq's bit for bit."""
+    n1 = 1 + x.shape[1]
     w = 1.0 / y
-    at = np.vstack([w, x.T * w])        # the oracle's own g, bit for bit
-    g, rhs = at @ at.T, at.sum(axis=1)
-    coef, ref = exp._fit_oracle(x, y), stacked_fit_oracle(x, y)
+    # the oracle's own G from a zero start, bit for bit: the top block of
+    # the GEMM B A, B = [A^T; -1] in C order
+    b = np.ascontiguousarray(np.vstack([w, x.T * w, -np.ones_like(w)]))
+    g, rhs = (b @ b[:n1].T)[:n1], b[:n1].sum(axis=1)
+    ref = stacked_fit_oracle(x, y)
     cond = scaled_cond(g)
     if cond >= exp._ORACLE_COND_BOUND:
         assert np.array_equal(coef, ref)
@@ -186,6 +190,28 @@ def test_oracle_solves_its_normal_equations(problem):
     slack = 1e-15 + np.finfo(float).eps * cond
     assert oracle_rms(x, y, coef) <= (
         oracle_rms(x, y, ref) * (1 + 1e-12) + slack)
+
+
+@PROPERTY
+@hypothesis.given(problem=oracle_problems())
+def test_oracle_solves_its_normal_equations(problem):
+    x, y = problem
+    assert_solves_its_normal_equations(x, y, exp._fit_oracle(x, y))
+
+
+@PROPERTY
+@hypothesis.given(problem=oracle_problems(), seed=st.integers(0, 2**32 - 1),
+                  spread=st.sampled_from([0.0, 1e-6, 0.1, 1.0]))
+def test_oracle_steps_from_any_start_to_its_normal_equations(problem, seed,
+                                                             spread):
+    # each coefficient off lstsq's by a random share of itself, as the
+    # molded variants of `scored_problems` are off the truths' own
+    x, y = problem
+    ref = stacked_fit_oracle(x, y)
+    rng = np.random.default_rng(seed)
+    start = ref * (1.0 + spread * rng.standard_normal(len(ref)))
+    assert_solves_its_normal_equations(
+        x, y, exp._fit_oracle(x, y, start=start))
 
 
 @st.composite
@@ -232,7 +258,7 @@ def test_one_pass_scores_as_each_estimate_alone(problem):
     assert_scores_as_each_estimate_alone(
         got[:-1], x, y, coefs,
         [masked_rms_relative_error(c[0] + x @ c[1:], y) for c in coefs.T])
-    coef = exp._fit_oracle(x, y)
+    coef = exp._fit_oracle(x, y, start=coefs)
     assert_oracle_scores_as_alone(
         got, x, y, coefs, coef,
         masked_rms_relative_error(coef[0] + x @ coef[1:], y))

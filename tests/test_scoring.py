@@ -157,18 +157,22 @@ def oracle_designs(sc, arts):
 
 
 def normal_matrix(x, y):
-    """The oracle's g = A^T A, bit for bit, so both pick the same path:
-    the sum over chunks of `_CHUNK_ROWS` rows of each chunk's A^T A over
-    its positive-truth rows, starting from zeros."""
-    g = np.zeros((1 + x.shape[1],) * 2)
+    """The oracle's G = A^T A from a zero start, bit for bit, so both
+    pick the same path: the sum over chunks of `_CHUNK_ROWS` rows of the
+    top block of each chunk's GEMM B A, B = [A^T; -1] over its
+    positive-truth rows in C order, starting from zeros: GEMM rounds
+    differently on other layouts."""
+    n1 = 1 + x.shape[1]
+    gh = np.zeros((n1 + 1, n1))
     for start in range(0, len(y), exp._CHUNK_ROWS):
         xc, yc = x[start:start + exp._CHUNK_ROWS], y[start:start + exp._CHUNK_ROWS]
         ok = yc > 0
         if ok.any():
             w = 1.0 / yc[ok]
-            at = np.vstack([w, xc[ok].T * w])
-            g += at @ at.T
-    return g
+            b = np.ascontiguousarray(
+                np.vstack([w, xc[ok].T * w, -np.ones_like(w)]))
+            gh += b @ b[:n1].T
+    return gh[:n1]
 
 
 def test_oracle_fallback_equals_the_stacked_design(t61):
@@ -314,10 +318,10 @@ def test_molding_report_equals_scoring_each_estimate_alone(t61):
             coefs.append(model.coefficients(1.0 / rate))
             alone.append(masked_rms_relative_error(
                 model.predict_rows(dm.x, 1.0 / rate), truth))
-        coef = exp._fit_oracle(dm.x, truth)
+        coefs = np.column_stack(coefs)
+        coef = exp._fit_oracle(dm.x, truth, start=coefs)
         scores = np.array([report.value(rate, name) for name in
                            exp.MOLDED_VARIANTS + (exp.ORACLE_ESTIMATOR,)])
-        coefs = np.column_stack(coefs)
         assert_scores_as_each_estimate_alone(
             scores[:-1], dm.x, truth, coefs, alone)
         assert_oracle_scores_as_alone(

@@ -23,7 +23,11 @@ verdict:
 - `worse`: B's median is worse than A's by more than the metric's bound;
 - `same` otherwise.
 
-It also compares each run's report digest with the other side's. With
+After `run_s` it prints each side's median unscaled wall time, the
+harness's `unscaled host wall median`, and its median `attempted`
+repetitions, which show a run of the calibration's low mode: a lower
+`run_s` from a longer wall time in fewer repetitions. It also compares
+each run's report digest with the other side's. With
 `--out` it writes every run's metrics and the summary as JSON. The exit
 code is 1 when a run fails or a metric is `worse`, else 0.
 """
@@ -41,6 +45,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # the least relative move of a median that can be a gain
 RESOLUTION = 1e-9
+# what precedes the median wall time of the timed runs, before the
+# harness scales it by its calibration, on the `run_s` stdout line
+UNSCALED = "unscaled host wall median "
 
 
 def checkout(spec: str, workdir: Path, label: str) -> Path:
@@ -78,6 +85,9 @@ def run_once(root: Path, workload: str, seconds: float,
     out["metrics"] = {k: v["value"] for k, v in out["metrics"].items()}
     out["report_sha256"] = next((ln.split()[1] for ln in lines
                                  if ln.startswith("report_sha256 ")), None)
+    out["unscaled_wall_s"] = next(
+        (float(ln.split(UNSCALED)[1].split()[0]) for ln in lines
+         if UNSCALED in ln), None)
     return out
 
 
@@ -108,6 +118,16 @@ def summarize(a: list[float], b: list[float], better: str,
             "relative_change": ((qb[1] - qa[1]) / abs(qa[1])
                                 if qa[1] else None),
             "verdict": verdict}
+
+
+def host_medians(runs: dict) -> dict:
+    """Each side's median unscaled wall time and median `attempted`: a
+    run whose calibrated `run_s` reads low while its wall time reads
+    high, in fewer repetitions, ran on a contended host."""
+    return {side: {"unscaled_wall_s": statistics.median(
+                       r["unscaled_wall_s"] for r in rs),
+                   "attempted": statistics.median(r["attempted"] for r in rs)}
+            for side, rs in runs.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -177,6 +197,12 @@ def main(argv: list[str] | None = None) -> int:
                           f"[{s['b']['q1']:.6g}, {s['b']['q3']:.6g}]  "
                           f"b wins {s['b_wins']}/{s['pairs']}  "
                           f"{s['verdict']}")
+                    if name == "run_s":
+                        summary["host"] = host_medians(runs)
+                        print(f"{workload} run_s host: " + "  ".join(
+                            f"{side} unscaled wall {h['unscaled_wall_s']:.6g}"
+                            f" s, attempted {h['attempted']:g}"
+                            for side, h in summary["host"].items()))
             else:
                 failed = True
                 print(f"{workload}: a run failed")
