@@ -227,6 +227,7 @@ def _chunk_sums(x: np.ndarray, y: np.ndarray, coefs: np.ndarray,
         m += b.shape[1]
         if oracle:
             gh += b @ b[:n1].T
+        # squared in place, after the GEMM has read R
         rt = b[n1:]
         rt *= rt
         sse += rt.sum(axis=1)
@@ -266,8 +267,7 @@ def _fit_oracle(x: np.ndarray, y: np.ndarray, sums=None,
     from copies of `_weighted_chunks`' reused chunks.
     """
     n1 = 1 + x.shape[1]
-    start = np.zeros((n1, 1)) if start is None else np.reshape(start,
-                                                               (n1, -1))
+    start = np.reshape(np.zeros(n1) if start is None else start, (n1, -1))
     _, sse, g, h = sums or _chunk_sums(x, y, start, oracle=True)
     j = int(np.argmin(sse))
     d = np.sqrt(np.diag(g))

@@ -3,10 +3,10 @@
 A fitted EnergyModel is b0 + r . b on the kept predictor rates, scaled by
 the interval ratio; these check that form against the explicit PCA
 pipeline it folds, and that its energies add up across rates. The
-per-rate oracle's fit is checked against its normal equations and
-against lstsq, and the one scoring pass against scoring each estimate
-alone, at the chunk edges and on exact, near-collinear and partly
-non-positive truths. `iterate_construction` returns the first l whose fit
+per-rate oracle's fit, from zeros and from a random start, is checked
+against its normal equations and against lstsq, and the one scoring pass
+against scoring each estimate alone, at the chunk edges and on exact,
+near-collinear and partly non-positive truths. `iterate_construction` returns the first l whose fit
 meets its target, as fitting every l on its own finds. Every rate's
 design, truth and battery response hold one row per whole interval of
 the trace, for every battery kind. Model tables and scenarios must
@@ -202,8 +202,8 @@ def test_oracle_solves_its_normal_equations(problem):
 @PROPERTY
 @hypothesis.given(problem=oracle_problems(), seed=st.integers(0, 2**32 - 1),
                   spread=st.sampled_from([0.0, 1e-6, 0.1, 1.0]))
-def test_oracle_steps_from_any_start_to_its_normal_equations(problem, seed,
-                                                             spread):
+def test_oracle_steps_from_a_random_start_to_its_normal_equations(
+        problem, seed, spread):
     # each coefficient off lstsq's by a random share of itself, as the
     # molded variants of `scored_problems` are off the truths' own
     x, y = problem

@@ -14,10 +14,11 @@ within the bound `assert_scores_as_each_estimate_alone` derives from
 each row's scale. The oracle's score is a quadratic form shifted to the
 best-scored column, within the bound `assert_oracle_scores_as_alone`
 derives from the same data. The regressogram runner's `linear_molded`
-row takes the same scorer. The oracle solves its normal equations, summed chunk
-by chunk, while they are well conditioned, so there its weighted RMS is
-compared with the stacked design's to 1e-12 relative or 1e-15 absolute;
-on a singular design it equals the stacked design's `lstsq` bit for bit.
+row takes the same scorer. The oracle steps from a start to the solution
+of its normal equations, summed chunk by chunk, while they are well
+conditioned, so there its weighted RMS is compared with the stacked
+design's to 1e-12 relative or 1e-15 absolute; on a singular design it
+equals the stacked design's `lstsq` bit for bit.
 A run's truth at a rate coarser than its grid's finest sums rows of the
 finest rate's, so it agrees with `true_energy` within 4e-15 relative:
 pairwise summation of up to 10^4 rows carries a few roundings each.
