@@ -167,9 +167,10 @@ def _interface_rms(readings: BatteryReadings, rate_hz: float,
 # at 2^13 rows with 5 predictors and 4 estimators, so a chunk is read
 # back from L2 by the sums that follow its writes, and scoring adds
 # nothing row-length to a 100 Hz run's peak memory. Over t61like's 7
-# rates (one thread, median of 25) the pass took 5.42 ms at 2^13 rows,
-# against 5.80 ms at 2^12, 5.50 ms at 2^14 and 6.24 ms at 2^15; numpy's
-# per-call cost stays small at 37 chunks for 300,000 rows.
+# rates (one thread, median of 25, interleaved) the pass took 6.9 ms at
+# 2^13 rows, against 7.4-7.5 ms at 2^12, 7.0 ms at 2^14 and 11.7-12.0 ms
+# at 2^15; numpy's per-call cost stays small at 37 chunks for 300,000
+# rows.
 _CHUNK_ROWS = 1 << 13
 
 
