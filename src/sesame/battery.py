@@ -168,18 +168,25 @@ def rms_relative_error(estimates: np.ndarray, truth: np.ndarray) -> float:
     return rms_relative_difference(np.subtract(est, truth), truth)
 
 
-def rms_relative_difference(diff: np.ndarray, truth: np.ndarray) -> float:
+def rms_relative_difference(diff: np.ndarray, truth: np.ndarray,
+                            counts: np.ndarray | None = None) -> float:
     """`rms_relative_error` of the estimates `truth + diff`, given their
     differences `diff` (est - true), a float array of truth's shape that
-    it overwrites: sqrt(mean((diff / true)^2)) over positive truths.
+    it overwrites: sqrt(mean((diff / true)^2)) over positive truths. With
+    `counts`, row i stands for `counts[i]` rows: sqrt(sum(c (diff /
+    true)^2) / sum(c)).
     """
     # no mask outlives this test when every truth is positive: held while
     # `diff` is squared, it would add to the peak memory of fine-rate scoring
     if not (truth > 0).all():
         ok = np.flatnonzero(truth > 0)
         diff, truth = np.take(diff, ok), np.take(truth, ok)
+        if counts is not None:
+            counts = counts[ok]
     if not truth.size:
         raise ConfigurationError("no positive truth values to compare against")
     diff /= truth
     diff *= diff
-    return float(np.sqrt(np.mean(diff)))
+    if counts is None:
+        return float(np.sqrt(np.mean(diff)))
+    return float(np.sqrt(diff @ counts / counts.sum()))

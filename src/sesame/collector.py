@@ -14,6 +14,7 @@ predictor units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,6 +29,7 @@ from .tracesim import (
     PredictorSpec,
     RunLookup,
     Trace,
+    _energy,
     _Grid,
     _ratio_as_int,
 )
@@ -67,6 +69,54 @@ class DesignMatrix:
     def n(self) -> int:
         return self.x.shape[1]
 
+    def column(self, i: int) -> np.ndarray:
+        """Column `i` of x, whole."""
+        return self.x[:, i]
+
+
+@dataclass
+class KeyedRows:
+    """A design at one rate and its true energies, held as distinct rows.
+
+    Row j of the design is `x[key[j]]` and its truth `y[key[j]]`;
+    `counts[u]` rows have key u. `collect_keyed` builds it without
+    building the design, and `design` and `truth` give `collect`'s and
+    `true_energy`'s arrays at that rate bit for bit.
+    """
+
+    interval_s: float
+    columns: tuple[str, ...]
+    kinds: tuple[str, ...]
+    key: np.ndarray                    # (m,) intp, numpy's index type
+    x: np.ndarray                      # (keys, n), column-major
+    y: np.ndarray                      # (keys,) joules per interval
+    counts: np.ndarray                 # (keys,) rows per key
+
+    @property
+    def m(self) -> int:
+        return len(self.key)
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[1]
+
+    def column(self, i: int) -> np.ndarray:
+        """Column `i` of the design, whole, gathered through the key."""
+        return np.take(self.x[:, i], self.key)
+
+    def design(self) -> DesignMatrix:
+        x = np.empty((self.m, self.n), order="F")
+        for i in range(self.n):
+            # every key is below len(x): the default mode="raise" would
+            # buffer `out` through a temporary
+            np.take(self.x[:, i], self.key, out=x[:, i], mode="clip")
+        return DesignMatrix(interval_s=self.interval_s, columns=self.columns,
+                            kinds=self.kinds, x=x,
+                            t_start_s=np.arange(self.m) * self.interval_s)
+
+    def truth(self) -> np.ndarray:
+        return np.take(self.y, self.key)
+
 
 def _spec_ticks(spec: PredictorSpec, tick_s: float) -> tuple[int, int]:
     """(delay, update period) of `spec` in ticks of `tick_s`; an
@@ -78,37 +128,83 @@ def _spec_ticks(spec: PredictorSpec, tick_s: float) -> tuple[int, int]:
                                 f"{spec.id} update period")
 
 
-def _collect_group(trace: Trace, specs: Sequence[PredictorSpec],
-                   key: tuple[int, int, int, bool], columns: list[int],
-                   m: int, k: int, interval: float, x: np.ndarray) -> None:
-    """Write the `columns` of `x` whose specs share the delayed grid of
-    `key`, (component, delay, update period, held), as `collect` says,
-    for `m` intervals of `k` ticks. The lookup and the sums are freed on
-    return, so that `collect` never holds two groups' at once."""
-    c_idx, delay, period, held = key
+def _shape(trace: Trace, specs: Sequence[PredictorSpec],
+           target_rate_hz: float) -> tuple[float, int, int]:
+    """(interval, k, m) of a design at `target_rate_hz`: its interval in
+    seconds and in whole ticks, and its number of rows."""
+    if target_rate_hz <= 0:
+        raise ConfigurationError("target rate must be > 0")
+    if not specs:
+        raise ConfigurationError("no predictors to collect")
+    interval = 1.0 / target_rate_hz
+    k = _ratio_as_int(interval, trace.tick_s,
+                      f"target rate {target_rate_hz:g} Hz interval")
+    m = len(trace) // k
+    if m < 1:
+        raise ConfigurationError("trace shorter than one interval")
+    return interval, k, m
+
+
+def _groups(trace: Trace, specs: Sequence[PredictorSpec],
+            k: int) -> dict[tuple[int, int, int, bool], list[int]]:
+    """The specs' columns by their delayed grid, (component, delay,
+    update period, held), for intervals of `k` ticks."""
+    groups: dict[tuple[int, int, int, bool], list[int]] = {}
+    for i, spec in enumerate(specs):
+        delay, period = _spec_ticks(spec, trace.tick_s)
+        held = (spec.kind != LEVEL and spec.policy == POLLED_SLOW
+                and period > k)
+        key = (trace.model.component_index(spec.component), delay, period,
+               held)
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
+def _group_lookup(trace: Trace, group: tuple[int, int, int, bool], m: int,
+                  k: int) -> RunLookup:
+    """The lookup of `group`'s delayed grid for `m` intervals of `k`
+    ticks. A held group's grid has one interval per poll: a row whose
+    last update instant is p (in periods) holds sum p, the period ending
+    where a poll at p reads, at (p - lag + 1) * period, where lag is the
+    delay in whole periods, rounded up, plus one. Its spans are all one
+    period past its head (L = 1)."""
+    c_idx, delay, period, held = group
     if held:
-        # a row whose last update instant is p (in periods) holds sum p:
-        # the period ending where a poll at p reads, at (p - lag + 1) *
-        # period, where lag is the delay in whole periods, rounded up,
-        # plus one
-        polls = np.arange(m) * k
-        polls //= period
         lag = 1 + -(-delay // period)
-        grid = _Grid(int(polls[-1]) + 1, period, lag * period, period)
+        grid = _Grid((m - 1) * k // period + 1, period, lag * period, period)
     else:
         grid = _Grid(m, k, delay, period)
-    lookup = RunLookup(trace, c_idx, grid)
+    return RunLookup(trace, c_idx, grid)
+
+
+def _write_group(trace: Trace, specs: Sequence[PredictorSpec],
+                 group: tuple[int, int, int, bool], columns: list[int],
+                 lookup: RunLookup, k: int, interval: float, x: np.ndarray,
+                 rows: np.ndarray | None = None) -> None:
+    """Write the `columns` of `x` whose specs share `group`'s delayed
+    grid, as `collect` says, from its `lookup`. With `rows`, x has one
+    row per entry of `rows` and holds those rows of the design, bit for
+    bit, each computed alone; else every row."""
+    period, held = group[2], group[3]
+    if held:
+        # the poll that each row reads
+        polls = (np.arange(len(x)) if rows is None else rows) * k
+        polls //= period
     for i in columns:
         spec = specs[i]
         weights = trace.model.weight_vector(spec)[1]
         if spec.kind == LEVEL:
-            x[:, i] = lookup.at(weights)[:-1]
+            x[:, i] = (lookup.at(weights)[:-1] if rows is None
+                       else weights[lookup.states_at(rows)])
             continue
-        sums = lookup.sums(weights)
+        if rows is None:
+            sums = lookup.sums(weights)
+        else:
+            sums = lookup.sums_at(weights, polls if held else rows)
         sums *= trace.tick_s
         if held:
             sums /= 1.0 / spec.update_rate_hz
-            x[:, i] = sums[polls]
+            x[:, i] = sums[polls] if rows is None else sums
         else:
             np.divide(sums, interval, out=x[:, i])
 
@@ -123,38 +219,21 @@ def collect(trace: Trace, specs: Sequence[PredictorSpec],
     at (b - delay) // period * period, and at 0 before the trace start.
     Specs of one component with the same delay and update period share
     one such delayed grid, a `_Grid` answered by division, and its
-    `RunLookup`. A level reads its weight at each interval start's grid
-    tick. A cumulative column (residency or counter) is the exact sum
-    over its grid interval, divided by the target interval: a fraction
-    or events per second. A polled-slow one whose period exceeds the
-    interval holds instead the sum over the last update period completed
-    before each interval start, on the delayed period grid, divided by
-    the period.
+    `RunLookup`, which is freed before the next group's is built. A
+    level reads its weight at each interval start's grid tick. A
+    cumulative column (residency or counter) is the exact sum over its
+    grid interval, divided by the target interval: a fraction or events
+    per second. A polled-slow one whose period exceeds the interval
+    holds instead the sum over the last update period completed before
+    each interval start, on the delayed period grid, divided by the
+    period.
     """
-    if target_rate_hz <= 0:
-        raise ConfigurationError("target rate must be > 0")
-    if not specs:
-        raise ConfigurationError("no predictors to collect")
-    interval = 1.0 / target_rate_hz
-    k = _ratio_as_int(interval, trace.tick_s,
-                      f"target rate {target_rate_hz:g} Hz interval")
-    m = len(trace) // k
-    if m < 1:
-        raise ConfigurationError("trace shorter than one interval")
-
-    groups: dict[tuple[int, int, int, bool], list[int]] = {}
-    for i, spec in enumerate(specs):
-        delay, period = _spec_ticks(spec, trace.tick_s)
-        held = (spec.kind != LEVEL and spec.policy == POLLED_SLOW
-                and period > k)
-        key = (trace.model.component_index(spec.component), delay, period,
-               held)
-        groups.setdefault(key, []).append(i)
-
+    interval, k, m = _shape(trace, specs, target_rate_hz)
     # column-major: each column is written, and later read, whole
     x = np.empty((m, len(specs)), order="F")
-    for key, columns in groups.items():
-        _collect_group(trace, specs, key, columns, m, k, interval, x)
+    for group, columns in _groups(trace, specs, k).items():
+        _write_group(trace, specs, group, columns,
+                     _group_lookup(trace, group, m, k), k, interval, x)
     return DesignMatrix(
         interval_s=interval,
         columns=tuple(s.id for s in specs),
@@ -162,6 +241,190 @@ def collect(trace: Trace, specs: Sequence[PredictorSpec],
         x=x,
         t_start_s=np.arange(m) * interval,
     )
+
+
+def _dense(code: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lut, counts): the dense number of each code below `space` that
+    occurs, in code order, and how often each occurs; one bincount."""
+    counts = np.bincount(code, minlength=space)
+    present = counts > 0
+    lut = np.cumsum(present)
+    lut -= 1
+    return lut, counts[present]
+
+
+def _segment_states(starts: np.ndarray, cuts: np.ndarray,
+                    states: np.ndarray, m: int) -> np.ndarray:
+    """The state at each of the increasing `starts`: `states[i]` holds
+    from `cuts[i]` on, the cuts increasing, each one of the starts and
+    below `m`, and the first of both 0."""
+    if 16 * len(cuts) < len(starts):
+        # few cuts: each is located among the starts
+        return np.repeat(states, np.diff(np.searchsorted(starts, cuts),
+                                         append=len(starts)))
+    marks = np.zeros(m, dtype=bool)
+    marks[cuts] = True
+    index = np.cumsum(marks[starts])
+    index -= 1
+    return states[index]
+
+
+def _codes(starts: np.ndarray, changes, radices, m: int,
+           code: np.ndarray | None = None, space: int = 1
+           ) -> tuple[np.ndarray, int]:
+    """(code, space): at each of `starts`, `code` (default 0) extended by
+    one digit per lookup of `changes`, its state there, in the radix of
+    its number of states; every code is below `space`. Codes are
+    renumbered densely before a digit would take them past a bound, so
+    that no bincount is much longer than the starts."""
+    if code is None:
+        code = np.zeros(len(starts), dtype=np.int64)
+    bound = max(4 * len(starts), 1 << 16)
+    for (cuts, states), radix in zip(changes, radices):
+        if space * radix > bound:
+            lut, _ = _dense(code, space)
+            code, space = lut[code], int(lut[-1]) + 1
+        code *= radix
+        code += _segment_states(starts, cuts, states, m)
+        space *= radix
+    return code, space
+
+
+def _row_keys(m: int, k: int, parts) -> tuple[np.ndarray, np.ndarray,
+                                              np.ndarray]:
+    """(key, counts, rows) of `m` rows of `k` ticks: each row's dense
+    key, the rows per key and one row of each key.
+
+    Each of `parts`, (lookup, n_states, spans, period), is a lookup whose
+    values fix part of a row: its state at the row, and, when `spans`,
+    its span, fixed by the row's phase past the grid's head except in the
+    rows below the head and the rows that cross a run start, which are
+    singular. A held group's lookup (`period` given) has one grid
+    interval per poll, and a row reads its own poll's.
+
+    The rows are cut into segments where any lookup's state may change
+    and around each singular row or poll, so that each segment holds one
+    state per lookup. A segment's code is a mixed radix of those states,
+    renumbered densely with a bincount. The lookup with the most changes,
+    such as a fast component that no predictor reads, is cut in last:
+    the others' codes are built on their own, fewer segments first. A
+    row's key is its segment's code and its phase j mod L, L the least
+    common multiple of the groups' span periods, which fixes every
+    group's phase; the keys that occur are numbered densely in code
+    order, and each singular segment's rows are keyed apart.
+    """
+    changes, singular, repeat = [], [], 1
+    for lookup, _, spans, period in parts:
+        cuts, states = lookup.changes()
+        odd = np.empty(0, dtype=np.int64)
+        if spans:
+            odd = np.concatenate([np.arange(lookup.query.head),
+                                  lookup.crossing_rows()])
+        if period is None:
+            if spans:
+                repeat = math.lcm(repeat, lookup.query.repeat)
+        else:
+            # poll q's first row is ceil(q * period / k); each row of a
+            # singular poll is singular
+            cuts, lo, hi = (-(-(q * period) // k) for q in (cuts, odd, odd + 1))
+            odd = np.repeat(lo - np.cumsum(hi - lo) + (hi - lo), hi - lo)
+            odd += np.arange(len(odd))
+        below = np.searchsorted(cuts, m)
+        changes.append((cuts[:below], states[:below]))
+        singular.append(odd)
+    radices = [n_states for _, n_states, _, _ in parts]
+    big = max(range(len(parts)), key=lambda i: len(changes[i][0]))
+    rest = [i for i in range(len(parts)) if i != big]
+    singular = np.unique(np.concatenate(singular))
+    singular = singular[:np.searchsorted(singular, m)]
+    # a singular row is a segment of its own
+    coarse = np.unique(np.concatenate(
+        [changes[i][0] for i in rest] + [singular, singular + 1, [0]]))
+    coarse = coarse[:np.searchsorted(coarse, m)]
+    code, space = _codes(coarse, [changes[i] for i in rest],
+                         [radices[i] for i in rest], m)
+    breaks = np.zeros(m, dtype=bool)
+    breaks[coarse] = breaks[changes[big][0]] = True
+    starts = np.flatnonzero(breaks)
+    del breaks
+    code = np.repeat(code, np.diff(np.searchsorted(starts, coarse),
+                                   append=len(starts)))
+    code, space = _codes(starts, [changes[big]], [radices[big]], m, code,
+                         space)
+    single = np.searchsorted(starts, singular)
+    code[single] = space            # one code past every other
+    lut, _ = _dense(code, space + 1)
+    seg = lut[code]
+    del code
+    # singular segments are numbered after the others, each alone
+    n_seg = int(lut[space - 1]) + 1 + len(single)
+    seg[single] = np.arange(n_seg - len(single), n_seg)
+    del lut
+    lengths = np.diff(starts, append=m)
+    key = np.repeat(seg * repeat, lengths)
+    for ph in range(1, repeat):
+        key[ph::repeat] += ph
+    counts = np.bincount(key, minlength=n_seg * repeat)
+    # a segment's first `repeat` rows hold each phase that it holds: one
+    # segment of each code, as long as that, gives a row of each phase,
+    # and the segments shorter than that give the rest
+    rows = np.empty(len(counts), dtype=np.int64)
+    short = lengths < repeat
+    whole = np.full(n_seg, -1)
+    whole[seg[~short]] = np.flatnonzero(~short)
+    has = np.flatnonzero(whole >= 0)
+    first = starts[whole[has]]
+    for ph in range(repeat):
+        rows[has * repeat + (first + ph) % repeat] = first + ph
+    for offset in range(1, repeat):
+        ok = np.flatnonzero(short)
+        row = starts[ok] + offset - 1
+        rows[seg[ok] * repeat + row % repeat] = row
+        short &= lengths > offset
+    present = counts > 0
+    if not present.all():
+        lut = np.cumsum(present)
+        lut -= 1
+        np.take(lut, key, out=key, mode="clip")
+    return key, counts[present], rows[present]
+
+
+def collect_keyed(trace: Trace, specs: Sequence[PredictorSpec],
+                  target_rate_hz: float) -> "KeyedRows":
+    """`collect` and `true_energy` at `target_rate_hz`, as keyed rows.
+
+    A row's key is built from the trace's runs, not from its values: a
+    mixed-radix code with one digit for each component's true state, and
+    for each collector group its grid's state at the row and, past the
+    grid's head, the row's span phase. Rows below a group's head, and
+    rows that cross a run start on any grid the truth or a group sums,
+    are keyed alone. Rows with one key then hold one design row and one
+    true energy, bit for bit, which are computed once, at one of their
+    rows, with `collect`'s and `true_energy`'s operations in their order.
+    """
+    interval, k, m = _shape(trace, specs, target_rate_hz)
+    components = trace.model.components
+    query = _Grid(m, k)
+    truth = [RunLookup(trace, c_idx, query) for c_idx in range(len(components))]
+    parts = [(lookup, comp.n_states, True, None)
+             for lookup, comp in zip(truth, components)]
+    groups = []
+    for group, columns in _groups(trace, specs, k).items():
+        lookup = _group_lookup(trace, group, m, k)
+        parts.append((lookup, components[group[0]].n_states,
+                      any(specs[i].kind != LEVEL for i in columns),
+                      group[2] if group[3] else None))
+        groups.append((group, columns, lookup))
+    key, counts, rows = _row_keys(m, k, parts)
+    x = np.empty((len(rows), len(specs)), order="F")
+    for group, columns, lookup in groups:
+        _write_group(trace, specs, group, columns, lookup, k, interval, x,
+                     rows)
+    return KeyedRows(
+        interval_s=interval,
+        columns=tuple(s.id for s in specs),
+        kinds=tuple(s.kind for s in specs),
+        key=key, x=x, y=_energy(trace, k, truth, rows), counts=counts)
 
 
 def aggregate_response(readings: BatteryReadings,

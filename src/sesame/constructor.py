@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import zip_longest
 
 import numpy as np
@@ -24,7 +24,7 @@ from .battery import (
     rms_relative_difference,
     rms_relative_error,
 )
-from .collector import DesignMatrix, aggregate_response
+from .collector import DesignMatrix, KeyedRows, aggregate_response
 from .errors import (
     AlignmentError,
     ArgumentError,
@@ -280,12 +280,16 @@ class EnergyModel:
 # Stretching and fitting pipeline
 # ---------------------------------------------------------------------------
 
-def stretch(dm: DesignMatrix, readings: BatteryReadings,
+def stretch(dm: DesignMatrix | KeyedRows, readings: BatteryReadings,
             t_low_s: float) -> DesignMatrix:
     """Re-aggregate a base-rate matrix to `t_low_s` rows with a response.
 
     Every column averages, as each holds a rate or a level; the response
     comes from aggregating the battery readings over the same windows.
+    The base rows may be keyed (`KeyedRows`): each column is then
+    gathered through the key, one at a time, and averaged as the
+    design's own column would be, to the same bits. The windows start at
+    the trace's start, as every collected design does.
     """
     lo, hi = DEFAULT_T_LOW_RANGE
     if not lo <= t_low_s <= hi:
@@ -300,12 +304,13 @@ def stretch(dm: DesignMatrix, readings: BatteryReadings,
     if m < dm.n + 2:
         raise InsufficientDataError(
             f"stretching yields {m} rows for {dm.n} predictors (need {dm.n + 2})")
-    return replace(
-        dm,
+    return DesignMatrix(
         interval_s=t_low_s,
-        x=np.column_stack([dm.x[: m * k, i].reshape(m, k).mean(axis=1)
+        columns=dm.columns,
+        kinds=dm.kinds,
+        x=np.column_stack([dm.column(i)[: m * k].reshape(m, k).mean(axis=1)
                            for i in range(dm.n)]),
-        t_start_s=dm.t_start_s[0] + np.arange(m) * t_low_s,
+        t_start_s=np.arange(m) * t_low_s,
         y=y[:m],
     )
 
@@ -453,14 +458,13 @@ def _finite_ranges(x: np.ndarray, columns: tuple[str, ...]) -> np.ndarray:
     """Each column's (min, max) over the rows `x`, at least one, as a
     (columns, 2) array. A column holds a NaN or an infinity exactly when
     its min or max is not finite; ArgumentError then names the first
-    such predictor, which a vectorised bin cast would hide."""
+    such predictor, one of `columns`, which a vectorised bin cast would
+    hide."""
     ranges = np.column_stack([x.min(axis=0), x.max(axis=0)])
     bad = np.flatnonzero(~np.isfinite(ranges).all(axis=1))
     if len(bad):
-        j = bad[0]
-        name = columns[j] if j < len(columns) else f"x{j}"
-        raise ArgumentError(
-            f"regressogram predictor {name!r} has non-finite values")
+        raise ArgumentError(f"regressogram predictor {columns[bad[0]]!r} "
+                            "has non-finite values")
     return ranges
 
 
@@ -534,9 +538,15 @@ _BLOCK_ROWS = 1 << 13
 
 
 def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
-                     columns: tuple[str, ...] = ()) -> RegressogramModel:
+                     columns: tuple[str, ...] = (),
+                     counts: np.ndarray | None = None) -> RegressogramModel:
     """Equal-width bins over each predictor's observed range; each
     populated cell stores the mean of its rows' responses.
+
+    `columns` names the predictors, one per column of `x` (default x0,
+    x1, ...). With `counts`, row i of `x` and `y` stands for `counts[i]`
+    equal rows, as keyed rows (`KeyedRows`) do: each cell's mean, the
+    in-sample error and the fallback weigh the rows by their counts.
 
     Each column's min and max, read once, are its edges; they also show
     that the column is finite and that every row is inside the edges.
@@ -546,8 +556,8 @@ def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
     the row count, for any k, an integer in [1, 2**53]. Beyond its inputs
     it holds the bins, the keys (a view of the bins for one column) and
     one float per row, which takes in turn the bin positions, each row's
-    fitted mean, its squared relative error and the running sum of the
-    fallback, plus O(cells + `_BLOCK_ROWS`).
+    fitted mean and its squared relative error, plus O(cells +
+    `_BLOCK_ROWS`).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -560,23 +570,33 @@ def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
     if y.shape != (x.shape[0],):
         raise ArgumentError(f"{x.shape[0]} training rows but responses of "
                             f"shape {y.shape}")
-    columns = columns or tuple(f"x{i}" for i in range(x.shape[1]))
+    if counts is not None and np.shape(counts) != y.shape:
+        raise ArgumentError(f"{x.shape[0]} training rows but counts of "
+                            f"shape {np.shape(counts)}")
+    columns = tuple(columns) or tuple(f"x{i}" for i in range(x.shape[1]))
+    if len(columns) != x.shape[1]:
+        raise ArgumentError(f"{len(columns)} column names for "
+                            f"{x.shape[1]} predictor columns")
     edges = _finite_ranges(x, columns)
     if not np.isfinite(y).all():
         raise ArgumentError("regressogram response has non-finite values")
     fitted = np.empty(len(y))
     bins, _ = _bin_rows(x, edges, k, edges, pos=fitted)
     key, span = _cell_keys(bins, k)
-    counts = np.bincount(key, minlength=span)
-    populated = np.flatnonzero(counts)
-    # in row order: each cell sum is the running sum of its rows
-    sums = np.bincount(key, weights=y, minlength=span)
+    if counts is None:
+        cell_counts = np.bincount(key, minlength=span)
+        # in row order: each cell sum is the running sum of its rows
+        sums = np.bincount(key, weights=y, minlength=span)
+    else:
+        cell_counts = np.bincount(key, weights=counts, minlength=span)
+        sums = np.bincount(key, weights=y * counts, minlength=span)
+    populated = np.flatnonzero(cell_counts)
     row_of = np.empty(span, dtype=np.int64)
     for start in range(0, len(key), _BLOCK_ROWS):
         # every row of a cell has the cell's bins, so any one row gives them
         block = key[start:start + _BLOCK_ROWS]
         row_of[block] = np.arange(start, start + len(block))
-    means = sums[populated] / counts[populated]
+    means = sums[populated] / cell_counts[populated]
     cells = bins[row_of[populated]]
     del bins, row_of
     # each training row is inside the edges and its cell is populated, so
@@ -588,12 +608,14 @@ def fit_regressogram(x: np.ndarray, y: np.ndarray, k: int = 10,
     np.take(table, key, out=fitted, mode="clip")
     fitted -= y
     try:
-        training_error = rms_relative_difference(fitted, y)
+        training_error = rms_relative_difference(fitted, y, counts)
     except ConfigurationError:      # no response is positive
         training_error = None
-    # a sequential sum like the cells', not numpy's pairwise np.sum, run
-    # into the row-length buffer already held
-    fallback = float(np.cumsum(y, out=fitted)[-1]) / len(y)
+    if counts is None:
+        # a sequential sum like the cells', not numpy's pairwise np.sum
+        fallback = float(np.cumsum(y, out=fitted)[-1]) / len(y)
+    else:
+        fallback = float(y @ counts) / float(counts.sum())
     return RegressogramModel(edges=edges, cells=cells, means=means,
                              fallback=fallback, k=k, columns=columns,
                              training_error=training_error)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .battery import BatteryReadings, rms_relative_error, sample_interface
-from .collector import DesignMatrix, aggregate_response, collect
+from .collector import DesignMatrix, KeyedRows, aggregate_response
+from .collector import collect, collect_keyed
 from .constructor import EnergyModel, TrainingSet
 from .constructor import fit_regressogram, iterate_construction, stretch
 from .errors import AlignmentError, ConfigurationError, InsufficientDataError
@@ -101,23 +102,51 @@ class RunArtifacts:
     other rate is `true_energy`'s. The rule reads only the grid, so a
     rate's values do not depend on which rate was asked for first.
 
-    Two arrays are kept once built: the design at the scenario's base
-    rate, which a runner both trains and scores on, and the truth at the
-    finest rate, which every coarser truth sums. Any other rate's design
-    or truth is built afresh on each call, so it is held only as long as
-    its caller holds it, and a second call for the same rate pays for it
-    again: a caller that needs one of them twice holds the array it got,
-    as `run_molding` does.
+    A molding or regressogram run holds its finest rate as keyed rows
+    (`keyed`, `collector.KeyedRows`): each fine row's key into the
+    distinct design rows and truths, built once from the trace's runs.
+    Its scoring, fits and, when the base rate is the finest, `stretch`
+    then read the distinct rows and their counts, and the fine truth is
+    gathered through the key whenever a coarser truth sums it. Without
+    keyed rows, as in an adaptation run, two arrays are kept once built:
+    the design at the scenario's base rate and the truth at the finest
+    rate. `design` and `truth` give the same arrays either way. Any
+    other rate's design or truth is built afresh on each call, so it is
+    held only as long as its caller holds it, and a second call for the
+    same rate pays for it again: a caller that needs one of them twice
+    holds the array it got, as `run_molding` does.
     """
 
     scenario: ScenarioConfig
     trace: Trace
     readings: BatteryReadings
 
+    _keyed: KeyedRows | None = None
+    _sums: dict[float, np.ndarray] = field(default_factory=dict)
     _base_design: DesignMatrix | None = None
     _fine_truth: np.ndarray | None = None
 
+    @property
+    def fine_rate_hz(self) -> float:
+        return max(self.scenario.rate_grid)
+
+    def keyed(self) -> KeyedRows:
+        """The finest rate's design and truth as keyed rows, built on the
+        first call and held from then on."""
+        if self._keyed is None:
+            self._keyed = collect_keyed(self.trace, self.scenario.predictors,
+                                        self.fine_rate_hz)
+        return self._keyed
+
+    def base_rows(self) -> DesignMatrix | KeyedRows:
+        """The rows that `stretch` trains on: the keyed rows when the base
+        rate is the finest rate, else `design` at the base rate."""
+        base = self.scenario.base_rate_hz
+        return self.keyed() if base == self.fine_rate_hz else self.design(base)
+
     def design(self, rate_hz: float) -> DesignMatrix:
+        if self._keyed is not None and rate_hz == self.fine_rate_hz:
+            return self._keyed.design()
         if rate_hz != self.scenario.base_rate_hz:
             return collect(self.trace, self.scenario.predictors, rate_hz)
         if self._base_design is None:
@@ -125,19 +154,39 @@ class RunArtifacts:
                 self.trace, self.scenario.predictors, rate_hz)
         return self._base_design
 
+    def _fine_multiple(self, rate_hz: float) -> int | None:
+        """r when `rate_hz`'s interval is a whole number r > 1 of the
+        finest rate's, else None."""
+        tick = self.trace.tick_s
+        k = _ratio_as_int(1.0 / rate_hz, tick, "interval")
+        r, rest = divmod(k, _ratio_as_int(1.0 / self.fine_rate_hz, tick,
+                                          "interval"))
+        return r if r > 1 and not rest else None
+
+    def _sum_fine(self, fine: np.ndarray, rate_hz: float) -> np.ndarray:
+        r = self._fine_multiple(rate_hz)
+        m = len(fine) // r
+        return fine[:m * r].reshape(m, r).sum(axis=1)
+
     def truth(self, rate_hz: float) -> np.ndarray:
-        fine = max(self.scenario.rate_grid)
+        fine = self.fine_rate_hz
         if rate_hz == fine:
+            if self._keyed is not None:
+                return self._keyed.truth()
             if self._fine_truth is None:
                 self._fine_truth = true_energy(self.trace, 1.0 / fine)
             return self._fine_truth
-        tick = self.trace.tick_s
-        k = _ratio_as_int(1.0 / rate_hz, tick, "interval")
-        r, rest = divmod(k, _ratio_as_int(1.0 / fine, tick, "interval"))
-        if r > 1 and not rest:
-            m = len(self.trace) // k
-            return self.truth(fine)[:m * r].reshape(m, r).sum(axis=1)
-        return true_energy(self.trace, 1.0 / rate_hz)
+        if self._fine_multiple(rate_hz) is None:
+            return true_energy(self.trace, 1.0 / rate_hz)
+        if self._keyed is None:
+            return self._sum_fine(self.truth(fine), rate_hz)
+        if rate_hz not in self._sums:
+            # the fine truth is gathered once, for every such grid rate
+            y = self._keyed.truth()
+            self._sums = {rate: self._sum_fine(y, rate)
+                          for rate in {rate_hz, *self.scenario.rate_grid}
+                          if rate != fine and self._fine_multiple(rate)}
+        return self._sums[rate_hz]
 
 
 def simulate(sc: ScenarioConfig) -> RunArtifacts:
@@ -150,15 +199,17 @@ def simulate(sc: ScenarioConfig) -> RunArtifacts:
 
 
 def _interface_rms(readings: BatteryReadings, rate_hz: float,
-                   truth: np.ndarray) -> float | None:
+                   truth) -> float | None:
     """Raw-interface RMS error against `truth` at `rate_hz`, or None when
-    its interval is not a whole number of reading periods."""
+    its interval is not a whole number of reading periods. `truth` is
+    the array, or a function that returns it, called only when needed."""
     interval = 1.0 / rate_hz
     try:
         _ratio_as_int(interval, readings.period_s, "interval")
     except AlignmentError:
         return None
-    return rms_relative_error(aggregate_response(readings, interval), truth)
+    return rms_relative_error(aggregate_response(readings, interval),
+                              truth() if callable(truth) else truth)
 
 
 # Rows per chunk of the scoring pass, sized to a core's 2 MB L2 cache. A
@@ -174,12 +225,14 @@ def _interface_rms(readings: BatteryReadings, rate_hz: float,
 _CHUNK_ROWS = 1 << 13
 
 
-def _weighted_chunks(x: np.ndarray, y: np.ndarray, coefs: np.ndarray):
-    """For each chunk of `_CHUNK_ROWS` rows, B = [A^T; R^T] over its rows
-    with y > 0, one (1 + n + k, rows) array: its first 1 + n rows are
-    A^T = ([1 X] / y)^T, whose first row is w = 1 / y, and its last k
-    rows are R^T = C^T A^T - 1, each column of `coefs` C (1 + n, k)'s
-    relative errors. Chunks with no such row are skipped.
+def _weighted_chunks(x: np.ndarray, y: np.ndarray, coefs: np.ndarray,
+                     counts: np.ndarray | None = None):
+    """For each chunk of `_CHUNK_ROWS` rows, (B, c): B = [A^T; R^T] over
+    its rows with y > 0, one (1 + n + k, rows) array, and c those rows'
+    `counts` (None without counts). B's first 1 + n rows are A^T = ([1
+    X] / y)^T, whose first row is w = 1 / y, and its last k rows are R^T
+    = C^T A^T - 1, each column of `coefs` C (1 + n, k)'s relative
+    errors. Chunks with no such row are skipped.
 
     Every chunk is a view of one buffer that the call allocates once and
     every chunk overwrites: a caller that keeps a chunk past the next one
@@ -197,10 +250,12 @@ def _weighted_chunks(x: np.ndarray, y: np.ndarray, coefs: np.ndarray):
     seen = False
     for start in range(0, len(y), _CHUNK_ROWS):
         xc, yc = x[start:start + _CHUNK_ROWS], y[start:start + _CHUNK_ROWS]
+        cc = None if counts is None else counts[start:start + _CHUNK_ROWS]
         ok = yc > 0
         if not ok.all():
             ok = np.flatnonzero(ok)
             xc, yc = xc[ok], yc[ok]
+            cc = None if cc is None else cc[ok]
         rows = len(yc)
         if not rows:
             continue
@@ -210,28 +265,30 @@ def _weighted_chunks(x: np.ndarray, y: np.ndarray, coefs: np.ndarray):
         np.multiply(xc.T, b[0], out=b[1:n1])
         np.matmul(coefs.T, b[:n1], out=b[n1:])
         b[n1:] -= 1.0
-        yield b
+        yield b, cc
     if not seen:
         raise ConfigurationError("no positive truth values to compare against")
 
 
 def _chunk_sums(x: np.ndarray, y: np.ndarray, coefs: np.ndarray,
-                oracle: bool):
+                oracle: bool, counts: np.ndarray | None = None):
     """One pass over `_weighted_chunks`: the scored row count m, each
     column's sum of squared relative errors SSE, and, only in a pass
     with `oracle` sums (else all 0), G = A^T A and H = A^T R. Each chunk
     adds B A, a GEMM, into one (1 + n + k, 1 + n) sum whose top block is
-    G and whose bottom block is H^T; G and H are views of it."""
+    G and whose bottom block is H^T; G and H are views of it. With
+    `counts`, row i stands for `counts[i]` rows: m = sum c, SSE = sum c
+    r^2 and B A becomes B diag(c) A."""
     n1, k = coefs.shape
     m, sse, gh = 0, np.zeros(k), np.zeros((n1 + k, n1))
-    for b in _weighted_chunks(x, y, coefs):
-        m += b.shape[1]
+    for b, c in _weighted_chunks(x, y, coefs, counts):
+        m += b.shape[1] if c is None else int(c.sum())
         if oracle:
-            gh += b @ b[:n1].T
+            gh += (b if c is None else b * c) @ b[:n1].T
         # squared in place, after the GEMM has read R
         rt = b[n1:]
         rt *= rt
-        sse += rt.sum(axis=1)
+        sse += rt.sum(axis=1) if c is None else rt @ c
     return m, sse, gh[:n1], gh[n1:].T
 
 
@@ -247,8 +304,8 @@ def _chunk_sums(x: np.ndarray, y: np.ndarray, coefs: np.ndarray,
 _ORACLE_COND_BOUND = 1e8
 
 
-def _fit_oracle(x: np.ndarray, y: np.ndarray, sums=None,
-                start=None) -> np.ndarray:
+def _fit_oracle(x: np.ndarray, y: np.ndarray, sums=None, start=None,
+                counts: np.ndarray | None = None) -> np.ndarray:
     """Per-rate linear baseline minimizing the RMS *relative* error.
 
     Weighted least squares with 1/y weights over the rows with y > 0: the
@@ -265,11 +322,13 @@ def _fit_oracle(x: np.ndarray, y: np.ndarray, sums=None,
     `_ORACLE_COND_BOUND`, so G's rounding costs about cond eps of the
     step, not of c. At or above the bound, and when d holds a zero, the
     coefficients are `np.linalg.lstsq(A, 1)` over the whole A, stacked
-    from copies of `_weighted_chunks`' reused chunks.
+    from copies of `_weighted_chunks`' reused chunks. With `counts`, row
+    i stands for `counts[i]` rows, as in `_chunk_sums`, and lstsq weighs
+    each row of A and of 1 by the root of its count.
     """
     n1 = 1 + x.shape[1]
     start = np.reshape(np.zeros(n1) if start is None else start, (n1, -1))
-    _, sse, g, h = sums or _chunk_sums(x, y, start, oracle=True)
+    _, sse, g, h = sums or _chunk_sums(x, y, start, True, counts)
     j = int(np.argmin(sse))
     d = np.sqrt(np.diag(g))
     if d.all():
@@ -277,19 +336,27 @@ def _fit_oracle(x: np.ndarray, y: np.ndarray, sums=None,
         if np.linalg.cond(gs) < _ORACLE_COND_BOUND:
             return start[:, j] - np.linalg.solve(gs, h[:, j] / d) / d
     no_columns = np.empty((n1, 0))
-    a = np.hstack([b.copy()
-                   for b in _weighted_chunks(x, y, no_columns)]).T
-    coef, *_ = np.linalg.lstsq(a, np.ones(len(a)), rcond=None)
+    chunks = [(b.copy(), c)
+              for b, c in _weighted_chunks(x, y, no_columns, counts)]
+    a = np.hstack([b for b, _ in chunks]).T
+    ones = np.ones(len(a))
+    if counts is not None:
+        root = np.sqrt(np.concatenate([c for _, c in chunks]))
+        a *= root[:, None]
+        ones = root
+    coef, *_ = np.linalg.lstsq(a, ones, rcond=None)
     return coef
 
 
 def _affine_rms(x: np.ndarray, y: np.ndarray, coefs: np.ndarray,
-                oracle: bool = False) -> np.ndarray:
+                oracle: bool = False,
+                counts: np.ndarray | None = None) -> np.ndarray:
     """RMS relative error of each affine estimate c0 + x @ c[1:] against
     y over the rows with y > 0, for each column c of `coefs` (1 + n, k),
     and with `oracle` one more, the per-rate oracle's (`_fit_oracle`,
     stepped from these columns), all from one `_chunk_sums` pass; it
-    raises `_weighted_chunks`' typed errors.
+    raises `_weighted_chunks`' typed errors. With `counts`, row i stands
+    for `counts[i]` rows, as keyed rows' do.
 
     Row i's relative error is a_i @ c - 1, a_i being row i of the
     oracle's weighted design. With j the column of least SSE and
@@ -299,11 +366,11 @@ def _affine_rms(x: np.ndarray, y: np.ndarray, coefs: np.ndarray,
     cancels only small terms; an exact fit may round it below 0, read
     as 0.
     """
-    sums = _chunk_sums(x, y, coefs, oracle)
+    sums = _chunk_sums(x, y, coefs, oracle, counts)
     m, sse, g, h = sums
     if oracle:
         j = int(np.argmin(sse))
-        delta = _fit_oracle(x, y, sums, coefs) - coefs[:, j]
+        delta = _fit_oracle(x, y, sums, coefs, counts) - coefs[:, j]
         sse = np.append(sse, max(0.0, sse[j] + 2.0 * (delta @ h[:, j])
                                  + delta @ g @ delta))
     return np.sqrt(sse / m)
@@ -337,8 +404,7 @@ def train_molded_variants(sc: ScenarioConfig,
                           arts: RunArtifacts) -> dict[str, EnergyModel]:
     """Stretch once, then fit the four molded variants on the same rows,
     from one prepared training set and one PCA SVD."""
-    dm_base = arts.design(sc.base_rate_hz)
-    ts = TrainingSet(stretch(dm_base, arts.readings, sc.t_low_s))
+    ts = TrainingSet(stretch(arts.base_rows(), arts.readings, sc.t_low_s))
     models = {
         "molded_no_pca": ts.fit(sc.fit_method, use_pca=False),
         "molded_all_pcs": ts.fit(sc.fit_method),
@@ -348,26 +414,38 @@ def train_molded_variants(sc: ScenarioConfig,
     return models
 
 
+def _scored_rows(arts: RunArtifacts, rate_hz: float):
+    """(x, y, counts) that a runner scores at `rate_hz`: the keyed rows
+    at the finest rate, else the design and truth with no counts."""
+    if rate_hz == arts.fine_rate_hz:
+        keyed = arts.keyed()
+        return keyed.x, keyed.y, keyed.counts
+    return arts.design(rate_hz).x, arts.truth(rate_hz), None
+
+
 def run_molding(sc: ScenarioConfig,
                 out_dir: str | None = None) -> ErrorReport:
     """Molded-model variants vs raw interface vs the per-rate oracle.
 
-    Across the rates the run holds the finest truth and the base-rate
-    design, built in that order, so the truth kernel's temporaries are
-    freed before the design is held; each other rate's design and truth
-    are held only while that rate is scored.
+    The run keys its finest rate first (`RunArtifacts.keyed`) and holds
+    those keyed rows across the rates; it trains on them and scores them
+    with their counts. Each other rate's design and truth are held only
+    while that rate is scored.
     """
     arts = _simulate_as(sc, MOLDING)
-    arts.truth(max(sc.rate_grid))
+    arts.keyed()
     models = train_molded_variants(sc, arts)
     report = ErrorReport(sc.name, sc.seed)
     for rate in sc.rate_grid:
-        truth = arts.truth(rate)
-        report.add(rate, BATTERY_ESTIMATOR,
-                   _interface_rms(arts.readings, rate, truth))
+        x, truth, counts = _scored_rows(arts, rate)
+        # keyed rows hold distinct truths: the interface is scored on
+        # every row's, gathered only if its readings reach this rate
+        report.add(rate, BATTERY_ESTIMATOR, _interface_rms(
+            arts.readings, rate,
+            truth if counts is None else lambda: arts.truth(rate)))
         coefs = np.column_stack([models[name].coefficients(1.0 / rate)
                                  for name in MOLDED_VARIANTS])
-        rms = _affine_rms(arts.design(rate).x, truth, coefs, oracle=True)
+        rms = _affine_rms(x, truth, coefs, oracle=True, counts=counts)
         for name, value in zip(MOLDED_VARIANTS + (ORACLE_ESTIMATOR,), rms):
             report.add(rate, name, float(value))
     _write_outputs(sc, report, out_dir)
@@ -457,21 +535,21 @@ def run_regressogram_compare(sc: ScenarioConfig,
     the battery-fed pipeline. Its row is the fit's in-sample error
     (`RegressogramModel.training_error`): it is scored on the rows it was
     fitted on, so the rows are binned once per rate. The run holds what
-    `run_molding` holds across the rates.
+    `run_molding` holds across the rates, and at the finest rate it fits
+    and scores the keyed rows with their counts.
     """
     arts = _simulate_as(sc, REGRESSOGRAM)
-    arts.truth(max(sc.rate_grid))
-    ts = TrainingSet(
-        stretch(arts.design(sc.base_rate_hz), arts.readings, sc.t_low_s))
+    ts = TrainingSet(stretch(arts.base_rows(), arts.readings, sc.t_low_s))
     linear = ts.fit(sc.fit_method, l=min(sc.pca_l, len(ts.kept)))
+    columns = tuple(spec.id for spec in sc.predictors)
     report = ErrorReport(sc.name, sc.seed)
     for rate in sc.rate_grid:
-        dm, truth = arts.design(rate), arts.truth(rate)
+        x, truth, counts = _scored_rows(arts, rate)
         coef = linear.coefficients(1.0 / rate)[:, None]
         report.add(rate, "linear_molded",
-                   float(_affine_rms(dm.x, truth, coef)[0]))
-        reg = fit_regressogram(dm.x, truth, k=sc.regressogram_k,
-                               columns=dm.columns)
+                   float(_affine_rms(x, truth, coef, counts=counts)[0]))
+        reg = fit_regressogram(x, truth, k=sc.regressogram_k,
+                               columns=columns, counts=counts)
         report.add(rate, "regressogram", reg.training_error)
     _write_outputs(sc, report, out_dir)
     return report

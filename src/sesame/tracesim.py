@@ -450,6 +450,17 @@ class _Grid:
         least = -(-ticks // p) * p + d
         return np.where(ticks > 0, np.minimum(-(-least // k), self.size), 0)
 
+    @property
+    def head(self) -> int:
+        """ceil(d / k), as an interval index: the first interval past
+        which the spans repeat, every one before it 0 but the last."""
+        return min(-(-self.delay // self.step), self.size - 1)
+
+    @property
+    def repeat(self) -> int:
+        """L = p / gcd(k, p), the period of the spans past the head."""
+        return self.period // math.gcd(self.step, self.period)
+
     def times_spans(self, values: np.ndarray) -> None:
         """Multiply each `values[j]` in place by the ticks in the
         interval [ticks[j], ticks[j+1]), j < size - 1.
@@ -457,13 +468,12 @@ class _Grid:
         It holds nothing row-length: past the head, the L spans of one
         period multiply `values` where they repeat, through views.
         """
-        k = self.step
-        head = min(-(-self.delay // k), self.size - 1)
+        head = self.head
         if head:        # every span before index head is 0 but the last
             values[:head - 1] *= 0
             values[head - 1] *= self.ticks_at(head)
         rest = values[head:]
-        repeat = min(self.period // math.gcd(k, self.period), len(rest))
+        repeat = min(self.repeat, len(rest))
         pattern = np.diff(self.ticks_at(
             np.arange(head, head + repeat + 1, dtype=np.int64))).astype(float)
         # one strided pass per span, which every built-in's L of 1 to 4
@@ -543,6 +553,30 @@ class RunLookup:
             return np.repeat(weights[states], self._counts)
         return weights[states[self._run]]
 
+    def changes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(j, states): the increasing query indices where the state held
+        may change, 0 the first, and the state held from each on."""
+        states = self.trace.runs[self.c_idx][1]
+        if self._aligned:       # each run's first query is its own
+            return self._first, states
+        if self._run is None:
+            # a run that holds no query shares its first query with the
+            # next run, or lies past the last query
+            runs = np.flatnonzero(np.diff(self._first, append=self.query.size))
+            return self._first[runs], states[runs]
+        j = np.flatnonzero(self._run[1:] != self._run[:-1]) + 1
+        j = np.concatenate([[0], j])
+        return j, states[self._run[j]]
+
+    def states_at(self, j: np.ndarray) -> np.ndarray:
+        """The state held at the query ticks of the indices `j`."""
+        states = self.trace.runs[self.c_idx][1]
+        if self._run is None:
+            # each run's first query is `_first`; a run holding no query
+            # shares its entry with the next run, which the search takes
+            return states[np.searchsorted(self._first, j, side="right") - 1]
+        return states[self._run[j]]
+
     @cached_property
     def _crossings(self) -> tuple[np.ndarray, ...]:
         """`(k, head, tail, s_head, s_tail, gap, gap_ticks)` of the
@@ -594,6 +628,22 @@ class RunLookup:
         return (cross, head, tail, states[inner - 1], states[last], gap,
                 gap_ticks)
 
+    def crossing_rows(self) -> np.ndarray:
+        """The sorted intervals that cross a run start, whose sums are not
+        their state's weight times their span."""
+        if self._aligned:
+            return np.empty(0, dtype=np.int64)
+        return self._crossings[0]
+
+    def _crossing_sums(self, weights: np.ndarray) -> np.ndarray:
+        """The sum of each of the `crossing_rows`: its head run's part
+        plus its tail run's part, plus the runs it covers whole."""
+        _, head, tail, s_head, s_tail, gap, gap_ticks = self._crossings
+        values = weights[s_head] * head + weights[s_tail] * tail
+        if len(gap):
+            values[gap] += gap_ticks @ weights
+        return values
+
     def sums(self, weights: np.ndarray) -> np.ndarray:
         """Sum of `weights[state]` over ticks [ticks[k], ticks[k+1]) for
         each k.
@@ -608,13 +658,23 @@ class RunLookup:
         # millions of ticks long
         sums = self.at(weights)[:-1]
         self.query.times_spans(sums)
-        if self._aligned:       # no interval crosses a run start
-            return sums
-        cross, head, tail, s_head, s_tail, gap, gap_ticks = self._crossings
-        sums[cross] = weights[s_head] * head + weights[s_tail] * tail
-        if len(gap):
-            sums[cross[gap]] += gap_ticks @ weights
+        if not self._aligned:
+            sums[self._crossings[0]] = self._crossing_sums(weights)
         return sums
+
+    def sums_at(self, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """`sums(weights)[rows]` bit for bit, computed at the interval
+        indices `rows` alone: the same weight times the same span, each
+        span a difference of two query ticks, or the same crossing sum."""
+        rows = np.asarray(rows, dtype=np.int64)
+        values = weights[self.states_at(rows)]
+        values *= self.query.ticks_at(rows + 1) - self.query.ticks_at(rows)
+        cross = self.crossing_rows()
+        if len(cross):
+            at = np.minimum(np.searchsorted(cross, rows), len(cross) - 1)
+            hit = np.flatnonzero(cross[at] == rows)
+            values[hit] = self._crossing_sums(weights)[at[hit]]
+        return values
 
 
 class Trace:
@@ -715,9 +775,19 @@ def true_energy(trace: Trace, interval_s: float) -> np.ndarray:
     k = _ratio_as_int(interval_s, trace.tick_s, "interval")
     # every component's lookup shares the query
     query = _Grid(len(trace) // k, k)
-    parts = (RunLookup(trace, c_idx, query).sums(
-                 np.asarray(comp.state_powers, dtype=float))
-             for c_idx, comp in enumerate(trace.model.components))
+    return _energy(trace, k, (RunLookup(trace, c_idx, query)
+                              for c_idx in range(len(trace.runs))))
+
+
+def _energy(trace: Trace, k: int, lookups, rows: np.ndarray | None = None
+            ) -> np.ndarray:
+    """`true_energy` at intervals of `k` ticks from its `lookups`, one a
+    component, in order; with `rows`, at those intervals alone, equal to
+    the whole result at `rows` bit for bit."""
+    powers = [np.asarray(comp.state_powers, dtype=float)
+              for comp in trace.model.components]
+    parts = (lookup.sums(w) if rows is None else lookup.sums_at(w, rows)
+             for lookup, w in zip(lookups, powers))
     # the first component's sums take the base draw in place: the sum
     # k * base + sums of the first component, as addition commutes
     watt_ticks = next(parts)

@@ -581,6 +581,39 @@ def test_regressogram_training_error_needs_a_positive_response():
     assert model.training_error == in_sample_error(model, x, y) > 0.0
 
 
+def test_regressogram_refuses_column_names_of_another_length():
+    # one name per predictor column: a name short or over is refused, not
+    # stored beside the edges or read as x1 in an error
+    x = np.column_stack([np.linspace(0, 1, 20), np.linspace(1, 2, 20)])
+    y = x.sum(axis=1)
+    for columns in (("a",), ("a", "b", "c")):
+        with pytest.raises(ArgumentError, match="column names"):
+            ss.fit_regressogram(x, y, k=4, columns=columns)
+    assert ss.fit_regressogram(x, y, k=4, columns=("a", "b")).columns == (
+        "a", "b")
+    assert ss.fit_regressogram(x, y, k=4).columns == ("x0", "x1")
+
+
+def test_regressogram_with_counts_equals_the_rows_repeated():
+    # row i with count c fits as c equal rows: the same cells, and means,
+    # error and fallback within roundoff of the repeated rows'
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, (40, 2))
+    y = rng.uniform(0.5, 2.0, 40)
+    counts = rng.integers(1, 9, 40)
+    got = ss.fit_regressogram(x, y, k=3, counts=counts)
+    want = ss.fit_regressogram(np.repeat(x, counts, axis=0),
+                               np.repeat(y, counts), k=3)
+    assert np.array_equal(got.edges, want.edges)
+    assert np.array_equal(got.cells, want.cells)
+    np.testing.assert_allclose(got.means, want.means, rtol=1e-14)
+    assert got.training_error == pytest.approx(want.training_error,
+                                               rel=1e-13)
+    assert got.fallback == pytest.approx(want.fallback, rel=1e-14)
+    with pytest.raises(ArgumentError, match="counts"):
+        ss.fit_regressogram(x, y, k=3, counts=counts[:-1])
+
+
 def test_regressogram_rejects_non_finite_values():
     # the fit reads finiteness from each column's min and max, its edges:
     # a NaN, +inf or -inf in the first or the last column, at its first,

@@ -625,7 +625,9 @@ def test_regressogram_k1_equals_mean_predictor_error():
 
 def test_regressogram_row_is_the_fit_in_sample_error(monkeypatch):
     # each rate's rows are binned once, by the fit, and the row equals the
-    # predict path on those same rows
+    # predict path on those same rows, each weighed by the rows it stands
+    # for where the fit was given counts (the keyed finest rate)
+    from sesame.battery import rms_relative_difference
     import sesame.constructor as con
 
     calls = {"bin": 0, "predict": 0}
@@ -641,8 +643,9 @@ def test_regressogram_row_is_the_fit_in_sample_error(monkeypatch):
         return predict(*args, **kwargs)
 
     def recorded_fit(x, y, **kwargs):
-        fits.append((x, y, fit_regressogram(x, y, **kwargs)))
-        return fits[-1][2]
+        fits.append((x, y, kwargs.get("counts"),
+                     fit_regressogram(x, y, **kwargs)))
+        return fits[-1][3]
 
     monkeypatch.setattr(con, "_bin_rows", counted_bins)
     monkeypatch.setattr(con, "predict_regressogram_rows", counted_predict)
@@ -651,8 +654,10 @@ def test_regressogram_row_is_the_fit_in_sample_error(monkeypatch):
     report = exp.run_regressogram_compare(sc)
     assert calls == {"bin": len(sc.rate_grid), "predict": 0}
     assert len(fits) == len(sc.rate_grid)
-    for rate, (x, y, model) in zip(sc.rate_grid, fits):
-        want = ss.rms_relative_error(predict(model, x), y)
+    assert [counts is not None for _, _, counts, _ in fits] == [
+        rate == max(sc.rate_grid) for rate in sc.rate_grid]
+    for rate, (x, y, counts, model) in zip(sc.rate_grid, fits):
+        want = rms_relative_difference(predict(model, x) - y, y, counts)
         assert report.value(rate, "regressogram") == want
 
 

@@ -1,0 +1,219 @@
+"""Keyed rows: the finest rate held as distinct (x, y) rows and a key.
+
+`collector.collect_keyed` builds each row's key from the trace's runs,
+never from the row values, and computes each key's row once. Every row's
+design row and true energy must then be `collect`'s and `true_energy`'s,
+bit for bit, on every built-in and on random systems, and the stretched
+training rows must be those of the whole design.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import sesame as ss
+import sesame.experiments as exp
+import sesame.scenarios as scn
+from sesame import collector, tracesim
+from sesame.collector import collect, collect_keyed
+
+TICK_S = 1.0        # random systems count in ticks: one tick a second
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The float64 array `a` as its bit patterns, so that -0.0 differs
+    from 0.0 and NaN equals itself."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_keyed(trace: ss.Trace, specs, rate_hz: float) -> collector.KeyedRows:
+    """The keyed rows at `rate_hz` materialise to `collect` and
+    `true_energy` bit for bit, and their counts are the rows per key."""
+    keyed = collect_keyed(trace, specs, rate_hz)
+    dm = collect(trace, specs, rate_hz)
+    assert keyed.m == dm.m and keyed.columns == dm.columns
+    assert np.array_equal(bits(keyed.design().x), bits(dm.x))
+    assert np.array_equal(bits(keyed.truth()),
+                          bits(ss.true_energy(trace, 1.0 / rate_hz)))
+    assert keyed.counts.sum() == dm.m
+    assert np.array_equal(np.bincount(keyed.key, minlength=len(keyed.y)),
+                          keyed.counts)
+    assert len(keyed.x) == len(keyed.y) == len(keyed.counts)
+    for i in range(dm.n):
+        assert np.array_equal(bits(keyed.column(i)), bits(dm.x[:, i]))
+    return keyed
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, make in scn.BUILTIN_SCENARIOS.items()
+    if make().predictors))
+def test_keyed_rows_materialise_on_every_builtin(name):
+    sc = scn.builtin(name)
+    arts = exp.simulate(sc)
+    fine = max(sc.rate_grid)
+    keyed = assert_keyed(arts.trace, sc.predictors, fine)
+    # far fewer keys than rows at the finest rate (1,013 of 300,000 on
+    # t61like) on every built-in
+    assert len(keyed.counts) < keyed.m / 100
+    # stretch reads the keyed rows column by column, to the same bits
+    dm = collect(arts.trace, sc.predictors, fine)
+    got = ss.stretch(keyed, arts.readings, sc.t_low_s)
+    want = ss.stretch(dm, arts.readings, sc.t_low_s)
+    assert np.array_equal(bits(got.x), bits(want.x))
+    assert np.array_equal(bits(got.y), bits(want.y))
+    assert np.array_equal(got.t_start_s, want.t_start_s)
+
+
+def test_run_artifacts_design_and_truth_keep_their_arrays():
+    # a molding run keys its finest rate; design() and truth() still give
+    # collect's and true_energy's arrays there and at every coarser rate
+    sc = scn.builtin("t61like")
+    keyed, plain = exp.simulate(sc), exp.simulate(sc)
+    keyed.keyed()
+    for rate in sc.rate_grid:
+        assert np.array_equal(bits(keyed.design(rate).x),
+                              bits(plain.design(rate).x))
+        assert np.array_equal(bits(keyed.truth(rate)),
+                              bits(plain.truth(rate)))
+
+
+def test_keyed_molding_run_holds_under_10_mb():
+    # the finest rate is held as a key and distinct rows, not as a design:
+    # a t61like molding run's tracemalloc high-water read 6.75 MB with
+    # keyed rows, and 20.6 MB when it held the 100 Hz design; 10 MB is
+    # about 50% headroom over the first figure and half the second
+    sc = scn.builtin("t61like")
+    exp.run_scenario(sc)
+    tracemalloc.start()
+    try:
+        exp.run_scenario(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, f"high-water {peak / 1e6:.2f} MB"
+
+
+def random_system():
+    """A strategy of small systems, their predictors and a fine interval:
+    1-3 components of 1-4 states, each a Markov chain whose step is on or
+    off the interval, or a schedule, over one or two phases; every
+    predictor kind and policy; delays and update periods on and off the
+    interval's grid, polled-slow ones held where their period exceeds
+    the interval."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def draw_system(draw):
+        k = draw(st.integers(1, 6))
+        n_ticks = draw(st.integers(k, 360))
+        comps, procs = [], [{}, {}]
+        n_phases = draw(st.integers(1, 2))
+        for c in range(draw(st.integers(1, 3))):
+            n = draw(st.integers(1, 4))
+            powers = tuple(draw(st.floats(0.0, 9.0)) for _ in range(n))
+            comps.append(ss.Component(f"c{c}", powers))
+            for p in range(n_phases):
+                if draw(st.booleans()):
+                    rows = []
+                    for _ in range(n):
+                        w = [draw(st.floats(0.0, 1.0)) + 1e-3
+                             for _ in range(n)]
+                        rows.append(tuple(x / sum(w) for x in w))
+                    # a step on the interval's grid or off it
+                    step = draw(st.one_of(st.integers(1, 3).map(
+                        lambda r: r * k), st.integers(1, 9)))
+                    procs[p][f"c{c}"] = ss.MarkovChain(
+                        tuple(rows), step_s=float(step),
+                        initial_state=draw(st.integers(0, n - 1)))
+                else:
+                    steps = tuple((float(draw(st.integers(1, 40))),
+                                   draw(st.integers(0, n - 1)))
+                                  for _ in range(draw(st.integers(1, 3))))
+                    procs[p][f"c{c}"] = ss.Schedule(steps)
+        model = ss.ComponentStateModel(tuple(comps),
+                                       base_power_w=draw(st.floats(0.0, 2.0)))
+        cut = draw(st.integers(1, n_ticks))
+        phases = tuple(ss.Phase(f"p{p}", float(cut if p == 0 else n_ticks),
+                                procs[p]) for p in range(n_phases))
+        specs = []
+        for i in range(draw(st.integers(1, 5))):
+            c = draw(st.integers(0, len(comps) - 1))
+            kind = draw(st.sampled_from(
+                [tracesim.RESIDENCY, tracesim.COUNTER, tracesim.LEVEL]))
+            policies = [tracesim.POLLED_FAST, tracesim.POLLED_SLOW]
+            if kind == tracesim.LEVEL:
+                policies.append(tracesim.EVENT_DRIVEN)
+            n = comps[c].n_states
+            weights = {j: draw(st.floats(-3.0, 3.0))
+                       for j in range(n) if draw(st.booleans())} or {0: 1.0}
+            period = draw(st.one_of(st.integers(1, 3).map(lambda r: r * k),
+                                    st.integers(1, 13)))
+            specs.append(ss.PredictorSpec(
+                id=f"s{i}", component=f"c{c}", kind=kind, weights=weights,
+                update_rate_hz=1.0 / period,
+                delay_s=float(draw(st.one_of(st.integers(0, 3).map(
+                    lambda r: r * k), st.integers(0, 40)))),
+                policy=draw(st.sampled_from(policies))))
+        trace = ss.gen_trace(model, ss.WorkloadSpec(phases), float(n_ticks),
+                             TICK_S, draw(st.integers(0, 2**16)))
+        return trace, specs, k
+
+    return draw_system()
+
+
+def test_keyed_rows_materialise_on_random_systems():
+    hypothesis = pytest.importorskip("hypothesis")
+    held = []
+
+    @hypothesis.given(random_system())
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         print_blob=True)
+    def check(case):
+        trace, specs, k = case
+        assert_keyed(trace, specs, 1.0 / k)
+        held.append(any(group[3] for group in collector._groups(
+            trace, specs, k)))
+
+    check()
+    assert any(held)
+
+
+def test_sums_at_equals_sums_at_the_rows():
+    # sums_at(w, rows) is sums(w)[rows] byte for byte on every grid a
+    # random system queries, run-major or by binary search
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.given(random_system(), st.data())
+    @hypothesis.settings(max_examples=40, deadline=None, database=None,
+                         print_blob=True)
+    def check(case, data):
+        trace, specs, k = case
+        m = len(trace) // k
+        lookups = [tracesim.RunLookup(trace, c, tracesim._Grid(m, k))
+                   for c in range(len(trace.runs))]
+        lookups += [collector._group_lookup(trace, group, m, k)
+                    for group in collector._groups(trace, specs, k)]
+        for lookup in lookups:
+            n = lookup.trace.model.components[lookup.c_idx].n_states
+            w = np.linspace(-1.5, 2.5, n)
+            rows = np.array(data.draw(st.lists(
+                st.integers(0, lookup.query.size - 2), max_size=30)),
+                dtype=np.int64)
+            assert np.array_equal(bits(lookup.sums_at(w, rows)),
+                                  bits(lookup.sums(w)[rows]))
+            assert np.array_equal(lookup.states_at(rows),
+                                  lookup.at(np.arange(n))[rows])
+
+    check()
+
+
+def test_shortened_t61like_keeps_its_keyed_values():
+    # a trace cut to a length that is not whole t_low windows keys the
+    # rows past the last window too
+    sc = dataclasses.replace(scn.builtin("t61like"), duration_s=650.0)
+    arts = exp.simulate(sc)
+    assert_keyed(arts.trace, sc.predictors, max(sc.rate_grid))
