@@ -10,6 +10,10 @@ change. The sums come from the truth's own interval-sum kernel
 (`tracesim._Grid`), so no array of grid ticks is built. Every cumulative
 column is written as a rate, so this module is the one place that knows
 predictor units.
+
+`collect_keyed` gives the same design and its true energies as keyed
+rows (`KeyedRows`): each row's key, built from the runs and never from
+the row values, into the distinct rows, each computed once.
 """
 
 from __future__ import annotations
@@ -355,16 +359,20 @@ def _row_keys(m: int, k: int, parts) -> tuple[np.ndarray, np.ndarray,
     code[single] = space            # one code past every other
     lut, _ = _dense(code, space + 1)
     seg = lut[code]
-    del code
-    # singular segments are numbered after the others, each alone
-    n_seg = int(lut[space - 1]) + 1 + len(single)
-    seg[single] = np.arange(n_seg - len(single), n_seg)
-    del lut
+    del code, lut
+    # the singular rows, one segment each, share the last code, and are
+    # keyed alone at the end
+    n_seg = int(seg.max()) + 1
     lengths = np.diff(starts, append=m)
     key = np.repeat(seg * repeat, lengths)
     for ph in range(1, repeat):
         key[ph::repeat] += ph
-    counts = np.bincount(key, minlength=n_seg * repeat)
+    if repeat == 1:
+        counts = np.bincount(seg, weights=lengths).astype(np.int64)
+    else:
+        counts = np.bincount(key, minlength=n_seg * repeat)
+    if len(single):
+        counts[-repeat:] = 0
     # a segment's first `repeat` rows hold each phase that it holds: one
     # segment of each code, as long as that, gives a row of each phase,
     # and the segments shorter than that give the rest
@@ -382,11 +390,16 @@ def _row_keys(m: int, k: int, parts) -> tuple[np.ndarray, np.ndarray,
         rows[seg[ok] * repeat + row % repeat] = row
         short &= lengths > offset
     present = counts > 0
-    if not present.all():
+    n = int(present.sum())
+    if not present[:n].all():
         lut = np.cumsum(present)
         lut -= 1
         np.take(lut, key, out=key, mode="clip")
-    return key, counts[present], rows[present]
+    key[singular] = np.arange(n, n + len(singular))
+    return (key,
+            np.concatenate([counts[present],
+                            np.ones(len(singular), dtype=np.int64)]),
+            np.concatenate([rows[present], singular]))
 
 
 def collect_keyed(trace: Trace, specs: Sequence[PredictorSpec],

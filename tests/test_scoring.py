@@ -41,7 +41,10 @@ from reference import (
     scaled_cond,
     stacked_fit_oracle,
 )
-from sesame.battery import rms_relative_error
+from sesame.battery import (
+    rms_relative_difference,
+    rms_relative_error,
+)
 from sesame.collector import aggregate_response
 from sesame.constructor import TrainingSet, build_model, stretch
 from sesame.errors import AlignmentError, ConfigurationError
@@ -488,3 +491,43 @@ def test_a_grid_that_does_not_nest_takes_true_energy():
     for rate in sc.rate_grid:
         assert np.array_equal(arts.truth(rate),
                               true_energy(arts.trace, 1.0 / rate))
+
+
+def test_counted_rows_score_as_the_rows_repeated(t61):
+    # keyed rows with their counts score, fit the oracle and take its
+    # singular fallback as the whole design does, to roundoff: each sum
+    # weighs a distinct row by its count instead of adding its copies
+    sc, arts, models = t61
+    fine = max(sc.rate_grid)
+    keyed, x, y = arts.keyed(), arts.design(fine).x, arts.truth(fine)
+    coefs = np.column_stack([models[name].coefficients(1.0 / fine)
+                             for name in exp.MOLDED_VARIANTS])
+    np.testing.assert_allclose(
+        exp._affine_rms(keyed.x, keyed.y, coefs, oracle=True,
+                        counts=keyed.counts),
+        exp._affine_rms(x, y, coefs, oracle=True), rtol=1e-12, atol=0)
+
+    # a duplicated first column sends the oracle to its lstsq fallback,
+    # which weighs each distinct row by the root of its count
+    def fallback(x, y, counts=None):
+        # the fit on [X x0], as one on X
+        coef = exp._fit_oracle(np.column_stack([x, x[:, :1]]), y,
+                               counts=counts)
+        return np.concatenate([[coef[0], coef[1] + coef[-1]], coef[2:-1]])
+
+    assert math.isclose(
+        oracle_rms(x, y, fallback(keyed.x, keyed.y, keyed.counts)),
+        oracle_rms(x, y, fallback(x, y)), rel_tol=1e-12, abs_tol=1e-15)
+
+
+def test_counted_relative_difference_equals_the_rows_repeated():
+    rng = np.random.default_rng(7)
+    counts = rng.integers(1, 6, 1001)
+    for name, truth in truths(rng, 1001).items():
+        if name == "nan":
+            continue
+        diff = rng.normal(0.0, 0.1, 1001)
+        want = rms_relative_difference(np.repeat(diff, counts),
+                                       np.repeat(truth, counts))
+        got = rms_relative_difference(diff.copy(), truth, counts)
+        assert math.isclose(got, want, rel_tol=1e-13), name

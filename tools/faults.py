@@ -1,6 +1,7 @@
 """Minor page faults, wall time and heap high-water of the benchmark's runs.
 
     python tools/faults.py WORKLOAD [WORKLOAD ...] [--root ROOT] [--runs N]
+                           [--scale S1,S2,...]
 
 ROOT is a checkout root (default: this checkout); its `perfbench/run.py`
 and `perfbench/workloads.py` are imported, read-only, and its package
@@ -17,11 +18,16 @@ median minor faults of a run (`getrusage`'s `ru_minflt`, taken around
 the arena's median size before and after it (glibc's `mallinfo2`, read
 through `ctypes`; `n/a` where libc lacks it), the median wall time of
 `run_scenario` as the harness times it, and the `tracemalloc` high-water
-of one more run. The exit code is 1 when a run fails its check, else 0.
+of one more run. With `--scale`, each workload runs at each scale s in
+turn, its scenario's duration and every phase's lengthened s times, and
+each line names its scale and simulated seconds; the high-water's growth
+per 1,000 simulated seconds between the first and the last scale
+follows. The exit code is 1 when a run fails its check, else 0.
 """
 
 import argparse
 import ctypes
+import dataclasses
 import math
 import os
 import resource
@@ -67,12 +73,32 @@ def arena_text(before: list[int], after: list[int]) -> str:
             f"{statistics.median(after) / 1e6:.2f} MB)")
 
 
+def scaled(sc, scale: float):
+    """`sc` with its duration and the length of each phase `scale` times
+    as long."""
+    phases = tuple(dataclasses.replace(phase,
+                                       duration_s=phase.duration_s * scale)
+                   for phase in sc.workload.phases)
+    return dataclasses.replace(
+        sc, duration_s=sc.duration_s * scale,
+        workload=dataclasses.replace(sc.workload, phases=phases))
+
+
+def scales(text: str) -> list[float]:
+    values = [float(v) for v in text.split(",")]
+    if not all(v > 0 for v in values):
+        raise argparse.ArgumentTypeError(f"scales must be > 0: {text}")
+    return values
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", nargs="+")
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parents[1])
     parser.add_argument("--runs", type=int, default=15)
+    parser.add_argument("--scale", type=scales, default=None,
+                        help="comma-separated trace-length scales")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")
@@ -95,35 +121,46 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         for name in args.workload:
             workload = workloads.WORKLOADS[name]
-            runner = run.Runner(workload,
-                                workloads.scenario(workload, None),
-                                scratch)
-            runner.run_once()
-            faults, walls, arena_before, arena_after = [], [], [], []
-            for _ in range(args.runs):
-                run.calibrate()
-                if arena:
-                    arena_before.append(arena())
-                before = minflt()
-                wall, _ = runner.run_once()
-                faults.append(minflt() - before)
-                if arena:
-                    arena_after.append(arena())
-                if wall is not None:
-                    walls.append(wall)
-            tracemalloc.start()
-            try:
+            peaks = []
+            for scale in args.scale or [None]:
+                sc = workloads.scenario(workload, None)
+                label = name
+                if scale is not None:
+                    sc = scaled(sc, scale)
+                    label = f"{name} x{scale:g} ({sc.duration_s:g} s)"
+                runner = run.Runner(workload, sc, scratch)
                 runner.run_once()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            failed |= runner.failed > 0
-            wall = statistics.median(walls) * 1e3 if walls else math.nan
-            print(f"{name}: {statistics.median(faults):.0f} minor faults "
-                  f"per run, {arena_text(arena_before, arena_after)}, "
-                  f"median run {wall:.2f} ms, tracemalloc "
-                  f"high-water {peak / 1e6:.2f} MB, {runner.failed} of "
-                  f"{runner.attempted} runs failed")
+                faults, walls, arena_before, arena_after = [], [], [], []
+                for _ in range(args.runs):
+                    run.calibrate()
+                    if arena:
+                        arena_before.append(arena())
+                    before = minflt()
+                    wall, _ = runner.run_once()
+                    faults.append(minflt() - before)
+                    if arena:
+                        arena_after.append(arena())
+                    if wall is not None:
+                        walls.append(wall)
+                tracemalloc.start()
+                try:
+                    runner.run_once()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                peaks.append((sc.duration_s, peak))
+                failed |= runner.failed > 0
+                wall = statistics.median(walls) * 1e3 if walls else math.nan
+                print(f"{label}: {statistics.median(faults):.0f} minor "
+                      f"faults per run, "
+                      f"{arena_text(arena_before, arena_after)}, median run "
+                      f"{wall:.2f} ms, tracemalloc high-water "
+                      f"{peak / 1e6:.2f} MB, {runner.failed} of "
+                      f"{runner.attempted} runs failed")
+            if len(peaks) > 1:
+                (s0, p0), (s1, p1) = peaks[0], peaks[-1]
+                print(f"{name}: high-water {(p1 - p0) / 1e6 / (s1 - s0) * 1e3:.2f}"
+                      f" MB per 1,000 simulated s from {s0:g} to {s1:g} s")
     return 1 if failed else 0
 
 
