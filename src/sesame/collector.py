@@ -247,14 +247,12 @@ def collect(trace: Trace, specs: Sequence[PredictorSpec],
     )
 
 
-def _dense(code: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lut, counts): the dense number of each code below `space` that
-    occurs, in code order, and how often each occurs; one bincount."""
-    counts = np.bincount(code, minlength=space)
-    present = counts > 0
-    lut = np.cumsum(present)
+def _dense(code: np.ndarray, space: int) -> np.ndarray:
+    """The dense number of each code below `space` that occurs, in code
+    order, indexed by code; one bincount."""
+    lut = np.cumsum(np.bincount(code, minlength=space) > 0)
     lut -= 1
-    return lut, counts[present]
+    return lut
 
 
 def _segment_states(starts: np.ndarray, cuts: np.ndarray,
@@ -286,7 +284,7 @@ def _codes(starts: np.ndarray, changes, radices, m: int,
     bound = max(4 * len(starts), 1 << 16)
     for (cuts, states), radix in zip(changes, radices):
         if space * radix > bound:
-            lut, _ = _dense(code, space)
+            lut = _dense(code, space)
             code, space = lut[code], int(lut[-1]) + 1
         code *= radix
         code += _segment_states(starts, cuts, states, m)
@@ -357,7 +355,7 @@ def _row_keys(m: int, k: int, parts) -> tuple[np.ndarray, np.ndarray,
                          space)
     single = np.searchsorted(starts, singular)
     code[single] = space            # one code past every other
-    lut, _ = _dense(code, space + 1)
+    lut = _dense(code, space + 1)
     seg = lut[code]
     del code, lut
     # the singular rows, one segment each, share the last code, and are

@@ -208,16 +208,16 @@ def simulate(sc: ScenarioConfig) -> RunArtifacts:
 
 def _interface_rms(readings: BatteryReadings, rate_hz: float,
                    truth) -> float | None:
-    """Raw-interface RMS error against `truth` at `rate_hz`, or None when
-    its interval is not a whole number of reading periods. `truth` is
-    the array, or a function that returns it, called only when needed."""
+    """Raw-interface RMS error against `truth()`, the truth at `rate_hz`,
+    or None when its interval is not a whole number of reading periods,
+    in which case `truth` is not called."""
     interval = 1.0 / rate_hz
     try:
         _ratio_as_int(interval, readings.period_s, "interval")
     except AlignmentError:
         return None
     return rms_relative_error(aggregate_response(readings, interval),
-                              truth() if callable(truth) else truth)
+                              truth())
 
 
 # Rows per chunk of the scoring pass, sized to a core's 2 MB L2 cache. A
@@ -402,8 +402,8 @@ def run_error_vs_rate(sc: ScenarioConfig,
     arts = _simulate_as(sc, ERROR_VS_RATE)
     report = ErrorReport(sc.name, sc.seed)
     for rate in sc.rate_grid:
-        report.add(rate, BATTERY_ESTIMATOR,
-                   _interface_rms(arts.readings, rate, arts.truth(rate)))
+        report.add(rate, BATTERY_ESTIMATOR, _interface_rms(
+            arts.readings, rate, lambda: arts.truth(rate)))
     _write_outputs(sc, report, out_dir)
     return report
 
@@ -450,7 +450,7 @@ def run_molding(sc: ScenarioConfig,
         # every row's, gathered only if its readings reach this rate
         report.add(rate, BATTERY_ESTIMATOR, _interface_rms(
             arts.readings, rate,
-            truth if counts is None else lambda: arts.truth(rate)))
+            lambda: truth if counts is None else arts.truth(rate)))
         coefs = np.column_stack([models[name].coefficients(1.0 / rate)
                                  for name in MOLDED_VARIANTS])
         rms = _affine_rms(x, truth, coefs, oracle=True, counts=counts)
