@@ -289,7 +289,8 @@ def stretch(dm: DesignMatrix | KeyedRows, readings: BatteryReadings,
     The base rows may be keyed (`KeyedRows`): each column is then
     gathered through the key, one at a time, and averaged as the
     design's own column would be, to the same bits. The windows start at
-    the trace's start, as every collected design does.
+    the design's first start time; keyed rows, like every collected
+    design, start at 0.
     """
     lo, hi = DEFAULT_T_LOW_RANGE
     if not lo <= t_low_s <= hi:
@@ -300,6 +301,7 @@ def stretch(dm: DesignMatrix | KeyedRows, readings: BatteryReadings,
     except AlignmentError as exc:
         raise ArgumentError(str(exc)) from None
     y = aggregate_response(readings, t_low_s)
+    t0 = dm.t_start_s[0] if isinstance(dm, DesignMatrix) else 0.0
     m = min(dm.m // k, len(y))
     if m < dm.n + 2:
         raise InsufficientDataError(
@@ -310,7 +312,7 @@ def stretch(dm: DesignMatrix | KeyedRows, readings: BatteryReadings,
         kinds=dm.kinds,
         x=np.column_stack([dm.column(i)[: m * k].reshape(m, k).mean(axis=1)
                            for i in range(dm.n)]),
-        t_start_s=np.arange(m) * t_low_s,
+        t_start_s=t0 + np.arange(m) * t_low_s,
         y=y[:m],
     )
 

@@ -206,18 +206,23 @@ def simulate(sc: ScenarioConfig) -> RunArtifacts:
     return RunArtifacts(scenario=sc, trace=trace, readings=readings)
 
 
-def _interface_rms(readings: BatteryReadings, rate_hz: float,
-                   truth) -> float | None:
-    """Raw-interface RMS error against `truth()`, the truth at `rate_hz`,
-    or None when its interval is not a whole number of reading periods,
-    in which case `truth` is not called."""
-    interval = 1.0 / rate_hz
+def _whole_readings(readings: BatteryReadings, rate_hz: float) -> bool:
+    """Whether `rate_hz`'s interval is a whole number of reading periods."""
     try:
-        _ratio_as_int(interval, readings.period_s, "interval")
+        _ratio_as_int(1.0 / rate_hz, readings.period_s, "interval")
     except AlignmentError:
+        return False
+    return True
+
+
+def _interface_rms(readings: BatteryReadings, rate_hz: float,
+                   truth: np.ndarray) -> float | None:
+    """Raw-interface RMS error against `truth` at `rate_hz`, or None when
+    its interval is not a whole number of reading periods."""
+    if not _whole_readings(readings, rate_hz):
         return None
-    return rms_relative_error(aggregate_response(readings, interval),
-                              truth())
+    return rms_relative_error(aggregate_response(readings, 1.0 / rate_hz),
+                              truth)
 
 
 # Rows per chunk of the scoring pass, sized to a core's 2 MB L2 cache. A
@@ -402,8 +407,8 @@ def run_error_vs_rate(sc: ScenarioConfig,
     arts = _simulate_as(sc, ERROR_VS_RATE)
     report = ErrorReport(sc.name, sc.seed)
     for rate in sc.rate_grid:
-        report.add(rate, BATTERY_ESTIMATOR, _interface_rms(
-            arts.readings, rate, lambda: arts.truth(rate)))
+        report.add(rate, BATTERY_ESTIMATOR,
+                   _interface_rms(arts.readings, rate, arts.truth(rate)))
     _write_outputs(sc, report, out_dir)
     return report
 
@@ -446,11 +451,14 @@ def run_molding(sc: ScenarioConfig,
     report = ErrorReport(sc.name, sc.seed)
     for rate in sc.rate_grid:
         x, truth, counts = _scored_rows(arts, rate)
-        # keyed rows hold distinct truths: the interface is scored on
-        # every row's, gathered only if its readings reach this rate
-        report.add(rate, BATTERY_ESTIMATOR, _interface_rms(
-            arts.readings, rate,
-            lambda: truth if counts is None else arts.truth(rate)))
+        interface = None
+        if _whole_readings(arts.readings, rate):
+            # keyed rows hold distinct truths: the interface is scored on
+            # every row's, gathered only when the readings reach this rate
+            interface = _interface_rms(
+                arts.readings, rate,
+                truth if counts is None else arts.truth(rate))
+        report.add(rate, BATTERY_ESTIMATOR, interface)
         coefs = np.column_stack([models[name].coefficients(1.0 / rate)
                                  for name in MOLDED_VARIANTS])
         rms = _affine_rms(x, truth, coefs, oracle=True, counts=counts)

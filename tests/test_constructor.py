@@ -223,6 +223,16 @@ def test_stretch_row_count_and_reading_grouping():
     assert np.allclose(low.y, manual, rtol=1e-12)
 
 
+def test_stretch_windows_start_at_the_design_start():
+    model, trace, specs, readings = linear_scenario(duration=1000.0)
+    dm = ss.collect(trace, specs, 100.0)
+    shifted = DesignMatrix(interval_s=dm.interval_s, columns=dm.columns,
+                           kinds=dm.kinds, x=dm.x, t_start_s=dm.t_start_s + 5.0)
+    low = ss.stretch(shifted, readings, 100.0)
+    assert np.array_equal(low.t_start_s, 5.0 + np.arange(10) * 100.0)
+    assert np.array_equal(low.x, ss.stretch(dm, readings, 100.0).x)
+
+
 def test_stretch_range_and_insufficient_rows():
     model, trace, specs, readings = linear_scenario(duration=1000.0)
     dm = ss.collect(trace, specs, 100.0)

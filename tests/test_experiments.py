@@ -573,8 +573,7 @@ def test_n85like_averaging_reproduces_error_drop():
     truth = arts.truth(1.0)
     m = min(len(down), len(truth))
     err1 = ss.rms_relative_error(down[:m], truth[:m])
-    err4 = exp._interface_rms(arts.readings, 4.0,
-                              lambda: arts.truth(4.0))
+    err4 = exp._interface_rms(arts.readings, 4.0, arts.truth(4.0))
     assert 0.30 <= err4 <= 0.36
     assert err1 == pytest.approx(0.10, abs=0.03)
 

@@ -88,6 +88,10 @@ def scales(text: str) -> list[float]:
     values = [float(v) for v in text.split(",")]
     if not all(v > 0 for v in values):
         raise argparse.ArgumentTypeError(f"scales must be > 0: {text}")
+    if len(values) > 1 and values[0] == values[-1]:
+        # the growth per simulated second divides by their difference
+        raise argparse.ArgumentTypeError(
+            f"the first and last scales must differ: {text}")
     return values
 
 
