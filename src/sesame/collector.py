@@ -78,6 +78,11 @@ class DesignMatrix:
         return self.x[:, i]
 
 
+# rows per block of a walk through the key: two block buffers, its keys
+# as intp and a gathered float column, take 512 KB
+_BLOCK_ROWS = 1 << 15
+
+
 @dataclass
 class KeyedRows:
     """A design at one rate and its true energies, held as distinct rows.
@@ -91,7 +96,7 @@ class KeyedRows:
     interval_s: float
     columns: tuple[str, ...]
     kinds: tuple[str, ...]
-    key: np.ndarray                    # (m,) intp, numpy's index type
+    key: np.ndarray                    # (m,) unsigned, as narrow as the keys
     x: np.ndarray                      # (keys, n), column-major
     y: np.ndarray                      # (keys,) joules per interval
     counts: np.ndarray                 # (keys,) rows per key
@@ -104,22 +109,71 @@ class KeyedRows:
     def n(self) -> int:
         return self.x.shape[1]
 
+    def _blocks(self, window: int, rows: int):
+        """Walk the first `rows` rows in blocks of whole `window`-row
+        windows, about `_BLOCK_ROWS` rows each, the last one maybe
+        shorter: yield (lo, key, buf), lo the block's first row, key its
+        rows' keys as numpy's index type and buf a float buffer as long.
+        Both are reused from block to block, so each block's key is cast
+        once, whatever is gathered through it, and nothing row-length is
+        built."""
+        step = max(1, _BLOCK_ROWS // window) * window
+        key = np.empty(min(step, rows), dtype=np.intp)
+        buf = np.empty(len(key))
+        for lo in range(0, rows, step):
+            n = min(step, rows - lo)
+            key[:n] = self.key[lo:lo + n]
+            yield lo, key[:n], buf[:n]
+
+    def _gather(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """`values[key]` into `out`, whole."""
+        for lo, key, _ in self._blocks(1, self.m):
+            # every key is below len(values): the default mode="raise"
+            # would buffer `out` through a temporary
+            np.take(values, key, out=out[lo:lo + len(key)], mode="clip")
+        return out
+
     def column(self, i: int) -> np.ndarray:
         """Column `i` of the design, whole, gathered through the key."""
-        return np.take(self.x[:, i], self.key)
+        return self._gather(self.x[:, i], np.empty(self.m))
 
     def design(self) -> DesignMatrix:
         x = np.empty((self.m, self.n), order="F")
         for i in range(self.n):
-            # every key is below len(x): the default mode="raise" would
-            # buffer `out` through a temporary
-            np.take(self.x[:, i], self.key, out=x[:, i], mode="clip")
+            self._gather(self.x[:, i], x[:, i])
         return DesignMatrix(interval_s=self.interval_s, columns=self.columns,
                             kinds=self.kinds, x=x,
                             t_start_s=np.arange(self.m) * self.interval_s)
 
     def truth(self) -> np.ndarray:
-        return np.take(self.y, self.key)
+        return self._gather(self.y, np.empty(self.m))
+
+    def window_means(self, window: int, count: int) -> np.ndarray:
+        """(count, n): each column's mean over each of the first `count`
+        windows of `window` rows, `column(i)[:count * window].reshape(
+        count, window).mean(axis=1)` bit for bit, as each window's mean
+        reads its own rows alone."""
+        x = np.empty((count, self.n))
+        for lo, key, buf in self._blocks(window, count * window):
+            at = slice(lo // window, (lo + len(key)) // window)
+            for i in range(self.n):
+                np.take(self.x[:, i], key, out=buf, mode="clip")
+                x[at, i] = buf.reshape(-1, window).mean(axis=1)
+        return x
+
+    def truth_sums(self, windows: Sequence[int]) -> list[np.ndarray]:
+        """The truth summed over each whole window of r rows, for each r
+        of `windows`: `truth()[:c * r].reshape(c, r).sum(axis=1)` bit for
+        bit, c = m // r, from one gather of the truth in blocks of whole
+        windows of every r."""
+        step = math.lcm(*windows)
+        sums = [np.empty(self.m // r) for r in windows]
+        for lo, key, buf in self._blocks(step, self.m):
+            np.take(self.y, key, out=buf, mode="clip")
+            for r, out in zip(windows, sums):
+                c = len(buf) // r
+                out[lo // r:lo // r + c] = buf[:c * r].reshape(c, r).sum(axis=1)
+        return sums
 
 
 def _spec_ticks(spec: PredictorSpec, tick_s: float) -> tuple[int, int]:
@@ -314,7 +368,10 @@ def _row_keys(m: int, k: int, parts) -> tuple[np.ndarray, np.ndarray,
     segment's code and its phase j mod L, L the least common multiple of
     the groups' span periods, which fixes every group's phase; the keys
     that occur are numbered densely in code order, and each singular
-    segment's rows are keyed apart.
+    segment's rows are keyed apart. The key is held in the narrowest
+    unsigned type that holds the key count (uint8 for quadratic_cpu's 28
+    keys at 100 Hz, uint16 for t61like's 1,013), so no row-length array
+    is wider than it.
     """
     changes, singular, repeat = [], [], 1
     for lookup, _, spans, period in parts:
@@ -361,13 +418,21 @@ def _row_keys(m: int, k: int, parts) -> tuple[np.ndarray, np.ndarray,
     # keyed alone at the end; a code that only they held has no rows
     n_seg = int(seg.max()) + 1
     lengths = np.diff(starts, append=m)
-    key = np.repeat(seg * repeat, lengths)
+    # a row's key is c * L + ph, its segment's code c and its phase ph,
+    # until the keys that occur are renumbered; it is built in a type that
+    # holds both numberings, and each pass over it casts one block to intp
+    key = (seg * repeat).astype(
+        np.min_scalar_type(n_seg * repeat + len(singular)))
+    key = np.repeat(key, lengths)
     for ph in range(1, repeat):
         key[ph::repeat] += ph
     if repeat == 1:
         counts = np.bincount(seg, weights=lengths).astype(np.int64)
     else:
-        counts = np.bincount(key, minlength=n_seg * repeat)
+        counts = np.zeros(n_seg * repeat, dtype=np.int64)
+        for lo in range(0, m, _BLOCK_ROWS):
+            counts += np.bincount(key[lo:lo + _BLOCK_ROWS],
+                                  minlength=len(counts))
     if len(single):
         counts[-repeat:] = 0
     # a segment's first `repeat` rows hold each phase that it holds: one
@@ -389,10 +454,15 @@ def _row_keys(m: int, k: int, parts) -> tuple[np.ndarray, np.ndarray,
     present = counts > 0
     n = int(present.sum())
     if not present[:n].all():
-        lut = np.cumsum(present)
-        lut -= 1
-        np.take(lut, key, out=key, mode="clip")
+        # the dense number of each present key; a key that no row holds
+        # gets its successor's
+        lut = (np.cumsum(present) - present).astype(key.dtype)
+        for lo in range(0, m, _BLOCK_ROWS):
+            block = key[lo:lo + _BLOCK_ROWS]
+            np.take(lut, block, out=block, mode="clip")
     key[singular] = np.arange(n, n + len(singular))
+    # the narrowest type that holds the key count
+    key = key.astype(np.min_scalar_type(n + len(singular)), copy=False)
     return (key,
             np.concatenate([counts[present],
                             np.ones(len(singular), dtype=np.int64)]),

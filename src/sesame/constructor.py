@@ -287,8 +287,9 @@ def stretch(dm: DesignMatrix | KeyedRows, readings: BatteryReadings,
     Every column averages, as each holds a rate or a level; the response
     comes from aggregating the battery readings over the same windows.
     The base rows may be keyed (`KeyedRows`): each column is then
-    gathered through the key, one at a time, and averaged as the
-    design's own column would be, to the same bits. The windows start at
+    gathered through the key in blocks of whole windows and averaged as
+    the design's own column would be, to the same bits
+    (`KeyedRows.window_means`). The windows start at
     the design's first start time; keyed rows, like every collected
     design, start at 0.
     """
@@ -306,12 +307,16 @@ def stretch(dm: DesignMatrix | KeyedRows, readings: BatteryReadings,
     if m < dm.n + 2:
         raise InsufficientDataError(
             f"stretching yields {m} rows for {dm.n} predictors (need {dm.n + 2})")
+    if isinstance(dm, KeyedRows):
+        x = dm.window_means(k, m)
+    else:
+        x = np.column_stack([dm.column(i)[: m * k].reshape(m, k).mean(axis=1)
+                             for i in range(dm.n)])
     return DesignMatrix(
         interval_s=t_low_s,
         columns=dm.columns,
         kinds=dm.kinds,
-        x=np.column_stack([dm.column(i)[: m * k].reshape(m, k).mean(axis=1)
-                           for i in range(dm.n)]),
+        x=x,
         t_start_s=t0 + np.arange(m) * t_low_s,
         y=y[:m],
     )

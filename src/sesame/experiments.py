@@ -114,8 +114,9 @@ class RunArtifacts:
     (`keyed`, `collector.KeyedRows`): each fine row's key into the
     distinct design rows and truths, built once from the trace's runs.
     Its scoring, fits and, when the base rate is the finest, `stretch`
-    then read the distinct rows and their counts, and the fine truth is
-    gathered through the key whenever a coarser truth sums it. Without
+    then read the distinct rows and their counts, and a coarser truth
+    sums the fine truth as it is gathered through the key, block by
+    block (`KeyedRows.truth_sums`). Without
     keyed rows, as in an adaptation run, two arrays are kept once built:
     the design at the scenario's base rate and the truth at the finest
     rate. `design` and `truth` give the same arrays either way. Any
@@ -171,11 +172,6 @@ class RunArtifacts:
                                           "interval"))
         return r if r > 1 and not rest else None
 
-    def _sum_fine(self, fine: np.ndarray, rate_hz: float) -> np.ndarray:
-        r = self._fine_multiple(rate_hz)
-        m = len(fine) // r
-        return fine[:m * r].reshape(m, r).sum(axis=1)
-
     def truth(self, rate_hz: float) -> np.ndarray:
         fine = self.fine_rate_hz
         if rate_hz == fine:
@@ -187,13 +183,16 @@ class RunArtifacts:
         if self._fine_multiple(rate_hz) is None:
             return true_energy(self.trace, 1.0 / rate_hz)
         if self._keyed is None:
-            return self._sum_fine(self.truth(fine), rate_hz)
+            y, r = self.truth(fine), self._fine_multiple(rate_hz)
+            m = len(y) // r
+            return y[:m * r].reshape(m, r).sum(axis=1)
         if rate_hz not in self._sums:
-            # the fine truth is gathered once, for every such grid rate
-            y = self._keyed.truth()
-            self._sums = {rate: self._sum_fine(y, rate)
-                          for rate in {rate_hz, *self.scenario.rate_grid}
-                          if rate != fine and self._fine_multiple(rate)}
+            # the fine truth is gathered once, in blocks, for every such
+            # grid rate
+            rates = [rate for rate in {rate_hz, *self.scenario.rate_grid}
+                     if rate != fine and self._fine_multiple(rate)]
+            self._sums = dict(zip(rates, self._keyed.truth_sums(
+                [self._fine_multiple(rate) for rate in rates])))
         return self._sums[rate_hz]
 
 

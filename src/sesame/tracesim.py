@@ -623,10 +623,26 @@ class RunLookup:
         gap = np.flatnonzero(last > inner)
         gap_ticks = None
         if len(gap):
-            before = self.trace._ticks_before_runs(self.c_idx)
+            # the table is built here and freed on return: only the gaps'
+            # differences are held
+            before = self._ticks_before_runs()
             gap_ticks = before[last[gap]] - before[inner[gap]]
         return (cross, head, tail, states[inner - 1], states[last], gap,
                 gap_ticks)
+
+    def _ticks_before_runs(self) -> np.ndarray:
+        """(runs, states) int64: ticks held in each state before each run.
+
+        Each lookup that needs it builds it, in three passes whatever the
+        number of states: 0.011 ms for t61like's `act` (254 runs, 7
+        states) and 0.36 ms for its `bridge` (50,029 runs), against 0.047
+        and 0.69 ms with one pass per state (one thread, best of 5)."""
+        starts, states = self.trace.runs[self.c_idx]
+        n_states = self.trace.model.components[self.c_idx].n_states
+        before = np.zeros((len(starts), n_states), dtype=np.int64)
+        before[np.arange(1, len(starts)), states[:-1]] = np.diff(starts)
+        np.cumsum(before, axis=0, out=before)
+        return before
 
     def crossing_rows(self) -> np.ndarray:
         """The sorted intervals that cross a run start, whose sums are not
@@ -709,23 +725,9 @@ class Trace:
         self.tick_s = tick_s
         self.n_ticks = n_ticks
         self.runs = tuple(runs)       # per component: (int64 starts, int16 states)
-        self._before: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.n_ticks
-
-    def _ticks_before_runs(self, c_idx: int) -> np.ndarray:
-        """(runs, states) int64: ticks held in each state before each run."""
-        if c_idx not in self._before:
-            starts, states = self.runs[c_idx]
-            lengths = np.diff(starts, append=self.n_ticks)
-            n_states = self.model.components[c_idx].n_states
-            before = np.zeros((len(starts), n_states), dtype=np.int64)
-            for j in range(n_states):
-                np.cumsum(np.where(states[:-1] == j, lengths[:-1], 0),
-                          out=before[1:, j])
-            self._before[c_idx] = before
-        return self._before[c_idx]
 
     # -- per-tick view, expanded on demand -------------------------------------
 

@@ -102,8 +102,9 @@ def test_noiseless_exact_fits_stay_at_roundoff_at_every_rate(
     # each cumulative column is an exact interval sum, like the truth,
     # not the difference of two large registers, so the exact fits stay
     # at roundoff at the finest rate too; over the pinned seed and seeds
-    # 1-20 the molded rows read at most 7.7e-16 and the oracle 5.2e-15,
-    # half the bound or less (differenced registers read 1.4e-12 at 100 Hz)
+    # 1-20 the molded rows read at most 7.7e-16 and the oracle 1.6e-16
+    # (see the next test), a tenth of the bound or less (differenced
+    # registers read 1.4e-12 at 100 Hz)
     sc, report, _ = noiseless_report
     for est in ("molded_no_pca", "molded_all_pcs", "molded_l2",
                 "external_oracle"):

@@ -8,7 +8,9 @@ training rows must be those of the whole design.
 """
 
 import dataclasses
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -95,6 +97,92 @@ def test_keyed_molding_run_holds_under_10_mb():
     assert peak < 10e6, f"high-water {peak / 1e6:.2f} MB"
 
 
+def high_water(sc) -> int:
+    """The `tracemalloc` high-water of a run of `sc` after a first one."""
+    exp.run_scenario(sc)
+    tracemalloc.start()
+    try:
+        exp.run_scenario(sc)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# with the key in its narrowest type and every gather through it made in
+# blocks, a quadratic_cpu regressogram run read 4.41 MB and a t61like
+# molding run 4.14 MB; with an intp key and whole-array gathers they read
+# 7.47 and 6.75 MB. 5.5 MB is 25% and 33% above the first two, and below
+# both of the last.
+@pytest.mark.parametrize("name", ["quadratic_cpu", "t61like"])
+def test_keyed_run_high_water_stays_under_5_5_mb(name):
+    peak = high_water(scn.builtin(name))
+    assert peak < 5.5e6, f"high-water {peak / 1e6:.2f} MB"
+
+
+def test_builtin_keys_are_held_in_their_narrowest_type():
+    # 28 keys at 100 Hz on quadratic_cpu, 1,013 on t61like
+    for name, dtype in (("quadratic_cpu", np.uint8), ("t61like", np.uint16)):
+        sc = scn.builtin(name)
+        keyed = exp.simulate(sc).keyed()
+        assert keyed.key.dtype == dtype
+        assert keyed.key.dtype == np.min_scalar_type(len(keyed.counts))
+
+
+def whole_means(keyed, window: int, count: int) -> np.ndarray:
+    """`stretch`'s whole-array means of each design column, gathered by
+    fancy indexing, not through the block walk."""
+    return np.column_stack([
+        keyed.x[:, i][keyed.key][:count * window].reshape(
+            count, window).mean(axis=1) for i in range(keyed.n)])
+
+
+def whole_sums(keyed, r: int) -> np.ndarray:
+    """The whole-array sums of the truth over windows of `r` rows."""
+    c = keyed.m // r
+    return keyed.y[keyed.key][:c * r].reshape(c, r).sum(axis=1)
+
+
+def hand_keyed(n_keys: int, m: int) -> collector.KeyedRows:
+    """Keyed rows of `m` rows over `n_keys` random keys, 0 and the last
+    among them, in the type that holds the key count."""
+    rng = np.random.default_rng(n_keys)
+    key = rng.integers(0, n_keys, m)
+    key[0], key[-1] = 0, n_keys - 1
+    counts = np.zeros(n_keys, dtype=np.int64)
+    np.add.at(counts, key, 1)
+    return collector.KeyedRows(
+        interval_s=0.01, columns=("a", "b"), kinds=("residency", "counter"),
+        key=key.astype(np.min_scalar_type(n_keys)),
+        x=np.asfortranarray(rng.standard_normal((n_keys, 2))),
+        y=rng.standard_normal(n_keys) * 1e3, counts=counts)
+
+
+@pytest.mark.parametrize("n_keys, dtype", [
+    (255, np.uint8), (256, np.uint16), (65_535, np.uint16),
+    (65_536, np.uint32)])
+@pytest.mark.parametrize("m, window, windows", [
+    # m a whole number of blocks and not, windows that divide the block
+    # target and not, a window longer than the target
+    (4 * collector._BLOCK_ROWS, 100, [100, 6_000]),
+    (3 * collector._BLOCK_ROWS + 123, 7, [3, 100, 250]),
+    (2 * collector._BLOCK_ROWS + 5, collector._BLOCK_ROWS + 7_232,
+     [40_000, 3])])
+def test_block_walk_equals_the_whole_reductions(n_keys, dtype, m, window,
+                                                windows):
+    keyed = hand_keyed(n_keys, m)
+    assert keyed.key.dtype == dtype
+    assert np.array_equal(np.bincount(keyed.key, minlength=n_keys),
+                          keyed.counts)
+    count = m // window
+    assert np.array_equal(bits(keyed.window_means(window, count)),
+                          bits(whole_means(keyed, window, count)))
+    for r, got in zip(windows, keyed.truth_sums(windows)):
+        assert np.array_equal(bits(got), bits(whole_sums(keyed, r)))
+    assert np.array_equal(bits(keyed.truth()), bits(keyed.y[keyed.key]))
+    assert np.array_equal(bits(keyed.column(1)),
+                          bits(keyed.x[:, 1][keyed.key]))
+
+
 def random_system():
     """A strategy of small systems, their predictors and a fine interval:
     1-3 components of 1-4 states, each a Markov chain whose step is on or
@@ -179,6 +267,53 @@ def test_keyed_rows_materialise_on_random_systems():
 
     check()
     assert any(held)
+
+
+def span_period(trace, specs, k: int) -> int:
+    """L, the span period that phases the keys at intervals of `k` ticks:
+    the lcm of the span periods of the groups that sum their columns."""
+    m = len(trace) // k
+    return math.lcm(1, *(
+        collector._group_lookup(trace, group, m, k).query.repeat
+        for group, columns in collector._groups(trace, specs, k).items()
+        if not group[3] and any(specs[i].kind != tracesim.LEVEL
+                                for i in columns)))
+
+
+def test_block_walk_equals_the_whole_reductions_on_random_systems():
+    # with blocks of a few rows, every walk crosses many blocks: each
+    # block of keys is counted and renumbered alone, phased (L > 1) or
+    # not, and stretch's means and the coarser truth sums read windows
+    # that span blocks, that do not divide them and that exceed them
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    phased = []
+
+    @hypothesis.given(random_system(), st.data())
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         print_blob=True)
+    def check(case, data):
+        trace, specs, k = case
+        block = data.draw(st.sampled_from([1, 2, 5, 16]))
+        with mock.patch.object(collector, "_BLOCK_ROWS", block):
+            keyed = collect_keyed(trace, specs, 1.0 / k)
+            assert keyed.key.dtype == np.min_scalar_type(len(keyed.counts))
+            assert np.array_equal(
+                np.bincount(keyed.key, minlength=len(keyed.y)), keyed.counts)
+            assert np.array_equal(bits(keyed.design().x),
+                                  bits(collect(trace, specs, 1.0 / k).x))
+            window = data.draw(st.integers(1, keyed.m))
+            count = keyed.m // window
+            assert np.array_equal(bits(keyed.window_means(window, count)),
+                                  bits(whole_means(keyed, window, count)))
+            windows = data.draw(st.lists(st.integers(1, keyed.m),
+                                         min_size=1, max_size=3))
+            for r, got in zip(windows, keyed.truth_sums(windows)):
+                assert np.array_equal(bits(got), bits(whole_sums(keyed, r)))
+        phased.append(span_period(trace, specs, k) > 1)
+
+    check()
+    assert any(phased)
 
 
 def test_sums_at_equals_sums_at_the_rows():

@@ -1,7 +1,7 @@
 """Minor page faults, wall time and heap high-water of the benchmark's runs.
 
     python tools/faults.py WORKLOAD [WORKLOAD ...] [--root ROOT] [--runs N]
-                           [--scale S1,S2,...]
+                           [--scale S1,S2,...] [--stages]
 
 ROOT is a checkout root (default: this checkout); its `perfbench/run.py`
 and `perfbench/workloads.py` are imported, read-only, and its package
@@ -22,7 +22,15 @@ of one more run. With `--scale`, each workload runs at each scale s in
 turn, its scenario's duration and every phase's lengthened s times, and
 each line names its scale and simulated seconds; the high-water's growth
 per 1,000 simulated seconds between the first and the last scale
-follows. The exit code is 1 when a run fails its check, else 0.
+follows. With `--stages`, one more run per workload is traced stage by
+stage instead: a stage is a public function that `sesame.experiments`
+imports from the package's other modules, a function that it defines
+(but the runners), or a `RunArtifacts` method, each wrapped in this
+process only. Calls nest; each stage's line gives its calls and its
+largest `tracemalloc` peak above what it started with, and the last
+line names the innermost stage that was running when the run's
+high-water was reached. The exit code is 1 when a run fails its check,
+else 0.
 """
 
 import argparse
@@ -84,6 +92,83 @@ def scaled(sc, scale: float):
         workload=dataclasses.replace(sc.workload, phases=phases))
 
 
+class StagePeaks:
+    """Wraps the stages of a run (see the module docstring) and records
+    each one's `tracemalloc` peak above its start. `tracemalloc`'s peak
+    is read and reset at every stage's entry and exit, so each reading
+    falls within one innermost stage, or between stages."""
+
+    def __init__(self, experiments):
+        self.rise: dict[str, int] = {}
+        self.calls: dict[str, int] = {}
+        self.high, self.setter = 0, None
+        self._open: list[list] = []         # [name, start, peak]
+        self._restore = []
+        for name, value in list(vars(experiments).items()):
+            module = getattr(value, "__module__", "") or ""
+            if (not callable(value) or isinstance(value, type)
+                    or not module.startswith("sesame.")
+                    or name.startswith("run_") or name == "run_scenario"
+                    or (module != experiments.__name__
+                        and name.startswith("_"))):
+                continue
+            self._wrap(experiments, name, value, name)
+        arts = experiments.RunArtifacts
+        for name, value in list(vars(arts).items()):
+            if callable(value) and not name.startswith("__"):
+                self._wrap(arts, name, value, f"RunArtifacts.{name}")
+
+    def _wrap(self, owner, attr: str, fn, label: str) -> None:
+        def stage(*args, **kwargs):
+            self.mark()
+            self._open.append([label, tracemalloc.get_traced_memory()[0], 0])
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.mark()
+                _, start, peak = self._open.pop()
+                self.rise[label] = max(self.rise.get(label, 0), peak - start)
+                self.calls[label] = self.calls.get(label, 0) + 1
+
+        self._restore.append((owner, attr, fn))
+        setattr(owner, attr, stage)
+
+    def mark(self) -> None:
+        """Fold the peak since the last mark into every open stage and the
+        run's high-water, then reset it."""
+        peak = tracemalloc.get_traced_memory()[1]
+        for frame in self._open:
+            frame[2] = max(frame[2], peak)
+        if peak > self.high:
+            self.high = peak
+            self.setter = self._open[-1][0] if self._open else None
+        tracemalloc.reset_peak()
+
+    def restore(self) -> None:
+        while self._restore:
+            setattr(*self._restore.pop())
+
+    def report(self, label: str) -> None:
+        for name in sorted(self.rise, key=self.rise.get, reverse=True):
+            print(f"{label}: {name}: {self.calls[name]} calls, peak "
+                  f"{self.rise[name] / 1e6:.2f} MB above its start")
+        print(f"{label}: high-water {self.high / 1e6:.2f} MB, set in "
+              f"{self.setter or 'no stage'}")
+
+
+def staged_run(runner, experiments, label: str) -> None:
+    """One run of `runner` traced stage by stage, reported."""
+    stages = StagePeaks(experiments)
+    tracemalloc.start()
+    try:
+        runner.run_once()
+        stages.mark()
+    finally:
+        tracemalloc.stop()
+        stages.restore()
+    stages.report(label)
+
+
 def scales(text: str) -> list[float]:
     values = [float(v) for v in text.split(",")]
     if not all(v > 0 for v in values):
@@ -103,6 +188,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--runs", type=int, default=15)
     parser.add_argument("--scale", type=scales, default=None,
                         help="comma-separated trace-length scales")
+    parser.add_argument("--stages", action="store_true",
+                        help="trace one run stage by stage instead")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")
@@ -134,6 +221,11 @@ def main(argv: list[str] | None = None) -> int:
                     label = f"{name} x{scale:g} ({sc.duration_s:g} s)"
                 runner = run.Runner(workload, sc, scratch)
                 runner.run_once()
+                if args.stages:
+                    from sesame import experiments
+                    staged_run(runner, experiments, label)
+                    failed |= runner.failed > 0
+                    continue
                 faults, walls, arena_before, arena_after = [], [], [], []
                 for _ in range(args.runs):
                     run.calibrate()
