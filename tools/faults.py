@@ -26,10 +26,10 @@ follows. With `--stages`, one more run per workload is traced stage by
 stage instead: a stage is a public function that `sesame.experiments`
 imports from the package's other modules, a function that it defines
 (but the runners), or a `RunArtifacts` method, each wrapped in this
-process only. Calls nest; each stage's line gives its calls and its
-largest `tracemalloc` peak above what it started with, and the last
-line names the innermost stage that was running when the run's
-high-water was reached. The exit code is 1 when a run fails its check,
+process only. Calls nest; each stage's line gives its calls, its
+largest `tracemalloc` peak above what it started with and its largest
+peak in all, and the last line names the innermost stage that was
+running when the run's high-water was reached. The exit code is 1 when a run fails its check,
 else 0.
 """
 
@@ -100,6 +100,7 @@ class StagePeaks:
 
     def __init__(self, experiments):
         self.rise: dict[str, int] = {}
+        self.top: dict[str, int] = {}
         self.calls: dict[str, int] = {}
         self.high, self.setter = 0, None
         self._open: list[list] = []         # [name, start, peak]
@@ -128,6 +129,7 @@ class StagePeaks:
                 self.mark()
                 _, start, peak = self._open.pop()
                 self.rise[label] = max(self.rise.get(label, 0), peak - start)
+                self.top[label] = max(self.top.get(label, 0), peak)
                 self.calls[label] = self.calls.get(label, 0) + 1
 
         self._restore.append((owner, attr, fn))
@@ -151,7 +153,8 @@ class StagePeaks:
     def report(self, label: str) -> None:
         for name in sorted(self.rise, key=self.rise.get, reverse=True):
             print(f"{label}: {name}: {self.calls[name]} calls, peak "
-                  f"{self.rise[name] / 1e6:.2f} MB above its start")
+                  f"{self.rise[name] / 1e6:.2f} MB above its start, "
+                  f"{self.top[name] / 1e6:.2f} MB in all")
         print(f"{label}: high-water {self.high / 1e6:.2f} MB, set in "
               f"{self.setter or 'no stage'}")
 
