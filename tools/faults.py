@@ -29,8 +29,8 @@ imports from the package's other modules, a function that it defines
 process only. Calls nest; each stage's line gives its calls, its
 largest `tracemalloc` peak above what it started with and its largest
 peak in all, and the last line names the innermost stage that was
-running when the run's high-water was reached. The exit code is 1 when a run fails its check,
-else 0.
+running when the run's high-water was reached. The exit code is 1 when
+a run fails its check, else 0.
 """
 
 import argparse
@@ -109,7 +109,7 @@ class StagePeaks:
             module = getattr(value, "__module__", "") or ""
             if (not callable(value) or isinstance(value, type)
                     or not module.startswith("sesame.")
-                    or name.startswith("run_") or name == "run_scenario"
+                    or name.startswith("run_")
                     or (module != experiments.__name__
                         and name.startswith("_"))):
                 continue
