@@ -73,6 +73,10 @@ class DesignMatrix:
     def n(self) -> int:
         return self.x.shape[1]
 
+    def column(self, i: int) -> np.ndarray:
+        """Column `i` of x, whole."""
+        return self.x[:, i]
+
 
 # rows per block of a walk through the key: two block buffers, its keys
 # as intp and a gathered float column, take 512 KB
