@@ -418,6 +418,23 @@ def _row_keys(m: int, k: int, parts) -> tuple[np.ndarray, np.ndarray,
     # keyed alone at the end; a code that only they held has no rows
     n_seg = int(seg.max()) + 1
     lengths = np.diff(starts, append=m)
+    # a segment's first `repeat` rows hold each phase that it holds: one
+    # segment of each code, as long as that, gives a row of each phase,
+    # and the segments shorter than that give the rest. They are found
+    # before the key is built, so their temporaries and it never meet.
+    rows = np.empty(n_seg * repeat, dtype=np.int64)
+    short = lengths < repeat
+    whole = np.full(n_seg, -1)
+    whole[seg[~short]] = np.flatnonzero(~short)
+    has = np.flatnonzero(whole >= 0)
+    first = starts[whole[has]]
+    for ph in range(repeat):
+        rows[has * repeat + (first + ph) % repeat] = first + ph
+    for offset in range(1, repeat):
+        ok = np.flatnonzero(short)
+        row = starts[ok] + offset - 1
+        rows[seg[ok] * repeat + row % repeat] = row
+        short &= lengths > offset
     # a row's key is c * L + ph, its segment's code c and its phase ph,
     # until the keys that occur are renumbered; it is built in a type that
     # holds both numberings, and each pass over it casts one block to intp
@@ -435,22 +452,6 @@ def _row_keys(m: int, k: int, parts) -> tuple[np.ndarray, np.ndarray,
                                   minlength=len(counts))
     if len(single):
         counts[-repeat:] = 0
-    # a segment's first `repeat` rows hold each phase that it holds: one
-    # segment of each code, as long as that, gives a row of each phase,
-    # and the segments shorter than that give the rest
-    rows = np.empty(len(counts), dtype=np.int64)
-    short = lengths < repeat
-    whole = np.full(n_seg, -1)
-    whole[seg[~short]] = np.flatnonzero(~short)
-    has = np.flatnonzero(whole >= 0)
-    first = starts[whole[has]]
-    for ph in range(repeat):
-        rows[has * repeat + (first + ph) % repeat] = first + ph
-    for offset in range(1, repeat):
-        ok = np.flatnonzero(short)
-        row = starts[ok] + offset - 1
-        rows[seg[ok] * repeat + row % repeat] = row
-        short &= lengths > offset
     present = counts > 0
     n = int(present.sum())
     if not present[:n].all():
