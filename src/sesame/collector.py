@@ -73,10 +73,6 @@ class DesignMatrix:
     def n(self) -> int:
         return self.x.shape[1]
 
-    def column(self, i: int) -> np.ndarray:
-        """Column `i` of x, whole."""
-        return self.x[:, i]
-
 
 # rows per block of a walk through the key: two block buffers, its keys
 # as intp and a gathered float column, take 512 KB
@@ -133,10 +129,6 @@ class KeyedRows:
             np.take(values, key, out=out[lo:lo + len(key)], mode="clip")
         return out
 
-    def column(self, i: int) -> np.ndarray:
-        """Column `i` of the design, whole, gathered through the key."""
-        return self._gather(self.x[:, i], np.empty(self.m))
-
     def design(self) -> DesignMatrix:
         x = np.empty((self.m, self.n), order="F")
         for i in range(self.n):
@@ -150,7 +142,7 @@ class KeyedRows:
 
     def window_means(self, window: int, count: int) -> np.ndarray:
         """(count, n): each column's mean over each of the first `count`
-        windows of `window` rows, `column(i)[:count * window].reshape(
+        windows of `window` rows, `design().x[:count * window, i].reshape(
         count, window).mean(axis=1)` bit for bit, as each window's mean
         reads its own rows alone."""
         x = np.empty((count, self.n))
@@ -186,14 +178,11 @@ def _spec_ticks(spec: PredictorSpec, tick_s: float) -> tuple[int, int]:
                                 f"{spec.id} update period")
 
 
-def _shape(trace: Trace, specs: Sequence[PredictorSpec],
-           target_rate_hz: float) -> tuple[float, int, int]:
+def _shape(trace: Trace, target_rate_hz: float) -> tuple[float, int, int]:
     """(interval, k, m) of a design at `target_rate_hz`: its interval in
     seconds and in whole ticks, and its number of rows."""
     if target_rate_hz <= 0:
         raise ConfigurationError("target rate must be > 0")
-    if not specs:
-        raise ConfigurationError("no predictors to collect")
     interval = 1.0 / target_rate_hz
     k = _ratio_as_int(interval, trace.tick_s,
                       f"target rate {target_rate_hz:g} Hz interval")
@@ -288,7 +277,9 @@ def collect(trace: Trace, specs: Sequence[PredictorSpec],
     each interval start, on the delayed period grid, divided by the
     period.
     """
-    interval, k, m = _shape(trace, specs, target_rate_hz)
+    if not specs:
+        raise ConfigurationError("no predictors to collect")
+    interval, k, m = _shape(trace, target_rate_hz)
     # column-major: each column is written, and later read, whole
     x = np.empty((m, len(specs)), order="F")
     for group, columns in _groups(trace, specs, k).items():
@@ -482,15 +473,18 @@ def collect_keyed(trace: Trace, specs: Sequence[PredictorSpec],
     are keyed alone. Rows with one key then hold one design row and one
     true energy, bit for bit, which are computed once, at one of their
     rows, with `collect`'s and `true_energy`'s operations in their order.
+    With no predictors, the key follows the components' true states
+    alone and `x` has no columns: the rows hold only the truth.
 
-    It pays only where rows repeat, as they do at 100 Hz; `collect` stays
+    Every run holds its finest rate this way
+    (`experiments.RunArtifacts.keyed`). It pays only where rows repeat, as they do at 100 Hz; `collect` stays
     the path for a design as such. On t61like, `collect` takes 0.9, 1.2
     and 5.3 ms at 1, 10 and 100 Hz, and this with `design()` 6.2, 24.5
     and 12.5 ms, as 3,000 of 3,000 and 26,178 of 30,000 rows are distinct
     at 1 and 10 Hz; on dvs_flip's 45 adaptation windows they take 0.20
     and 0.67 ms.
     """
-    interval, k, m = _shape(trace, specs, target_rate_hz)
+    interval, k, m = _shape(trace, target_rate_hz)
     components = trace.model.components
     query = _Grid(m, k)
     truth = [RunLookup(trace, c_idx, query) for c_idx in range(len(components))]

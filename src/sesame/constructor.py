@@ -310,7 +310,7 @@ def stretch(dm: DesignMatrix | KeyedRows, readings: BatteryReadings,
     if isinstance(dm, KeyedRows):
         x = dm.window_means(k, m)
     else:
-        x = np.column_stack([dm.column(i)[: m * k].reshape(m, k).mean(axis=1)
+        x = np.column_stack([dm.x[: m * k, i].reshape(m, k).mean(axis=1)
                              for i in range(dm.n)])
     return DesignMatrix(
         interval_s=t_low_s,

@@ -8,13 +8,16 @@ per-rate oracle, all affine in the collected rates, in one chunked pass
 over the oracle's weighted design that also sums the oracle's normal
 equations, so the oracle is fitted and scored without a second pass.
 
-A molding or regressogram run holds its finest rate as keyed rows
-(`collector.collect_keyed`): the distinct design rows and truths, a
-count for each, and each row's key into them. It stretches, scores and
-fits that rate from the distinct rows, each weighed by its count, so
-that work follows the trace's runs (1,013 distinct rows of t61like's
-300,000 at 100 Hz), not its length. Every coarser rate is collected and
-scored row by row as before.
+Every run, the first time it asks for its finest rate, holds that rate
+as keyed rows (`collector.collect_keyed`): the distinct design rows and
+truths, a count for each, and each row's key into them. A molding or
+regressogram run stretches, scores and fits that rate from the distinct
+rows, each weighed by its count, so that work follows the trace's runs
+(1,013 distinct rows of t61like's 300,000 at 100 Hz), not its length.
+An error-vs-rate run reads only the truths, and sums the coarser ones
+from the keyed finest rate's (n85like has no predictors, so its key
+follows the truth's runs alone). Every coarser design is collected and
+scored row by row.
 """
 
 from __future__ import annotations
@@ -104,26 +107,23 @@ class ErrorReport:
 class RunArtifacts:
     """Shared simulation products for one scenario run.
 
-    The truth at the finest rate of the scenario's grid is `true_energy`'s.
-    A rate whose interval is a whole number r > 1 of that rate's sums r
-    of its rows at a time, within a few roundings of `true_energy`; any
-    other rate is `true_energy`'s. The rule reads only the grid, so a
-    rate's values do not depend on which rate was asked for first.
+    The finest rate of the scenario's grid is held as keyed rows (`keyed`,
+    `collector.KeyedRows`), built the first time the run asks for that
+    rate: each fine row's key into the distinct design rows and truths,
+    built once from the trace's runs. Its design and truth are
+    `collect`'s and `true_energy`'s, bit for bit. A rate whose interval
+    is a whole number r > 1 of the finest rate's sums r of its rows at a
+    time, within a few roundings of `true_energy`, as the fine truth is
+    gathered through the key, block by block (`KeyedRows.truth_sums`);
+    those sums are held once built. Any other rate's truth is
+    `true_energy`'s. The rule reads only the grid, so a rate's values do
+    not depend on which rate was asked for first.
 
-    A molding or regressogram run holds its finest rate as keyed rows
-    (`keyed`, `collector.KeyedRows`): each fine row's key into the
-    distinct design rows and truths, built once from the trace's runs.
-    Its scoring, fits and, when the base rate is the finest, `stretch`
-    then read the distinct rows and their counts, and a coarser truth
-    sums the fine truth as it is gathered through the key, block by
-    block (`KeyedRows.truth_sums`). Without
-    keyed rows, as in an adaptation run, two arrays are kept once built:
-    the design at the scenario's base rate and the truth at the finest
-    rate. `design` and `truth` give the same arrays either way. Any
-    other rate's design or truth is built afresh on each call, so it is
-    held only as long as its caller holds it, and a second call for the
-    same rate pays for it again: a caller that needs one of them twice
-    holds the array it got, as `run_molding` does.
+    Scoring, fits and, when the base rate is the finest, `stretch` read
+    the distinct rows and their counts. Any other rate's design, and a
+    truth that no grid rate nests in, is built afresh on each call, so it
+    is held only as long as its caller holds it, and a second call for
+    the same rate pays for it again.
     """
 
     scenario: ScenarioConfig
@@ -132,8 +132,6 @@ class RunArtifacts:
 
     _keyed: KeyedRows | None = None
     _sums: dict[float, np.ndarray] = field(default_factory=dict)
-    _base_design: DesignMatrix | None = None
-    _fine_truth: np.ndarray | None = None
 
     @property
     def fine_rate_hz(self) -> float:
@@ -154,14 +152,9 @@ class RunArtifacts:
         return self.keyed() if base == self.fine_rate_hz else self.design(base)
 
     def design(self, rate_hz: float) -> DesignMatrix:
-        if self._keyed is not None and rate_hz == self.fine_rate_hz:
-            return self._keyed.design()
-        if rate_hz != self.scenario.base_rate_hz:
-            return collect(self.trace, self.scenario.predictors, rate_hz)
-        if self._base_design is None:
-            self._base_design = collect(
-                self.trace, self.scenario.predictors, rate_hz)
-        return self._base_design
+        if rate_hz == self.fine_rate_hz:
+            return self.keyed().design()
+        return collect(self.trace, self.scenario.predictors, rate_hz)
 
     def _fine_multiple(self, rate_hz: float) -> int | None:
         """r when `rate_hz`'s interval is a whole number r > 1 of the
@@ -173,25 +166,17 @@ class RunArtifacts:
         return r if r > 1 and not rest else None
 
     def truth(self, rate_hz: float) -> np.ndarray:
-        fine = self.fine_rate_hz
-        if rate_hz == fine:
-            if self._keyed is not None:
-                return self._keyed.truth()
-            if self._fine_truth is None:
-                self._fine_truth = true_energy(self.trace, 1.0 / fine)
-            return self._fine_truth
+        if rate_hz == self.fine_rate_hz:
+            return self.keyed().truth()
         if self._fine_multiple(rate_hz) is None:
             return true_energy(self.trace, 1.0 / rate_hz)
-        if self._keyed is None:
-            y, r = self.truth(fine), self._fine_multiple(rate_hz)
-            m = len(y) // r
-            return y[:m * r].reshape(m, r).sum(axis=1)
         if rate_hz not in self._sums:
             # the fine truth is gathered once, in blocks, for every such
             # grid rate
             rates = [rate for rate in {rate_hz, *self.scenario.rate_grid}
-                     if rate != fine and self._fine_multiple(rate)]
-            self._sums = dict(zip(rates, self._keyed.truth_sums(
+                     if rate != self.fine_rate_hz
+                     and self._fine_multiple(rate)]
+            self._sums = dict(zip(rates, self.keyed().truth_sums(
                 [self._fine_multiple(rate) for rate in rates])))
         return self._sums[rate_hz]
 
@@ -205,23 +190,18 @@ def simulate(sc: ScenarioConfig) -> RunArtifacts:
     return RunArtifacts(scenario=sc, trace=trace, readings=readings)
 
 
-def _whole_readings(readings: BatteryReadings, rate_hz: float) -> bool:
-    """Whether `rate_hz`'s interval is a whole number of reading periods."""
+def _interface_rms(arts: RunArtifacts, rate_hz: float) -> float | None:
+    """Raw-interface RMS error against `arts`' truth at `rate_hz`, or None
+    when its interval is not a whole number of reading periods; the truth
+    is built, or gathered through the key, only when the readings reach
+    that rate."""
+    readings = arts.readings
     try:
         _ratio_as_int(1.0 / rate_hz, readings.period_s, "interval")
     except AlignmentError:
-        return False
-    return True
-
-
-def _interface_rms(readings: BatteryReadings, rate_hz: float,
-                   truth: np.ndarray) -> float | None:
-    """Raw-interface RMS error against `truth` at `rate_hz`, or None when
-    its interval is not a whole number of reading periods."""
-    if not _whole_readings(readings, rate_hz):
         return None
     return rms_relative_error(aggregate_response(readings, 1.0 / rate_hz),
-                              truth)
+                              arts.truth(rate_hz))
 
 
 # Rows per chunk of the scoring pass, sized to a core's 2 MB L2 cache. A
@@ -406,8 +386,7 @@ def run_error_vs_rate(sc: ScenarioConfig,
     arts = _simulate_as(sc, ERROR_VS_RATE)
     report = ErrorReport(sc.name, sc.seed)
     for rate in sc.rate_grid:
-        report.add(rate, BATTERY_ESTIMATOR,
-                   _interface_rms(arts.readings, rate, arts.truth(rate)))
+        report.add(rate, BATTERY_ESTIMATOR, _interface_rms(arts, rate))
     _write_outputs(sc, report, out_dir)
     return report
 
@@ -450,14 +429,7 @@ def run_molding(sc: ScenarioConfig,
     report = ErrorReport(sc.name, sc.seed)
     for rate in sc.rate_grid:
         x, truth, counts = _scored_rows(arts, rate)
-        interface = None
-        if _whole_readings(arts.readings, rate):
-            # keyed rows hold distinct truths: the interface is scored on
-            # every row's, gathered only when the readings reach this rate
-            interface = _interface_rms(
-                arts.readings, rate,
-                truth if counts is None else arts.truth(rate))
-        report.add(rate, BATTERY_ESTIMATOR, interface)
+        report.add(rate, BATTERY_ESTIMATOR, _interface_rms(arts, rate))
         coefs = np.column_stack([models[name].coefficients(1.0 / rate)
                                  for name in MOLDED_VARIANTS])
         rms = _affine_rms(x, truth, coefs, oracle=True, counts=counts)

@@ -43,8 +43,6 @@ def assert_keyed(trace: ss.Trace, specs, rate_hz: float) -> collector.KeyedRows:
     assert np.array_equal(np.bincount(keyed.key, minlength=len(keyed.y)),
                           keyed.counts)
     assert len(keyed.x) == len(keyed.y) == len(keyed.counts)
-    for i in range(dm.n):
-        assert np.array_equal(bits(keyed.column(i)), bits(dm.x[:, i]))
     return keyed
 
 
@@ -69,16 +67,21 @@ def test_keyed_rows_materialise_on_every_builtin(name):
 
 
 def test_run_artifacts_design_and_truth_keep_their_arrays():
-    # a molding run keys its finest rate; design() and truth() still give
-    # collect's and true_energy's arrays there and at every coarser rate
+    # a run keys its finest rate; design() still gives collect's arrays
+    # at every rate, and truth() true_energy's at the finest rate and its
+    # sums, within a few roundings, at every coarser one
     sc = scn.builtin("t61like")
-    keyed, plain = exp.simulate(sc), exp.simulate(sc)
-    keyed.keyed()
+    arts = exp.simulate(sc)
+    fine = max(sc.rate_grid)
     for rate in sc.rate_grid:
-        assert np.array_equal(bits(keyed.design(rate).x),
-                              bits(plain.design(rate).x))
-        assert np.array_equal(bits(keyed.truth(rate)),
-                              bits(plain.truth(rate)))
+        assert np.array_equal(bits(arts.design(rate).x),
+                              bits(collect(arts.trace, sc.predictors, rate).x))
+        want = ss.true_energy(arts.trace, 1.0 / rate)
+        if rate == fine:
+            assert np.array_equal(bits(arts.truth(rate)), bits(want))
+        else:
+            np.testing.assert_allclose(arts.truth(rate), want, rtol=4e-15,
+                                       atol=0)
 
 
 def test_keyed_molding_run_holds_under_10_mb():
@@ -179,8 +182,7 @@ def test_block_walk_equals_the_whole_reductions(n_keys, dtype, m, window,
     for r, got in zip(windows, keyed.truth_sums(windows)):
         assert np.array_equal(bits(got), bits(whole_sums(keyed, r)))
     assert np.array_equal(bits(keyed.truth()), bits(keyed.y[keyed.key]))
-    assert np.array_equal(bits(keyed.column(1)),
-                          bits(keyed.x[:, 1][keyed.key]))
+    assert np.array_equal(bits(keyed.design().x), bits(keyed.x[keyed.key]))
 
 
 def random_system():
@@ -267,6 +269,35 @@ def test_keyed_rows_materialise_on_random_systems():
 
     check()
     assert any(held)
+
+
+def test_keyed_truth_alone_on_random_systems(monkeypatch):
+    # with no predictors the rows hold the truth alone, keyed by the
+    # components' states: an error-vs-rate run keys its finest rate so
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.given(random_system())
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         print_blob=True)
+    def check(case):
+        trace, _, k = case
+        keyed = collect_keyed(trace, (), 1.0 / k)
+        assert np.array_equal(bits(keyed.truth()),
+                              bits(ss.true_energy(trace, float(k))))
+        assert keyed.counts.sum() == keyed.m == len(trace) // k
+        assert keyed.x.shape == (len(keyed.y), 0)
+        assert keyed.design().x.shape == (keyed.m, 0)
+
+    check()
+    keyed, collect_keyed_ = [], exp.collect_keyed
+
+    def counted(trace, predictors, rate_hz):
+        keyed.append((len(predictors), rate_hz))
+        return collect_keyed_(trace, predictors, rate_hz)
+
+    monkeypatch.setattr(exp, "collect_keyed", counted)
+    exp.run_error_vs_rate(scn.builtin("n85like"))
+    assert keyed == [(0, 4.0)]
 
 
 def span_period(trace, specs, k: int) -> int:

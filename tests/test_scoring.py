@@ -427,61 +427,70 @@ def test_regressogram_linear_model_is_capped_at_pca_l(pca_l):
 
 
 @pytest.mark.parametrize("name", sorted(scn.BUILTIN_SCENARIOS))
-def test_coarser_truths_sum_the_finest_rate(name, monkeypatch):
-    # every built-in grid nests, so only the finest rate runs the kernel,
-    # whichever rate is asked for first
+def test_coarser_truths_sum_the_finest_rate(name):
+    # every built-in grid nests, so each coarser truth sums the finest
+    # rate's, whichever rate is asked for first
     sc = scn.builtin(name)
     arts = exp.simulate(sc)
     fine = max(sc.rate_grid)
-    want = {rate: true_energy(arts.trace, 1.0 / rate) for rate in sc.rate_grid}
-    calls = []
-
-    def counted(trace, interval_s):
-        calls.append(interval_s)
-        return true_energy(trace, interval_s)
-
-    monkeypatch.setattr(exp, "true_energy", counted)
     for rate in sorted(sc.rate_grid):
-        got = arts.truth(rate)
+        got, want = arts.truth(rate), true_energy(arts.trace, 1.0 / rate)
         if rate == fine:
-            assert np.array_equal(got, want[rate])
+            assert np.array_equal(got, want)
         else:
-            np.testing.assert_allclose(got, want[rate], rtol=4e-15, atol=0)
+            np.testing.assert_allclose(got, want, rtol=4e-15, atol=0)
     fine_first = exp.RunArtifacts(sc, arts.trace, arts.readings)
     for rate in sorted(sc.rate_grid, reverse=True):
         assert np.array_equal(fine_first.truth(rate), arts.truth(rate))
-    assert calls == [1.0 / fine] * 2
 
 
-def test_artifacts_keep_the_base_design_and_the_finest_truth_only(
-        monkeypatch):
-    # the base-rate design and the finest truth are built once and the
-    # same object on every call; any other rate's design and truth are
-    # built again on each call, new arrays equal to the first
+def test_artifacts_key_the_finest_rate_once(monkeypatch):
+    # the finest rate is keyed once per run, whichever rate is asked for
+    # first, and its design and truth are collect's and true_energy's;
+    # the coarser truths are its sums, held once built, and any other
+    # rate's design is built again on each call
     sc = shortened("t61like")
     arts = exp.simulate(sc)
     fine = max(sc.rate_grid)
+    keyed, collect_keyed = [], exp.collect_keyed
     built, collect = [], exp.collect
+
+    def counted_keyed(trace, predictors, rate_hz):
+        keyed.append(rate_hz)
+        return collect_keyed(trace, predictors, rate_hz)
 
     def counted(trace, predictors, rate_hz):
         built.append(rate_hz)
         return collect(trace, predictors, rate_hz)
 
+    monkeypatch.setattr(exp, "collect_keyed", counted_keyed)
     monkeypatch.setattr(exp, "collect", counted)
     rates = sorted({sc.base_rate_hz, *sc.rate_grid})
-    assert sc.base_rate_hz in rates and fine in rates and len(rates) > 2
+    assert fine in rates and len(rates) > 2
+    for first in rates:
+        keyed.clear()
+        run = exp.RunArtifacts(sc, arts.trace, arts.readings)
+        run.truth(first)
+        for rate in rates:
+            run.design(rate)
+            run.truth(rate)
+        assert keyed == [fine]
+    assert np.array_equal(run.design(fine).x,
+                          collect(arts.trace, sc.predictors, fine).x)
+    assert np.array_equal(run.truth(fine), true_energy(arts.trace, 1.0 / fine))
     for rate in rates:
-        first, second = arts.design(rate), arts.design(rate)
-        kept = rate == sc.base_rate_hz
-        assert (first is second) == kept
+        if rate == fine:
+            continue
+        np.testing.assert_allclose(run.truth(rate),
+                                   true_energy(arts.trace, 1.0 / rate),
+                                   rtol=4e-15, atol=0)
+        assert run.truth(rate) is run.truth(rate)
+        built.clear()
+        first, second = run.design(rate), run.design(rate)
+        assert built == [rate, rate]
+        assert not np.shares_memory(first.x, second.x)
         assert np.array_equal(first.x, second.x)
-        assert np.shares_memory(first.x, second.x) == kept
-        assert built.count(rate) == (1 if kept else 2)
-        first, second = arts.truth(rate), arts.truth(rate)
-        kept = rate == fine
-        assert (first is second) == kept
-        assert np.array_equal(first, second)
-        assert np.shares_memory(first, second) == kept
+    assert keyed == [fine]
 
 
 def test_a_grid_that_does_not_nest_takes_true_energy():
