@@ -108,11 +108,11 @@ class RunArtifacts:
     """Shared simulation products for one scenario run.
 
     The finest rate of the scenario's grid is held as keyed rows (`keyed`,
-    `collector.KeyedRows`), built the first time the run asks for that
-    rate: each fine row's key into the distinct design rows and truths,
-    built once from the trace's runs. Its design and truth are
-    `collect`'s and `true_energy`'s, bit for bit. A rate whose interval
-    is a whole number r > 1 of the finest rate's sums r of its rows at a
+    `collector.KeyedRows`), built from the trace's runs the first time
+    the run asks for that rate: each fine row's key into the distinct
+    design rows and truths. Its design and truth are `collect`'s and
+    `true_energy`'s, bit for bit. The truth at a rate whose interval is a
+    whole number r > 1 of the finest rate's sums r of its rows at a
     time, within a few roundings of `true_energy`, as the fine truth is
     gathered through the key, block by block (`KeyedRows.truth_sums`);
     those sums are held once built. Any other rate's truth is
@@ -120,10 +120,10 @@ class RunArtifacts:
     not depend on which rate was asked for first.
 
     Scoring, fits and, when the base rate is the finest, `stretch` read
-    the distinct rows and their counts. Any other rate's design, and a
-    truth that no grid rate nests in, is built afresh on each call, so it
-    is held only as long as its caller holds it, and a second call for
-    the same rate pays for it again.
+    the distinct rows and their counts. Any other rate's design, and
+    `true_energy`'s truths, are built afresh on each call, so each is
+    held only as long as its caller holds it, and a second call for the
+    same rate pays for it again.
     """
 
     scenario: ScenarioConfig
@@ -174,8 +174,7 @@ class RunArtifacts:
             # the fine truth is gathered once, in blocks, for every such
             # grid rate
             rates = [rate for rate in {rate_hz, *self.scenario.rate_grid}
-                     if rate != self.fine_rate_hz
-                     and self._fine_multiple(rate)]
+                     if self._fine_multiple(rate)]
             self._sums = dict(zip(rates, self.keyed().truth_sums(
                 [self._fine_multiple(rate) for rate in rates])))
         return self._sums[rate_hz]
