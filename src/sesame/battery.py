@@ -5,11 +5,21 @@ current over the reading period that just ended, `filtered` reports a
 trailing moving average of internal samples (the laptop-style low-pass
 register), and `capacity` reports remaining charge so that the consumer
 has to difference two readings to get a mean current.
+
+Each sampler reads the true energy of every whole reading period (for
+the filtered kind, of every tap spacing) from a truth it is given.
+`sample_interface` gives it `true_energy` at that period. A run that
+keys its finest rate gives it the run's own truth (`sample_truth` with
+`experiments.RunArtifacts.truth`), the keyed finest rate's sums wherever
+the period is a whole multiple of the finest interval, so the readings
+and the scores share one source; those sums agree with `true_energy` to
+a few roundings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,6 +29,10 @@ from .tracesim import Trace, _check_seed, _ratio_as_int, true_energy
 INSTANT = "instant"
 FILTERED = "filtered"
 CAPACITY = "capacity"
+
+# a run's truth: the energy of every whole interval of 1 / rate_hz
+# seconds, in joules
+Truth = Callable[[float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -79,16 +93,17 @@ class BatteryReadings:
         return len(self.values)
 
 
-def _sample_instant(trace: Trace, model: BatteryInterfaceModel,
-                    seed: int) -> BatteryReadings:
-    """Instant-kind readings at the model's rate.
+def _sample_instant(energy: np.ndarray, model: BatteryInterfaceModel,
+                    seed: int) -> np.ndarray:
+    """Instant-kind readings at the model's rate, from the true `energy`
+    of each reading period.
 
     Reading k, taken at t = (k + 1) / rate, is the true mean current over
     the reading period ending at t, times (1 + noise), plus the
     telescoped charge-register error.
     """
     period = 1.0 / model.reading_rate_hz
-    exposed = true_energy(trace, period) / period / model.supply_voltage_v
+    exposed = energy / period / model.supply_voltage_v
     n_read = len(exposed)
     rng = np.random.default_rng(seed)
     if model.noise_sigma > 0:
@@ -96,61 +111,91 @@ def _sample_instant(trace: Trace, model: BatteryInterfaceModel,
     if model.counter_sigma_c > 0:
         eta = rng.normal(0.0, model.counter_sigma_c, n_read + 1)
         exposed = exposed + np.diff(eta) * model.reading_rate_hz
-    return BatteryReadings(model, exposed)
+    return exposed
 
 
-def _sample_filtered(trace: Trace, model: BatteryInterfaceModel,
-                     seed: int) -> BatteryReadings:
-    """Filtered-kind readings: trailing mean of the last `taps` internal samples.
+def _sample_filtered(energy: np.ndarray, model: BatteryInterfaceModel,
+                     seed: int) -> np.ndarray:
+    """Filtered-kind register: trailing mean of the last `taps` internal
+    samples, at the end of each tap spacing, from the true `energy` of
+    each spacing; item i is the mean ending at time i * spacing, so the
+    first, at t = 0, is 0.
 
     Internal samples sit window/taps apart, each the true mean current of
     its own sub-window with multiplicative noise. Samples from before the
     trace start are zero, so a step input needs a full window to settle.
     """
-    spacing = model.filter_window_s / model.filter_taps
-    samples = true_energy(trace, spacing) / spacing / model.supply_voltage_v
+    spacing = _tap_spacing(model)
+    samples = energy / spacing / model.supply_voltage_v
     rng = np.random.default_rng(seed)
     if model.noise_sigma > 0:
         samples = samples * (1.0 + rng.normal(0.0, model.noise_sigma, len(samples)))
     padded = np.concatenate([np.zeros(model.filter_taps), samples])
     cum = np.concatenate([[0.0], np.cumsum(padded)])
-    trailing = (cum[model.filter_taps:] - cum[:-model.filter_taps]) / model.filter_taps
-    # trailing[i] = mean of taps internal samples ending at time i*spacing
-    per_read = _ratio_as_int(1.0 / model.reading_rate_hz, trace.tick_s,
-                             "reading period")
-    per_sample = _ratio_as_int(spacing, trace.tick_s, "filter tap spacing")
-    ends = np.arange(1, len(trace) // per_read + 1) * per_read
-    return BatteryReadings(model, trailing[ends // per_sample])
+    return (cum[model.filter_taps:] - cum[:-model.filter_taps]) / model.filter_taps
 
 
-def _sample_capacity(trace: Trace, model: BatteryInterfaceModel,
-                     seed: int) -> BatteryReadings:
+def _sample_capacity(energy: np.ndarray, model: BatteryInterfaceModel,
+                     seed: int) -> np.ndarray:
     """Capacity-kind readings: remaining charge, with multiplicative noise.
 
     The charge register integrates the same per-period energy that the
     instant sampler reads: charge drawn is the running sum of the true
-    energy per reading period, over the supply voltage. Includes a
+    `energy` per reading period, over the supply voltage. Includes a
     reading at t = 0 so consumers can difference whole windows.
     """
-    energy = true_energy(trace, 1.0 / model.reading_rate_hz)
     charge = np.concatenate([[0.0], np.cumsum(energy)]) / model.supply_voltage_v
     levels = model.initial_capacity_c - charge
     rng = np.random.default_rng(seed)
     if model.noise_sigma > 0:
         levels = levels * (1.0 + rng.normal(0.0, model.noise_sigma, len(levels)))
-    return BatteryReadings(model, levels)
+    return levels
+
+
+def _tap_spacing(model: BatteryInterfaceModel) -> float:
+    return model.filter_window_s / model.filter_taps
 
 
 _SAMPLERS = {INSTANT: _sample_instant, FILTERED: _sample_filtered,
              CAPACITY: _sample_capacity}
 
 
+def truth_rate(model: BatteryInterfaceModel) -> float:
+    """The rate whose truth the interface `model` reads: its tap rate for
+    the filtered kind, else its reading rate."""
+    if model.kind == FILTERED:
+        return 1.0 / _tap_spacing(model)
+    return model.reading_rate_hz
+
+
 def sample_interface(trace: Trace, model: BatteryInterfaceModel,
                      seed: int) -> BatteryReadings:
     """Readings of the interface `model` describes, from its kind's
-    sampler, whose noise draws `seed`, an integer >= 0, keys."""
+    sampler, whose noise draws `seed`, an integer >= 0, keys; each
+    period's energy is `true_energy`'s at that period."""
+    return sample_truth(trace, model, seed,
+                        lambda rate_hz: true_energy(trace, 1.0 / rate_hz))
+
+
+def sample_truth(trace: Trace, model: BatteryInterfaceModel, seed: int,
+                 truth: Truth) -> BatteryReadings:
+    """`sample_interface`'s readings, with each period's energy taken from
+    `truth(1 / period)` instead of `true_energy`: the energy of every
+    whole interval of 1 / rate_hz seconds, in joules, at the reading
+    period (for the filtered kind, at its tap spacing). The trace gives
+    the filtered kind's reading count alone. A run reads its own truth
+    this way (`experiments.RunArtifacts`)."""
     _check_seed(seed)
-    return _SAMPLERS[model.kind](trace, model, seed)
+    values = _SAMPLERS[model.kind](truth(truth_rate(model)), model, seed)
+    if model.kind == FILTERED:
+        # each reading reads the register at the last tap end before it
+        per_read = _ratio_as_int(1.0 / model.reading_rate_hz, trace.tick_s,
+                                 "reading period")
+        per_sample = _ratio_as_int(_tap_spacing(model), trace.tick_s,
+                                   "filter tap spacing")
+        ends = np.arange(1, len(trace) // per_read + 1) * per_read
+        values = values[ends // per_sample]
+    return BatteryReadings(model, values)
 
 
 def rms_relative_error(estimates: np.ndarray, truth: np.ndarray) -> float:

@@ -10,6 +10,7 @@ training rows must be those of the whole design.
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 import sesame as ss
 import sesame.experiments as exp
 import sesame.scenarios as scn
-from sesame import collector, tracesim
+from sesame import battery, collector, tracesim
 from sesame.collector import collect, collect_keyed
 
 TICK_S = 1.0        # random systems count in ticks: one tick a second
@@ -298,6 +299,85 @@ def test_keyed_truth_alone_on_random_systems(monkeypatch):
     monkeypatch.setattr(exp, "collect_keyed", counted)
     exp.run_error_vs_rate(scn.builtin("n85like"))
     assert keyed == [(0, 4.0)]
+
+
+def test_error_vs_rate_runs_key_the_truth_alone(monkeypatch):
+    # a run that reads truths alone keys its finest rate with no
+    # predictors; a molding run keys its predictors too, and the truths
+    # of both keys are the same bits at every rate
+    received, collect_keyed_ = [], exp.collect_keyed
+
+    def recorded(trace, predictors, rate_hz):
+        received.append((tuple(predictors), rate_hz))
+        return collect_keyed_(trace, predictors, rate_hz)
+
+    monkeypatch.setattr(exp, "collect_keyed", recorded)
+    molding = dataclasses.replace(scn.builtin("noiseless_linear"),
+                                  duration_s=600.0)
+    alone = dataclasses.replace(molding, experiment=scn.ERROR_VS_RATE)
+    fine = max(molding.rate_grid)
+    exp.run_scenario(alone)
+    exp.run_scenario(molding)
+    assert received == [((), fine), (molding.predictors, fine)]
+    arts = exp.simulate(alone)
+    both = exp.RunArtifacts(molding, arts.trace, arts.readings)
+    for rate in alone.rate_grid:
+        assert np.array_equal(bits(arts.truth(rate)), bits(both.truth(rate)))
+    assert arts.keyed().n == 0 and both.keyed().n == len(molding.predictors)
+    # a design is still collect's at every rate, the finest too
+    assert np.array_equal(bits(arts.design(fine).x), bits(both.design(fine).x))
+
+
+def battery_models():
+    """A strategy of interfaces for a random system with a fine interval
+    of `k` ticks, each kind's periods on and off that interval's grid."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def draw_model(draw, k: int, n_ticks: int):
+        def period() -> int:
+            # a whole multiple of the fine interval, or any tick count
+            return draw(st.one_of(
+                st.integers(1, max(1, n_ticks // k)).map(lambda r: r * k),
+                st.integers(1, n_ticks)))
+
+        kind = draw(st.sampled_from([battery.INSTANT, battery.FILTERED,
+                                     battery.CAPACITY]))
+        taps = draw(st.integers(1, 4))
+        return battery.BatteryInterfaceModel(
+            kind=kind, reading_rate_hz=1.0 / period(),
+            noise_sigma=draw(st.sampled_from([0.0, 0.1])),
+            filter_window_s=float(period() * taps) if kind == battery.FILTERED
+            else 0.0,
+            filter_taps=taps if kind == battery.FILTERED else 0)
+
+    return draw_model
+
+
+def test_run_truth_readings_stay_within_roundoff_on_random_systems():
+    # readings fed a run's truth, the keyed finest rate's sums where a
+    # period is a whole multiple of its interval, are sample_interface's
+    # within a few roundings, for every battery kind
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    models = battery_models()
+
+    @hypothesis.given(random_system(), st.data())
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         print_blob=True)
+    def check(case, data):
+        trace, _, k = case
+        model = data.draw(models(k, len(trace)))
+        seed = data.draw(st.integers(0, 2**16))
+        run = SimpleNamespace(experiment=scn.ERROR_VS_RATE, predictors=(),
+                              rate_grid=(1.0 / k,), battery=model,
+                              battery_seed=lambda: seed)
+        got = exp.RunArtifacts(run, trace).readings.values
+        want = ss.sample_interface(trace, model, seed).values
+        np.testing.assert_allclose(got, want, rtol=4e-15, atol=0)
+
+    check()
 
 
 def span_period(trace, specs, k: int) -> int:

@@ -41,9 +41,13 @@ from reference import (
     scaled_cond,
     stacked_fit_oracle,
 )
+import sesame.battery as battery
 from sesame.battery import (
+    FILTERED,
     rms_relative_difference,
     rms_relative_error,
+    sample_interface,
+    sample_truth,
 )
 from sesame.collector import aggregate_response
 from sesame.constructor import TrainingSet, build_model, stretch
@@ -491,6 +495,67 @@ def test_artifacts_key_the_finest_rate_once(monkeypatch):
         assert not np.shares_memory(first.x, second.x)
         assert np.array_equal(first.x, second.x)
     assert keyed == [fine]
+
+
+def read_period(model) -> float:
+    """The period whose energy the interface `model` reads: its tap
+    spacing for the filtered kind, else its reading period."""
+    if model.kind == FILTERED:
+        return model.filter_window_s / model.filter_taps
+    return 1.0 / model.reading_rate_hz
+
+
+@pytest.mark.parametrize("name", ["t61like", "quadratic_cpu"])
+def test_keyed_runs_read_the_run_truth(name, monkeypatch):
+    # a molding and a regressogram run read each reading period's energy,
+    # or each of t61like's 1.6 s tap spacings, from the keyed finest
+    # rate's sums: true_energy is never called at that period, and the
+    # readings are the samplers' fed the run's truth, bit for bit
+    sc = shortened(name)
+    called = []
+
+    def counted(trace, interval_s):
+        called.append(interval_s)
+        return true_energy(trace, interval_s)
+
+    monkeypatch.setattr(exp, "true_energy", counted)
+    monkeypatch.setattr(battery, "true_energy", counted)
+    arts = exp.simulate(sc)
+    exp.run_scenario(sc)
+    period = read_period(sc.battery)
+    assert not [t for t in called if math.isclose(t, period)]
+    asked = []
+
+    def truth(rate_hz):
+        asked.append(rate_hz)
+        return arts.truth(rate_hz)
+
+    want = sample_truth(arts.trace, sc.battery, sc.battery_seed(), truth)
+    assert np.array_equal(arts.readings.values.view(np.int64),
+                          want.values.view(np.int64))
+    assert [1.0 / rate for rate in asked] == [period]
+    # the period is a whole number r of the finest interval, and its
+    # energies are the fine truth's sums of r rows, bit for bit
+    fine, rate = arts.truth(max(sc.rate_grid)), asked[0]
+    r = round(max(sc.rate_grid) / rate)
+    assert r > 1 and math.isclose(max(sc.rate_grid) / rate, r)
+    c = len(fine) // r
+    assert np.array_equal(arts.truth(rate),
+                          fine[:c * r].reshape(c, r).sum(axis=1))
+    np.testing.assert_allclose(arts.truth(rate),
+                               true_energy(arts.trace, 1.0 / rate),
+                               rtol=4e-15, atol=0)
+
+
+def test_adaptation_readings_are_sample_interfaces():
+    # an adaptation run keys no rate: its readings take true_energy's
+    # energies, as sample_interface's do, bit for bit
+    sc = scn.builtin("dvs_flip")
+    arts = exp.simulate(sc)
+    want = sample_interface(arts.trace, sc.battery, sc.battery_seed())
+    assert np.array_equal(arts.readings.values.view(np.int64),
+                          want.values.view(np.int64))
+    assert arts._keyed is None
 
 
 def test_a_grid_that_does_not_nest_takes_true_energy():
