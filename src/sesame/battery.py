@@ -188,7 +188,8 @@ def sample_truth(trace: Trace, model: BatteryInterfaceModel, seed: int,
     _check_seed(seed)
     values = _SAMPLERS[model.kind](truth(truth_rate(model)), model, seed)
     if model.kind == FILTERED:
-        # each reading reads the register at the last tap end before it
+        # each reading reads the register at the last tap end at or
+        # before it
         per_read = _ratio_as_int(1.0 / model.reading_rate_hz, trace.tick_s,
                                  "reading period")
         per_sample = _ratio_as_int(_tap_spacing(model), trace.tick_s,

@@ -139,9 +139,9 @@ class RunArtifacts:
     (`battery.sample_truth`): the keyed sums where the period is a whole
     multiple of the finest interval, else `true_energy`, so a run
     computes its energy once. An adaptation run never holds its finest
-    rate, and keying dvs_flip's 100 Hz truth alone would take 4.6 ms
-    against 1.9 ms for its 1 s `true_energy`, so its readings are
-    `sample_interface`'s.
+    rate, and keying dvs_flip's 100 Hz truth alone and summing it to 1 s
+    took 6.6 ms against 1.5 ms for its 1 s `true_energy` (2 cores, median
+    of 9), so its readings are `sample_interface`'s.
 
     Scoring, fits and, when the base rate is the finest, `stretch` read
     the distinct rows and their counts. Any other rate's design, and
