@@ -7,33 +7,25 @@ register), and `capacity` reports remaining charge so that the consumer
 has to difference two readings to get a mean current.
 
 Each sampler reads the true energy of every whole reading period (for
-the filtered kind, of every tap spacing) from a truth it is given.
-`sample_interface` gives it `true_energy` at that period. A run that
-keys its finest rate gives it the run's own truth (`sample_truth` with
-`experiments.RunArtifacts.truth`), the keyed finest rate's sums wherever
-the period is a whole multiple of the finest interval, so the readings
-and the scores share one source; those sums agree with `true_energy` to
-a few roundings.
+the filtered kind, of every tap spacing), which its caller gives to
+`sample_interface`. A run gives it `experiments.RunArtifacts.truth` at
+that period: the keyed finest rate's sums in a run that keys that rate
+and the period is a whole multiple of its interval, else `true_energy`,
+so the readings and the scores share one source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import AlignmentError, ConfigurationError, check_fields
-from .tracesim import Trace, _check_seed, _ratio_as_int, true_energy
+from .tracesim import Trace, _check_seed, _ratio_as_int
 
 INSTANT = "instant"
 FILTERED = "filtered"
 CAPACITY = "capacity"
-
-# a run's truth: the energy of every whole interval of 1 / rate_hz
-# seconds, in joules
-Truth = Callable[[float], np.ndarray]
-
 
 @dataclass(frozen=True)
 class BatteryInterfaceModel:
@@ -168,25 +160,21 @@ def truth_rate(model: BatteryInterfaceModel) -> float:
     return model.reading_rate_hz
 
 
-def sample_interface(trace: Trace, model: BatteryInterfaceModel,
-                     seed: int) -> BatteryReadings:
+def sample_interface(trace: Trace, model: BatteryInterfaceModel, seed: int,
+                     energy: np.ndarray) -> BatteryReadings:
     """Readings of the interface `model` describes, from its kind's
-    sampler, whose noise draws `seed`, an integer >= 0, keys; each
-    period's energy is `true_energy`'s at that period."""
-    return sample_truth(trace, model, seed,
-                        lambda rate_hz: true_energy(trace, 1.0 / rate_hz))
-
-
-def sample_truth(trace: Trace, model: BatteryInterfaceModel, seed: int,
-                 truth: Truth) -> BatteryReadings:
-    """`sample_interface`'s readings, with each period's energy taken from
-    `truth(1 / period)` instead of `true_energy`: the energy of every
-    whole interval of 1 / rate_hz seconds, in joules, at the reading
-    period (for the filtered kind, at its tap spacing). The trace gives
-    the filtered kind's reading count alone. A run reads its own truth
-    this way (`experiments.RunArtifacts`)."""
+    sampler, whose noise draws `seed`, an integer >= 0, keys. `energy`
+    holds the joules of every whole interval of 1 / `truth_rate(model)`
+    seconds of `trace`: each reading period, or for the filtered kind
+    each tap spacing. The trace gives the filtered kind's reading count
+    alone; AlignmentError when `energy` holds another count."""
     _check_seed(seed)
-    values = _SAMPLERS[model.kind](truth(truth_rate(model)), model, seed)
+    per_energy = _ratio_as_int(1.0 / truth_rate(model), trace.tick_s,
+                               "energy interval")
+    if len(energy) != len(trace) // per_energy:
+        raise AlignmentError(f"{len(energy)} energies for "
+                             f"{len(trace) // per_energy} intervals")
+    values = _SAMPLERS[model.kind](energy, model, seed)
     if model.kind == FILTERED:
         # each reading reads the register at the last tap end at or
         # before it

@@ -13,7 +13,9 @@ predictor units.
 
 `collect_keyed` gives the same design and its true energies as keyed
 rows (`KeyedRows`): each row's key, built from the runs and never from
-the row values, into the distinct rows, each computed once.
+the row values, into the distinct rows, each computed once. Only a run
+that scores designs at its finest rate keys it (a molding or
+regressogram run); every other design is `collect`'s.
 """
 
 from __future__ import annotations
@@ -83,10 +85,12 @@ _BLOCK_ROWS = 1 << 15
 class KeyedRows:
     """A design at one rate and its true energies, held as distinct rows.
 
-    Row j of the design is `x[key[j]]` and its truth `y[key[j]]`;
-    `counts[u]` rows have key u. `collect_keyed` builds it without
-    building the design, and `design` and `truth` give `collect`'s and
-    `true_energy`'s arrays at that rate bit for bit.
+    Row j of the design is `x[key[j]]` and its truth `y[key[j]]`, bit for
+    bit `collect`'s and `true_energy`'s at that rate; `counts[u]` rows
+    have key u. `collect_keyed` builds it without building the design,
+    and nothing gathers either whole: the runners score and fit the
+    distinct rows with their counts, and `window_means` and `truth_sums`
+    walk the key in blocks.
     """
 
     interval_s: float
@@ -121,28 +125,9 @@ class KeyedRows:
             key[:n] = self.key[lo:lo + n]
             yield lo, key[:n], buf[:n]
 
-    def _gather(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """`values[key]` into `out`, whole."""
-        for lo, key, _ in self._blocks(1, self.m):
-            # every key is below len(values): the default mode="raise"
-            # would buffer `out` through a temporary
-            np.take(values, key, out=out[lo:lo + len(key)], mode="clip")
-        return out
-
-    def design(self) -> DesignMatrix:
-        x = np.empty((self.m, self.n), order="F")
-        for i in range(self.n):
-            self._gather(self.x[:, i], x[:, i])
-        return DesignMatrix(interval_s=self.interval_s, columns=self.columns,
-                            kinds=self.kinds, x=x,
-                            t_start_s=np.arange(self.m) * self.interval_s)
-
-    def truth(self) -> np.ndarray:
-        return self._gather(self.y, np.empty(self.m))
-
     def window_means(self, window: int, count: int) -> np.ndarray:
         """(count, n): each column's mean over each of the first `count`
-        windows of `window` rows, `design().x[:count * window, i].reshape(
+        windows of `window` rows, `x[key, i][:count * window].reshape(
         count, window).mean(axis=1)` bit for bit, as each window's mean
         reads its own rows alone."""
         x = np.empty((count, self.n))
@@ -155,7 +140,7 @@ class KeyedRows:
 
     def truth_sums(self, windows: Sequence[int]) -> list[np.ndarray]:
         """The truth summed over each whole window of r rows, for each r
-        of `windows`: `truth()[:c * r].reshape(c, r).sum(axis=1)` bit for
+        of `windows`: `y[key][:c * r].reshape(c, r).sum(axis=1)` bit for
         bit, c = m // r, from one gather of the truth in blocks of whole
         windows of every r."""
         step = math.lcm(*windows)
@@ -473,19 +458,16 @@ def collect_keyed(trace: Trace, specs: Sequence[PredictorSpec],
     are keyed alone. Rows with one key then hold one design row and one
     true energy, bit for bit, which are computed once, at one of their
     rows, with `collect`'s and `true_energy`'s operations in their order.
-    With no predictors, the key follows the components' true states
-    alone and `x` has no columns: the rows hold only the truth.
 
-    Every run holds its finest rate this way
-    (`experiments.RunArtifacts.keyed`), so that rate's design and truth
-    have one source. It pays only where rows repeat, as they do at
-    100 Hz; `collect` stays the path for a design as such. On t61like,
-    `collect` takes 0.9, 1.2 and 5.3 ms at 1, 10 and 100 Hz, and this
-    with `design()` 6.2, 24.5 and 12.5 ms, as 3,000 of 3,000 and 26,178
-    of 30,000 rows are distinct at 1 and 10 Hz; on dvs_flip's 45
-    adaptation windows they take 0.20 and 0.67 ms. On n85like's finest
-    rate, 4 Hz with no predictors (1,209 keys of 12,000 rows), this with
-    `truth()` takes 1.9 ms against `true_energy`'s 0.6 ms.
+    A molding or regressogram run holds its finest rate this way
+    (`experiments.RunArtifacts.keyed`), as it scores and fits that rate's
+    distinct rows with their counts, and sums its coarser truths and its
+    battery energies from them. It pays only where rows repeat, as they
+    do at 100 Hz; `collect` stays the path for a design as such. On
+    t61like, `collect` takes 0.9, 1.2 and 5.3 ms at 1, 10 and 100 Hz, and
+    this with the design gathered through the key 6.2, 24.5 and 12.5 ms,
+    as 3,000 of 3,000 and 26,178 of 30,000 rows are distinct at 1 and 10
+    Hz; on dvs_flip's 45 adaptation windows they take 0.20 and 0.67 ms.
     """
     interval, k, m = _shape(trace, target_rate_hz)
     components = trace.model.components

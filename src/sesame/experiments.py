@@ -8,25 +8,24 @@ per-rate oracle, all affine in the collected rates, in one chunked pass
 over the oracle's weighted design that also sums the oracle's normal
 equations, so the oracle is fitted and scored without a second pass.
 
-Every run, the first time it asks for its finest rate, holds that rate
-as keyed rows (`collector.collect_keyed`): the distinct design rows and
-truths, a count for each, and each row's key into them. A molding or
-regressogram run stretches, scores and fits that rate from the distinct
-rows, each weighed by its count, so that work follows the trace's runs
-(1,013 distinct rows of t61like's 300,000 at 100 Hz), not its length.
-An error-vs-rate run reads only the truths, so it keys its finest rate
-with no predictors, and its key follows the truth's runs alone. Every
-coarser truth whose interval is a whole number of the finest one's sums
-the keyed finest rate's. Every coarser design is collected and scored
-row by row.
+A run keys its finest rate only if it scores designs there: a molding
+or regressogram run holds that rate as keyed rows
+(`collector.collect_keyed`), the distinct design rows and truths, a
+count for each, and each row's key into them, and stretches, scores and
+fits that rate from the distinct rows, each weighed by its count, so
+that work follows the trace's runs (1,013 distinct rows of t61like's
+300,000 at 100 Hz), not its length. In such a run, every coarser truth
+whose interval is a whole number of the finest one's sums the keyed
+finest rate's. Every other truth is `true_energy`'s, and every design,
+at any rate, is `collect`'s, scored row by row. An error-vs-rate or an
+adaptation run keys nothing.
 
-The battery readings of every run but an adaptation run take their
-energy from the run's truth (`RunArtifacts.truth` at the reading period,
-or at the filtered kind's tap spacing). On every such built-in that
-period is a whole multiple of the finest interval, so the readings are
-the keyed truth's sums and the run never calls `true_energy`. An
-adaptation run keys no rate, and its readings are
-`battery.sample_interface`'s.
+Every run's battery readings take their energy from the run's truth
+(`RunArtifacts.truth` at the reading period, or at the filtered kind's
+tap spacing), through `battery.sample_interface`. On every molding and
+regressogram built-in that period is a whole multiple of the finest
+interval, so the readings are the keyed truth's sums and the run never
+calls `true_energy`.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .battery import BatteryReadings, rms_relative_error, sample_interface
-from .battery import sample_truth, truth_rate
+from .battery import truth_rate
 from .collector import DesignMatrix, KeyedRows, aggregate_response
 from .collector import collect, collect_keyed
 from .constructor import EnergyModel, TrainingSet
@@ -117,37 +116,26 @@ class ErrorReport:
 class RunArtifacts:
     """Shared simulation products for one scenario run.
 
-    The finest rate of the scenario's grid is held as keyed rows (`keyed`,
+    A run keys its finest rate only if it scores designs there: a
+    molding or a regressogram run holds that rate as keyed rows (`keyed`,
     `collector.KeyedRows`), built from the trace's runs the first time
-    the run asks for that rate: each fine row's key into the distinct
-    design rows and truths. Its design and truth are `collect`'s and
-    `true_energy`'s, bit for bit. An error-vs-rate run reads truths
-    alone, so it keys its truth alone, with no predictors, and any
-    design it is asked for is `collect`'s. The truth at a rate whose
-    interval is a whole number r > 1 of the finest rate's sums r of its
-    rows at a time, within a few roundings of `true_energy`, as the fine
-    truth is gathered through the key, block by block
-    (`KeyedRows.truth_sums`), for every such rate of the grid and of
-    the battery readings at once; those sums are held once built. Any
-    other rate's truth is `true_energy`'s. The rule reads only the grid
-    and the battery, so a rate's values do not depend on which rate was
-    asked for first.
+    it is asked for, and its runner scores and fits them with their
+    counts. In such a run, the truth at a rate whose interval is a whole
+    number r > 1 of the finest rate's sums r keyed rows at a time,
+    within a few roundings of `true_energy`, gathered through the key in
+    blocks (`KeyedRows.truth_sums`) for every such rate of the grid and
+    of the battery at once, and held once built. Every other truth, the
+    finest rate's included, and every truth of an error-vs-rate or
+    adaptation run, is `true_energy`'s. Every design is `collect`'s. The
+    rule reads only the experiment kind, the grid and the battery, so a
+    rate's values do not depend on which rate was asked for first.
 
     The readings, when not given, are sampled once the artifacts are
-    built. Every run but an adaptation run keys its finest rate, and its
-    readings take each period's energy from `truth(1 / period)`
-    (`battery.sample_truth`): the keyed sums where the period is a whole
-    multiple of the finest interval, else `true_energy`, so a run
-    computes its energy once. An adaptation run never holds its finest
-    rate, and keying dvs_flip's 100 Hz truth alone and summing it to 1 s
-    took 6.6 ms against 1.5 ms for its 1 s `true_energy` (2 cores, median
-    of 9), so its readings are `sample_interface`'s.
-
-    Scoring, fits and, when the base rate is the finest, `stretch` read
-    the distinct rows and their counts. Any other rate's design, and
-    `true_energy`'s truths, are built afresh on each call, so each is
-    held only as long as its caller holds it, and a second call for the
-    same rate pays for it again.
+    built, with each period's energy from `truth` at the battery's truth
+    rate (`battery.truth_rate`), so a run computes its energy once and
+    its readings and scores share one source. `true_energy`'s truths and
+    `collect`'s designs are built afresh on each call, so each is held
+    only as long as its caller holds it.
     """
 
     scenario: ScenarioConfig
@@ -159,48 +147,37 @@ class RunArtifacts:
 
     def __post_init__(self):
         if self.readings is None:
-            sc = self.scenario
-            if sc.experiment == ADAPTATION:
-                self.readings = sample_interface(self.trace, sc.battery,
-                                                 sc.battery_seed())
-            else:
-                self.readings = sample_truth(self.trace, sc.battery,
-                                             sc.battery_seed(), self.truth)
+            battery = self.scenario.battery
+            self.readings = sample_interface(
+                self.trace, battery, self.scenario.battery_seed(),
+                self.truth(truth_rate(battery)))
 
     @property
     def fine_rate_hz(self) -> float:
         return max(self.scenario.rate_grid)
 
-    @property
-    def _truth_alone(self) -> bool:
-        """Whether the run reads truths alone: an error-vs-rate run."""
-        return self.scenario.experiment == ERROR_VS_RATE
-
     def keyed(self) -> KeyedRows:
         """The finest rate's design and truth as keyed rows, built on the
-        first call and held from then on; the truth alone in a run that
-        reads truths alone."""
+        first call and held from then on."""
         if self._keyed is None:
-            specs = () if self._truth_alone else self.scenario.predictors
-            self._keyed = collect_keyed(self.trace, specs, self.fine_rate_hz)
+            self._keyed = collect_keyed(self.trace, self.scenario.predictors,
+                                        self.fine_rate_hz)
         return self._keyed
 
     def base_rows(self) -> DesignMatrix | KeyedRows:
         """The rows that `stretch` trains on: the keyed rows when the base
         rate is the finest rate, else `design` at the base rate."""
         base = self.scenario.base_rate_hz
-        if base == self.fine_rate_hz and not self._truth_alone:
-            return self.keyed()
-        return self.design(base)
+        return self.keyed() if base == self.fine_rate_hz else self.design(base)
 
     def design(self, rate_hz: float) -> DesignMatrix:
-        if rate_hz == self.fine_rate_hz and not self._truth_alone:
-            return self.keyed().design()
         return collect(self.trace, self.scenario.predictors, rate_hz)
 
     def _fine_multiple(self, rate_hz: float) -> int | None:
-        """r when `rate_hz`'s interval is a whole number r > 1 of the
-        finest rate's, else None."""
+        """r when the run keys its finest rate and `rate_hz`'s interval is
+        a whole number r > 1 of that rate's, else None."""
+        if self.scenario.experiment not in (MOLDING, REGRESSOGRAM):
+            return None
         tick = self.trace.tick_s
         k = _ratio_as_int(1.0 / rate_hz, tick, "interval")
         r, rest = divmod(k, _ratio_as_int(1.0 / self.fine_rate_hz, tick,
@@ -208,8 +185,6 @@ class RunArtifacts:
         return r if r > 1 and not rest else None
 
     def truth(self, rate_hz: float) -> np.ndarray:
-        if rate_hz == self.fine_rate_hz:
-            return self.keyed().truth()
         r = self._fine_multiple(rate_hz)
         if r is None:
             return true_energy(self.trace, 1.0 / rate_hz)

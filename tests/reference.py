@@ -14,7 +14,8 @@ The scoring
 formulas gather the kept columns, mask the truths and stack the oracle's
 design for every call, as the per-rate scoring must match bit for bit.
 The smallest l that meets a target is found by fitting every l on its
-own training set.
+own training set. `interface_readings` samples a battery interface from
+`true_energy` at its truth rate, as a run that keys no rate does.
 """
 
 import math
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 import sesame as ss
-from sesame import collector, tracesim
+from sesame import battery, collector, tracesim
 from sesame.errors import ArgumentError
 
 
@@ -91,6 +92,14 @@ def residency_beta_true(model: ss.ComponentStateModel, interval_s: float,
         coefs.append(powers[j] - powers[0])
     base = model.base_power_w + sum(c.state_powers[0] for c in model.components)
     return np.array([base] + coefs) * interval_s
+
+
+def interface_readings(trace: ss.Trace, model: ss.BatteryInterfaceModel,
+                       seed: int) -> ss.BatteryReadings:
+    """`sample_interface` fed `true_energy` at the interface's truth rate:
+    its reading period, or the filtered kind's tap spacing."""
+    energy = ss.true_energy(trace, 1.0 / battery.truth_rate(model))
+    return ss.sample_interface(trace, model, seed, energy)
 
 
 class ArrayQuery:

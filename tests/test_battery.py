@@ -6,7 +6,7 @@ import pytest
 import sesame as ss
 import sesame.battery as battery
 import sesame.scenarios as scn
-from reference import fixed
+from reference import fixed, interface_readings
 from sesame.errors import ConfigurationError
 
 
@@ -45,7 +45,7 @@ def test_instant_constant_current():
     trace = constant_trace(10.0)
     model = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=4.0,
                                      supply_voltage_v=5.0)
-    readings = ss.sample_interface(trace, model, seed=0)
+    readings = interface_readings(trace, model, seed=0)
     assert len(readings) == 400
     assert np.allclose(readings.values, 2.0)
     # the first reading ends the first 0.25 s period, the last the trace
@@ -57,7 +57,7 @@ def test_instant_unbiased_under_multiplicative_noise():
     sigma = 0.2
     model = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=4.0,
                                      supply_voltage_v=5.0, noise_sigma=sigma)
-    readings = ss.sample_interface(trace, model, seed=5)
+    readings = interface_readings(trace, model, seed=5)
     n = len(readings)
     tol = 3 * sigma * 2.0 / np.sqrt(n)
     assert abs(readings.values.mean() - 2.0) < tol
@@ -70,7 +70,7 @@ def test_instant_counter_noise_telescopes():
     model = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=4.0,
                                      supply_voltage_v=5.0,
                                      counter_sigma_c=0.1)
-    readings = ss.sample_interface(trace, model, seed=9)
+    readings = interface_readings(trace, model, seed=9)
     err4 = ss.rms_relative_error(readings.values, np.full(len(readings), 2.0))
     # mean current over 4 s windows: energy per window / (voltage x window)
     down = ss.aggregate_response(readings, 4.0) / (5.0 * 4.0)
@@ -85,7 +85,7 @@ def test_filtered_step_response_half_window():
     model = ss.BatteryInterfaceModel(kind="filtered", reading_rate_hz=0.5,
                                      supply_voltage_v=5.0,
                                      filter_window_s=16.0, filter_taps=10)
-    readings = ss.sample_interface(trace, model, seed=0)
+    readings = interface_readings(trace, model, seed=0)
     times = reading_times(readings)
     by_time = dict(zip(times, readings.values))
     assert by_time[8.0] == pytest.approx(1.0)
@@ -103,7 +103,7 @@ def test_filtered_passes_dc_exactly():
     model = ss.BatteryInterfaceModel(kind="filtered", reading_rate_hz=0.5,
                                      supply_voltage_v=5.0,
                                      filter_window_s=16.0, filter_taps=10)
-    readings = ss.sample_interface(trace, model, seed=0)
+    readings = interface_readings(trace, model, seed=0)
     steady = readings.values[reading_times(readings) >= 16.0]
     assert np.allclose(steady, 2.0, atol=1e-12)
 
@@ -113,7 +113,7 @@ def test_capacity_constant_drain():
     model = ss.BatteryInterfaceModel(kind="capacity", reading_rate_hz=0.1,
                                      supply_voltage_v=5.0,
                                      initial_capacity_c=20000.0)
-    readings = ss.sample_interface(trace, model, seed=0)
+    readings = interface_readings(trace, model, seed=0)
     drops = -np.diff(readings.values)
     assert np.allclose(drops, 10.0)
     derived_current = drops / 10.0
@@ -171,7 +171,7 @@ def test_error_vs_rate_monotone_per_kind():
                                  initial_capacity_c=20000.0),
     ]
     for cfg in configs:
-        readings = ss.sample_interface(trace, cfg, seed=8)
+        readings = interface_readings(trace, cfg, seed=8)
         errors = []
         for rate in (4.0, 1.0, 0.1, 0.01):
             if rate > cfg.reading_rate_hz + 1e-12:
@@ -195,7 +195,7 @@ def test_capacity_and_instant_interfaces_agree_on_every_window(name):
     trace = ss.gen_trace(sc.system, sc.workload, sc.duration_s, sc.tick_s,
                          sc.seed)
     for rate_hz in (0.1, 1.0):
-        current, charge = (ss.sample_interface(trace, dataclasses.replace(
+        current, charge = (interface_readings(trace, dataclasses.replace(
             sc.battery, kind=kind, reading_rate_hz=rate_hz, noise_sigma=0.0,
             counter_sigma_c=0.0), seed=0) for kind in ("instant", "capacity"))
         for window_s in (10.0, 100.0):

@@ -8,6 +8,7 @@ import sesame as ss
 import sesame.constructor as con
 from reference import (
     bin_index,
+    interface_readings,
     loop_fit_regressogram,
     loop_predict_regressogram,
     residency_beta_true,
@@ -209,7 +210,7 @@ def linear_scenario(duration=2000.0, tick=0.01, seed=7):
     specs = residency_predictors(model, update_rate_hz=1.0 / tick)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=10.0)
-    readings = ss.sample_interface(trace, battery, seed=0)
+    readings = interface_readings(trace, battery, seed=0)
     return model, trace, specs, readings
 
 

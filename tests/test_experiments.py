@@ -14,6 +14,7 @@ import sesame as ss
 import sesame.cli as cli
 import sesame.experiments as exp
 import sesame.scenarios as scn
+from reference import interface_readings
 from sesame.cli import main as cli_main
 from sesame.collector import DesignMatrix
 from sesame.constructor import TrainingSet, fit_regressogram
@@ -735,11 +736,14 @@ BAD_LIBRARY_CALLS = {
     "report_row": (KeyError, lambda dm, path: exp.ErrorReport("s", 0).value(
         1.0, exp.ORACLE_ESTIMATOR)),
     "sample_seed_bool": (ConfigurationError, lambda dm, path:
-                         ss.sample_interface(ONE_STATE, GAUGE, seed=True)),
+                         interface_readings(ONE_STATE, GAUGE, seed=True)),
     "sample_seed_fraction": (ConfigurationError, lambda dm, path:
-                             ss.sample_interface(ONE_STATE, GAUGE, seed=1.5)),
+                             interface_readings(ONE_STATE, GAUGE, seed=1.5)),
     "sample_seed_negative": (ConfigurationError, lambda dm, path:
-                             ss.sample_interface(ONE_STATE, GAUGE, seed=-1)),
+                             interface_readings(ONE_STATE, GAUGE, seed=-1)),
+    "sample_energy_count": (AlignmentError, lambda dm, path:
+                            ss.sample_interface(ONE_STATE, GAUGE, 0,
+                                                np.ones(2))),
     # a field of the wrong kind, refused by the documents' reader
     "battery_rate_bool": (ConfigurationError, lambda dm, path:
                           ss.BatteryInterfaceModel(kind="instant",

@@ -20,6 +20,7 @@ import sesame as ss
 import sesame.experiments as exp
 import sesame.scenarios as scn
 from sesame import battery, collector, tracesim
+from reference import interface_readings
 from sesame.collector import collect, collect_keyed
 
 TICK_S = 1.0        # random systems count in ticks: one tick a second
@@ -32,13 +33,14 @@ def bits(a: np.ndarray) -> np.ndarray:
 
 
 def assert_keyed(trace: ss.Trace, specs, rate_hz: float) -> collector.KeyedRows:
-    """The keyed rows at `rate_hz` materialise to `collect` and
-    `true_energy` bit for bit, and their counts are the rows per key."""
+    """The keyed rows at `rate_hz`, gathered through the key, are
+    `collect`'s and `true_energy`'s bit for bit, and their counts are the
+    rows per key."""
     keyed = collect_keyed(trace, specs, rate_hz)
     dm = collect(trace, specs, rate_hz)
     assert keyed.m == dm.m and keyed.columns == dm.columns
-    assert np.array_equal(bits(keyed.design().x), bits(dm.x))
-    assert np.array_equal(bits(keyed.truth()),
+    assert np.array_equal(bits(keyed.x[keyed.key]), bits(dm.x))
+    assert np.array_equal(bits(keyed.y[keyed.key]),
                           bits(ss.true_energy(trace, 1.0 / rate_hz)))
     assert keyed.counts.sum() == dm.m
     assert np.array_equal(np.bincount(keyed.key, minlength=len(keyed.y)),
@@ -182,8 +184,6 @@ def test_block_walk_equals_the_whole_reductions(n_keys, dtype, m, window,
                           bits(whole_means(keyed, window, count)))
     for r, got in zip(windows, keyed.truth_sums(windows)):
         assert np.array_equal(bits(got), bits(whole_sums(keyed, r)))
-    assert np.array_equal(bits(keyed.truth()), bits(keyed.y[keyed.key]))
-    assert np.array_equal(bits(keyed.design().x), bits(keyed.x[keyed.key]))
 
 
 def random_system():
@@ -272,9 +272,9 @@ def test_keyed_rows_materialise_on_random_systems():
     assert any(held)
 
 
-def test_keyed_truth_alone_on_random_systems(monkeypatch):
+def test_keyed_truth_alone_on_random_systems():
     # with no predictors the rows hold the truth alone, keyed by the
-    # components' states: an error-vs-rate run keys its finest rate so
+    # components' states
     hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.given(random_system())
@@ -283,49 +283,53 @@ def test_keyed_truth_alone_on_random_systems(monkeypatch):
     def check(case):
         trace, _, k = case
         keyed = collect_keyed(trace, (), 1.0 / k)
-        assert np.array_equal(bits(keyed.truth()),
+        assert np.array_equal(bits(keyed.y[keyed.key]),
                               bits(ss.true_energy(trace, float(k))))
         assert keyed.counts.sum() == keyed.m == len(trace) // k
         assert keyed.x.shape == (len(keyed.y), 0)
-        assert keyed.design().x.shape == (keyed.m, 0)
 
     check()
-    keyed, collect_keyed_ = [], exp.collect_keyed
-
-    def counted(trace, predictors, rate_hz):
-        keyed.append((len(predictors), rate_hz))
-        return collect_keyed_(trace, predictors, rate_hz)
-
-    monkeypatch.setattr(exp, "collect_keyed", counted)
-    exp.run_error_vs_rate(scn.builtin("n85like"))
-    assert keyed == [(0, 4.0)]
 
 
-def test_error_vs_rate_runs_key_the_truth_alone(monkeypatch):
-    # a run that reads truths alone keys its finest rate with no
-    # predictors; a molding run keys its predictors too, and the truths
-    # of both keys are the same bits at every rate
+@pytest.mark.parametrize("name, experiment", [
+    ("t61like", scn.MOLDING), ("quadratic_cpu", scn.REGRESSOGRAM),
+    ("n85like", scn.ERROR_VS_RATE), ("noiseless_linear", scn.ERROR_VS_RATE),
+    ("dvs_flip", scn.ADAPTATION)])
+def test_only_scoring_runs_key_their_finest_rate(name, experiment,
+                                                 monkeypatch):
+    # a molding or regressogram run keys its finest rate once; an
+    # error-vs-rate or adaptation run never keys, not even when asked
+    # for every grid rate's design and truth, as the benchmark's quality
+    # step asks. Every run's readings are sample_interface's fed the
+    # run's truth at the battery's truth rate, and a run that keys
+    # nothing reads true_energy there
+    sc = dataclasses.replace(scn.builtin(name), experiment=experiment)
+    if experiment != scn.ADAPTATION:
+        sc = dataclasses.replace(sc, duration_s=1200.0)
     received, collect_keyed_ = [], exp.collect_keyed
 
     def recorded(trace, predictors, rate_hz):
-        received.append((tuple(predictors), rate_hz))
+        received.append(rate_hz)
         return collect_keyed_(trace, predictors, rate_hz)
 
     monkeypatch.setattr(exp, "collect_keyed", recorded)
-    molding = dataclasses.replace(scn.builtin("noiseless_linear"),
-                                  duration_s=600.0)
-    alone = dataclasses.replace(molding, experiment=scn.ERROR_VS_RATE)
-    fine = max(molding.rate_grid)
-    exp.run_scenario(alone)
-    exp.run_scenario(molding)
-    assert received == [((), fine), (molding.predictors, fine)]
-    arts = exp.simulate(alone)
-    both = exp.RunArtifacts(molding, arts.trace, arts.readings)
-    for rate in alone.rate_grid:
-        assert np.array_equal(bits(arts.truth(rate)), bits(both.truth(rate)))
-    assert arts.keyed().n == 0 and both.keyed().n == len(molding.predictors)
-    # a design is still collect's at every rate, the finest too
-    assert np.array_equal(bits(arts.design(fine).x), bits(both.design(fine).x))
+    scores = experiment in (scn.MOLDING, scn.REGRESSOGRAM)
+    fine = max(sc.rate_grid)
+    exp.run_scenario(sc)
+    assert received == ([fine] if scores else [])
+    received.clear()
+    arts = exp.simulate(sc)
+    for rate in sc.rate_grid:
+        if sc.predictors:
+            arts.design(rate)
+        arts.truth(rate)
+    assert received == ([fine] if scores else [])
+    seed, rate = sc.battery_seed(), battery.truth_rate(sc.battery)
+    want = ss.sample_interface(arts.trace, sc.battery, seed, arts.truth(rate))
+    assert np.array_equal(bits(arts.readings.values), bits(want.values))
+    if not scores:
+        want = interface_readings(arts.trace, sc.battery, seed)
+        assert np.array_equal(bits(arts.readings.values), bits(want.values))
 
 
 def battery_models():
@@ -356,9 +360,9 @@ def battery_models():
 
 
 def test_run_truth_readings_stay_within_roundoff_on_random_systems():
-    # readings fed a run's truth, the keyed finest rate's sums where a
-    # period is a whole multiple of its interval, are sample_interface's
-    # within a few roundings, for every battery kind
+    # a molding run's readings, fed its truth, the keyed finest rate's
+    # sums where a period is a whole multiple of its interval, are
+    # true_energy's within a few roundings, for every battery kind
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     models = battery_models()
@@ -367,14 +371,14 @@ def test_run_truth_readings_stay_within_roundoff_on_random_systems():
     @hypothesis.settings(max_examples=60, deadline=None, database=None,
                          print_blob=True)
     def check(case, data):
-        trace, _, k = case
+        trace, specs, k = case
         model = data.draw(models(k, len(trace)))
         seed = data.draw(st.integers(0, 2**16))
-        run = SimpleNamespace(experiment=scn.ERROR_VS_RATE, predictors=(),
+        run = SimpleNamespace(experiment=scn.MOLDING, predictors=specs,
                               rate_grid=(1.0 / k,), battery=model,
                               battery_seed=lambda: seed)
         got = exp.RunArtifacts(run, trace).readings.values
-        want = ss.sample_interface(trace, model, seed).values
+        want = interface_readings(trace, model, seed).values
         np.testing.assert_allclose(got, want, rtol=4e-15, atol=0)
 
     check()
@@ -411,7 +415,7 @@ def test_block_walk_equals_the_whole_reductions_on_random_systems():
             assert keyed.key.dtype == np.min_scalar_type(len(keyed.counts))
             assert np.array_equal(
                 np.bincount(keyed.key, minlength=len(keyed.y)), keyed.counts)
-            assert np.array_equal(bits(keyed.design().x),
+            assert np.array_equal(bits(keyed.x[keyed.key]),
                                   bits(collect(trace, specs, 1.0 / k).x))
             window = data.draw(st.integers(1, keyed.m))
             count = keyed.m // window

@@ -7,7 +7,7 @@ import pytest
 
 import sesame as ss
 import sesame.scenarios as scn
-from reference import fixed, residency_predictors
+from reference import fixed, interface_readings, residency_predictors
 from sesame.collector import DesignMatrix
 from sesame.errors import ArgumentError, ConfigurationError, ParseError
 from sesame.experiments import run_adaptation
@@ -69,7 +69,7 @@ def test_monitor_relative_error_arithmetic():
     trace = ss.gen_trace(sys_model, wl, 500.0, 0.01, 0)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=5.0)
-    readings = ss.sample_interface(trace, battery, seed=0)
+    readings = interface_readings(trace, battery, seed=0)
     biased = ss.EnergyModel(
         beta=np.array([110.0, 0.0]), columns=("dummy",),
         training_interval_s=100.0, fit_method="OLS", training_error=0.0,
@@ -125,7 +125,7 @@ def test_monitor_against_interface_stream():
     specs = residency_predictors(model_sys, update_rate_hz=100.0)
     battery = ss.BatteryInterfaceModel(kind="instant", reading_rate_hz=1.0,
                                        supply_voltage_v=10.0)
-    readings = ss.sample_interface(trace, battery, seed=0)
+    readings = interface_readings(trace, battery, seed=0)
     low = ss.stretch(ss.collect(trace, specs, 1.0), readings, 100.0)
     fitted = ss.build_model(low)
 

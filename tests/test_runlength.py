@@ -18,6 +18,7 @@ from reference import (
     ArrayQuery,
     duty,
     fixed,
+    interface_readings,
     interval_truth,
     locate,
     tick_power,
@@ -361,7 +362,7 @@ def test_capacity_charge_at_every_tick(mixed_trace):
     model = ss.BatteryInterfaceModel(
         kind="capacity", reading_rate_hz=1.0 / mixed_trace.tick_s,
         supply_voltage_v=1.0, initial_capacity_c=0.0)
-    charge = -ss.sample_interface(mixed_trace, model, seed=0).values
+    charge = -interface_readings(mixed_trace, model, seed=0).values
     want = np.concatenate([[0.0], np.cumsum(tick_power(mixed_trace))])
     np.testing.assert_allclose(charge, want * mixed_trace.tick_s, rtol=RTOL)
 
@@ -644,13 +645,12 @@ def test_lookup_refuses_ticks_outside_the_trace():
     ("filtered", {"noise_sigma": 0.02, "filter_window_s": 0.5,
                   "filter_taps": 5}),
 ])
-def test_current_samplers_match_per_tick_power(mixed_trace, monkeypatch,
-                                               kind, extra):
+def test_current_samplers_match_per_tick_power(mixed_trace, kind, extra):
     model = ss.BatteryInterfaceModel(kind=kind, reading_rate_hz=20.0,
                                      supply_voltage_v=3.7, **extra)
-    got = ss.sample_interface(mixed_trace, model, seed=3)
-    monkeypatch.setattr(battery, "true_energy", ref_true_energy)
-    want = ss.sample_interface(mixed_trace, model, seed=3)
+    got = interface_readings(mixed_trace, model, seed=3)
+    want = ss.sample_interface(mixed_trace, model, 3, ref_true_energy(
+        mixed_trace, 1.0 / battery.truth_rate(model)))
     np.testing.assert_allclose(got.values, want.values, rtol=RTOL)
 
 
@@ -659,7 +659,7 @@ def test_capacity_sampler_matches_per_tick_charge(mixed_trace, noise):
     model = ss.BatteryInterfaceModel(kind="capacity", reading_rate_hz=10.0,
                                      supply_voltage_v=3.7, noise_sigma=noise,
                                      initial_capacity_c=50.0)
-    got = ss.sample_interface(mixed_trace, model, seed=5)
+    got = interface_readings(mixed_trace, model, seed=5)
     np.testing.assert_allclose(got.values,
                                ref_sample_capacity(mixed_trace, model, 5),
                                rtol=RTOL)

@@ -36,18 +36,17 @@ import sesame.experiments as exp
 import sesame.scenarios as scn
 from reference import (
     gather_predict_rows,
+    interface_readings,
     masked_rms_relative_error,
     oracle_rms,
     scaled_cond,
     stacked_fit_oracle,
 )
-import sesame.battery as battery
 from sesame.battery import (
-    FILTERED,
     rms_relative_difference,
     rms_relative_error,
     sample_interface,
-    sample_truth,
+    truth_rate,
 )
 from sesame.collector import aggregate_response
 from sesame.constructor import TrainingSet, build_model, stretch
@@ -432,14 +431,16 @@ def test_regressogram_linear_model_is_capped_at_pca_l(pca_l):
 
 @pytest.mark.parametrize("name", sorted(scn.BUILTIN_SCENARIOS))
 def test_coarser_truths_sum_the_finest_rate(name):
-    # every built-in grid nests, so each coarser truth sums the finest
-    # rate's, whichever rate is asked for first
+    # every built-in grid nests, so in a run that keys its finest rate
+    # each coarser truth sums the finest rate's, whichever rate is asked
+    # for first; a run that keys nothing reads true_energy at every rate
     sc = scn.builtin(name)
     arts = exp.simulate(sc)
     fine = max(sc.rate_grid)
+    keys = sc.experiment in (scn.MOLDING, scn.REGRESSOGRAM)
     for rate in sorted(sc.rate_grid):
         got, want = arts.truth(rate), true_energy(arts.trace, 1.0 / rate)
-        if rate == fine:
+        if rate == fine or not keys:
             assert np.array_equal(got, want)
         else:
             np.testing.assert_allclose(got, want, rtol=4e-15, atol=0)
@@ -497,20 +498,12 @@ def test_artifacts_key_the_finest_rate_once(monkeypatch):
     assert keyed == [fine]
 
 
-def read_period(model) -> float:
-    """The period whose energy the interface `model` reads: its tap
-    spacing for the filtered kind, else its reading period."""
-    if model.kind == FILTERED:
-        return model.filter_window_s / model.filter_taps
-    return 1.0 / model.reading_rate_hz
-
-
 @pytest.mark.parametrize("name", ["t61like", "quadratic_cpu"])
 def test_keyed_runs_read_the_run_truth(name, monkeypatch):
     # a molding and a regressogram run read each reading period's energy,
     # or each of t61like's 1.6 s tap spacings, from the keyed finest
     # rate's sums: true_energy is never called at that period, and the
-    # readings are the samplers' fed the run's truth, bit for bit
+    # readings are sample_interface's fed the run's truth, bit for bit
     sc = shortened(name)
     called = []
 
@@ -519,24 +512,17 @@ def test_keyed_runs_read_the_run_truth(name, monkeypatch):
         return true_energy(trace, interval_s)
 
     monkeypatch.setattr(exp, "true_energy", counted)
-    monkeypatch.setattr(battery, "true_energy", counted)
     arts = exp.simulate(sc)
     exp.run_scenario(sc)
-    period = read_period(sc.battery)
-    assert not [t for t in called if math.isclose(t, period)]
-    asked = []
-
-    def truth(rate_hz):
-        asked.append(rate_hz)
-        return arts.truth(rate_hz)
-
-    want = sample_truth(arts.trace, sc.battery, sc.battery_seed(), truth)
+    rate = truth_rate(sc.battery)
+    assert not [t for t in called if math.isclose(t, 1.0 / rate)]
+    want = sample_interface(arts.trace, sc.battery, sc.battery_seed(),
+                            arts.truth(rate))
     assert np.array_equal(arts.readings.values.view(np.int64),
                           want.values.view(np.int64))
-    assert [1.0 / rate for rate in asked] == [period]
     # the period is a whole number r of the finest interval, and its
     # energies are the fine truth's sums of r rows, bit for bit
-    fine, rate = arts.truth(max(sc.rate_grid)), asked[0]
+    fine = arts.truth(max(sc.rate_grid))
     r = round(max(sc.rate_grid) / rate)
     assert r > 1 and math.isclose(max(sc.rate_grid) / rate, r)
     c = len(fine) // r
@@ -552,7 +538,7 @@ def test_adaptation_readings_are_sample_interfaces():
     # energies, as sample_interface's do, bit for bit
     sc = scn.builtin("dvs_flip")
     arts = exp.simulate(sc)
-    want = sample_interface(arts.trace, sc.battery, sc.battery_seed())
+    want = interface_readings(arts.trace, sc.battery, sc.battery_seed())
     assert np.array_equal(arts.readings.values.view(np.int64),
                           want.values.view(np.int64))
     assert arts._keyed is None
