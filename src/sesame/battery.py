@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AlignmentError, ConfigurationError, check_fields
 from .tracesim import Trace, _check_seed, _ratio_as_int
@@ -123,8 +124,10 @@ def _sample_filtered(energy: np.ndarray, model: BatteryInterfaceModel,
     if model.noise_sigma > 0:
         samples = samples * (1.0 + rng.normal(0.0, model.noise_sigma, len(samples)))
     padded = np.concatenate([np.zeros(model.filter_taps), samples])
-    cum = np.concatenate([[0.0], np.cumsum(padded)])
-    return (cum[model.filter_taps:] - cum[:-model.filter_taps]) / model.filter_taps
+    # each window summed alone, so a register's rounding does not grow
+    # with its position, as the difference of two running sums' would
+    windows = sliding_window_view(padded, model.filter_taps)
+    return windows.sum(axis=1) / model.filter_taps
 
 
 def _sample_capacity(energy: np.ndarray, model: BatteryInterfaceModel,
