@@ -28,6 +28,7 @@ INSTANT = "instant"
 FILTERED = "filtered"
 CAPACITY = "capacity"
 
+
 @dataclass(frozen=True)
 class BatteryInterfaceModel:
     """Fuel-gauge behavior knobs.

@@ -226,6 +226,84 @@ def test_adaptation_determinism(tmp_path):
     assert (a / "decisions.log").read_bytes() == (b / "decisions.log").read_bytes()
 
 
+# -- the readings-alone premise -------------------------------------------------
+
+class Peeked(Exception):
+    """A truth was computed after the run's readings were sampled."""
+
+
+def refuse(*args, **kwargs):
+    raise Peeked("a truth was computed")
+
+
+def fitted_models(sc, arts, monkeypatch):
+    """Every model fitted, and every model installed, by `sc`'s runner on
+    the artifacts `arts`. A run whose truths are poisoned fails once it
+    scores, after its fits."""
+    fits, installs = [], []
+    fit, install = exp.TrainingSet.fit, exp.install_model
+
+    def recorded_fit(self, *args, **kwargs):
+        fits.append(fit(self, *args, **kwargs))
+        return fits[-1]
+
+    def recorded_install(table, key, model, t_s=0.0):
+        installs.append(model)
+        return install(table, key, model, t_s)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exp, "simulate", lambda _: arts)
+        patch.setattr(exp.TrainingSet, "fit", recorded_fit)
+        patch.setattr(exp, "install_model", recorded_install)
+        try:
+            exp.run_scenario(sc)
+        except (ConfigurationError, Peeked):
+            pass
+    return fits, installs
+
+
+def model_bits(model) -> tuple:
+    return (model.beta.tobytes(), np.float64(model.training_error).tobytes(),
+            model.columns, model.kept, model.dropped, model.active_columns,
+            model.l, model.fit_method, model.below_target)
+
+
+@pytest.mark.parametrize("name, duration_s", [
+    ("t61like", 1200.0), ("quadratic_cpu", 1200.0), ("dvs_flip", None),
+    ("n85like", 1200.0)])
+def test_no_fit_reads_a_truth(name, duration_s, monkeypatch):
+    # the models are built from the readings and the predictors alone:
+    # once a run's readings are sampled, every truth it holds is NaN and
+    # any new truth raises, and the molded variants, the regressogram
+    # run's linear model and every adaptation install stay the same bits.
+    # The regressogram itself trains on truths by design, so it is left
+    # out: its run stops scoring first. An error-vs-rate run fits nothing
+    sc = scn.builtin(name)
+    if duration_s is not None:
+        sc = dataclasses.replace(sc, duration_s=duration_s)
+    want = fitted_models(sc, exp.simulate(sc), monkeypatch)
+    arts = exp.simulate(sc)
+    if sc.experiment in (scn.MOLDING, scn.REGRESSOGRAM):
+        arts.keyed()
+        for rate in sc.rate_grid:
+            arts.truth(rate)
+        arts.keyed().y[:] = np.nan
+        for sums in arts._sums.values():
+            sums[:] = np.nan
+        assert arts._sums and np.isnan(arts.truth(1.0)).all()
+    monkeypatch.setattr(exp, "true_energy", refuse)
+    monkeypatch.setattr(exp, "collect_keyed", refuse)
+    got = fitted_models(sc, arts, monkeypatch)
+    for want_models, got_models in zip(want, got):
+        assert ([model_bits(m) for m in got_models]
+                == [model_bits(m) for m in want_models])
+    fits, installs = want
+    assert len(fits) == {scn.MOLDING: 4, scn.REGRESSOGRAM: 1}.get(
+        sc.experiment, len(fits))
+    assert bool(installs) == (sc.experiment == scn.ADAPTATION)
+    assert bool(fits) == (sc.experiment != scn.ERROR_VS_RATE)
+
+
 # -- CLI ----------------------------------------------------------------------
 
 def test_cli_list(capsys):
