@@ -19,8 +19,8 @@ import pytest
 import sesame as ss
 import sesame.experiments as exp
 import sesame.scenarios as scn
-from sesame import battery, collector, tracesim
 from reference import interface_readings
+from sesame import battery, collector, tracesim
 from sesame.collector import collect, collect_keyed
 
 TICK_S = 1.0        # random systems count in ticks: one tick a second
