@@ -9,9 +9,9 @@ has to difference two readings to get a mean current.
 Each sampler reads the true energy of every whole reading period (for
 the filtered kind, of every tap spacing), which its caller gives to
 `sample_interface`. A run gives it `experiments.RunArtifacts.truth` at
-that period: the keyed finest rate's sums in a run that keys that rate
-and the period is a whole multiple of its interval, else `true_energy`,
-so the readings and the scores share one source.
+that period: each truth is built once per run and held, the keyed finest
+rate's sums or `true_energy`'s, while designs are built afresh, so the
+readings and the scores read one array.
 """
 
 from __future__ import annotations

@@ -16,16 +16,13 @@ fits that rate from the distinct rows, each weighed by its count, so
 that work follows the trace's runs (1,013 distinct rows of t61like's
 300,000 at 100 Hz), not its length. In such a run, every coarser truth
 whose interval is a whole number of the finest one's sums the keyed
-finest rate's. Every other truth is `true_energy`'s, and every design,
-at any rate, is `collect`'s, scored row by row. An error-vs-rate or an
-adaptation run keys nothing.
-
-Every run's battery readings take their energy from the run's truth
-(`RunArtifacts.truth` at the reading period, or at the filtered kind's
-tap spacing), through `battery.sample_interface`. On every molding and
-regressogram built-in that period is a whole multiple of the finest
-interval, so the readings are the keyed truth's sums and the run never
-calls `true_energy`.
+finest rate's; every other truth is `true_energy`'s. Each truth is
+built once per run and held (`RunArtifacts.truth`), and the battery
+readings (`battery.sample_interface`) take their energy from the held
+truth at the reading period, or at the filtered kind's tap spacing, so
+readings and scores share one source. Designs are built afresh: every
+design, at any rate, is `collect`'s, scored row by row. An error-vs-rate
+or an adaptation run keys nothing.
 """
 
 from __future__ import annotations
@@ -120,37 +117,36 @@ class RunArtifacts:
     molding or a regressogram run holds that rate as keyed rows (`keyed`,
     `collector.KeyedRows`), built from the trace's runs the first time
     it is asked for, and its runner scores and fits them with their
-    counts. In such a run, the truth at a rate whose interval is a whole
-    number r > 1 of the finest rate's sums r keyed rows at a time,
-    within a few roundings of `true_energy`, gathered through the key in
-    blocks (`KeyedRows.truth_sums`) for every such rate of the grid and
-    of the battery at once, and held once built. Every other truth, the
-    finest rate's included, and every truth of an error-vs-rate or
-    adaptation run, is `true_energy`'s. Every design is `collect`'s. The
-    rule reads only the experiment kind, the grid and the battery, so a
-    rate's values do not depend on which rate was asked for first.
+    counts. Each truth is built once per run and held, read-only, in one
+    table keyed by rate. In a keying run, the truth at a rate whose
+    interval is a whole number r > 1 of the finest rate's sums r keyed
+    rows at a time, within a few roundings of `true_energy`, gathered
+    through the key in blocks (`KeyedRows.truth_sums`) for every such
+    rate of the grid and of the battery that the table lacks, at once.
+    Every other truth, the finest rate's included, and every truth of an
+    error-vs-rate or adaptation run, is `true_energy`'s. The rule reads
+    only the experiment kind, the grid and the battery, so a rate's
+    values do not depend on which rate was asked for first.
 
-    The readings, when not given, are sampled once the artifacts are
-    built, with each period's energy from `truth` at the battery's truth
-    rate (`battery.truth_rate`), so a run computes its energy once and
-    its readings and scores share one source. `true_energy`'s truths and
-    `collect`'s designs are built afresh on each call, so each is held
-    only as long as its caller holds it.
+    The readings are sampled once the artifacts are built, with each
+    period's energy from `truth` at the battery's truth rate
+    (`battery.truth_rate`), so the readings and the scores read one held
+    array. Designs are `collect`'s, built afresh on each call, so each is
+    held only as long as its caller holds it.
     """
 
     scenario: ScenarioConfig
     trace: Trace
-    readings: BatteryReadings | None = None   # sampled when not given
+    readings: BatteryReadings = field(init=False)
 
-    _keyed: KeyedRows | None = None
-    _sums: dict[int, np.ndarray] = field(default_factory=dict)
+    _keyed: KeyedRows | None = field(init=False, default=None)
+    _truths: dict[float, np.ndarray] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        if self.readings is None:
-            battery = self.scenario.battery
-            self.readings = sample_interface(
-                self.trace, battery, self.scenario.battery_seed(),
-                self.truth(truth_rate(battery)))
+        battery = self.scenario.battery
+        self.readings = sample_interface(
+            self.trace, battery, self.scenario.battery_seed(),
+            self.truth(truth_rate(battery)))
 
     @property
     def fine_rate_hz(self) -> float:
@@ -185,18 +181,23 @@ class RunArtifacts:
         return r if r > 1 and not rest else None
 
     def truth(self, rate_hz: float) -> np.ndarray:
-        r = self._fine_multiple(rate_hz)
-        if r is None:
-            return true_energy(self.trace, 1.0 / rate_hz)
-        if r not in self._sums:
-            # the fine truth is gathered once, in blocks, for every such
-            # rate of the grid and of the battery
-            rates = (*self.scenario.rate_grid,
-                     truth_rate(self.scenario.battery))
-            windows = sorted({r, *filter(None, map(self._fine_multiple,
-                                                   rates))})
-            self._sums = dict(zip(windows, self.keyed().truth_sums(windows)))
-        return self._sums[r]
+        if rate_hz not in self._truths:
+            if self._fine_multiple(rate_hz) is None:
+                built = {rate_hz: true_energy(self.trace, 1.0 / rate_hz)}
+            else:
+                # the fine truth is gathered once, in blocks, for every
+                # such rate of the grid and of the battery not yet held
+                rates = {rate_hz, *self.scenario.rate_grid,
+                         truth_rate(self.scenario.battery)}
+                multiples = {rate: r for rate in rates - self._truths.keys()
+                             if (r := self._fine_multiple(rate))}
+                windows = sorted(set(multiples.values()))
+                sums = dict(zip(windows, self.keyed().truth_sums(windows)))
+                built = {rate: sums[r] for rate, r in multiples.items()}
+            for values in built.values():
+                values.setflags(write=False)
+            self._truths.update(built)
+        return self._truths[rate_hz]
 
 
 def simulate(sc: ScenarioConfig) -> RunArtifacts:
@@ -434,13 +435,12 @@ def run_molding(sc: ScenarioConfig,
                 out_dir: str | None = None) -> ErrorReport:
     """Molded-model variants vs raw interface vs the per-rate oracle.
 
-    The run keys its finest rate first (`RunArtifacts.keyed`) and holds
-    those keyed rows across the rates; it trains on them and scores them
-    with their counts. Each other rate's design and truth are held only
+    The run holds its finest rate's keyed rows (`RunArtifacts.keyed`)
+    and every truth across the rates; it trains on the keyed rows and
+    scores them with their counts. Each other rate's design is held only
     while that rate is scored.
     """
     arts = _simulate_as(sc, MOLDING)
-    arts.keyed()
     models = train_molded_variants(sc, arts)
     report = ErrorReport(sc.name, sc.seed)
     for rate in sc.rate_grid:

@@ -30,9 +30,9 @@ query tick closing its interval, with no other run starting inside it,
 crosses nothing, and on a uniform grid whose step divides every run
 start, as the 100 Hz truth's does on every built-in, no crossing is
 sought at all. A shorter one is a binary search of the run starts at
-its ticks, which are then no more than the runs. A scenario run takes
-its truth from `true_energy` at its grid's finest rate only, and sums
-those rows into each coarser rate (`experiments.RunArtifacts`).
+its ticks, which are then no more than the runs. A scenario run builds
+each truth once and holds it (`experiments.RunArtifacts`): its keyed
+finest rate's sums, or `true_energy`'s; its designs are built afresh.
 
 Markov chains are sampled straight into runs too: a two-state chain in
 closed form, in one pass over its steps that are not stays, and any

@@ -131,6 +131,32 @@ def test_filtered_readings_past_a_stretch_do_not_depend_on_its_length():
                           past[100_000].view(np.int64))
 
 
+def test_capacity_windows_past_a_stretch_stay_within_eps_capacity():
+    # the capacity kind's charge is a running sum by design, so each of
+    # its levels rounds at about eps * initial_capacity_c instead. With
+    # noise off, an energy windowed over k readings past a prepended
+    # constant stretch differs from the window's truth by at most k
+    # roundings of the running sum, two of the charges and two of the
+    # levels, each within eps * C0 * V: (k + 4) eps C0 V for a stretch
+    # of 1,000 readings and of 100,000 alike, while the charge drawn
+    # stays below the capacity
+    model = dataclasses.replace(scn.builtin("n900like").battery,
+                                noise_sigma=0.0)
+    period, k = 1.0 / model.reading_rate_hz, 10
+    full = model.initial_capacity_c * model.supply_voltage_v
+    bound = (k + 4) * np.finfo(float).eps * full
+    tail = np.random.default_rng(3).uniform(0.5, 2.0, 2_000)
+    want = tail.reshape(-1, k).sum(axis=1)
+    for stretch in (1_000, 100_000):
+        energy = np.concatenate([np.full(stretch, 0.9 * full / 100_000),
+                                 tail])
+        trace = constant_trace(duration=len(energy) * period, tick=1.0)
+        readings = ss.sample_interface(trace, model, 0, energy)
+        got = ss.aggregate_response(readings, k * period)[stretch // k:]
+        assert len(got) == len(want)
+        assert np.abs(got - want).max() <= bound
+
+
 def test_capacity_constant_drain():
     trace = constant_trace(5.0, duration=100.0)  # 1 A at 5 V
     model = ss.BatteryInterfaceModel(kind="capacity", reading_rate_hz=0.1,

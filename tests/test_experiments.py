@@ -15,6 +15,7 @@ import sesame.cli as cli
 import sesame.experiments as exp
 import sesame.scenarios as scn
 from reference import interface_readings
+from sesame.battery import truth_rate
 from sesame.cli import main as cli_main
 from sesame.collector import DesignMatrix
 from sesame.constructor import TrainingSet, fit_regressogram
@@ -273,24 +274,27 @@ def model_bits(model) -> tuple:
     ("n85like", 1200.0)])
 def test_no_fit_reads_a_truth(name, duration_s, monkeypatch):
     # the models are built from the readings and the predictors alone:
-    # once a run's readings are sampled, every truth it holds is NaN and
-    # any new truth raises, and the molded variants, the regressogram
-    # run's linear model and every adaptation install stay the same bits.
-    # The regressogram itself trains on truths by design, so it is left
-    # out: its run stops scoring first. An error-vs-rate run fits nothing
+    # once a run's readings are sampled, every truth it holds, at every
+    # grid rate and at the battery's truth rate, is replaced by NaN (the
+    # held truths are read-only), the keyed truths are NaN and any new
+    # truth raises, and the molded variants, the regressogram run's
+    # linear model and every adaptation install stay the same bits. The
+    # regressogram itself trains on truths by design, so it is left out:
+    # its run stops scoring first. An error-vs-rate run fits nothing
     sc = scn.builtin(name)
     if duration_s is not None:
         sc = dataclasses.replace(sc, duration_s=duration_s)
     want = fitted_models(sc, exp.simulate(sc), monkeypatch)
     arts = exp.simulate(sc)
+    for rate in sc.rate_grid:
+        arts.truth(rate)
     if sc.experiment in (scn.MOLDING, scn.REGRESSOGRAM):
-        arts.keyed()
-        for rate in sc.rate_grid:
-            arts.truth(rate)
         arts.keyed().y[:] = np.nan
-        for sums in arts._sums.values():
-            sums[:] = np.nan
-        assert arts._sums and np.isnan(arts.truth(1.0)).all()
+    held = arts._truths
+    assert {*sc.rate_grid, truth_rate(sc.battery)} <= held.keys()
+    held.update({rate: np.full_like(truth, np.nan)
+                 for rate, truth in held.items()})
+    assert all(np.isnan(arts.truth(rate)).all() for rate in held)
     monkeypatch.setattr(exp, "true_energy", refuse)
     monkeypatch.setattr(exp, "collect_keyed", refuse)
     got = fitted_models(sc, arts, monkeypatch)

@@ -48,7 +48,7 @@ from sesame.battery import (
     sample_interface,
     truth_rate,
 )
-from sesame.collector import aggregate_response
+from sesame.collector import KeyedRows, aggregate_response
 from sesame.constructor import TrainingSet, build_model, stretch
 from sesame.errors import AlignmentError, ConfigurationError
 from sesame.tracesim import true_energy
@@ -433,7 +433,8 @@ def test_regressogram_linear_model_is_capped_at_pca_l(pca_l):
 def test_coarser_truths_sum_the_finest_rate(name):
     # every built-in grid nests, so in a run that keys its finest rate
     # each coarser truth sums the finest rate's, whichever rate is asked
-    # for first; a run that keys nothing reads true_energy at every rate
+    # for first; a run that keys nothing reads true_energy at every rate.
+    # Each truth is held once built, and read-only
     sc = scn.builtin(name)
     arts = exp.simulate(sc)
     fine = max(sc.rate_grid)
@@ -444,7 +445,9 @@ def test_coarser_truths_sum_the_finest_rate(name):
             assert np.array_equal(got, want)
         else:
             np.testing.assert_allclose(got, want, rtol=4e-15, atol=0)
-    fine_first = exp.RunArtifacts(sc, arts.trace, arts.readings)
+        assert got is arts.truth(rate) and not got.flags.writeable
+    fine_first = exp.RunArtifacts(sc, arts.trace)
+    fine_first._truths.clear()
     for rate in sorted(sc.rate_grid, reverse=True):
         assert np.array_equal(fine_first.truth(rate), arts.truth(rate))
 
@@ -452,8 +455,8 @@ def test_coarser_truths_sum_the_finest_rate(name):
 def test_artifacts_key_the_finest_rate_once(monkeypatch):
     # the finest rate is keyed once per run, whichever rate is asked for
     # first, and its design and truth are collect's and true_energy's;
-    # the coarser truths are its sums, held once built, and any other
-    # rate's design is built again on each call
+    # the coarser truths are its sums, held once built, and any rate's
+    # design is built again on each call
     sc = shortened("t61like")
     arts = exp.simulate(sc)
     fine = max(sc.rate_grid)
@@ -474,7 +477,8 @@ def test_artifacts_key_the_finest_rate_once(monkeypatch):
     assert fine in rates and len(rates) > 2
     for first in rates:
         keyed.clear()
-        run = exp.RunArtifacts(sc, arts.trace, arts.readings)
+        run = exp.RunArtifacts(sc, arts.trace)
+        run._truths.clear()
         run.truth(first)
         for rate in rates:
             run.design(rate)
@@ -496,6 +500,39 @@ def test_artifacts_key_the_finest_rate_once(monkeypatch):
         assert not np.shares_memory(first.x, second.x)
         assert np.array_equal(first.x, second.x)
     assert keyed == [fine]
+
+
+@pytest.mark.parametrize("name, grid", [
+    *(pytest.param(name, None, id=name)
+      for name in sorted(scn.BUILTIN_SCENARIOS)),
+    pytest.param("noiseless_linear", (1 / 3, 0.4), id="molding-3s-2.5s")])
+def test_each_run_builds_each_truth_once(name, grid, monkeypatch):
+    # a run builds the truth at each interval once, from true_energy or
+    # as a window of its keyed finest rate, however often its readings
+    # and its scores read it: n85like's readings and its 4 Hz score read
+    # one truth, and so do a molding run's 1 s readings and its 3 s
+    # score, 3 s not being a whole number of its finest 2.5 s interval
+    sc = scn.builtin(name)
+    if sc.experiment != scn.ADAPTATION:
+        sc = dataclasses.replace(sc, duration_s=1200.0)
+    if grid is not None:
+        sc = dataclasses.replace(sc, rate_grid=grid)
+    built = []      # the interval of each truth built, in ticks
+    energy, sums = exp.true_energy, KeyedRows.truth_sums
+
+    def counted_energy(trace, interval_s):
+        built.append(round(interval_s / trace.tick_s))
+        return energy(trace, interval_s)
+
+    def counted_sums(keyed, windows):
+        fine = round(keyed.interval_s / sc.tick_s)
+        built.extend(r * fine for r in windows)
+        return sums(keyed, windows)
+
+    monkeypatch.setattr(exp, "true_energy", counted_energy)
+    monkeypatch.setattr(KeyedRows, "truth_sums", counted_sums)
+    exp.run_scenario(sc)
+    assert built and len(built) == len(set(built)), sorted(built)
 
 
 @pytest.mark.parametrize("name", ["t61like", "quadratic_cpu"])

@@ -12,8 +12,10 @@ rounds and B first in odd ones: a side's time for a built-in in a round
 is the median of M runs of `run_scenario`, after one untimed run. Per
 built-in the script prints each side's median over the rounds, the
 median of the rounds' ratios B / A, the ratios' range, and the number of
-rounds in which B was faster. With `--out` it writes every round's
-times and the summary as JSON.
+rounds in which B was faster. Once the rounds are done it runs the
+tier-1 suite once in each side's checkout, one side after the other,
+and prints each side's wall time and pytest's summary line. With `--out`
+it writes every round's times, the summary and the tier-1 runs as JSON.
 
 The sweep is ungated: it reads a change's cost on the built-ins that no
 benchmark workload runs. Run it with `OPENBLAS_NUM_THREADS=1`, as the
@@ -28,6 +30,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from ab_pairs import checkout
@@ -82,6 +85,20 @@ class Worker:
         self.proc.wait()
 
 
+def tier1(root: Path) -> dict:
+    """The tier-1 suite run once in the checkout `root`: its wall time
+    in seconds, pytest's exit code and its last line of output."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=root, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": time.perf_counter() - t0, "exit_code": proc.returncode,
+            "summary": lines[-1] if lines else ""}
+
+
 def summarize(a: list[float], b: list[float]) -> dict:
     ratios = [y / x for x, y in zip(a, b)]
     return {"a_median_s": statistics.median(a),
@@ -111,10 +128,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.workdir is None:
         tmp = Path(tempfile.mkdtemp(prefix="sweep-"))
     workdir = args.workdir or tmp
-    workers = {}
+    workers, roots = {}, {}
     try:
         for side, spec in (("a", args.a), ("b", args.b)):
-            workers[side] = Worker(checkout(spec, workdir, side))
+            roots[side] = checkout(spec, workdir, side)
+            workers[side] = Worker(roots[side])
         names = sorted(set(workers["a"].builtins) & set(workers["b"].builtins))
         times = {name: {"a": [], "b": []} for name in names}
         for i in range(args.rounds):
@@ -133,6 +151,11 @@ def main(argv: list[str] | None = None) -> int:
                   f"ratio {s['ratio_median']:.3f} "
                   f"[{s['ratio_min']:.3f}, {s['ratio_max']:.3f}]  "
                   f"b faster {s['b_faster']}/{s['rounds']}")
+        result["tier1"] = {}
+        for side in ("a", "b"):
+            run = result["tier1"][side] = tier1(roots[side])
+            print(f"tier-1 {side}: {run['wall_s']:.1f} s  "
+                  f"exit {run['exit_code']}  {run['summary']}")
         if args.out:
             args.out.write_text(json.dumps(result, indent=1) + "\n")
         return 0
